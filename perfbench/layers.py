@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import re
-import time
 
 from repro.obs import trace
 
@@ -143,20 +142,13 @@ def instrument_store() -> None:
         setattr(ResultStore, method, _spanned(getattr(ResultStore, method), f"bench.store.{method}"))
 
 
-def instrument_experiments(report_module) -> dict[str, float]:
-    """Time each experiment the report runs, inside a ``bench.experiment`` span.
-
-    Returns the dict the wall times (seconds, by experiment id) fill in.
-    """
+def instrument_experiments(report_module, parts) -> None:
+    """Time each experiment the report runs into ``parts``, inside a
+    ``bench.experiment`` span."""
     run_experiment = report_module.run_experiment
-    seconds: dict[str, float] = {}
 
     def timed(experiment_id):
-        start = time.perf_counter()
-        with trace("bench.experiment", id=experiment_id):
-            result = run_experiment(experiment_id)
-        seconds[experiment_id] = time.perf_counter() - start
-        return result
+        with parts.timed(experiment_id), trace("bench.experiment", id=experiment_id):
+            return run_experiment(experiment_id)
 
     report_module.run_experiment = timed
-    return seconds

@@ -87,16 +87,19 @@ class Tally:
         return result + (extra,)
 
 
-def timed(iteration):
-    """``iteration`` as a call returning ``(output, wall_s, part_seconds)``."""
-    from perfbench.workloads import Parts
+def timed(iteration, reference: bool = True):
+    """``iteration`` as a call returning ``(output, wall_s, parts)``.
+
+    ``wall_s`` leaves out the reference loops run between the parts.
+    """
+    from perfbench.speed import Parts
 
     def run():
-        parts = Parts()
+        parts = Parts(reference)
         start = time.perf_counter()
         output = iteration(parts)
-        wall = time.perf_counter() - start
-        return output, wall, parts.seconds or {"iteration": wall}
+        wall = time.perf_counter() - start - parts.loop_seconds
+        return output, wall, parts
 
     return run
 
@@ -144,61 +147,60 @@ def wall_summary(walls: list[float]) -> dict:
 
 
 def measure_untraced(workload, seconds: float, min_samples: int, tally: Tally):
-    """Iteration walls, and each part's best time, over the run."""
-    walls, best = [], {}
+    """Iteration walls as measured, and each iteration's parts."""
+    walls, samples = [], []
     for _ in range(WARMUP):
         tally.attempt(workload, timed(workload.iteration))
     for _ in _passes(seconds, min_samples):
         result = tally.attempt(workload, timed(workload.iteration))
         if result is not None:
             walls.append(result[1])
-            for name, part in result[2].items():
-                best[name] = min(part, best.get(name, part))
-    return walls, best
+            samples.append(result[2])
+    return walls, samples
 
 
 def measure_traced(workload, seconds: float, min_samples: int, tally: Tally, workdir: Path):
-    """Alternate untraced and traced iterations; per-layer samples of the latter."""
+    """Alternate untraced and traced iterations.
+
+    Returns the walls of each, per-layer samples of the traced ones, and
+    each adjacent pair's traced minus untraced wall.
+    """
     from perfbench.layers import iteration_layers
 
     sink = workdir / "trace.json"
-    untraced, traced, layers = [], [], []
+    untraced, traced, layers, overheads = [], [], [], []
+    # No reference loops here: the untraced iterations are the traced
+    # ones' baseline, and those run none.
+    untimed = timed(workload.iteration, reference=False)
     for _ in range(WARMUP):
-        tally.attempt(workload, timed(workload.iteration))
+        tally.attempt(workload, untimed)
     for _ in _passes(seconds, min_samples):
-        result = tally.attempt(workload, timed(workload.iteration))
-        if result is not None:
-            untraced.append(result[1])
+        baseline = tally.attempt(workload, untimed)
+        if baseline is not None:
+            untraced.append(baseline[1])
         sink.unlink(missing_ok=True)
         result = tally.attempt(workload, lambda: workload.traced_iteration(sink))
         if result is not None:
             _, wall, root, counters, extra = result
             traced.append(wall)
             layers.append(iteration_layers(root, counters, extra))
-    return untraced, traced, layers
+            if baseline is not None:
+                overheads.append(wall - baseline[1])
+    return untraced, traced, layers, overheads
 
 
 def git_sha() -> str | None:
     """HEAD of the checkout's git repository, if it has one."""
-    git = ROOT / ".git"
-    try:
-        head = (git / "HEAD").read_text().strip()
-    except OSError:
+    if not (ROOT / ".git").exists():
+        # Not the enclosing directory's repository, if there is one.
         return None
-    if not head.startswith("ref: "):
-        return head
-    ref = head[len("ref: "):]
     try:
-        return (git / ref).read_text().strip()
-    except OSError:
-        pass
-    try:
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=30
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return completed.stdout.strip() if completed.returncode == 0 else None
 
 
 def source_digest() -> str:
@@ -247,9 +249,9 @@ def run(args, workdir: Path) -> tuple[dict, dict]:
     min_samples = 1 if args.smoke else MIN_SAMPLES
     if args.trace:
         layers.instrument_store()
-        untraced, traced, samples = measure_traced(workload, args.seconds, min_samples, tally, workdir)
+        untraced, traced, samples, overheads = measure_traced(workload, args.seconds, min_samples, tally, workdir)
     else:
-        walls, best = measure_untraced(workload, args.seconds, min_samples, tally)
+        walls, samples = measure_untraced(workload, args.seconds, min_samples, tally)
     # The other half of the set-up probes run after measuring, so together
     # they sample the machine across the whole run, not one moment of it.
     probes += setup_probes(args.workload, args.seed, workdir, range(len(probes), probe_count))
@@ -262,8 +264,9 @@ def run(args, workdir: Path) -> tuple[dict, dict]:
         }
         for metric, key in layers.SETUP_LAYERS.items():
             values[metric] = statistics.median(probe[key] for probe in probes)
-        if untraced and traced:
-            values["obs.trace_overhead_ms"] = best_ms(traced) - best_ms(untraced)
+        if overheads:
+            # Pairs adjacent in time see the same host speed.
+            values["obs.trace_overhead_ms"] = statistics.median(overheads) * 1e3
         details.update(
             samples={"untraced": len(untraced), "traced": len(traced)},
             # A mean, like the layer self times it bounds.
@@ -271,15 +274,22 @@ def run(args, workdir: Path) -> tuple[dict, dict]:
             unattributed_ms=values.get("unattributed_ms", 0.0),
         )
     else:
+        totals = [sum(parts.at_reference.values()) for parts in samples]
+        names = list(samples[0].at_reference) if samples else []
         values = {
-            "wall_ms.best": sum(best.values()) * 1e3 if best else None,
+            "wall_ms.p50_at_ref": statistics.median(totals) * 1e3 if totals else None,
             "setup_s": statistics.median(probe["setup_s"] for probe in probes),
             "peak_rss_mb": workload.peak_rss_kb() / 1024,
         }
         details.update(
             wall_ms=wall_summary(walls),
-            best_part_ms={name: seconds * 1e3 for name, seconds in best.items()},
+            at_ref_ms=wall_summary(totals),
+            part_p50_at_ref_ms={
+                name: statistics.median(parts.at_reference[name] for parts in samples) * 1e3
+                for name in names
+            },
             setup_s=sorted(probe["setup_s"] for probe in probes),
+            setup_measured_s=sorted(probe["setup_measured_s"] for probe in probes),
         )
     details["provenance"] = provenance()
     metrics = {
@@ -301,6 +311,9 @@ def main(argv=None) -> int:
         return 2
     for key in [key for key in os.environ if key.startswith("REPRO_")]:
         del os.environ[key]
+    # One CPU for this process and its children, so the reference loops
+    # run on the CPU whose speed the parts between them saw.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.workloads import WORKLOADS
 

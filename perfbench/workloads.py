@@ -19,7 +19,6 @@ import shutil
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from repro.backends import get_backend
@@ -41,6 +40,7 @@ from repro.obs import (
 from repro.runtime import ExecutionPolicy, Executor
 
 from perfbench.layers import counter_deltas, iteration_root
+from perfbench.speed import Parts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,34 +57,18 @@ SWEEP_RANGE = (1e-4, 2e-3)
 
 #: The ``mc-threshold`` search settings.
 SEARCH = dict(lower=2e-3, upper=8e-2, iterations=8)
-#: Searches per threshold-search iteration, by ``trials_spent`` in units
-#: of the full budget.  A search's cost is set by its seed (118,750 to
-#: 443,750 trials at 100k), so a run takes the first seeds it spawns
-#: that fill this fixed mix: the seed changes the data, never the work.
-SEARCH_PANEL = {1.1875: 2, 3.4375: 2, 4.4375: 1}
+#: Searches per threshold-search iteration, and the ``trials_spent`` each
+#: must cost, in units of the full budget: 343,750 trials at 100k, what
+#: the ``mc-threshold`` experiment (seed 51) spends.  A search's cost is
+#: set by its seed, so a run keeps the first spawned seeds that cost
+#: this much: the seed changes the data, never the work.
+SEARCH_COUNT = 8
+SEARCH_COST = 3.4375
 SEARCH_CANDIDATES = 400
 
 
 class CheckFailed(Exception):
     """An iteration's output differs from the expected output."""
-
-
-class Parts:
-    """Wall time of each named part of one iteration, in seconds."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-
-    def add(self, name: str, seconds: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-
-    @contextmanager
-    def timed(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
 
 
 def clean_env(**extra: str) -> dict[str, str]:
@@ -182,7 +166,7 @@ class Workload:
         try:
             start = time.perf_counter()
             with trace("bench.iteration"):
-                output = self.iteration(Parts())
+                output = self.iteration(Parts(reference=False))
             wall = time.perf_counter() - start
             flush_trace()
         finally:
@@ -244,21 +228,19 @@ class ThresholdSearch(Workload):
             self.seeds = candidates[:2]
             self.expected = [self._search(seed) for seed in self.seeds]
         else:
-            wanted = dict(SEARCH_PANEL)
             self.seeds, self.expected = [], []
             for seed in candidates:
                 result = self._search(seed)
-                share = result.trials_spent / self.trials
-                if wanted.get(share, 0) > 0:
-                    wanted[share] -= 1
+                if result.trials_spent == SEARCH_COST * self.trials:
                     self.seeds.append(seed)
                     self.expected.append(result)
-                if not any(wanted.values()):
+                if len(self.seeds) == SEARCH_COUNT:
                     break
             else:
                 raise CheckFailed(
-                    f"{self.name}: {SEARCH_CANDIDATES} candidate seeds did "
-                    f"not fill the panel {SEARCH_PANEL}"
+                    f"{self.name}: {SEARCH_CANDIDATES} candidate seeds gave "
+                    f"fewer than {SEARCH_COUNT} searches of "
+                    f"{SEARCH_COST * self.trials:,.0f} trials"
                 )
         self.check(self.expected)
 
@@ -288,33 +270,53 @@ class ThresholdSearch(Workload):
 
 
 class JobsSweep(Workload):
-    """The sweep as a serial SweepJob: submit, run, collect into a fresh directory."""
+    """The sweep as a serial SweepJob, computed cold, then served warm.
+
+    The cold step submits, runs and collects into a fresh job directory,
+    writing the manifest, store entries and checkpoints.  The warm step
+    clears the checkpoints (untimed), so resubmitting serves every point
+    from the store, then re-queries the store through a fresh
+    ``CachingExecutor``, as ``test_perf_jobs_store`` does: reads only,
+    zero simulation.
+    """
 
     name = "jobs-sweep"
     shard_size = 2
 
     def prepare(self) -> None:
         self.specs = sweep_specs(self.seed, self.trials)
-        self.expected = Executor(POLICY).run(self.specs)
+        results = Executor(POLICY).run(self.specs)
+        # Every step equals a serial run; the warm ones simulate nothing.
+        self.expected = (results, results, 0, results, 0)
         self.count = 0
 
     @property
     def job_dir(self) -> Path:
         return self.workdir / f"job-{self.count}"
 
-    def _submit_run_collect(self, job_dir: Path, specs, parts: Parts):
+    def _submit_run_collect(self, job_dir: Path, specs, parts: Parts, step: str = ""):
         from repro.jobs import SweepJob
 
-        with parts.timed("submit"):
+        with parts.timed(f"{step}submit"):
             job = SweepJob.submit(job_dir, specs, policy=POLICY, shard_size=self.shard_size)
-        with parts.timed("run"):
+        with parts.timed(f"{step}run"):
             report = job.run()
-        with parts.timed("collect"):
+        with parts.timed(f"{step}collect"):
             return report, job.collect()
 
     def iteration(self, parts: Parts):
+        from repro.jobs import CachingExecutor, ResultStore
+
         self.started_ns = time.time_ns()
-        return self._submit_run_collect(self.job_dir, self.specs, parts)[1]
+        _, cold = self._submit_run_collect(self.job_dir, self.specs, parts)
+        # Keep the store, drop the checkpoints: the resubmit then finds
+        # every shard pending and every point stored.
+        shutil.rmtree(self.job_dir / "shards")
+        report, warm = self._submit_run_collect(self.job_dir, self.specs, parts, "warm-")
+        with parts.timed("warm-requery"):
+            caching = CachingExecutor(ResultStore(self.job_dir / "store"), policy=POLICY)
+            requeried = caching.run(self.specs)
+        return cold, warm, report.simulated_points, requeried, caching.simulated_points
 
     def _bytes_written(self) -> dict[str, int]:
         stats = (path.stat() for path in (self.job_dir / "store").rglob("*.json"))
@@ -328,28 +330,7 @@ class JobsSweep(Workload):
         return counts
 
     def probe_call(self, specs) -> None:
-        self._submit_run_collect(self.workdir / "probe", specs, Parts())
-
-
-class JobsWarm(JobsSweep):
-    """Resubmit, run and collect a completed job: reads only."""
-
-    name = "jobs-warm"
-
-    def prepare(self) -> None:
-        super().prepare()
-        self._submit_run_collect(self.job_dir, self.specs, Parts())
-        # A warm step must serve every point and simulate none.
-        self.expected = (self.expected, 0)
-
-    def iteration(self, parts: Parts):
-        self.started_ns = time.time_ns()
-        report, results = self._submit_run_collect(self.job_dir, self.specs, parts)
-        return results, report.simulated_points
-
-    def after_iteration(self) -> dict[str, int]:
-        # Keep the completed job: every iteration resubmits the same one.
-        return self._bytes_written()
+        self._submit_run_collect(self.workdir / "probe", specs, Parts(reference=False))
 
 
 class ReportCold(Workload):
@@ -366,11 +347,11 @@ class ReportCold(Workload):
 
         self.expected = (0, f"all {len(REGISTRY)} experiments match the paper")
 
-    def _report(self, *trace_path: str) -> tuple[tuple, dict, float]:
+    def _report(self, loops: bool, *trace_path: str) -> tuple[tuple, dict, float]:
         """Run ``child.py report`` once: ``(output, timings, wall_s)``."""
         start = time.perf_counter()
         completed = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "child.py"), "report", *trace_path],
+            [sys.executable, str(ROOT / "perfbench" / "child.py"), "report", str(int(loops)), *trace_path],
             cwd=ROOT,
             env=self._env(),
             capture_output=True,
@@ -383,16 +364,21 @@ class ReportCold(Workload):
         return (completed.returncode, timings["last_line"]), timings, wall
 
     def iteration(self, parts: Parts):
-        output, timings, wall = self._report()
-        parts.add("import", timings["import_s"])
-        for experiment_id, seconds in timings["experiments"].items():
-            parts.add(experiment_id, seconds)
-        # Interpreter start, printing and exit.
-        parts.add("rest", wall - sum(parts.seconds.values()))
+        before = parts.last_loop or parts.loop()
+        output, timings, wall = self._report(parts.reference)
+        after = parts.loop()
+        # The child timed its import and each experiment itself.
+        for name, seconds in timings["seconds"].items():
+            parts.add(name, seconds, timings["at_reference"][name])
+        # Interpreter start, printing and exit: the rest of the process's
+        # wall time, less the child's own reference loops.
+        rest = wall - sum(timings["seconds"].values()) - timings["loop_s"]
+        parts.add_between("rest", rest, before, after)
+        parts.loop_seconds += timings["loop_s"]
         return output
 
     def traced_iteration(self, sink: Path):
-        output, _, wall = self._report(str(sink))
+        output, _, wall = self._report(False, str(sink))
         document = json.loads(sink.read_text())
         return output, wall, iteration_root(document), document["metrics"]["counters"]
 
@@ -407,5 +393,5 @@ class ReportCold(Workload):
 
 
 WORKLOADS = {
-    cls.name: cls for cls in (SweepSparse, ThresholdSearch, JobsSweep, JobsWarm, ReportCold)
+    cls.name: cls for cls in (SweepSparse, ThresholdSearch, JobsSweep, ReportCold)
 }
