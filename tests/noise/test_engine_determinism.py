@@ -27,8 +27,12 @@ import numpy as np
 import pytest
 
 from repro.coding import recovery_circuit
+from repro.coding.recovery import OUTPUT_WIRES
+from repro.core.circuit import Circuit
 from repro.core.compiled import clear_compile_cache, compile_cache_stats
-from repro.noise import NoiseModel, NoisyRunner
+from repro.noise import NoiseModel, NoisyRunner, repetition_failure_predicate
+from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpec
+from repro.synth import inflate
 
 #: Frozen stream digests for the reference run below.  If an
 #: intentional RNG-stream change lands, re-record these and flag the
@@ -43,6 +47,18 @@ EXPECTED_DIGESTS = {
 UNFUSED_BITPLANE_DIGEST = (
     "668ca3903bc346718cdb2a19debacae88e1db63d386439a11fcb9809bd52bcc1"
 )
+
+
+#: The mixed-arity stream: a 1-wire reset, CNOT, Toffoli and MAJ in
+#: front of an inflated recovery cycle, so one circuit carries gate and
+#: reset groups of arities 1, 2 and 3.  ``runner`` hashes a solo
+#: ``NoisyRunner`` run (fault counts and final states), ``executor``
+#: one three-point stacked ``Executor.run`` (failures and faulted
+#: trials per point).
+MIXED_ARITY_DIGESTS = {
+    "runner": "be5d3acc533cdfefac5d18e041ae2873deb838c9a8fb69295c163154bb077e9f",
+    "executor": "e3eef4cf469755324e5553fbe83dcac3c882e3c91193f1d24415d1d738463f87",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +149,55 @@ def test_backend_choice_is_bit_invariant_across_seeds():
         np.testing.assert_array_equal(
             numpy_run.states.planes, fused_run.states.planes
         )
+
+
+def mixed_arity_circuit() -> Circuit:
+    head = Circuit(9, name="mixed-arity").append_reset(0)
+    head.cnot(1, 2).toffoli(3, 4, 5).maj(6, 7, 8)
+    return head + inflate(recovery_circuit())
+
+
+def mixed_arity_runner_digest() -> str:
+    runner = NoisyRunner(
+        NoiseModel(gate_error=0.02, reset_error=0.01), seed=2026,
+        engine="bitplane",
+    )
+    result = runner.run_from_input(
+        mixed_arity_circuit(), (1, 1, 1) + (0,) * 6, 1000
+    )
+    return run_digest(result)
+
+
+def mixed_arity_executor_digest() -> str:
+    observable = PredicateObservable(
+        repetition_failure_predicate(OUTPUT_WIRES, 1)
+    )
+    specs = [
+        RunSpec(
+            circuit=mixed_arity_circuit(),
+            input_bits=(1, 1, 1) + (0,) * 6,
+            observable=observable,
+            noise=NoiseModel(gate_error=g, reset_error=g / 2),
+            trials=trials,
+            seed=seed,
+        )
+        for seed, (g, trials) in enumerate(
+            ((0.005, 1000), (0.02, 777), (0.05, 65)), start=31
+        )
+    ]
+    results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(f"{result.failures},{result.faulted_trials};".encode())
+    return digest.hexdigest()
+
+
+def test_mixed_arity_stream_digest_is_frozen():
+    # The uniform-arity recovery circuit above never leaves the
+    # merged-class fault path; this circuit mixes arities 1-3 in both
+    # error classes, pinning the stream for every other circuit shape.
+    assert mixed_arity_runner_digest() == MIXED_ARITY_DIGESTS["runner"]
+    assert mixed_arity_executor_digest() == MIXED_ARITY_DIGESTS["executor"]
 
 
 def test_compile_cache_is_result_invariant(monkeypatch):
