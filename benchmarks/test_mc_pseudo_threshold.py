@@ -1,113 +1,15 @@
 """Bench: Monte-Carlo pseudo-threshold vs the analytic lower bound.
 
-Besides the paper-vs-measured table, this file pins the PR acceptance
-criterion for the threshold pipeline: the current pipeline (fused
-compiled schedule + process-wide compile cache + budget-aware adaptive
-bisection) must run the 100k-trial pseudo-threshold search at least
-2x faster end-to-end than the PR 1 baseline.  The baseline is
-reconstructed faithfully inside this file: a fresh processor build and
-compile per evaluation (``REPRO_COMPILE_CACHE=0``), the per-op
-schedule with one fault draw per op (``REPRO_FUSE=0``), the unpacked
-decode path, and a fixed-budget bisection that spends the full trial
-budget at every point.  Like the engine speedup gate, it times both
-pipelines itself so it keeps guarding the ratio under
-``--benchmark-disable``; shared CI runners can lower the floor via
-``REPRO_PIPELINE_SPEEDUP_FLOOR``.
+The search's speed is tracked by the ``threshold-search`` workload of
+the repository benchmark (``perfbench/``).
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-import numpy as np
-
 from benchmarks.conftest import run_once
-from repro.coding.logical import LogicalProcessor
-from repro.core import library
-from repro.core.compiled import clear_compile_cache
 from repro.harness.experiments import run_experiment
-from repro.harness.threshold_finder import (
-    _PROCESSOR_CACHE,
-    find_pseudo_threshold,
-)
-from repro.noise import NoiseModel, NoisyRunner
-
-TRIALS = 100_000
 
 
 def test_mc_pseudo_threshold(benchmark, record):
     result = run_once(benchmark, lambda: run_experiment("mc-threshold"))
     record(result)
-
-
-def _pr1_logical_error(gate_error: float) -> float:
-    """The PR 1 evaluation loop: rebuild, recompile, decode unpacked."""
-    processor = LogicalProcessor(3, include_resets=True)
-    processor.apply(library.MAJ, 0, 1, 2)
-    processor.apply(library.MAJ_INV, 0, 1, 2)
-    physical = processor.physical_input((1, 0, 1))
-    runner = NoisyRunner(NoiseModel(gate_error=gate_error), 51, engine="bitplane")
-    result = runner.run_from_input(processor.circuit, physical, TRIALS)
-    decoded = processor.decode_batch(result.states)
-    expected = np.asarray((1, 0, 1), dtype=np.uint8)
-    failures = int((decoded != expected).any(axis=1).sum())
-    return 1.0 - (1.0 - failures / TRIALS) ** 0.5
-
-
-def _clear_pipeline_caches() -> None:
-    clear_compile_cache()
-    _PROCESSOR_CACHE.clear()
-
-
-def _pr1_pipeline() -> None:
-    previous = {knob: os.environ.get(knob) for knob in ("REPRO_FUSE", "REPRO_COMPILE_CACHE")}
-    os.environ["REPRO_FUSE"] = "0"
-    os.environ["REPRO_COMPILE_CACHE"] = "0"
-    try:
-        _clear_pipeline_caches()
-        find_pseudo_threshold(
-            _pr1_logical_error, lower=2e-3, upper=8e-2, iterations=8
-        )
-    finally:
-        for knob, value in previous.items():
-            if value is None:
-                os.environ.pop(knob, None)
-            else:
-                os.environ[knob] = value
-
-
-def _current_pipeline() -> None:
-    # Cold caches each round: the measured win must not depend on state
-    # left over from a previous experiment in the same process.
-    _clear_pipeline_caches()
-    run_experiment("mc-threshold")
-
-
-def _best_seconds(function, rounds: int = 3) -> float:
-    function()  # warm-up: gate lowering lru, allocator, BLAS threads
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_threshold_pipeline_speedup(monkeypatch):
-    """Acceptance: >= 2x end-to-end on the 100k-trial threshold search."""
-    floor = float(os.environ.get("REPRO_PIPELINE_SPEEDUP_FLOOR", "2"))
-    monkeypatch.setenv("REPRO_TRIALS", str(TRIALS))
-    baseline_seconds = _best_seconds(_pr1_pipeline)
-    current_seconds = _best_seconds(_current_pipeline)
-    speedup = baseline_seconds / current_seconds
-    print(
-        f"\nmc-threshold, {TRIALS} trials: PR1 pipeline "
-        f"{baseline_seconds * 1e3:.0f} ms, current {current_seconds * 1e3:.0f} ms, "
-        f"speedup {speedup:.2f}x"
-    )
-    assert speedup >= floor, (
-        f"threshold pipeline only {speedup:.2f}x faster than the PR 1 "
-        f"baseline ({baseline_seconds * 1e3:.0f} ms vs "
-        f"{current_seconds * 1e3:.0f} ms), floor {floor}x"
-    )

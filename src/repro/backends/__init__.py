@@ -2,9 +2,9 @@
 
 The plane-program IR of :mod:`repro.core.compiled` is a hard seam: a
 *backend* implements the :class:`~repro.backends.base.PlaneBackend`
-contract (allocate planes, prepare a compiled circuit, stacked apply,
-randomize/scatter, popcount/majority decode) and the noise layer and
-stacked executor run against whichever one the registry hands them.
+contract (allocate planes, prepare a compiled circuit into a slot-wise
+executable) and the noise layer's fault kernel runs against whichever
+one the registry hands it.
 
 Two backends ship in-tree:
 

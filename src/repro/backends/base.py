@@ -6,10 +6,8 @@ way of executing that data against a plane store.  This module pins the
 contract down as an abstract base class so the noise layer and the
 stacked executor can be pointed at any implementation:
 
-* :class:`PlaneBackend` — allocate plane states, prepare a compiled
-  circuit into an executable :class:`PreparedProgram`, and perform the
-  state-level primitives the noise layer needs (program application,
-  stacked apply, randomize/scatter, majority/popcount decode).
+* :class:`PlaneBackend` — allocate plane states and prepare a compiled
+  circuit into an executable :class:`PreparedProgram`.
 * :class:`PreparedProgram` — the per-``CompiledCircuit`` executable: a
   slot-indexed ``apply_slot`` (the noisy engines interleave fault
   injection between slots) plus a noiseless ``run`` over the whole
@@ -17,17 +15,17 @@ stacked executor can be pointed at any implementation:
 
 Both registered backends (:mod:`repro.backends.numpy_backend` and
 :mod:`repro.backends.fused`) operate on the shared
-:class:`~repro.core.bitplane.BitplaneState` uint64 plane store, so the
-allocation and randomize/decode primitives default to delegating
-straight to the state; a future device backend would override them
-alongside :meth:`PlaneBackend.prepare`.
+:class:`~repro.core.bitplane.BitplaneState` uint64 plane store, so
+allocation defaults to the state's constructors, and fault scatter and
+decode work on the state directly; a backend with its own plane store
+would override allocation alongside :meth:`PlaneBackend.prepare`.
 
 Conformance is behavioural, not structural: every registered backend
 must pass the parametrized suite in ``tests/backends/conformance.py``
 (small-circuit equivalence against the reference simulator, stacked
 vs solo bit-identity, fault-draw bit-identity against the ``numpy``
 backend, decode correctness).  Backends never touch the RNG — faults
-are drawn by the noise layer and scattered through the state — so
+are drawn and scattered by the noise layer's fault kernel — so
 swapping backends can never change a published number.
 """
 
@@ -35,13 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.core.bitplane import (
-    BitplaneState,
-    count_trial_ones,
-    popcount_words,
-)
+from repro.core.bitplane import BitplaneState
 from repro.obs import clock_ns, histogram, sample_every
 
 __all__ = ["PlaneBackend", "PreparedProgram", "TimedProgram"]
@@ -109,9 +101,8 @@ class PlaneBackend:
     """Abstract executor of compiled plane programs.
 
     Subclasses set :attr:`name` (the registry key) and implement
-    :meth:`_prepare`; the state-level primitives default to the
-    :class:`BitplaneState` implementations shared by the in-tree
-    backends.
+    :meth:`_prepare`; allocation defaults to the
+    :class:`BitplaneState` constructors shared by the in-tree backends.
     """
 
     #: Registry key; also what ``PointResult``-style reporting shows.
@@ -170,79 +161,6 @@ class PlaneBackend:
 
     def _prepare(self, compiled) -> PreparedProgram:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # State primitives (randomize/scatter, decode) — shared plane store
-    # ------------------------------------------------------------------
-
-    def apply_program(
-        self,
-        state: BitplaneState,
-        program: tuple,
-        wires: Sequence[int],
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Apply one plane program outside the prepared schedule."""
-        state.apply_program(program, wires, mask)
-
-    def apply_program_stacked(
-        self,
-        state: BitplaneState,
-        program: tuple,
-        wire_matrix: np.ndarray,
-        row_slices: tuple = (),
-    ) -> None:
-        """Apply one program to stacked instances outside the schedule."""
-        state.apply_program_stacked(program, wire_matrix, row_slices)
-
-    def reset(
-        self,
-        state: BitplaneState,
-        wires: Sequence[int],
-        value: int = 0,
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Reset wires to a constant on all (or masked) trials."""
-        state.reset(wires, value, mask)
-
-    def randomize(
-        self,
-        state: BitplaneState,
-        wires: Sequence[int],
-        rng: np.random.Generator,
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Replace wires with uniform random bits (the paper's fault)."""
-        state.randomize(wires, rng, mask)
-
-    def randomize_stacked(
-        self,
-        state: BitplaneState,
-        wire_matrix: np.ndarray,
-        rng: np.random.Generator | None,
-        instance_of: np.ndarray,
-        word_of: np.ndarray,
-        select: np.ndarray,
-        random_words: np.ndarray | None = None,
-    ) -> None:
-        """Scatter one batched fault draw onto stacked gate instances."""
-        state.randomize_stacked(
-            wire_matrix, rng, instance_of, word_of, select, random_words
-        )
-
-    def majority_plane(
-        self, state: BitplaneState, wires: Sequence[int]
-    ) -> np.ndarray:
-        """Packed per-trial majority vote over the selected wires."""
-        return state.majority_plane(wires)
-
-    def popcount(self, words: np.ndarray) -> int:
-        """Total set bits across packed uint64 words."""
-        return popcount_words(words)
-
-    def count_trial_ones(self, words: np.ndarray, trials: int) -> int:
-        """Set bits among the first ``trials`` of a packed plane."""
-        return count_trial_ones(words, trials)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

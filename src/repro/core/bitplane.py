@@ -18,10 +18,11 @@ bit-parallel via a carry-save binary counter.  The observation API
 ``BatchedState`` exactly, so failure predicates and decoders written
 against one engine run unmodified against the other.
 
-Masks: every mutating method accepts either a boolean/uint8 per-trial
-mask of shape ``(trials,)`` (the ``BatchedState`` convention) or an
-already-packed ``(n_words,)`` uint64 plane; the noise layer passes
-packed masks so the hot path never unpacks.
+Masks: the masked evolution methods accept either a boolean/uint8
+per-trial mask of shape ``(trials,)`` (the ``BatchedState`` convention)
+or an already-packed ``(n_words,)`` uint64 plane.  Noisy runs never
+mask: the fault kernel of :mod:`repro.noise.monte_carlo` scatters its
+faults straight into the planes.
 
 Word layout note: packing goes through ``np.packbits(bitorder="little")``
 viewed as native uint64, so trial-to-bit assignment is
@@ -94,18 +95,6 @@ def count_trial_ones(words: np.ndarray, trials: int) -> int:
         words = words.copy()
         words[-1] &= np.uint64((1 << (trials % WORD_BITS)) - 1)
     return popcount_words(words)
-
-
-def mask_from_positions(positions: np.ndarray, n_words: int) -> np.ndarray:
-    """A packed mask with exactly the given trial indices set."""
-    mask = np.zeros(n_words, dtype=np.uint64)
-    positions = np.asarray(positions, dtype=np.int64)
-    np.bitwise_or.at(
-        mask,
-        positions >> 6,
-        np.uint64(1) << (positions & 63).astype(np.uint64),
-    )
-    return mask
 
 
 class BitplaneState:
@@ -316,86 +305,6 @@ class BitplaneState:
                 self.planes[rows] |= mask
             else:
                 self.planes[rows] &= ~mask
-
-    def randomize(
-        self,
-        wires: Sequence[int],
-        rng: np.random.Generator,
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Replace wires with uniform random bits (the paper's fault).
-
-        Draws whole uint64 words from ``rng`` — a deliberately different
-        stream layout from ``BatchedState.randomize`` (which draws uint8
-        bits per trial), so equal seeds give equal *statistics* across
-        engines but not equal realisations.
-
-        With a mask, random words are drawn only for the words that
-        actually contain masked trials, so the cost of a sparse fault
-        (the Monte-Carlo common case) scales with the number of faulted
-        words, not with the batch size.
-        """
-        rows = list(wires)
-        if not rows:
-            return
-        if mask is None:
-            self.planes[rows] = rng.integers(
-                0, 2**64, size=(len(rows), self.n_words), dtype=np.uint64
-            )
-            return
-        mask = self._mask_words(mask)
-        affected = np.nonzero(mask)[0]
-        if affected.size == 0:
-            return
-        words = rng.integers(
-            0, 2**64, size=(len(rows), affected.size), dtype=np.uint64
-        )
-        select = mask[affected]
-        target = np.ix_(rows, affected)
-        self.planes[target] = (words & select) | (self.planes[target] & ~select)
-
-    def randomize_stacked(
-        self,
-        wire_matrix: np.ndarray,
-        rng: np.random.Generator | None,
-        instance_of: np.ndarray,
-        word_of: np.ndarray,
-        select: np.ndarray,
-        random_words: np.ndarray | None = None,
-    ) -> None:
-        """Randomize faulted sites of stacked gate instances in one draw.
-
-        ``wire_matrix`` is the ``(k, arity)`` instance layout; the
-        remaining arrays describe the ``m`` faulted (instance, word)
-        sites: instance index, word index within the plane, and the
-        packed bit-select of faulted trials in that word.  One
-        ``(arity, m)`` block of random words replaces the selected bits
-        on every wire of each faulted instance — the per-slot batched
-        counterpart of :meth:`randomize`.
-
-        ``random_words`` supplies a pre-drawn ``(arity, m)`` block
-        instead of drawing from ``rng`` — the multi-point executor uses
-        this to concatenate many points' sites into one scatter while
-        every point's replacement bits still come from its own
-        generator.
-        """
-        arity = wire_matrix.shape[1]
-        if random_words is None:
-            random_words = rng.integers(
-                0, 2**64, size=(arity, instance_of.size), dtype=np.uint64
-            )
-        rows = wire_matrix.T[:, instance_of]
-        if self.planes.flags.c_contiguous:
-            flat = self.planes.reshape(-1)
-            indices = rows * self.n_words + word_of
-            current = flat.take(indices)
-            flat.put(indices, (random_words & select) | (current & ~select))
-        else:  # pragma: no cover - planes are constructed contiguous
-            for position in range(arity):
-                wires = rows[position]
-                self.planes[wires, word_of] = (
-                    random_words[position] & select
-                ) | (self.planes[wires, word_of] & ~select)
 
     def apply_operation(self, op: Operation) -> None:
         """Apply one noiseless circuit operation to every trial."""

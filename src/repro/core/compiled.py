@@ -25,8 +25,7 @@ words.  This module performs that lowering once per gate:
   the fault-tolerant constructions fuse three wide this way.  Because
   the fused ops commute (disjoint wires), executing the slot as a block
   and injecting each op's faults afterwards is bit-identical to the
-  sequential schedule; only the *order of RNG draws* changes, which is
-  why the noise layer draws one batched fault mask per slot.
+  sequential schedule; only the *order of RNG draws* changes.
 
 Compiled programs are cached process-wide by :func:`compile_circuit`,
 keyed on circuit *content* (wire count plus the exact operation
@@ -36,8 +35,8 @@ same circuit at different noise levels — every bisection step of the
 threshold finder, every sweep point — therefore lowers it exactly once
 per process.  Environment knobs: ``REPRO_COMPILE_CACHE=0`` disables the
 cache (every call recompiles), ``REPRO_FUSE=0`` disables fusion (every
-op becomes its own single-op slot, reproducing the pre-fusion RNG
-stream exactly).
+op becomes its own single-op slot; the noise layer draws faults for it
+exactly as for a fused program, so it has an RNG stream of its own).
 
 The compiled schedule is engine-agnostic data; it is executed by
 :class:`~repro.core.bitplane.BitplaneState` (which stores 64 trials per

@@ -23,7 +23,6 @@ from repro.harness.threshold_finder import (
     cycle_stage_spec,
     find_pseudo_threshold,
     find_pseudo_threshold_adaptive,
-    logical_error_per_cycle,
     measure_cycle_errors,
     per_cycle_rate,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "cycle_stage_spec",
     "find_pseudo_threshold",
     "find_pseudo_threshold_adaptive",
-    "logical_error_per_cycle",
     "measure_cycle_errors",
     "per_cycle_rate",
 ]

@@ -10,9 +10,8 @@ module estimates it by bisection over Monte-Carlo estimates.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -156,39 +155,6 @@ def measure_cycle_errors(
         (per_cycle_rate(result.failures, trials, cycles), result.failures)
         for result in results
     ]
-
-
-def logical_error_per_cycle(
-    gate_error: float,
-    trials: int,
-    cycles: int = 1,
-    include_resets: bool = True,
-    seed: int | np.random.Generator | None = 0,
-    engine: str = "auto",
-) -> tuple[float, int]:
-    """Deprecated single-point shim over :func:`measure_cycle_errors`.
-
-    .. deprecated:: PR 3
-        Use :func:`measure_cycle_errors` (which batches many noise
-        points into one stacked run) or build a
-        :class:`~repro.runtime.RunSpec` directly.  This shim keeps the
-        PR 2 signature and, because a single-point executor run is
-        bit-identical to the classic runner, reproduces the PR 2
-        numbers bit for bit — ``engine`` wins over ``REPRO_ENGINE``,
-        the remaining knobs come from the environment as before.
-    """
-    warnings.warn(
-        "logical_error_per_cycle is deprecated; use "
-        "repro.harness.measure_cycle_errors or a repro.runtime.RunSpec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    policy = replace(
-        ExecutionPolicy.from_env(), engine=engine, parallel=None
-    )
-    return measure_cycle_errors(
-        ((gate_error, seed),), trials, cycles, include_resets, policy=policy
-    )[0]
 
 
 @dataclass(frozen=True)
@@ -636,8 +602,7 @@ def find_pseudo_threshold_adaptive(
     The workload comes in one of two forms (exactly one):
 
     * ``evaluate(g, n_trials, seed) -> (per_cycle_rate, failures)`` —
-      an opaque evaluator, run sequentially like
-      :func:`logical_error_per_cycle`; the two bracket validations run
+      an opaque evaluator, run sequentially; the two bracket validations run
       through :func:`~repro.harness.sweep.sweep` (``parallel`` forwards
       there; ``evaluate`` must then be picklable).
     * ``spec_builder(g, n_trials, seed) -> RunSpec`` — a declarative

@@ -57,10 +57,12 @@ STORE_FORMAT_VERSION = 1
 
 #: Version of the engines' RNG stream contract.  The frozen digests in
 #: ``tests/noise/test_engine_determinism.py`` pin the streams; if they
-#: are ever deliberately re-recorded (as PR 2 once did), bump this so
-#: every pre-change store entry stops matching instead of serving
-#: results from a stream that no longer exists.
-RESULT_STREAM_VERSION = 1
+#: are ever deliberately re-recorded, bump this so every pre-change
+#: store entry stops matching instead of serving results from a stream
+#: that no longer exists.  Version 2: unfused (``fuse=False``) runs
+#: draw their faults through the stacked kernel instead of one draw
+#: per op.
+RESULT_STREAM_VERSION = 2
 
 
 def _key_from_wire(

@@ -19,7 +19,6 @@ from repro.noise.monte_carlo import (
     NoisyResult,
     NoisyRunner,
     any_wire_differs_predicate,
-    estimate_failure_probability,
     repetition_failure_predicate,
     resolve_engine,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "NoisyRunner",
     "any_wire_differs_predicate",
     "as_generator",
-    "estimate_failure_probability",
     "repetition_failure_predicate",
     "resolve_engine",
     "spawn_seeds",

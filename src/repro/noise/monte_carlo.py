@@ -13,14 +13,27 @@ model, vectorised across trials.
   content-keyed cache of :func:`~repro.core.compiled.compile_circuit`,
   64 trials ride in each uint64 word, consecutive disjoint ops execute
   as fused slots (identical gates stacked into one vectorised apply),
-  and each slot draws its fault sites in a single geometric gap-jumping
-  pass over a ``slot_ops x trials`` virtual axis — so the per-slot cost
-  scales with the *number of faults*, not the number of trials or ops.
-  ``REPRO_FUSE=0`` restores the per-op schedule (and its original RNG
-  stream); ``REPRO_COMPILE_CACHE=0`` disables compiled-circuit reuse.
+  and faults come from the stacked fault kernel below.
+  ``REPRO_FUSE=0`` runs the unfused (one op per slot) program through
+  the same kernel; ``REPRO_COMPILE_CACHE=0`` disables compiled-circuit
+  reuse.
 * ``engine="auto"`` — bitplane for batches of at least
   :data:`AUTO_BITPLANE_MIN_TRIALS` trials, batched below that (tiny
   batches don't amortise packing).
+
+The stacked fault kernel (:class:`_StackPlan`, :func:`_draw_phase`,
+:func:`_inject_phase`) is the only code that draws and scatters
+bitplane faults.  It runs a *stack* of points over one plane array —
+each point owns a word-aligned window of the trial axis — and is used
+both by :class:`NoisyRunner` (a one-point stack on the caller's
+states) and by the multi-point executor of :mod:`repro.runtime`.  Per
+point it makes one gap-jumping draw per error class over an
+``ops x padded_trials`` virtual axis (gate class, then reset class),
+resolves both classes' sites in one bookkeeping pass, then draws ONE
+flat block of replacement words covering every (slot, group) cell in
+slot order.  NumPy integer draws are stream-consistent under
+splitting, so a point's stream never depends on what it is stacked
+with: every stacked point is bit-identical to a solo run.
 
 RNG-stream caveat: all entry points take an explicit seed or
 :class:`numpy.random.Generator` so every experiment is reproducible bit
@@ -32,14 +45,6 @@ uint64 words).  Equal seeds give statistically identical results across
 engines, never bit-identical realisations; digests of noisy runs are
 only comparable within one engine.
 ``tests/noise/test_engine_determinism`` pins both streams.
-
-This module is the single-point *kernel*; multi-point workloads go
-through :mod:`repro.runtime`, whose executor stacks all points sharing
-a compiled circuit into one plane array while drawing each point's
-faults from its own generator in exactly this module's order — every
-stacked point is bit-identical to a solo run.
-:func:`estimate_failure_probability` survives as a deprecated shim over
-that layer.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends import get_backend
-from repro.core.bitplane import BitplaneState, mask_from_positions
+from repro.core.bitplane import BitplaneState, popcount_words, words_for
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.core.simulator import BatchedState
@@ -74,6 +79,11 @@ AUTO_BITPLANE_MIN_TRIALS = 256
 #: every engine digest and threshold experiment stays in the sparse
 #: regime.
 DENSE_PROBABILITY = 0.25
+
+#: ``_POW2[b]`` is the uint64 word with only bit ``b`` set.  Indexing
+#: this table turns a bit-position vector into select words without the
+#: int64 -> uint64 ``astype`` copy a vectorised shift would need.
+_POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def _validate_engine(engine: str) -> None:
@@ -145,66 +155,323 @@ def _bernoulli_positions(
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
-def inject_slot_faults(
-    slot,
-    states: BitplaneState,
-    rng: np.random.Generator,
-    virtual: np.ndarray,
-    n_words: int,
-    trials: int,
-    backend=None,
-) -> None:
-    """Scatter one slot's slice of a batched fault draw into ``states``.
+class _StackPlan:
+    """Per-compiled-circuit injection plan of the stacked fault kernel.
 
-    ``virtual`` holds the slot's sorted fault positions on its local
-    ``k * (n_words * 64)`` axis, so ``virtual >> 6`` is directly a flat
-    (op, word) index.  Equal words form contiguous segments; one
-    reduceat ORs each segment's trial bits into a packed select word,
-    padding bits beyond ``trials`` are masked off, and the replacement
-    bits for all faulted instances of a group come from a single
-    random-word block.
+    ``max_groups`` pads every slot to a uniform group axis so a flat
+    ``slot * max_groups + group`` *global cell* index addresses any
+    injection target; ``arity`` holds each global cell's wire count (0
+    where the slot has fewer groups) as an int64 array.
 
-    This is the single-point schedule's per-slot path.  The stacked
-    multi-point executor (:mod:`repro.runtime.executor`) performs the
-    same segmentation once per *error class* instead of per slot (see
-    ``_point_class_sites`` there); the two must stay in step on the
-    padding rule and the segment/select construction.
+    Faults are resolved over one *merged* virtual op axis — gate ops
+    followed by reset ops, the solo draw order — whose cells are the
+    class-local cells of the gate class followed by those of the reset
+    class.  ``op_cell`` maps a merged op to its merged cell, ``op_wires``
+    is the ``(width, ops)`` op -> wire table padded to the widest arity
+    (each cell's scatter slices off its own ``arity`` rows, so padding
+    is never read), ``bins`` is the merged cell grid for the per-cell
+    prefix, ``cells`` maps merged cells to global cells, ``slot_cells``
+    is each slot's first merged cell, and ``monotone`` records whether
+    ``op_cell`` is already sorted (then the per-point stable sort is
+    skipped — the transversal circuits always qualify).
 
-    ``backend`` routes the scatter through a
-    :class:`~repro.backends.PlaneBackend` (``None`` uses the state's
-    own method — identical for the in-tree backends, which share the
-    plane store).
+    Built once per compiled program (cached on it by
+    :func:`_stack_plan`) from the slot schedule.
     """
-    if backend is None:
-        scatter = states.randomize_stacked
-    else:
-        def scatter(*args, **kwargs):
-            backend.randomize_stacked(states, *args, **kwargs)
-    words = virtual >> 6
-    bits = np.uint64(1) << (virtual & 63).astype(np.uint64)
-    segment_starts = np.concatenate(
-        ([0], np.flatnonzero(words[1:] != words[:-1]) + 1)
+
+    __slots__ = (
+        "max_groups", "arity", "op_cell", "op_wires", "bins", "cells",
+        "slot_cells", "monotone",
     )
-    select = np.bitwise_or.reduceat(bits, segment_starts)
-    affected = words[segment_starts]
+
+    def __init__(self, compiled):
+        slots = compiled.slots
+        self.max_groups = max_groups = max(
+            (len(s.groups) for s in slots), default=1
+        )
+        self.arity = np.zeros(len(slots) * max_groups, dtype=np.int64)
+        for si, slot in enumerate(slots):
+            for gi, group in enumerate(slot.groups):
+                self.arity[si * max_groups + gi] = group.wire_matrix.shape[1]
+        width = int(self.arity.max(initial=0))
+        cell_parts = [np.empty(0, dtype=np.int64)]
+        wire_parts = [np.empty((0, width), dtype=np.int64)]
+        global_parts = [np.empty(0, dtype=np.int64)]
+        self.slot_cells = [0] * len(slots)
+        cell_base = 0
+        for is_reset in (False, True):  # the solo draw order
+            class_slots = [
+                (si, s) for si, s in enumerate(slots) if s.is_reset == is_reset
+            ]
+            if not class_slots:
+                continue
+            wires = np.zeros(
+                (sum(len(s.ops) for _, s in class_slots), width),
+                dtype=np.int64,
+            )
+            row = 0
+            for slot_c, (si, s) in enumerate(class_slots):
+                self.slot_cells[si] = cell_base + slot_c * max_groups
+                cell_parts.append(
+                    self.slot_cells[si] + s.op_group.astype(np.int64)
+                )
+                for g, r in zip(s.op_group, s.op_row):
+                    matrix = s.groups[g].wire_matrix
+                    wires[row, :matrix.shape[1]] = matrix[r]
+                    row += 1
+                global_parts.append(si * max_groups + np.arange(max_groups))
+            wire_parts.append(wires)
+            cell_base += len(class_slots) * max_groups
+        self.op_cell = np.concatenate(cell_parts)
+        self.op_wires = np.ascontiguousarray(np.concatenate(wire_parts).T)
+        self.bins = np.arange(cell_base + 1, dtype=np.int64)
+        self.cells = np.concatenate(global_parts)
+        self.monotone = bool(np.all(np.diff(self.op_cell) >= 0))
+
+
+def _stack_plan(compiled) -> _StackPlan:
+    """The compiled program's cached :class:`_StackPlan`.
+
+    The plan is pure structure derived from the slot schedule, so it
+    rides on the compiled program: a bisection or sweep re-running one
+    circuit builds it exactly once per process.
+    """
+    plan = getattr(compiled, "_stack_plan", None)
+    if plan is None:
+        plan = _StackPlan(compiled)
+        compiled._stack_plan = plan
+    return plan
+
+
+class _PointSites:
+    """One point's fully resolved fault sites and replacement words.
+
+    ``positions`` is the point's sorted merged virtual fault axis
+    (``op * padded_trials + trial``; what :class:`NoisyRunner`
+    bincounts into per-trial fault counts), kept only on request.
+    ``sites`` is ``(indices, select, prefix)`` — flat plane indices
+    (``(width, m)``), packed selects, and the per-cell prefix (plain
+    ints) over the merged cell axis, with sites sorted by merged cell.  ``block``/``block_bounds`` hold
+    the point's ONE flat replacement-word draw, sliced per global cell
+    in slot order.  All ``None``/empty when the point drew no fault.
+    """
+
+    __slots__ = ("positions", "sites", "block", "block_bounds")
+
+    def __init__(self):
+        self.positions: np.ndarray | None = None
+        self.sites: tuple | None = None
+        self.block: np.ndarray | None = None
+        self.block_bounds: list[int] = []
+
+
+def _segment_sites(virtual, n_words, trials):
+    """Collapse sorted virtual fault positions into per-word segments.
+
+    ``virtual >> 6`` is a flat (op, word) index; equal values form
+    contiguous segments whose trial bits OR into one packed select
+    word.  The select words come from differences of a modular
+    cumulative sum (bits within a segment are distinct powers of two,
+    so their OR *is* their sum, and uint64 wraparound cancels in the
+    difference).  Padding bits beyond ``trials`` are masked off.
+    Returns ``(op_of, word_of, select, fault_plane)`` with
+    ``fault_plane`` the packed union of the faulted trials (point-local
+    words, padding already clear), so the caller never materialises a
+    per-trial array.
+    """
+    flat_words = virtual >> 6
+    summed = np.cumsum(_POW2[virtual & 63], dtype=np.uint64)
+    boundary = np.flatnonzero(flat_words[1:] != flat_words[:-1])
+    segment_starts = np.concatenate(([0], boundary + 1))
+    last = np.concatenate((summed[boundary], summed[-1:]))
+    del summed, boundary
+    select = np.empty_like(last)
+    select[0] = last[0]
+    np.subtract(last[1:], last[:-1], out=select[1:])
+    affected = flat_words[segment_starts]
     op_of = affected // n_words
     word_of = affected - op_of * n_words
     if trials % 64:
-        # Faults on padding bits of each op's last word are no-ops.
         select[word_of == n_words - 1] &= np.uint64((1 << (trials % 64)) - 1)
-    if len(slot.groups) == 1:
-        scatter(slot.groups[0].wire_matrix, rng, op_of, word_of, select)
-        return
-    for index, group in enumerate(slot.groups):
-        here = np.flatnonzero(slot.op_group[op_of] == index)
-        if here.size:
-            scatter(
-                group.wire_matrix,
-                rng,
-                slot.op_row[op_of[here]],
-                word_of[here],
-                select[here],
-            )
+    fault_plane = np.zeros(n_words, dtype=np.uint64)
+    np.bitwise_or.at(fault_plane, word_of, select)
+    return op_of, word_of, select, fault_plane
+
+
+def _point_sites(
+    rng: np.random.Generator,
+    model: NoiseModel,
+    compiled,
+    plan: _StackPlan,
+    trials: int,
+    word_offset: int,
+    plane_stride: int,
+    keep_positions: bool,
+) -> tuple | None:
+    """Draw and fully resolve both error classes' faults for one point.
+
+    The draws are one gap-jumping pass per class in the solo order
+    (gate class, then reset class — the RNG stream contract); the
+    bookkeeping runs ONCE over the merged virtual axis (gate ops
+    followed by reset ops, so the concatenated positions stay sorted):
+    one segmentation, one fault plane, one per-cell prefix, and one
+    flat scatter-index build through the plan's padded wire table.
+    Returns ``(positions, indices, select, prefix, fault_plane)`` or
+    ``None`` when nothing was drawn; ``indices`` addresses the flat
+    plane buffer of the whole stacked array, so the slot loop scatters
+    with a bare take/put per slot group.  ``positions`` (the merged
+    virtual axis) is ``None`` unless ``keep_positions``; intermediates
+    are released as soon as they are consumed, since a dense pass over
+    a long circuit makes every site array megabytes long.
+    """
+    n_words = words_for(trials)
+    padded = n_words * 64
+    chunks = []
+    for error, count, base in (
+        (model.gate_error, compiled.n_gate_ops, 0),
+        (model.effective_reset_error, compiled.n_reset_ops,
+         compiled.n_gate_ops * padded),
+    ):
+        if error <= 0.0 or count == 0:
+            continue
+        virtual = _bernoulli_positions(rng, error, count * padded)
+        if virtual.size:
+            chunks.append(virtual + base if base else virtual)
+    if not chunks:
+        return None
+    virtual = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    del chunks
+    op_of, word_of, select, fault_plane = _segment_sites(
+        virtual, n_words, trials
+    )
+    if not keep_positions:
+        virtual = None
+    if word_offset:
+        word_of = word_of + word_offset
+    cell = plan.op_cell[op_of]
+    if not plan.monotone:
+        # Multi-group slots interleave their groups' sites; a stable
+        # sort makes every cell's run contiguous without reordering
+        # sites within a group (the solo scatter order).  ``op_of`` is
+        # sorted, so a monotone op -> cell map needs no sort at all.
+        order = np.argsort(cell, kind="stable")
+        op_of = op_of[order]
+        word_of = word_of[order]
+        select = select[order]
+        cell = cell[order]
+    prefix = np.searchsorted(cell, plan.bins)
+    del cell
+    # In place: the index table is the pass's largest array.
+    indices = plan.op_wires[:, op_of]
+    indices *= plane_stride
+    indices += word_of
+    return virtual, indices, select, prefix, fault_plane
+
+
+def _draw_phase(
+    compiled,
+    plan: _StackPlan,
+    models: Sequence[NoiseModel],
+    trials: Sequence[int],
+    rngs: Sequence[np.random.Generator],
+    offsets: Sequence[int],
+    plane_stride: int,
+    keep_positions: bool = False,
+) -> tuple[list[_PointSites], list[int]]:
+    """Fault-draw phase of the kernel for a stack of points.
+
+    Point ``p`` runs ``trials[p]`` trials under ``models[p]`` in the
+    word window starting at ``offsets[p]`` of planes ``plane_stride``
+    words wide.  Per point: both classes' sites (:func:`_point_sites`),
+    then ONE flat replacement-word draw covering every cell the point
+    will inject.  Returns the resolved per-point sites and the
+    per-point faulted-trial counts.  ``keep_positions`` keeps each
+    point's raw fault positions for per-trial counting; otherwise they
+    are released as soon as the sites are resolved.
+    """
+    points: list[_PointSites] = []
+    faulted: list[int] = []
+    for model, count, rng, offset in zip(models, trials, rngs, offsets):
+        point = _PointSites()
+        points.append(point)
+        drawn = _point_sites(
+            rng, model, compiled, plan, count, offset, plane_stride,
+            keep_positions,
+        )
+        if drawn is None:
+            faulted.append(0)
+            continue
+        point.positions, indices, select, prefix, fault_plane = drawn
+        point.sites = (indices, select, prefix.tolist())
+        cell_sites = np.zeros(plan.arity.size, dtype=np.int64)
+        cell_sites[plan.cells] = np.diff(prefix)
+        bounds = np.cumsum(cell_sites * plan.arity)
+        point.block_bounds = [0] + bounds.tolist()
+        point.block = rng.integers(
+            0, 2**64, size=point.block_bounds[-1], dtype=np.uint64
+        )
+        faulted.append(popcount_words(fault_plane))
+    return points, faulted
+
+
+def _inject_phase(prepared, states, compiled, plan, points) -> None:
+    """Slot-loop phase of the kernel: apply every slot, then scatter.
+
+    One apply per program slot over the whole stacked array, pure
+    slicing of each point's precomputed sites and word block, and one
+    take/put per slot group for all points together.  The reshape MUST
+    alias the planes (a non-contiguous array would silently reshape
+    into a copy and every put would write to a dead buffer); broadcast
+    allocates contiguous, and this fails loudly — not via assert,
+    which -O strips — if that invariant is ever broken.
+    """
+    if not states.planes.flags.c_contiguous:
+        raise SimulationError(
+            "the fault kernel requires C-contiguous planes; the flat "
+            "scatter view would silently become a copy"
+        )
+    flat_planes = states.planes.reshape(-1)
+    active = [point for point in points if point.sites is not None]
+    max_groups = plan.max_groups
+    arity_of = plan.arity.tolist()
+    for si, slot in enumerate(compiled.slots):
+        prepared.apply_slot(states, si)
+        if not active:
+            continue
+        cell_base = plan.slot_cells[si]
+        global_base = si * max_groups
+        for index in range(len(slot.groups)):
+            cell = cell_base + index
+            at = global_base + index
+            arity = arity_of[at]
+            parts = []
+            for point in active:
+                indices, select, prefix = point.sites
+                start = prefix[cell]
+                stop = prefix[cell + 1]
+                if stop <= start:
+                    continue
+                block = point.block[
+                    point.block_bounds[at]:point.block_bounds[at + 1]
+                ]
+                parts.append(
+                    (
+                        indices[:arity, start:stop],
+                        select[start:stop],
+                        block.reshape(arity, stop - start),
+                    )
+                )
+            if not parts:
+                continue
+            if len(parts) == 1:
+                indices, select, blocks = parts[0]
+            else:
+                indices = np.concatenate([p[0] for p in parts], axis=1)
+                select = np.concatenate([p[1] for p in parts])
+                blocks = np.concatenate([p[2] for p in parts], axis=1)
+            current = flat_planes.take(indices)
+            # c ^ ((c ^ b) & s) == (b & s) | (c & ~s), one pass less.
+            flat_planes.put(indices, current ^ ((current ^ blocks) & select))
 
 
 @dataclass
@@ -240,8 +507,8 @@ class NoisyRunner:
     explicitly constructed :class:`BitplaneState` always takes the
     bit-parallel path regardless of ``engine``.  ``backend`` selects
     which registered :mod:`repro.backends` implementation executes the
-    fused bitplane slots — backends are bit-identical and never touch
-    the generator, so the choice can never change a result or an RNG
+    bitplane slots — backends are bit-identical and never touch the
+    generator, so the choice can never change a result or an RNG
     stream.
     """
 
@@ -298,96 +565,30 @@ class NoisyRunner:
         return NoisyResult(states=states, fault_counts=fault_counts)
 
     def _run_bitplane(self, circuit: Circuit, states: BitplaneState) -> NoisyResult:
-        """Execute the fused compiled schedule with per-slot fault draws.
+        """Run the fault kernel as a one-point stack on ``states``.
 
-        Each slot's ops touch pairwise disjoint wires, so running the
-        whole slot and then injecting every op's faults is bit-identical
-        to the sequential per-op schedule; the Bernoulli mask for all
-        ``k`` ops of a slot comes from ONE gap-jumping pass over a
-        ``k * trials`` virtual axis (position ``op * trials + trial``),
-        which matches ``k`` independent per-op draws distributionally
-        while costing a single RNG call.  With single-op slots
-        (``REPRO_FUSE=0``) this reduces exactly to the original per-op
-        stream.
+        Per-trial fault counts come from bincounting the trial of every
+        drawn fault position (padding positions beyond ``trials`` fall
+        out), so the kernel itself pays nothing for them.
         """
         compiled = compile_circuit(
             circuit, fuse=self.fuse, cache=self.compile_cache
         )
-        if not compiled.fused:
-            return self._run_bitplane_per_op(compiled, states)
-        backend = get_backend(self.backend)
-        prepared = backend.prepare(compiled)
+        prepared = get_backend(self.backend).prepare(compiled)
+        plan = _stack_plan(compiled)
         trials = states.trials
-        padded = states.n_words * 64
+        points, _ = _draw_phase(
+            compiled, plan, [self.model], [trials], [self.rng], [0],
+            states.n_words, keep_positions=True,
+        )
+        _inject_phase(prepared, states, compiled, plan, points)
         fault_counts = np.zeros(trials, dtype=np.int64)
-        # Fault sites are data-independent, so the whole run's Bernoulli
-        # masks come from ONE gap-jumping draw per error class over an
-        # ``ops x padded`` virtual axis (``padded`` rounds the trial
-        # range up to whole words; padding draws are discarded).  Each
-        # slot then slices its contiguous run of virtual positions.
-        class_draws: dict[bool, np.ndarray] = {}
-        for is_reset, count in (
-            (False, compiled.n_gate_ops),
-            (True, compiled.n_reset_ops),
-        ):
-            error = (
-                self.model.effective_reset_error
-                if is_reset
-                else self.model.gate_error
+        positions = points[0].positions
+        if positions is not None:
+            trial_of = positions % (states.n_words * 64)
+            fault_counts += np.bincount(
+                trial_of[trial_of < trials], minlength=trials
             )
-            if error <= 0.0 or count == 0:
-                continue
-            virtual = _bernoulli_positions(self.rng, error, count * padded)
-            trial_of = virtual % padded
-            real = trial_of[trial_of < trials]
-            if real.size:
-                fault_counts += np.bincount(real, minlength=trials)
-            class_draws[is_reset] = virtual
-        for index, slot in enumerate(compiled.slots):
-            prepared.apply_slot(states, index)
-            virtual = class_draws.get(slot.is_reset)
-            if virtual is None:
-                continue
-            base = slot.class_offset * padded
-            low, high = np.searchsorted(
-                virtual, (base, base + len(slot.ops) * padded)
-            )
-            if high > low:
-                inject_slot_faults(
-                    slot,
-                    states,
-                    self.rng,
-                    virtual[low:high] - base,
-                    n_words=states.n_words,
-                    trials=trials,
-                    backend=backend,
-                )
-        return NoisyResult(states=states, fault_counts=fault_counts)
-
-    def _run_bitplane_per_op(self, compiled, states: BitplaneState) -> NoisyResult:
-        """The pre-fusion per-op schedule (``REPRO_FUSE=0``).
-
-        Kept as the reference executor: one Bernoulli draw per op over
-        the exact trial axis, reproducing the original engine's RNG
-        stream bit for bit — the perf gate's baseline and the frozen
-        legacy digest both run through here.
-        """
-        trials = states.trials
-        fault_counts = np.zeros(trials, dtype=np.int64)
-        for op in compiled.schedule:
-            if op.is_reset:
-                error = self.model.effective_reset_error
-                states.reset(op.wires, op.reset_value)
-            else:
-                error = self.model.gate_error
-                assert op.program is not None
-                states.apply_program(op.program, op.wires)
-            if error > 0.0:
-                positions = _bernoulli_positions(self.rng, error, trials)
-                if positions.size:
-                    mask = mask_from_positions(positions, states.n_words)
-                    states.randomize(op.wires, self.rng, mask=mask)
-                    fault_counts[positions] += 1
         return NoisyResult(states=states, fault_counts=fault_counts)
 
     def run_from_input(
@@ -401,54 +602,6 @@ class NoisyRunner:
         else:
             states = BatchedState.broadcast(input_bits, trials)
         return self.run(circuit, states)
-
-
-def estimate_failure_probability(
-    circuit: Circuit,
-    input_bits: Sequence[int],
-    is_failure: Callable[[BatchedState | BitplaneState], np.ndarray],
-    model: NoiseModel,
-    trials: int,
-    seed: int | np.random.Generator | None = None,
-    engine: str = "auto",
-) -> tuple[float, int]:
-    """Deprecated shim: one :class:`~repro.runtime.RunSpec`, executed.
-
-    .. deprecated:: PR 3
-        Build a :class:`~repro.runtime.RunSpec` and run it through
-        :class:`~repro.runtime.Executor` — batches of specs sharing a
-        circuit then evaluate in one stacked plane array.  The shim
-        keeps the old signature and returns ``(failure_fraction,
-        failures)`` with numbers bit-identical to the PR 2
-        implementation (a single-point executor run consumes the RNG
-        exactly like the classic runner); ``engine`` wins over
-        ``REPRO_ENGINE``, the compiler knobs come from the environment
-        as before.
-    """
-    import warnings
-
-    warnings.warn(
-        "estimate_failure_probability is deprecated; build a "
-        "repro.runtime.RunSpec and run it through repro.runtime.Executor",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from dataclasses import replace
-
-    from repro.runtime import ExecutionPolicy, Executor, RunSpec
-
-    policy = replace(ExecutionPolicy.from_env(), engine=engine, parallel=None)
-    result = Executor(policy).run_one(
-        RunSpec(
-            circuit=circuit,
-            input_bits=tuple(input_bits),
-            observable=is_failure,
-            noise=model,
-            trials=trials,
-            seed=seed,
-        )
-    )
-    return result.failure_fraction, result.failures
 
 
 @dataclass(frozen=True)

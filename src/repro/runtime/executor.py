@@ -13,19 +13,20 @@ spec, in spec order.  The execution plan has three levels:
 2. **Stacked plane batching (within a group).**  A bitplane group's
    points all ride in ONE plane array: each point owns a word-aligned
    window of the trial axis (``points x trials`` on the word axis), so
-   every fused slot of the shared program executes once over all
-   points' words instead of once per point.  Fault handling is
-   amortised the same way: each point draws and segments its whole
-   per-error-class fault pass ONCE (slot membership, group, instance
-   row, and destination word of every fault site come from
-   precomputed per-class tables), the slot loop merely slices those
-   tables, and all points' sites scatter in one ``randomize_stacked``
-   call per slot group.  Fault *randomness* stays strictly per point —
-   every point's gap-jumping pass and replacement words come from its
-   own seeded generator in solo order — so, plane operations being
-   wordwise, every point's window is **bit-identical** to running that
-   spec alone through :class:`~repro.noise.monte_carlo.NoisyRunner`.
-   Batching is purely an execution detail, never a statistical one.
+   every slot of the shared program executes once over all points'
+   words instead of once per point.  Faults come from the stacked
+   fault kernel of :mod:`repro.noise.monte_carlo` — the same kernel
+   :class:`~repro.noise.monte_carlo.NoisyRunner` runs as a one-point
+   stack: each point draws and resolves its whole fault pass ONCE, the
+   slot loop merely slices those tables, and all points' sites scatter
+   in one take/put per slot group.  Fault *randomness* stays strictly
+   per point — every point's gap-jumping pass and replacement words
+   come from its own seeded generator in solo order — so, plane
+   operations being wordwise, every point's window is
+   **bit-identical** to running that spec alone through
+   ``NoisyRunner``.  Batching is purely an execution detail, never a
+   statistical one.  Fused and unfused programs (``policy.fuse``) run
+   through the same kernel.
 
 3. **Process pool (across groups only).**  With
    ``policy.parallel`` >= 2 workers and more than one group, whole
@@ -34,9 +35,8 @@ spec, in spec order.  The execution plan has three levels:
    — they are already batched into one array, which is the cheaper
    kind of parallelism.
 
-Batched-engine groups and unfused execution (``policy.fuse=False``,
-which must preserve the pre-fusion per-op RNG stream) evaluate point
-by point through ``NoisyRunner`` — same results, no stacking.
+Batched-engine groups evaluate point by point through ``NoisyRunner``
+— the uint8 engine has no plane axis to stack on.
 """
 
 from __future__ import annotations
@@ -46,16 +46,16 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-import numpy as np
-
 from repro.backends import get_backend
-from repro.core.bitplane import BitplaneState, popcount_words, words_for
+from repro.core.bitplane import BitplaneState, words_for
 from repro.core.compiled import compile_circuit
 from repro.errors import AnalysisError, SimulationError
 from repro.noise.monte_carlo import (
     NoisyRunner,
     _as_generator,
-    _bernoulli_positions,
+    _draw_phase,
+    _inject_phase,
+    _stack_plan,
     resolve_engine,
 )
 from repro.obs import counter, enable_tracing, flush_trace_if_forked, trace
@@ -74,11 +74,6 @@ _POINTS = counter("executor.points")
 _GROUPS = counter("executor.groups")
 _STACKED_POINTS = counter("executor.stacked_points")
 _LEGACY_POINTS = counter("executor.legacy_points")
-
-#: ``_POW2[b]`` is the uint64 word with only bit ``b`` set.  Indexing
-#: this table turns a bit-position vector into select words without the
-#: int64 -> uint64 ``astype`` copy a vectorised shift would need.
-_POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def resolve_workers(parallel: int | bool | None, points: int) -> int:
@@ -122,491 +117,17 @@ def _group_key(spec: RunSpec, policy: ExecutionPolicy) -> tuple:
     )
 
 
-def _run_point_legacy(spec: RunSpec, engine: str, policy: ExecutionPolicy) -> PointResult:
-    """Evaluate one spec through the classic single-point runner."""
-    runner = NoisyRunner(
-        spec.noise,
-        spec.seed,
-        engine=engine,
-        fuse=policy.fuse,
-        compile_cache=policy.compile_cache,
-        backend=policy.backend,
-    )
+def _run_point_batched(spec: RunSpec) -> PointResult:
+    """Evaluate one spec on the uint8 batched engine."""
+    runner = NoisyRunner(spec.noise, spec.seed, engine="batched")
     result = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
     failures = as_observable(spec.observable).count_failures(result.states)
     return PointResult(
         failures=failures,
         trials=spec.trials,
         faulted_trials=int((result.fault_counts > 0).sum()),
-        engine=engine,
+        engine="batched",
     )
-
-
-class _StackPlan:
-    """Per-compiled-circuit injection plan for the stacked executor.
-
-    ``max_groups`` pads every slot to a uniform group axis so a flat
-    ``slot * max_groups + group`` *cell* index addresses any injection
-    target; ``arity_flat`` holds each cell's gate arity (0 where the
-    slot has fewer groups).  Per error class, ``tables`` maps a
-    class-op index to its class-local cell and wire-matrix row,
-    ``cells`` maps the class's own cell grid into the global one, and
-    ``cell_bins``/``monotone`` support the sorted-cell bookkeeping (a
-    sorted cell array searchsorted against the bins IS the per-cell
-    prefix, and a monotone op -> cell map means the gathered cells are
-    already sorted, so the per-point stable sort is skipped).
-
-    When every group of every class shares ONE gate arity (the
-    transversal circuits always do), ``combined`` additionally holds
-    the merged-class tables: both classes' sites are then resolved in
-    a single bookkeeping pass per point (one segmentation, one fault
-    plane, one prefix, one flat scatter-index build over a virtual op
-    axis of gate ops followed by reset ops), and the slot loop
-    scatters through bare flat take/put instead of per-slot wire
-    gathers.  ``combined`` is ``None`` for mixed-arity circuits, which
-    keep the per-class ``randomize_stacked`` path.
-
-    Built once per compiled program (cached on it) from the fused
-    schedule.
-    """
-
-    __slots__ = ("max_groups", "arity_flat", "tables", "cells", "combined")
-
-    def __init__(self, compiled):
-        slots = compiled.slots
-        self.max_groups = max((len(s.groups) for s in slots), default=1)
-        self.arity_flat = np.zeros(
-            len(slots) * self.max_groups, dtype=np.int64
-        )
-        for si, slot in enumerate(slots):
-            for gi, group in enumerate(slot.groups):
-                self.arity_flat[si * self.max_groups + gi] = (
-                    group.wire_matrix.shape[1]
-                )
-        self.tables: dict[bool, tuple] = {}
-        self.cells: dict[bool, np.ndarray] = {}
-        op_wires: dict[bool, np.ndarray] = {}
-        arities = set()
-        for is_reset in (False, True):
-            class_slots = [
-                (si, s) for si, s in enumerate(slots) if s.is_reset == is_reset
-            ]
-            if not class_slots:
-                continue
-            op_slot = np.repeat(
-                np.arange(len(class_slots), dtype=np.int64),
-                [len(s.ops) for _, s in class_slots],
-            )
-            op_group = np.concatenate(
-                [s.op_group for _, s in class_slots]
-            ).astype(np.int64)
-            op_row = np.concatenate([s.op_row for _, s in class_slots])
-            op_cell = op_slot * self.max_groups + op_group
-            n_class_cells = len(class_slots) * self.max_groups
-            self.tables[is_reset] = (
-                op_cell,
-                op_row,
-                np.arange(n_class_cells + 1, dtype=np.int64),
-                bool(np.all(np.diff(op_cell) >= 0)),
-            )
-            self.cells[is_reset] = np.concatenate(
-                [
-                    si * self.max_groups + np.arange(self.max_groups)
-                    for si, _ in class_slots
-                ]
-            )
-            class_arities = {
-                g.wire_matrix.shape[1]
-                for _, s in class_slots
-                for g in s.groups
-            }
-            arities |= class_arities
-            if len(class_arities) == 1:
-                op_wires[is_reset] = np.concatenate(
-                    [
-                        s.groups[g].wire_matrix[r]
-                        for _, s in class_slots
-                        for g, r in zip(s.op_group, s.op_row)
-                    ]
-                ).reshape(len(op_cell), -1)
-        if self.tables and len(arities) == 1:
-            op_offset: dict[bool, int] = {}
-            cell_offset: dict[bool, int] = {}
-            cell_parts, wire_parts, global_parts = [], [], []
-            op_base = cell_base = 0
-            for is_reset in (False, True):  # the solo draw order
-                if is_reset not in self.tables:
-                    continue
-                op_cell = self.tables[is_reset][0]
-                op_offset[is_reset] = op_base
-                cell_offset[is_reset] = cell_base
-                cell_parts.append(op_cell + cell_base)
-                wire_parts.append(op_wires[is_reset])
-                global_parts.append(self.cells[is_reset])
-                op_base += len(op_cell)
-                cell_base += len(self.cells[is_reset])
-            combined_cell = np.concatenate(cell_parts)
-            self.combined = (
-                combined_cell,
-                np.ascontiguousarray(np.concatenate(wire_parts).T),
-                np.arange(cell_base + 1, dtype=np.int64),
-                np.concatenate(global_parts),
-                bool(np.all(np.diff(combined_cell) >= 0)),
-                op_offset,
-                cell_offset,
-            )
-        else:
-            self.combined = None
-
-
-class _PointSites:
-    """One point's fully resolved fault sites and replacement words.
-
-    On the combined fast path ``sites`` is ``(indices, select,
-    prefix)`` — flat plane indices, packed selects, and the per-cell
-    prefix over the merged-class cell axis.  On the
-    general path ``classes[is_reset]`` is ``(rows, word_of, select,
-    prefix)`` for the per-slot ``randomize_stacked`` gather.  Either
-    way the sites are sorted by (class-slot, group) cell and ``prefix``
-    (plain ints) slices each cell's run.  ``block``/``block_bounds``
-    hold the point's ONE flat replacement-word draw, sliced per global
-    cell in slot order — NumPy integer draws are stream-consistent
-    under splitting, so this single draw consumes the generator exactly
-    like the solo engine's per-slot-per-group blocks.
-    """
-
-    __slots__ = ("sites", "classes", "block", "block_bounds")
-
-    def __init__(self):
-        self.sites: tuple | None = None
-        self.classes: dict[bool, tuple] = {}
-        self.block: np.ndarray | None = None
-        self.block_bounds: list[int] = []
-
-
-def _segment_sites(virtual, n_words, trials):
-    """Collapse sorted virtual fault positions into per-word segments.
-
-    ``virtual >> 6`` is a flat (op, word) index; equal values form
-    contiguous segments whose trial bits OR into one packed select
-    word.  The select words come from differences of a modular
-    cumulative sum (bits within a segment are distinct powers of two,
-    so their OR *is* their sum, and uint64 wraparound cancels in the
-    difference) — same values as the solo engine's
-    ``bitwise_or.reduceat``, ~3x cheaper at the threshold-regime site
-    counts this path batches.  Padding bits beyond ``trials`` are
-    masked off.  Returns ``(op_of, word_of, select, fault_plane)``
-    with ``fault_plane`` the packed union of the faulted trials
-    (point-local words, padding already clear), so the caller never
-    materialises a per-trial array.
-    """
-    flat_words = virtual >> 6
-    bits = _POW2[virtual & 63]
-    boundary = np.flatnonzero(flat_words[1:] != flat_words[:-1])
-    segment_starts = np.concatenate(([0], boundary + 1))
-    summed = np.cumsum(bits, dtype=np.uint64)
-    last = np.concatenate((summed[boundary], summed[-1:]))
-    select = np.empty_like(last)
-    select[0] = last[0]
-    np.subtract(last[1:], last[:-1], out=select[1:])
-    affected = flat_words[segment_starts]
-    op_of = affected // n_words
-    word_of = affected - op_of * n_words
-    if trials % 64:
-        select[word_of == n_words - 1] &= np.uint64((1 << (trials % 64)) - 1)
-    fault_plane = np.zeros(n_words, dtype=np.uint64)
-    np.bitwise_or.at(fault_plane, word_of, select)
-    return op_of, word_of, select, fault_plane
-
-
-def _point_sites_combined(
-    rng: np.random.Generator,
-    spec: RunSpec,
-    compiled,
-    plan: _StackPlan,
-    n_words: int,
-    trials: int,
-    word_offset: int,
-    plane_stride: int,
-) -> tuple | None:
-    """Draw and fully resolve BOTH error classes' faults for one point.
-
-    The draws stay one gap-jumping pass per class in the solo order
-    (gate class, then reset class — the RNG stream contract), but the
-    bookkeeping runs ONCE over the merged virtual axis (gate ops
-    followed by reset ops, so the concatenated positions stay sorted):
-    one segmentation, one fault plane, one per-cell prefix, and one
-    flat scatter-index build through the plan's merged wire table.
-    Returns ``(indices, select, prefix, fault_plane)`` or
-    ``None`` when nothing was drawn; ``indices`` addresses the flat
-    plane buffer of the whole stacked array, so the slot loop scatters
-    with a bare take/put per slot group.
-    """
-    padded = n_words * 64
-    op_cell, op_wires, bins, _, monotone, op_offset, _ = plan.combined
-    chunks = []
-    for is_reset, count in (
-        (False, compiled.n_gate_ops),
-        (True, compiled.n_reset_ops),
-    ):
-        error = (
-            spec.noise.effective_reset_error
-            if is_reset
-            else spec.noise.gate_error
-        )
-        if error <= 0.0 or count == 0 or is_reset not in plan.tables:
-            continue
-        virtual = _bernoulli_positions(rng, error, count * padded)
-        if not virtual.size:
-            continue
-        base = op_offset[is_reset] * padded
-        chunks.append(virtual + base if base else virtual)
-    if not chunks:
-        return None
-    virtual = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    op_of, word_of, select, fault_plane = _segment_sites(
-        virtual, n_words, trials
-    )
-    if word_offset:
-        word_of = word_of + word_offset
-    cell = op_cell[op_of]
-    if not monotone:
-        # Multi-group slots interleave their groups' sites; a stable
-        # sort makes every cell's run contiguous without reordering
-        # sites within a group (the solo scatter order).  ``op_of`` is
-        # sorted, so a monotone op -> cell map needs no sort at all.
-        order = np.argsort(cell, kind="stable")
-        op_of = op_of[order]
-        word_of = word_of[order]
-        select = select[order]
-        cell = cell[order]
-    prefix = np.searchsorted(cell, bins)
-    indices = op_wires[:, op_of] * plane_stride + word_of
-    return indices, select, prefix, fault_plane
-
-
-def _point_class_sites(
-    rng: np.random.Generator,
-    error: float,
-    ops: int,
-    n_words: int,
-    trials: int,
-    word_offset: int,
-    plan: _StackPlan,
-    is_reset: bool,
-) -> tuple | None:
-    """Draw and fully resolve one error class's faults for one point.
-
-    The general (mixed-arity) counterpart of
-    :func:`_point_sites_combined`: one gap-jumping pass over the
-    class's ``ops x (n_words * 64)`` virtual axis (exactly the
-    single-point engine's draw), one segmentation, and sites annotated
-    with their wire-matrix row for the per-slot
-    ``randomize_stacked`` gather.  Returns ``(rows, word_of, select,
-    prefix, fault_plane)`` or ``None`` when the class draws nothing.
-    """
-    padded = n_words * 64
-    virtual = _bernoulli_positions(rng, error, ops * padded)
-    if not virtual.size:
-        return None
-    op_cell, op_row, bins, monotone = plan.tables[is_reset]
-    op_of, word_of, select, fault_plane = _segment_sites(
-        virtual, n_words, trials
-    )
-    if word_offset:
-        word_of = word_of + word_offset
-    cell = op_cell[op_of]
-    if not monotone:
-        order = np.argsort(cell, kind="stable")
-        op_of = op_of[order]
-        word_of = word_of[order]
-        select = select[order]
-        cell = cell[order]
-    prefix = np.searchsorted(cell, bins)
-    return op_row[op_of], word_of, select, prefix, fault_plane
-
-
-def _draw_phase(specs, compiled, plan, words, offsets, total_words, rngs):
-    """Fault-draw phase — per point: one gap-jumping draw per error
-    class (solo order: gate class, then reset class), the bookkeeping
-    merged into one pass on the combined fast path, then ONE flat
-    replacement-word draw covering every cell the point will inject.
-    Returns the resolved per-point sites, the per-point faulted-trial
-    counts, and the per-class active-point index lists.
-    """
-    max_groups = plan.max_groups
-    points: list[_PointSites] = []
-    faulted: list[int] = []
-    n_cells = len(compiled.slots) * max_groups
-    combined = plan.combined
-    for p, spec in enumerate(specs):
-        point = _PointSites()
-        hit_plane = None
-        cell_sites = np.zeros(n_cells, dtype=np.int64)
-        if combined is not None:
-            drawn = _point_sites_combined(
-                rngs[p], spec, compiled, plan,
-                words[p], spec.trials, offsets[p], total_words,
-            )
-            if drawn is not None:
-                indices, select, prefix, hit_plane = drawn
-                point.sites = (indices, select, prefix.tolist())
-                cell_sites[combined[3]] = np.diff(prefix)
-        else:
-            for is_reset, count in (
-                (False, compiled.n_gate_ops),
-                (True, compiled.n_reset_ops),
-            ):
-                error = (
-                    spec.noise.effective_reset_error
-                    if is_reset
-                    else spec.noise.gate_error
-                )
-                if error <= 0.0 or count == 0 or is_reset not in plan.tables:
-                    continue
-                drawn = _point_class_sites(
-                    rngs[p], error, count,
-                    words[p], spec.trials, offsets[p], plan, is_reset,
-                )
-                if drawn is None:
-                    continue
-                rows, word_of, select, prefix, fault_plane = drawn
-                if hit_plane is None:
-                    hit_plane = fault_plane
-                else:
-                    hit_plane |= fault_plane
-                point.classes[is_reset] = (
-                    rows, word_of, select, prefix.tolist()
-                )
-                cell_sites[plan.cells[is_reset]] = np.diff(prefix)
-        if point.sites is not None or point.classes:
-            bounds = [0]
-            for value in (cell_sites * plan.arity_flat).tolist():
-                bounds.append(bounds[-1] + value)
-            point.block_bounds = bounds
-            point.block = rngs[p].integers(
-                0, 2**64, size=bounds[-1], dtype=np.uint64
-            )
-        points.append(point)
-        faulted.append(0 if hit_plane is None else popcount_words(hit_plane))
-    if combined is not None:
-        active = [p for p in range(len(specs)) if points[p].sites is not None]
-        points_with = {False: active, True: active}
-    else:
-        points_with = {
-            is_reset: [
-                p for p in range(len(specs)) if is_reset in points[p].classes
-            ]
-            for is_reset in (False, True)
-        }
-    return points, faulted, points_with
-
-
-def _inject_phase(
-    backend, prepared, states, compiled, plan, points, points_with
-):
-    """Slot-loop phase — one stacked apply per program group, pure
-    slicing of each point's precomputed sites and word block, and one
-    scatter per group for all points together.  The combined fast path
-    scatters through a bare take/put on the flat plane buffer;
-    mixed-arity circuits go through ``randomize_stacked``'s per-call
-    wire gather.  The reshape MUST alias the planes (a non-contiguous
-    array would silently reshape into a copy and every put would write
-    to a dead buffer); broadcast allocates contiguous, and this fails
-    loudly — not via assert, which -O strips — if that invariant is
-    ever broken.
-    """
-    max_groups = plan.max_groups
-    combined = plan.combined
-    if not states.planes.flags.c_contiguous:
-        raise SimulationError(
-            "stacked executor requires C-contiguous planes; the flat "
-            "scatter view would silently become a copy"
-        )
-    flat_planes = states.planes.reshape(-1)
-    cell_offset = combined[6] if combined is not None else None
-    class_slot_index = {False: 0, True: 0}
-    for si, slot in enumerate(compiled.slots):
-        prepared.apply_slot(states, si)
-        active = points_with[slot.is_reset]
-        if not active:
-            continue
-        slot_c = class_slot_index[slot.is_reset]
-        class_slot_index[slot.is_reset] = slot_c + 1
-        global_base = si * max_groups
-        if combined is not None:
-            cell_base = cell_offset[slot.is_reset] + slot_c * max_groups
-            for index in range(len(slot.groups)):
-                cell = cell_base + index
-                parts = []
-                for p in active:
-                    point = points[p]
-                    indices, select, prefix = point.sites
-                    start = prefix[cell]
-                    stop = prefix[cell + 1]
-                    if stop <= start:
-                        continue
-                    b0 = point.block_bounds[global_base + index]
-                    b1 = point.block_bounds[global_base + index + 1]
-                    parts.append(
-                        (
-                            indices[:, start:stop],
-                            select[start:stop],
-                            point.block[b0:b1].reshape(-1, stop - start),
-                        )
-                    )
-                if not parts:
-                    continue
-                if len(parts) == 1:
-                    indices, select, blocks = parts[0]
-                else:
-                    indices = np.concatenate([p[0] for p in parts], axis=1)
-                    select = np.concatenate([p[1] for p in parts])
-                    blocks = np.concatenate([p[2] for p in parts], axis=1)
-                current = flat_planes.take(indices)
-                # c ^ ((c ^ b) & s) == (b & s) | (c & ~s), one pass less.
-                flat_planes.put(
-                    indices, current ^ ((current ^ blocks) & select)
-                )
-            continue
-        class_base = slot_c * max_groups
-        gathered: list[list[tuple[np.ndarray, ...]]] = [
-            [] for _ in slot.groups
-        ]
-        for p in active:
-            point = points[p]
-            rows, word_of, select, prefix = point.classes[slot.is_reset]
-            bounds = point.block_bounds
-            block = point.block
-            for index in range(len(slot.groups)):
-                start = prefix[class_base + index]
-                stop = prefix[class_base + index + 1]
-                if stop <= start:
-                    continue
-                b0 = bounds[global_base + index]
-                b1 = bounds[global_base + index + 1]
-                gathered[index].append(
-                    (
-                        rows[start:stop],
-                        word_of[start:stop],
-                        select[start:stop],
-                        block[b0:b1].reshape(-1, stop - start),
-                    )
-                )
-        for index, group in enumerate(slot.groups):
-            parts = gathered[index]
-            if not parts:
-                continue
-            if len(parts) == 1:
-                rows, word_of, select, blocks = parts[0]
-            else:
-                rows = np.concatenate([part[0] for part in parts])
-                word_of = np.concatenate([part[1] for part in parts])
-                select = np.concatenate([part[2] for part in parts])
-                blocks = np.concatenate([part[3] for part in parts], axis=1)
-            backend.randomize_stacked(
-                states, group.wire_matrix, None, rows, word_of, select, blocks
-            )
 
 
 def _decode_phase(specs, states, words, offsets, faulted):
@@ -663,34 +184,21 @@ def _run_group_stacked(
 
     Point ``p`` occupies the word window ``[offset_p, offset_p +
     words_p)`` of every wire plane.  The shared program is applied once
-    per fused slot over the whole array; fault injection is per point
-    (each point's noise level and generator are its own) but batched
-    per slot: every point's replacement words are drawn from its own
-    generator in the solo order, then all points' fault sites scatter
-    in ONE ``randomize_stacked`` call per slot group.
-
-    The per-point generator consumption — class gap passes, then
-    per-slot per-group replacement-word blocks — matches a solo
-    ``NoisyRunner`` run draw for draw, and plane operations are
-    wordwise, so each point's window is **bit-identical** to running
-    the spec alone.  The three phases (fault draw, slot loop, decode)
-    each get a child span of the group span; tracing reads only the
-    clock, never the generators, so an enabled trace cannot move a
-    digest.
+    per slot over the whole array; the fault kernel draws each point's
+    faults from its own generator in the solo order and scatters all
+    points' sites together, so each point's window is **bit-identical**
+    to running the spec alone.  The three phases (fault draw, slot
+    loop, decode) each get a child span of the group span; tracing
+    reads only the clock, never the generators, so an enabled trace
+    cannot move a digest.
     """
     first = specs[0]
     compiled = compile_circuit(
-        first.circuit, fuse=True, cache=policy.compile_cache
+        first.circuit, fuse=policy.fuse, cache=policy.compile_cache
     )
     backend = get_backend(policy.backend)
     prepared = backend.prepare(compiled)
-    # The plan is pure structure derived from the fused schedule, so it
-    # rides on the compiled program: a bisection or sweep re-running one
-    # circuit builds it exactly once per process.
-    plan = getattr(compiled, "_stack_plan", None)
-    if plan is None:
-        plan = _StackPlan(compiled)
-        compiled._stack_plan = plan
+    plan = _stack_plan(compiled)
     words = [words_for(spec.trials) for spec in specs]
     offsets = [0]
     for width in words[:-1]:
@@ -707,13 +215,17 @@ def _run_group_stacked(
         states = backend.broadcast(first.input_bits, total_words * 64)
         rngs = [_as_generator(spec.seed) for spec in specs]
         with trace("executor.group.draw"):
-            points, faulted, points_with = _draw_phase(
-                specs, compiled, plan, words, offsets, total_words, rngs
+            points, faulted = _draw_phase(
+                compiled,
+                plan,
+                [spec.noise for spec in specs],
+                [spec.trials for spec in specs],
+                rngs,
+                offsets,
+                total_words,
             )
         with trace("executor.group.apply"):
-            _inject_phase(
-                backend, prepared, states, compiled, plan, points, points_with
-            )
+            _inject_phase(prepared, states, compiled, plan, points)
         with trace("executor.group.decode"):
             results = _decode_phase(specs, states, words, offsets, faulted)
     _STACKED_POINTS.inc(len(specs))
@@ -729,19 +241,11 @@ def _run_group(specs: Sequence[RunSpec], policy: ExecutionPolicy) -> list[PointR
         # because pool children exit via os._exit and never run atexit.
         enable_tracing(policy.trace)
     _GROUPS.inc()
-    engine = resolve_engine(policy.engine, specs[0].trials)
-    if engine == "bitplane" and policy.fuse:
-        # Lone points ride the stacked path too: it reproduces a solo
-        # run bit for bit, and its cached plan, segmented fault pass,
-        # and packed bookkeeping beat the classic runner even for a
-        # single point.
+    if resolve_engine(policy.engine, specs[0].trials) == "bitplane":
         results = _run_group_stacked(specs, policy)
     else:
-        # The batched engine has no plane axis to stack on, and unfused
-        # execution must keep the pre-fusion per-op RNG stream — both
-        # run point by point through the classic runner.
         _LEGACY_POINTS.inc(len(specs))
-        results = [_run_point_legacy(spec, engine, policy) for spec in specs]
+        results = [_run_point_batched(spec) for spec in specs]
     flush_trace_if_forked()
     return results
 

@@ -257,8 +257,9 @@ class ExecutionPolicy:
             executor pools only *across* compiled groups; points
             sharing a program batch into one plane array instead.
         fuse: whether the compiler fuses disjoint ops into slots
-            (``REPRO_FUSE``).  Unfused execution keeps the pre-fusion
-            RNG stream and is evaluated point by point.
+            (``REPRO_FUSE``).  Unfused programs (one op per slot) run
+            through the same stacked fault kernel, with a stream of
+            their own.
         compile_cache: whether compiled programs are reused
             process-wide (``REPRO_COMPILE_CACHE``).
         trials: default Monte-Carlo budget for callers that take their

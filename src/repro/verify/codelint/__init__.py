@@ -1,6 +1,6 @@
 """Codebase lint passes — the ``RL###`` half of :mod:`repro.verify`.
 
-Five AST/text passes over the repository, run through the unified
+Four AST passes over the repository, run through the unified
 driver ``python -m tools.lint`` (which owns the CLI and the exit-code
 contract):
 
@@ -11,8 +11,6 @@ contract):
   with its documented deferred-import allowlist (``RL200``–``RL202``);
 * :mod:`~repro.verify.codelint.errors_pass` — typed-exception
   discipline and assert hygiene (``RL300``–``RL301``);
-* :mod:`~repro.verify.codelint.deprecation` — the deprecation audit
-  folded in from ``tools/deprecation_audit.py`` (``RL400``);
 * :mod:`~repro.verify.codelint.timing` — raw ``time.*`` calls outside
   the ``repro.obs`` clock front door (``RL500``).
 
@@ -27,13 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import VerificationError
-from repro.verify.codelint import (
-    deprecation,
-    errors_pass,
-    layering,
-    rng,
-    timing,
-)
+from repro.verify.codelint import errors_pass, layering, rng, timing
 from repro.verify.diagnostics import DiagnosticReport
 
 __all__ = [
@@ -80,14 +72,11 @@ def load_source_files(
 
 
 #: The registered passes: ``name -> (codes, runner)``.  Every runner
-#: has the uniform signature ``run(root, files, report)``; the
-#: deprecation pass ignores ``files`` (it scans more directories than
-#: the AST passes do).
+#: has the uniform signature ``run(root, files, report)``.
 PASSES: dict[str, tuple[tuple[str, ...], object]] = {
     "rng": (("RL100", "RL110", "RL111", "RL112"), rng.run),
     "layering": (("RL200", "RL201", "RL202"), layering.run),
     "errors": (("RL300", "RL301"), errors_pass.run),
-    "deprecation": (("RL400",), deprecation.run),
     "timing": (("RL500",), timing.run),
 }
 

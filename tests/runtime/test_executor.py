@@ -2,9 +2,8 @@
 
 The load-bearing guarantees of the execution layer are proved here:
 
-1. a single-point ``Executor.run`` is bit-identical to the legacy
-   entry points on BOTH engines (the deprecation shims therefore
-   reproduce the PR 2 numbers);
+1. a single-point ``Executor.run`` is bit-identical to
+   ``NoisyRunner`` on BOTH engines;
 2. a multi-point stacked run is bit-identical, point by point, to
    running each spec alone — batching is an execution detail, never a
    statistical one (including points with non-word-aligned trial
@@ -69,49 +68,6 @@ class TestSinglePointBitIdentity:
         assert (result.failures, result.faulted_trials) == expected
         assert result.engine == engine
 
-    @pytest.mark.parametrize("engine", ["batched", "bitplane"])
-    def test_shim_reproduces_legacy_estimate(self, engine):
-        # The deprecated estimate_failure_probability shim must return
-        # the classic implementation's numbers bit for bit.
-        from repro.noise import estimate_failure_probability
-
-        spec = recovery_spec(0.02, seed=5, trials=640)
-        with pytest.warns(DeprecationWarning):
-            rate, count = estimate_failure_probability(
-                spec.circuit,
-                spec.input_bits,
-                repetition_failure_predicate((0, 1, 2), 1),
-                spec.noise,
-                trials=spec.trials,
-                seed=5,
-                engine=engine,
-            )
-        failures, _ = legacy_point(spec, engine)
-        assert count == failures
-        assert rate == failures / spec.trials
-
-    def test_shim_reproduces_legacy_cycle_error(self):
-        # Same guarantee for the logical_error_per_cycle shim: its
-        # numbers equal the classic NoisyRunner pipeline exactly.
-        from repro.harness.threshold_finder import (
-            _CYCLE_INPUT,
-            _cycle_processor,
-            logical_error_per_cycle,
-        )
-
-        trials, seed, g = 20_000, 7, 4e-3
-        processor = _cycle_processor(1)
-        runner = NoisyRunner(NoiseModel(gate_error=g), seed, engine="bitplane")
-        result = runner.run_from_input(
-            processor.circuit, processor.physical_input(_CYCLE_INPUT), trials
-        )
-        failures = processor.count_decode_failures(result.states, _CYCLE_INPUT)
-        expected_rate = 1.0 - (1.0 - failures / trials) ** 0.5
-        with pytest.warns(DeprecationWarning):
-            rate, count = logical_error_per_cycle(g, trials, seed=seed)
-        assert count == failures
-        assert rate == expected_rate
-
 
 class TestStackedBatchingBitIdentity:
     def test_stacked_points_equal_solo_runs(self):
@@ -168,8 +124,8 @@ class TestStackedBatchingBitIdentity:
             )
 
     def test_unfused_policy_keeps_prefusion_stream(self):
-        # fuse=False must fall back to the per-op schedule and its
-        # exact pre-fusion RNG stream (no stacking).
+        # fuse=False runs the pre-fusion (one op per slot) schedule;
+        # the executor and the runner must agree on it bit for bit.
         spec = recovery_spec(0.01, seed=51, trials=1000)
         runner = NoisyRunner(
             spec.noise, spec.seed, engine="bitplane", fuse=False
@@ -180,6 +136,55 @@ class TestStackedBatchingBitIdentity:
             ExecutionPolicy(engine="bitplane", fuse=False)
         ).run_one(spec)
         assert result.failures == expected
+
+    def test_unfused_stacked_points_equal_solo_runs(self):
+        # The unfused program rides the same stacked kernel: every
+        # point equals its solo unfused NoisyRunner run.
+        specs = [
+            recovery_spec(g, seed, trials)
+            for seed, (g, trials) in enumerate(
+                ((0.005, 777), (0.03, 1000)), start=61
+            )
+        ]
+        results = Executor(
+            ExecutionPolicy(engine="bitplane", fuse=False)
+        ).run(specs)
+        for spec, result in zip(specs, results):
+            runner = NoisyRunner(
+                spec.noise, spec.seed, engine="bitplane", fuse=False
+            )
+            run = runner.run_from_input(
+                spec.circuit, spec.input_bits, spec.trials
+            )
+            assert (result.failures, result.faulted_trials) == (
+                REPETITION_PREDICATE.count_failures(run.states),
+                int((run.fault_counts > 0).sum()),
+            )
+
+    def test_mixed_arity_stacked_points_equal_solo_runs(self):
+        # 1-, 2- and 3-wire groups in both error classes: the padded
+        # op -> wire table must scatter each cell on its own arity.
+        circuit = Circuit(9, name="mixed").append_reset(0)
+        circuit.cnot(1, 2).toffoli(3, 4, 5).maj(6, 7, 8)
+        circuit = circuit + recovery_circuit()
+        specs = [
+            RunSpec(
+                circuit=circuit,
+                input_bits=(1, 1, 1) + (0,) * 6,
+                observable=REPETITION_PREDICATE,
+                noise=NoiseModel(gate_error=g, reset_error=g / 3),
+                trials=trials,
+                seed=seed,
+            )
+            for seed, (g, trials) in enumerate(
+                ((0.01, 1000), (0.04, 130), (0.3, 257)), start=81
+            )
+        ]
+        results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+        for spec, result in zip(specs, results):
+            assert (result.failures, result.faulted_trials) == legacy_point(
+                spec, "bitplane"
+            )
 
     def test_clustered_decode_with_unaligned_windows(self):
         # Three specs share ONE DecodeObservable (decoded by a single
@@ -411,7 +416,7 @@ class TestExecutorSurface:
 
     def test_measure_cycle_errors_batches_points(self):
         # The harness-level sweep API: many points, one stacked run,
-        # each point equal to its deprecated single-point shim.
+        # each point equal to measuring it alone.
         from repro.harness.threshold_finder import measure_cycle_errors
 
         points = tuple((g, seed) for seed, g in enumerate((2e-3, 8e-3, 0.03)))

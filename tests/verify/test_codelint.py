@@ -48,7 +48,11 @@ class TestSelfClean:
         registered = {
             code for codes, _ in PASSES.values() for code in codes
         }
-        rl_codes = {code for code in CODES if code.startswith("RL")}
+        rl_codes = {
+            code
+            for code, text in CODES.items()
+            if code.startswith("RL") and not text.startswith("(retired)")
+        }
         assert registered == rl_codes
 
 
@@ -208,20 +212,6 @@ class TestErrorDiscipline:
             "def f():\n    raise NotImplementedError\n",
         )
         assert lint(tmp_path, "errors").ok
-
-
-class TestDeprecation:
-    def test_deprecated_reference_is_rl400(self, tmp_path):
-        plant(tmp_path, "src/repro/core/__init__.py", "")
-        plant(
-            tmp_path,
-            "examples/old_api.py",
-            "rate, _ = logical_error_per_cycle(0.01, 100)\n",
-        )
-        report = lint(tmp_path, "deprecation")
-        assert report.has("RL400")
-        [finding] = report.errors
-        assert finding.location == "examples/old_api.py:1"
 
 
 class TestTimingFrontDoor:

@@ -3,7 +3,7 @@
 
 Runs every codebase lint pass of :mod:`repro.verify.codelint` (RNG
 purity, key-function determinism, import layering, error discipline,
-deprecation audit) over the repository and reports structured
+the timing front door) over the repository and reports structured
 diagnostics.  Exit-code contract (shared with ``python -m
 repro.verify``): 0 clean, 1 when any error-severity diagnostic fired,
 2 when the driver itself failed (unknown pass, unparseable tree).
