@@ -1,4 +1,4 @@
-"""Perf rows and acceptance floor: fused backend vs the numpy backend.
+"""Perf rows: fused backend vs the numpy backend.
 
 The fused backend compiles each slot schedule into a chain of prebuilt
 kernels (shared-subexpression extraction, preallocated scratch, one
@@ -8,15 +8,13 @@ Figure-2 recovery cycles over a 100k-trial batch — because that is
 what the backend seam accelerates; noisy runs spend most of their time
 in fault bookkeeping that is identical across backends.
 
-Acceptance: fused must be bit-identical to numpy and at least 1.3x
-faster (override with ``REPRO_BACKEND_SPEEDUP_FLOOR`` for shared CI
-runners; measured headroom is ~2x on an idle machine).
+The speed comparison lives in the repository benchmark (the
+``sweep-sparse`` workload of ``BENCHMARK.json``); bit-identity of the
+fused planes to the numpy planes is asserted by the backend
+conformance suite (``tests/backends/``).
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 import numpy as np
 
@@ -55,52 +53,3 @@ def test_perf_backend_fused_recovery_cycles(benchmark):
     state = benchmark(lambda: _run_backend("fused", compiled))
     assert int(state.column(0).sum(dtype=np.int64)) == TRIALS
 
-
-def _interleaved_best_seconds(functions, rounds: int = 10) -> list[float]:
-    """Best-of-``rounds`` for each function, rounds interleaved.
-
-    Alternating the contenders inside every round means slow machine
-    phases (frequency scaling, a noisy CI neighbour) hit both timings
-    instead of skewing the ratio.
-    """
-    for function in functions:  # warm-up: prepare caches, scratch pools
-        function()
-    best = [float("inf")] * len(functions)
-    for _ in range(rounds):
-        for index, function in enumerate(functions):
-            start = time.perf_counter()
-            function()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
-
-
-def test_fused_backend_speedup_over_numpy():
-    """Acceptance: fused >= 1.3x numpy on 3 recovery cycles, 100k trials.
-
-    Bit-identity is asserted on the same workload before timing, so a
-    fused backend can never buy speed with divergent planes.
-    """
-    floor = float(os.environ.get("REPRO_BACKEND_SPEEDUP_FLOOR", "1.3"))
-    compiled = compile_circuit(_cycle_circuit())
-
-    numpy_state = _run_backend("numpy", compiled)
-    fused_state = _run_backend("fused", compiled)
-    np.testing.assert_array_equal(fused_state.planes, numpy_state.planes)
-
-    numpy_seconds, fused_seconds = _interleaved_best_seconds(
-        [
-            lambda: _run_backend("numpy", compiled),
-            lambda: _run_backend("fused", compiled),
-        ]
-    )
-    speedup = numpy_seconds / fused_seconds
-    print(
-        f"\n{CYCLES} recovery cycles, {TRIALS} trials: "
-        f"numpy {numpy_seconds * 1e3:.2f} ms, "
-        f"fused {fused_seconds * 1e3:.2f} ms, speedup {speedup:.2f}x"
-    )
-    assert speedup >= floor, (
-        f"fused backend only {speedup:.2f}x faster than numpy "
-        f"({numpy_seconds * 1e3:.2f} ms vs {fused_seconds * 1e3:.2f} ms), "
-        f"floor {floor}x"
-    )

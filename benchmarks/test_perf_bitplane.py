@@ -1,8 +1,8 @@
 """Perf rows for the bit-plane engine.
 
-Mirrors the workloads of ``test_perf_simulator.py`` (noiseless and
-noisy Figure-2 recovery over 100k trials, level-2 noisy logical gate)
-on the :class:`~repro.core.bitplane.BitplaneState` engine.  End-to-end
+Noiseless and noisy Figure-2 recovery over 100k trials and a level-2
+noisy logical gate on the :class:`~repro.core.bitplane.BitplaneState`
+engine.  End-to-end
 speed is tracked by the ``sweep-sparse`` workload of the repository
 benchmark (``perfbench/``).
 """
@@ -40,7 +40,7 @@ def test_perf_bitplane_noisy_recovery_cycle(benchmark):
     circuit = recovery_circuit()
 
     def cycle():
-        runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=0, engine="bitplane")
+        runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=0)
         result = runner.run_from_input(circuit, RECOVERY_INPUT, TRIALS)
         return int(result.states.majority_of((0, 3, 6)).sum(dtype=np.int64))
 
@@ -55,7 +55,7 @@ def test_perf_bitplane_level2_noisy_gate(benchmark):
         computation = ConcatenatedComputation(3, 2)
         physical = computation.physical_input((1, 0, 1))
         computation.apply(MAJ, 0, 1, 2)
-        runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=1, engine="bitplane")
+        runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=1)
         result = runner.run_from_input(computation.circuit, physical, 5000)
         decoded = computation.decode_batch(result.states)
         expected = np.asarray(MAJ.apply((1, 0, 1)), dtype=np.uint8)

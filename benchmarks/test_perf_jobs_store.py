@@ -1,103 +1,44 @@
-"""Bench gate: a warm result store answers sweeps without simulating.
+"""A warm result store answers sweeps without simulating.
 
-The jobs-layer acceptance criterion: re-querying a completed 10-point,
-100k-trial logical-error sweep through the content-keyed
-:class:`~repro.jobs.ResultStore` must be at least 10x faster than
-recomputing it (``REPRO_JOBS_SPEEDUP_FLOOR`` overrides the floor for
-noisy shared runners — CI pins 5), serve IDENTICAL results, and
-simulate ZERO points (asserted via the caching executor's counters,
-not inferred from timing).
-
-The workload is the same deep sub-threshold storage sweep as the
-runtime batching gate (rare logical failures, the regime that needs
-the 100k budget): first computed once through a
-:class:`~repro.jobs.CachingExecutor` into a fresh store, then
-re-queried.  The warm path's cost is ten file reads plus key hashing —
-wall-clock should be milliseconds against the recomputation's seconds,
-so the 10x floor is loose by orders of magnitude; it exists to catch a
-regression that silently turns hits into recomputation.
+Re-querying a completed 10-point logical-error sweep through the
+content-keyed :class:`~repro.jobs.ResultStore` must serve IDENTICAL
+results and simulate ZERO points (asserted via the caching executor's
+counters, not inferred from timing).  The workload is the deep
+sub-threshold storage sweep, at CI scale.  How fast the warm
+re-query is belongs to the repository benchmark (the ``jobs-sweep``
+workload of ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 from repro.harness.sweep import geometric_grid, spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import CachingExecutor, ResultStore
 from repro.runtime import ExecutionPolicy, Executor
 
-TRIALS = 100_000
+TRIALS = 2000
 POINTS = 10
 CYCLES = 3
 
 
-def _specs(trials: int = TRIALS):
+def _specs():
     grid = geometric_grid(1e-4, 2e-3, POINTS)
     points = tuple(zip(grid, spawn_seeds(17, POINTS)))
-    return cycle_error_specs(points, trials, cycles=CYCLES)
-
-
-def test_warm_store_requery_speedup(tmp_path):
-    """Acceptance: >= 10x over recomputation, zero simulated points."""
-    floor = float(os.environ.get("REPRO_JOBS_SPEEDUP_FLOOR", "10"))
-    policy = ExecutionPolicy(engine="bitplane")
-    specs = _specs()
-
-    # Cold pass: compute the sweep once into a fresh store, timed as
-    # the recomputation baseline (the executor also warms the compile
-    # and processor caches, so the warm pass cannot win on those).
-    cold = CachingExecutor(ResultStore(tmp_path / "store"), policy=policy)
-    start = time.perf_counter()
-    cold_results = cold.run(specs)
-    cold_seconds = time.perf_counter() - start
-    assert cold.simulated_points == POINTS
-
-    # Warm pass: a fresh caching executor over the same store — every
-    # point must come back from disk, bit-identical, simulation-free.
-    # Best of three fresh executors, so allocator/page-cache warm-up
-    # does not pollute the steady-state read cost (mirrors the other
-    # perf gates' best-of-rounds timing).
-    warm_seconds = float("inf")
-    for _ in range(3):
-        warm = CachingExecutor(
-            ResultStore(tmp_path / "store"), policy=policy
-        )
-        start = time.perf_counter()
-        warm_results = warm.run(specs)
-        warm_seconds = min(warm_seconds, time.perf_counter() - start)
-
-    assert warm_results == cold_results, (
-        "stored results must be bit-identical to the computed sweep"
-    )
-    assert warm.simulated_points == 0, (
-        f"warm re-query simulated {warm.simulated_points} points; a "
-        f"complete store must serve everything"
-    )
-    assert warm.cached_points == POINTS
-    assert warm.store.stats()["hits"] == POINTS
-
-    speedup = cold_seconds / warm_seconds
-    print(
-        f"\n{POINTS}-point x {TRIALS}-trial sweep: computed "
-        f"{cold_seconds * 1e3:.0f} ms, warm store re-query "
-        f"{warm_seconds * 1e3:.0f} ms, speedup {speedup:.1f}x"
-    )
-    assert speedup >= floor, (
-        f"warm store re-query only {speedup:.1f}x faster than "
-        f"recomputation ({warm_seconds * 1e3:.0f} ms vs "
-        f"{cold_seconds * 1e3:.0f} ms), floor {floor}x"
-    )
+    return cycle_error_specs(points, TRIALS, cycles=CYCLES)
 
 
 def test_store_serves_identical_results_small(tmp_path):
     """Correctness companion at CI scale: store == executor, point by point."""
-    policy = ExecutionPolicy(engine="bitplane")
-    specs = _specs(trials=2000)
+    policy = ExecutionPolicy()
+    specs = _specs()
     direct = Executor(policy).run(specs)
-    store = ResultStore(tmp_path / "store")
-    assert CachingExecutor(store, policy=policy).run(specs) == direct
-    warm = CachingExecutor(store, policy=policy)
+    cold = CachingExecutor(ResultStore(tmp_path / "store"), policy=policy)
+    assert cold.run(specs) == direct
+    assert cold.simulated_points == POINTS
+    # A fresh caching executor over the same store: every point comes
+    # back from disk, bit-identical, simulation-free.
+    warm = CachingExecutor(ResultStore(tmp_path / "store"), policy=policy)
     assert warm.run(specs) == direct
     assert warm.simulated_points == 0
+    assert warm.cached_points == POINTS
+    assert warm.store.stats()["hits"] == POINTS

@@ -59,7 +59,7 @@ class _InertSpan:
 
 def _hook_calls(monkeypatch, specs) -> list[str]:
     """Every span and counter increment one ``Executor.run`` makes."""
-    policy = ExecutionPolicy(engine="bitplane", parallel=None)
+    policy = ExecutionPolicy(parallel=None)
     Executor(policy).run(specs)  # warm: compile-cache hits from here on
     calls: list[str] = []
     span = _InertSpan()

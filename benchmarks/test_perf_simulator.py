@@ -28,23 +28,6 @@ def test_perf_batched_recovery_cycle(benchmark):
     assert result == 100_000
 
 
-def test_perf_noisy_recovery_cycle(benchmark):
-    """Noisy recovery at g = 1e-3 over a 100k-trial batch (uint8 engine).
-
-    Pinned to ``engine="batched"`` — this is the baseline row that
-    ``test_perf_bitplane.py`` compares against.
-    """
-    circuit = recovery_circuit()
-
-    def cycle():
-        runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=0, engine="batched")
-        result = runner.run_from_input(circuit, (1, 1, 1) + (0,) * 6, 100_000)
-        return int(result.states.majority_of((0, 3, 6)).sum())
-
-    survived = benchmark(cycle)
-    assert survived > 99_000
-
-
 def test_perf_level2_compile(benchmark):
     """Compiling a full level-2 logical gate (441 gates, 243 wires)."""
 

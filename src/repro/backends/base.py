@@ -9,7 +9,7 @@ stacked executor can be pointed at any implementation:
 * :class:`PlaneBackend` — allocate plane states and prepare a compiled
   circuit into an executable :class:`PreparedProgram`.
 * :class:`PreparedProgram` — the per-``CompiledCircuit`` executable: a
-  slot-indexed ``apply_slot`` (the noisy engines interleave fault
+  slot-indexed ``apply_slot`` (the fault kernel interleaves fault
   injection between slots) plus a noiseless ``run`` over the whole
   schedule.
 
@@ -56,7 +56,7 @@ class PreparedProgram:
 
         Covers both slot kinds: reset slots assign their constant
         planes, gate slots evaluate every stacked program group.  The
-        noisy engines call this once per slot and inject the slot's
+        fault kernel calls this once per slot and injects the slot's
         faults in between — the contract is that the state after
         ``apply_slot`` is bit-identical across backends.
         """

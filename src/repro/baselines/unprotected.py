@@ -78,16 +78,14 @@ def simulate_unprotected(
     trials: int,
     seed: int | np.random.Generator | None = None,
     n_wires: int = 3,
-    engine: str = "auto",
 ) -> float:
     """Monte-Carlo module error of an unprotected identity module.
 
     Returns the fraction of trials whose output differs from the
     input anywhere — the empirical ``1 - (1-g)**T`` (slightly below it,
-    since a fault can be silent or cancelled).  ``engine`` selects the
-    Monte-Carlo backend (see :mod:`repro.noise.monte_carlo`); the point
-    is declared as a :class:`~repro.runtime.RunSpec` and executed
-    through :class:`~repro.runtime.Executor`.
+    since a fault can be silent or cancelled).  The point is declared
+    as a :class:`~repro.runtime.RunSpec` and executed through
+    :class:`~repro.runtime.Executor`.
     """
     circuit = identity_module(module_gates, n_wires)
     input_bits = tuple(i % 2 for i in range(n_wires))
@@ -99,5 +97,5 @@ def simulate_unprotected(
         trials=trials,
         seed=seed,
     )
-    policy = replace(ExecutionPolicy.from_env(), engine=engine, parallel=None)
+    policy = replace(ExecutionPolicy.from_env(), parallel=None)
     return Executor(policy).run_one(spec).failure_fraction

@@ -1,13 +1,13 @@
 """Bit-parallel batched simulation: 64 Monte-Carlo trials per word.
 
-:class:`BitplaneState` is the third simulation engine (after
-:func:`~repro.core.simulator.run` and
+:class:`BitplaneState` is the state the Monte-Carlo engine runs on
+(the noiseless references are :func:`~repro.core.simulator.run` and
 :class:`~repro.core.simulator.BatchedState`).  It stores the batch
 *transposed and packed*: one row of uint64 words per wire, where bit
 ``t`` of word ``j`` is the wire's value in trial ``64*j + t``.  A gate
 application is then a handful of bitwise operations on whole planes —
 for the Figure-2 recovery circuit this moves ~12 KB per wire per op
-instead of the ~1 MB the uint8 engine touches, which is where the
+instead of the ~1 MB the uint8 reference touches, which is where the
 10-50x Monte-Carlo speedup comes from.
 
 Gates are executed through the plane programs produced by
@@ -16,7 +16,7 @@ sums for the rest); :meth:`BitplaneState.majority_of` is likewise fully
 bit-parallel via a carry-save binary counter.  The observation API
 (``array``, ``column``, ``columns``, ``majority_of``) mirrors
 ``BatchedState`` exactly, so failure predicates and decoders written
-against one engine run unmodified against the other.
+against one state run unmodified against the other.
 
 Masks: the masked evolution methods accept either a boolean/uint8
 per-trial mask of shape ``(trials,)`` (the ``BatchedState`` convention)

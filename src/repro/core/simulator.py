@@ -1,26 +1,23 @@
 """Deterministic simulation of reversible circuits.
 
-Three engines exist, in increasing order of speed:
+Two noiseless reference simulators and one Monte-Carlo engine exist:
 
 * :func:`run` — a single-state reference simulator on Python tuples,
   used for exhaustive proofs and anywhere clarity beats speed;
-* :class:`BatchedState` (this module) — a NumPy engine holding
+* :class:`BatchedState` (this module) — a NumPy reference holding
   ``(trials, wires)`` uint8 states and applying each gate through a
-  lookup table; simple, fully vectorised across trials, and the
-  historical default of the Monte-Carlo noise layer;
-* :class:`~repro.core.bitplane.BitplaneState` — a bit-parallel engine
+  lookup table; simple and fully vectorised across trials;
+* :class:`~repro.core.bitplane.BitplaneState` — the bit-parallel state
   packing 64 trials into each uint64 word and executing gates as the
-  boolean plane programs compiled by :mod:`repro.core.compiled`;
-  10-50x faster than ``BatchedState`` on large batches and selected by
-  the Monte-Carlo layer's ``engine`` flag (see
-  :mod:`repro.noise.monte_carlo`, which also documents the per-engine
-  RNG-stream caveat).
+  boolean plane programs compiled by :mod:`repro.core.compiled`; the
+  only state the Monte-Carlo layer (:mod:`repro.noise.monte_carlo`)
+  runs on.
 
-All engines share the same conventions: wire 0 is the most significant
+All three share the same conventions: wire 0 is the most significant
 bit of a packed pattern, and the observation API (``array``,
 ``column``/``columns``, ``majority_of``) is identical, so predicates
-and decoders are engine-agnostic.  ``tests/core/test_engine_equivalence``
-holds the differential suite proving the three engines bit-identical.
+and decoders are state-agnostic.  ``tests/core/test_engine_equivalence``
+holds the differential suite proving the three bit-identical.
 """
 
 from __future__ import annotations
@@ -165,26 +162,6 @@ class BatchedState:
             rows = np.nonzero(mask)[0]
             for wire in wires:
                 self.array[rows, wire] = value
-
-    def randomize(
-        self,
-        wires: Sequence[int],
-        rng: np.random.Generator,
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Replace wires with uniform random bits (the paper's fault).
-
-        With ``mask`` given, only masked trials are randomised — this is
-        the vectorised form of "the gate fails with probability g".
-        """
-        columns = list(wires)
-        random_bits = rng.integers(0, 2, size=(self.trials, len(columns)), dtype=np.uint8)
-        if mask is None:
-            self.array[:, columns] = random_bits
-        else:
-            rows = np.nonzero(mask)[0]
-            for offset, wire in enumerate(columns):
-                self.array[rows, wire] = random_bits[rows, offset]
 
     def apply_operation(self, op: Operation) -> None:
         """Apply one noiseless circuit operation to every trial."""

@@ -29,7 +29,7 @@ class ConfigError(SimulationError):
 
     Raised when a ``REPRO_*`` environment variable or an
     :class:`~repro.runtime.ExecutionPolicy` field names an unknown
-    engine/backend or fails to parse — configuration mistakes must fail
+    backend, is out of range, or fails to parse — configuration mistakes must fail
     loudly instead of silently falling back to defaults.  Subclasses
     :class:`SimulationError` so existing handlers keep working.
     """

@@ -21,7 +21,6 @@ from repro.harness.threshold_finder import (
     PseudoThreshold,
     cycle_error_specs,
     cycle_stage_spec,
-    find_pseudo_threshold,
     find_pseudo_threshold_adaptive,
     measure_cycle_errors,
     per_cycle_rate,
@@ -47,7 +46,6 @@ __all__ = [
     "PseudoThreshold",
     "cycle_error_specs",
     "cycle_stage_spec",
-    "find_pseudo_threshold",
     "find_pseudo_threshold_adaptive",
     "measure_cycle_errors",
     "per_cycle_rate",

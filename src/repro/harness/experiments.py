@@ -8,10 +8,9 @@ is the curated record of their output.
 Monte-Carlo experiments hydrate one
 :class:`~repro.runtime.ExecutionPolicy` from the environment
 (:meth:`~repro.runtime.ExecutionPolicy.from_env` — ``REPRO_TRIALS``
-for the budget, ``REPRO_ENGINE`` for the engine, ``REPRO_PARALLEL``
-for the pool, ``REPRO_FUSE``/``REPRO_COMPILE_CACHE`` for the
-compiler), so CI-speed and high-precision runs use the same code.  The
-default budget (100000) assumes the bit-parallel engine.  One
+for the budget, ``REPRO_PARALLEL`` for the pool,
+``REPRO_FUSE``/``REPRO_COMPILE_CACHE`` for the compiler), so CI-speed
+and high-precision runs use the same code.  One
 exception to the budget: fig2's g^2-scaling row floors its trials at
 30000 regardless of ``REPRO_TRIALS``, because it divides two small
 failure counts and is meaningless below that.
@@ -146,11 +145,6 @@ def execution_policy() -> ExecutionPolicy:
 def trial_budget(default: int = 100000) -> int:
     """Monte-Carlo trial count, overridable via ``REPRO_TRIALS``."""
     return ExecutionPolicy.from_env(trials=default).trials
-
-
-def engine_choice(default: str = "auto") -> str:
-    """Monte-Carlo engine, overridable via ``REPRO_ENGINE``."""
-    return ExecutionPolicy.from_env(engine=default).engine
 
 
 @dataclass
@@ -637,7 +631,7 @@ def experiment_entropy() -> ExperimentResult:
     trials = trial_budget()
     layout = RecoveryLayout.standard()
     circuit = recovery_circuit()
-    runner = NoisyRunner(NoiseModel(gate_error=g), seed=31, engine=engine_choice())
+    runner = NoisyRunner(NoiseModel(gate_error=g), seed=31)
     result = runner.run_from_input(circuit, (1, 1, 1) + (0,) * 6, trials)
     discarded_wires = [w for w in range(9) if w not in layout.advance().data]
     measured = empirical_entropy_from_columns(result.states.columns(discarded_wires))
@@ -724,9 +718,7 @@ def experiment_baseline() -> ExperimentResult:
 
     trials = trial_budget()
     g, module_gates = 1e-3, 500
-    measured = simulate_unprotected(
-        g, module_gates, trials, seed=41, engine=engine_choice()
-    )
+    measured = simulate_unprotected(g, module_gates, trials, seed=41)
     predicted = module_error(g, module_gates)
     close = abs(measured - predicted) < 0.15 * predicted + 0.01
     rows.append(

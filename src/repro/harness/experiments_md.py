@@ -50,9 +50,9 @@ PYTHONPATH=src python -m repro.harness.experiments_md
 ```
 
 Monte-Carlo rows depend on the trial budget (`REPRO_TRIALS`, default
-100000), the engine (`REPRO_ENGINE`, default `auto`), and frozen seeds;
-see README.md for the RNG-stream guarantees.  This file is generated —
-edit `repro/harness/experiments_md.py`, not the text below.
+100000) and frozen seeds; see README.md for the RNG-stream guarantees.
+This file is generated — edit `repro/harness/experiments_md.py`, not
+the text below.
 """
 
 

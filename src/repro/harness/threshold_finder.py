@@ -226,8 +226,7 @@ def _validate_bracket(
     """Endpoint validation shared by both search forms.
 
     An endpoint the full budget cannot separate (sign 0) falls back to
-    the point-estimate comparison — the fixed-budget behaviour — so
-    tiny CI budgets still get a best-effort search; only an endpoint on
+    the point-estimate comparison, so tiny CI budgets still get a best-effort search; only an endpoint on
     the wrong side of the identity line is a caller error.  One shared
     implementation, so the stacked and sequential forms can never
     diverge on the inequalities or messages (the bit-identity
@@ -691,49 +690,3 @@ def find_pseudo_threshold_adaptive(
         measure_middle, lower, upper, iterations, spent_low + spent_high
     )
 
-
-def find_pseudo_threshold(
-    error_function: Callable[[float], float],
-    lower: float,
-    upper: float,
-    iterations: int = 12,
-    parallel: int | bool | None = None,
-) -> PseudoThreshold:
-    """Bisection for the crossing ``error_function(g) = g``.
-
-    ``error_function`` must be (statistically) below the identity at
-    ``lower`` and above it at ``upper``.  The two bracket validations
-    are independent and routed through :func:`~repro.harness.sweep.sweep`;
-    ``parallel`` (same semantics as there — workers must be able to
-    pickle ``error_function``) evaluates them in separate processes.
-    The bisection steps themselves are inherently sequential: each
-    midpoint depends on the previous comparison.
-    """
-    if not 0 <= lower < upper <= 1:
-        raise AnalysisError(f"need 0 <= lower < upper <= 1, got {lower}, {upper}")
-    bracket = sweep(
-        error_function, (lower, upper), parameter="g", parallel=parallel
-    )
-    f_low, f_high = bracket.ys
-    evaluations = 2
-    if f_low >= lower:
-        raise AnalysisError(
-            f"error rate {f_low:.3g} at g={lower:.3g} is not below identity; "
-            "lower the bracket"
-        )
-    if f_high < upper:
-        raise AnalysisError(
-            f"error rate {f_high:.3g} at g={upper:.3g} is not above identity; "
-            "raise the bracket"
-        )
-    low, high = lower, upper
-    for _ in range(iterations):
-        middle = (low + high) / 2.0
-        if error_function(middle) < middle:
-            low = middle
-        else:
-            high = middle
-        evaluations += 1
-    return PseudoThreshold(
-        estimate=(low + high) / 2.0, bracket=(low, high), evaluations=evaluations
-    )

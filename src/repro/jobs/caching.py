@@ -6,8 +6,8 @@ list[PointResult]`` surface, so anything built on an executor — the
 harness sweeps, the stacked threshold search, the shard runner — gains
 a durable cache by swapping the object, not the code.
 
-Lookup is per point: stored points come back without touching an
-engine, missing points run through the inner executor in ONE batch
+Lookup is per point: stored points come back without any
+simulation, missing points run through the inner executor in ONE batch
 (preserving its cross-point stacking) and are written back.  Because
 the store key captures everything result-affecting, a cached answer is
 *the* answer — bit-identical to recomputation — and because points

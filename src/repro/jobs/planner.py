@@ -23,7 +23,7 @@ obligations:
 
 Shard IDs hash the member points' store keys
 (:func:`repro.jobs.store.point_key` — circuit content, noise, trials,
-seed, engine, fuse) plus their positions, so an ID is stable across
+seed, fuse) plus their positions, so an ID is stable across
 resubmissions and unique within a job even when two points coincide.
 """
 

@@ -67,8 +67,9 @@ from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
 __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]
 
-#: Version of the manifest/checkpoint on-disk shape.
-JOB_FORMAT_VERSION = 1
+#: Version of the manifest/checkpoint on-disk shape.  Version 2:
+#: manifest policies and checkpoint results no longer carry an engine.
+JOB_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
@@ -248,7 +249,6 @@ class SweepJob:
             "format": JOB_FORMAT_VERSION,
             "job_id": job_id,
             "policy": {
-                "engine": policy.engine,
                 "backend": policy.backend,
                 "fuse": policy.fuse,
                 "compile_cache": policy.compile_cache,
@@ -297,20 +297,15 @@ class SweepJob:
             )
         stored_policy = manifest["policy"]
         policy = ExecutionPolicy.from_env(
-            engine=stored_policy["engine"],
             backend=stored_policy["backend"],
             fuse=stored_policy["fuse"],
             compile_cache=stored_policy["compile_cache"],
         )
-        # Only the result-affecting knobs are pinned by the manifest;
-        # from_env may still override e.g. REPRO_PARALLEL, but engine
-        # and fuse must match what the job's store keys were built
-        # with, so the manifest's values win.
-        policy = replace(
-            policy,
-            engine=stored_policy["engine"],
-            fuse=stored_policy["fuse"],
-        )
+        # Only the result-affecting knob is pinned by the manifest;
+        # from_env may still override e.g. REPRO_PARALLEL, but fuse
+        # must match what the job's store keys were built with, so the
+        # manifest's value wins.
+        policy = replace(policy, fuse=stored_policy["fuse"])
         specs = [spec_from_json(data) for data in manifest["specs"]]
         shards = [
             Shard(entry["id"], tuple(entry["indices"]))
@@ -398,7 +393,6 @@ class SweepJob:
                     failures=result["failures"],
                     trials=result["trials"],
                     faulted_trials=result["faulted_trials"],
-                    engine=result["engine"],
                 )
             )
         return results
@@ -421,7 +415,6 @@ class SweepJob:
                         "failures": result.failures,
                         "trials": result.trials,
                         "faulted_trials": result.faulted_trials,
-                        "engine": result.engine,
                     },
                 }
                 for index, result in zip(shard.indices, results)

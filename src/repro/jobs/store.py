@@ -3,8 +3,8 @@
 Every Monte-Carlo point in this repository is fully determined by its
 :class:`~repro.runtime.RunSpec` (circuit content, input, observable,
 noise, trials, integer seed) plus the *result-affecting* half of the
-:class:`~repro.runtime.ExecutionPolicy` — the resolved engine and the
-fusion flag, which select the RNG stream.  Backend choice, pool width,
+:class:`~repro.runtime.ExecutionPolicy` — the fusion flag, which
+selects the RNG stream.  Backend choice, pool width,
 and batching are execution details the executor guarantees can never
 change a number, so they are deliberately **not** part of the key;
 they are recorded as provenance instead.
@@ -23,7 +23,8 @@ Properties the job layer leans on:
   their own key, format version, and full spec wire form; a lookup
   re-verifies all three and raises :class:`~repro.errors.JobError` on
   any mismatch.  An entry produced under a different RNG stream
-  version or engine simply has a different key and is a clean miss.
+  version or fusion flag simply has a different key and is a clean
+  miss.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from pathlib import Path
 
 from repro._version import __version__
 from repro.errors import JobError
-from repro.noise.monte_carlo import resolve_engine
 from repro.obs import counter
 from repro.runtime.serialization import (
     canonical_json,
@@ -53,9 +53,10 @@ __all__ = [
 ]
 
 #: Version of a store entry's on-disk shape.  Bump on layout changes.
-STORE_FORMAT_VERSION = 1
+#: Version 2: keys, provenance and results no longer carry an engine.
+STORE_FORMAT_VERSION = 2
 
-#: Version of the engines' RNG stream contract.  The frozen digests in
+#: Version of the Monte-Carlo RNG stream contract.  The frozen digests in
 #: ``tests/noise/test_engine_determinism.py`` pin the streams; if they
 #: are ever deliberately re-recorded, bump this so every pre-change
 #: store entry stops matching instead of serving results from a stream
@@ -74,7 +75,6 @@ def _key_from_wire(
     payload = {
         "format": STORE_FORMAT_VERSION,
         "stream": RESULT_STREAM_VERSION,
-        "engine": resolve_engine(policy.engine, spec.trials),
         "fuse": policy.fuse,
         "spec": compress_for_hashing(spec_json),
     }
@@ -93,8 +93,8 @@ def _require_integer_seed(spec: RunSpec) -> None:
 def point_key(spec: RunSpec, policy: ExecutionPolicy) -> str:
     """The content key determining one point's result, as a hex digest.
 
-    Hashes the spec's JSON wire form together with the resolved engine,
-    the fusion flag, and the stream/format versions — everything that
+    Hashes the spec's JSON wire form together with the fusion flag and
+    the stream/format versions — everything that
     can change a failure count, and nothing that cannot.  Requires a
     concrete integer seed: a ``None`` or generator seed draws from an
     unreproducible stream, and a store keyed on it would serve numbers
@@ -178,7 +178,6 @@ class ResultStore:
             failures=result["failures"],
             trials=result["trials"],
             faulted_trials=result["faulted_trials"],
-            engine=result["engine"],
         )
 
     def _verify(
@@ -246,7 +245,6 @@ class ResultStore:
             "provenance": {
                 "version": __version__,
                 "stream": RESULT_STREAM_VERSION,
-                "engine": resolve_engine(policy.engine, spec.trials),
                 "backend": policy.backend,
                 "fuse": policy.fuse,
             },
@@ -254,7 +252,6 @@ class ResultStore:
                 "failures": result.failures,
                 "trials": result.trials,
                 "faulted_trials": result.faulted_trials,
-                "engine": result.engine,
             },
         }
         path = self._path(key)

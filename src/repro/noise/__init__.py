@@ -15,12 +15,10 @@ from repro.noise.pair_analysis import (
     analyse_recovery_cycle,
 )
 from repro.noise.monte_carlo import (
-    ENGINES,
     NoisyResult,
     NoisyRunner,
     any_wire_differs_predicate,
     repetition_failure_predicate,
-    resolve_engine,
 )
 from repro.noise.seeds import as_generator, spawn_seeds
 
@@ -35,12 +33,10 @@ __all__ = [
     "analyse_one_d_cycle",
     "analyse_pairs",
     "analyse_recovery_cycle",
-    "ENGINES",
     "NoisyResult",
     "NoisyRunner",
     "any_wire_differs_predicate",
     "as_generator",
     "repetition_failure_predicate",
-    "resolve_engine",
     "spawn_seeds",
 ]

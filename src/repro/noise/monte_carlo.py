@@ -1,29 +1,21 @@
 """Vectorised Monte-Carlo simulation under the gate-failure model.
 
-Two interchangeable engines evolve a batch of trials through a circuit;
-each operation first acts noiselessly on every trial, then a
-Bernoulli(``g``) mask selects the trials whose touched wires are
-replaced with uniform random bits.  This is exactly the paper's error
-model, vectorised across trials.
-
-* ``engine="batched"`` — the :class:`~repro.core.simulator.BatchedState`
-  uint8 engine: per-op column pack/unpack and a table lookup.
-* ``engine="bitplane"`` — the :class:`~repro.core.bitplane.BitplaneState`
-  engine: the circuit is lowered once *per process* through the
-  content-keyed cache of :func:`~repro.core.compiled.compile_circuit`,
-  64 trials ride in each uint64 word, consecutive disjoint ops execute
-  as fused slots (identical gates stacked into one vectorised apply),
-  and faults come from the stacked fault kernel below.
-  ``REPRO_FUSE=0`` runs the unfused (one op per slot) program through
-  the same kernel; ``REPRO_COMPILE_CACHE=0`` disables compiled-circuit
-  reuse.
-* ``engine="auto"`` — bitplane for batches of at least
-  :data:`AUTO_BITPLANE_MIN_TRIALS` trials, batched below that (tiny
-  batches don't amortise packing).
+A batch of trials evolves through a circuit on a
+:class:`~repro.core.bitplane.BitplaneState`: each operation first acts
+noiselessly on every trial, then a Bernoulli(``g``) draw selects the
+trials whose touched wires are replaced with uniform random bits.  This
+is exactly the paper's error model, vectorised across trials.  The
+circuit is lowered once *per process* through the content-keyed cache
+of :func:`~repro.core.compiled.compile_circuit`, 64 trials ride in each
+uint64 word, consecutive disjoint ops execute as fused slots (identical
+gates stacked into one vectorised apply), and faults come from the
+stacked fault kernel below.  ``REPRO_FUSE=0`` runs the unfused (one op
+per slot) program through the same kernel; ``REPRO_COMPILE_CACHE=0``
+disables compiled-circuit reuse.
 
 The stacked fault kernel (:class:`_StackPlan`, :func:`_draw_phase`,
 :func:`_inject_phase`) is the only code that draws and scatters
-bitplane faults.  It runs a *stack* of points over one plane array —
+faults.  It runs a *stack* of points over one plane array —
 each point owns a word-aligned window of the trial axis — and is used
 both by :class:`NoisyRunner` (a one-point stack on the caller's
 states) and by the multi-point executor of :mod:`repro.runtime`.  Per
@@ -35,16 +27,9 @@ slot order.  NumPy integer draws are stream-consistent under
 splitting, so a point's stream never depends on what it is stacked
 with: every stacked point is bit-identical to a solo run.
 
-RNG-stream caveat: all entry points take an explicit seed or
-:class:`numpy.random.Generator` so every experiment is reproducible bit
-for bit — but the two engines consume the generator differently (the
-batched engine draws per-trial uniforms and uint8 bits; the bitplane
-engine draws geometric gaps — or, at fault probabilities of at least
-:data:`DENSE_PROBABILITY`, direct thresholded uniforms — and whole
-uint64 words).  Equal seeds give statistically identical results across
-engines, never bit-identical realisations; digests of noisy runs are
-only comparable within one engine.
-``tests/noise/test_engine_determinism`` pins both streams.
+All entry points take an explicit seed or
+:class:`numpy.random.Generator`, so every experiment is reproducible
+bit for bit; ``tests/noise/test_engine_determinism`` pins the stream.
 """
 
 from __future__ import annotations
@@ -62,12 +47,6 @@ from repro.core.simulator import BatchedState
 from repro.errors import SimulationError
 from repro.noise.model import NoiseModel
 
-#: Valid values of the ``engine`` parameter.
-ENGINES = ("auto", "batched", "bitplane")
-
-#: Smallest batch for which ``engine="auto"`` picks the bitplane engine.
-AUTO_BITPLANE_MIN_TRIALS = 256
-
 #: Success probability at which :func:`_bernoulli_positions` switches
 #: from geometric gap-jumping to a direct thresholded draw.  Gap
 #: jumping costs one geometric draw *per success* (~14 ns vectorised,
@@ -76,7 +55,7 @@ AUTO_BITPLANE_MIN_TRIALS = 256
 #: measured crossover sits near ``p = 0.2``–``0.25`` — far above the
 #: ``g ~ 1e-2`` point where the gap-jumper merely starts to dominate
 #: the runtime *profile*.  The switch engages where it actually wins;
-#: every engine digest and threshold experiment stays in the sparse
+#: every frozen digest and threshold experiment stays in the sparse
 #: regime.
 DENSE_PROBABILITY = 0.25
 
@@ -86,19 +65,13 @@ DENSE_PROBABILITY = 0.25
 _POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
-def _validate_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; valid engines: {ENGINES}"
-        )
-
-
 def resolve_engine(engine: str, trials: int) -> str:
-    """Resolve ``"auto"`` to a concrete engine for a batch size."""
-    _validate_engine(engine)
-    if engine == "auto":
-        return "bitplane" if trials >= AUTO_BITPLANE_MIN_TRIALS else "batched"
-    return engine
+    """The only Monte-Carlo engine, ``"bitplane"``, whatever is asked.
+
+    Kept only because the benchmark's provenance line calls it; delete
+    it with the next benchmark change.
+    """
+    return "bitplane"
 
 
 def _as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -125,8 +98,8 @@ def _bernoulli_positions(
       ``p``; cheaper once successes are no longer rare.
 
     ``dense`` forces a regime (used by the distribution-agreement
-    tests); ``None`` selects by ``probability``.  This is the bitplane
-    engine's fault stream, so the regime switch changes the RNG stream
+    tests); ``None`` selects by ``probability``.  This is the fault
+    kernel's stream, so the regime switch changes the RNG stream
     at ``p >= DENSE_PROBABILITY`` — the frozen digests all sit in the
     sparse regime.
     """
@@ -476,9 +449,9 @@ def _inject_phase(prepared, states, compiled, plan, points) -> None:
 
 @dataclass
 class NoisyResult:
-    """Outcome of a noisy batched run."""
+    """Outcome of a noisy run."""
 
-    states: BatchedState | BitplaneState
+    states: BitplaneState
     fault_counts: np.ndarray  # faults injected per trial
 
     @property
@@ -499,32 +472,24 @@ class NoisyResult:
 
 
 class NoisyRunner:
-    """Runs circuits under a :class:`NoiseModel` on batched states.
+    """Runs circuits under a :class:`NoiseModel` on bit-plane states.
 
-    ``engine`` selects how :meth:`run_from_input` builds its batch; see
-    the module docstring for the engines and the RNG-stream caveat.
-    :meth:`run` dispatches on the state type it is handed, so an
-    explicitly constructed :class:`BitplaneState` always takes the
-    bit-parallel path regardless of ``engine``.  ``backend`` selects
-    which registered :mod:`repro.backends` implementation executes the
-    bitplane slots — backends are bit-identical and never touch the
-    generator, so the choice can never change a result or an RNG
-    stream.
+    ``backend`` selects which registered :mod:`repro.backends`
+    implementation executes the slots — backends are bit-identical and
+    never touch the generator, so the choice can never change a result
+    or an RNG stream.
     """
 
     def __init__(
         self,
         model: NoiseModel,
         seed: int | np.random.Generator | None = None,
-        engine: str = "auto",
         fuse: bool | None = None,
         compile_cache: bool | None = None,
         backend=None,
     ):
-        _validate_engine(engine)
         self.model = model
         self.rng = _as_generator(seed)
-        self.engine = engine
         # None defers to the REPRO_FUSE / REPRO_COMPILE_CACHE /
         # REPRO_BACKEND knobs at compile time; an
         # :class:`~repro.runtime.ExecutionPolicy` passes explicit
@@ -533,44 +498,25 @@ class NoisyRunner:
         self.compile_cache = compile_cache
         self.backend = backend
 
-    def run(
-        self, circuit: Circuit, states: BatchedState | BitplaneState
-    ) -> NoisyResult:
-        """Evolve the batch through the circuit, mutating ``states``."""
+    def run(self, circuit: Circuit, states: BitplaneState) -> NoisyResult:
+        """Evolve the batch through the circuit, mutating ``states``.
+
+        Runs the fault kernel as a one-point stack on ``states``.
+        Per-trial fault counts come from bincounting the trial of every
+        drawn fault position (padding positions beyond ``trials`` fall
+        out), so the kernel itself pays nothing for them.
+        """
+        if not isinstance(states, BitplaneState):
+            raise SimulationError(
+                f"NoisyRunner.run takes a BitplaneState, got "
+                f"{type(states).__name__}; convert a BatchedState with "
+                f"BitplaneState.from_batched"
+            )
         if states.n_wires != circuit.n_wires:
             raise SimulationError(
                 f"batch has {states.n_wires} wires but circuit has "
                 f"{circuit.n_wires}"
             )
-        if isinstance(states, BitplaneState):
-            return self._run_bitplane(circuit, states)
-        return self._run_batched(circuit, states)
-
-    def _run_batched(self, circuit: Circuit, states: BatchedState) -> NoisyResult:
-        trials = states.trials
-        fault_counts = np.zeros(trials, dtype=np.int64)
-        for op in circuit:
-            if op.is_reset:
-                error = self.model.effective_reset_error
-                states.reset(op.wires, op.reset_value)
-            else:
-                error = self.model.gate_error
-                assert op.gate is not None
-                states.apply_gate(op.gate, op.wires)
-            if error > 0.0:
-                mask = self.rng.random(trials) < error
-                if mask.any():
-                    states.randomize(op.wires, self.rng, mask)
-                    fault_counts += mask
-        return NoisyResult(states=states, fault_counts=fault_counts)
-
-    def _run_bitplane(self, circuit: Circuit, states: BitplaneState) -> NoisyResult:
-        """Run the fault kernel as a one-point stack on ``states``.
-
-        Per-trial fault counts come from bincounting the trial of every
-        drawn fault position (padding positions beyond ``trials`` fall
-        out), so the kernel itself pays nothing for them.
-        """
         compiled = compile_circuit(
             circuit, fuse=self.fuse, cache=self.compile_cache
         )
@@ -595,13 +541,7 @@ class NoisyRunner:
         self, circuit: Circuit, input_bits: Sequence[int], trials: int
     ) -> NoisyResult:
         """Broadcast one input over ``trials`` and run noisily."""
-        if resolve_engine(self.engine, trials) == "bitplane":
-            states: BatchedState | BitplaneState = BitplaneState.broadcast(
-                input_bits, trials
-            )
-        else:
-            states = BatchedState.broadcast(input_bits, trials)
-        return self.run(circuit, states)
+        return self.run(circuit, BitplaneState.broadcast(input_bits, trials))
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,12 @@ points and returns one :class:`~repro.runtime.spec.PointResult` per
 spec, in spec order.  The execution plan has three levels:
 
 1. **Grouping.**  Specs sharing a compiled program — same circuit
-   content, same input vector, same resolved engine — form one group.
+   content, same input vector — form one group.
    A bisection or sweep evaluating one circuit at many noise levels is
    a single group; a mixed workload (say fig3's level-1 and level-2
    concatenation circuits) is several.
 
-2. **Stacked plane batching (within a group).**  A bitplane group's
-   points all ride in ONE plane array: each point owns a word-aligned
+2. **Stacked plane batching (within a group).**  A group's points all ride in ONE plane array: each point owns a word-aligned
    window of the trial axis (``points x trials`` on the word axis), so
    every slot of the shared program executes once over all points'
    words instead of once per point.  Faults come from the stacked
@@ -34,9 +33,6 @@ spec, in spec order.  The execution plan has three levels:
    be picklable).  Points within a group never split across processes
    — they are already batched into one array, which is the cheaper
    kind of parallelism.
-
-Batched-engine groups evaluate point by point through ``NoisyRunner``
-— the uint8 engine has no plane axis to stack on.
 """
 
 from __future__ import annotations
@@ -51,12 +47,10 @@ from repro.core.bitplane import BitplaneState, words_for
 from repro.core.compiled import compile_circuit
 from repro.errors import AnalysisError, SimulationError
 from repro.noise.monte_carlo import (
-    NoisyRunner,
     _as_generator,
     _draw_phase,
     _inject_phase,
     _stack_plan,
-    resolve_engine,
 )
 from repro.obs import counter, enable_tracing, flush_trace_if_forked, trace
 from repro.runtime.spec import (
@@ -73,7 +67,6 @@ _RUNS = counter("executor.runs")
 _POINTS = counter("executor.points")
 _GROUPS = counter("executor.groups")
 _STACKED_POINTS = counter("executor.stacked_points")
-_LEGACY_POINTS = counter("executor.legacy_points")
 
 
 def resolve_workers(parallel: int | bool | None, points: int) -> int:
@@ -96,7 +89,7 @@ def resolve_workers(parallel: int | bool | None, points: int) -> int:
     return 0 if workers < 2 else workers
 
 
-def _group_key(spec: RunSpec, policy: ExecutionPolicy) -> tuple:
+def _group_key(spec: RunSpec) -> tuple:
     """Specs with equal keys share one compiled program and one batch.
 
     Circuits are grouped by the public
@@ -110,24 +103,7 @@ def _group_key(spec: RunSpec, policy: ExecutionPolicy) -> tuple:
     changes a point's numbers (the executor's bit-identity guarantee),
     so wider grouping is pure upside.
     """
-    return (
-        resolve_engine(policy.engine, spec.trials),
-        spec.circuit.content_key(),
-        spec.input_bits,
-    )
-
-
-def _run_point_batched(spec: RunSpec) -> PointResult:
-    """Evaluate one spec on the uint8 batched engine."""
-    runner = NoisyRunner(spec.noise, spec.seed, engine="batched")
-    result = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
-    failures = as_observable(spec.observable).count_failures(result.states)
-    return PointResult(
-        failures=failures,
-        trials=spec.trials,
-        faulted_trials=int((result.fault_counts > 0).sum()),
-        engine="batched",
-    )
+    return spec.circuit.content_key(), spec.input_bits
 
 
 def _decode_phase(specs, states, words, offsets, faulted):
@@ -171,7 +147,6 @@ def _decode_phase(specs, states, words, offsets, faulted):
                 failures=failures,
                 trials=spec.trials,
                 faulted_trials=faulted[p],
-                engine="bitplane",
             )
         )
     return results
@@ -180,7 +155,7 @@ def _decode_phase(specs, states, words, offsets, faulted):
 def _run_group_stacked(
     specs: Sequence[RunSpec], policy: ExecutionPolicy
 ) -> list[PointResult]:
-    """Evaluate one bitplane group's points in a single stacked array.
+    """Evaluate one group's points in a single stacked array.
 
     Point ``p`` occupies the word window ``[offset_p, offset_p +
     words_p)`` of every wire plane.  The shared program is applied once
@@ -241,11 +216,7 @@ def _run_group(specs: Sequence[RunSpec], policy: ExecutionPolicy) -> list[PointR
         # because pool children exit via os._exit and never run atexit.
         enable_tracing(policy.trace)
     _GROUPS.inc()
-    if resolve_engine(policy.engine, specs[0].trials) == "bitplane":
-        results = _run_group_stacked(specs, policy)
-    else:
-        _LEGACY_POINTS.inc(len(specs))
-        results = [_run_point_batched(spec) for spec in specs]
+    results = _run_group_stacked(specs, policy)
     flush_trace_if_forked()
     return results
 
@@ -283,9 +254,7 @@ class Executor:
         with trace("executor.run", specs=len(specs)) as span:
             groups: dict[tuple, list[int]] = {}
             for index, spec in enumerate(specs):
-                groups.setdefault(
-                    _group_key(spec, self.policy), []
-                ).append(index)
+                groups.setdefault(_group_key(spec), []).append(index)
             plan = list(groups.values())
             workers = resolve_workers(self.policy.parallel, len(plan))
             span.set(groups=len(plan), workers=workers)

@@ -8,25 +8,25 @@ failure predicate".  This module gives that shape a value type:
   noise model, trial count, seed.  Specs are data; nothing runs until
   an :class:`~repro.runtime.executor.Executor` is handed a batch of
   them.
-* :class:`ExecutionPolicy` — *how* specs run (engine, worker pool,
-  fusion, compile cache, default trial budget, trace sink), hydrated
+* :class:`ExecutionPolicy` — *how* specs run (worker pool, fusion,
+  compile cache, default trial budget, backend, trace sink), hydrated
   once from the environment by :meth:`ExecutionPolicy.from_env`.  This
   is the single home of every ``REPRO_*`` execution knob; nothing else
   in the library reads them mid-run.  (The observability layer
   additionally reads its own ``REPRO_TRACE``/``REPRO_OBS_SAMPLE`` once
   at import so bare CLI runs trace too — see :mod:`repro.obs`.)
 * :class:`PointResult` — one point's outcome: failure count, trial
-  count, fault statistics, and the engine that produced them.
+  count, and fault statistics.
 * Observables — the failure predicate half of a spec.  Anything with a
   ``count_failures(states) -> int`` method qualifies;
   :func:`as_observable` wraps a plain ``states -> bool array``
   predicate.  The provided frozen observables are picklable, so specs
   can cross a process-pool boundary.
 
-Specs are deliberately engine-free: the same ``RunSpec`` runs on the
-batched or bitplane engine, serially or pooled, alone or stacked with
-other points into one plane array — and, by construction, produces the
-same failure counts in every mode.
+Specs are deliberately execution-free: the same ``RunSpec`` runs
+serially or pooled, alone or stacked with other points into one plane
+array — and, by construction, produces the same failure counts in
+every mode.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from repro.core.circuit import Circuit
 from repro.core.simulator import BatchedState
 from repro.errors import ConfigError, SimulationError
 from repro.noise.model import NoiseModel
-from repro.noise.monte_carlo import ENGINES
 
 States = BatchedState | BitplaneState
 
@@ -60,9 +60,9 @@ DEFAULT_TRIALS = 100_000
 class PredicateObservable:
     """Counts failures through a ``states -> bool array`` predicate.
 
-    The predicate must stick to the engine-agnostic observation API
-    (``array``/``columns``/``majority_of``), since the state type
-    follows the executing engine.  For pooled execution the predicate
+    The predicate must stick to the state-agnostic observation API
+    (``array``/``columns``/``majority_of``), which the bit-plane and
+    uint8 reference states share.  For pooled execution the predicate
     must be picklable (a module-level function or a
     :func:`functools.partial` of one).
     """
@@ -250,10 +250,10 @@ class ExecutionPolicy:
     """How specs execute — the single home of the ``REPRO_*`` knobs.
 
     Attributes:
-        engine: ``"auto" | "batched" | "bitplane"`` (``REPRO_ENGINE``).
         parallel: process-pool width for independent work —
             ``None``/0/1 in-process, ``N`` workers, ``True`` one per
-            CPU (``REPRO_PARALLEL``; ``max`` means ``True``).  The
+            CPU (``REPRO_PARALLEL``; ``max`` means ``True``; negative
+            widths are rejected).  The
             executor pools only *across* compiled groups; points
             sharing a program batch into one plane array instead.
         fuse: whether the compiler fuses disjoint ops into slots
@@ -275,13 +275,17 @@ class ExecutionPolicy:
             workers inherit the sink through the pickled policy and
             flush ``<path>.<pid>``.
 
-    Unknown engine or backend names raise
-    :class:`~repro.errors.ConfigError` (a ``SimulationError``
-    subclass): a typo in a knob must fail loudly, not silently run the
-    default.
+    Unknown backend names, a negative ``parallel`` and a ``trials``
+    below 1 raise :class:`~repro.errors.ConfigError` (a
+    ``SimulationError`` subclass): a typo in a knob must fail loudly,
+    not silently run the default.
     """
 
-    engine: str = "auto"
+    #: The only Monte-Carlo engine.  Not a field, so it cannot be set;
+    #: kept only because the benchmark's provenance line reads it —
+    #: delete it with the next benchmark change.
+    engine: ClassVar[str] = "bitplane"
+
     parallel: int | bool | None = None
     fuse: bool = True
     compile_cache: bool = True
@@ -290,17 +294,15 @@ class ExecutionPolicy:
     trace: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; valid engines: {ENGINES}"
-            )
         if self.backend not in available_backends():
             raise ConfigError(
                 f"unknown backend {self.backend!r}; available backends: "
                 f"{available_backends()}"
             )
         if self.trials < 1:
-            raise SimulationError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.parallel is not None and self.parallel < 0:
+            raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
 
     @classmethod
     def from_env(cls, **defaults) -> "ExecutionPolicy":
@@ -317,13 +319,6 @@ class ExecutionPolicy:
         policy = cls(**defaults)
         env = os.environ
         updates: dict = {}
-        if "REPRO_ENGINE" in env:
-            if env["REPRO_ENGINE"] not in ENGINES:
-                raise ConfigError(
-                    f"REPRO_ENGINE={env['REPRO_ENGINE']!r} is not a valid "
-                    f"engine; valid engines: {ENGINES}"
-                )
-            updates["engine"] = env["REPRO_ENGINE"]
         if "REPRO_BACKEND" in env:
             if env["REPRO_BACKEND"] not in available_backends():
                 raise ConfigError(
@@ -340,6 +335,11 @@ class ExecutionPolicy:
                     f"REPRO_PARALLEL={env['REPRO_PARALLEL']!r} is not an "
                     f"integer or 'max'"
                 ) from exc
+            if updates["parallel"] < 0:
+                raise ConfigError(
+                    f"REPRO_PARALLEL={env['REPRO_PARALLEL']!r} is negative; "
+                    f"use 0 or 1 for in-process, N >= 2 or 'max' for a pool"
+                )
         if "REPRO_FUSE" in env:
             updates["fuse"] = env["REPRO_FUSE"] != "0"
         if "REPRO_COMPILE_CACHE" in env:
@@ -351,6 +351,10 @@ class ExecutionPolicy:
                 raise ConfigError(
                     f"REPRO_TRIALS={env['REPRO_TRIALS']!r} is not an integer"
                 ) from exc
+            if updates["trials"] < 1:
+                raise ConfigError(
+                    f"REPRO_TRIALS={env['REPRO_TRIALS']!r} must be >= 1"
+                )
         if "REPRO_TRACE" in env:
             updates["trace"] = env["REPRO_TRACE"] or None
         return replace(policy, **updates) if updates else policy
@@ -368,14 +372,12 @@ class PointResult:
     ``failures`` counts trials the spec's observable flagged;
     ``faulted_trials`` counts trials that experienced at least one
     injected fault (the raw noise exposure, independent of the
-    observable); ``engine`` records the concrete engine that ran the
-    point.
+    observable).
     """
 
     failures: int
     trials: int
     faulted_trials: int
-    engine: str
 
     @property
     def failure_fraction(self) -> float:

@@ -145,7 +145,7 @@ class BackendConformance:
     def test_stacked_points_match_solo_runs(self, backend):
         circuit = recovery_circuit()
         noise_levels = (0.0, 1e-3, 0.05)
-        policy = ExecutionPolicy(engine="bitplane", backend=self.backend_name)
+        policy = ExecutionPolicy(backend=self.backend_name)
         specs = [
             RunSpec(
                 circuit=circuit,
@@ -179,7 +179,6 @@ class BackendConformance:
             runner = NoisyRunner(
                 NoiseModel(gate_error=gate_error),
                 seed=2026,
-                engine="bitplane",
                 backend=chosen_backend,
             )
             return runner.run_from_input(

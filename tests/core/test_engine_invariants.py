@@ -65,15 +65,14 @@ class TestHammingWeightInvariant:
 
     def test_weight_invariant_survives_noiseless_runner(self):
         # The same oracle through the Monte-Carlo layer: with zero
-        # noise, both engine paths of NoisyRunner must conserve weight.
+        # noise, NoisyRunner must conserve weight.
         rng = np.random.default_rng(8500)
         circuit = random_conservative_circuit(rng, 6, n_ops=25)
         input_bits = (1, 0, 1, 1, 0, 0)
-        for engine in ("batched", "bitplane"):
-            runner = NoisyRunner(NoiseModel.noiseless(), seed=0, engine=engine)
-            result = runner.run_from_input(circuit, input_bits, trials=500)
-            assert (result.states.array.sum(axis=1) == 3).all()
-            assert result.fraction_with_faults() == 0.0
+        runner = NoisyRunner(NoiseModel.noiseless(), seed=0)
+        result = runner.run_from_input(circuit, input_bits, trials=500)
+        assert (result.states.array.sum(axis=1) == 3).all()
+        assert result.fraction_with_faults() == 0.0
 
 
 class TestParityInvariant:

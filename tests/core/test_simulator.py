@@ -98,22 +98,6 @@ class TestBatchedState:
         batch.reset((0,), value=0, mask=np.array([True, False]))
         assert batch.array.tolist() == [[0, 1], [1, 1]]
 
-    def test_randomize_only_touches_selected_wires(self, rng):
-        batch = BatchedState.zeros(4, 100)
-        batch.randomize((1, 2), rng)
-        assert (batch.column(0) == 0).all()
-        assert (batch.column(3) == 0).all()
-        assert batch.columns((1, 2)).sum() > 0
-
-    def test_randomize_with_mask(self, rng):
-        batch = BatchedState.zeros(1, 1000)
-        mask = np.zeros(1000, dtype=bool)
-        mask[:500] = True
-        batch.randomize((0,), rng, mask)
-        assert (batch.column(0)[500:] == 0).all()
-        # Roughly half of the masked trials become 1.
-        assert 150 < batch.column(0)[:500].sum() < 350
-
     def test_majority_of(self):
         batch = BatchedState.from_rows([(1, 0, 1), (0, 0, 1)])
         assert batch.majority_of((0, 1, 2)).tolist() == [1, 0]

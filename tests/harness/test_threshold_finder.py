@@ -9,7 +9,6 @@ from repro.harness.threshold_finder import (
     _PROCESSOR_CACHE,
     _cycle_processor,
     cycle_stage_spec,
-    find_pseudo_threshold,
     find_pseudo_threshold_adaptive,
     measure_cycle_errors,
 )
@@ -40,27 +39,6 @@ class TestLogicalErrorPerCycle:
     def test_cycles_validated(self):
         with pytest.raises(AnalysisError):
             logical_error_per_cycle(0.01, trials=10, cycles=0)
-
-
-class TestBisection:
-    def test_finds_analytic_crossing(self):
-        # On the closed-form map the crossing is exactly rho.
-        from repro.analysis.recursion import one_level
-
-        result = find_pseudo_threshold(
-            lambda g: one_level(g, 11), lower=1e-4, upper=0.5, iterations=30
-        )
-        assert result.estimate == pytest.approx(threshold(11), rel=1e-4)
-
-    def test_bracket_validation(self):
-        with pytest.raises(AnalysisError):
-            find_pseudo_threshold(lambda g: g * 0.5, lower=0.1, upper=0.2)
-        with pytest.raises(AnalysisError):
-            find_pseudo_threshold(lambda g: g * 2.0, lower=0.1, upper=0.2)
-
-    def test_bracket_ordering_validated(self):
-        with pytest.raises(AnalysisError):
-            find_pseudo_threshold(lambda g: g, lower=0.5, upper=0.1)
 
 
 class TestProcessorCache:
@@ -195,10 +173,11 @@ class TestStackedSearch:
         )
         assert sequential == stacked
 
-    def test_mixed_engine_stages(self):
-        # A tiny budget puts the 1/16 stage below the bitplane auto
-        # threshold: stage batches then span two engine groups.  The
-        # result must still match the sequential path exactly.
+    def test_small_budget_stages(self):
+        # A tiny budget makes the 1/16 stage 125 trials — two words,
+        # the second one padded — next to full 2000-trial stages in
+        # one stacked batch.  The result must still match the
+        # sequential path exactly.
         kwargs = dict(
             lower=2e-3, upper=8e-2, trials=2000, iterations=4, seed=3
         )
@@ -207,7 +186,7 @@ class TestStackedSearch:
         )
         stacked = find_pseudo_threshold_adaptive(
             spec_builder=cycle_stage_spec,
-            policy=ExecutionPolicy(engine="auto"),
+            policy=ExecutionPolicy(),
             **kwargs,
         )
         assert sequential == stacked

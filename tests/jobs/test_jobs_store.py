@@ -49,15 +49,14 @@ class TestPointKey:
         assert point_key(spec, replace(policy, parallel=4)) == base
         assert point_key(spec, replace(policy, backend=policy.backend)) == base
 
-    def test_engine_changes_the_key(self, policy):
-        # The engine selects the RNG stream; forcing a different
-        # engine is a different (still valid) result.
+    def test_fuse_changes_the_key(self, policy):
+        # The fusion flag selects the RNG stream; an unfused run is a
+        # different (still valid) result.
         from dataclasses import replace
 
         (spec,) = _specs(1)
         keys = {
-            point_key(spec, replace(policy, engine=engine))
-            for engine in ("batched", "bitplane")
+            point_key(spec, replace(policy, fuse=fuse)) for fuse in (True, False)
         }
         assert len(keys) == 2
 
@@ -100,7 +99,7 @@ class TestStoreRoundTrip:
     def test_mismatched_trials_refused_on_put(self, tmp_path, policy):
         store = ResultStore(tmp_path)
         (spec,) = _specs(1, trials=200)
-        bad = PointResult(failures=0, trials=100, faulted_trials=5, engine="batched")
+        bad = PointResult(failures=0, trials=100, faulted_trials=5)
         with pytest.raises(JobError, match="mismatched"):
             store.put(spec, policy, bad)
 

@@ -1,14 +1,12 @@
-"""Determinism regression for both Monte-Carlo engines.
+"""Determinism regression for the Monte-Carlo engine.
 
 Three guarantees are pinned here:
 
-1. ``NoisyRunner(seed=k)`` is bit-identical across runs for each
-   engine — same ``fault_counts``, same final states.
-2. The exact RNG streams are frozen by SHA-256 digests.  The engines
-   deliberately consume the generator differently (per-trial uniforms +
-   uint8 bits for the batched engine; batched per-error-class geometric
-   draws + per-slot word blocks for the fused bitplane engine), so any
-   change to either stream — reordering draws, changing the fault
+1. ``NoisyRunner(seed=k)`` is bit-identical across runs — same
+   ``fault_counts``, same final states.
+2. The exact RNG stream is frozen by SHA-256 digests (per-error-class
+   geometric draws + one flat block of replacement words per point),
+   so any change to the stream — reordering draws, changing the fault
    sampler, resizing a batch draw — breaks the digest and must be
    called out as a breaking change to reproducibility, since published
    experiment numbers are seed-dependent.  ``REPRO_FUSE=0`` runs the
@@ -38,7 +36,6 @@ from repro.synth import inflate
 #: intentional RNG-stream change lands, re-record these and flag the
 #: break in CHANGES.md.
 EXPECTED_DIGESTS = {
-    "batched": "976e2fba10fd010553ec05734b7f9459a65c50d6789b84ca90b5460156f04993",
     "bitplane": "ce115c34cea8959e6de21dda74fe1cf4cb39830ac1803452e1367fb39de8e108",
 }
 
@@ -71,10 +68,8 @@ def _fresh_compile_cache():
     clear_compile_cache()
 
 
-def reference_run(engine: str, seed: int = 2026, backend: str | None = None):
-    runner = NoisyRunner(
-        NoiseModel(gate_error=0.01), seed=seed, engine=engine, backend=backend
-    )
+def reference_run(seed: int = 2026, backend: str | None = None):
+    runner = NoisyRunner(NoiseModel(gate_error=0.01), seed=seed, backend=backend)
     return runner.run_from_input(recovery_circuit(), (1, 1, 1) + (0,) * 6, 1000)
 
 
@@ -85,40 +80,31 @@ def run_digest(result) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("engine", ["batched", "bitplane"])
 class TestDeterminism:
-    def test_reruns_are_bit_identical(self, engine):
-        first = reference_run(engine)
-        second = reference_run(engine)
+    def test_reruns_are_bit_identical(self):
+        first = reference_run()
+        second = reference_run()
         np.testing.assert_array_equal(first.fault_counts, second.fault_counts)
         np.testing.assert_array_equal(first.states.array, second.states.array)
 
-    def test_different_seeds_differ(self, engine):
-        assert run_digest(reference_run(engine)) != run_digest(
-            reference_run(engine, seed=2027)
+    def test_different_seeds_differ(self):
+        assert run_digest(reference_run()) != run_digest(
+            reference_run(seed=2027)
         )
 
-    def test_stream_digest_is_frozen(self, engine):
-        assert run_digest(reference_run(engine)) == EXPECTED_DIGESTS[engine]
+    def test_stream_digest_is_frozen(self):
+        assert run_digest(reference_run()) == EXPECTED_DIGESTS["bitplane"]
 
-    def test_shared_generator_advances(self, engine):
+    def test_shared_generator_advances(self):
         # Passing one Generator through two runs must consume it, so
         # consecutive runs differ (no hidden reseeding).
         rng = np.random.default_rng(5)
-        runner = NoisyRunner(NoiseModel(gate_error=0.05), seed=rng, engine=engine)
+        runner = NoisyRunner(NoiseModel(gate_error=0.05), seed=rng)
         circuit = recovery_circuit()
         first = runner.run_from_input(circuit, (1, 1, 1) + (0,) * 6, 2000)
         first_counts = first.fault_counts.copy()
         second = runner.run_from_input(circuit, (1, 1, 1) + (0,) * 6, 2000)
         assert not np.array_equal(first_counts, second.fault_counts)
-
-
-def test_engine_streams_are_distinct():
-    # Same seed, different engines: statistically identical, but the
-    # realisations must not collide (documents the RNG-stream caveat).
-    assert run_digest(reference_run("batched")) != run_digest(
-        reference_run("bitplane")
-    )
 
 
 def test_unfused_stream_digest_is_frozen(monkeypatch):
@@ -127,7 +113,7 @@ def test_unfused_stream_digest_is_frozen(monkeypatch):
     # frozen.
     monkeypatch.setenv("REPRO_FUSE", "0")
     clear_compile_cache()
-    assert run_digest(reference_run("bitplane")) == UNFUSED_BITPLANE_DIGEST
+    assert run_digest(reference_run()) == UNFUSED_BITPLANE_DIGEST
 
 
 @pytest.mark.parametrize("backend", ["numpy", "fused"])
@@ -136,14 +122,14 @@ def test_backend_stream_digest_is_frozen(backend):
     # they never touch the RNG.  Every backend therefore reproduces the
     # *same* frozen bitplane digest — swapping REPRO_BACKEND can never
     # change published numbers.
-    result = reference_run("bitplane", backend=backend)
+    result = reference_run(backend=backend)
     assert run_digest(result) == EXPECTED_DIGESTS["bitplane"]
 
 
 def test_backend_choice_is_bit_invariant_across_seeds():
     for seed in (2026, 7, 991):
-        numpy_run = reference_run("bitplane", seed=seed, backend="numpy")
-        fused_run = reference_run("bitplane", seed=seed, backend="fused")
+        numpy_run = reference_run(seed=seed, backend="numpy")
+        fused_run = reference_run(seed=seed, backend="fused")
         np.testing.assert_array_equal(
             numpy_run.fault_counts, fused_run.fault_counts
         )
@@ -164,8 +150,7 @@ def mixed_arity_circuit() -> Circuit:
 
 def mixed_arity_runner_digest() -> str:
     runner = NoisyRunner(
-        NoiseModel(gate_error=0.02, reset_error=0.01), seed=2026,
-        engine="bitplane",
+        NoiseModel(gate_error=0.02, reset_error=0.01), seed=2026
     )
     result = runner.run_from_input(
         mixed_arity_circuit(), (1, 1, 1) + (0,) * 6, 1000
@@ -190,7 +175,7 @@ def mixed_arity_executor_digest() -> str:
             ((0.005, 1000), (0.02, 777), (0.05, 65)), start=31
         )
     ]
-    results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+    results = Executor(ExecutionPolicy()).run(specs)
     digest = hashlib.sha256()
     for result in results:
         digest.update(f"{result.failures},{result.faulted_trials};".encode())
@@ -208,11 +193,11 @@ def test_mixed_arity_stream_digest_is_frozen():
 def test_compile_cache_is_result_invariant(monkeypatch):
     # Uncached, cache-miss, and cache-hit runs must be digest-identical.
     monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-    uncached = run_digest(reference_run("bitplane"))
+    uncached = run_digest(reference_run())
     monkeypatch.setenv("REPRO_COMPILE_CACHE", "1")
     clear_compile_cache()
-    cold = run_digest(reference_run("bitplane"))
+    cold = run_digest(reference_run())
     assert compile_cache_stats()["misses"] >= 1
-    warm = run_digest(reference_run("bitplane"))
+    warm = run_digest(reference_run())
     assert compile_cache_stats()["hits"] >= 1
     assert uncached == cold == warm == EXPECTED_DIGESTS["bitplane"]

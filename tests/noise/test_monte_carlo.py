@@ -11,14 +11,13 @@ from repro.core.circuit import Circuit
 from repro.core.simulator import BatchedState
 from repro.noise.model import NoiseModel
 from repro.noise.monte_carlo import (
-    AUTO_BITPLANE_MIN_TRIALS,
     NoisyRunner,
     any_wire_differs_predicate,
     repetition_failure_predicate,
     resolve_engine,
 )
 from repro.errors import SimulationError
-from repro.runtime import Executor, PredicateObservable, RunSpec
+from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpec
 
 
 def estimate(circuit, input_bits, predicate, model, trials, seed=None):
@@ -87,7 +86,7 @@ class TestNoisyRunner:
     def test_width_mismatch_rejected(self):
         runner = NoisyRunner(NoiseModel.noiseless())
         with pytest.raises(SimulationError):
-            runner.run(Circuit(3), BatchedState.zeros(2, 10))
+            runner.run(Circuit(3), BitplaneState.zeros(2, 10))
 
     def test_generator_can_be_shared(self):
         rng = np.random.default_rng(0)
@@ -101,55 +100,34 @@ class TestNoisyRunner:
 
         circuit = Circuit(3).maj(0, 1, 2)
         runner = NoisyRunner(NoiseModel(gate_error=0.5), seed=0)
-        result = runner.run(circuit, BatchedState.zeros(3, 0))
+        result = runner.run(circuit, BitplaneState.zeros(3, 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert result.fraction_with_faults() == 0.0
 
 
-class TestEngineSelection:
-    def test_resolve_auto_by_batch_size(self):
-        assert resolve_engine("auto", AUTO_BITPLANE_MIN_TRIALS) == "bitplane"
-        assert resolve_engine("auto", AUTO_BITPLANE_MIN_TRIALS - 1) == "batched"
-        assert resolve_engine("batched", 10**6) == "batched"
-        assert resolve_engine("bitplane", 1) == "bitplane"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            resolve_engine("quantum", 100)
-        with pytest.raises(SimulationError):
-            NoisyRunner(NoiseModel.noiseless(), engine="quantum")
-
-    def test_engine_controls_state_type(self):
+class TestSingleEngine:
+    def test_run_from_input_yields_bitplane_states(self):
         circuit = Circuit(3).maj(0, 1, 2)
-        batched = NoisyRunner(
-            NoiseModel.noiseless(), seed=0, engine="batched"
-        ).run_from_input(circuit, (1, 0, 1), trials=5000)
-        bitplane = NoisyRunner(
-            NoiseModel.noiseless(), seed=0, engine="bitplane"
-        ).run_from_input(circuit, (1, 0, 1), trials=5000)
-        assert isinstance(batched.states, BatchedState)
-        assert isinstance(bitplane.states, BitplaneState)
-        assert (batched.states.array == bitplane.states.array).all()
-
-    def test_run_dispatches_on_state_type(self):
-        # An explicitly built BitplaneState takes the bit-parallel path
-        # even on a runner configured for the batched engine.
-        circuit = Circuit(3).maj(0, 1, 2)
-        runner = NoisyRunner(NoiseModel.noiseless(), seed=0, engine="batched")
-        result = runner.run(circuit, BitplaneState.broadcast((1, 0, 1), 100))
+        result = NoisyRunner(NoiseModel.noiseless(), seed=0).run_from_input(
+            circuit, (1, 0, 1), trials=5
+        )
         assert isinstance(result.states, BitplaneState)
         assert (result.states.array == np.array([1, 1, 0], dtype=np.uint8)).all()
 
-    def test_engines_agree_statistically(self):
-        circuit = Circuit(3).maj(0, 1, 2).maj_inv(0, 1, 2)
-        means = {}
-        for engine in ("batched", "bitplane"):
-            runner = NoisyRunner(NoiseModel(gate_error=0.25), seed=9, engine=engine)
-            result = runner.run_from_input(circuit, (0, 0, 0), trials=20000)
-            means[engine] = result.fault_counts.mean()
-        assert means["batched"] == pytest.approx(0.5, rel=0.1)
-        assert means["bitplane"] == pytest.approx(0.5, rel=0.1)
+    def test_run_rejects_batched_state(self):
+        runner = NoisyRunner(NoiseModel.noiseless(), seed=0)
+        with pytest.raises(SimulationError, match="BitplaneState.from_batched"):
+            runner.run(Circuit(3).maj(0, 1, 2), BatchedState.zeros(3, 10))
+
+    def test_no_engine_parameter(self):
+        with pytest.raises(TypeError):
+            NoisyRunner(NoiseModel.noiseless(), engine="bitplane")
+
+    def test_benchmark_compat_names_report_bitplane(self):
+        # perfbench/run.py still reads these two names for provenance.
+        assert ExecutionPolicy().engine == "bitplane"
+        assert resolve_engine(ExecutionPolicy().engine, 100_000) == "bitplane"
 
 
 class TestEstimation:

@@ -38,7 +38,6 @@ from repro.obs import (
 #: Duplicated from tests/noise/test_engine_determinism.py (same
 #: reference run): any drift between the two files is itself a bug.
 EXPECTED_DIGESTS = {
-    "batched": "976e2fba10fd010553ec05734b7f9459a65c50d6789b84ca90b5460156f04993",
     "bitplane": "ce115c34cea8959e6de21dda74fe1cf4cb39830ac1803452e1367fb39de8e108",
 }
 
@@ -56,8 +55,8 @@ def _pristine_obs():
     clear_compile_cache()
 
 
-def reference_run(engine: str, seed: int = 2026):
-    runner = NoisyRunner(NoiseModel(gate_error=0.01), seed=seed, engine=engine)
+def reference_run(seed: int = 2026):
+    runner = NoisyRunner(NoiseModel(gate_error=0.01), seed=seed)
     return runner.run_from_input(recovery_circuit(), (1, 1, 1) + (0,) * 6, 1000)
 
 
@@ -68,15 +67,14 @@ def run_digest(result) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("engine", ["batched", "bitplane"])
-def test_tracing_leaves_digests_frozen(engine, tmp_path):
+def test_tracing_leaves_digests_frozen(tmp_path):
     enable_tracing(str(tmp_path / "trace.json"))
-    assert run_digest(reference_run(engine)) == EXPECTED_DIGESTS[engine]
+    assert run_digest(reference_run()) == EXPECTED_DIGESTS["bitplane"]
 
 
 def test_kernel_sampling_leaves_digest_frozen():
     configure_sampling(1)  # time EVERY kernel call — the worst case
-    assert run_digest(reference_run("bitplane")) == EXPECTED_DIGESTS["bitplane"]
+    assert run_digest(reference_run()) == EXPECTED_DIGESTS["bitplane"]
 
 
 def test_traced_executor_run_matches_untraced(tmp_path):

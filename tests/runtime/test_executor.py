@@ -3,11 +3,11 @@
 The load-bearing guarantees of the execution layer are proved here:
 
 1. a single-point ``Executor.run`` is bit-identical to
-   ``NoisyRunner`` on BOTH engines;
+   ``NoisyRunner``;
 2. a multi-point stacked run is bit-identical, point by point, to
    running each spec alone — batching is an execution detail, never a
    statistical one (including points with non-word-aligned trial
-   counts, which exercise the padding masks);
+   counts, which exercise the padding masks, down to a single trial);
 3. pooled execution across groups returns exactly the serial results,
    in spec order.
 """
@@ -18,6 +18,7 @@ import pytest
 
 from repro.coding import recovery_circuit
 from repro.coding.logical import LogicalProcessor
+from repro.coding.recovery import OUTPUT_WIRES
 from repro.core import library
 from repro.core.circuit import Circuit
 from repro.errors import SimulationError
@@ -30,6 +31,7 @@ from repro.runtime import (
     DecodeObservable,
     ExecutionPolicy,
     Executor,
+    PointResult,
     PredicateObservable,
     RunSpec,
     run_specs,
@@ -39,34 +41,39 @@ REPETITION_PREDICATE = PredicateObservable(
     repetition_failure_predicate((0, 1, 2), 1)
 )
 
+#: Decodes the recovery cycle's actual output wires: zero failures
+#: without noise.
+OUTPUT_PREDICATE = PredicateObservable(
+    repetition_failure_predicate(OUTPUT_WIRES, 1)
+)
 
-def recovery_spec(gate_error, seed, trials):
+
+def recovery_spec(gate_error, seed, trials, observable=REPETITION_PREDICATE):
     return RunSpec(
         circuit=recovery_circuit(),
         input_bits=(1, 1, 1) + (0,) * 6,
-        observable=REPETITION_PREDICATE,
+        observable=observable,
         noise=NoiseModel(gate_error=gate_error),
         trials=trials,
         seed=seed,
     )
 
 
-def legacy_point(spec, engine):
+def legacy_point(spec):
     """Ground truth: the classic single-point runner on one spec."""
-    runner = NoisyRunner(spec.noise, spec.seed, engine=engine)
+    runner = NoisyRunner(spec.noise, spec.seed)
     result = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
-    failures = REPETITION_PREDICATE.count_failures(result.states)
-    return failures, int((result.fault_counts > 0).sum())
+    return PointResult(
+        failures=spec.observable.count_failures(result.states),
+        trials=spec.trials,
+        faulted_trials=int((result.fault_counts > 0).sum()),
+    )
 
 
 class TestSinglePointBitIdentity:
-    @pytest.mark.parametrize("engine", ["batched", "bitplane"])
-    def test_matches_legacy_runner(self, engine):
+    def test_matches_legacy_runner(self):
         spec = recovery_spec(0.01, seed=11, trials=1000)
-        expected = legacy_point(spec, engine)
-        result = Executor(ExecutionPolicy(engine=engine)).run_one(spec)
-        assert (result.failures, result.faulted_trials) == expected
-        assert result.engine == engine
+        assert Executor(ExecutionPolicy()).run_one(spec) == legacy_point(spec)
 
 
 class TestStackedBatchingBitIdentity:
@@ -77,26 +84,33 @@ class TestStackedBatchingBitIdentity:
             recovery_spec(g, seed, 2000)
             for seed, g in enumerate((0.002, 0.005, 0.01, 0.03, 0.08))
         ]
-        results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+        results = Executor(ExecutionPolicy()).run(specs)
         for spec, result in zip(specs, results):
-            assert (result.failures, result.faulted_trials) == legacy_point(
-                spec, "bitplane"
-            )
+            assert result == legacy_point(spec)
 
     def test_unaligned_trial_counts_are_window_exact(self):
         # Trials that are not multiples of 64 give each point a padded
         # window; the padding masks must keep every point solo-exact.
-        specs = [
-            recovery_spec(0.02, seed=31, trials=777),
-            recovery_spec(0.04, seed=32, trials=1000),
-            recovery_spec(0.01, seed=33, trials=65),
+        # Word-boundary batch sizes, from a single trial up to the
+        # default budget, ride in the same stack at g = 0.01 and g = 0.
+        # The observable reads the cycle's output wires, so a noiseless
+        # point must count zero failures.
+        edges = (1, 63, 64, 65, 255, 256, 100_000)
+        points = [(0.02, 31, 777), (0.04, 32, 1000)] + [
+            (g, seed, trials)
+            for g in (0.01, 0.0)
+            for seed, trials in enumerate(edges, start=101)
         ]
-        results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+        specs = [
+            recovery_spec(g, seed, trials, observable=OUTPUT_PREDICATE)
+            for g, seed, trials in points
+        ]
+        results = Executor(ExecutionPolicy()).run(specs)
         for spec, result in zip(specs, results):
-            assert (result.failures, result.faulted_trials) == legacy_point(
-                spec, "bitplane"
-            )
-            assert result.trials == spec.trials
+            assert result == legacy_point(spec)
+            assert result.faulted_trials <= result.trials == spec.trials
+            if spec.noise.gate_error == 0.0:
+                assert result.failures == result.faulted_trials == 0
 
     def test_results_come_back_in_spec_order_across_groups(self):
         maj_circuit = Circuit(3, name="maj").maj(0, 1, 2)
@@ -115,9 +129,9 @@ class TestStackedBatchingBitIdentity:
             maj_spec,
             recovery_spec(0.03, 43, 1500),
         ]
-        results = Executor(ExecutionPolicy(engine="bitplane")).run(interleaved)
+        results = Executor(ExecutionPolicy()).run(interleaved)
         for spec, result in zip(interleaved, results):
-            runner = NoisyRunner(spec.noise, spec.seed, engine="bitplane")
+            runner = NoisyRunner(spec.noise, spec.seed)
             run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
             assert result.failures == REPETITION_PREDICATE.count_failures(
                 run.states
@@ -127,13 +141,11 @@ class TestStackedBatchingBitIdentity:
         # fuse=False runs the pre-fusion (one op per slot) schedule;
         # the executor and the runner must agree on it bit for bit.
         spec = recovery_spec(0.01, seed=51, trials=1000)
-        runner = NoisyRunner(
-            spec.noise, spec.seed, engine="bitplane", fuse=False
-        )
+        runner = NoisyRunner(spec.noise, spec.seed, fuse=False)
         run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
         expected = REPETITION_PREDICATE.count_failures(run.states)
         result = Executor(
-            ExecutionPolicy(engine="bitplane", fuse=False)
+            ExecutionPolicy(fuse=False)
         ).run_one(spec)
         assert result.failures == expected
 
@@ -147,12 +159,10 @@ class TestStackedBatchingBitIdentity:
             )
         ]
         results = Executor(
-            ExecutionPolicy(engine="bitplane", fuse=False)
+            ExecutionPolicy(fuse=False)
         ).run(specs)
         for spec, result in zip(specs, results):
-            runner = NoisyRunner(
-                spec.noise, spec.seed, engine="bitplane", fuse=False
-            )
+            runner = NoisyRunner(spec.noise, spec.seed, fuse=False)
             run = runner.run_from_input(
                 spec.circuit, spec.input_bits, spec.trials
             )
@@ -180,11 +190,9 @@ class TestStackedBatchingBitIdentity:
                 ((0.01, 1000), (0.04, 130), (0.3, 257)), start=81
             )
         ]
-        results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+        results = Executor(ExecutionPolicy()).run(specs)
         for spec, result in zip(specs, results):
-            assert (result.failures, result.faulted_trials) == legacy_point(
-                spec, "bitplane"
-            )
+            assert result == legacy_point(spec)
 
     def test_clustered_decode_with_unaligned_windows(self):
         # Three specs share ONE DecodeObservable (decoded by a single
@@ -215,9 +223,9 @@ class TestStackedBatchingBitIdentity:
                 start=71,
             )
         ]
-        results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+        results = Executor(ExecutionPolicy()).run(specs)
         for spec, result in zip(specs, results):
-            runner = NoisyRunner(spec.noise, spec.seed, engine="bitplane")
+            runner = NoisyRunner(spec.noise, spec.seed)
             run = runner.run_from_input(
                 spec.circuit, spec.input_bits, spec.trials
             )
@@ -244,9 +252,9 @@ class TestStackedBatchingBitIdentity:
             )
             for seed, g in enumerate((0.005, 0.02), start=61)
         ]
-        results = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+        results = Executor(ExecutionPolicy()).run(specs)
         for spec, result in zip(specs, results):
-            runner = NoisyRunner(spec.noise, spec.seed, engine="bitplane")
+            runner = NoisyRunner(spec.noise, spec.seed)
             run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
             assert result.failures == processor.count_decode_failures(
                 run.states, (1, 0, 1)
@@ -259,11 +267,10 @@ class TestContentGrouping:
     def test_content_equal_circuits_share_a_group(self):
         from repro.runtime.executor import _group_key
 
-        policy = ExecutionPolicy(engine="bitplane")
         left = recovery_spec(0.01, 1, 1000)
         right = recovery_spec(0.02, 2, 1000)
         assert left.circuit is not right.circuit
-        assert _group_key(left, policy) == _group_key(right, policy)
+        assert _group_key(left) == _group_key(right)
 
     def test_synthesised_twin_is_bit_identical_to_its_reference(self):
         # A circuit rebuilt op for op (the synthesis/peephole output
@@ -282,14 +289,13 @@ class TestContentGrouping:
             ),
         ]
         reference, synthesised = Executor(
-            ExecutionPolicy(engine="bitplane")
+            ExecutionPolicy()
         ).run(specs)
         assert reference == synthesised
 
     def test_different_content_keeps_separate_groups(self):
         from repro.runtime.executor import _group_key
 
-        policy = ExecutionPolicy(engine="bitplane")
         base = recovery_spec(0.01, 1, 1000)
         other = RunSpec(
             circuit=recovery_circuit(include_resets=False),
@@ -299,7 +305,7 @@ class TestContentGrouping:
             trials=1000,
             seed=1,
         )
-        assert _group_key(base, policy) != _group_key(other, policy)
+        assert _group_key(base) != _group_key(other)
 
 
 class TestPoolAcrossGroups:
@@ -315,9 +321,9 @@ class TestPoolAcrossGroups:
                 seed=72,
             ),
         ]
-        serial = Executor(ExecutionPolicy(engine="bitplane")).run(specs)
+        serial = Executor(ExecutionPolicy()).run(specs)
         pooled = Executor(
-            ExecutionPolicy(engine="bitplane", parallel=2)
+            ExecutionPolicy(parallel=2)
         ).run(specs)
         assert serial == pooled
 
@@ -403,16 +409,10 @@ class TestExecutorSurface:
 
     def test_run_specs_convenience(self):
         spec = recovery_spec(0.01, 81, 640)
-        (result,) = run_specs([spec], ExecutionPolicy(engine="bitplane"))
-        assert result == Executor(ExecutionPolicy(engine="bitplane")).run_one(
+        (result,) = run_specs([spec], ExecutionPolicy())
+        assert result == Executor(ExecutionPolicy()).run_one(
             spec
         )
-
-    def test_auto_engine_resolution_recorded(self):
-        small = recovery_spec(0.01, 91, 100)
-        large = recovery_spec(0.01, 92, 1000)
-        results = Executor(ExecutionPolicy(engine="auto")).run([small, large])
-        assert [r.engine for r in results] == ["batched", "bitplane"]
 
     def test_measure_cycle_errors_batches_points(self):
         # The harness-level sweep API: many points, one stacked run,

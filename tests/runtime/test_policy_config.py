@@ -1,11 +1,11 @@
 """Regression tests: invalid ``REPRO_*`` configuration fails loudly.
 
-Historically an unknown ``REPRO_ENGINE`` surfaced as a confusing
-failure deep inside the executor; now :meth:`ExecutionPolicy.from_env`
-(and direct construction) raise :class:`~repro.errors.ConfigError`
-naming the offending environment variable and listing the valid
-values.  ``ConfigError`` subclasses ``SimulationError`` so existing
-broad handlers keep working.
+An unknown name or an out-of-range value must not surface as a
+confusing failure deep inside the executor:
+:meth:`ExecutionPolicy.from_env` (and direct construction) raise
+:class:`~repro.errors.ConfigError` naming the offending environment
+variable and listing the valid values.  ``ConfigError`` subclasses
+``SimulationError`` so existing broad handlers keep working.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ from repro.runtime import ExecutionPolicy
 
 
 class TestFromEnvValidation:
-    def test_unknown_engine_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "quantum")
-        with pytest.raises(ConfigError, match="REPRO_ENGINE"):
-            ExecutionPolicy.from_env()
-
     def test_unknown_backend_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cuda")
         with pytest.raises(ConfigError, match="REPRO_BACKEND"):
@@ -43,17 +38,26 @@ class TestFromEnvValidation:
         with pytest.raises(ConfigError, match="REPRO_PARALLEL"):
             ExecutionPolicy.from_env()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_out_of_range_trials_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_TRIALS", value)
+        with pytest.raises(ConfigError, match="REPRO_TRIALS"):
+            ExecutionPolicy.from_env()
+
+    def test_negative_parallel_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL", "-3")
+        with pytest.raises(ConfigError, match="REPRO_PARALLEL"):
+            ExecutionPolicy.from_env()
+
     def test_valid_env_round_trips(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "bitplane")
         monkeypatch.setenv("REPRO_BACKEND", "fused")
         monkeypatch.setenv("REPRO_TRIALS", "4096")
         policy = ExecutionPolicy.from_env()
-        assert policy.engine == "bitplane"
         assert policy.backend == "fused"
         assert policy.trials == 4096
 
     def test_defaults_survive_unset_environment(self, monkeypatch):
-        for var in ("REPRO_ENGINE", "REPRO_BACKEND", "REPRO_TRIALS"):
+        for var in ("REPRO_BACKEND", "REPRO_TRIALS"):
             monkeypatch.delenv(var, raising=False)
         policy = ExecutionPolicy.from_env()
         assert policy.backend == DEFAULT_BACKEND
@@ -61,9 +65,13 @@ class TestFromEnvValidation:
 
 
 class TestDirectConstructionValidation:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="quantum"):
-            ExecutionPolicy(engine="quantum")
+    def test_negative_parallel_rejected(self):
+        with pytest.raises(ConfigError, match="parallel"):
+            ExecutionPolicy(parallel=-3)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ConfigError, match="trials"):
+            ExecutionPolicy(trials=0)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="cuda"):

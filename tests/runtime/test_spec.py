@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -140,17 +142,18 @@ class TestStackedDecode:
 class TestExecutionPolicy:
     def test_defaults(self):
         policy = ExecutionPolicy()
-        assert policy.engine == "auto"
         assert policy.parallel is None
         assert policy.fuse and policy.compile_cache
         assert policy.trials == 100_000
 
-    def test_engine_validated(self):
-        with pytest.raises(SimulationError):
-            ExecutionPolicy(engine="quantum")
+    def test_engine_is_not_a_field(self):
+        # One Monte-Carlo engine: ``engine`` is a read-only constant.
+        assert len(fields(ExecutionPolicy)) == 6
+        assert ExecutionPolicy().engine == "bitplane"
+        with pytest.raises(TypeError):
+            ExecutionPolicy(engine="bitplane")
 
     def test_from_env_reads_every_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
         monkeypatch.setenv("REPRO_BACKEND", "fused")
         monkeypatch.setenv("REPRO_PARALLEL", "3")
         monkeypatch.setenv("REPRO_FUSE", "0")
@@ -158,7 +161,6 @@ class TestExecutionPolicy:
         monkeypatch.setenv("REPRO_TRIALS", "1234")
         policy = ExecutionPolicy.from_env()
         assert policy == ExecutionPolicy(
-            engine="batched",
             backend="fused",
             parallel=3,
             fuse=False,
@@ -178,7 +180,6 @@ class TestExecutionPolicy:
 
     def test_from_env_unset_environment_keeps_defaults(self, monkeypatch):
         for knob in (
-            "REPRO_ENGINE",
             "REPRO_BACKEND",
             "REPRO_PARALLEL",
             "REPRO_FUSE",
@@ -191,8 +192,6 @@ class TestExecutionPolicy:
 
 class TestPointResult:
     def test_fractions(self):
-        result = PointResult(
-            failures=25, trials=100, faulted_trials=40, engine="bitplane"
-        )
+        result = PointResult(failures=25, trials=100, faulted_trials=40)
         assert result.failure_fraction == 0.25
         assert result.fault_fraction == 0.40
