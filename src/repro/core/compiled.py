@@ -33,10 +33,9 @@ sequence; gates and operations are frozen dataclasses, so equal-content
 circuits hash equal even when rebuilt from scratch).  Re-evaluating the
 same circuit at different noise levels — every bisection step of the
 threshold finder, every sweep point — therefore lowers it exactly once
-per process.  Environment knobs: ``REPRO_COMPILE_CACHE=0`` disables the
-cache (every call recompiles), ``REPRO_FUSE=0`` disables fusion (every
-op becomes its own single-op slot; the noise layer draws faults for it
-exactly as for a fused program, so it has an RNG stream of its own).
+per process.  Every noisy run compiles fused and cached; the unfused
+form (``fuse=False``: every op its own single-op slot) and uncached
+compiles exist only as references for the verifier and the tests.
 
 The compiled schedule is engine-agnostic data; it is executed by
 :class:`~repro.core.bitplane.BitplaneState` (which stores 64 trials per
@@ -67,7 +66,6 @@ needs no complemented literals).
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -499,16 +497,6 @@ class CompiledCircuit:
 # ----------------------------------------------------------------------
 
 
-def compile_cache_enabled() -> bool:
-    """Whether compiled circuits are cached (``REPRO_COMPILE_CACHE``)."""
-    return os.environ.get("REPRO_COMPILE_CACHE", "1") != "0"
-
-
-def fusion_enabled() -> bool:
-    """Whether the lowering pass fuses disjoint ops (``REPRO_FUSE``)."""
-    return os.environ.get("REPRO_FUSE", "1") != "0"
-
-
 #: Default entry bound of the process-wide compile cache.  Sweeps and
 #: bisections reuse a handful of circuits; the bound only matters for
 #: long-lived processes streaming many *distinct* circuits (e.g. the
@@ -575,44 +563,30 @@ _COMPILE_CACHE = CompileCache()
 
 
 def compile_circuit(
-    circuit: Circuit, fuse: bool | None = None, cache: bool | None = None
+    circuit: Circuit, fuse: bool = True, cache: bool = True
 ) -> CompiledCircuit:
-    """Compile ``circuit``, reusing the process-wide cache when enabled.
+    """Compile ``circuit``, reusing the process-wide cache.
 
-    ``fuse=None`` follows ``REPRO_FUSE`` and ``cache=None`` follows
-    ``REPRO_COMPILE_CACHE`` (both default on); explicit booleans — the
-    way :class:`~repro.runtime.ExecutionPolicy` calls — bypass the
-    environment reads entirely.  With caching off every call
-    recompiles; results are bit-identical either way — the cache only
-    skips redundant lowering.
+    ``cache=False`` recompiles; results are bit-identical either way —
+    the cache only skips redundant lowering.  ``fuse=False`` builds the
+    single-op-slot reference schedule (its own cache entry).
     """
-    if fuse is None:
-        fuse = fusion_enabled()
-    if cache is None:
-        cache = compile_cache_enabled()
     if not cache:
         return CompiledCircuit(circuit, fuse=fuse)
     return _COMPILE_CACHE.get(circuit, fuse)
 
 
-def warm_compile_cache(
-    circuits: Sequence[Circuit], fuse: bool | None = None
-) -> None:
+def warm_compile_cache(circuits: Sequence[Circuit]) -> None:
     """Pre-compile ``circuits`` into the process-wide cache.
 
     The worker warm path for pooled execution: passed (via
     :func:`functools.partial`, which pickles cleanly) as a process-pool
     ``initializer``, every worker compiles each distinct circuit
     exactly once up front, and every point it subsequently evaluates is
-    a compile-cache *hit* — the pool never recompiles per point.  With
-    the cache disabled by ``REPRO_COMPILE_CACHE=0`` this is a no-op:
-    warming a cache that will not be consulted would hide the knob's
-    cost signal.
+    a compile-cache *hit* — the pool never recompiles per point.
     """
-    if not compile_cache_enabled():
-        return
     for circuit in circuits:
-        compile_circuit(circuit, fuse=fuse)
+        compile_circuit(circuit)
 
 
 def compile_cache_stats() -> dict[str, int]:

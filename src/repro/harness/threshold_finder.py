@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.coding.logical import LogicalProcessor
 from repro.core import library
-from repro.core.compiled import compile_cache_enabled
 from repro.harness.stats import wilson_interval
 from repro.harness.sweep import spawn_seeds, sweep
 from repro.noise.model import NoiseModel
@@ -34,8 +33,7 @@ from repro.errors import AnalysisError
 #: Built cycle processors keyed by cycle count.  A bisection or sweep
 #: evaluates the *same* circuit at many noise levels; memoising the
 #: processor (and therefore the circuit object feeding the compile
-#: cache) makes each extra evaluation pure simulation.  Honors the
-#: ``REPRO_COMPILE_CACHE`` knob alongside the compiled-program cache.
+#: cache) makes each extra evaluation pure simulation.
 _PROCESSOR_CACHE: dict[int, LogicalProcessor] = {}
 
 #: The logical word every cycle processor carries through its identity
@@ -54,17 +52,14 @@ _SPECULATION_WASTED = counter("threshold.speculation_wasted")
 
 def _cycle_processor(cycles: int) -> LogicalProcessor:
     """The 3-logical-bit processor running ``cycles`` identity cycles."""
-    memoise = compile_cache_enabled()
-    if memoise:
-        cached = _PROCESSOR_CACHE.get(cycles)
-        if cached is not None:
-            return cached
+    cached = _PROCESSOR_CACHE.get(cycles)
+    if cached is not None:
+        return cached
     processor = LogicalProcessor(3, include_resets=True)
     for _ in range(cycles):
         processor.apply(library.MAJ, 0, 1, 2)
         processor.apply(library.MAJ_INV, 0, 1, 2)
-    if memoise:
-        _PROCESSOR_CACHE[cycles] = processor
+    _PROCESSOR_CACHE[cycles] = processor
     return processor
 
 

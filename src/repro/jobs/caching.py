@@ -9,10 +9,11 @@ a durable cache by swapping the object, not the code.
 Lookup is per point: stored points come back without any
 simulation, missing points run through the inner executor in ONE batch
 (preserving its cross-point stacking) and are written back.  Because
-the store key captures everything result-affecting, a cached answer is
-*the* answer — bit-identical to recomputation — and because points
-with no reproducible identity (``None`` or generator seeds) have no
-key, they transparently bypass the store instead of poisoning it.
+the store key is the spec's content and no policy field can change a
+result, a cached answer is *the* answer — bit-identical to
+recomputation — and because points with no reproducible identity
+(``None`` or generator seeds) have no key, they transparently bypass
+the store instead of poisoning it.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class CachingExecutor:
                 # No reproducible identity -> no store key; always run.
                 pending.append(index)
                 continue
-            stored = self.store.get(spec, self.policy)
+            stored = self.store.get(spec)
             if stored is None:
                 pending.append(index)
             else:

@@ -23,7 +23,7 @@ obligations:
 
 Shard IDs hash the member points' store keys
 (:func:`repro.jobs.store.point_key` — circuit content, noise, trials,
-seed, fuse) plus their positions, so an ID is stable across
+seed) plus their positions, so an ID is stable across
 resubmissions and unique within a job even when two points coincide.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from repro.errors import AnalysisError, JobError
 from repro.jobs.store import point_key
 from repro.runtime.serialization import canonical_json
-from repro.runtime.spec import ExecutionPolicy, RunSpec
+from repro.runtime.spec import RunSpec
 
 __all__ = ["DEFAULT_SHARD_SIZE", "Shard", "plan_shards"]
 
@@ -65,9 +65,7 @@ def _shard_id(keys: Sequence[str], indices: Sequence[int]) -> str:
 
 
 def plan_shards(
-    specs: Sequence[RunSpec],
-    policy: ExecutionPolicy,
-    shard_size: int = DEFAULT_SHARD_SIZE,
+    specs: Sequence[RunSpec], shard_size: int = DEFAULT_SHARD_SIZE
 ) -> list[Shard]:
     """Split ``specs`` into deterministic, program-affine shards.
 
@@ -84,7 +82,7 @@ def plan_shards(
                 f"requires integer per-point seeds (spawn them with "
                 f"repro.harness.sweep.spawn_seeds)"
             )
-    keys = [point_key(spec, policy) for spec in specs]
+    keys = [point_key(spec) for spec in specs]
     groups: dict[tuple, list[int]] = {}
     for index, spec in enumerate(specs):
         group = (spec.circuit.content_key(), spec.input_bits)

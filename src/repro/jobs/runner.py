@@ -8,7 +8,7 @@ checkpointing against a content-keyed result store
 
     <job_dir>/
         manifest.json        # versioned: specs (JSON wire form),
-                             # shard plan, result-affecting policy
+                             # shard plan, backend (provenance)
         shards/<id>.json     # one checkpoint per completed shard
         store/               # the result store (unless shared)
 
@@ -51,7 +51,13 @@ from repro.errors import AnalysisError, JobError
 from repro.harness.stats import RateEstimate
 from repro.jobs.caching import CachingExecutor
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
-from repro.jobs.store import ResultStore, point_key
+from repro.jobs.store import (
+    ResultStore,
+    point_key,
+    result_from_json,
+    result_problem,
+    result_to_json,
+)
 from repro.obs import (
     counter,
     enable_tracing,
@@ -69,7 +75,9 @@ __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]
 
 #: Version of the manifest/checkpoint on-disk shape.  Version 2:
 #: manifest policies and checkpoint results no longer carry an engine.
-JOB_FORMAT_VERSION = 2
+#: Version 3: job ids and shard ids hash policy-free point keys, and the
+#: manifest policy records only the backend.
+JOB_FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
@@ -184,7 +192,7 @@ class SweepJob:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _job_id(specs: Sequence[RunSpec], policy: ExecutionPolicy) -> str:
+    def _job_id(specs: Sequence[RunSpec]) -> str:
         """The sweep's identity: its ordered point keys, nothing else.
 
         Shard size is a scheduling choice, not part of what the sweep
@@ -192,7 +200,7 @@ class SweepJob:
         manifest's stored plan even if the caller's ``shard_size``
         drifted.
         """
-        payload = [point_key(spec, policy) for spec in specs]
+        payload = [point_key(spec) for spec in specs]
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
     @classmethod
@@ -231,8 +239,8 @@ class SweepJob:
             raise AnalysisError("a sweep job needs at least one spec")
         if policy is None:
             policy = ExecutionPolicy.from_env()
-        shards = plan_shards(specs, policy, shard_size)
-        job_id = cls._job_id(specs, policy)
+        shards = plan_shards(specs, shard_size)
+        job_id = cls._job_id(specs)
         manifest_path = job_dir / MANIFEST_NAME
         if manifest_path.exists():
             existing = cls.load(job_dir, store=store)
@@ -248,11 +256,7 @@ class SweepJob:
         manifest = {
             "format": JOB_FORMAT_VERSION,
             "job_id": job_id,
-            "policy": {
-                "backend": policy.backend,
-                "fuse": policy.fuse,
-                "compile_cache": policy.compile_cache,
-            },
+            "policy": {"backend": policy.backend},
             "specs": [spec_to_json(spec) for spec in specs],
             "shards": [
                 {"id": shard.shard_id, "indices": list(shard.indices)}
@@ -295,17 +299,12 @@ class SweepJob:
                 f"{manifest.get('format')!r}; this code reads "
                 f"{JOB_FORMAT_VERSION}"
             )
-        stored_policy = manifest["policy"]
+        # The manifest's backend is only a default: no policy field can
+        # change a result, so REPRO_BACKEND (like REPRO_PARALLEL) may
+        # override it on resume.
         policy = ExecutionPolicy.from_env(
-            backend=stored_policy["backend"],
-            fuse=stored_policy["fuse"],
-            compile_cache=stored_policy["compile_cache"],
+            backend=manifest["policy"]["backend"]
         )
-        # Only the result-affecting knob is pinned by the manifest;
-        # from_env may still override e.g. REPRO_PARALLEL, but fuse
-        # must match what the job's store keys were built with, so the
-        # manifest's value wins.
-        policy = replace(policy, fuse=stored_policy["fuse"])
         specs = [spec_from_json(data) for data in manifest["specs"]]
         shards = [
             Shard(entry["id"], tuple(entry["indices"]))
@@ -316,7 +315,7 @@ class SweepJob:
         # this is where a wire form that is not value-faithful (or a
         # hand-edited manifest) fails, instead of merging wrong
         # numbers later.
-        if cls._job_id(specs, policy) != job_id:
+        if cls._job_id(specs) != job_id:
             raise JobError(
                 f"job manifest {manifest_path} specs do not hash to its "
                 f"job id; the manifest was edited or corrupted"
@@ -379,22 +378,14 @@ class SweepJob:
             )
         results = []
         for entry in points:
-            result = entry["result"]
-            spec = self.specs[entry["index"]]
-            if not 0 <= result["failures"] <= result["trials"] or (
-                result["trials"] != spec.trials
-            ):
+            result = entry.get("result")
+            problem = result_problem(result, self.specs[entry["index"]].trials)
+            if problem is not None:
                 raise JobError(
                     f"shard checkpoint {path} holds counts inconsistent "
-                    f"with the manifest spec; delete it to re-run"
+                    f"with the manifest spec ({problem}); delete it to re-run"
                 )
-            results.append(
-                PointResult(
-                    failures=result["failures"],
-                    trials=result["trials"],
-                    faulted_trials=result["faulted_trials"],
-                )
-            )
+            results.append(result_from_json(result))
         return results
 
     def _write_checkpoint(
@@ -410,12 +401,8 @@ class SweepJob:
             "points": [
                 {
                     "index": index,
-                    "key": point_key(self.specs[index], self.policy),
-                    "result": {
-                        "failures": result.failures,
-                        "trials": result.trials,
-                        "faulted_trials": result.faulted_trials,
-                    },
+                    "key": point_key(self.specs[index]),
+                    "result": result_to_json(result),
                 }
                 for index, result in zip(shard.indices, results)
             ],
@@ -488,7 +475,7 @@ class SweepJob:
             results: list[PointResult | None] = [None] * len(shard_specs)
             misses: list[int] = []
             for position, spec in enumerate(shard_specs):
-                stored = self.store.get(spec, self.policy)
+                stored = self.store.get(spec)
                 if stored is None:
                     misses.append(position)
                 else:
@@ -516,9 +503,7 @@ class SweepJob:
             task = partial(_run_shard_specs, policy=shard_policy)
             with ProcessPoolExecutor(
                 max_workers=pool_width,
-                initializer=partial(
-                    warm_compile_cache, circuits, shard_policy.fuse
-                ),
+                initializer=partial(warm_compile_cache, circuits),
             ) as pool:
                 futures = [
                     pool.submit(

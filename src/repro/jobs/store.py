@@ -2,12 +2,11 @@
 
 Every Monte-Carlo point in this repository is fully determined by its
 :class:`~repro.runtime.RunSpec` (circuit content, input, observable,
-noise, trials, integer seed) plus the *result-affecting* half of the
-:class:`~repro.runtime.ExecutionPolicy` — the fusion flag, which
-selects the RNG stream.  Backend choice, pool width,
-and batching are execution details the executor guarantees can never
-change a number, so they are deliberately **not** part of the key;
-they are recorded as provenance instead.
+noise, trials, integer seed).  No field of the
+:class:`~repro.runtime.ExecutionPolicy` can change a number — backend
+choice, pool width and batching are execution details — so the policy
+is deliberately **not** part of the key; the backend is recorded as
+provenance instead.
 
 :func:`point_key` hashes exactly that determining tuple (through the
 versioned JSON wire form of :mod:`repro.runtime.serialization`), and
@@ -23,8 +22,7 @@ Properties the job layer leans on:
   their own key, format version, and full spec wire form; a lookup
   re-verifies all three and raises :class:`~repro.errors.JobError` on
   any mismatch.  An entry produced under a different RNG stream
-  version or fusion flag simply has a different key and is a clean
-  miss.
+  version simply has a different key and is a clean miss.
 """
 
 from __future__ import annotations
@@ -50,35 +48,40 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "ResultStore",
     "point_key",
+    "result_from_json",
+    "result_problem",
+    "result_to_json",
 ]
 
 #: Version of a store entry's on-disk shape.  Bump on layout changes.
 #: Version 2: keys, provenance and results no longer carry an engine.
-STORE_FORMAT_VERSION = 2
+#: Version 3: keys no longer carry a fusion flag (circuits always
+#: compile fused), and provenance no longer records one.
+STORE_FORMAT_VERSION = 3
 
 #: Version of the Monte-Carlo RNG stream contract.  The frozen digests in
 #: ``tests/noise/test_engine_determinism.py`` pin the streams; if they
 #: are ever deliberately re-recorded, bump this so every pre-change
 #: store entry stops matching instead of serving results from a stream
-#: that no longer exists.  Version 2: unfused (``fuse=False``) runs
-#: draw their faults through the stacked kernel instead of one draw
-#: per op.
+#: that no longer exists.  Version 2: faults are drawn through the
+#: stacked kernel instead of one draw per op (this moved only the
+#: since-retired unfused stream; the fused stream is unchanged).
 RESULT_STREAM_VERSION = 2
 
 
-def _key_from_wire(
-    spec: RunSpec, spec_json: dict, policy: ExecutionPolicy
-) -> str:
+def _key_from_wire(spec_json: dict) -> str:
     # Hash the digest-compressed payload: embedded circuit fragments
     # collapse to their (memoised) content digests, so keying a
     # 10-point sweep serializes the shared circuit once, not 20 times.
     payload = {
         "format": STORE_FORMAT_VERSION,
         "stream": RESULT_STREAM_VERSION,
-        "fuse": policy.fuse,
         "spec": compress_for_hashing(spec_json),
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+_RESULT_FIELDS = ("failures", "trials", "faulted_trials")
 
 
 def _require_integer_seed(spec: RunSpec) -> None:
@@ -90,18 +93,50 @@ def _require_integer_seed(spec: RunSpec) -> None:
         )
 
 
-def point_key(spec: RunSpec, policy: ExecutionPolicy) -> str:
+def point_key(spec: RunSpec) -> str:
     """The content key determining one point's result, as a hex digest.
 
-    Hashes the spec's JSON wire form together with the fusion flag and
-    the stream/format versions — everything that
-    can change a failure count, and nothing that cannot.  Requires a
+    Hashes the spec's JSON wire form together with the stream/format
+    versions — everything that can change a failure count, and nothing
+    that cannot.  Requires a
     concrete integer seed: a ``None`` or generator seed draws from an
     unreproducible stream, and a store keyed on it would serve numbers
     no one can ever check.
     """
     _require_integer_seed(spec)
-    return _key_from_wire(spec, spec_to_json(spec), policy)
+    return _key_from_wire(spec_to_json(spec))
+
+
+def result_problem(block: object, trials: int) -> str | None:
+    """What is wrong with a stored result block, or ``None`` if sane.
+
+    The one count check shared by store entries and shard checkpoints:
+    the block must be a dict of integer ``failures``/``trials``/
+    ``faulted_trials`` with ``trials`` equal to the spec's and both
+    counts within ``[0, trials]``.  Readers raise
+    :class:`~repro.errors.JobError` naming their file on any problem.
+    """
+    if not isinstance(block, dict):
+        return "missing result block"
+    counts = [block.get(name) for name in _RESULT_FIELDS]
+    if not all(type(count) is int for count in counts):
+        return "result counts are not integers"
+    failures, stored_trials, faulted = counts
+    if stored_trials != trials:
+        return f"stored trials {stored_trials} != spec trials {trials}"
+    if not (0 <= failures <= trials and 0 <= faulted <= trials):
+        return "result counts out of range"
+    return None
+
+
+def result_to_json(result: PointResult) -> dict:
+    """The stored form of a result block."""
+    return {name: getattr(result, name) for name in _RESULT_FIELDS}
+
+
+def result_from_json(block: dict) -> PointResult:
+    """Rebuild a result block that :func:`result_problem` passed."""
+    return PointResult(**{name: block[name] for name in _RESULT_FIELDS})
 
 
 # Store traffic metrics (repro.obs).  Dual-accounted with the
@@ -139,10 +174,8 @@ class ResultStore:
     # Lookup
     # ------------------------------------------------------------------
 
-    def get(
-        self, spec: RunSpec, policy: ExecutionPolicy
-    ) -> PointResult | None:
-        """The stored result for ``spec`` under ``policy``, or ``None``.
+    def get(self, spec: RunSpec) -> PointResult | None:
+        """The stored result for ``spec``, or ``None``.
 
         A present-but-wrong entry — unreadable JSON, foreign format
         version, key not matching the content, spec wire form not
@@ -155,7 +188,7 @@ class ResultStore:
         # compare — the warm path's cost is file reads plus this.
         _require_integer_seed(spec)
         spec_json = spec_to_json(spec)
-        key = _key_from_wire(spec, spec_json, policy)
+        key = _key_from_wire(spec_json)
         path = self._path(key)
         if not path.exists():
             self.misses += 1
@@ -173,12 +206,7 @@ class ResultStore:
         self._verify(entry, key, spec, spec_json, path)
         self.hits += 1
         _STORE_HITS.inc()
-        result = entry["result"]
-        return PointResult(
-            failures=result["failures"],
-            trials=result["trials"],
-            faulted_trials=result["faulted_trials"],
-        )
+        return result_from_json(entry["result"])
 
     def _verify(
         self, entry: dict, key: str, spec: RunSpec, spec_json: dict, path: Path
@@ -192,23 +220,9 @@ class ResultStore:
             problems.append("embedded key does not match the content key")
         if entry.get("spec") != spec_json:
             problems.append("stored spec differs from the requested spec")
-        result = entry.get("result")
-        if not isinstance(result, dict):
-            problems.append("missing result block")
-        else:
-            failures = result.get("failures")
-            trials = result.get("trials")
-            if trials != spec.trials:
-                problems.append(
-                    f"stored trials {trials!r} != spec trials {spec.trials}"
-                )
-            if (
-                not isinstance(failures, int)
-                or not isinstance(trials, int)
-                or not 0 <= failures <= trials
-                or not 0 <= result.get("faulted_trials", -1) <= trials
-            ):
-                problems.append("result counts out of range")
+        problem = result_problem(entry.get("result"), spec.trials)
+        if problem is not None:
+            problems.append(problem)
         if problems:
             self.stale += 1
             _STORE_STALE.inc()
@@ -226,6 +240,9 @@ class ResultStore:
     ) -> str:
         """Durably record ``result`` for ``spec``; returns the key.
 
+        ``policy`` is provenance only: its backend is recorded in the
+        entry, never hashed into the key.
+
         The write is atomic (temp file + ``os.replace`` in the same
         directory), so a crash mid-put leaves the previous state, not
         a torn entry.
@@ -237,7 +254,7 @@ class ResultStore:
             )
         _require_integer_seed(spec)
         spec_json = spec_to_json(spec)
-        key = _key_from_wire(spec, spec_json, policy)
+        key = _key_from_wire(spec_json)
         entry = {
             "format": STORE_FORMAT_VERSION,
             "key": key,
@@ -246,13 +263,8 @@ class ResultStore:
                 "version": __version__,
                 "stream": RESULT_STREAM_VERSION,
                 "backend": policy.backend,
-                "fuse": policy.fuse,
             },
-            "result": {
-                "failures": result.failures,
-                "trials": result.trials,
-                "faulted_trials": result.faulted_trials,
-            },
+            "result": result_to_json(result),
         }
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)

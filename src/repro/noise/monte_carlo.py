@@ -9,9 +9,7 @@ circuit is lowered once *per process* through the content-keyed cache
 of :func:`~repro.core.compiled.compile_circuit`, 64 trials ride in each
 uint64 word, consecutive disjoint ops execute as fused slots (identical
 gates stacked into one vectorised apply), and faults come from the
-stacked fault kernel below.  ``REPRO_FUSE=0`` runs the unfused (one op
-per slot) program through the same kernel; ``REPRO_COMPILE_CACHE=0``
-disables compiled-circuit reuse.
+stacked fault kernel below.
 
 The stacked fault kernel (:class:`_StackPlan`, :func:`_draw_phase`,
 :func:`_inject_phase`) is the only code that draws and scatters
@@ -484,18 +482,13 @@ class NoisyRunner:
         self,
         model: NoiseModel,
         seed: int | np.random.Generator | None = None,
-        fuse: bool | None = None,
-        compile_cache: bool | None = None,
         backend=None,
     ):
         self.model = model
         self.rng = _as_generator(seed)
-        # None defers to the REPRO_FUSE / REPRO_COMPILE_CACHE /
-        # REPRO_BACKEND knobs at compile time; an
-        # :class:`~repro.runtime.ExecutionPolicy` passes explicit
-        # values so no environment read happens mid-run.
-        self.fuse = fuse
-        self.compile_cache = compile_cache
+        # None defers to REPRO_BACKEND; an
+        # :class:`~repro.runtime.ExecutionPolicy` passes its backend so
+        # no environment read happens mid-run.
         self.backend = backend
 
     def run(self, circuit: Circuit, states: BitplaneState) -> NoisyResult:
@@ -517,9 +510,7 @@ class NoisyRunner:
                 f"batch has {states.n_wires} wires but circuit has "
                 f"{circuit.n_wires}"
             )
-        compiled = compile_circuit(
-            circuit, fuse=self.fuse, cache=self.compile_cache
-        )
+        compiled = compile_circuit(circuit)
         prepared = get_backend(self.backend).prepare(compiled)
         plan = _stack_plan(compiled)
         trials = states.trials

@@ -24,8 +24,7 @@ spec, in spec order.  The execution plan has three levels:
    operations being wordwise, every point's window is
    **bit-identical** to running that spec alone through
    ``NoisyRunner``.  Batching is purely an execution detail, never a
-   statistical one.  Fused and unfused programs (``policy.fuse``) run
-   through the same kernel.
+   statistical one.
 
 3. **Process pool (across groups only).**  With
    ``policy.parallel`` >= 2 workers and more than one group, whole
@@ -168,9 +167,7 @@ def _run_group_stacked(
     cannot move a digest.
     """
     first = specs[0]
-    compiled = compile_circuit(
-        first.circuit, fuse=policy.fuse, cache=policy.compile_cache
-    )
+    compiled = compile_circuit(first.circuit)
     backend = get_backend(policy.backend)
     prepared = backend.prepare(compiled)
     plan = _stack_plan(compiled)

@@ -8,11 +8,12 @@ failure predicate".  This module gives that shape a value type:
   noise model, trial count, seed.  Specs are data; nothing runs until
   an :class:`~repro.runtime.executor.Executor` is handed a batch of
   them.
-* :class:`ExecutionPolicy` — *how* specs run (worker pool, fusion,
-  compile cache, default trial budget, backend, trace sink), hydrated
-  once from the environment by :meth:`ExecutionPolicy.from_env`.  This
-  is the single home of every ``REPRO_*`` execution knob; nothing else
-  in the library reads them mid-run.  (The observability layer
+* :class:`ExecutionPolicy` — *how* specs run (worker pool, default
+  trial budget, backend, trace sink), hydrated once from the
+  environment by :meth:`ExecutionPolicy.from_env`.  This is the single
+  home of every ``REPRO_*`` execution knob; nothing else in the library
+  reads them mid-run.  No policy field can change a result, so a
+  point's identity is its spec alone.  (The observability layer
   additionally reads its own ``REPRO_TRACE``/``REPRO_OBS_SAMPLE`` once
   at import so bare CLI runs trace too — see :mod:`repro.obs`.)
 * :class:`PointResult` — one point's outcome: failure count, trial
@@ -38,7 +39,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.backends import DEFAULT_BACKEND, available_backends
+from repro.backends import (
+    DEFAULT_BACKEND,
+    available_backends,
+    backend_from_env,
+)
 from repro.core.bitplane import BitplaneState, count_trial_ones, words_for
 from repro.core.circuit import Circuit
 from repro.core.simulator import BatchedState
@@ -256,12 +261,6 @@ class ExecutionPolicy:
             widths are rejected).  The
             executor pools only *across* compiled groups; points
             sharing a program batch into one plane array instead.
-        fuse: whether the compiler fuses disjoint ops into slots
-            (``REPRO_FUSE``).  Unfused programs (one op per slot) run
-            through the same stacked fault kernel, with a stream of
-            their own.
-        compile_cache: whether compiled programs are reused
-            process-wide (``REPRO_COMPILE_CACHE``).
         trials: default Monte-Carlo budget for callers that take their
             trial count from the policy (``REPRO_TRIALS``).
         backend: which registered plane-program backend executes
@@ -281,14 +280,14 @@ class ExecutionPolicy:
     not silently run the default.
     """
 
-    #: The only Monte-Carlo engine.  Not a field, so it cannot be set;
-    #: kept only because the benchmark's provenance line reads it —
-    #: delete it with the next benchmark change.
+    #: The only Monte-Carlo engine, and circuits always compile fused
+    #: and cached.  Not fields, so they cannot be set; kept only because
+    #: the benchmark reads them — delete with the next benchmark change.
     engine: ClassVar[str] = "bitplane"
+    fuse: ClassVar[bool] = True
+    compile_cache: ClassVar[bool] = True
 
     parallel: int | bool | None = None
-    fuse: bool = True
-    compile_cache: bool = True
     trials: int = DEFAULT_TRIALS
     backend: str = DEFAULT_BACKEND
     trace: str | None = None
@@ -320,13 +319,7 @@ class ExecutionPolicy:
         env = os.environ
         updates: dict = {}
         if "REPRO_BACKEND" in env:
-            if env["REPRO_BACKEND"] not in available_backends():
-                raise ConfigError(
-                    f"REPRO_BACKEND={env['REPRO_BACKEND']!r} is not a "
-                    f"registered backend; available backends: "
-                    f"{available_backends()}"
-                )
-            updates["backend"] = env["REPRO_BACKEND"]
+            updates["backend"] = backend_from_env()
         if env.get("REPRO_PARALLEL") is not None:
             try:
                 updates["parallel"] = _parse_parallel(env["REPRO_PARALLEL"])
@@ -340,10 +333,6 @@ class ExecutionPolicy:
                     f"REPRO_PARALLEL={env['REPRO_PARALLEL']!r} is negative; "
                     f"use 0 or 1 for in-process, N >= 2 or 'max' for a pool"
                 )
-        if "REPRO_FUSE" in env:
-            updates["fuse"] = env["REPRO_FUSE"] != "0"
-        if "REPRO_COMPILE_CACHE" in env:
-            updates["compile_cache"] = env["REPRO_COMPILE_CACHE"] != "0"
         if "REPRO_TRIALS" in env:
             try:
                 updates["trials"] = int(env["REPRO_TRIALS"])

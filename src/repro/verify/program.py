@@ -449,7 +449,7 @@ def verify_compiled(
     circuit,
     compiled: CompiledCircuit | None = None,
     *,
-    fuse: bool | None = None,
+    fuse: bool = True,
     report: DiagnosticReport | None = None,
     check_circuit: bool = True,
 ) -> DiagnosticReport:

@@ -42,3 +42,25 @@ def all_corrupted_codewords():
         for position in range(3):
             cases.append((logical, THREE_BIT_CODE.corrupt(codeword, [position])))
     return cases
+
+
+#: Readable-but-wrong result blocks for the job layer's two readers
+#: (store entries and shard checkpoints): each must raise ``JobError``
+#: naming the file, never serve the counts or leak a bare
+#: ``TypeError``/``KeyError``.  ``None`` as the field drops the block.
+MALFORMED_RESULTS = {
+    "faulted-above-trials": ("faulted_trials", 5000),
+    "faulted-negative": ("faulted_trials", -3),
+    "faulted-string": ("faulted_trials", "7"),
+    "failures-string": ("failures", "7"),
+    "result-missing": (None, None),
+}
+
+
+def malform_result(holder: dict, case: str) -> None:
+    """Apply one :data:`MALFORMED_RESULTS` case to ``holder["result"]``."""
+    field, value = MALFORMED_RESULTS[case]
+    if field is None:
+        del holder["result"]
+    else:
+        holder["result"][field] = value

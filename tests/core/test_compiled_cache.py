@@ -89,21 +89,18 @@ class TestKeying:
 
 
 class TestKnobs:
-    def test_cache_disabled_compiles_fresh(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-        first = compile_circuit(build_circuit())
-        second = compile_circuit(build_circuit())
+    def test_cache_disabled_compiles_fresh(self):
+        first = compile_circuit(build_circuit(), cache=False)
+        second = compile_circuit(build_circuit(), cache=False)
         assert first is not second
         assert compile_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
-    def test_disabling_ignores_warm_entries(self, monkeypatch):
+    def test_disabling_ignores_warm_entries(self):
         warm = compile_circuit(build_circuit())
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-        assert compile_circuit(build_circuit()) is not warm
+        assert compile_circuit(build_circuit(), cache=False) is not warm
 
-    def test_fusion_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSE", "0")
-        compiled = compile_circuit(build_circuit())
+    def test_fusion_disabled_by_flag(self):
+        compiled = compile_circuit(build_circuit(), fuse=False)
         assert not compiled.fused
         assert len(compiled.slots) == len(compiled.schedule)
 

@@ -47,12 +47,6 @@ class TestProcessorCache:
         assert _cycle_processor(1) is _cycle_processor(1)
         assert _cycle_processor(2) is not _cycle_processor(1)
 
-    def test_memoisation_honours_cache_knob(self, monkeypatch):
-        _PROCESSOR_CACHE.clear()
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-        assert _cycle_processor(1) is not _cycle_processor(1)
-        assert not _PROCESSOR_CACHE
-
     def test_repeated_calls_reuse_circuit(self):
         _PROCESSOR_CACHE.clear()
         first = logical_error_per_cycle(1e-3, trials=500, seed=3)

@@ -9,7 +9,6 @@ from repro.errors import AnalysisError, JobError
 from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import DEFAULT_SHARD_SIZE, plan_shards
-from repro.runtime import ExecutionPolicy
 
 
 def _specs(count, trials=100, cycles=1):
@@ -18,38 +17,33 @@ def _specs(count, trials=100, cycles=1):
     return cycle_error_specs(points, trials, cycles=cycles)
 
 
-@pytest.fixture
-def policy():
-    return ExecutionPolicy.from_env()
-
-
 class TestPlanning:
-    def test_deterministic_ids_and_indices(self, policy):
-        first = plan_shards(_specs(7), policy, shard_size=3)
-        second = plan_shards(_specs(7), policy, shard_size=3)
+    def test_deterministic_ids_and_indices(self):
+        first = plan_shards(_specs(7), shard_size=3)
+        second = plan_shards(_specs(7), shard_size=3)
         assert first == second
 
-    def test_covers_each_spec_exactly_once(self, policy):
-        shards = plan_shards(_specs(10), policy, shard_size=3)
+    def test_covers_each_spec_exactly_once(self):
+        shards = plan_shards(_specs(10), shard_size=3)
         covered = sorted(i for shard in shards for i in shard.indices)
         assert covered == list(range(10))
 
-    def test_respects_shard_size(self, policy):
-        shards = plan_shards(_specs(10), policy, shard_size=4)
+    def test_respects_shard_size(self):
+        shards = plan_shards(_specs(10), shard_size=4)
         assert max(len(shard) for shard in shards) <= 4
 
-    def test_distinct_sweeps_get_distinct_ids(self, policy):
-        a = plan_shards(_specs(4, trials=100), policy, shard_size=2)
-        b = plan_shards(_specs(4, trials=200), policy, shard_size=2)
+    def test_distinct_sweeps_get_distinct_ids(self):
+        a = plan_shards(_specs(4, trials=100), shard_size=2)
+        b = plan_shards(_specs(4, trials=200), shard_size=2)
         assert {s.shard_id for s in a}.isdisjoint(s.shard_id for s in b)
 
-    def test_groups_by_circuit_before_chunking(self, policy):
+    def test_groups_by_circuit_before_chunking(self):
         # Mixed 1-cycle and 2-cycle specs have different circuits;
         # shards must never straddle the two compiled programs.
         one = _specs(3, cycles=1)
         two = _specs(3, cycles=2)
         mixed = [one[0], two[0], one[1], two[1], one[2], two[2]]
-        shards = plan_shards(mixed, policy, shard_size=10)
+        shards = plan_shards(mixed, shard_size=10)
         for shard in shards:
             keys = {
                 mixed[i].circuit.content_key() for i in shard.indices
@@ -57,18 +51,18 @@ class TestPlanning:
             assert len(keys) == 1
         assert len(shards) == 2
 
-    def test_default_shard_size(self, policy):
-        shards = plan_shards(_specs(3), policy)
+    def test_default_shard_size(self):
+        shards = plan_shards(_specs(3))
         assert len(shards) == 1
         assert DEFAULT_SHARD_SIZE >= 3
 
 
 class TestRefusals:
-    def test_non_positive_shard_size(self, policy):
+    def test_non_positive_shard_size(self):
         with pytest.raises(AnalysisError, match="shard_size"):
-            plan_shards(_specs(2), policy, shard_size=0)
+            plan_shards(_specs(2), shard_size=0)
 
-    def test_generator_seed_named_by_index(self, policy):
+    def test_generator_seed_named_by_index(self):
         specs = _specs(3)
         bad = type(specs[1])(
             circuit=specs[1].circuit,
@@ -79,4 +73,4 @@ class TestRefusals:
             seed=np.random.default_rng(5),
         )
         with pytest.raises(JobError, match="spec 1"):
-            plan_shards([specs[0], bad, specs[2]], policy)
+            plan_shards([specs[0], bad, specs[2]])

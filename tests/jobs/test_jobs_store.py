@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.jobs import (
     point_key,
 )
 from repro.runtime import ExecutionPolicy, Executor, PointResult
+from tests.conftest import MALFORMED_RESULTS, malform_result
 
 
 def _specs(count=2, trials=200):
@@ -30,37 +32,31 @@ def policy():
 
 
 class TestPointKey:
-    def test_deterministic(self, policy):
+    def test_deterministic(self):
         (spec,) = _specs(1)
-        assert point_key(spec, policy) == point_key(spec, policy)
+        assert point_key(spec) == point_key(spec)
 
-    def test_seed_and_noise_change_the_key(self, policy):
+    def test_seed_and_noise_change_the_key(self):
         spec_a, spec_b = _specs(2)
-        assert point_key(spec_a, policy) != point_key(spec_b, policy)
+        assert point_key(spec_a) != point_key(spec_b)
 
-    def test_backend_and_parallel_do_not_change_the_key(self, policy):
-        # Backends and pool width are bit-identical by contract, so
-        # they are provenance, not identity: a point computed under
-        # one backend must be a cache hit under another.
-        from dataclasses import replace
+    def test_backend_and_parallel_do_not_change_the_key(self, tmp_path):
+        # No policy field can change a result, so the policy is not key
+        # material: a store filled under one backend is served in full
+        # under another, and equals a serial run.
+        specs = _specs(3)
+        store = ResultStore(tmp_path)
+        CachingExecutor(store, policy=ExecutionPolicy(backend="numpy")).run(
+            specs
+        )
+        requery = CachingExecutor(
+            store, policy=ExecutionPolicy(backend="fused", parallel=2)
+        )
+        served = requery.run(specs)
+        assert requery.simulated_points == 0
+        assert served == Executor(ExecutionPolicy()).run(specs)
 
-        (spec,) = _specs(1)
-        base = point_key(spec, policy)
-        assert point_key(spec, replace(policy, parallel=4)) == base
-        assert point_key(spec, replace(policy, backend=policy.backend)) == base
-
-    def test_fuse_changes_the_key(self, policy):
-        # The fusion flag selects the RNG stream; an unfused run is a
-        # different (still valid) result.
-        from dataclasses import replace
-
-        (spec,) = _specs(1)
-        keys = {
-            point_key(spec, replace(policy, fuse=fuse)) for fuse in (True, False)
-        }
-        assert len(keys) == 2
-
-    def test_non_integer_seed_refused(self, policy):
+    def test_non_integer_seed_refused(self):
         spec = _specs(1)[0]
         bad = type(spec)(
             circuit=spec.circuit,
@@ -71,17 +67,17 @@ class TestPointKey:
             seed=np.random.default_rng(0),
         )
         with pytest.raises(JobError, match="integer"):
-            point_key(bad, policy)
+            point_key(bad)
 
 
 class TestStoreRoundTrip:
     def test_miss_then_put_then_hit(self, tmp_path, policy):
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
-        assert store.get(spec, policy) is None
+        assert store.get(spec) is None
         (result,) = Executor(policy).run([spec])
         store.put(spec, policy, result)
-        assert store.get(spec, policy) == result
+        assert store.get(spec) == result
         assert store.stats() == {"hits": 1, "misses": 1, "puts": 1, "stale": 0}
         assert len(store) == 1
 
@@ -116,7 +112,7 @@ class TestStaleDetection:
         store, spec, path = self._stored(tmp_path, policy)
         path.write_text("{not json")
         with pytest.raises(JobError, match="unreadable"):
-            store.get(spec, policy)
+            store.get(spec)
         assert store.stats()["stale"] == 1
 
     def test_foreign_format_version_raises(self, tmp_path, policy):
@@ -125,7 +121,7 @@ class TestStaleDetection:
         entry["format"] = STORE_FORMAT_VERSION + 1
         path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match="format"):
-            store.get(spec, policy)
+            store.get(spec)
 
     def test_tampered_counts_raise(self, tmp_path, policy):
         store, spec, path = self._stored(tmp_path, policy)
@@ -133,7 +129,17 @@ class TestStaleDetection:
         entry["result"]["failures"] = entry["result"]["trials"] + 1
         path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match="stale"):
-            store.get(spec, policy)
+            store.get(spec)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
+    def test_malformed_counts_raise(self, tmp_path, policy, case):
+        store, spec, path = self._stored(tmp_path, policy)
+        entry = json.loads(path.read_text())
+        malform_result(entry, case)
+        path.write_text(json.dumps(entry))
+        with pytest.raises(JobError, match=re.escape(str(path))):
+            store.get(spec)
+        assert store.stats()["stale"] == 1
 
     def test_swapped_spec_raises(self, tmp_path, policy):
         # An entry whose embedded spec differs from the request means
@@ -143,7 +149,7 @@ class TestStaleDetection:
         entry["spec"]["trials"] = entry["spec"]["trials"] + 1
         path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match="spec"):
-            store.get(spec, policy)
+            store.get(spec)
 
 
 class TestCachingExecutor:

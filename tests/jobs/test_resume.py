@@ -9,6 +9,7 @@ uninterrupted in-process :meth:`~repro.runtime.Executor.run` returns.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import SweepJob
 from repro.runtime import ExecutionPolicy, Executor
+from tests.conftest import MALFORMED_RESULTS, malform_result
 
 
 def _specs(count=6, trials=300, base_seed=11):
@@ -213,4 +215,20 @@ class TestManifestIntegrity:
         )
         path.write_text(json.dumps(checkpoint))
         with pytest.raises(JobError, match="inconsistent"):
+            job.collect()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
+    def test_malformed_checkpoint_counts_detected(
+        self, tmp_path, policy, case
+    ):
+        job = SweepJob.submit(
+            tmp_path / "job", _specs(4, trials=200), policy, shard_size=2
+        )
+        job.run()
+        shard = job.shards[0]
+        path = tmp_path / "job" / "shards" / f"{shard.shard_id}.json"
+        checkpoint = json.loads(path.read_text())
+        malform_result(checkpoint["points"][0], case)
+        path.write_text(json.dumps(checkpoint))
+        with pytest.raises(JobError, match=re.escape(str(path))):
             job.collect()

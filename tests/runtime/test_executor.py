@@ -137,40 +137,6 @@ class TestStackedBatchingBitIdentity:
                 run.states
             )
 
-    def test_unfused_policy_keeps_prefusion_stream(self):
-        # fuse=False runs the pre-fusion (one op per slot) schedule;
-        # the executor and the runner must agree on it bit for bit.
-        spec = recovery_spec(0.01, seed=51, trials=1000)
-        runner = NoisyRunner(spec.noise, spec.seed, fuse=False)
-        run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
-        expected = REPETITION_PREDICATE.count_failures(run.states)
-        result = Executor(
-            ExecutionPolicy(fuse=False)
-        ).run_one(spec)
-        assert result.failures == expected
-
-    def test_unfused_stacked_points_equal_solo_runs(self):
-        # The unfused program rides the same stacked kernel: every
-        # point equals its solo unfused NoisyRunner run.
-        specs = [
-            recovery_spec(g, seed, trials)
-            for seed, (g, trials) in enumerate(
-                ((0.005, 777), (0.03, 1000)), start=61
-            )
-        ]
-        results = Executor(
-            ExecutionPolicy(fuse=False)
-        ).run(specs)
-        for spec, result in zip(specs, results):
-            runner = NoisyRunner(spec.noise, spec.seed, fuse=False)
-            run = runner.run_from_input(
-                spec.circuit, spec.input_bits, spec.trials
-            )
-            assert (result.failures, result.faulted_trials) == (
-                REPETITION_PREDICATE.count_failures(run.states),
-                int((run.fault_counts > 0).sum()),
-            )
-
     def test_mixed_arity_stacked_points_equal_solo_runs(self):
         # 1-, 2- and 3-wire groups in both error classes: the padded
         # op -> wire table must scatter each cell on its own arity.

@@ -13,7 +13,6 @@ import pytest
 from repro.errors import SerializationError
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import point_key
-from repro.runtime import ExecutionPolicy
 from repro.runtime.serialization import (
     canonical_json,
     circuit_to_json,
@@ -80,6 +79,5 @@ class TestCompressForHashing:
 class TestPointKeyStability:
     def test_round_tripped_spec_keeps_its_point_key(self):
         spec = one_spec()
-        policy = ExecutionPolicy.from_env()
         rebuilt = spec_from_json(spec_to_json(spec))
-        assert point_key(rebuilt, policy) == point_key(spec, policy)
+        assert point_key(rebuilt) == point_key(spec)

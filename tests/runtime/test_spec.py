@@ -143,29 +143,32 @@ class TestExecutionPolicy:
     def test_defaults(self):
         policy = ExecutionPolicy()
         assert policy.parallel is None
-        assert policy.fuse and policy.compile_cache
         assert policy.trials == 100_000
 
     def test_engine_is_not_a_field(self):
-        # One Monte-Carlo engine: ``engine`` is a read-only constant.
-        assert len(fields(ExecutionPolicy)) == 6
-        assert ExecutionPolicy().engine == "bitplane"
-        with pytest.raises(TypeError):
-            ExecutionPolicy(engine="bitplane")
+        # One Monte-Carlo engine, always fused and cached: ``engine``,
+        # ``fuse`` and ``compile_cache`` are read-only constants, and no
+        # remaining field can change a result.
+        assert [field.name for field in fields(ExecutionPolicy)] == [
+            "parallel", "trials", "backend", "trace",
+        ]
+        policy = ExecutionPolicy()
+        assert policy.engine == "bitplane"
+        assert policy.fuse is True and policy.compile_cache is True
+        for knob, value in (
+            ("engine", "bitplane"), ("fuse", False), ("compile_cache", False),
+        ):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(**{knob: value})
 
     def test_from_env_reads_every_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "fused")
         monkeypatch.setenv("REPRO_PARALLEL", "3")
-        monkeypatch.setenv("REPRO_FUSE", "0")
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
         monkeypatch.setenv("REPRO_TRIALS", "1234")
+        monkeypatch.setenv("REPRO_TRACE", "stderr")
         policy = ExecutionPolicy.from_env()
         assert policy == ExecutionPolicy(
-            backend="fused",
-            parallel=3,
-            fuse=False,
-            compile_cache=False,
-            trials=1234,
+            backend="fused", parallel=3, trials=1234, trace="stderr"
         )
 
     def test_from_env_parallel_max(self, monkeypatch):
@@ -182,9 +185,8 @@ class TestExecutionPolicy:
         for knob in (
             "REPRO_BACKEND",
             "REPRO_PARALLEL",
-            "REPRO_FUSE",
-            "REPRO_COMPILE_CACHE",
             "REPRO_TRIALS",
+            "REPRO_TRACE",
         ):
             monkeypatch.delenv(knob, raising=False)
         assert ExecutionPolicy.from_env() == ExecutionPolicy()
