@@ -372,26 +372,11 @@ class BitplaneState:
         return count_trial_ones(plane, self._trials)
 
 
-def run_bitplane(
-    circuit: Circuit, states: BitplaneState, backend: str | None = None
-) -> BitplaneState:
-    """Run a circuit noiselessly over a bit-plane batch, mutating it.
-
-    ``backend`` selects a registered execution backend (see
-    :mod:`repro.backends`); ``None`` keeps the direct compiled-schedule
-    path, which is the ``numpy`` backend's implementation.  All
-    backends are bit-identical, so the choice is purely a speed knob.
-    """
+def run_bitplane(circuit: Circuit, states: BitplaneState) -> BitplaneState:
+    """Run a circuit noiselessly over a bit-plane batch, mutating it."""
     if states.n_wires != circuit.n_wires:
         raise SimulationError(
             f"batch has {states.n_wires} wires but circuit has "
             f"{circuit.n_wires}"
         )
-    compiled = compile_circuit(circuit)
-    if backend is None:
-        return compiled.run(states)
-    # Local import: repro.backends sits above this module in the layer
-    # order (it imports the state and the compiler, never vice versa).
-    from repro.backends import get_backend
-
-    return get_backend(backend).prepare(compiled).run(states)
+    return compile_circuit(circuit).run(states)

@@ -456,12 +456,11 @@ class CompiledCircuit:
         self.n_gate_ops = sum(1 for op in schedule if not op.is_reset)
         self.n_reset_ops = len(schedule) - self.n_gate_ops
         self.slots: tuple[FusedSlot, ...] = fuse_schedule(self.schedule, fuse=fuse)
-        #: Per-backend prepared executables, keyed on
-        #: :meth:`repro.backends.PlaneBackend.prepare_key` and filled
-        #: lazily by :meth:`~repro.backends.PlaneBackend.prepare` — the
-        #: compiled circuit is the natural cache scope, so a circuit
-        #: lowered once is also prepared at most once per backend.
-        self.prepared: dict[str, object] = {}
+        #: The prepared executable, filled lazily by
+        #: :func:`repro.backends.prepare` — the compiled circuit is the
+        #: natural cache scope, so a circuit lowered once is also
+        #: prepared at most once.
+        self.prepared: object | None = None
 
     def __len__(self) -> int:
         return len(self.schedule)

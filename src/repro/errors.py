@@ -28,9 +28,9 @@ class ConfigError(SimulationError):
     """A configuration knob has an invalid value.
 
     Raised when a ``REPRO_*`` environment variable or an
-    :class:`~repro.runtime.ExecutionPolicy` field names an unknown
-    backend, is out of range, or fails to parse — configuration mistakes must fail
-    loudly instead of silently falling back to defaults.  Subclasses
+    :class:`~repro.runtime.ExecutionPolicy` field is out of range or
+    fails to parse — configuration mistakes must fail loudly instead of
+    silently falling back to defaults.  Subclasses
     :class:`SimulationError` so existing handlers keep working.
     """
 

@@ -8,9 +8,8 @@ is the curated record of their output.
 Monte-Carlo experiments hydrate one
 :class:`~repro.runtime.ExecutionPolicy` from the environment
 (:meth:`~repro.runtime.ExecutionPolicy.from_env` — ``REPRO_TRIALS``
-for the budget, ``REPRO_PARALLEL`` for the pool, ``REPRO_BACKEND`` for
-the plane kernels), so CI-speed and high-precision runs use the same
-code.  One
+for the budget, ``REPRO_PARALLEL`` for the pool), so CI-speed and
+high-precision runs use the same code.  One
 exception to the budget: fig2's g^2-scaling row floors its trials at
 30000 regardless of ``REPRO_TRIALS``, because it divides two small
 failure counts and is meaningless below that.

@@ -3,8 +3,8 @@
 :class:`CachingExecutor` wraps the plain
 :class:`~repro.runtime.Executor` behind the same ``run(specs) ->
 list[PointResult]`` surface, so anything built on an executor — the
-harness sweeps, the stacked threshold search, the shard runner — gains
-a durable cache by swapping the object, not the code.
+harness sweeps, the stacked threshold search — gains a durable cache
+by swapping the object, not the code.
 
 Lookup is per point: stored points come back without any
 simulation, missing points run through the inner executor in ONE batch
@@ -83,7 +83,7 @@ class CachingExecutor:
             for index, result in zip(pending, computed):
                 results[index] = result
                 if isinstance(specs[index].seed, int):
-                    self.store.put(specs[index], self.policy, result)
+                    self.store.put(specs[index], result)
         self.cached_points += len(specs) - len(pending)
         _SERVED.inc(len(specs) - len(pending))
         return results  # type: ignore[return-value]

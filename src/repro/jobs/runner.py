@@ -8,7 +8,7 @@ checkpointing against a content-keyed result store
 
     <job_dir>/
         manifest.json        # versioned: specs (JSON wire form),
-                             # shard plan, backend (provenance)
+                             # shard plan
         shards/<id>.json     # one checkpoint per completed shard
         store/               # the result store (unless shared)
 
@@ -49,7 +49,6 @@ from pathlib import Path
 from repro.core.compiled import warm_compile_cache
 from repro.errors import AnalysisError, JobError
 from repro.harness.stats import RateEstimate
-from repro.jobs.caching import CachingExecutor
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
 from repro.jobs.store import (
     ResultStore,
@@ -76,8 +75,9 @@ __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]
 #: Version of the manifest/checkpoint on-disk shape.  Version 2:
 #: manifest policies and checkpoint results no longer carry an engine.
 #: Version 3: job ids and shard ids hash policy-free point keys, and the
-#: manifest policy records only the backend.
-JOB_FORMAT_VERSION = 3
+#: manifest policy records only the backend.  Version 4: the manifest
+#: records no policy.
+JOB_FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
@@ -145,16 +145,35 @@ class RunReport:
     interrupted: bool
 
 
+def _manifest_problem(manifest: object) -> str | None:
+    """What is wrong with a parsed manifest's shape, or ``None``."""
+    if not isinstance(manifest, dict):
+        return "not a JSON object"
+    for name, kind in (("job_id", str), ("specs", list), ("shards", list)):
+        if not isinstance(manifest.get(name), kind):
+            return f"{name!r} is missing or not a {kind.__name__}"
+    if not all(isinstance(spec, dict) for spec in manifest["specs"]):
+        return "a spec is not a JSON object"
+    for entry in manifest["shards"]:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("id"), str)
+            and isinstance(entry.get("indices"), list)
+        ):
+            return "a shard is not an {id, indices} object"
+    return None
+
+
 def _run_shard_specs(
     specs: list[RunSpec], policy: ExecutionPolicy
 ) -> tuple[list[PointResult], float]:
-    """Pool task: evaluate one shard's pending specs in-process.
+    """Evaluate one shard's pending specs, in-process or as a pool task.
 
     The policy arrives with ``parallel`` stripped (a worker must not
     open a nested pool); the shard's points still stack into one plane
     array inside the executor.  Returns the results together with the
-    shard's wall-clock seconds, measured in the worker (the parent's
-    clock would include pool queueing).
+    shard's wall-clock seconds, measured where the shard ran (the
+    parent's clock would include pool queueing).
     """
     if policy.trace:
         enable_tracing(policy.trace)
@@ -256,7 +275,6 @@ class SweepJob:
         manifest = {
             "format": JOB_FORMAT_VERSION,
             "job_id": job_id,
-            "policy": {"backend": policy.backend},
             "specs": [spec_to_json(spec) for spec in specs],
             "shards": [
                 {"id": shard.shard_id, "indices": list(shard.indices)}
@@ -293,18 +311,20 @@ class SweepJob:
             raise JobError(
                 f"job manifest {manifest_path} is corrupt: {exc}"
             ) from exc
+        problem = _manifest_problem(manifest)
+        if problem is not None:
+            raise JobError(
+                f"job manifest {manifest_path} is malformed: {problem}"
+            )
         if manifest.get("format") != JOB_FORMAT_VERSION:
             raise JobError(
                 f"job manifest {manifest_path} has format "
                 f"{manifest.get('format')!r}; this code reads "
                 f"{JOB_FORMAT_VERSION}"
             )
-        # The manifest's backend is only a default: no policy field can
-        # change a result, so REPRO_BACKEND (like REPRO_PARALLEL) may
-        # override it on resume.
-        policy = ExecutionPolicy.from_env(
-            backend=manifest["policy"]["backend"]
-        )
+        # No policy field can change a result, so the manifest records
+        # none and a resume runs under the environment's policy.
+        policy = ExecutionPolicy.from_env()
         specs = [spec_from_json(data) for data in manifest["specs"]]
         shards = [
             Shard(entry["id"], tuple(entry["indices"]))
@@ -362,7 +382,8 @@ class SweepJob:
         except (OSError, json.JSONDecodeError):
             return None
         if (
-            data.get("format") != JOB_FORMAT_VERSION
+            not isinstance(data, dict)
+            or data.get("format") != JOB_FORMAT_VERSION
             or data.get("shard_id") != shard.shard_id
             or data.get("job_id") != self.job_id
         ):
@@ -370,8 +391,12 @@ class SweepJob:
                 f"shard checkpoint {path} does not belong to this job; "
                 f"delete it to re-run the shard"
             )
-        points = data.get("points", [])
-        if [p.get("index") for p in points] != list(shard.indices):
+        points = data.get("points")
+        if (
+            not isinstance(points, list)
+            or not all(isinstance(point, dict) for point in points)
+            or [point.get("index") for point in points] != list(shard.indices)
+        ):
             raise JobError(
                 f"shard checkpoint {path} covers different points than the "
                 f"manifest plans; delete it to re-run the shard"
@@ -440,6 +465,44 @@ class SweepJob:
         with trace("jobs.run", job=self.job_id) as span:
             return self._run_impl(workers, max_shards, on_progress, span)
 
+    def _simulate(self, shards, batches, pool_width):
+        """Yield ``(results, elapsed_s)`` per batch, in batch order.
+
+        Every batch runs through :func:`_run_shard_specs`: in this
+        process when ``pool_width`` is 0, otherwise on a pool whose
+        workers pre-warm their compile caches with the batches'
+        circuits.  The policy loses ``parallel``: shards are the unit of
+        fan-out, and each shard is already one stacked batch inside.
+        """
+        policy = replace(self.policy, parallel=None)
+        if not pool_width:
+            for batch in batches:
+                yield _run_shard_specs(batch, policy)
+            return
+        circuits = {}
+        for batch in batches:
+            circuit = batch[0].circuit
+            circuits.setdefault(circuit.content_key(), circuit)
+        with ProcessPoolExecutor(
+            max_workers=pool_width,
+            initializer=partial(warm_compile_cache, list(circuits.values())),
+        ) as pool:
+            task = partial(_run_shard_specs, policy=policy)
+            futures = [pool.submit(task, batch) for batch in batches]
+            for shard, future in zip(shards, futures):
+                try:
+                    outcome = future.result()
+                except Exception as exc:
+                    # Per-future cancel, not shutdown(cancel_futures=True)
+                    # — that path can deadlock the pool when a task fails
+                    # to pickle mid-flight (see Executor.run).
+                    for pending in futures:
+                        pending.cancel()
+                    raise JobError(
+                        f"shard {shard.shard_id} failed: {exc}"
+                    ) from exc
+                yield outcome
+
     def _run_impl(self, workers, max_shards, on_progress, span) -> RunReport:
         if max_shards is not None and max_shards < 0:
             raise AnalysisError(f"max_shards must be >= 0, got {max_shards}")
@@ -463,120 +526,53 @@ class SweepJob:
         cached = 0
         completed = 0
         shard_stats: dict[str, dict] = {}
-        # A worker must not open a nested pool: shards are the unit of
-        # fan-out, and each shard is already one stacked batch inside.
-        shard_policy = replace(self.policy, parallel=None)
-        # Store lookups happen in the parent (single reader/writer);
-        # workers only ever simulate what the store does not hold.
-        caching = CachingExecutor(self.store, policy=shard_policy)
+        # Store lookups and puts happen in the parent (single
+        # reader/writer); shards only ever simulate what the store does
+        # not hold.
         plan: list[tuple[Shard, list[PointResult | None], list[int]]] = []
         for shard in pending:
-            shard_specs = [self.specs[i] for i in shard.indices]
-            results: list[PointResult | None] = [None] * len(shard_specs)
+            results: list[PointResult | None] = [None] * len(shard.indices)
             misses: list[int] = []
-            for position, spec in enumerate(shard_specs):
-                stored = self.store.get(spec)
+            for position, index in enumerate(shard.indices):
+                stored = self.store.get(self.specs[index])
                 if stored is None:
                     misses.append(position)
                 else:
                     results[position] = stored
                     cached += 1
             plan.append((shard, results, misses))
-        to_simulate = [
-            (shard, results, misses)
-            for shard, results, misses in plan
-            if misses
-        ]
+        to_simulate = [entry for entry in plan if entry[2]]
         pool_width = resolve_workers(
             self.policy.parallel if workers is None else workers,
             len(to_simulate),
         )
-        if pool_width:
-            circuits = []
-            seen = set()
-            for shard, _, _ in to_simulate:
-                circuit = self.specs[shard.indices[0]].circuit
-                key = circuit.content_key()
-                if key not in seen:
-                    seen.add(key)
-                    circuits.append(circuit)
-            task = partial(_run_shard_specs, policy=shard_policy)
-            with ProcessPoolExecutor(
-                max_workers=pool_width,
-                initializer=partial(warm_compile_cache, circuits),
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        task,
-                        [self.specs[shard.indices[i]] for i in misses],
-                    )
-                    for shard, _, misses in to_simulate
-                ]
-                for (shard, results, misses), future in zip(
-                    to_simulate, futures
-                ):
-                    try:
-                        computed, elapsed = future.result()
-                    except Exception as exc:
-                        # Per-future cancel, not shutdown(
-                        # cancel_futures=True) — that path can deadlock
-                        # the pool when a task fails to pickle
-                        # mid-flight (see Executor.run).
-                        for pending in futures:
-                            pending.cancel()
-                        raise JobError(
-                            f"shard {shard.shard_id} failed: {exc}"
-                        ) from exc
-                    simulated += len(misses)
-                    for position, result in zip(misses, computed):
-                        results[position] = result
-                        self.store.put(
-                            self.specs[shard.indices[position]],
-                            self.policy,
-                            result,
-                        )
-                    completed += 1
-                    shard_stats[shard.shard_id] = {
-                        "elapsed_s": elapsed,
-                        "simulated": len(misses),
-                        "cached": len(shard.indices) - len(misses),
-                    }
-                    _SHARDS_RUN.inc()
-                    _SHARDS_DONE.inc()
-                    _SHARD_SECONDS.observe(elapsed)
-                    if on_progress is not None:
-                        on_progress(
-                            completed, len(pending), shard.shard_id, elapsed
-                        )
-        else:
-            for shard, results, misses in to_simulate:
-                with trace(
-                    "jobs.shard",
-                    shard=shard.shard_id,
-                    points=len(shard.indices),
-                    misses=len(misses),
-                ):
-                    watch = stopwatch()
-                    computed = caching.run(
-                        [self.specs[shard.indices[i]] for i in misses]
-                    )
-                    elapsed = watch.elapsed_s
-                simulated += len(misses)
-                for position, result in zip(misses, computed):
-                    results[position] = result
-                completed += 1
-                shard_stats[shard.shard_id] = {
-                    "elapsed_s": elapsed,
-                    "simulated": len(misses),
-                    "cached": len(shard.indices) - len(misses),
-                }
-                _SHARDS_RUN.inc()
-                _SHARDS_DONE.inc()
-                _SHARD_SECONDS.observe(elapsed)
-                if on_progress is not None:
-                    on_progress(
-                        completed, len(pending), shard.shard_id, elapsed
-                    )
+        batches = [
+            [self.specs[shard.indices[i]] for i in misses]
+            for shard, _, misses in to_simulate
+        ]
+        outcomes = self._simulate(
+            [shard for shard, _, _ in to_simulate], batches, pool_width
+        )
+        # Outcomes first: zip then drains the generator, which shuts the
+        # pool down before any checkpoint is written.
+        for (computed, elapsed), (shard, results, misses) in zip(
+            outcomes, to_simulate
+        ):
+            simulated += len(misses)
+            for position, result in zip(misses, computed):
+                results[position] = result
+                self.store.put(self.specs[shard.indices[position]], result)
+            completed += 1
+            shard_stats[shard.shard_id] = {
+                "elapsed_s": elapsed,
+                "simulated": len(misses),
+                "cached": len(shard.indices) - len(misses),
+            }
+            _SHARDS_RUN.inc()
+            _SHARDS_DONE.inc()
+            _SHARD_SECONDS.observe(elapsed)
+            if on_progress is not None:
+                on_progress(completed, len(pending), shard.shard_id, elapsed)
         # Checkpoints are written only once every point of the shard is
         # in hand — a crash between store puts and here re-runs nothing
         # but the shard's bookkeeping.

@@ -3,10 +3,9 @@
 Every Monte-Carlo point in this repository is fully determined by its
 :class:`~repro.runtime.RunSpec` (circuit content, input, observable,
 noise, trials, integer seed).  No field of the
-:class:`~repro.runtime.ExecutionPolicy` can change a number — backend
-choice, pool width and batching are execution details — so the policy
-is deliberately **not** part of the key; the backend is recorded as
-provenance instead.
+:class:`~repro.runtime.ExecutionPolicy` can change a number — pool
+width and batching are execution details — so the policy is
+deliberately **not** part of the key, nor recorded with the entry.
 
 :func:`point_key` hashes exactly that determining tuple (through the
 versioned JSON wire form of :mod:`repro.runtime.serialization`), and
@@ -41,7 +40,7 @@ from repro.runtime.serialization import (
     compress_for_hashing,
     spec_to_json,
 )
-from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
+from repro.runtime.spec import PointResult, RunSpec
 
 __all__ = [
     "RESULT_STREAM_VERSION",
@@ -209,20 +208,23 @@ class ResultStore:
         return result_from_json(entry["result"])
 
     def _verify(
-        self, entry: dict, key: str, spec: RunSpec, spec_json: dict, path: Path
+        self, entry: object, key: str, spec: RunSpec, spec_json: dict, path: Path
     ) -> None:
         problems = []
-        if entry.get("format") != STORE_FORMAT_VERSION:
-            problems.append(
-                f"format {entry.get('format')!r} != {STORE_FORMAT_VERSION}"
-            )
-        if entry.get("key") != key:
-            problems.append("embedded key does not match the content key")
-        if entry.get("spec") != spec_json:
-            problems.append("stored spec differs from the requested spec")
-        problem = result_problem(entry.get("result"), spec.trials)
-        if problem is not None:
-            problems.append(problem)
+        if not isinstance(entry, dict):
+            problems.append("entry is not a JSON object")
+        else:
+            if entry.get("format") != STORE_FORMAT_VERSION:
+                problems.append(
+                    f"format {entry.get('format')!r} != {STORE_FORMAT_VERSION}"
+                )
+            if entry.get("key") != key:
+                problems.append("embedded key does not match the content key")
+            if entry.get("spec") != spec_json:
+                problems.append("stored spec differs from the requested spec")
+            problem = result_problem(entry.get("result"), spec.trials)
+            if problem is not None:
+                problems.append(problem)
         if problems:
             self.stale += 1
             _STORE_STALE.inc()
@@ -235,13 +237,8 @@ class ResultStore:
     # Insertion
     # ------------------------------------------------------------------
 
-    def put(
-        self, spec: RunSpec, policy: ExecutionPolicy, result: PointResult
-    ) -> str:
+    def put(self, spec: RunSpec, result: PointResult) -> str:
         """Durably record ``result`` for ``spec``; returns the key.
-
-        ``policy`` is provenance only: its backend is recorded in the
-        entry, never hashed into the key.
 
         The write is atomic (temp file + ``os.replace`` in the same
         directory), so a crash mid-put leaves the previous state, not
@@ -262,7 +259,6 @@ class ResultStore:
             "provenance": {
                 "version": __version__,
                 "stream": RESULT_STREAM_VERSION,
-                "backend": policy.backend,
             },
             "result": result_to_json(result),
         }

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import get_backend
+from repro.backends import prepare
 from repro.core.bitplane import BitplaneState, popcount_words, words_for
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
@@ -470,26 +470,15 @@ class NoisyResult:
 
 
 class NoisyRunner:
-    """Runs circuits under a :class:`NoiseModel` on bit-plane states.
-
-    ``backend`` selects which registered :mod:`repro.backends`
-    implementation executes the slots — backends are bit-identical and
-    never touch the generator, so the choice can never change a result
-    or an RNG stream.
-    """
+    """Runs circuits under a :class:`NoiseModel` on bit-plane states."""
 
     def __init__(
         self,
         model: NoiseModel,
         seed: int | np.random.Generator | None = None,
-        backend=None,
     ):
         self.model = model
         self.rng = _as_generator(seed)
-        # None defers to REPRO_BACKEND; an
-        # :class:`~repro.runtime.ExecutionPolicy` passes its backend so
-        # no environment read happens mid-run.
-        self.backend = backend
 
     def run(self, circuit: Circuit, states: BitplaneState) -> NoisyResult:
         """Evolve the batch through the circuit, mutating ``states``.
@@ -511,7 +500,7 @@ class NoisyRunner:
                 f"{circuit.n_wires}"
             )
         compiled = compile_circuit(circuit)
-        prepared = get_backend(self.backend).prepare(compiled)
+        prepared = prepare(compiled)
         plan = _stack_plan(compiled)
         trials = states.trials
         points, _ = _draw_phase(

@@ -11,8 +11,8 @@ Knobs (read once at import):
 
 * ``REPRO_TRACE=<path|stderr|stdout>`` — collect a span tree and flush
   it as versioned JSON at exit (render with ``tools/trace.py``).
-* ``REPRO_OBS_SAMPLE=N`` — time every Nth backend kernel call into a
-  ``backend.<name>.kernel_ns`` histogram.
+* ``REPRO_OBS_SAMPLE=N`` — time every Nth slot-kernel call into the
+  ``backend.numpy.kernel_ns`` histogram.
 
 Two invariants, both pinned by tests and codelint:
 

@@ -2,7 +2,7 @@
 
 Metrics are named with stable dotted paths following the convention
 ``<layer>.<noun>[.<unit>]`` — e.g. ``executor.stacked_points``,
-``jobs.store.hit``, ``backend.fused.kernel_ns``.  Names are part of the
+``jobs.store.hit``, ``backend.numpy.kernel_ns``.  Names are part of the
 public observability contract: tools and tests match on them, so a
 rename is an API change.
 

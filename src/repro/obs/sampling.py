@@ -3,8 +3,8 @@
 Per-slot kernel timing would put two clock reads inside the hottest
 loop in the repository, so it is off by default and *sampled* when on:
 ``REPRO_OBS_SAMPLE=N`` times every Nth ``apply_slot`` call (``1`` times
-all of them, ``0``/unset times none).  Backends consult
-:func:`sample_every` once at prepare time and wrap their program only
+all of them, ``0``/unset times none).  :func:`repro.backends.prepare`
+consults :func:`sample_every` once per call and wraps the program only
 when sampling is active, so the disabled path costs nothing at all.
 
 Sampling only reads the clock — it never touches the RNG stream or any

@@ -41,7 +41,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from repro.backends import get_backend
+from repro.backends import prepare
 from repro.core.bitplane import BitplaneState, words_for
 from repro.core.compiled import compile_circuit
 from repro.errors import AnalysisError, SimulationError
@@ -151,9 +151,7 @@ def _decode_phase(specs, states, words, offsets, faulted):
     return results
 
 
-def _run_group_stacked(
-    specs: Sequence[RunSpec], policy: ExecutionPolicy
-) -> list[PointResult]:
+def _run_group_stacked(specs: Sequence[RunSpec]) -> list[PointResult]:
     """Evaluate one group's points in a single stacked array.
 
     Point ``p`` occupies the word window ``[offset_p, offset_p +
@@ -168,8 +166,7 @@ def _run_group_stacked(
     """
     first = specs[0]
     compiled = compile_circuit(first.circuit)
-    backend = get_backend(policy.backend)
-    prepared = backend.prepare(compiled)
+    prepared = prepare(compiled)
     plan = _stack_plan(compiled)
     words = [words_for(spec.trials) for spec in specs]
     offsets = [0]
@@ -184,7 +181,7 @@ def _run_group_stacked(
         slots=len(compiled.slots),
         circuit=first.circuit.name or f"{first.circuit.n_wires}-wire",
     ):
-        states = backend.broadcast(first.input_bits, total_words * 64)
+        states = BitplaneState.broadcast(first.input_bits, total_words * 64)
         rngs = [_as_generator(spec.seed) for spec in specs]
         with trace("executor.group.draw"):
             points, faulted = _draw_phase(
@@ -213,7 +210,7 @@ def _run_group(specs: Sequence[RunSpec], policy: ExecutionPolicy) -> list[PointR
         # because pool children exit via os._exit and never run atexit.
         enable_tracing(policy.trace)
     _GROUPS.inc()
-    results = _run_group_stacked(specs, policy)
+    results = _run_group_stacked(specs)
     flush_trace_if_forked()
     return results
 

@@ -9,7 +9,7 @@ failure predicate".  This module gives that shape a value type:
   an :class:`~repro.runtime.executor.Executor` is handed a batch of
   them.
 * :class:`ExecutionPolicy` — *how* specs run (worker pool, default
-  trial budget, backend, trace sink), hydrated once from the
+  trial budget, trace sink), hydrated once from the
   environment by :meth:`ExecutionPolicy.from_env`.  This is the single
   home of every ``REPRO_*`` execution knob; nothing else in the library
   reads them mid-run.  No policy field can change a result, so a
@@ -39,11 +39,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.backends import (
-    DEFAULT_BACKEND,
-    available_backends,
-    backend_from_env,
-)
 from repro.core.bitplane import BitplaneState, count_trial_ones, words_for
 from repro.core.circuit import Circuit
 from repro.core.simulator import BatchedState
@@ -263,10 +258,6 @@ class ExecutionPolicy:
             sharing a program batch into one plane array instead.
         trials: default Monte-Carlo budget for callers that take their
             trial count from the policy (``REPRO_TRIALS``).
-        backend: which registered plane-program backend executes
-            bitplane slots (``REPRO_BACKEND``; see
-            :mod:`repro.backends`).  Backends are bit-identical, so
-            this — like ``parallel`` — can never change a result.
         trace: span-trace sink — a file path, ``"stderr"`` or
             ``"stdout"`` — or ``None`` for no tracing
             (``REPRO_TRACE``; see :mod:`repro.obs`).  Tracing is
@@ -274,30 +265,26 @@ class ExecutionPolicy:
             workers inherit the sink through the pickled policy and
             flush ``<path>.<pid>``.
 
-    Unknown backend names, a negative ``parallel`` and a ``trials``
-    below 1 raise :class:`~repro.errors.ConfigError` (a
-    ``SimulationError`` subclass): a typo in a knob must fail loudly,
-    not silently run the default.
+    A negative ``parallel`` and a ``trials`` below 1 raise
+    :class:`~repro.errors.ConfigError` (a ``SimulationError``
+    subclass): a typo in a knob must fail loudly, not silently run the
+    default.
     """
 
-    #: The only Monte-Carlo engine, and circuits always compile fused
-    #: and cached.  Not fields, so they cannot be set; kept only because
-    #: the benchmark reads them — delete with the next benchmark change.
+    #: The only Monte-Carlo engine and execution backend, and circuits
+    #: always compile fused and cached.  Not fields, so they cannot be
+    #: set; kept only because the benchmark reads them — delete with the
+    #: next benchmark change.
     engine: ClassVar[str] = "bitplane"
+    backend: ClassVar[str] = "numpy"
     fuse: ClassVar[bool] = True
     compile_cache: ClassVar[bool] = True
 
     parallel: int | bool | None = None
     trials: int = DEFAULT_TRIALS
-    backend: str = DEFAULT_BACKEND
     trace: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in available_backends():
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; available backends: "
-                f"{available_backends()}"
-            )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.parallel is not None and self.parallel < 0:
@@ -318,8 +305,6 @@ class ExecutionPolicy:
         policy = cls(**defaults)
         env = os.environ
         updates: dict = {}
-        if "REPRO_BACKEND" in env:
-            updates["backend"] = backend_from_env()
         if env.get("REPRO_PARALLEL") is not None:
             try:
                 updates["parallel"] = _parse_parallel(env["REPRO_PARALLEL"])

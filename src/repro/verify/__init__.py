@@ -4,20 +4,15 @@ Two halves share one structured-diagnostics core
 (:mod:`repro.verify.diagnostics`):
 
 * the **symbolic IR verifier** (``RV###`` codes) proves circuits
-  well-formed and compiled/prepared plane programs semantically equal
-  to the gate-by-gate reference by canonical GF(2)/ANF polynomial
-  equivalence — :func:`verify_circuit`, :func:`verify_compiled`,
-  :func:`verify_prepared`, and ``python -m repro.verify`` over the
-  CI corpus;
+  well-formed and compiled plane programs — the slots the execution
+  layer walks — semantically equal to the gate-by-gate reference by
+  canonical GF(2)/ANF polynomial equivalence — :func:`verify_circuit`,
+  :func:`verify_compiled`, and ``python -m repro.verify`` over the CI
+  corpus;
 * the **codebase lints** (``RL###`` codes) live in
   :mod:`repro.verify.codelint` and run through ``python -m tools.lint``.
 """
 
-from repro.verify.backends import (
-    PROGRAM_VERIFIERS,
-    verifier_for,
-    verify_prepared,
-)
 from repro.verify.corpus import corpus
 from repro.verify.diagnostics import (
     CODES,
@@ -32,13 +27,10 @@ __all__ = [
     "CODES",
     "Diagnostic",
     "DiagnosticReport",
-    "PROGRAM_VERIFIERS",
     "Severity",
     "check_gate",
     "classify_parity",
     "corpus",
-    "verifier_for",
     "verify_circuit",
     "verify_compiled",
-    "verify_prepared",
 ]

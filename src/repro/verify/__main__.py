@@ -2,9 +2,9 @@
 
 Runs the full IR verification stack over the circuit corpus
 (:mod:`repro.verify.corpus`): well-formedness and parity classification
-per circuit, compiled-program equivalence under both fusion modes, and
-prepared-program equivalence for every registered backend.  No
-simulation happens anywhere in this process.
+per circuit and compiled-program equivalence under both fusion modes —
+``RV300`` proves each slot the execution layer walks.  No simulation
+happens anywhere in this process.
 
 Exit codes follow the shared contract of
 :mod:`repro.verify.diagnostics`: 0 clean, 1 when any error-severity
@@ -16,15 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.backends.registry import available_backends, get_backend
 from repro.core.compiled import compile_circuit
-from repro.verify.backends import verify_prepared
 from repro.verify.corpus import corpus
-from repro.verify.diagnostics import (
-    EXIT_DRIVER_ERROR,
-    DiagnosticReport,
-    Severity,
-)
+from repro.verify.diagnostics import DiagnosticReport, Severity
 from repro.verify.ir import verify_circuit
 from repro.verify.program import verify_compiled
 
@@ -38,25 +32,11 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="emit the machine-readable report"
     )
     parser.add_argument(
-        "--backend",
-        action="append",
-        default=None,
-        help="backend(s) to verify prepared programs for "
-        "(default: every registered backend)",
-    )
-    parser.add_argument(
         "--notes",
         action="store_true",
         help="include RV020 parity-classification notes in the text output",
     )
     arguments = parser.parse_args(argv)
-
-    backend_names = arguments.backend or list(available_backends())
-    try:
-        backends = [get_backend(name) for name in backend_names]
-    except Exception as exc:
-        print(f"driver error: {exc}", file=sys.stderr)
-        return EXIT_DRIVER_ERROR
 
     report = DiagnosticReport()
     checked = 0
@@ -71,8 +51,6 @@ def main(argv: list[str] | None = None) -> int:
             verify_compiled(
                 circuit, compiled, report=report, check_circuit=False
             )
-            for backend in backends:
-                verify_prepared(circuit, backend, compiled, report=report)
         checked += 1
 
     if arguments.json:
@@ -84,8 +62,8 @@ def main(argv: list[str] | None = None) -> int:
             print(diagnostic)
         status = "clean" if report.ok else f"{len(report.errors)} error(s)"
         print(
-            f"verified {checked} corpus circuits under both fusion modes "
-            f"and backends {', '.join(backend_names)}: {status}"
+            f"verified {checked} corpus circuits under both fusion modes: "
+            f"{status}"
         )
     return report.exit_code()
 

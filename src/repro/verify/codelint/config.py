@@ -41,9 +41,6 @@ LAYERS: dict[str, int] = {
 #: until it is argued into this allowlist in review.
 DEFERRED_ALLOWLIST: frozenset[tuple[str, str]] = frozenset(
     {
-        # run_bitplane resolves the configured backend; backends
-        # import core for the plane-store types.
-        ("src/repro/core/bitplane.py", "backends"),
         # The threshold finder optionally wraps its executor in the
         # jobs-layer caching executor; jobs imports harness.stats.
         ("src/repro/harness/threshold_finder.py", "jobs"),
@@ -91,7 +88,6 @@ KEY_FUNCTIONS: frozenset[str] = frozenset(
         "_shard_id",
         "compress_for_hashing",
         "canonical_json",
-        "prepare_key",
     }
 )
 

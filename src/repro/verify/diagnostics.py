@@ -80,10 +80,10 @@ CODES: dict[str, str] = {
     "RV208": "reset partition disagrees with the slot's reset ops",
     # --- IR verifier: semantic equivalence ----------------------------
     "RV300": "slot transfer function differs from the sequential ops",
-    # --- IR verifier: backend prepared programs -----------------------
-    "RV400": "prepared program type has no registered verifier",
-    "RV401": "backend kernel plan computes a different function",
-    "RV402": "backend kernel plan is uninterpretable",
+    # --- IR verifier: prepared programs (RV300 proves the slot walk) --
+    "RV400": "(retired) prepared program type has no registered verifier",
+    "RV401": "(retired) backend kernel plan computes a different function",
+    "RV402": "(retired) backend kernel plan is uninterpretable",
     # --- Lints: RNG / determinism purity ------------------------------
     "RL100": "randomness or wall-clock call outside the noise layer",
     "RL110": "set iteration inside a key/hash computation",

@@ -55,7 +55,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Symbolic execution helpers (shared with the backend verifier)
+# Symbolic execution helpers
 # ----------------------------------------------------------------------
 
 
@@ -91,7 +91,7 @@ def apply_slot_symbolic(polys: list, slot) -> None:
     position-major.  Reset slots apply their value partitions.
     Mutates ``polys`` in place; raises
     :class:`~repro.errors.VerificationError` on uninterpretable
-    programs (the caller maps that to ``RV101``/``RV402``).
+    programs (the caller maps that to ``RV101``).
     """
     if slot.is_reset:
         for value, wires in slot.resets:

@@ -1,39 +1,30 @@
-"""Reusable conformance suite every plane-program backend must pass.
+"""The conformance suite of the execution backend.
 
-Subclass :class:`BackendConformance` with a ``backend_name`` (and
-optionally a ``make_backend`` override for hand-configured instances)
-to instantiate the whole suite for one backend —
-``test_conformance.py`` does exactly that for every registered backend,
-and asserts none is left out.  The suite is behavioural: it pins the
-four guarantees the execution layers rely on, so any future backend
-that passes it can be swapped in without re-validating the physics.
+``test_conformance.py`` instantiates :class:`BackendConformance` on the
+one execution path, :func:`repro.backends.prepare`.  The suite is
+behavioural: it pins the three guarantees the execution layers rely on.
 
 1. **Small-circuit equivalence** — every library gate and a population
    of random mixed circuits, evaluated over *all* inputs at once,
    agree bit for bit with the reference single-state simulator.
 2. **Stacked vs solo bit-identity** — multi-point executor batches
-   reproduce solo ``NoisyRunner`` runs exactly, per point.
-3. **Fault-draw bit-identity** — noisy runs (sparse and dense fault
-   regimes, odd trial counts exercising the padding rule) are
-   bit-identical to the ``numpy`` reference backend: backends execute
-   programs and scatter pre-drawn faults, they never touch the RNG.
-4. **Decode correctness** — majority/popcount decode over
-   backend-allocated states matches brute-force per-trial computation.
+   reproduce solo runs exactly, per point.
+3. **Decode correctness** — majority/popcount decode over bit-plane
+   states matches brute-force per-trial computation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.backends import get_backend
+from repro.backends import prepare
 from repro.coding import recovery_circuit
-from repro.core.bitplane import count_trial_ones, popcount_words
+from repro.core.bitplane import BitplaneState, count_trial_ones, popcount_words
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.core.library import REGISTRY
 from repro.core.simulator import run as reference_run
-from repro.noise import NoiseModel, NoisyRunner
+from repro.noise import NoiseModel
 from repro.runtime import ExecutionPolicy, Executor, RunSpec
 
 RECOVERY_INPUT = (1, 1, 1) + (0,) * 6
@@ -76,63 +67,54 @@ def failure_counts(policy: ExecutionPolicy, specs) -> list[int]:
 
 
 class BackendConformance:
-    """The parametrized suite; subclass with ``backend_name = ...``."""
-
-    backend_name: str = ""
-
-    def make_backend(self):
-        """Override to conformance-test a hand-configured instance."""
-        return get_backend(self.backend_name)
-
-    @pytest.fixture
-    def backend(self):
-        return self.make_backend()
+    """The suite; ``test_conformance.py`` collects it."""
 
     # ------------------------------------------------------------------
     # 1. Exhaustive small-circuit equivalence vs the reference simulator
     # ------------------------------------------------------------------
 
-    def test_every_library_gate_on_all_inputs(self, backend):
+    def test_every_library_gate_on_all_inputs(self):
         for name, gate in sorted(REGISTRY.items()):
             circuit = Circuit(gate.arity)
             circuit.append_gate(gate, *range(gate.arity))
             rows = all_input_rows(gate.arity)
-            state = backend.from_rows(rows)
-            backend.prepare(compile_circuit(circuit)).run(state)
+            state = BitplaneState.from_rows(rows)
+            prepare(compile_circuit(circuit)).run(state)
             np.testing.assert_array_equal(
                 state.array, reference_rows(circuit, rows), err_msg=name
             )
 
-    def test_random_mixed_circuits_on_all_inputs(self, backend):
+    def test_random_mixed_circuits_on_all_inputs(self):
         rng = np.random.default_rng(606)
         for n_wires in (3, 4, 5, 6):
             for _ in range(6):
                 circuit = random_circuit(rng, n_wires, n_ops=12)
                 rows = all_input_rows(n_wires)
-                state = backend.from_rows(rows)
-                backend.prepare(compile_circuit(circuit)).run(state)
+                state = BitplaneState.from_rows(rows)
+                prepare(compile_circuit(circuit)).run(state)
                 np.testing.assert_array_equal(
                     state.array, reference_rows(circuit, rows)
                 )
 
-    def test_recovery_circuit_against_numpy_backend(self, backend):
-        # Wide batch (multi-word planes, stacked transversal groups).
+    def test_recovery_circuit_on_a_wide_batch(self):
+        # Multi-word planes and stacked transversal groups, against the
+        # reference simulator row by row.
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 2, size=(1000, 9), dtype=np.uint8)
-        compiled = compile_circuit(recovery_circuit())
-        state = backend.from_rows(rows)
-        backend.prepare(compiled).run(state)
-        reference = get_backend("numpy").from_rows(rows)
-        get_backend("numpy").prepare(compiled).run(reference)
-        np.testing.assert_array_equal(state.planes, reference.planes)
+        circuit = recovery_circuit()
+        state = BitplaneState.from_rows(rows)
+        prepare(compile_circuit(circuit)).run(state)
+        np.testing.assert_array_equal(
+            state.array, reference_rows(circuit, rows)
+        )
 
-    def test_slotwise_apply_matches_whole_run(self, backend):
+    def test_slotwise_apply_matches_whole_run(self):
         # apply_slot is the noisy engines' entry point; slot-by-slot
         # execution must equal the one-shot run.
         compiled = compile_circuit(recovery_circuit())
-        a = backend.broadcast(RECOVERY_INPUT, 777)
-        b = backend.broadcast(RECOVERY_INPUT, 777)
-        prepared = backend.prepare(compiled)
+        a = BitplaneState.broadcast(RECOVERY_INPUT, 777)
+        b = BitplaneState.broadcast(RECOVERY_INPUT, 777)
+        prepared = prepare(compiled)
         prepared.run(a)
         for index in range(len(compiled.slots)):
             prepared.apply_slot(b, index)
@@ -142,10 +124,10 @@ class BackendConformance:
     # 2. Stacked vs solo bit-identity through the executor
     # ------------------------------------------------------------------
 
-    def test_stacked_points_match_solo_runs(self, backend):
+    def test_stacked_points_match_solo_runs(self):
         circuit = recovery_circuit()
         noise_levels = (0.0, 1e-3, 0.05)
-        policy = ExecutionPolicy(backend=self.backend_name)
+        policy = ExecutionPolicy()
         specs = [
             RunSpec(
                 circuit=circuit,
@@ -164,44 +146,13 @@ class BackendConformance:
         assert stacked == solo
 
     # ------------------------------------------------------------------
-    # 3. Fault-draw bit-identity against the numpy reference backend
+    # 3. Decode correctness (majority / popcount primitives)
     # ------------------------------------------------------------------
 
-    @pytest.mark.parametrize(
-        "gate_error, trials",
-        [
-            (0.01, 2000),  # sparse gap-jumping regime
-            (0.3, 1999),   # dense regime + padding bits in the last word
-        ],
-    )
-    def test_noisy_run_bit_identical_to_numpy(self, backend, gate_error, trials):
-        def noisy(chosen_backend):
-            runner = NoisyRunner(
-                NoiseModel(gate_error=gate_error),
-                seed=2026,
-                backend=chosen_backend,
-            )
-            return runner.run_from_input(
-                recovery_circuit(), RECOVERY_INPUT, trials
-            )
-
-        ours = noisy(backend)
-        reference = noisy("numpy")
-        np.testing.assert_array_equal(
-            ours.fault_counts, reference.fault_counts
-        )
-        np.testing.assert_array_equal(
-            ours.states.planes, reference.states.planes
-        )
-
-    # ------------------------------------------------------------------
-    # 4. Decode correctness (majority / popcount primitives)
-    # ------------------------------------------------------------------
-
-    def test_majority_plane_matches_bruteforce(self, backend):
+    def test_majority_plane_matches_bruteforce(self):
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 2, size=(500, 9), dtype=np.uint8)
-        state = backend.from_rows(rows)
+        state = BitplaneState.from_rows(rows)
         for wires in ((0, 1, 2), (0, 3, 6), (1, 4, 7)):
             plane = state.majority_plane(wires)
             expected = (
@@ -213,10 +164,10 @@ class BackendConformance:
                 unpack_words(plane, state.trials), expected
             )
 
-    def test_popcount_primitives(self, backend):
+    def test_popcount_primitives(self):
         rng = np.random.default_rng(12)
         flags = rng.integers(0, 2, size=130, dtype=np.uint8)
-        state = backend.from_rows(flags[:, None])
+        state = BitplaneState.from_rows(flags[:, None])
         words = state.planes[0]
         assert popcount_words(words) == int(flags.sum())
         assert count_trial_ones(words, 130) == int(flags.sum())

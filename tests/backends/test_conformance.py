@@ -1,52 +1,28 @@
-"""Instantiate the backend conformance suite for every registered backend.
-
-One subclass of :class:`conformance.BackendConformance` per registered
-backend (plus a forced-configuration variant of the fused backend), and
-a completeness guard: registering a backend without adding it here
-fails the suite, so no backend can ship unconformed.
-"""
+"""Run the conformance suite on the execution backend, and pin its seams."""
 
 from __future__ import annotations
 
+import pytest
 from conformance import BackendConformance
 
-from repro.backends import FusedBackend, available_backends
+from repro.backends import get_backend, prepare
+from repro.coding import recovery_circuit
+from repro.core.compiled import CompiledCircuit
+from repro.errors import ConfigError
 
 
 class TestNumpyBackendConformance(BackendConformance):
-    backend_name = "numpy"
+    """The suite on the bit-plane slot walk."""
 
 
-class TestFusedBackendConformance(BackendConformance):
-    """The fused backend in its environment-selected configuration.
-
-    With numba importable this exercises the JIT tape path; without it,
-    the generated NumPy kernel chain — CI runs the suite in both
-    environments.
-    """
-
-    backend_name = "fused"
+def test_prepared_program_cached_per_compiled_circuit():
+    compiled = CompiledCircuit(recovery_circuit())
+    assert compiled.prepared is None
+    program = prepare(compiled)
+    assert prepare(compiled) is program is compiled.prepared
 
 
-class TestFusedBackendNoJitConformance(BackendConformance):
-    """The generated-kernel chain, with JIT explicitly forced off.
-
-    Keeps the pure-NumPy path conformed even on machines where numba
-    happens to be importable.
-    """
-
-    backend_name = "fused"
-
-    def make_backend(self):
-        return FusedBackend(jit=False)
-
-
-def test_every_registered_backend_is_conformance_tested():
-    covered = {
-        subclass.backend_name for subclass in BackendConformance.__subclasses__()
-    }
-    missing = set(available_backends()) - covered
-    assert not missing, (
-        f"registered backends without a conformance suite: {sorted(missing)} "
-        f"— add a BackendConformance subclass in {__file__}"
-    )
+def test_unknown_backend_raises_config_error():
+    assert get_backend() is get_backend("numpy")
+    with pytest.raises(ConfigError, match="fused"):
+        get_backend("fused")

@@ -64,3 +64,33 @@ def malform_result(holder: dict, case: str) -> None:
         del holder["result"]
     else:
         holder["result"][field] = value
+
+
+#: Well-formed JSON of the wrong shape for the job layer's three readers
+#: (store entries, shard checkpoints, the job manifest): case ->
+#: ``(key, replacement)``.  Key ``None`` replaces the whole document,
+#: replacement :data:`DROP` deletes the key.  Each reader must raise
+#: ``JobError`` naming the file, never leak ``AttributeError``/
+#: ``KeyError``.
+DROP = object()
+WRONG_SHAPES = {
+    "document-list": (None, []),
+    "points-dict": ("points", {"a": 1}),
+    "points-entry-list": ("points", [[]]),
+    "specs-missing": ("specs", DROP),
+    "shards-missing": ("shards", DROP),
+    "job_id-missing": ("job_id", DROP),
+}
+
+
+def reshape(document: dict, case: str) -> object:
+    """``document`` with one :data:`WRONG_SHAPES` case applied."""
+    key, replacement = WRONG_SHAPES[case]
+    if key is None:
+        return replacement
+    reshaped = dict(document)
+    if replacement is DROP:
+        del reshaped[key]
+    else:
+        reshaped[key] = replacement
+    return reshaped

@@ -18,7 +18,7 @@ from repro.jobs import (
     point_key,
 )
 from repro.runtime import ExecutionPolicy, Executor, PointResult
-from tests.conftest import MALFORMED_RESULTS, malform_result
+from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
 
 
 def _specs(count=2, trials=200):
@@ -40,17 +40,15 @@ class TestPointKey:
         spec_a, spec_b = _specs(2)
         assert point_key(spec_a) != point_key(spec_b)
 
-    def test_backend_and_parallel_do_not_change_the_key(self, tmp_path):
+    def test_policy_does_not_change_the_key(self, tmp_path):
         # No policy field can change a result, so the policy is not key
-        # material: a store filled under one backend is served in full
+        # material: a store filled under one policy is served in full
         # under another, and equals a serial run.
         specs = _specs(3)
         store = ResultStore(tmp_path)
-        CachingExecutor(store, policy=ExecutionPolicy(backend="numpy")).run(
-            specs
-        )
+        CachingExecutor(store, policy=ExecutionPolicy()).run(specs)
         requery = CachingExecutor(
-            store, policy=ExecutionPolicy(backend="fused", parallel=2)
+            store, policy=ExecutionPolicy(parallel=2, trials=7)
         )
         served = requery.run(specs)
         assert requery.simulated_points == 0
@@ -76,7 +74,7 @@ class TestStoreRoundTrip:
         (spec,) = _specs(1)
         assert store.get(spec) is None
         (result,) = Executor(policy).run([spec])
-        store.put(spec, policy, result)
+        store.put(spec, result)
         assert store.get(spec) == result
         assert store.stats() == {"hits": 1, "misses": 1, "puts": 1, "stale": 0}
         assert len(store) == 1
@@ -85,19 +83,32 @@ class TestStoreRoundTrip:
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
         (result,) = Executor(policy).run([spec])
-        key = store.put(spec, policy, result)
+        key = store.put(spec, result)
         entry = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
         assert entry["format"] == STORE_FORMAT_VERSION
         assert entry["provenance"]["stream"] == RESULT_STREAM_VERSION
-        assert entry["provenance"]["backend"] == policy.backend
-        assert "version" in entry["provenance"]
+        assert set(entry["provenance"]) == {"version", "stream"}
+
+    def test_entry_with_backend_provenance_is_a_hit(self, tmp_path, policy):
+        # Older writers recorded the execution backend as provenance;
+        # provenance is never read, so their entries still serve.
+        store = ResultStore(tmp_path)
+        (spec,) = _specs(1)
+        (result,) = Executor(policy).run([spec])
+        key = store.put(spec, result)
+        path = tmp_path / key[:2] / f"{key}.json"
+        entry = json.loads(path.read_text())
+        entry["provenance"]["backend"] = "numpy"
+        path.write_text(json.dumps(entry))
+        assert store.get(spec) == result
+        assert store.stats()["hits"] == 1
 
     def test_mismatched_trials_refused_on_put(self, tmp_path, policy):
         store = ResultStore(tmp_path)
         (spec,) = _specs(1, trials=200)
         bad = PointResult(failures=0, trials=100, faulted_trials=5)
         with pytest.raises(JobError, match="mismatched"):
-            store.put(spec, policy, bad)
+            store.put(spec, bad)
 
 
 class TestStaleDetection:
@@ -105,7 +116,7 @@ class TestStaleDetection:
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
         (result,) = Executor(policy).run([spec])
-        key = store.put(spec, policy, result)
+        key = store.put(spec, result)
         return store, spec, tmp_path / key[:2] / f"{key}.json"
 
     def test_corrupt_json_raises_not_served(self, tmp_path, policy):
@@ -137,6 +148,14 @@ class TestStaleDetection:
         entry = json.loads(path.read_text())
         malform_result(entry, case)
         path.write_text(json.dumps(entry))
+        with pytest.raises(JobError, match=re.escape(str(path))):
+            store.get(spec)
+        assert store.stats()["stale"] == 1
+
+    @pytest.mark.parametrize("case", ["document-list"])
+    def test_wrong_shape_raises(self, tmp_path, policy, case):
+        store, spec, path = self._stored(tmp_path, policy)
+        path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
         with pytest.raises(JobError, match=re.escape(str(path))):
             store.get(spec)
         assert store.stats()["stale"] == 1

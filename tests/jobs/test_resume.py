@@ -18,7 +18,7 @@ from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import SweepJob
 from repro.runtime import ExecutionPolicy, Executor
-from tests.conftest import MALFORMED_RESULTS, malform_result
+from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
 
 
 def _specs(count=6, trials=300, base_seed=11):
@@ -49,6 +49,19 @@ class TestSubmitAndRun:
         SweepJob.submit(tmp_path / "job", _specs(4), policy)
         with pytest.raises(JobError, match="different sweep"):
             SweepJob.submit(tmp_path / "job", _specs(4, trials=999), policy)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_cold_run_reads_and_writes_each_point_once(
+        self, tmp_path, policy, workers
+    ):
+        # Serial and pooled shards take one path: the parent looks each
+        # point up once and stores each simulated point once.
+        specs = _specs(4, trials=200)
+        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
+        job.run(workers=workers)
+        stats = job.store.stats()
+        assert stats["misses"] == stats["puts"] == len(specs)
+        assert stats["hits"] == 0
 
     def test_pooled_run_bit_identical(self, tmp_path, policy):
         specs = _specs(4, trials=200)
@@ -174,6 +187,17 @@ class TestManifestIntegrity:
         with pytest.raises(JobError, match="do not hash"):
             SweepJob.load(tmp_path / "job")
 
+    @pytest.mark.parametrize(
+        "case",
+        ["document-list", "specs-missing", "shards-missing", "job_id-missing"],
+    )
+    def test_wrong_shape_manifest_detected(self, tmp_path, policy, case):
+        SweepJob.submit(tmp_path / "job", _specs(4), policy)
+        path = tmp_path / "job" / "manifest.json"
+        path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
+        with pytest.raises(JobError, match=re.escape(str(path))):
+            SweepJob.load(tmp_path / "job")
+
     def test_foreign_checkpoint_detected(self, tmp_path, policy):
         specs = _specs(4, trials=200)
         job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
@@ -230,5 +254,18 @@ class TestManifestIntegrity:
         checkpoint = json.loads(path.read_text())
         malform_result(checkpoint["points"][0], case)
         path.write_text(json.dumps(checkpoint))
+        with pytest.raises(JobError, match=re.escape(str(path))):
+            job.collect()
+
+    @pytest.mark.parametrize(
+        "case", ["document-list", "points-dict", "points-entry-list"]
+    )
+    def test_wrong_shape_checkpoint_detected(self, tmp_path, policy, case):
+        job = SweepJob.submit(
+            tmp_path / "job", _specs(4, trials=200), policy, shard_size=2
+        )
+        job.run()
+        path = tmp_path / "job" / "shards" / f"{job.shards[0].shard_id}.json"
+        path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
         with pytest.raises(JobError, match=re.escape(str(path))):
             job.collect()

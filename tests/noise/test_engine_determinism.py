@@ -25,7 +25,12 @@ import pytest
 from repro.coding import recovery_circuit
 from repro.coding.recovery import OUTPUT_WIRES
 from repro.core.circuit import Circuit
-from repro.core.compiled import clear_compile_cache, compile_cache_stats
+from repro.backends import get_backend
+from repro.core.compiled import (
+    clear_compile_cache,
+    compile_cache_stats,
+    compile_circuit,
+)
 from repro.noise import NoiseModel, NoisyRunner, repetition_failure_predicate
 from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpec
 from repro.synth import inflate
@@ -60,8 +65,8 @@ def _fresh_compile_cache():
     clear_compile_cache()
 
 
-def reference_run(seed: int = 2026, backend: str | None = None):
-    runner = NoisyRunner(NoiseModel(gate_error=0.01), seed=seed, backend=backend)
+def reference_run(seed: int = 2026):
+    runner = NoisyRunner(NoiseModel(gate_error=0.01), seed=seed)
     return runner.run_from_input(recovery_circuit(), (1, 1, 1) + (0,) * 6, 1000)
 
 
@@ -99,26 +104,18 @@ class TestDeterminism:
         assert not np.array_equal(first_counts, second.fault_counts)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "fused"])
+@pytest.mark.parametrize("backend", ["numpy"])
 def test_backend_stream_digest_is_frozen(backend):
-    # Execution backends apply programs and scatter pre-drawn faults;
-    # they never touch the RNG.  Every backend therefore reproduces the
-    # *same* frozen bitplane digest — swapping REPRO_BACKEND can never
-    # change published numbers.
-    result = reference_run(backend=backend)
+    # The backend applies programs and scatters pre-drawn faults; it
+    # never touches the RNG.  Preparing the program through
+    # ``get_backend`` ahead of the run (so the runner reuses that warm
+    # program) reproduces the same frozen bitplane digest.
+    compiled = compile_circuit(recovery_circuit())
+    prepared = get_backend(backend).prepare(compiled)
+    assert compiled.prepared is prepared
+    result = reference_run()
+    assert compile_circuit(recovery_circuit()).prepared is prepared
     assert run_digest(result) == EXPECTED_DIGESTS["bitplane"]
-
-
-def test_backend_choice_is_bit_invariant_across_seeds():
-    for seed in (2026, 7, 991):
-        numpy_run = reference_run(seed=seed, backend="numpy")
-        fused_run = reference_run(seed=seed, backend="fused")
-        np.testing.assert_array_equal(
-            numpy_run.fault_counts, fused_run.fault_counts
-        )
-        np.testing.assert_array_equal(
-            numpy_run.states.planes, fused_run.states.planes
-        )
 
 
 def mixed_arity_circuit() -> Circuit:

@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import DEFAULT_BACKEND, available_backends
 from repro.errors import ConfigError, SimulationError
 from repro.runtime import ExecutionPolicy
 
 
 class TestFromEnvValidation:
-    def test_unknown_backend_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ConfigError, match="REPRO_BACKEND"):
-            ExecutionPolicy.from_env()
-
     def test_error_lists_valid_choices(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda")
-        with pytest.raises(ConfigError, match="fused"):
+        monkeypatch.setenv("REPRO_PARALLEL", "some")
+        with pytest.raises(ConfigError, match="'max'"):
             ExecutionPolicy.from_env()
 
     def test_bad_trials_is_config_error(self, monkeypatch):
@@ -50,18 +44,16 @@ class TestFromEnvValidation:
             ExecutionPolicy.from_env()
 
     def test_valid_env_round_trips(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fused")
+        monkeypatch.setenv("REPRO_PARALLEL", "4")
         monkeypatch.setenv("REPRO_TRIALS", "4096")
         policy = ExecutionPolicy.from_env()
-        assert policy.backend == "fused"
+        assert policy.parallel == 4
         assert policy.trials == 4096
 
     def test_defaults_survive_unset_environment(self, monkeypatch):
-        for var in ("REPRO_BACKEND", "REPRO_TRIALS"):
+        for var in ("REPRO_PARALLEL", "REPRO_TRIALS"):
             monkeypatch.delenv(var, raising=False)
-        policy = ExecutionPolicy.from_env()
-        assert policy.backend == DEFAULT_BACKEND
-        assert policy.backend in available_backends()
+        assert ExecutionPolicy.from_env() == ExecutionPolicy()
 
 
 class TestDirectConstructionValidation:
@@ -74,12 +66,14 @@ class TestDirectConstructionValidation:
             ExecutionPolicy(trials=0)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="cuda"):
-            ExecutionPolicy(backend="cuda")
+        # The one backend is not a field: no backend name is accepted.
+        for name in ("cuda", "numpy"):
+            with pytest.raises(TypeError, match="backend"):
+                ExecutionPolicy(backend=name)
 
     def test_config_error_is_a_simulation_error(self):
         # Broad `except SimulationError` handlers written before
         # ConfigError existed must keep catching config mistakes.
         assert issubclass(ConfigError, SimulationError)
         with pytest.raises(SimulationError):
-            ExecutionPolicy(backend="cuda")
+            ExecutionPolicy(trials=0)

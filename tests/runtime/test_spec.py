@@ -146,30 +146,29 @@ class TestExecutionPolicy:
         assert policy.trials == 100_000
 
     def test_engine_is_not_a_field(self):
-        # One Monte-Carlo engine, always fused and cached: ``engine``,
-        # ``fuse`` and ``compile_cache`` are read-only constants, and no
-        # remaining field can change a result.
+        # One Monte-Carlo engine and backend, always fused and cached:
+        # ``engine``, ``backend``, ``fuse`` and ``compile_cache`` are
+        # read-only constants, and no remaining field can change a
+        # result.
         assert [field.name for field in fields(ExecutionPolicy)] == [
-            "parallel", "trials", "backend", "trace",
+            "parallel", "trials", "trace",
         ]
         policy = ExecutionPolicy()
-        assert policy.engine == "bitplane"
+        assert policy.engine == "bitplane" and policy.backend == "numpy"
         assert policy.fuse is True and policy.compile_cache is True
         for knob, value in (
-            ("engine", "bitplane"), ("fuse", False), ("compile_cache", False),
+            ("engine", "bitplane"), ("backend", "numpy"), ("fuse", False),
+            ("compile_cache", False),
         ):
             with pytest.raises(TypeError):
                 ExecutionPolicy(**{knob: value})
 
     def test_from_env_reads_every_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fused")
         monkeypatch.setenv("REPRO_PARALLEL", "3")
         monkeypatch.setenv("REPRO_TRIALS", "1234")
         monkeypatch.setenv("REPRO_TRACE", "stderr")
         policy = ExecutionPolicy.from_env()
-        assert policy == ExecutionPolicy(
-            backend="fused", parallel=3, trials=1234, trace="stderr"
-        )
+        assert policy == ExecutionPolicy(parallel=3, trials=1234, trace="stderr")
 
     def test_from_env_parallel_max(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "max")
@@ -182,12 +181,7 @@ class TestExecutionPolicy:
         assert ExecutionPolicy.from_env(trials=555).trials == 777
 
     def test_from_env_unset_environment_keeps_defaults(self, monkeypatch):
-        for knob in (
-            "REPRO_BACKEND",
-            "REPRO_PARALLEL",
-            "REPRO_TRIALS",
-            "REPRO_TRACE",
-        ):
+        for knob in ("REPRO_PARALLEL", "REPRO_TRIALS", "REPRO_TRACE"):
             monkeypatch.delenv(knob, raising=False)
         assert ExecutionPolicy.from_env() == ExecutionPolicy()
 
