@@ -9,13 +9,7 @@ from repro.harness.experiments import (
     trial_budget,
 )
 from repro.harness.stats import RateEstimate, required_trials, wilson_interval
-from repro.harness.sweep import (
-    SweepResult,
-    crossing_index,
-    geometric_grid,
-    spawn_seeds,
-    sweep,
-)
+from repro.harness.sweep import geometric_grid, spawn_seeds
 from repro.harness.tables import format_table, paper_vs_measured
 from repro.harness.threshold_finder import (
     PseudoThreshold,
@@ -36,11 +30,8 @@ __all__ = [
     "RateEstimate",
     "required_trials",
     "wilson_interval",
-    "SweepResult",
-    "crossing_index",
     "geometric_grid",
     "spawn_seeds",
-    "sweep",
     "format_table",
     "paper_vs_measured",
     "PseudoThreshold",

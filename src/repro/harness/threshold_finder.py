@@ -19,7 +19,7 @@ import numpy as np
 from repro.coding.logical import LogicalProcessor
 from repro.core import library
 from repro.harness.stats import wilson_interval
-from repro.harness.sweep import spawn_seeds, sweep
+from repro.harness.sweep import spawn_seeds
 from repro.noise.model import NoiseModel
 from repro.obs import counter, trace
 from repro.runtime import (
@@ -196,8 +196,7 @@ def _measure_point(
 
     Returns ``(rate, sign, trials_spent)`` where ``sign`` is the
     ``z``-sigma-separated side of the identity line, or 0 when even the
-    final stage cannot tell — module-level so a parallel bracket sweep
-    can pickle it.
+    final stage cannot tell.
     """
     gate_error, stage_seeds = point
     spent = 0
@@ -575,7 +574,6 @@ def find_pseudo_threshold_adaptive(
     cycles: int = 1,
     z: float = 3.0,
     seed: int | None = 0,
-    parallel: int | bool | None = None,
     *,
     spec_builder: Callable[[float, int, int], RunSpec] | None = None,
     policy: ExecutionPolicy | None = None,
@@ -596,9 +594,10 @@ def find_pseudo_threshold_adaptive(
     The workload comes in one of two forms (exactly one):
 
     * ``evaluate(g, n_trials, seed) -> (per_cycle_rate, failures)`` —
-      an opaque evaluator, run sequentially; the two bracket validations run
-      through :func:`~repro.harness.sweep.sweep` (``parallel`` forwards
-      there; ``evaluate`` must then be picklable).
+      an opaque evaluator, run sequentially in this process point by
+      point (the two bracket endpoints, then one midpoint per
+      iteration).  It is the reference the stacked form's bit-identity
+      tests compare against.
     * ``spec_builder(g, n_trials, seed) -> RunSpec`` — a declarative
       stage builder (e.g. :func:`cycle_stage_spec`); the search then
       runs as STACKED rounds on :class:`~repro.runtime.Executor` under
@@ -629,14 +628,7 @@ def find_pseudo_threshold_adaptive(
             "provide exactly one of evaluate= (sequential) or "
             "spec_builder= (stacked runtime) to find_pseudo_threshold_adaptive"
         )
-    # Reject the other form's knob instead of dropping it on the floor:
-    # a caller migrating from the PR 3 signature should hear that
-    # ``parallel`` became ``policy.parallel``, not silently run serial.
-    if spec_builder is not None and parallel is not None:
-        raise AnalysisError(
-            "parallel= applies to the evaluate= form; for the stacked "
-            "search set ExecutionPolicy(parallel=...) via policy="
-        )
+    # Reject the other form's knobs instead of dropping them on the floor.
     if evaluate is not None and policy is not None:
         raise AnalysisError(
             "policy= applies to the spec_builder= form; an evaluate= "
@@ -668,13 +660,8 @@ def find_pseudo_threshold_adaptive(
         z=z,
         gate_cycles=gate_cycles,
     )
-    bracket = sweep(
-        measure,
-        ((lower, seed_tuples[0]), (upper, seed_tuples[1])),
-        parameter="g",
-        parallel=parallel,
-    )
-    (f_low, sign_low, spent_low), (f_high, sign_high, spent_high) = bracket.ys
+    f_low, sign_low, spent_low = measure((lower, seed_tuples[0]))
+    f_high, sign_high, spent_high = measure((upper, seed_tuples[1]))
     _validate_bracket(f_low, sign_low, f_high, sign_high, lower, upper)
 
     def measure_middle(iteration, low, middle, high):

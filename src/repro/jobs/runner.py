@@ -28,10 +28,10 @@ The contract that makes this a *service* rather than a script:
   :meth:`~repro.runtime.Executor.run` over the submitted specs would
   — pinned by ``tests/jobs/test_resume.py``.
 
-Worker pools fan out over *shards*; each worker warms the compile
-cache with the job's distinct circuits once (pool initializer), so
-shards sharing a circuit group reuse one compiled program instead of
-recompiling per shard or per point.
+With ``policy.parallel`` >= 2, shards fan out over
+:func:`repro.runtime.pool.pool_map`; each worker warms its compile
+cache with the job's circuits once, so shards sharing a circuit reuse
+one compiled program instead of recompiling per shard or per point.
 """
 
 from __future__ import annotations
@@ -41,12 +41,9 @@ import json
 import os
 import tempfile
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.compiled import warm_compile_cache
 from repro.errors import AnalysisError, JobError
 from repro.harness.stats import RateEstimate
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
@@ -60,13 +57,13 @@ from repro.jobs.store import (
 from repro.obs import (
     counter,
     enable_tracing,
-    flush_trace_if_forked,
     gauge,
     histogram,
     stopwatch,
     trace,
 )
-from repro.runtime.executor import Executor, resolve_workers
+from repro.runtime.executor import Executor
+from repro.runtime.pool import pool_map, resolve_workers
 from repro.runtime.serialization import canonical_json, spec_from_json, spec_to_json
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
@@ -164,26 +161,19 @@ def _manifest_problem(manifest: object) -> str | None:
     return None
 
 
-def _run_shard_specs(
-    specs: list[RunSpec], policy: ExecutionPolicy
-) -> tuple[list[PointResult], float]:
-    """Evaluate one shard's pending specs, in-process or as a pool task.
+def _run_shard_specs(specs: list[RunSpec]) -> tuple[list[PointResult], float]:
+    """Evaluate one shard's pending specs (also the pool's task function).
 
-    The policy arrives with ``parallel`` stripped (a worker must not
-    open a nested pool); the shard's points still stack into one plane
-    array inside the executor.  Returns the results together with the
-    shard's wall-clock seconds, measured where the shard ran (the
-    parent's clock would include pool queueing).
+    The shard's executor opens no pool of its own: shards are the unit
+    of fan-out, and a shard's points already stack into one plane array
+    inside the executor.  Returns the results together with the shard's
+    wall-clock seconds, measured where the shard ran (the parent's clock
+    would include pool queueing).
     """
-    if policy.trace:
-        enable_tracing(policy.trace)
     with trace("jobs.shard", points=len(specs)):
         watch = stopwatch()
-        results = Executor(policy).run(specs)
+        results = Executor(ExecutionPolicy()).run(specs)
         elapsed = watch.elapsed_s
-    # Pool children exit via os._exit (no atexit), so the worker's
-    # `<path>.<pid>` document is rewritten after each completed shard.
-    flush_trace_if_forked()
     return results, elapsed
 
 
@@ -239,7 +229,8 @@ class SweepJob:
         defaults to a store inside the job directory; passing a shared
         store lets many jobs (and ad-hoc
         :class:`~repro.jobs.caching.CachingExecutor` queries) reuse
-        each other's points.
+        each other's points.  A resubmitted job runs under ``policy``
+        (the environment's when ``None``), like a fresh one.
         """
         with trace("jobs.submit") as span:
             job = cls._submit_impl(job_dir, specs, policy, shard_size, store)
@@ -270,7 +261,9 @@ class SweepJob:
                     f"({job_id}); use a fresh job directory"
                 )
             # Same sweep: resume under the manifest's stored shard
-            # plan (shard_size is scheduling, not identity).
+            # plan (shard_size is scheduling, not identity) and the
+            # caller's policy.
+            existing.policy = policy
             return existing
         manifest = {
             "format": JOB_FORMAT_VERSION,
@@ -446,7 +439,6 @@ class SweepJob:
 
     def run(
         self,
-        workers: int | bool | None = None,
         max_shards: int | None = None,
         on_progress=None,
     ) -> RunReport:
@@ -454,56 +446,18 @@ class SweepJob:
 
         Completed shards are skipped by checkpoint; within a resumed
         shard, points the store already holds are served, not re-run.
-        ``workers`` fans pending shards out to a process pool
-        (defaulting to the policy's ``parallel`` setting); every worker
-        pre-warms its compile cache with the job's distinct circuits,
-        so no worker compiles the same program twice.  ``on_progress``,
-        when given, is called after each pending shard finishes with
-        ``(done, pending_total, shard_id, elapsed_s)`` — the CLI's
-        verbose heartbeat.
+        The policy's ``parallel`` width fans pending shards out to the
+        process pool, whose workers pre-warm their compile caches with
+        the shards' circuits.  ``on_progress``, when given, is called
+        after each pending shard finishes with ``(done, pending_total,
+        shard_id, elapsed_s)`` — the CLI's verbose heartbeat.
         """
+        if self.policy.trace:
+            enable_tracing(self.policy.trace)
         with trace("jobs.run", job=self.job_id) as span:
-            return self._run_impl(workers, max_shards, on_progress, span)
+            return self._run_impl(max_shards, on_progress, span)
 
-    def _simulate(self, shards, batches, pool_width):
-        """Yield ``(results, elapsed_s)`` per batch, in batch order.
-
-        Every batch runs through :func:`_run_shard_specs`: in this
-        process when ``pool_width`` is 0, otherwise on a pool whose
-        workers pre-warm their compile caches with the batches'
-        circuits.  The policy loses ``parallel``: shards are the unit of
-        fan-out, and each shard is already one stacked batch inside.
-        """
-        policy = replace(self.policy, parallel=None)
-        if not pool_width:
-            for batch in batches:
-                yield _run_shard_specs(batch, policy)
-            return
-        circuits = {}
-        for batch in batches:
-            circuit = batch[0].circuit
-            circuits.setdefault(circuit.content_key(), circuit)
-        with ProcessPoolExecutor(
-            max_workers=pool_width,
-            initializer=partial(warm_compile_cache, list(circuits.values())),
-        ) as pool:
-            task = partial(_run_shard_specs, policy=policy)
-            futures = [pool.submit(task, batch) for batch in batches]
-            for shard, future in zip(shards, futures):
-                try:
-                    outcome = future.result()
-                except Exception as exc:
-                    # Per-future cancel, not shutdown(cancel_futures=True)
-                    # — that path can deadlock the pool when a task fails
-                    # to pickle mid-flight (see Executor.run).
-                    for pending in futures:
-                        pending.cancel()
-                    raise JobError(
-                        f"shard {shard.shard_id} failed: {exc}"
-                    ) from exc
-                yield outcome
-
-    def _run_impl(self, workers, max_shards, on_progress, span) -> RunReport:
+    def _run_impl(self, max_shards, on_progress, span) -> RunReport:
         if max_shards is not None and max_shards < 0:
             raise AnalysisError(f"max_shards must be >= 0, got {max_shards}")
         pending: list[Shard] = []
@@ -542,16 +496,17 @@ class SweepJob:
                     cached += 1
             plan.append((shard, results, misses))
         to_simulate = [entry for entry in plan if entry[2]]
-        pool_width = resolve_workers(
-            self.policy.parallel if workers is None else workers,
-            len(to_simulate),
-        )
         batches = [
             [self.specs[shard.indices[i]] for i in misses]
             for shard, _, misses in to_simulate
         ]
-        outcomes = self._simulate(
-            [shard for shard, _, _ in to_simulate], batches, pool_width
+        outcomes = pool_map(
+            _run_shard_specs,
+            batches,
+            resolve_workers(self.policy.parallel, len(batches)),
+            error=JobError,
+            label=lambda b: f"shard {to_simulate[b][0].shard_id}",
+            warm=[spec.circuit for batch in batches for spec in batch],
         )
         # Outcomes first: zip then drains the generator, which shuts the
         # pool down before any checkpoint is written.

@@ -45,9 +45,9 @@ from repro.obs.tracing import (
     disable_tracing,
     enable_tracing,
     flush_trace,
-    flush_trace_if_forked,
     stopwatch,
     trace,
+    trace_sink,
     tracing_enabled,
     validate_trace,
 )
@@ -67,7 +67,6 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "flush_trace",
-    "flush_trace_if_forked",
     "gauge",
     "histogram",
     "metrics_snapshot",
@@ -75,6 +74,7 @@ __all__ = [
     "sample_every",
     "stopwatch",
     "trace",
+    "trace_sink",
     "tracing_enabled",
     "validate_trace",
 ]

@@ -14,10 +14,9 @@ so instrumentation may sit on hot paths.  Enabled via
 ``REPRO_TRACE=<path|stderr|stdout>`` (read once at import) or
 programmatically through :func:`enable_tracing` /
 ``ExecutionPolicy.trace``.  The collected tree flushes at interpreter
-exit; pool workers write ``<path>.<pid>`` so children never clobber
-the parent's file — and because pool children exit via ``os._exit``
-(skipping atexit), worker-side tasks flush explicitly through
-:func:`flush_trace_if_forked` as they complete.
+exit; pool workers (:mod:`repro.runtime.pool`) start their own tracer
+on ``<path>.<pid>`` so children never clobber the parent's file, and
+flush it after every task because they exit via ``os._exit``.
 
 Trace documents are versioned JSON::
 
@@ -54,9 +53,9 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "flush_trace",
-    "flush_trace_if_forked",
     "stopwatch",
     "trace",
+    "trace_sink",
     "tracing_enabled",
     "validate_trace",
 ]
@@ -226,6 +225,11 @@ def tracing_enabled() -> bool:
     return _TRACER is not None
 
 
+def trace_sink() -> str | None:
+    """This process's trace sink, or ``None`` when tracing is off."""
+    return None if _TRACER is None else _TRACER.sink
+
+
 def trace(name: str, **attrs):
     """A span context manager, or the shared no-op when disabled."""
     tracer = _TRACER
@@ -279,21 +283,6 @@ def flush_trace() -> str | None:
     with open(sink, "w", encoding="utf-8") as handle:
         handle.write(payload + "\n")
     return sink
-
-
-def flush_trace_if_forked() -> str | None:
-    """Flush, but only inside a forked pool worker.
-
-    Multiprocessing children exit through ``os._exit`` — atexit never
-    runs there — so pool tasks call this as their last act.  In the
-    parent (or with tracing off) it is a no-op; repeated calls just
-    rewrite the worker's ``<path>.<pid>`` document, so every completed
-    task leaves the file current.
-    """
-    tracer = _TRACER
-    if tracer is None or os.getpid() == tracer.pid:
-        return None
-    return flush_trace()
 
 
 def _atexit_flush() -> None:  # pragma: no cover - exercised via subprocess

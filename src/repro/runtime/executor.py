@@ -28,30 +28,28 @@ spec, in spec order.  The execution plan has three levels:
 
 3. **Process pool (across groups only).**  With
    ``policy.parallel`` >= 2 workers and more than one group, whole
-   groups fan out to a :mod:`concurrent.futures` pool (specs must then
-   be picklable).  Points within a group never split across processes
-   — they are already batched into one array, which is the cheaper
-   kind of parallelism.
+   groups fan out through :func:`repro.runtime.pool.pool_map` (specs
+   must then be picklable).  Points within a group never split across
+   processes — they are already batched into one array, which is the
+   cheaper kind of parallelism.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 from repro.backends import prepare
 from repro.core.bitplane import BitplaneState, words_for
 from repro.core.compiled import compile_circuit
-from repro.errors import AnalysisError, SimulationError
+from repro.errors import SimulationError
 from repro.noise.monte_carlo import (
     _as_generator,
     _draw_phase,
     _inject_phase,
     _stack_plan,
 )
-from repro.obs import counter, enable_tracing, flush_trace_if_forked, trace
+from repro.obs import counter, enable_tracing, trace
+from repro.runtime.pool import pool_map, resolve_workers
 from repro.runtime.spec import (
     ExecutionPolicy,
     PointResult,
@@ -66,26 +64,6 @@ _RUNS = counter("executor.runs")
 _POINTS = counter("executor.points")
 _GROUPS = counter("executor.groups")
 _STACKED_POINTS = counter("executor.stacked_points")
-
-
-def resolve_workers(parallel: int | bool | None, points: int) -> int:
-    """Worker count for a pooled fan-out: 0 means run in-process.
-
-    ``None``/``False``/0/1 stay in-process, ``True`` means one worker
-    per CPU, an integer is an explicit width; the width never exceeds
-    the number of independent work items.  (Historically this lived in
-    :mod:`repro.harness.sweep`, which still re-exports it.)
-    """
-    if parallel is None or parallel is False:
-        return 0
-    if parallel is True:
-        workers = os.cpu_count() or 1
-    else:
-        workers = int(parallel)
-        if workers < 0:
-            raise AnalysisError(f"parallel must be >= 0, got {parallel}")
-    workers = min(workers, points)
-    return 0 if workers < 2 else workers
 
 
 def _group_key(spec: RunSpec) -> tuple:
@@ -151,7 +129,7 @@ def _decode_phase(specs, states, words, offsets, faulted):
     return results
 
 
-def _run_group_stacked(specs: Sequence[RunSpec]) -> list[PointResult]:
+def _run_group(specs: Sequence[RunSpec]) -> list[PointResult]:
     """Evaluate one group's points in a single stacked array.
 
     Point ``p`` occupies the word window ``[offset_p, offset_p +
@@ -162,8 +140,9 @@ def _run_group_stacked(specs: Sequence[RunSpec]) -> list[PointResult]:
     to running the spec alone.  The three phases (fault draw, slot
     loop, decode) each get a child span of the group span; tracing
     reads only the clock, never the generators, so an enabled trace
-    cannot move a digest.
+    cannot move a digest.  Also the pool's task function.
     """
+    _GROUPS.inc()
     first = specs[0]
     compiled = compile_circuit(first.circuit)
     prepared = prepare(compiled)
@@ -198,20 +177,6 @@ def _run_group_stacked(specs: Sequence[RunSpec]) -> list[PointResult]:
         with trace("executor.group.decode"):
             results = _decode_phase(specs, states, words, offsets, faulted)
     _STACKED_POINTS.inc(len(specs))
-    return results
-
-
-def _run_group(specs: Sequence[RunSpec], policy: ExecutionPolicy) -> list[PointResult]:
-    """Evaluate one group in-process (also the pool's task function)."""
-    if policy.trace:
-        # Pool workers hydrate the tracer from the pickled policy so a
-        # spawned child traces too (a forked child inherits it); each
-        # worker rewrites its own `<path>.<pid>` file after every task,
-        # because pool children exit via os._exit and never run atexit.
-        enable_tracing(policy.trace)
-    _GROUPS.inc()
-    results = _run_group_stacked(specs)
-    flush_trace_if_forked()
     return results
 
 
@@ -252,43 +217,21 @@ class Executor:
             plan = list(groups.values())
             workers = resolve_workers(self.policy.parallel, len(plan))
             span.set(groups=len(plan), workers=workers)
+            outcomes = pool_map(
+                _run_group,
+                [[specs[i] for i in indices] for indices in plan],
+                workers,
+                error=SimulationError,
+                label=lambda g: (
+                    f"executor group starting at {specs[plan[g][0]]!r}"
+                ),
+            )
             results: list[PointResult | None] = [None] * len(specs)
-            if workers == 0:
-                for indices in plan:
-                    for index, result in zip(
-                        indices,
-                        _run_group([specs[i] for i in indices], self.policy),
-                    ):
-                        results[index] = result
-            else:
-                task = partial(_run_group, policy=self.policy)
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(task, [specs[i] for i in indices])
-                        for indices in plan
-                    ]
-                    for indices, future in zip(plan, futures):
-                        try:
-                            group_results = future.result()
-                        except Exception as exc:
-                            # Cancel the not-yet-started groups so the
-                            # error surfaces promptly instead of waiting
-                            # for the rest of the batch (mirrors the
-                            # harness sweep's fail-fast behaviour).
-                            # Per-future cancel, NOT shutdown(
-                            # cancel_futures=True): that path swaps the
-                            # manager thread's pending-work dict while
-                            # the queue feeder still pops from the old
-                            # one, and a task that fails to pickle
-                            # mid-flight then deadlocks the pool.
-                            for pending in futures:
-                                pending.cancel()
-                            raise SimulationError(
-                                f"executor group starting at "
-                                f"{specs[indices[0]]!r} failed: {exc}"
-                            ) from exc
-                        for index, result in zip(indices, group_results):
-                            results[index] = result
+            # Outcomes first: zip then drains the generator, which shuts
+            # the pool down inside this span.
+            for group_results, indices in zip(outcomes, plan):
+                for index, result in zip(indices, group_results):
+                    results[index] = result
         return results  # type: ignore[return-value]
 
     def run_one(self, spec: RunSpec) -> PointResult:

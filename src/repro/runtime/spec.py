@@ -261,9 +261,9 @@ class ExecutionPolicy:
         trace: span-trace sink — a file path, ``"stderr"`` or
             ``"stdout"`` — or ``None`` for no tracing
             (``REPRO_TRACE``; see :mod:`repro.obs`).  Tracing is
-            observational only and can never change a result; pooled
-            workers inherit the sink through the pickled policy and
-            flush ``<path>.<pid>``.
+            observational only and can never change a result; pool
+            workers (:mod:`repro.runtime.pool`) trace into
+            ``<path>.<pid>``.
 
     A negative ``parallel`` and a ``trials`` below 1 raise
     :class:`~repro.errors.ConfigError` (a ``SimulationError``

@@ -1,129 +1,20 @@
-"""Tests for sweep utilities."""
+"""Tests for the sweep grid and seed helpers."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.harness.sweep import (
-    crossing_index,
-    geometric_grid,
-    resolve_workers,
-    spawn_seeds,
-    sweep,
-)
+import repro.harness.sweep as sweep_module
+from repro.harness.sweep import geometric_grid, spawn_seeds
 from repro.errors import AnalysisError
 
 
-def square(x):
-    return x * x
-
-
-class TestSweep:
-    def test_pairs(self):
-        result = sweep(lambda x: x * x, [1, 2, 3], parameter="g")
-        assert result.rows() == [(1, 1), (2, 4), (3, 9)]
-        assert result.parameter == "g"
-        assert len(result) == 3
-
-    def test_empty(self):
-        assert sweep(lambda x: x, []).rows() == []
-
-
-class TestParallelSweep:
-    def test_parallel_matches_serial(self):
-        values = list(range(8))
-        serial = sweep(square, values)
-        parallel = sweep(square, values, parallel=2)
-        assert serial.rows() == parallel.rows()
-
-    def test_parallel_preserves_order(self):
-        result = sweep(square, [5, 3, 1], parallel=2)
-        assert result.xs == (5, 3, 1)
-        assert result.ys == (25, 9, 1)
-
-    def test_worker_resolution(self):
-        assert resolve_workers(None, 10) == 0
-        assert resolve_workers(False, 10) == 0
-        assert resolve_workers(0, 10) == 0
-        assert resolve_workers(1, 10) == 0
-        assert resolve_workers(4, 10) == 4
-        assert resolve_workers(4, 2) == 2  # never more workers than points
-        assert resolve_workers(4, 1) == 0  # one point runs in-process
-        cpus = os.cpu_count() or 1
-        assert resolve_workers(True, 3) == (min(cpus, 3) if cpus >= 2 else 0)
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(AnalysisError):
-            resolve_workers(-2, 10)
-
-    def test_single_point_runs_in_process(self):
-        # A lambda is not picklable; parallel must degrade to serial
-        # for a single point instead of shipping it to a pool.
-        result = sweep(lambda x: x + 1, [41], parallel=4)
-        assert result.ys == (42,)
-
-
-def explode_on_three(x):
-    if x == 3:
-        raise ValueError("point exploded")
-    return x * x
-
-
-def explode_fast_or_sleep(x):
-    import time
-
-    if x == 0:
-        raise ValueError("first point exploded")
-    time.sleep(0.4)
-    return x
-
-
-class TestFailureAttribution:
-    def test_serial_failure_names_the_point(self):
-        with pytest.raises(AnalysisError, match=r"g=3 failed.*point exploded"):
-            sweep(explode_on_three, [1, 2, 3, 4], parameter="g")
-
-    def test_serial_failure_chains_original(self):
-        with pytest.raises(AnalysisError) as info:
-            sweep(explode_on_three, [3], parameter="g")
-        assert isinstance(info.value.__cause__, ValueError)
-
-    def test_parallel_failure_names_the_point(self):
-        # The offending grid value must survive the process boundary.
-        with pytest.raises(AnalysisError, match=r"g=3 failed"):
-            sweep(explode_on_three, [1, 2, 3, 4], parameter="g", parallel=2)
-
-    def test_parallel_failure_chains_original(self):
-        with pytest.raises(AnalysisError) as info:
-            sweep(explode_on_three, [1, 3], parameter="g", parallel=2)
-        assert isinstance(info.value.__cause__, ValueError)
-
-    def test_parallel_failure_cancels_pending_points(self):
-        # Regression: a failing point used to re-raise inside the pool's
-        # ``with`` block, whose exit still WAITED for every remaining
-        # future — a fast failure among expensive points paid for the
-        # whole grid.  With cancel_futures the failing sweep costs
-        # about one in-flight sleeper, like the 2-point baseline below
-        # (which pays the same pool startup), NOT the ~4 extra sleeper
-        # rounds the serialised remainder of a 9-point grid would take
-        # on two workers.  Comparing against the measured baseline
-        # keeps the assertion robust to pool-startup and machine speed.
-        import time
-
-        start = time.perf_counter()
-        sweep(explode_fast_or_sleep, [1, 2], parallel=2)
-        baseline = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with pytest.raises(AnalysisError, match="first point exploded"):
-            sweep(explode_fast_or_sleep, list(range(9)), parallel=2)
-        elapsed = time.perf_counter() - start
-        assert elapsed < baseline + 1.0, (
-            f"failing sweep took {elapsed:.2f}s vs {baseline:.2f}s "
-            "baseline; pending points were not cancelled"
-        )
+def test_module_exports_only_grid_and_seeds():
+    # Sweeps run as RunSpec batches on the executor; this module keeps
+    # only the grid and seed helpers.
+    assert sorted(sweep_module.__all__) == ["geometric_grid", "spawn_seeds"]
+    with pytest.raises(ImportError):
+        from repro.harness.sweep import sweep  # noqa: F401
 
 
 class TestSpawnSeeds:
@@ -168,87 +59,3 @@ class TestGeometricGrid:
     def test_nonpositive_endpoints_rejected(self, start, stop):
         with pytest.raises(AnalysisError):
             geometric_grid(start, stop, 3)
-
-
-class TestCrossing:
-    def test_finds_first_crossing(self):
-        xs = [0.001, 0.01, 0.1]
-        ys = [0.0001, 0.02, 0.5]
-        assert crossing_index(xs, ys) == 1
-
-    def test_none_when_always_below(self):
-        assert crossing_index([0.1, 0.2], [0.01, 0.02]) is None
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_y_rejected(self, bad):
-        # Regression: NaN >= x is False, so a NaN used to be silently
-        # treated as "below identity" and walked past — a corrupted
-        # sweep could fabricate a crossing at a later index.
-        with pytest.raises(AnalysisError, match="finite"):
-            crossing_index([0.1, 0.2, 0.3], [0.01, bad, 0.5])
-
-    def test_non_finite_x_rejected(self):
-        with pytest.raises(AnalysisError, match="finite"):
-            crossing_index([0.1, float("nan")], [0.01, 0.02])
-
-    def test_values_after_crossing_not_validated(self):
-        # The scan stops at the first crossing; trailing garbage after
-        # it cannot invalidate an already-found threshold.
-        assert crossing_index([0.1, 0.2, 0.3], [0.15, float("nan"), 0.1]) == 0
-
-
-def _compile_probe(circuit):
-    """Compile ``circuit`` and report the cache traffic it caused."""
-    from repro.core.compiled import compile_cache_stats, compile_circuit
-
-    before = compile_cache_stats()
-    compile_circuit(circuit)
-    after = compile_cache_stats()
-    return (
-        after["hits"] - before["hits"],
-        after["misses"] - before["misses"],
-    )
-
-
-class TestWarmCompileCache:
-    def _circuit(self):
-        from repro.core.circuit import Circuit
-
-        return Circuit(3, name="warm").cnot(0, 1).toffoli(1, 2, 0)
-
-    def test_serial_warm_makes_every_point_a_hit(self):
-        from repro.core.compiled import clear_compile_cache
-
-        circuit = self._circuit()
-        clear_compile_cache()
-        result = sweep(_compile_probe, [circuit] * 3, warm=[circuit])
-        # Warming compiled once up front; each point then hit, never
-        # compiled.
-        assert result.ys == ((1, 0), (1, 0), (1, 0))
-
-    def test_pooled_warm_makes_every_point_a_hit(self):
-        from repro.core.compiled import clear_compile_cache
-
-        circuit = self._circuit()
-        # Clear the parent cache so forked workers cannot inherit a
-        # warm one — only the pool initializer can produce the hits.
-        clear_compile_cache()
-        result = sweep(
-            _compile_probe, [circuit] * 4, parallel=2, warm=[circuit]
-        )
-        # The pool initializer warmed each worker's cache before any
-        # point ran, so no worker ever compiles — without warming, the
-        # first point in each fresh worker would be a miss.
-        assert result.ys == ((1, 0),) * 4
-
-    def test_pooled_without_warm_pays_cold_compiles(self):
-        from repro.core.compiled import clear_compile_cache
-
-        circuit = self._circuit()
-        # Forked workers inherit the parent's cache; clear it so they
-        # genuinely start cold.
-        clear_compile_cache()
-        result = sweep(_compile_probe, [circuit] * 4, parallel=2)
-        # Fresh workers, no warming: at least one point pays a cold
-        # compile miss (how many depends on scheduling).
-        assert any(misses == 1 for _, misses in result.ys)

@@ -272,9 +272,9 @@ class TestStackedSearch:
 
     def test_mismatched_form_knobs_rejected(self):
         # The other form's knob must fail loudly, not be silently
-        # dropped (a PR 3 caller migrating to spec_builder= would
-        # otherwise believe parallel= still took effect).
-        with pytest.raises(AnalysisError, match="policy"):
+        # dropped; parallel= is gone from both forms (pool width is
+        # policy.parallel).
+        with pytest.raises(TypeError, match="parallel"):
             find_pseudo_threshold_adaptive(
                 spec_builder=cycle_stage_spec,
                 lower=1e-3,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.errors import AnalysisError, JobError
 from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import SweepJob
+from repro.jobs import runner
 from repro.runtime import ExecutionPolicy, Executor
 from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
 
@@ -30,6 +32,19 @@ def _specs(count=6, trials=300, base_seed=11):
 @pytest.fixture
 def policy():
     return ExecutionPolicy.from_env()
+
+
+_RUN_SHARD = runner._run_shard_specs
+
+#: The trial count whose shard :func:`explode_on_marked_shard` fails.
+EXPLODING_TRIALS = 201
+
+
+def explode_on_marked_shard(specs):
+    """The shard task, except that it raises on the marked trial count."""
+    if any(spec.trials == EXPLODING_TRIALS for spec in specs):
+        raise ValueError("shard exploded")
+    return _RUN_SHARD(specs)
 
 
 class TestSubmitAndRun:
@@ -57,17 +72,64 @@ class TestSubmitAndRun:
         # Serial and pooled shards take one path: the parent looks each
         # point up once and stores each simulated point once.
         specs = _specs(4, trials=200)
-        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
-        job.run(workers=workers)
+        job = SweepJob.submit(
+            tmp_path / "job",
+            specs,
+            replace(policy, parallel=workers),
+            shard_size=2,
+        )
+        job.run()
         stats = job.store.stats()
         assert stats["misses"] == stats["puts"] == len(specs)
         assert stats["hits"] == 0
 
     def test_pooled_run_bit_identical(self, tmp_path, policy):
         specs = _specs(4, trials=200)
-        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=1)
-        job.run(workers=2)
+        job = SweepJob.submit(
+            tmp_path / "job", specs, replace(policy, parallel=2), shard_size=1
+        )
+        job.run()
         assert job.collect() == Executor(policy).run(specs)
+
+    def test_workers_knob_is_gone(self, tmp_path, policy):
+        job = SweepJob.submit(tmp_path / "job", _specs(2), policy)
+        with pytest.raises(TypeError):
+            job.run(workers=2)
+
+    def test_resubmit_keeps_the_callers_policy(self, tmp_path, monkeypatch):
+        # Regression: a resubmit returned the loaded job, whose policy
+        # came from the environment, and dropped the caller's.
+        for name in ("REPRO_PARALLEL", "REPRO_TRIALS", "REPRO_TRACE"):
+            monkeypatch.delenv(name, raising=False)
+        specs = _specs(4)
+        policy = ExecutionPolicy(parallel=2, trials=777)
+        first = SweepJob.submit(tmp_path / "job", specs, policy)
+        again = SweepJob.submit(tmp_path / "job", specs, policy)
+        assert first.policy == again.policy == policy
+        # No policy given: the environment's, as for a fresh submit.
+        bare = SweepJob.submit(tmp_path / "job", specs)
+        assert bare.policy == ExecutionPolicy.from_env()
+
+    def test_failed_pooled_shard_raises_and_tears_the_pool_down(
+        self, tmp_path, policy, monkeypatch
+    ):
+        import concurrent.futures.process as cfp
+
+        monkeypatch.setattr(runner, "_run_shard_specs", explode_on_marked_shard)
+        specs = _specs(4, trials=200)
+        marked = replace(specs[2], trials=EXPLODING_TRIALS)
+        specs = [*specs[:2], marked, *specs[3:]]
+        job = SweepJob.submit(
+            tmp_path / "job", specs, replace(policy, parallel=2), shard_size=1
+        )
+        (victim,) = [s for s in job.shards if 2 in s.indices]
+        with pytest.raises(
+            JobError, match=rf"shard {victim.shard_id} failed.*shard exploded"
+        ):
+            job.run()
+        assert not (tmp_path / "job" / "shards" / f"{victim.shard_id}.json").exists()
+        lingering = [t for t in cfp._threads_wakeups if t.is_alive()]
+        assert lingering == []
 
 
 class TestInterruptAndResume:

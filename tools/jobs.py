@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +62,8 @@ def _build_specs(arguments: argparse.Namespace):
 def cmd_submit(arguments: argparse.Namespace) -> int:
     specs = _build_specs(arguments)
     policy = ExecutionPolicy.from_env()
+    if arguments.workers is not None:
+        policy = replace(policy, parallel=arguments.workers)
     job = SweepJob.submit(
         arguments.job_dir,
         specs,
@@ -79,7 +82,6 @@ def cmd_submit(arguments: argparse.Namespace) -> int:
         )
 
     report = job.run(
-        workers=arguments.workers,
         max_shards=arguments.max_shards,
         on_progress=heartbeat if arguments.verbose else None,
     )
