@@ -106,12 +106,15 @@ class TestPoolMap:
 
     def test_pooled_failure_names_the_item(self):
         # The failing item must survive the process boundary, wrapped
-        # in the caller's error type with the original chained.
-        with pytest.raises(
-            AnalysisError, match=r"item 3 failed.*point exploded"
-        ) as info:
+        # in the caller's error type.
+        with pytest.raises(AnalysisError, match=r"item 3 failed.*point exploded"):
+            run_pool(explode_on_three, [1, 2, 3, 4], 2)
+
+    def test_pooled_failure_chains_original(self):
+        with pytest.raises(AnalysisError) as info:
             run_pool(explode_on_three, [1, 2, 3, 4], 2)
         assert isinstance(info.value.__cause__, ValueError)
+        assert "point exploded" in str(info.value.__cause__)
 
     def test_pooled_failure_cancels_pending_items(self):
         # A fast failure among expensive items must not pay for the
