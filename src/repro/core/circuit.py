@@ -23,6 +23,7 @@ import enum
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from hashlib import sha256
 
 from repro.core import library
 from repro.core.gate import Gate
@@ -108,6 +109,9 @@ class Circuit:
     n_wires: int
     name: str = ""
     _ops: list[Operation] = field(default_factory=list)
+    #: The :meth:`content_key` digest, computed on first use and cleared
+    #: by :meth:`append` (every builder goes through it).
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_wires < 1:
@@ -131,6 +135,7 @@ class Circuit:
         """Append a pre-built operation."""
         self._validate(op)
         self._ops.append(op)
+        self._digest = None
         return self
 
     def append_gate(self, gate: Gate, *wires: int) -> "Circuit":
@@ -279,21 +284,46 @@ class Circuit:
     # Census and structure
     # ------------------------------------------------------------------
 
-    def content_key(self) -> tuple:
-        """The circuit's content identity: wire count + exact op sequence.
+    def content_key(self) -> str:
+        """The circuit's content identity: a hex SHA-256 digest.
 
-        :class:`Operation` and :class:`~repro.core.gate.Gate` are frozen
-        dataclasses, so the key hashes the full gate tables — two
-        circuits built independently but op-for-op identical share one
-        key, while any mutation (appending, remapping, a different
-        reset value) produces a different one.  The name is *not* part
-        of the key: content identity is about behaviour-bearing
-        structure.  This single key drives both the compile cache
-        (:mod:`repro.core.compiled`) and the synthesis identity
-        database (:mod:`repro.synth.database`); there is deliberately
-        no second hashing scheme.
+        The digest covers the wire count and the exact op sequence,
+        each op expanded field by field (kind, wires, reset value, and
+        the gate's name/arity/full permutation table) rather than via
+        ``repr``: ``Gate.__repr__`` elides the table, and a key that
+        ignored tables would collide content-distinct circuits whose
+        gates merely share a name.  Two circuits built independently
+        but op-for-op identical share one key, while any mutation
+        (appending, remapping, a different reset value) produces a
+        different one.  The name is *not* part of the key: content
+        identity is about behaviour-bearing structure.
+
+        The digest is computed once and cached on the instance until
+        the next :meth:`append`.  This single key drives the compile
+        cache (:mod:`repro.core.compiled`), executor grouping, the job
+        planner and the synthesis identity database
+        (:mod:`repro.synth.database`); there is deliberately no second
+        hashing scheme.
         """
-        return (self.n_wires, self.ops)
+        if self._digest is None:
+            material = repr(
+                (
+                    self.n_wires,
+                    tuple(
+                        (
+                            op.kind.value,
+                            op.wires,
+                            op.reset_value,
+                            None
+                            if op.gate is None
+                            else (op.gate.name, op.gate.arity, op.gate.table),
+                        )
+                        for op in self._ops
+                    ),
+                )
+            )
+            self._digest = sha256(material.encode()).hexdigest()
+        return self._digest
 
     def count_ops(self) -> Counter:
         """Histogram of operation labels (gate names and ``RESET``)."""

@@ -7,10 +7,12 @@ checkpointing against a content-keyed result store
 (:mod:`repro.jobs.store`).  Layout::
 
     <job_dir>/
-        manifest.json        # versioned: specs (JSON wire form),
-                             # shard plan
+        manifest.json        # versioned: specs (compressed wire form,
+                             # circuits as digest references), shard plan
+        circuits/<d>.json    # each distinct circuit's wire form, once
         shards/<id>.json     # one checkpoint per completed shard
-        store/               # the result store (unless shared)
+        store/               # the result store (unless shared), with
+                             # its own circuits/ blobs
 
 The contract that makes this a *service* rather than a script:
 
@@ -38,21 +40,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import AnalysisError, JobError
+from repro.core.circuit import Circuit
+from repro.errors import AnalysisError, JobError, ReproError
 from repro.harness.stats import RateEstimate
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
 from repro.jobs.store import (
+    CIRCUIT_DIR,
     ResultStore,
     point_key,
     result_from_json,
     result_problem,
     result_to_json,
+    write_circuit_blobs,
+    write_json_atomic,
 )
 from repro.obs import (
     counter,
@@ -64,7 +68,13 @@ from repro.obs import (
 )
 from repro.runtime.executor import Executor
 from repro.runtime.pool import pool_map, resolve_workers
-from repro.runtime.serialization import canonical_json, spec_from_json, spec_to_json
+from repro.runtime.serialization import (
+    canonical_json,
+    circuit_from_json,
+    compress_for_hashing,
+    spec_from_json,
+    spec_to_json,
+)
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
 __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]
@@ -73,8 +83,9 @@ __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]
 #: manifest policies and checkpoint results no longer carry an engine.
 #: Version 3: job ids and shard ids hash policy-free point keys, and the
 #: manifest policy records only the backend.  Version 4: the manifest
-#: records no policy.
-JOB_FORMAT_VERSION = 4
+#: records no policy.  Version 5: manifest specs are compressed, their
+#: circuits stored once under ``circuits/``.
+JOB_FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
@@ -88,21 +99,28 @@ _SHARDS_TOTAL = gauge("jobs.shards.total")
 _SHARDS_DONE = gauge("jobs.shards.done")
 
 
-def _write_atomic(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.stem[:12]}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_name, path)
-    except BaseException:
+class _CircuitBlobs(dict):
+    """A job directory's circuit blobs, each read and rebuilt on first use.
+
+    The ``circuits`` mapping :func:`spec_from_json` resolves digest
+    references against: every spec (and decoder) naming one digest
+    shares one :class:`~repro.core.circuit.Circuit`.
+    """
+
+    def __init__(self, job_dir: Path):
+        super().__init__()
+        self.job_dir = job_dir
+
+    def __missing__(self, digest: str) -> Circuit:
+        path = self.job_dir / CIRCUIT_DIR / f"{digest}.json"
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            circuit = circuit_from_json(json.loads(path.read_text()))
+        except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
+            raise JobError(
+                f"circuit blob {path} is missing or unreadable: {exc}"
+            ) from exc
+        self[digest] = circuit
+        return circuit
 
 
 @dataclass(frozen=True)
@@ -265,16 +283,21 @@ class SweepJob:
             # caller's policy.
             existing.policy = policy
             return existing
+        circuits: dict[str, dict] = {}
         manifest = {
             "format": JOB_FORMAT_VERSION,
             "job_id": job_id,
-            "specs": [spec_to_json(spec) for spec in specs],
+            "specs": [
+                compress_for_hashing(spec_to_json(spec), circuits)
+                for spec in specs
+            ],
             "shards": [
                 {"id": shard.shard_id, "indices": list(shard.indices)}
                 for shard in shards
             ],
         }
-        _write_atomic(manifest_path, manifest)
+        write_circuit_blobs(job_dir, circuits)
+        write_json_atomic(manifest_path, manifest)
         return cls(
             job_dir, specs, shards, policy, cls._store(job_dir, store), job_id
         )
@@ -290,9 +313,13 @@ class SweepJob:
         The specs are rebuilt from their JSON wire forms — this is the
         resume path, and it is why the wire form must be
         value-faithful: the reloaded job verifies its shard plan
-        hashes to the manifest's job ID, so a manifest whose specs no
-        longer reproduce their own plan fails here instead of merging
-        wrong numbers later.
+        hashes to the manifest's job ID, so a manifest (or circuit
+        blob) whose specs no longer reproduce their own plan fails
+        here instead of merging wrong numbers later.  Each distinct
+        circuit blob is read once and rebuilt into one
+        :class:`~repro.core.circuit.Circuit` that every spec naming it
+        shares; a missing or unreadable blob raises
+        :class:`~repro.errors.JobError` naming its path.
         """
         job_dir = Path(job_dir)
         manifest_path = job_dir / MANIFEST_NAME
@@ -318,7 +345,8 @@ class SweepJob:
         # No policy field can change a result, so the manifest records
         # none and a resume runs under the environment's policy.
         policy = ExecutionPolicy.from_env()
-        specs = [spec_from_json(data) for data in manifest["specs"]]
+        circuits = _CircuitBlobs(job_dir)
+        specs = [spec_from_json(data, circuits) for data in manifest["specs"]]
         shards = [
             Shard(entry["id"], tuple(entry["indices"]))
             for entry in manifest["shards"]
@@ -431,7 +459,7 @@ class SweepJob:
             # absent from checkpoints written by older runs — readers
             # must treat it as optional.
             payload["stats"] = stats
-        _write_atomic(self._shard_path(shard), payload)
+        write_json_atomic(self._shard_path(shard), payload)
 
     # ------------------------------------------------------------------
     # Execution

@@ -10,7 +10,12 @@ deliberately **not** part of the key, nor recorded with the entry.
 :func:`point_key` hashes exactly that determining tuple (through the
 versioned JSON wire form of :mod:`repro.runtime.serialization`), and
 :class:`ResultStore` is a directory of one small JSON file per key.
-Properties the job layer leans on:
+Entries hold the *compressed* spec, in which each circuit is a
+``{"circuit_digest": d}`` reference; the circuit's wire form is stored
+once, as the content-addressed blob ``circuits/<d>.json``, written
+before any entry that names it.  A 10-point sweep sharing one circuit
+thus stores it once, not ten times.  Properties the job layer leans
+on:
 
 * **Cache hits on repeat queries.**  Re-submitting a sweep whose
   points are already stored costs file reads, not simulation.
@@ -18,10 +23,12 @@ Properties the job layer leans on:
   place, so a killed run leaves complete entries or none — never a
   half-written one that resume would trust.
 * **Stale/corrupt detection, never silent serving.**  Entries embed
-  their own key, format version, and full spec wire form; a lookup
-  re-verifies all three and raises :class:`~repro.errors.JobError` on
-  any mismatch.  An entry produced under a different RNG stream
-  version simply has a different key and is a clean miss.
+  their own key, format version, and compressed spec wire form; a
+  lookup re-verifies all three and raises
+  :class:`~repro.errors.JobError` on any mismatch.  The compare needs
+  no blob: a reference's digest already pins the circuit's bytes.  An
+  entry produced under a different RNG stream or store format version
+  simply has a different key and is a clean miss.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 from repro._version import __version__
@@ -43,6 +51,7 @@ from repro.runtime.serialization import (
 from repro.runtime.spec import PointResult, RunSpec
 
 __all__ = [
+    "CIRCUIT_DIR",
     "RESULT_STREAM_VERSION",
     "STORE_FORMAT_VERSION",
     "ResultStore",
@@ -50,13 +59,20 @@ __all__ = [
     "result_from_json",
     "result_problem",
     "result_to_json",
+    "write_circuit_blobs",
+    "write_json_atomic",
 ]
 
 #: Version of a store entry's on-disk shape.  Bump on layout changes.
 #: Version 2: keys, provenance and results no longer carry an engine.
 #: Version 3: keys no longer carry a fusion flag (circuits always
-#: compile fused), and provenance no longer records one.
-STORE_FORMAT_VERSION = 3
+#: compile fused), and provenance no longer records one.  Version 4:
+#: entries hold the compressed spec; circuits live in ``circuits/``.
+STORE_FORMAT_VERSION = 4
+
+#: Directory (under a store root or a job directory) of the
+#: content-addressed circuit blobs, ``<digest>.json`` each.
+CIRCUIT_DIR = "circuits"
 
 #: Version of the Monte-Carlo RNG stream contract.  The frozen digests in
 #: ``tests/noise/test_engine_determinism.py`` pin the streams; if they
@@ -68,16 +84,55 @@ STORE_FORMAT_VERSION = 3
 RESULT_STREAM_VERSION = 2
 
 
-def _key_from_wire(spec_json: dict) -> str:
-    # Hash the digest-compressed payload: embedded circuit fragments
-    # collapse to their (memoised) content digests, so keying a
-    # 10-point sweep serializes the shared circuit once, not 20 times.
+def _key_from_wire(compressed: dict) -> str:
+    # Hash the compressed payload: embedded circuit fragments are
+    # already their content digests, so keying a 10-point sweep never
+    # re-serializes the shared circuit.
     payload = {
         "format": STORE_FORMAT_VERSION,
         "stream": RESULT_STREAM_VERSION,
-        "spec": compress_for_hashing(spec_json),
+        "spec": compressed,
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def write_json_atomic(path: Path, payload) -> None:
+    """Write ``payload`` as JSON to ``path`` atomically.
+
+    The text is encoded in one ``json.dumps`` call (CPython's C
+    encoder; ``json.dump`` to a handle runs the pure-Python one) into
+    a temp file in the same directory, then ``os.replace``d into
+    place, so a crash leaves the old file or the new one, never a torn
+    one.  Manifests, checkpoints, store entries and circuit blobs all
+    go through here.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem[:12]}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(descriptor, "w") as handle:
+            handle.write(json.dumps(payload))
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def write_circuit_blobs(root: Path, circuits: Mapping[str, dict]) -> None:
+    """Store each circuit wire form as ``<root>/circuits/<digest>.json``.
+
+    A blob is content-addressed, so one that already exists is never
+    rewritten.  Callers write blobs before the file that references
+    them, so a crash never leaves a reference without its blob.
+    """
+    for digest, fragment in circuits.items():
+        path = root / CIRCUIT_DIR / f"{digest}.json"
+        if not path.exists():
+            write_json_atomic(path, fragment)
 
 
 _RESULT_FIELDS = ("failures", "trials", "faulted_trials")
@@ -103,7 +158,7 @@ def point_key(spec: RunSpec) -> str:
     no one can ever check.
     """
     _require_integer_seed(spec)
-    return _key_from_wire(spec_to_json(spec))
+    return _key_from_wire(compress_for_hashing(spec_to_json(spec)))
 
 
 def result_problem(block: object, trials: int) -> str | None:
@@ -152,7 +207,8 @@ class ResultStore:
     """A directory of JSON point results keyed by :func:`point_key`.
 
     Entries live two levels deep (``<root>/<key[:2]>/<key>.json``) so
-    a million-point store never puts a million files in one directory.
+    a million-point store never puts a million files in one directory;
+    the circuits they reference live in ``<root>/circuits/``.
     The store counts its traffic — ``hits``/``misses``/``puts``/
     ``stale`` — which is how the tests assert "served entirely from
     the store, zero simulation".
@@ -183,10 +239,11 @@ class ResultStore:
         the contract: a stale entry must never be silently served *or*
         silently recomputed over.
         """
-        # One serialization serves both the key and the verification
-        # compare — the warm path's cost is file reads plus this.
+        # One compressed serialization serves both the key and the
+        # verification compare — the warm path's cost is file reads
+        # plus this; no circuit blob is read.
         _require_integer_seed(spec)
-        spec_json = spec_to_json(spec)
+        spec_json = compress_for_hashing(spec_to_json(spec))
         key = _key_from_wire(spec_json)
         path = self._path(key)
         if not path.exists():
@@ -240,9 +297,10 @@ class ResultStore:
     def put(self, spec: RunSpec, result: PointResult) -> str:
         """Durably record ``result`` for ``spec``; returns the key.
 
-        The write is atomic (temp file + ``os.replace`` in the same
-        directory), so a crash mid-put leaves the previous state, not
-        a torn entry.
+        The spec's circuits are stored first (once each, see
+        :func:`write_circuit_blobs`), then the entry; both writes are
+        atomic, so a crash mid-put leaves the previous state, not a
+        torn entry or a dangling reference.
         """
         if result.trials != spec.trials:
             raise JobError(
@@ -250,7 +308,8 @@ class ResultStore:
                 f"{spec.trials}; refusing to store a mismatched entry"
             )
         _require_integer_seed(spec)
-        spec_json = spec_to_json(spec)
+        circuits: dict[str, dict] = {}
+        spec_json = compress_for_hashing(spec_to_json(spec), circuits)
         key = _key_from_wire(spec_json)
         entry = {
             "format": STORE_FORMAT_VERSION,
@@ -262,21 +321,8 @@ class ResultStore:
             },
             "result": result_to_json(result),
         }
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_circuit_blobs(self.root, circuits)
+        write_json_atomic(self._path(key), entry)
         self.puts += 1
         _STORE_PUTS.inc()
         return key
@@ -286,7 +332,8 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        # Only the two-hex-digit key directories: circuits/ holds blobs.
+        return sum(1 for _ in self.root.glob("[0-9a-f][0-9a-f]/*.json"))
 
     def stats(self) -> dict[str, int]:
         """Traffic counters since construction."""

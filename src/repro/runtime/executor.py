@@ -75,10 +75,10 @@ def _group_key(spec: RunSpec) -> tuple:
     distinct objects (a synthesised or peephole-optimised circuit next
     to its hand-written reference, a circuit rebuilt by a spec factory)
     batch into one stacked plane array instead of merely sharing a
-    compiled program across separate batches.  Hashing the op sequence
-    is cheap next to even one spec's simulation, and batching never
-    changes a point's numbers (the executor's bit-identity guarantee),
-    so wider grouping is pure upside.
+    compiled program across separate batches.  The key is a digest
+    cached on the circuit, so grouping costs one string hash per spec,
+    and batching never changes a point's numbers (the executor's
+    bit-identity guarantee), so wider grouping is pure upside.
     """
     return spec.circuit.content_key(), spec.input_bits
 

@@ -13,6 +13,10 @@ versioned wire form.  This module provides exactly that:
   gate tables deduplicated (an op references its gate by index), so a
   108-op recovery cycle built from three distinct gates serialises the
   tables three times, not 108.
+* :func:`compress_for_hashing` — the compressed form keys hash and
+  durable files store: each circuit becomes a ``{"circuit_digest":
+  d}`` reference, its wire form kept once elsewhere and supplied back
+  to :func:`spec_from_json` as a ``circuits`` mapping.
 * Codec registries for observables and decoders —
   :func:`register_observable_codec` / :func:`register_decoder_codec`
   let new observable or decoder types opt into the wire form without
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from importlib import import_module
 
 import numpy as np
@@ -77,6 +81,10 @@ __all__ = [
 #: reject versions they do not know.
 SPEC_FORMAT_VERSION = 1
 
+#: The key of a circuit reference, ``{"circuit_digest": <hex>}``: the
+#: stored stand-in for a circuit fragment (:func:`compress_for_hashing`).
+_CIRCUIT_REFERENCE = "circuit_digest"
+
 
 def canonical_json(payload) -> str:
     """The canonical text form used for hashing wire payloads.
@@ -102,17 +110,23 @@ def canonical_json(payload) -> str:
 # ----------------------------------------------------------------------
 
 
+class _CircuitFragment(dict):
+    """A memoised circuit wire form that carries its own digest.
+
+    ``digest`` is the SHA-256 of the fragment's canonical text, so
+    :func:`compress_for_hashing` can swap the fragment for a reference
+    without re-serialising it.  JSON encodes it as a plain object.
+    """
+
+    digest: str
+
+
 #: Memoised wire forms keyed by ``(name, content_key)`` — value-based,
 #: so an appended op (which changes ``content_key``) is a clean miss.
 #: Sweeps serialize the same shared circuit once per point (the spec
 #: AND its decode observable each embed it); without the memo that
 #: dominates the warm result-store path.
-_CIRCUIT_WIRE_CACHE: dict[tuple, dict] = {}
-#: Canonical-text digests of the memoised fragments, keyed by the
-#: fragment dict's id — valid exactly as long as the fragment lives in
-#: ``_CIRCUIT_WIRE_CACHE`` (which holds the reference, so the id can
-#: never be reused while the entry exists).
-_CIRCUIT_WIRE_DIGESTS: dict[int, str] = {}
+_CIRCUIT_WIRE_CACHE: dict[tuple[str, str], _CircuitFragment] = {}
 _CIRCUIT_WIRE_CACHE_MAX = 128
 
 
@@ -126,47 +140,45 @@ def circuit_to_json(circuit: Circuit) -> dict:
     cached = _CIRCUIT_WIRE_CACHE.get(key)
     if cached is not None:
         return cached
-    payload = _circuit_to_json_uncached(circuit)
-    if len(_CIRCUIT_WIRE_CACHE) >= _CIRCUIT_WIRE_CACHE_MAX:
-        _CIRCUIT_WIRE_CACHE.clear()
-        _CIRCUIT_WIRE_DIGESTS.clear()
-    _CIRCUIT_WIRE_CACHE[key] = payload
-    _CIRCUIT_WIRE_DIGESTS[id(payload)] = hashlib.sha256(
+    payload = _CircuitFragment(_circuit_to_json_uncached(circuit))
+    payload.digest = hashlib.sha256(
         canonical_json(payload).encode()
     ).hexdigest()
+    if len(_CIRCUIT_WIRE_CACHE) >= _CIRCUIT_WIRE_CACHE_MAX:
+        _CIRCUIT_WIRE_CACHE.clear()
+    _CIRCUIT_WIRE_CACHE[key] = payload
     return payload
 
 
-def compress_for_hashing(payload):
-    """A copy of ``payload`` with memoised circuit fragments digested.
+def compress_for_hashing(payload, circuits: dict[str, dict] | None = None):
+    """A copy of ``payload`` with circuit fragments swapped for references.
 
-    Key hashing (the result store, shard IDs) does not need the full
-    wire text — only a deterministic function of the content.  Every
-    embedded circuit fragment that came out of :func:`circuit_to_json`
-    is replaced by ``{"circuit_digest": <sha256 of its canonical
-    text>}``, so hashing a sweep's point keys serializes each shared
-    circuit once per process instead of twice per point.  Fragments
-    not in the memo (e.g. payloads that went through JSON text and
-    back) are left in place — the substitution only ever swaps a
-    fragment for a digest of the identical bytes, so equal content
-    yields equal hashes either way only WITHIN one form; callers must
-    hash exclusively compressed or exclusively raw payloads for a
-    given key space, never a mix.
+    Every embedded circuit fragment that came out of
+    :func:`circuit_to_json` is replaced by ``{"circuit_digest": <sha256
+    of its canonical text>}``.  This compressed form is what keys hash
+    (the result store, shard IDs) and what durable files store: a
+    10-point sweep sharing one circuit serializes it once, not 20
+    times.  When ``circuits`` is given, each replaced fragment is
+    recorded in it under its digest, so the caller can store it once
+    (see :func:`spec_from_json` for the way back).  Fragments that did
+    not come from :func:`circuit_to_json` (e.g. payloads that went
+    through JSON text and back) are left in place.
     """
+    if isinstance(payload, _CircuitFragment):
+        if circuits is not None:
+            circuits[payload.digest] = payload
+        return {_CIRCUIT_REFERENCE: payload.digest}
     if isinstance(payload, dict):
-        digest = _CIRCUIT_WIRE_DIGESTS.get(id(payload))
-        if digest is not None:
-            return {"circuit_digest": digest}
         # Sorted so the compressed form is itself insertion-order
         # independent; the final key bytes were already order-free
         # (canonical_json sorts at dump time), but key computations
         # must not iterate dicts in insertion order (RL111).
         return {
-            key: compress_for_hashing(payload[key])
+            key: compress_for_hashing(payload[key], circuits)
             for key in sorted(payload)
         }
     if isinstance(payload, list):
-        return [compress_for_hashing(item) for item in payload]
+        return [compress_for_hashing(item, circuits) for item in payload]
     return payload
 
 
@@ -228,6 +240,30 @@ def circuit_from_json(data: dict) -> Circuit:
     return circuit
 
 
+def _circuit_field(
+    data: dict, circuits: Mapping[str, Circuit] | None
+) -> Circuit:
+    """A payload's circuit: a wire form, or a digest reference.
+
+    A ``{"circuit_digest": d}`` reference resolves to ``circuits[d]``
+    (the mapping passed to :func:`spec_from_json`).
+    """
+    if _CIRCUIT_REFERENCE not in data:
+        return circuit_from_json(data)
+    digest = data[_CIRCUIT_REFERENCE]
+    if circuits is None:
+        raise SerializationError(
+            f"circuit reference {digest} needs a circuits mapping to "
+            f"resolve against"
+        )
+    try:
+        return circuits[digest]
+    except KeyError:
+        raise SerializationError(
+            f"circuit reference {digest} has no supplied circuit"
+        ) from None
+
+
 # ----------------------------------------------------------------------
 # Noise models
 # ----------------------------------------------------------------------
@@ -248,7 +284,9 @@ def noise_from_json(data: dict) -> NoiseModel:
 # ----------------------------------------------------------------------
 
 #: kind -> (type, encode, decode).  ``encode(decoder) -> dict`` (sans
-#: the ``kind`` tag), ``decode(dict) -> decoder``.
+#: the ``kind`` tag), ``decode(dict, circuits) -> decoder``, where
+#: ``circuits`` is the mapping :func:`spec_from_json` resolves circuit
+#: references against (``None`` for full wire forms).
 _DECODER_CODECS: dict[str, tuple[type, Callable, Callable]] = {}
 
 
@@ -277,12 +315,14 @@ def _decoder_to_json(decoder: object) -> dict:
     )
 
 
-def _decoder_from_json(data: dict) -> object:
+def _decoder_from_json(
+    data: dict, circuits: Mapping[str, Circuit] | None
+) -> object:
     kind = data.get("kind")
     entry = _DECODER_CODECS.get(kind)
     if entry is None:
         raise SerializationError(f"unknown decoder kind {kind!r}")
-    return entry[2](data)
+    return entry[2](data, circuits)
 
 
 def _logical_processor_to_json(processor: LogicalProcessor) -> dict:
@@ -298,8 +338,10 @@ def _logical_processor_to_json(processor: LogicalProcessor) -> dict:
     }
 
 
-def _logical_processor_from_json(data: dict) -> LogicalProcessor:
-    circuit = circuit_from_json(data["circuit"])
+def _logical_processor_from_json(
+    data: dict, circuits: Mapping[str, Circuit] | None
+) -> LogicalProcessor:
+    circuit = _circuit_field(data["circuit"], circuits)
     processor = LogicalProcessor(
         data["n_logical"],
         include_resets=data["include_resets"],
@@ -336,7 +378,11 @@ _OBSERVABLE_CODECS: dict[str, tuple[type, Callable, Callable]] = {}
 def register_observable_codec(
     kind: str, cls: type, encode: Callable, decode: Callable
 ) -> None:
-    """Register a wire form for an observable type (exact-type match)."""
+    """Register a wire form for an observable type (exact-type match).
+
+    ``decode`` takes the payload and the ``circuits`` mapping, as a
+    decoder codec's does.
+    """
     if kind in _OBSERVABLE_CODECS:
         raise SerializationError(
             f"observable codec {kind!r} already registered"
@@ -356,12 +402,14 @@ def observable_to_json(observable: object) -> dict:
     )
 
 
-def observable_from_json(data: dict) -> object:
+def observable_from_json(
+    data: dict, circuits: Mapping[str, Circuit] | None = None
+) -> object:
     kind = data.get("kind")
     entry = _OBSERVABLE_CODECS.get(kind)
     if entry is None:
         raise SerializationError(f"unknown observable kind {kind!r}")
-    return entry[2](data)
+    return entry[2](data, circuits)
 
 
 def _predicate_to_json(observable: PredicateObservable) -> dict:
@@ -383,7 +431,9 @@ def _predicate_to_json(observable: PredicateObservable) -> dict:
     return {"module": module, "qualname": qualname}
 
 
-def _predicate_from_json(data: dict) -> PredicateObservable:
+def _predicate_from_json(
+    data: dict, circuits: Mapping[str, Circuit] | None
+) -> PredicateObservable:
     try:
         module = import_module(data["module"])
         predicate = getattr(module, data["qualname"])
@@ -405,8 +455,8 @@ register_observable_codec(
         "decoder": _decoder_to_json(o.decoder),
         "expected": list(o.expected),
     },
-    lambda d: DecodeObservable(
-        decoder=_decoder_from_json(d["decoder"]),
+    lambda d, circuits: DecodeObservable(
+        decoder=_decoder_from_json(d["decoder"], circuits),
         expected=tuple(d["expected"]),
     ),
 )
@@ -417,8 +467,8 @@ register_observable_codec(
         "decoder": _decoder_to_json(o.decoder),
         "expected": list(o.expected),
     },
-    lambda d: DecodedMismatchObservable(
-        decoder=_decoder_from_json(d["decoder"]),
+    lambda d, circuits: DecodedMismatchObservable(
+        decoder=_decoder_from_json(d["decoder"], circuits),
         expected=tuple(d["expected"]),
     ),
 )
@@ -461,8 +511,15 @@ def spec_to_json(spec: RunSpec) -> dict:
     }
 
 
-def spec_from_json(data: dict) -> RunSpec:
+def spec_from_json(
+    data: dict, circuits: Mapping[str, Circuit] | None = None
+) -> RunSpec:
     """Rebuild a spec from :func:`spec_to_json` output.
+
+    ``data`` may also be the :func:`compress_for_hashing` form: each
+    ``{"circuit_digest": d}`` reference, in the spec or inside its
+    observable, resolves to ``circuits[d]``, so specs sharing a
+    circuit share one :class:`~repro.core.circuit.Circuit`.
 
     Unknown format versions are rejected: mis-parsing a future wire
     form into a plausible-but-wrong spec would silently corrupt every
@@ -475,9 +532,9 @@ def spec_from_json(data: dict) -> RunSpec:
             f"(expected {SPEC_FORMAT_VERSION}); regenerate the manifest"
         )
     return RunSpec(
-        circuit=circuit_from_json(data["circuit"]),
+        circuit=_circuit_field(data["circuit"], circuits),
         input_bits=tuple(data["input_bits"]),
-        observable=observable_from_json(data["observable"]),
+        observable=observable_from_json(data["observable"], circuits),
         noise=noise_from_json(data["noise"]),
         trials=data["trials"],
         seed=data["seed"],

@@ -32,7 +32,6 @@ from repro.synth.database import (
     IdentityDatabase,
     circuit_from_json,
     circuit_to_json,
-    content_digest,
 )
 from repro.synth.peephole import (
     OptimizationReport,
@@ -60,7 +59,6 @@ __all__ = [
     "IdentityDatabase",
     "circuit_from_json",
     "circuit_to_json",
-    "content_digest",
     "OptimizationReport",
     "inflate",
     "optimize",

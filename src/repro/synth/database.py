@@ -8,12 +8,12 @@ splices in the cheapest known equivalent.  Classes whose action is the
 identity are the classic "circuit identities" of the synthesis
 literature (templates): any occurrence may be deleted outright.
 
-The database is *content-keyed* with the same hash scheme as the
-compile cache: a member's identity is the SHA-256 digest of its public
-:meth:`~repro.core.circuit.Circuit.content_key` (wire count + exact op
-sequence — there is deliberately no second hashing scheme), so adding
-the same circuit twice, or the same circuit rebuilt from scratch, is a
-no-op.  Classes are keyed by their action's mapping tuple.
+The database is *content-keyed* with the same key as the compile
+cache: a member's identity is its public
+:meth:`~repro.core.circuit.Circuit.content_key`, the SHA-256 digest of
+its wire count and exact op sequence (there is deliberately no second
+hashing scheme), so adding the same circuit twice, or the same circuit
+rebuilt from scratch, is a no-op.  Classes are keyed by their action's mapping tuple.
 
 Population comes from the searcher: :meth:`IdentityDatabase.mine`
 walks :func:`~repro.synth.search.enumerate_canonical` over a placed
@@ -33,7 +33,6 @@ than silently.
 from __future__ import annotations
 
 import json
-from hashlib import sha256
 from pathlib import Path
 
 from repro.core import library
@@ -50,37 +49,6 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: Default persistence home — next to the experiment result tables.
 DEFAULT_DATABASE_DIR = REPO_ROOT / "benchmarks" / "results"
-
-
-def content_digest(circuit: Circuit) -> str:
-    """Hex SHA-256 of the circuit's :meth:`Circuit.content_key`.
-
-    The digest is a pure function of the content key — the compile
-    cache's notion of identity, pushed through a hash so it can key
-    JSON objects.  The key's operations are expanded field by field
-    (kind, wires, reset value, and the gate's name/arity/full
-    permutation table) rather than via ``repr``: ``Gate.__repr__``
-    elides the table, and a digest that ignored tables would collide
-    content-distinct circuits whose gates merely share a name.
-    """
-    n_wires, ops = circuit.content_key()
-    material = repr(
-        (
-            n_wires,
-            tuple(
-                (
-                    op.kind.value,
-                    op.wires,
-                    op.reset_value,
-                    None
-                    if op.gate is None
-                    else (op.gate.name, op.gate.arity, op.gate.table),
-                )
-                for op in ops
-            ),
-        )
-    )
-    return sha256(material.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +138,7 @@ class IdentityDatabase:
             )
         mapping = circuit_permutation(circuit).mapping  # raises on resets
         members = self.classes.setdefault(mapping, {})
-        digest = content_digest(circuit)
+        digest = circuit.content_key()
         if digest in members:
             return False
         members[digest] = circuit
@@ -220,7 +188,7 @@ class IdentityDatabase:
                     "searcher action disagrees with exhaustive evaluation "
                     f"for {sequence!r}"
                 )  # pragma: no cover - would indicate a searcher bug
-            digest = content_digest(circuit)
+            digest = circuit.content_key()
             if digest in members:
                 continue  # pragma: no cover - canonical sequences are unique
             members[digest] = circuit
@@ -267,7 +235,7 @@ class IdentityDatabase:
             return None
         return min(
             candidates,
-            key=lambda c: (cost_model.cost(c), content_digest(c)),
+            key=lambda c: (cost_model.cost(c), c.content_key()),
         )
 
     def identities(self) -> tuple[Circuit, ...]:
@@ -386,6 +354,6 @@ class IdentityDatabase:
                 # through add() would recompute the exhaustive
                 # permutation a second time per member.
                 database.classes.setdefault(recorded, {}).setdefault(
-                    content_digest(circuit), circuit
+                    circuit.content_key(), circuit
                 )
         return database

@@ -43,6 +43,17 @@ class TestContentKey:
         circuit.x(0)
         assert circuit.content_key() != key
 
+    def test_append_refreshes_the_cached_key(self):
+        # The key is cached on the instance; append must drop it, and
+        # the refreshed key must equal a fresh op-for-op twin's.
+        circuit = build_circuit()
+        before = circuit.content_key()
+        circuit.cnot(3, 0)
+        after = circuit.content_key()
+        assert after != before
+        assert after == build_circuit().cnot(3, 0).content_key()
+        assert after == Circuit(4, _ops=list(circuit.ops)).content_key()
+
     def test_key_is_hashable(self):
         assert {build_circuit().content_key(): 1}[build_circuit().content_key()] == 1
 

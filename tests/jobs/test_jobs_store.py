@@ -17,6 +17,7 @@ from repro.jobs import (
     ResultStore,
     point_key,
 )
+from repro.jobs import store as jobs_store
 from repro.runtime import ExecutionPolicy, Executor, PointResult
 from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
 
@@ -102,6 +103,42 @@ class TestStoreRoundTrip:
         path.write_text(json.dumps(entry))
         assert store.get(spec) == result
         assert store.stats()["hits"] == 1
+
+    def test_len_counts_entries_not_circuit_blobs(self, tmp_path, policy):
+        store = ResultStore(tmp_path)
+        specs = _specs(3)
+        for spec, result in zip(specs, Executor(policy).run(specs)):
+            store.put(spec, result)
+        assert len(store) == 3
+        assert len(list((tmp_path / "circuits").glob("*.json"))) == 1
+
+    def test_entry_references_its_circuit_blob(self, tmp_path, policy):
+        # The entry holds the compressed spec; the circuit lives once in
+        # circuits/, and a lookup compares references without reading it.
+        store = ResultStore(tmp_path)
+        (spec,) = _specs(1)
+        (result,) = Executor(policy).run([spec])
+        key = store.put(spec, result)
+        entry = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
+        digest = entry["spec"]["circuit"]["circuit_digest"]
+        blob = tmp_path / "circuits" / f"{digest}.json"
+        assert json.loads(blob.read_text())["ops"]
+        assert '"ops"' not in json.dumps(entry)
+        blob.unlink()
+        assert store.get(spec) == result
+
+    def test_format_3_entry_is_a_miss(self, tmp_path, policy, monkeypatch):
+        # The format is key material: an entry written under an older
+        # layout sits at another key, so it is a clean miss, not stale.
+        store = ResultStore(tmp_path)
+        (spec,) = _specs(1)
+        (result,) = Executor(policy).run([spec])
+        monkeypatch.setattr(jobs_store, "STORE_FORMAT_VERSION", 3)
+        store.put(spec, result)
+        monkeypatch.undo()
+        assert store.get(spec) is None
+        assert store.stats()["stale"] == 0
+        assert len(store) == 1
 
     def test_mismatched_trials_refused_on_put(self, tmp_path, policy):
         store = ResultStore(tmp_path)

@@ -331,3 +331,71 @@ class TestManifestIntegrity:
         path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
         with pytest.raises(JobError, match=re.escape(str(path))):
             job.collect()
+
+
+class TestCircuitBlobs:
+    """Each distinct circuit is stored once, as ``circuits/<digest>.json``."""
+
+    def _ran(self, tmp_path, policy, count=10):
+        specs = _specs(count)
+        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
+        job.run()
+        return specs, job
+
+    def test_ten_point_job_stores_the_shared_circuit_once(
+        self, tmp_path, policy
+    ):
+        self._ran(tmp_path, policy)
+        job_dir = tmp_path / "job"
+        assert len(list((job_dir / "circuits").glob("*.json"))) == 1
+        assert len(list((job_dir / "store" / "circuits").glob("*.json"))) == 1
+        assert '"ops"' not in (job_dir / "manifest.json").read_text()
+        entries = list((job_dir / "store").glob("[0-9a-f][0-9a-f]/*.json"))
+        assert len(entries) == 10
+        assert not any('"ops"' in path.read_text() for path in entries)
+
+    def test_load_rebuilds_the_submitted_specs(self, tmp_path, policy):
+        specs, _ = self._ran(tmp_path, policy)
+        loaded = SweepJob.load(tmp_path / "job")
+        assert loaded.specs == specs
+        # One rebuilt circuit per digest, shared by every spec and by
+        # every decoder that names it.
+        circuits = {id(spec.circuit) for spec in loaded.specs}
+        circuits |= {id(spec.observable.decoder.circuit) for spec in loaded.specs}
+        assert len(circuits) == 1
+
+    def test_resumed_job_merges_bit_identical(self, tmp_path, policy):
+        specs = _specs(4)
+        SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2).run(
+            max_shards=1
+        )
+        resumed = SweepJob.load(tmp_path / "job")
+        resumed.run()
+        assert resumed.collect() == Executor(policy).run(specs)
+
+    def _blob(self, tmp_path):
+        (blob,) = (tmp_path / "job" / "circuits").glob("*.json")
+        return blob
+
+    def test_missing_blob_raises(self, tmp_path, policy):
+        self._ran(tmp_path, policy, count=2)
+        blob = self._blob(tmp_path)
+        blob.unlink()
+        with pytest.raises(JobError, match=re.escape(str(blob))):
+            SweepJob.load(tmp_path / "job")
+
+    def test_unreadable_blob_raises(self, tmp_path, policy):
+        self._ran(tmp_path, policy, count=2)
+        blob = self._blob(tmp_path)
+        blob.write_text("{not json")
+        with pytest.raises(JobError, match=re.escape(str(blob))):
+            SweepJob.load(tmp_path / "job")
+
+    def test_edited_blob_fails_the_job_id_check(self, tmp_path, policy):
+        self._ran(tmp_path, policy, count=2)
+        blob = self._blob(tmp_path)
+        circuit = json.loads(blob.read_text())
+        circuit["ops"].pop()
+        blob.write_text(json.dumps(circuit))
+        with pytest.raises(JobError, match="do not hash"):
+            SweepJob.load(tmp_path / "job")

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.circuit import Circuit
 from repro.errors import SerializationError
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import point_key
 from repro.runtime.serialization import (
+    _CIRCUIT_WIRE_CACHE_MAX,
     canonical_json,
     circuit_to_json,
     compress_for_hashing,
@@ -73,6 +75,16 @@ class TestCompressForHashing:
         spec = one_spec()
         fragment = circuit_to_json(spec.circuit)
         compressed = compress_for_hashing({"circuit": fragment})
+        assert set(compressed["circuit"]) == {"circuit_digest"}
+
+    def test_fragment_keeps_its_digest_when_the_memo_clears(self):
+        # A spec embeds two fragments (its circuit and its decoder's);
+        # the memo clearing between them must not leave the first one
+        # raw, or the same spec would hash two ways.
+        first = circuit_to_json(Circuit(2, name="first").cnot(0, 1))
+        for index in range(_CIRCUIT_WIRE_CACHE_MAX):
+            circuit_to_json(Circuit(2, name=f"filler-{index}").cnot(0, 1))
+        compressed = compress_for_hashing({"circuit": first})
         assert set(compressed["circuit"]) == {"circuit_digest"}
 
 

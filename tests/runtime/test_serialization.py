@@ -26,6 +26,7 @@ from repro.runtime.executor import _group_key
 from repro.runtime.serialization import (
     circuit_from_json,
     circuit_to_json,
+    compress_for_hashing,
     noise_from_json,
     noise_to_json,
 )
@@ -86,6 +87,30 @@ class TestSpecRoundTrip:
         assert rebuilt == spec
         assert rebuilt.circuit.content_key() == spec.circuit.content_key()
         assert _group_key(rebuilt) == _group_key(spec)
+
+    def test_compressed_round_trip_resolves_supplied_circuits(self):
+        # The stored form: circuits collapse to digest references and
+        # come back as one supplied Circuit, shared with the decoder.
+        (spec,) = cycle_error_specs(((2e-3, 11),), 2000, cycles=1)
+        fragments: dict[str, dict] = {}
+        compressed = compress_for_hashing(spec_to_json(spec), fragments)
+        assert '"ops"' not in json.dumps(compressed)
+        (digest,) = fragments
+        circuit = circuit_from_json(json.loads(json.dumps(fragments[digest])))
+        rebuilt = spec_from_json(
+            json.loads(json.dumps(compressed)), {digest: circuit}
+        )
+        assert rebuilt == spec
+        assert rebuilt.circuit is circuit
+        assert rebuilt.observable.decoder.circuit is circuit
+
+    def test_unresolved_circuit_reference_refused(self):
+        (spec,) = cycle_error_specs(((2e-3, 11),), 2000, cycles=1)
+        compressed = compress_for_hashing(spec_to_json(spec))
+        with pytest.raises(SerializationError, match="needs a circuits mapping"):
+            spec_from_json(compressed)
+        with pytest.raises(SerializationError, match="no supplied circuit"):
+            spec_from_json(compressed, {})
 
     def test_rebuilt_spec_runs_bit_identical(self):
         specs = cycle_error_specs(((3e-3, 5), (6e-3, 6)), 2000, cycles=1)
