@@ -11,8 +11,7 @@ checkpointing against a content-keyed result store
                              # circuits as digest references), shard plan
         circuits/<d>.json    # each distinct circuit's wire form, once
         shards/<id>.json     # one checkpoint per completed shard
-        store/               # the result store (unless shared), with
-                             # its own circuits/ blobs
+        store/               # the result store (unless shared)
 
 The contract that makes this a *service* rather than a script:
 
@@ -49,13 +48,11 @@ from repro.errors import AnalysisError, JobError, ReproError
 from repro.harness.stats import RateEstimate
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
 from repro.jobs.store import (
-    CIRCUIT_DIR,
     ResultStore,
     point_key,
     result_from_json,
     result_problem,
     result_to_json,
-    write_circuit_blobs,
     write_json_atomic,
 )
 from repro.obs import (
@@ -90,6 +87,7 @@ JOB_FORMAT_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
 STORE_DIR = "store"
+CIRCUIT_DIR = "circuits"
 
 # Job-layer metrics (repro.obs): shard throughput plus the live
 # done/total gauges a heartbeat reads mid-run.
@@ -97,6 +95,19 @@ _SHARDS_RUN = counter("jobs.shards.run")
 _SHARD_SECONDS = histogram("jobs.shard_seconds")
 _SHARDS_TOTAL = gauge("jobs.shards.total")
 _SHARDS_DONE = gauge("jobs.shards.done")
+
+
+def _write_circuit_blobs(job_dir: Path, circuits: dict[str, dict]) -> None:
+    """Store each circuit wire form as ``<job_dir>/circuits/<digest>.json``.
+
+    A blob is content-addressed, so one that already exists is never
+    rewritten.  The manifest naming the blobs is written after them,
+    so a crash never leaves a reference without its blob.
+    """
+    for digest, fragment in circuits.items():
+        path = job_dir / CIRCUIT_DIR / f"{digest}.json"
+        if not path.exists():
+            write_json_atomic(path, fragment)
 
 
 class _CircuitBlobs(dict):
@@ -296,7 +307,7 @@ class SweepJob:
                 for shard in shards
             ],
         }
-        write_circuit_blobs(job_dir, circuits)
+        _write_circuit_blobs(job_dir, circuits)
         write_json_atomic(manifest_path, manifest)
         return cls(
             job_dir, specs, shards, policy, cls._store(job_dir, store), job_id

@@ -11,11 +11,11 @@ deliberately **not** part of the key, nor recorded with the entry.
 versioned JSON wire form of :mod:`repro.runtime.serialization`), and
 :class:`ResultStore` is a directory of one small JSON file per key.
 Entries hold the *compressed* spec, in which each circuit is a
-``{"circuit_digest": d}`` reference; the circuit's wire form is stored
-once, as the content-addressed blob ``circuits/<d>.json``, written
-before any entry that names it.  A 10-point sweep sharing one circuit
-thus stores it once, not ten times.  Properties the job layer leans
-on:
+``{"circuit_digest": d}`` reference: the digest pins the circuit's
+wire bytes, so an entry needs no copy of them, and a 10-point sweep
+sharing one circuit writes none.  (A job directory keeps each circuit
+once, for the specs its manifest must rebuild.)  Properties the job
+layer leans on:
 
 * **Cache hits on repeat queries.**  Re-submitting a sweep whose
   points are already stored costs file reads, not simulation.
@@ -25,8 +25,7 @@ on:
 * **Stale/corrupt detection, never silent serving.**  Entries embed
   their own key, format version, and compressed spec wire form; a
   lookup re-verifies all three and raises
-  :class:`~repro.errors.JobError` on any mismatch.  The compare needs
-  no blob: a reference's digest already pins the circuit's bytes.  An
+  :class:`~repro.errors.JobError` on any mismatch.  An
   entry produced under a different RNG stream or store format version
   simply has a different key and is a clean miss.
 """
@@ -37,7 +36,6 @@ import hashlib
 import json
 import os
 import tempfile
-from collections.abc import Mapping
 from pathlib import Path
 
 from repro._version import __version__
@@ -51,7 +49,6 @@ from repro.runtime.serialization import (
 from repro.runtime.spec import PointResult, RunSpec
 
 __all__ = [
-    "CIRCUIT_DIR",
     "RESULT_STREAM_VERSION",
     "STORE_FORMAT_VERSION",
     "ResultStore",
@@ -59,7 +56,6 @@ __all__ = [
     "result_from_json",
     "result_problem",
     "result_to_json",
-    "write_circuit_blobs",
     "write_json_atomic",
 ]
 
@@ -67,12 +63,8 @@ __all__ = [
 #: Version 2: keys, provenance and results no longer carry an engine.
 #: Version 3: keys no longer carry a fusion flag (circuits always
 #: compile fused), and provenance no longer records one.  Version 4:
-#: entries hold the compressed spec; circuits live in ``circuits/``.
+#: entries hold the compressed spec, circuits as digest references.
 STORE_FORMAT_VERSION = 4
-
-#: Directory (under a store root or a job directory) of the
-#: content-addressed circuit blobs, ``<digest>.json`` each.
-CIRCUIT_DIR = "circuits"
 
 #: Version of the Monte-Carlo RNG stream contract.  The frozen digests in
 #: ``tests/noise/test_engine_determinism.py`` pin the streams; if they
@@ -120,19 +112,6 @@ def write_json_atomic(path: Path, payload) -> None:
         except OSError:
             pass
         raise
-
-
-def write_circuit_blobs(root: Path, circuits: Mapping[str, dict]) -> None:
-    """Store each circuit wire form as ``<root>/circuits/<digest>.json``.
-
-    A blob is content-addressed, so one that already exists is never
-    rewritten.  Callers write blobs before the file that references
-    them, so a crash never leaves a reference without its blob.
-    """
-    for digest, fragment in circuits.items():
-        path = root / CIRCUIT_DIR / f"{digest}.json"
-        if not path.exists():
-            write_json_atomic(path, fragment)
 
 
 _RESULT_FIELDS = ("failures", "trials", "faulted_trials")
@@ -207,8 +186,7 @@ class ResultStore:
     """A directory of JSON point results keyed by :func:`point_key`.
 
     Entries live two levels deep (``<root>/<key[:2]>/<key>.json``) so
-    a million-point store never puts a million files in one directory;
-    the circuits they reference live in ``<root>/circuits/``.
+    a million-point store never puts a million files in one directory.
     The store counts its traffic — ``hits``/``misses``/``puts``/
     ``stale`` — which is how the tests assert "served entirely from
     the store, zero simulation".
@@ -241,7 +219,7 @@ class ResultStore:
         """
         # One compressed serialization serves both the key and the
         # verification compare — the warm path's cost is file reads
-        # plus this; no circuit blob is read.
+        # plus this.
         _require_integer_seed(spec)
         spec_json = compress_for_hashing(spec_to_json(spec))
         key = _key_from_wire(spec_json)
@@ -297,10 +275,9 @@ class ResultStore:
     def put(self, spec: RunSpec, result: PointResult) -> str:
         """Durably record ``result`` for ``spec``; returns the key.
 
-        The spec's circuits are stored first (once each, see
-        :func:`write_circuit_blobs`), then the entry; both writes are
-        atomic, so a crash mid-put leaves the previous state, not a
-        torn entry or a dangling reference.
+        The write is atomic (temp file + ``os.replace`` in the same
+        directory), so a crash mid-put leaves the previous state, not
+        a torn entry.
         """
         if result.trials != spec.trials:
             raise JobError(
@@ -308,8 +285,7 @@ class ResultStore:
                 f"{spec.trials}; refusing to store a mismatched entry"
             )
         _require_integer_seed(spec)
-        circuits: dict[str, dict] = {}
-        spec_json = compress_for_hashing(spec_to_json(spec), circuits)
+        spec_json = compress_for_hashing(spec_to_json(spec))
         key = _key_from_wire(spec_json)
         entry = {
             "format": STORE_FORMAT_VERSION,
@@ -321,7 +297,6 @@ class ResultStore:
             },
             "result": result_to_json(result),
         }
-        write_circuit_blobs(self.root, circuits)
         write_json_atomic(self._path(key), entry)
         self.puts += 1
         _STORE_PUTS.inc()
@@ -332,8 +307,7 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        # Only the two-hex-digit key directories: circuits/ holds blobs.
-        return sum(1 for _ in self.root.glob("[0-9a-f][0-9a-f]/*.json"))
+        return sum(1 for _ in self.root.glob("*/*.json"))
 
     def stats(self) -> dict[str, int]:
         """Traffic counters since construction."""

@@ -219,7 +219,17 @@ def circuit_from_json(data: dict) -> Circuit:
     Gate and circuit construction re-validate everything (bijective
     tables, wire ranges, arity matches), so a tampered payload fails
     as a library error instead of producing a silently wrong circuit.
+    A ``{"circuit_digest": d}`` reference that :func:`spec_from_json`
+    resolved returns its supplied circuit; an unresolved one is
+    refused.
     """
+    if isinstance(data, _ResolvedReference):
+        return data.circuit
+    if _CIRCUIT_REFERENCE in data:
+        raise SerializationError(
+            f"circuit reference {data[_CIRCUIT_REFERENCE]} needs a circuits "
+            f"mapping to resolve against; pass one to spec_from_json"
+        )
     gates = [
         Gate(name=g["name"], arity=g["arity"], table=tuple(g["table"]))
         for g in data["gates"]
@@ -240,28 +250,39 @@ def circuit_from_json(data: dict) -> Circuit:
     return circuit
 
 
-def _circuit_field(
-    data: dict, circuits: Mapping[str, Circuit] | None
-) -> Circuit:
-    """A payload's circuit: a wire form, or a digest reference.
+class _ResolvedReference(dict):
+    """A circuit reference bound to its supplied :class:`Circuit`.
 
-    A ``{"circuit_digest": d}`` reference resolves to ``circuits[d]``
-    (the mapping passed to :func:`spec_from_json`).
+    :func:`spec_from_json` swaps each ``{"circuit_digest": d}`` for
+    one of these before any codec runs, so a codec that calls
+    :func:`circuit_from_json` on its circuit field gets the shared
+    circuit without knowing references exist.
     """
-    if _CIRCUIT_REFERENCE not in data:
-        return circuit_from_json(data)
-    digest = data[_CIRCUIT_REFERENCE]
-    if circuits is None:
-        raise SerializationError(
-            f"circuit reference {digest} needs a circuits mapping to "
-            f"resolve against"
-        )
-    try:
-        return circuits[digest]
-    except KeyError:
-        raise SerializationError(
-            f"circuit reference {digest} has no supplied circuit"
-        ) from None
+
+    circuit: Circuit
+
+
+def _resolve_references(payload, circuits: Mapping[str, Circuit]):
+    """A copy of ``payload`` with each circuit reference resolved."""
+    if isinstance(payload, dict):
+        if payload.keys() == {_CIRCUIT_REFERENCE}:
+            digest = payload[_CIRCUIT_REFERENCE]
+            try:
+                circuit = circuits[digest]
+            except KeyError:
+                raise SerializationError(
+                    f"circuit reference {digest} has no supplied circuit"
+                ) from None
+            resolved = _ResolvedReference(payload)
+            resolved.circuit = circuit
+            return resolved
+        return {
+            key: _resolve_references(value, circuits)
+            for key, value in payload.items()
+        }
+    if isinstance(payload, list):
+        return [_resolve_references(item, circuits) for item in payload]
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -284,9 +305,7 @@ def noise_from_json(data: dict) -> NoiseModel:
 # ----------------------------------------------------------------------
 
 #: kind -> (type, encode, decode).  ``encode(decoder) -> dict`` (sans
-#: the ``kind`` tag), ``decode(dict, circuits) -> decoder``, where
-#: ``circuits`` is the mapping :func:`spec_from_json` resolves circuit
-#: references against (``None`` for full wire forms).
+#: the ``kind`` tag), ``decode(dict) -> decoder``.
 _DECODER_CODECS: dict[str, tuple[type, Callable, Callable]] = {}
 
 
@@ -315,14 +334,12 @@ def _decoder_to_json(decoder: object) -> dict:
     )
 
 
-def _decoder_from_json(
-    data: dict, circuits: Mapping[str, Circuit] | None
-) -> object:
+def _decoder_from_json(data: dict) -> object:
     kind = data.get("kind")
     entry = _DECODER_CODECS.get(kind)
     if entry is None:
         raise SerializationError(f"unknown decoder kind {kind!r}")
-    return entry[2](data, circuits)
+    return entry[2](data)
 
 
 def _logical_processor_to_json(processor: LogicalProcessor) -> dict:
@@ -338,10 +355,8 @@ def _logical_processor_to_json(processor: LogicalProcessor) -> dict:
     }
 
 
-def _logical_processor_from_json(
-    data: dict, circuits: Mapping[str, Circuit] | None
-) -> LogicalProcessor:
-    circuit = _circuit_field(data["circuit"], circuits)
+def _logical_processor_from_json(data: dict) -> LogicalProcessor:
+    circuit = circuit_from_json(data["circuit"])
     processor = LogicalProcessor(
         data["n_logical"],
         include_resets=data["include_resets"],
@@ -378,11 +393,7 @@ _OBSERVABLE_CODECS: dict[str, tuple[type, Callable, Callable]] = {}
 def register_observable_codec(
     kind: str, cls: type, encode: Callable, decode: Callable
 ) -> None:
-    """Register a wire form for an observable type (exact-type match).
-
-    ``decode`` takes the payload and the ``circuits`` mapping, as a
-    decoder codec's does.
-    """
+    """Register a wire form for an observable type (exact-type match)."""
     if kind in _OBSERVABLE_CODECS:
         raise SerializationError(
             f"observable codec {kind!r} already registered"
@@ -402,14 +413,12 @@ def observable_to_json(observable: object) -> dict:
     )
 
 
-def observable_from_json(
-    data: dict, circuits: Mapping[str, Circuit] | None = None
-) -> object:
+def observable_from_json(data: dict) -> object:
     kind = data.get("kind")
     entry = _OBSERVABLE_CODECS.get(kind)
     if entry is None:
         raise SerializationError(f"unknown observable kind {kind!r}")
-    return entry[2](data, circuits)
+    return entry[2](data)
 
 
 def _predicate_to_json(observable: PredicateObservable) -> dict:
@@ -431,9 +440,7 @@ def _predicate_to_json(observable: PredicateObservable) -> dict:
     return {"module": module, "qualname": qualname}
 
 
-def _predicate_from_json(
-    data: dict, circuits: Mapping[str, Circuit] | None
-) -> PredicateObservable:
+def _predicate_from_json(data: dict) -> PredicateObservable:
     try:
         module = import_module(data["module"])
         predicate = getattr(module, data["qualname"])
@@ -455,8 +462,8 @@ register_observable_codec(
         "decoder": _decoder_to_json(o.decoder),
         "expected": list(o.expected),
     },
-    lambda d, circuits: DecodeObservable(
-        decoder=_decoder_from_json(d["decoder"], circuits),
+    lambda d: DecodeObservable(
+        decoder=_decoder_from_json(d["decoder"]),
         expected=tuple(d["expected"]),
     ),
 )
@@ -467,8 +474,8 @@ register_observable_codec(
         "decoder": _decoder_to_json(o.decoder),
         "expected": list(o.expected),
     },
-    lambda d, circuits: DecodedMismatchObservable(
-        decoder=_decoder_from_json(d["decoder"], circuits),
+    lambda d: DecodedMismatchObservable(
+        decoder=_decoder_from_json(d["decoder"]),
         expected=tuple(d["expected"]),
     ),
 )
@@ -518,8 +525,9 @@ def spec_from_json(
 
     ``data`` may also be the :func:`compress_for_hashing` form: each
     ``{"circuit_digest": d}`` reference, in the spec or inside its
-    observable, resolves to ``circuits[d]``, so specs sharing a
-    circuit share one :class:`~repro.core.circuit.Circuit`.
+    observable, resolves to ``circuits[d]`` before any codec runs, so
+    specs sharing a circuit share one
+    :class:`~repro.core.circuit.Circuit`.
 
     Unknown format versions are rejected: mis-parsing a future wire
     form into a plausible-but-wrong spec would silently corrupt every
@@ -531,10 +539,12 @@ def spec_from_json(
             f"spec wire format {version!r} is not supported by this code "
             f"(expected {SPEC_FORMAT_VERSION}); regenerate the manifest"
         )
+    if circuits is not None:
+        data = _resolve_references(data, circuits)
     return RunSpec(
-        circuit=_circuit_field(data["circuit"], circuits),
+        circuit=circuit_from_json(data["circuit"]),
         input_bits=tuple(data["input_bits"]),
-        observable=observable_from_json(data["observable"], circuits),
+        observable=observable_from_json(data["observable"]),
         noise=noise_from_json(data["noise"]),
         trials=data["trials"],
         seed=data["seed"],

@@ -104,28 +104,22 @@ class TestStoreRoundTrip:
         assert store.get(spec) == result
         assert store.stats()["hits"] == 1
 
-    def test_len_counts_entries_not_circuit_blobs(self, tmp_path, policy):
+    def test_entries_reference_the_circuit_by_digest(self, tmp_path, policy):
+        # Three puts sharing one circuit write three entries and no copy
+        # of the circuit: each compressed spec names it by digest, and
+        # a lookup compares those references.
         store = ResultStore(tmp_path)
         specs = _specs(3)
-        for spec, result in zip(specs, Executor(policy).run(specs)):
+        results = Executor(policy).run(specs)
+        for spec, result in zip(specs, results):
             store.put(spec, result)
         assert len(store) == 3
-        assert len(list((tmp_path / "circuits").glob("*.json"))) == 1
-
-    def test_entry_references_its_circuit_blob(self, tmp_path, policy):
-        # The entry holds the compressed spec; the circuit lives once in
-        # circuits/, and a lookup compares references without reading it.
-        store = ResultStore(tmp_path)
-        (spec,) = _specs(1)
-        (result,) = Executor(policy).run([spec])
-        key = store.put(spec, result)
-        entry = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
-        digest = entry["spec"]["circuit"]["circuit_digest"]
-        blob = tmp_path / "circuits" / f"{digest}.json"
-        assert json.loads(blob.read_text())["ops"]
-        assert '"ops"' not in json.dumps(entry)
-        blob.unlink()
-        assert store.get(spec) == result
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert len(files) == 3
+        for path in files:
+            assert '"ops"' not in path.read_text()
+            assert set(json.loads(path.read_text())["spec"]["circuit"]) == {"circuit_digest"}
+        assert [store.get(spec) for spec in specs] == results
 
     def test_format_3_entry_is_a_miss(self, tmp_path, policy, monkeypatch):
         # The format is key material: an entry written under an older

@@ -23,12 +23,14 @@ from repro.runtime import (
     spec_to_json,
 )
 from repro.runtime.executor import _group_key
+from repro.runtime import serialization
 from repro.runtime.serialization import (
     circuit_from_json,
     circuit_to_json,
     compress_for_hashing,
     noise_from_json,
     noise_to_json,
+    register_observable_codec,
 )
 
 
@@ -111,6 +113,34 @@ class TestSpecRoundTrip:
             spec_from_json(compressed)
         with pytest.raises(SerializationError, match="no supplied circuit"):
             spec_from_json(compressed, {})
+
+    def test_one_argument_codec_gets_the_supplied_circuit(self, monkeypatch):
+        # A caller's codec keeps the decode(data) signature: references
+        # are resolved before it runs, so circuit_from_json on its
+        # circuit field returns the supplied, shared circuit.
+        class CircuitObservable:
+            def __init__(self, circuit):
+                self.circuit = circuit
+
+            def count_failures(self, states):
+                return 0
+
+        codecs = dict(serialization._OBSERVABLE_CODECS)
+        monkeypatch.setattr(serialization, "_OBSERVABLE_CODECS", codecs)
+        register_observable_codec(
+            "test-circuit",
+            CircuitObservable,
+            lambda o: {"circuit": circuit_to_json(o.circuit)},
+            lambda d: CircuitObservable(circuit_from_json(d["circuit"])),
+        )
+        circuit = _maj_circuit()
+        spec = TestRefusals()._spec(observable=CircuitObservable(circuit))
+        fragments: dict[str, dict] = {}
+        compressed = compress_for_hashing(spec_to_json(spec), fragments)
+        (digest,) = fragments
+        rebuilt = spec_from_json(json.loads(json.dumps(compressed)), {digest: circuit})
+        assert rebuilt.circuit is circuit
+        assert rebuilt.observable.circuit is circuit
 
     def test_rebuilt_spec_runs_bit_identical(self):
         specs = cycle_error_specs(((3e-3, 5), (6e-3, 6)), 2000, cycles=1)
