@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from repro.core.bitplane import BitplaneState
 from repro.errors import ConfigError
-from repro.obs import clock_ns, histogram, sample_every
 
 __all__ = [
     "PreparedProgram",
-    "TimedProgram",
     "get_backend",
     "prepare",
 ]
@@ -55,50 +53,16 @@ class PreparedProgram:
         return state
 
 
-class TimedProgram(PreparedProgram):
-    """A prepared program with sampled per-slot kernel timing.
-
-    Wraps another :class:`PreparedProgram`, timing every ``every``-th
-    ``apply_slot`` call into the ``backend.numpy.kernel_ns`` histogram
-    (and counting all calls).  Only constructed when
-    ``REPRO_OBS_SAMPLE`` is active — see :func:`prepare` — so the
-    disabled hot loop carries no wrapper at all.  Timing reads only the
-    clock: results stay bit-identical at any sampling rate.
-    """
-
-    def __init__(self, inner: PreparedProgram, every: int):
-        super().__init__(inner.compiled)
-        self.inner = inner
-        self.every = every
-        self.calls = 0
-        self._hist = histogram("backend.numpy.kernel_ns")
-
-    def apply_slot(self, state: BitplaneState, index: int) -> None:
-        self.calls += 1
-        if self.calls % self.every:
-            self.inner.apply_slot(state, index)
-            return
-        started = clock_ns()
-        self.inner.apply_slot(state, index)
-        self._hist.observe(clock_ns() - started)
-
-
 def prepare(compiled) -> PreparedProgram:
     """The executable form of ``compiled``.
 
     Cached in ``compiled.prepared``, so a sweep or bisection re-running
-    one circuit prepares it once per process.  When kernel-timing
-    sampling is on (``REPRO_OBS_SAMPLE``) the *returned* program is a
-    fresh :class:`TimedProgram` over the cached one — the cache never
-    holds a wrapper, so toggling sampling between runs cannot leak
-    timing into a sampling-off caller.
+    one circuit prepares it once per process.  The executor times the
+    slot walk with its ``executor.group.apply`` span.
     """
     prepared = compiled.prepared
     if prepared is None:
         prepared = compiled.prepared = PreparedProgram(compiled)
-    every = sample_every()
-    if every:
-        return TimedProgram(prepared, every)
     return prepared
 
 

@@ -118,7 +118,6 @@ def measure_cycle_errors(
     cycles: int = 1,
     include_resets: bool = True,
     policy: ExecutionPolicy | None = None,
-    store=None,
 ) -> list[tuple[float, int]]:
     """Measured logical error of ``cycles`` gate+recovery cycles.
 
@@ -132,20 +131,9 @@ def measure_cycle_errors(
     them in a single stacked plane array; each point's numbers are
     bit-identical to measuring it alone.  ``policy`` defaults to
     :meth:`~repro.runtime.ExecutionPolicy.from_env`.
-
-    ``store`` (a :class:`~repro.jobs.ResultStore`) makes the
-    measurement durable: integer-seeded points already in the store
-    are served without simulation, fresh points are written back, and
-    — because a stored result is bit-identical to recomputation — the
-    returned rates are the same either way.
     """
     specs = cycle_error_specs(points, trials, cycles, include_resets)
-    if store is not None:
-        from repro.jobs.caching import CachingExecutor
-
-        results = CachingExecutor(store, policy=policy).run(specs)
-    else:
-        results = Executor(policy).run(specs)
+    results = Executor(policy).run(specs)
     return [
         (per_cycle_rate(result.failures, trials, cycles), result.failures)
         for result in results
@@ -336,19 +324,12 @@ class _StackedStageEvaluator:
     execution detail, never a statistical one.
     """
 
-    def __init__(
-        self, spec_builder, stages, seed_tuples, cycles, policy, store=None
-    ):
+    def __init__(self, spec_builder, stages, seed_tuples, cycles, policy):
         self.spec_builder = spec_builder
         self.stages = stages
         self.seed_tuples = seed_tuples
         self.cycles = cycles
-        if store is not None:
-            from repro.jobs.caching import CachingExecutor
-
-            self.executor = CachingExecutor(store, policy=policy)
-        else:
-            self.executor = Executor(policy)
+        self.executor = Executor(policy)
         self.results: dict[tuple[int, int, float], tuple[float, int]] = {}
         #: Requests evaluated on speculation vs requests the search
         #: actually read — their difference is the wasted prefetch the
@@ -413,7 +394,6 @@ def _find_pseudo_threshold_stacked(
     z: float,
     seed: int | None,
     policy: ExecutionPolicy | None,
-    store=None,
 ) -> PseudoThreshold:
     """The stacked round planner behind :func:`find_pseudo_threshold_adaptive`.
 
@@ -450,7 +430,7 @@ def _find_pseudo_threshold_stacked(
     ) as span:
         result, evaluator = _stacked_search(
             spec_builder, lower, upper, trials, iterations, cycles, z,
-            seed, policy, store,
+            seed, policy,
         )
         wasted = len(evaluator.speculative - evaluator.consumed)
         _SPECULATION_WASTED.inc(wasted)
@@ -466,8 +446,7 @@ def _find_pseudo_threshold_stacked(
 
 
 def _stacked_search(
-    spec_builder, lower, upper, trials, iterations, cycles, z, seed,
-    policy, store,
+    spec_builder, lower, upper, trials, iterations, cycles, z, seed, policy,
 ) -> tuple[PseudoThreshold, _StackedStageEvaluator]:
     """The search itself; the caller owns the span and waste billing."""
     stages = _search_stages(trials)
@@ -477,7 +456,6 @@ def _stacked_search(
     evaluator = _StackedStageEvaluator(
         spec_builder, stages, seed_tuples, cycles,
         policy if policy is not None else ExecutionPolicy.from_env(),
-        store=store,
     )
 
     # Bracket round: both endpoints' first stages and — speculatively —
@@ -577,7 +555,6 @@ def find_pseudo_threshold_adaptive(
     *,
     spec_builder: Callable[[float, int, int], RunSpec] | None = None,
     policy: ExecutionPolicy | None = None,
-    store=None,
 ) -> PseudoThreshold:
     """Budget-aware bisection for the crossing ``f(g) = g``.
 
@@ -616,12 +593,6 @@ def find_pseudo_threshold_adaptive(
     iteration), so both forms return bit-identical
     :class:`PseudoThreshold` values for the same workload — stacking
     and speculation are execution details, never statistical ones.
-
-    ``store`` (a :class:`~repro.jobs.ResultStore`, spec_builder form
-    only) makes the search durable: every stage evaluation is keyed by
-    its spec's content, so repeating a search — or re-entering a
-    region another search already explored with the same seeds — is
-    served from the store instead of simulated, with identical output.
     """
     if (evaluate is None) == (spec_builder is None):
         raise AnalysisError(
@@ -634,11 +605,6 @@ def find_pseudo_threshold_adaptive(
             "policy= applies to the spec_builder= form; an evaluate= "
             "callable controls its own execution"
         )
-    if evaluate is not None and store is not None:
-        raise AnalysisError(
-            "store= applies to the spec_builder= form; an opaque "
-            "evaluate= callable has no RunSpec for the store to key on"
-        )
     if lower is None or upper is None or trials is None:
         raise AnalysisError("lower, upper, and trials are required")
     if not 0 <= lower < upper <= 1:
@@ -648,7 +614,7 @@ def find_pseudo_threshold_adaptive(
     if spec_builder is not None:
         return _find_pseudo_threshold_stacked(
             spec_builder, lower, upper, trials, iterations, cycles, z, seed,
-            policy, store=store,
+            policy,
         )
     stages = _search_stages(trials)
     gate_cycles = 2 * cycles

@@ -2,9 +2,8 @@
 
 :class:`CachingExecutor` wraps the plain
 :class:`~repro.runtime.Executor` behind the same ``run(specs) ->
-list[PointResult]`` surface, so anything built on an executor — the
-harness sweeps, the stacked threshold search — gains a durable cache
-by swapping the object, not the code.
+list[PointResult]`` surface, so code written against an executor
+gains a durable cache by swapping the object, not the code.
 
 Lookup is per point: stored points come back without any
 simulation, missing points run through the inner executor in ONE batch
@@ -44,14 +43,9 @@ class CachingExecutor:
         cached_points: points served from the store.
     """
 
-    def __init__(
-        self,
-        store: ResultStore,
-        policy: ExecutionPolicy | None = None,
-        executor: Executor | None = None,
-    ):
+    def __init__(self, store: ResultStore, policy: ExecutionPolicy | None = None):
         self.store = store
-        self.executor = executor if executor is not None else Executor(policy)
+        self.executor = Executor(policy)
         self.policy = self.executor.policy
         self.simulated_points = 0
         self.cached_points = 0
@@ -87,7 +81,3 @@ class CachingExecutor:
         self.cached_points += len(specs) - len(pending)
         _SERVED.inc(len(specs) - len(pending))
         return results  # type: ignore[return-value]
-
-    def run_one(self, spec: RunSpec) -> PointResult:
-        """Evaluate a single spec (sugar over :meth:`run`)."""
-        return self.run([spec])[0]

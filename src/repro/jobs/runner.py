@@ -45,7 +45,6 @@ from pathlib import Path
 
 from repro.core.circuit import Circuit
 from repro.errors import AnalysisError, JobError, ReproError
-from repro.harness.stats import RateEstimate
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
 from repro.jobs.store import (
     ResultStore,
@@ -456,11 +455,7 @@ class SweepJob:
             "job_id": self.job_id,
             "shard_id": shard.shard_id,
             "points": [
-                {
-                    "index": index,
-                    "key": point_key(self.specs[index]),
-                    "result": result_to_json(result),
-                }
+                {"index": index, "result": result_to_json(result)}
                 for index, result in zip(shard.indices, results)
             ],
         }
@@ -689,14 +684,3 @@ class SweepJob:
                 f"resume with run() before collecting"
             )
         return results  # type: ignore[return-value]
-
-    def collect_rows(self) -> list[tuple[RunSpec, PointResult, RateEstimate]]:
-        """The merged sweep with Wilson statistics, in spec order."""
-        return [
-            (
-                spec,
-                result,
-                RateEstimate(failures=result.failures, trials=result.trials),
-            )
-            for spec, result in zip(self.specs, self.collect())
-        ]

@@ -2,17 +2,14 @@
 
 The observability layer of the reproduction: a span tracer
 (:func:`trace`), a process-wide metrics registry (:func:`counter` /
-:func:`gauge` / :func:`histogram`), the sampled kernel-timing knob
-(:mod:`~repro.obs.sampling`), and the clock front door
+:func:`gauge` / :func:`histogram`), and the clock front door
 (:func:`clock_ns` / :func:`stopwatch`).  Zero dependencies beyond the
 standard library; strictly no-op-cheap when disabled.
 
-Knobs (read once at import):
+The one knob (read once at import):
 
 * ``REPRO_TRACE=<path|stderr|stdout>`` — collect a span tree and flush
   it as versioned JSON at exit (render with ``tools/trace.py``).
-* ``REPRO_OBS_SAMPLE=N`` — time every Nth slot-kernel call into the
-  ``backend.numpy.kernel_ns`` histogram.
 
 Two invariants, both pinned by tests and codelint:
 
@@ -36,7 +33,6 @@ from repro.obs.metrics import (
     metrics_snapshot,
     reset_metrics,
 )
-from repro.obs.sampling import configure_sampling, sample_every
 from repro.obs.tracing import (
     Span,
     Stopwatch,
@@ -62,7 +58,6 @@ __all__ = [
     "Stopwatch",
     "TRACE_FORMAT_VERSION",
     "clock_ns",
-    "configure_sampling",
     "counter",
     "disable_tracing",
     "enable_tracing",
@@ -71,7 +66,6 @@ __all__ = [
     "histogram",
     "metrics_snapshot",
     "reset_metrics",
-    "sample_every",
     "stopwatch",
     "trace",
     "trace_sink",

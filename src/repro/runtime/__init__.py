@@ -20,7 +20,7 @@ from repro.runtime.spec import (
     RunSpec,
     as_observable,
 )
-from repro.runtime.executor import Executor, run_specs
+from repro.runtime.executor import Executor
 from repro.runtime.serialization import (
     SPEC_FORMAT_VERSION,
     spec_from_json,
@@ -38,7 +38,6 @@ __all__ = [
     "RunSpec",
     "SPEC_FORMAT_VERSION",
     "as_observable",
-    "run_specs",
     "spec_from_json",
     "spec_to_json",
 ]

@@ -237,10 +237,3 @@ class Executor:
     def run_one(self, spec: RunSpec) -> PointResult:
         """Evaluate a single spec (sugar over :meth:`run`)."""
         return self.run([spec])[0]
-
-
-def run_specs(
-    specs: Sequence[RunSpec], policy: ExecutionPolicy | None = None
-) -> list[PointResult]:
-    """One-shot convenience: ``Executor(policy).run(specs)``."""
-    return Executor(policy).run(specs)

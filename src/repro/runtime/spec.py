@@ -14,8 +14,8 @@ failure predicate".  This module gives that shape a value type:
   home of every ``REPRO_*`` execution knob; nothing else in the library
   reads them mid-run.  No policy field can change a result, so a
   point's identity is its spec alone.  (The observability layer
-  additionally reads its own ``REPRO_TRACE``/``REPRO_OBS_SAMPLE`` once
-  at import so bare CLI runs trace too — see :mod:`repro.obs`.)
+  additionally reads its own ``REPRO_TRACE`` once at import so bare
+  CLI runs trace too — see :mod:`repro.obs`.)
 * :class:`PointResult` — one point's outcome: failure count, trial
   count, and fault statistics.
 * Observables — the failure predicate half of a spec.  Anything with a
@@ -212,26 +212,6 @@ class RunSpec:
             f"RunSpec({label!r}, g={self.noise.gate_error:g}, "
             f"trials={self.trials}, seed={self.seed!r})"
         )
-
-    def to_json(self) -> dict:
-        """The spec's versioned JSON wire form.
-
-        Delegates to :func:`repro.runtime.serialization.spec_to_json`;
-        raises :class:`~repro.errors.SerializationError` for specs with
-        no faithful wire form (generator seeds, unregistered
-        observables).  The import is deferred because the serialization
-        module builds on this one.
-        """
-        from repro.runtime.serialization import spec_to_json
-
-        return spec_to_json(self)
-
-    @staticmethod
-    def from_json(data: dict) -> "RunSpec":
-        """Rebuild a spec serialised by :meth:`to_json`."""
-        from repro.runtime.serialization import spec_from_json
-
-        return spec_from_json(data)
 
 
 # ----------------------------------------------------------------------

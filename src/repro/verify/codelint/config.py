@@ -35,17 +35,12 @@ LAYERS: dict[str, int] = {
 }
 
 #: Documented deferred upward imports: ``(file, target package)``.
-#: Each is a function-local import whose comment in the source explains
-#: why the edge must exist (cycle-breaking, optional layers); the
-#: lint holds this list closed — a new upward import fails ``RL201``
-#: until it is argued into this allowlist in review.
-DEFERRED_ALLOWLIST: frozenset[tuple[str, str]] = frozenset(
-    {
-        # The threshold finder optionally wraps its executor in the
-        # jobs-layer caching executor; jobs imports harness.stats.
-        ("src/repro/harness/threshold_finder.py", "jobs"),
-    }
-)
+#: Each would be a function-local import whose comment in the source
+#: explains why the edge must exist (cycle-breaking, optional layers).
+#: Empty: no module imports upward.  The lint holds this list closed —
+#: a new upward import fails ``RL201`` until it is argued into this
+#: allowlist in review.
+DEFERRED_ALLOWLIST: frozenset[tuple[str, str]] = frozenset()
 
 #: Module prefixes whose *calls* are forbidden outside the noise layer:
 #: randomness and wall-clock reads are result-affecting unless they
@@ -82,7 +77,6 @@ TIMING_OWNING_PREFIX = "src/repro/obs/"
 KEY_FUNCTIONS: frozenset[str] = frozenset(
     {
         "content_key",
-        "content_digest",
         "point_key",
         "_key_from_wire",
         "_shard_id",

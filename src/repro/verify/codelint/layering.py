@@ -7,8 +7,8 @@ baselines/synth → harness → jobs → report/verify only points downward.
 
 ``RL201`` — a *deferred* (function-local) upward import that is not on
 the documented allowlist.  Deferred imports are the sanctioned escape
-hatch for genuine cycles (the threshold finder's optional jobs-layer
-caching), but each one must be argued into
+hatch for genuine cycles (the allowlist is empty today), but each one
+must be argued into
 :data:`~repro.verify.codelint.config.DEFERRED_ALLOWLIST` in review —
 otherwise the DAG erodes one convenient import at a time.
 

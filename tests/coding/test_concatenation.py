@@ -105,6 +105,14 @@ class TestGamma:
             circuit, _ = concatenated_gate_circuit(library.MAJ, level)
             assert gamma_census(circuit)["gates"] == expected
 
+    def test_level_two_op_count(self):
+        # The compiled level-2 logical gate: Gamma_2 = 441 gates plus
+        # 180 resets, on 243 wires.
+        circuit, _ = concatenated_gate_circuit(library.MAJ, 2)
+        assert len(circuit) == 441 + 180
+        assert circuit.n_wires == 243
+        assert gamma_census(circuit)["resets"] == 180
+
     def test_level_one_reset_count(self):
         circuit, _ = concatenated_gate_circuit(library.MAJ, 1)
         assert gamma_census(circuit)["resets"] == 3 * 2  # 3 recoveries

@@ -240,8 +240,3 @@ class TestCachingExecutor:
         caching.run([bad])
         assert caching.simulated_points == 1
         assert len(store) == 0  # nothing durable for an unreproducible point
-
-    def test_run_one(self, tmp_path, policy):
-        (spec,) = _specs(1)
-        caching = CachingExecutor(ResultStore(tmp_path), policy=policy)
-        assert caching.run_one(spec) == Executor(policy).run([spec])[0]

@@ -17,7 +17,7 @@ import pytest
 from repro.errors import AnalysisError, JobError
 from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import SweepJob
+from repro.jobs import SweepJob, point_key
 from repro.jobs import runner
 from repro.runtime import ExecutionPolicy, Executor
 from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
@@ -222,17 +222,25 @@ class TestCollect:
         with pytest.raises(AnalysisError, match="incomplete"):
             job.collect()
 
-    def test_collect_rows_pairs_specs_and_wilson(self, tmp_path, policy):
+    def test_checkpoint_with_old_key_field_collects_unchanged(
+        self, tmp_path, policy
+    ):
+        # Checkpoints no longer carry each point's store key; one
+        # written when they did still loads, and readers ignore the
+        # extra field.
         specs = _specs(4, trials=200)
         job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
         job.run()
-        rows = job.collect_rows()
-        assert [spec for spec, _, _ in rows] == specs
-        for spec, result, estimate in rows:
-            assert estimate.failures == result.failures
-            assert estimate.trials == spec.trials
-            low, high = estimate.interval
-            assert 0.0 <= low <= high <= 1.0
+        for shard in job.shards:
+            path = tmp_path / "job" / "shards" / f"{shard.shard_id}.json"
+            checkpoint = json.loads(path.read_text())
+            for index, point in zip(shard.indices, checkpoint["points"]):
+                assert "key" not in point
+                point["key"] = point_key(specs[index])
+            path.write_text(json.dumps(checkpoint))
+        reloaded = SweepJob.load(tmp_path / "job")
+        assert reloaded.status().shards_done == len(job.shards)
+        assert reloaded.collect() == Executor(policy).run(specs)
 
 
 class TestManifestIntegrity:

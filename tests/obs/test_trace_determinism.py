@@ -1,7 +1,7 @@
 """Observability must be invisible to every published number.
 
-The tentpole invariant of ``repro.obs``: tracing, metrics, and kernel
-sampling only *observe*.  Enabling any of them must leave the frozen
+The tentpole invariant of ``repro.obs``: tracing and metrics only
+*observe*.  Enabling either must leave the frozen
 RNG-stream digests bit-identical, reproduce the same experiment
 numbers, and still emit a schema-valid trace document.  The digest
 constants are duplicated from ``tests/noise/test_engine_determinism.py``
@@ -27,7 +27,6 @@ from repro.harness.threshold_finder import (
 )
 from repro.noise import NoiseModel, NoisyRunner
 from repro.obs import (
-    configure_sampling,
     disable_tracing,
     enable_tracing,
     flush_trace,
@@ -45,12 +44,10 @@ EXPECTED_DIGESTS = {
 @pytest.fixture(autouse=True)
 def _pristine_obs():
     disable_tracing()
-    configure_sampling(0)
     reset_metrics()
     clear_compile_cache()
     yield
     disable_tracing()
-    configure_sampling(0)
     reset_metrics()
     clear_compile_cache()
 
@@ -69,11 +66,6 @@ def run_digest(result) -> str:
 
 def test_tracing_leaves_digests_frozen(tmp_path):
     enable_tracing(str(tmp_path / "trace.json"))
-    assert run_digest(reference_run()) == EXPECTED_DIGESTS["bitplane"]
-
-
-def test_kernel_sampling_leaves_digest_frozen():
-    configure_sampling(1)  # time EVERY kernel call — the worst case
     assert run_digest(reference_run()) == EXPECTED_DIGESTS["bitplane"]
 
 

@@ -34,7 +34,6 @@ from repro.runtime import (
     PointResult,
     PredicateObservable,
     RunSpec,
-    run_specs,
 )
 
 REPETITION_PREDICATE = PredicateObservable(
@@ -372,13 +371,6 @@ class TestExecutorSurface:
     def test_non_spec_rejected(self):
         with pytest.raises(SimulationError):
             Executor().run(["not a spec"])
-
-    def test_run_specs_convenience(self):
-        spec = recovery_spec(0.01, 81, 640)
-        (result,) = run_specs([spec], ExecutionPolicy())
-        assert result == Executor(ExecutionPolicy()).run_one(
-            spec
-        )
 
     def test_measure_cycle_errors_batches_points(self):
         # The harness-level sweep API: many points, one stacked run,
