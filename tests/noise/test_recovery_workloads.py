@@ -3,7 +3,8 @@
 Each case runs a Figure-2 recovery or a level-2 logical gate over a
 batch of the size the repository benchmark uses, and checks the
 outcome: a noiseless run keeps the codeword on every trial, and a
-noisy run at g = 1e-3 stays almost always correct.  Their timing is
+noisy run at g = 1e-3 stays almost always correct, also when the
+batch is packed from a byte-per-bit ``BatchedState``.  Their timing is
 the benchmark's business (``perfbench/``), not these tests'.
 """
 
@@ -51,12 +52,29 @@ def test_noisy_recovery_survives_at_g_1e_3():
     assert survived > 99_000
 
 
-def test_noisy_level_two_gate_mostly_correct():
+def _level_two_maj():
     computation = ConcatenatedComputation(3, 2)
     physical = computation.physical_input((1, 0, 1))
     computation.apply(MAJ, 0, 1, 2)
+    return computation, physical
+
+
+def _correct_trials(computation, states):
+    decoded = computation.decode_batch(states)
+    expected = np.asarray(MAJ.apply((1, 0, 1)), dtype=np.uint8)
+    return int((decoded == expected).all(axis=1).sum())
+
+
+def test_noisy_level_two_gate_mostly_correct():
+    computation, physical = _level_two_maj()
     runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=1)
     result = runner.run_from_input(computation.circuit, physical, 5000)
-    decoded = computation.decode_batch(result.states)
-    expected = np.asarray(MAJ.apply((1, 0, 1)), dtype=np.uint8)
-    assert int((decoded == expected).all(axis=1).sum()) > 4950
+    assert _correct_trials(computation, result.states) > 4950
+
+
+def test_noisy_level_two_gate_from_batched_mostly_correct():
+    computation, physical = _level_two_maj()
+    states = BitplaneState.from_batched(BatchedState.broadcast(physical, 5000))
+    runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=1)
+    result = runner.run(computation.circuit, states)
+    assert _correct_trials(computation, result.states) > 4950
