@@ -32,6 +32,7 @@ bit for bit; ``tests/noise/test_engine_determinism`` pins the stream.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -47,20 +48,17 @@ from repro.noise.model import NoiseModel
 
 #: Success probability at which :func:`_bernoulli_positions` switches
 #: from geometric gap-jumping to a direct thresholded draw.  Gap
-#: jumping costs one geometric draw *per success* (~14 ns vectorised,
-#: since NumPy evaluates ``log`` over the whole gap batch at once)
-#: while the dense draw costs one uniform per *trial* (~3 ns), so the
-#: measured crossover sits near ``p = 0.2``–``0.25`` — far above the
-#: ``g ~ 1e-2`` point where the gap-jumper merely starts to dominate
-#: the runtime *profile*.  The switch engages where it actually wins;
-#: every frozen digest and threshold experiment stays in the sparse
-#: regime.
+#: jumping draws each gap by inverting one standard exponential, about
+#: 10 ns per *success* including the running sum, while the dense draw
+#: costs one uniform per *trial* (about 3.7 ns; both measured on a
+#: 2-CPU x86_64 container, NumPy 2.4), so gap jumping now wins up to
+#: ``p`` near 0.35.  The switch stays at 0.25 anyway: which regime
+#: draws a given ``p`` is part of the RNG stream contract, and every
+#: frozen digest and threshold experiment sits far below it.
 DENSE_PROBABILITY = 0.25
 
-#: ``_POW2[b]`` is the uint64 word with only bit ``b`` set.  Indexing
-#: this table turns a bit-position vector into select words without the
-#: int64 -> uint64 ``astype`` copy a vectorised shift would need.
-_POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+#: Op rows per dense block :func:`_segment_sites` ORs into the fault plane.
+_PLANE_BLOCK_OPS = 64
 
 
 def resolve_engine(engine: str, trials: int) -> str:
@@ -90,8 +88,9 @@ def _bernoulli_positions(
     positions in ``[0, trials)``):
 
     * sparse (``p < DENSE_PROBABILITY``) — geometric gaps between
-      successes, so the cost is proportional to the expected
-      ``trials * p`` successes;
+      successes, each the inversion of one standard exponential (the
+      values and generator state of ``Generator.geometric``), so the
+      cost is proportional to the expected ``trials * p`` successes;
     * dense — one vectorised uniform per trial thresholded against
       ``p``; cheaper once successes are no longer rare.
 
@@ -113,13 +112,26 @@ def _bernoulli_positions(
         )
     expected = trials * probability
     batch = int(expected + 4.0 * expected**0.5 + 16.0)
+    scale = -math.log1p(-probability)
     chunks = []
     last = -1
     while True:
-        gaps = rng.geometric(probability, size=batch)
-        positions = last + np.cumsum(gaps)
+        # For p < 1/3, ``Generator.geometric(p)`` IS this inversion of
+        # one standard exponential, so the gaps and the generator state
+        # after them are the geometric draw's.  Clamping the exponential
+        # at ``(trials + 1) * scale`` caps every gap near ``trials + 1``
+        # and moves no position below ``trials``, so a tiny ``p`` can
+        # neither overflow the division nor the int64 running sum.
+        gaps = rng.standard_exponential(batch)
+        np.minimum(gaps, (trials + 1) * scale, out=gaps)
+        gaps /= scale
+        np.ceil(gaps, out=gaps)
+        positions = gaps.astype(np.int64)
+        del gaps
+        positions[0] += last
+        np.cumsum(positions, out=positions)
         if positions[-1] >= trials:
-            chunks.append(positions[positions < trials])
+            chunks.append(positions[:np.searchsorted(positions, trials)])
             break
         chunks.append(positions)
         last = int(positions[-1])
@@ -248,24 +260,46 @@ def _segment_sites(virtual, n_words, trials):
     Returns ``(op_of, word_of, select, fault_plane)`` with
     ``fault_plane`` the packed union of the faulted trials (point-local
     words, padding already clear), so the caller never materialises a
-    per-trial array.
+    per-trial array.  ``virtual`` is overwritten: it becomes the flat
+    word index, which saves the pass its largest temporary.
     """
-    flat_words = virtual >> 6
-    summed = np.cumsum(_POW2[virtual & 63], dtype=np.uint64)
-    boundary = np.flatnonzero(flat_words[1:] != flat_words[:-1])
-    segment_starts = np.concatenate(([0], boundary + 1))
-    last = np.concatenate((summed[boundary], summed[-1:]))
-    del summed, boundary
+    summed = np.bitwise_and(virtual, 63).view(np.uint64)
+    np.left_shift(np.uint64(1), summed, out=summed)
+    np.cumsum(summed, out=summed)
+    flat_words = np.right_shift(virtual, 6, out=virtual)
+    is_last = np.empty(flat_words.size, dtype=bool)
+    np.not_equal(flat_words[1:], flat_words[:-1], out=is_last[:-1])
+    is_last[-1] = True
+    ends = np.flatnonzero(is_last)
+    del is_last
+    affected = flat_words[ends]
+    last = summed[ends]
+    del summed, ends
     select = np.empty_like(last)
     select[0] = last[0]
     np.subtract(last[1:], last[:-1], out=select[1:])
-    affected = flat_words[segment_starts]
+    del last
     op_of = affected // n_words
     word_of = affected - op_of * n_words
     if trials % 64:
         select[word_of == n_words - 1] &= np.uint64((1 << (trials % 64)) - 1)
+    # Each (op, word) is one segment, so scattering the selects into a
+    # zeroed (ops, words) block and OR-reducing its rows gives the fault
+    # plane.  The block holds at most _PLANE_BLOCK_OPS op rows and is
+    # never cleared: what earlier op blocks left in it is already ORed
+    # into the plane.
+    block = np.zeros(
+        (min(_PLANE_BLOCK_OPS, int(op_of[-1]) + 1), n_words), dtype=np.uint64
+    )
+    flat_block = block.reshape(-1)
     fault_plane = np.zeros(n_words, dtype=np.uint64)
-    np.bitwise_or.at(fault_plane, word_of, select)
+    bases = np.arange(0, affected[-1] + 1, block.size)
+    bounds = np.searchsorted(affected, bases).tolist() + [affected.size]
+    for base, start, stop in zip(bases.tolist(), bounds, bounds[1:]):
+        if start == stop:
+            continue
+        flat_block[affected[start:stop] - base] = select[start:stop]
+        fault_plane |= np.bitwise_or.reduce(block, axis=0)
     return op_of, word_of, select, fault_plane
 
 
@@ -307,18 +341,20 @@ def _point_sites(
             continue
         virtual = _bernoulli_positions(rng, error, count * padded)
         if virtual.size:
-            chunks.append(virtual + base if base else virtual)
+            if base:
+                virtual += base
+            chunks.append(virtual)
     if not chunks:
         return None
     virtual = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     del chunks
+    positions = virtual.copy() if keep_positions else None
     op_of, word_of, select, fault_plane = _segment_sites(
         virtual, n_words, trials
     )
-    if not keep_positions:
-        virtual = None
+    del virtual
     if word_offset:
-        word_of = word_of + word_offset
+        word_of += word_offset
     cell = plan.op_cell[op_of]
     if not plan.monotone:
         # Multi-group slots interleave their groups' sites; a stable
@@ -333,10 +369,10 @@ def _point_sites(
     prefix = np.searchsorted(cell, plan.bins)
     del cell
     # In place: the index table is the pass's largest array.
-    indices = plan.op_wires[:, op_of]
+    indices = plan.op_wires.take(op_of, axis=1)
     indices *= plane_stride
     indices += word_of
-    return virtual, indices, select, prefix, fault_plane
+    return positions, indices, select, prefix, fault_plane
 
 
 def _draw_phase(
@@ -442,7 +478,10 @@ def _inject_phase(prepared, states, compiled, plan, points) -> None:
                 blocks = np.concatenate([p[2] for p in parts], axis=1)
             current = flat_planes.take(indices)
             # c ^ ((c ^ b) & s) == (b & s) | (c & ~s), one pass less.
-            flat_planes.put(indices, current ^ ((current ^ blocks) & select))
+            flips = current ^ blocks
+            flips &= select
+            current ^= flips
+            flat_planes.put(indices, current)
 
 
 @dataclass

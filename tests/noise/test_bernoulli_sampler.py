@@ -7,9 +7,18 @@ are exercised explicitly via the ``dense`` override, and a two-sided
 statistical test checks they draw from the same fault-count
 distribution (mean AND variance — a z-test on the pooled success count
 plus a variance-ratio bound across repetitions).
+
+The sparse regime inverts standard exponentials instead of calling
+``Generator.geometric``; :func:`geometric_reference` keeps the
+``geometric`` loop, and the stream tests require the same positions
+AND the same generator state after the draw.
 """
 
 from __future__ import annotations
+
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,11 +68,12 @@ class TestRegimeSelection:
             np.testing.assert_array_equal(auto, forced)
 
     def test_threshold_value(self):
-        # The measured crossover on vectorised NumPy generators: one
-        # geometric gap costs ~14 ns per *success*, one uniform ~3 ns
-        # per *trial*, so gap jumping keeps winning until successes are
-        # about a quarter of the axis.  Every frozen digest and
-        # threshold experiment draws well below this.
+        # One inverted-exponential gap costs about 10 ns per *success*
+        # and one uniform about 3.7 ns per *trial*, so gap jumping
+        # would win up to p near 0.35.  The switch stays at 0.25
+        # because the regime a given p draws in is part of the stream
+        # contract; every frozen digest and threshold experiment draws
+        # well below it.
         assert DENSE_PROBABILITY == 0.25
 
 
@@ -105,3 +115,129 @@ class TestDistributionAgreement:
             np.random.default_rng(7), 0.01, 1000, dense=True
         )
         assert not np.array_equal(sparse, dense)
+
+
+def geometric_reference(rng, probability, trials):
+    """The sparse sampler as it drew with ``Generator.geometric`` gaps."""
+    expected = trials * probability
+    batch = int(expected + 4.0 * expected**0.5 + 16.0)
+    chunks = []
+    last = -1
+    while True:
+        positions = last + np.cumsum(rng.geometric(probability, size=batch))
+        if positions[-1] >= trials:
+            chunks.append(positions[positions < trials])
+            break
+        chunks.append(positions)
+        last = int(positions[-1])
+    return np.concatenate(chunks)
+
+
+class ShortGaps:
+    """A generator shim whose gaps are an eighth of the nominal ones.
+
+    It serves both samplers the same gap sequence, so eight times more
+    successes than the batch is sized for force the multi-batch loop.
+    """
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.batches = 0
+
+    def standard_exponential(self, size):
+        self.batches += 1
+        return self.rng.standard_exponential(size) / 8.0
+
+    def geometric(self, probability, size):
+        gaps = self.standard_exponential(size) / -math.log1p(-probability)
+        return np.ceil(gaps).astype(np.int64)
+
+
+class TestGeometricStream:
+    PROBABILITIES = (
+        1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.0386, 0.1, 0.2,
+        float(np.nextafter(DENSE_PROBABILITY, 0.0)),
+    )
+    TRIALS = (1, 2, 63, 64, 257, 5000, 200_000)
+
+    @pytest.mark.parametrize("probability", PROBABILITIES)
+    def test_same_positions_and_generator_state(self, probability):
+        for seed in range(50):
+            for trials in self.TRIALS:
+                drawn = np.random.default_rng(seed)
+                reference = np.random.default_rng(seed)
+                positions = _bernoulli_positions(drawn, probability, trials)
+                np.testing.assert_array_equal(
+                    positions,
+                    geometric_reference(reference, probability, trials),
+                )
+                assert positions.dtype == np.int64
+                assert drawn.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("probability", [1e-6, 1e-5])
+    def test_long_axes_at_small_rates(self, probability):
+        # Gaps near 1e6 make ``ceil`` sensitive to the last bits of the
+        # inversion's scale, so thousands of them pin it to NumPy's.
+        for seed in range(50):
+            drawn = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                _bernoulli_positions(drawn, probability, 10**9),
+                geometric_reference(reference, probability, 10**9),
+            )
+            assert drawn.bit_generator.state == reference.bit_generator.state
+
+    def test_consecutive_draws_share_one_stream(self):
+        # The kernel draws the gate class, then the reset class, from
+        # one generator: the second draw must start where the geometric
+        # loop would have left the generator.
+        drawn = np.random.default_rng(8)
+        reference = np.random.default_rng(8)
+        for probability, trials in ((0.04, 54 * 6400), (0.001, 300), (0.2, 70)):
+            np.testing.assert_array_equal(
+                _bernoulli_positions(drawn, probability, trials),
+                geometric_reference(reference, probability, trials),
+            )
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("probability", [1e-3, 0.05, 0.2])
+    def test_multi_batch_loop_matches(self, probability):
+        for seed in range(10):
+            for expected in (100, 2000):
+                trials = int(expected / probability)
+                shim = ShortGaps(seed)
+                positions = _bernoulli_positions(shim, probability, trials)
+                np.testing.assert_array_equal(
+                    positions,
+                    geometric_reference(ShortGaps(seed), probability, trials),
+                )
+                assert shim.batches > 1
+
+
+TINY_RATE_CHILD = """
+import numpy as np
+from repro.noise.monte_carlo import _bernoulli_positions
+
+for probability in (1e-18, 1e-300, 5e-324):
+    rng = np.random.default_rng(11)
+    positions = _bernoulli_positions(rng, probability, 1000)
+    assert positions.size == 0 and positions.dtype == np.int64, positions
+    one_batch = np.random.default_rng(11)
+    one_batch.standard_exponential(16)
+    assert rng.bit_generator.state == one_batch.bit_generator.state
+"""
+
+
+def test_tiny_rates_draw_nothing_after_one_batch():
+    # Regression: an INT64_MAX geometric gap overflowed the running sum
+    # into negative positions (p = 1e-18) or never ended the loop while
+    # memory grew (p = 1e-300).  Gaps are now clamped, so the first
+    # batch of 16 gaps ends every draw.  The draws run in a child
+    # process with a deadline, so a regression fails instead of hanging.
+    child = subprocess.run(
+        [sys.executable, "-c", TINY_RATE_CHILD],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert child.returncode == 0, child.stderr

@@ -93,6 +93,16 @@ class TestNoisyRunner:
         runner = NoisyRunner(NoiseModel(gate_error=0.1), seed=rng)
         assert runner.rng is rng
 
+    def test_tiny_rate_faults_no_trial(self):
+        # Regression: at g = 1e-18 an INT64_MAX geometric gap overflowed
+        # the sampler's running sum into negative fault positions.
+        circuit = Circuit(3).maj(0, 1, 2).append_reset(0).maj_inv(0, 1, 2)
+        runner = NoisyRunner(NoiseModel(gate_error=1e-18), seed=0)
+        result = runner.run_from_input(circuit, (1, 0, 1), trials=1000)
+        assert result.fraction_with_faults() == 0.0
+        assert not result.fault_counts.any()
+        assert (result.states.array == result.states.array[0]).all()
+
     def test_zero_trial_batch_has_zero_fault_fraction(self):
         # Regression: an empty batch used to return NaN (NumPy's
         # mean-of-empty, with a RuntimeWarning) instead of 0.0.
