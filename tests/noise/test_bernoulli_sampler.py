@@ -17,8 +17,10 @@ AND the same generator state after the draw.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,8 +236,11 @@ def test_tiny_rates_draw_nothing_after_one_batch():
     # memory grew (p = 1e-300).  Gaps are now clamped, so the first
     # batch of 16 gaps ends every draw.  The draws run in a child
     # process with a deadline, so a regression fails instead of hanging.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
     child = subprocess.run(
         [sys.executable, "-c", TINY_RATE_CHILD],
+        env=env,
         capture_output=True,
         text=True,
         timeout=20,
