@@ -98,4 +98,4 @@ def simulate_unprotected(
         seed=seed,
     )
     policy = replace(ExecutionPolicy.from_env(), parallel=None)
-    return Executor(policy).run_one(spec).failure_fraction
+    return Executor(policy).run([spec])[0].failure_fraction

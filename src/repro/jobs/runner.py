@@ -7,8 +7,8 @@ checkpointing against a content-keyed result store
 (:mod:`repro.jobs.store`).  Layout::
 
     <job_dir>/
-        manifest.json        # versioned: specs (compressed wire form,
-                             # circuits as digest references), shard plan
+        manifest.json        # versioned: specs (wire form, circuits
+                             # as digest references), shard plan
         circuits/<d>.json    # each distinct circuit's wire form, once
         shards/<id>.json     # one checkpoint per completed shard
         store/               # the result store (unless shared)
@@ -67,7 +67,6 @@ from repro.runtime.pool import pool_map, resolve_workers
 from repro.runtime.serialization import (
     canonical_json,
     circuit_from_json,
-    compress_for_hashing,
     spec_from_json,
     spec_to_json,
 )
@@ -79,8 +78,8 @@ __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]
 #: manifest policies and checkpoint results no longer carry an engine.
 #: Version 3: job ids and shard ids hash policy-free point keys, and the
 #: manifest policy records only the backend.  Version 4: the manifest
-#: records no policy.  Version 5: manifest specs are compressed, their
-#: circuits stored once under ``circuits/``.
+#: records no policy.  Version 5: manifest specs name their circuits
+#: by digest, each circuit stored once under ``circuits/``.
 JOB_FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
@@ -297,10 +296,7 @@ class SweepJob:
         manifest = {
             "format": JOB_FORMAT_VERSION,
             "job_id": job_id,
-            "specs": [
-                compress_for_hashing(spec_to_json(spec), circuits)
-                for spec in specs
-            ],
+            "specs": [spec_to_json(spec, circuits) for spec in specs],
             "shards": [
                 {"id": shard.shard_id, "indices": list(shard.indices)}
                 for shard in shards
@@ -328,8 +324,10 @@ class SweepJob:
         here instead of merging wrong numbers later.  Each distinct
         circuit blob is read once and rebuilt into one
         :class:`~repro.core.circuit.Circuit` that every spec naming it
-        shares; a missing or unreadable blob raises
-        :class:`~repro.errors.JobError` naming its path.
+        shares.  A spec that cannot be rebuilt (wrong shape, bad digest,
+        missing or unreadable blob) raises
+        :class:`~repro.errors.JobError` naming the manifest and the
+        spec's index.
         """
         job_dir = Path(job_dir)
         manifest_path = job_dir / MANIFEST_NAME
@@ -356,7 +354,15 @@ class SweepJob:
         # none and a resume runs under the environment's policy.
         policy = ExecutionPolicy.from_env()
         circuits = _CircuitBlobs(job_dir)
-        specs = [spec_from_json(data, circuits) for data in manifest["specs"]]
+        specs = []
+        for index, data in enumerate(manifest["specs"]):
+            try:
+                specs.append(spec_from_json(data, circuits))
+            except ReproError as exc:
+                raise JobError(
+                    f"job manifest {manifest_path} spec {index} cannot be "
+                    f"rebuilt: {exc}"
+                ) from exc
         shards = [
             Shard(entry["id"], tuple(entry["indices"]))
             for entry in manifest["shards"]

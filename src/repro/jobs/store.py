@@ -10,7 +10,7 @@ deliberately **not** part of the key, nor recorded with the entry.
 :func:`point_key` hashes exactly that determining tuple (through the
 versioned JSON wire form of :mod:`repro.runtime.serialization`), and
 :class:`ResultStore` is a directory of one small JSON file per key.
-Entries hold the *compressed* spec, in which each circuit is a
+Entries hold the spec's wire form, in which each circuit is a
 ``{"circuit_digest": d}`` reference: the digest pins the circuit's
 wire bytes, so an entry needs no copy of them, and a 10-point sweep
 sharing one circuit writes none.  (A job directory keeps each circuit
@@ -23,7 +23,7 @@ layer leans on:
   place, so a killed run leaves complete entries or none — never a
   half-written one that resume would trust.
 * **Stale/corrupt detection, never silent serving.**  Entries embed
-  their own key, format version, and compressed spec wire form; a
+  their own key, format version, and spec wire form; a
   lookup re-verifies all three and raises
   :class:`~repro.errors.JobError` on any mismatch.  An
   entry produced under a different RNG stream or store format version
@@ -41,11 +41,7 @@ from pathlib import Path
 from repro._version import __version__
 from repro.errors import JobError
 from repro.obs import counter
-from repro.runtime.serialization import (
-    canonical_json,
-    compress_for_hashing,
-    spec_to_json,
-)
+from repro.runtime.serialization import canonical_json, spec_to_json
 from repro.runtime.spec import PointResult, RunSpec
 
 __all__ = [
@@ -63,7 +59,7 @@ __all__ = [
 #: Version 2: keys, provenance and results no longer carry an engine.
 #: Version 3: keys no longer carry a fusion flag (circuits always
 #: compile fused), and provenance no longer records one.  Version 4:
-#: entries hold the compressed spec, circuits as digest references.
+#: entries hold the spec with its circuits as digest references.
 STORE_FORMAT_VERSION = 4
 
 #: Version of the Monte-Carlo RNG stream contract.  The frozen digests in
@@ -76,14 +72,13 @@ STORE_FORMAT_VERSION = 4
 RESULT_STREAM_VERSION = 2
 
 
-def _key_from_wire(compressed: dict) -> str:
-    # Hash the compressed payload: embedded circuit fragments are
-    # already their content digests, so keying a 10-point sweep never
-    # re-serializes the shared circuit.
+def _key_from_wire(spec_json: dict) -> str:
+    # Circuits in the wire form are already their content digests, so
+    # keying a 10-point sweep never re-serializes the shared circuit.
     payload = {
         "format": STORE_FORMAT_VERSION,
         "stream": RESULT_STREAM_VERSION,
-        "spec": compressed,
+        "spec": spec_json,
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
@@ -137,7 +132,7 @@ def point_key(spec: RunSpec) -> str:
     no one can ever check.
     """
     _require_integer_seed(spec)
-    return _key_from_wire(compress_for_hashing(spec_to_json(spec)))
+    return _key_from_wire(spec_to_json(spec))
 
 
 def result_problem(block: object, trials: int) -> str | None:
@@ -217,11 +212,10 @@ class ResultStore:
         the contract: a stale entry must never be silently served *or*
         silently recomputed over.
         """
-        # One compressed serialization serves both the key and the
-        # verification compare — the warm path's cost is file reads
-        # plus this.
+        # One serialization serves both the key and the verification
+        # compare — the warm path's cost is file reads plus this.
         _require_integer_seed(spec)
-        spec_json = compress_for_hashing(spec_to_json(spec))
+        spec_json = spec_to_json(spec)
         key = _key_from_wire(spec_json)
         path = self._path(key)
         if not path.exists():
@@ -285,7 +279,7 @@ class ResultStore:
                 f"{spec.trials}; refusing to store a mismatched entry"
             )
         _require_integer_seed(spec)
-        spec_json = compress_for_hashing(spec_to_json(spec))
+        spec_json = spec_to_json(spec)
         key = _key_from_wire(spec_json)
         entry = {
             "format": STORE_FORMAT_VERSION,

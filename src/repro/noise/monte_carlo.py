@@ -45,6 +45,7 @@ from repro.core.compiled import compile_circuit
 from repro.core.simulator import BatchedState
 from repro.errors import SimulationError
 from repro.noise.model import NoiseModel
+from repro.noise.seeds import as_generator
 
 #: Success probability at which :func:`_bernoulli_positions` switches
 #: from geometric gap-jumping to a direct thresholded draw.  Gap
@@ -68,12 +69,6 @@ def resolve_engine(engine: str, trials: int) -> str:
     it with the next benchmark change.
     """
     return "bitplane"
-
-
-def _as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _bernoulli_positions(
@@ -517,7 +512,7 @@ class NoisyRunner:
         seed: int | np.random.Generator | None = None,
     ):
         self.model = model
-        self.rng = _as_generator(seed)
+        self.rng = as_generator(seed)
 
     def run(self, circuit: Circuit, states: BitplaneState) -> NoisyResult:
         """Evolve the batch through the circuit, mutating ``states``.

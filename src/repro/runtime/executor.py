@@ -43,11 +43,11 @@ from repro.core.bitplane import BitplaneState, words_for
 from repro.core.compiled import compile_circuit
 from repro.errors import SimulationError
 from repro.noise.monte_carlo import (
-    _as_generator,
     _draw_phase,
     _inject_phase,
     _stack_plan,
 )
+from repro.noise.seeds import as_generator
 from repro.obs import counter, enable_tracing, trace
 from repro.runtime.pool import pool_map, resolve_workers
 from repro.runtime.spec import (
@@ -161,7 +161,7 @@ def _run_group(specs: Sequence[RunSpec]) -> list[PointResult]:
         circuit=first.circuit.name or f"{first.circuit.n_wires}-wire",
     ):
         states = BitplaneState.broadcast(first.input_bits, total_words * 64)
-        rngs = [_as_generator(spec.seed) for spec in specs]
+        rngs = [as_generator(spec.seed) for spec in specs]
         with trace("executor.group.draw"):
             points, faulted = _draw_phase(
                 compiled,
@@ -233,7 +233,3 @@ class Executor:
                 for index, result in zip(indices, group_results):
                     results[index] = result
         return results  # type: ignore[return-value]
-
-    def run_one(self, spec: RunSpec) -> PointResult:
-        """Evaluate a single spec (sugar over :meth:`run`)."""
-        return self.run([spec])[0]

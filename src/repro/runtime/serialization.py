@@ -1,30 +1,37 @@
 """JSON wire forms for :class:`~repro.runtime.spec.RunSpec` and its parts.
 
-Until now specs were only *picklable*, which is enough to cross a
-process-pool boundary but useless for anything durable: a shard
-manifest written by one process and resumed by another (possibly a
-different Python, a different machine) needs a stable, inspectable,
-versioned wire form.  This module provides exactly that:
+Specs are picklable, which is enough to cross a process-pool boundary
+but useless for anything durable: a shard manifest written by one
+process and resumed by another (possibly a different Python, a
+different machine) needs a stable, inspectable, versioned wire form.
+This module provides exactly one:
 
-* :func:`spec_to_json` / :func:`spec_from_json` — the full round trip,
+* :func:`spec_to_json` / :func:`spec_from_json` — the round trip,
   stamped with :data:`SPEC_FORMAT_VERSION` so a future format change
-  fails loudly on old readers instead of mis-parsing.
-* :func:`circuit_to_json` / :func:`circuit_from_json` — circuits with
-  gate tables deduplicated (an op references its gate by index), so a
-  108-op recovery cycle built from three distinct gates serialises the
-  tables three times, not 108.
-* :func:`compress_for_hashing` — the compressed form keys hash and
-  durable files store: each circuit becomes a ``{"circuit_digest":
-  d}`` reference, its wire form kept once elsewhere and supplied back
-  to :func:`spec_from_json` as a ``circuits`` mapping.
-* Codec registries for observables and decoders —
-  :func:`register_observable_codec` / :func:`register_decoder_codec`
-  let new observable or decoder types opt into the wire form without
-  this module naming them.  The built-in frozen observables and
-  :class:`~repro.coding.logical.LogicalProcessor` are pre-registered.
+  fails loudly on old readers instead of mis-parsing.  Every circuit
+  in a spec (its own and its decoder's) is written as a
+  ``{"circuit_digest": d}`` reference, ``d`` the SHA-256 of the
+  circuit's canonical wire text.  This one form is what keys hash
+  (the result store, shard IDs) and what durable files store: a
+  10-point sweep sharing one circuit names it 20 times and writes it
+  once.  ``spec_to_json(spec, circuits)`` records each referenced
+  circuit's wire form in ``circuits`` under its digest;
+  ``spec_from_json(data, circuits)`` takes the way back, resolving
+  each digest in a mapping of rebuilt circuits, so specs sharing a
+  circuit share one :class:`~repro.core.circuit.Circuit`.
+* :func:`circuit_to_json` / :func:`circuit_from_json` — a circuit's
+  own wire form, gate tables deduplicated (an op references its gate
+  by index), so a 108-op recovery cycle built from three distinct
+  gates serialises the tables three times, not 108.
 
-The round trip is *value-faithful*: ``spec_from_json(spec_to_json(s))
-== s``, the reconstructed circuit has the same
+Observables and decoders serialise by exact type: the three built-in
+observables (:class:`~repro.runtime.spec.PredicateObservable`,
+:class:`~repro.runtime.spec.DecodeObservable`,
+:class:`~repro.runtime.spec.DecodedMismatchObservable`) over a
+:class:`~repro.coding.logical.LogicalProcessor` decoder.
+
+The round trip is *value-faithful*: ``spec_from_json(spec_to_json(s,
+c), rebuilt(c)) == s``, the reconstructed circuit has the same
 :meth:`~repro.core.circuit.Circuit.content_key` (so executor grouping
 and the compile cache treat it as the same circuit), and running the
 reconstructed spec is bit-identical to running the original — which is
@@ -34,16 +41,21 @@ still merge bit-for-bit with shards run before the crash.
 Anything without a faithful wire form raises
 :class:`~repro.errors.SerializationError` at serialisation time:
 predicates that are not module-level functions, live RNG generators as
-seeds, decoder types with no registered codec.  Refusing is the
-feature — a spec that cannot round-trip must never be written into a
-manifest that resume will trust.
+seeds, observable or decoder types outside the built-in ones.  Reading
+refuses the same way: a payload of the wrong shape (a missing field, a
+string where an object belongs, a digest that is not 64 lowercase hex
+characters) raises :class:`~repro.errors.SerializationError`, never a
+bare ``KeyError``/``TypeError``.  Refusing is the feature — a spec
+that cannot round-trip must never be written into a manifest that
+resume will trust.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Mapping
+import re
+from collections.abc import Mapping
 from importlib import import_module
 
 import numpy as np
@@ -68,10 +80,6 @@ __all__ = [
     "circuit_to_json",
     "noise_from_json",
     "noise_to_json",
-    "observable_from_json",
-    "observable_to_json",
-    "register_decoder_codec",
-    "register_observable_codec",
     "spec_from_json",
     "spec_to_json",
 ]
@@ -81,9 +89,13 @@ __all__ = [
 #: reject versions they do not know.
 SPEC_FORMAT_VERSION = 1
 
-#: The key of a circuit reference, ``{"circuit_digest": <hex>}``: the
-#: stored stand-in for a circuit fragment (:func:`compress_for_hashing`).
+#: The key of a circuit reference, ``{"circuit_digest": <hex>}``: how a
+#: spec names each of its circuits.
 _CIRCUIT_REFERENCE = "circuit_digest"
+
+#: A well-formed digest.  Readers check it before the digest names a
+#: file (``circuits/<digest>.json``), so no payload can point outside.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def canonical_json(payload) -> str:
@@ -109,25 +121,26 @@ def canonical_json(payload) -> str:
 # Circuits
 # ----------------------------------------------------------------------
 
-
-class _CircuitFragment(dict):
-    """A memoised circuit wire form that carries its own digest.
-
-    ``digest`` is the SHA-256 of the fragment's canonical text, so
-    :func:`compress_for_hashing` can swap the fragment for a reference
-    without re-serialising it.  JSON encodes it as a plain object.
-    """
-
-    digest: str
-
-
-#: Memoised wire forms keyed by ``(name, content_key)`` — value-based,
-#: so an appended op (which changes ``content_key``) is a clean miss.
-#: Sweeps serialize the same shared circuit once per point (the spec
-#: AND its decode observable each embed it); without the memo that
-#: dominates the warm result-store path.
-_CIRCUIT_WIRE_CACHE: dict[tuple[str, str], _CircuitFragment] = {}
+#: Memoised ``(wire form, digest)`` pairs keyed by ``(name,
+#: content_key)`` — value-based, so an appended op (which changes
+#: ``content_key``) is a clean miss.  Sweeps serialize the same shared
+#: circuit once per point (the spec AND its decode observable name
+#: it); without the memo that dominates the warm result-store path.
+_CIRCUIT_WIRE_CACHE: dict[tuple[str, str], tuple[dict, str]] = {}
 _CIRCUIT_WIRE_CACHE_MAX = 128
+
+
+def _circuit_wire(circuit: Circuit) -> tuple[dict, str]:
+    """The circuit's memoised wire form and the digest of its text."""
+    key = (circuit.name, circuit.content_key())
+    cached = _CIRCUIT_WIRE_CACHE.get(key)
+    if cached is None:
+        fragment = _circuit_to_json_uncached(circuit)
+        digest = hashlib.sha256(canonical_json(fragment).encode()).hexdigest()
+        if len(_CIRCUIT_WIRE_CACHE) >= _CIRCUIT_WIRE_CACHE_MAX:
+            _CIRCUIT_WIRE_CACHE.clear()
+        cached = _CIRCUIT_WIRE_CACHE[key] = (fragment, digest)
+    return cached
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
@@ -136,50 +149,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
     The returned dict is memoised and shared — treat it as frozen
     (serialize it, embed it in payloads, never mutate it in place).
     """
-    key = (circuit.name, circuit.content_key())
-    cached = _CIRCUIT_WIRE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    payload = _CircuitFragment(_circuit_to_json_uncached(circuit))
-    payload.digest = hashlib.sha256(
-        canonical_json(payload).encode()
-    ).hexdigest()
-    if len(_CIRCUIT_WIRE_CACHE) >= _CIRCUIT_WIRE_CACHE_MAX:
-        _CIRCUIT_WIRE_CACHE.clear()
-    _CIRCUIT_WIRE_CACHE[key] = payload
-    return payload
-
-
-def compress_for_hashing(payload, circuits: dict[str, dict] | None = None):
-    """A copy of ``payload`` with circuit fragments swapped for references.
-
-    Every embedded circuit fragment that came out of
-    :func:`circuit_to_json` is replaced by ``{"circuit_digest": <sha256
-    of its canonical text>}``.  This compressed form is what keys hash
-    (the result store, shard IDs) and what durable files store: a
-    10-point sweep sharing one circuit serializes it once, not 20
-    times.  When ``circuits`` is given, each replaced fragment is
-    recorded in it under its digest, so the caller can store it once
-    (see :func:`spec_from_json` for the way back).  Fragments that did
-    not come from :func:`circuit_to_json` (e.g. payloads that went
-    through JSON text and back) are left in place.
-    """
-    if isinstance(payload, _CircuitFragment):
-        if circuits is not None:
-            circuits[payload.digest] = payload
-        return {_CIRCUIT_REFERENCE: payload.digest}
-    if isinstance(payload, dict):
-        # Sorted so the compressed form is itself insertion-order
-        # independent; the final key bytes were already order-free
-        # (canonical_json sorts at dump time), but key computations
-        # must not iterate dicts in insertion order (RL111).
-        return {
-            key: compress_for_hashing(payload[key], circuits)
-            for key in sorted(payload)
-        }
-    if isinstance(payload, list):
-        return [compress_for_hashing(item, circuits) for item in payload]
-    return payload
+    return _circuit_wire(circuit)[0]
 
 
 def _circuit_to_json_uncached(circuit: Circuit) -> dict:
@@ -219,17 +189,7 @@ def circuit_from_json(data: dict) -> Circuit:
     Gate and circuit construction re-validate everything (bijective
     tables, wire ranges, arity matches), so a tampered payload fails
     as a library error instead of producing a silently wrong circuit.
-    A ``{"circuit_digest": d}`` reference that :func:`spec_from_json`
-    resolved returns its supplied circuit; an unresolved one is
-    refused.
     """
-    if isinstance(data, _ResolvedReference):
-        return data.circuit
-    if _CIRCUIT_REFERENCE in data:
-        raise SerializationError(
-            f"circuit reference {data[_CIRCUIT_REFERENCE]} needs a circuits "
-            f"mapping to resolve against; pass one to spec_from_json"
-        )
     gates = [
         Gate(name=g["name"], arity=g["arity"], table=tuple(g["table"]))
         for g in data["gates"]
@@ -250,39 +210,28 @@ def circuit_from_json(data: dict) -> Circuit:
     return circuit
 
 
-class _ResolvedReference(dict):
-    """A circuit reference bound to its supplied :class:`Circuit`.
-
-    :func:`spec_from_json` swaps each ``{"circuit_digest": d}`` for
-    one of these before any codec runs, so a codec that calls
-    :func:`circuit_from_json` on its circuit field gets the shared
-    circuit without knowing references exist.
-    """
-
-    circuit: Circuit
+def _circuit_reference(circuit: Circuit, circuits: dict | None) -> dict:
+    """``{"circuit_digest": d}`` for ``circuit``, recorded in ``circuits``."""
+    fragment, digest = _circuit_wire(circuit)
+    if circuits is not None:
+        circuits[digest] = fragment
+    return {_CIRCUIT_REFERENCE: digest}
 
 
-def _resolve_references(payload, circuits: Mapping[str, Circuit]):
-    """A copy of ``payload`` with each circuit reference resolved."""
-    if isinstance(payload, dict):
-        if payload.keys() == {_CIRCUIT_REFERENCE}:
-            digest = payload[_CIRCUIT_REFERENCE]
-            try:
-                circuit = circuits[digest]
-            except KeyError:
-                raise SerializationError(
-                    f"circuit reference {digest} has no supplied circuit"
-                ) from None
-            resolved = _ResolvedReference(payload)
-            resolved.circuit = circuit
-            return resolved
-        return {
-            key: _resolve_references(value, circuits)
-            for key, value in payload.items()
-        }
-    if isinstance(payload, list):
-        return [_resolve_references(item, circuits) for item in payload]
-    return payload
+def _referenced_circuit(data, circuits: Mapping[str, Circuit]) -> Circuit:
+    """The supplied circuit a ``{"circuit_digest": d}`` reference names."""
+    digest = data.get(_CIRCUIT_REFERENCE) if isinstance(data, dict) else None
+    if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+        raise SerializationError(
+            f"a circuit must be a {{{_CIRCUIT_REFERENCE!r}: <64 lowercase "
+            f"hex characters>}} reference, got {str(data)[:80]}"
+        )
+    try:
+        return circuits[digest]
+    except KeyError:
+        raise SerializationError(
+            f"circuit reference {digest} has no supplied circuit"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -304,59 +253,32 @@ def noise_from_json(data: dict) -> NoiseModel:
 # Decoders
 # ----------------------------------------------------------------------
 
-#: kind -> (type, encode, decode).  ``encode(decoder) -> dict`` (sans
-#: the ``kind`` tag), ``decode(dict) -> decoder``.
-_DECODER_CODECS: dict[str, tuple[type, Callable, Callable]] = {}
 
-
-def register_decoder_codec(
-    kind: str, cls: type, encode: Callable, decode: Callable
-) -> None:
-    """Register a wire form for a decoder type.
-
-    ``kind`` is the tag written into the payload; it must be unique.
-    Decoders are matched by exact type, not isinstance — a subclass
-    with extra state must register its own codec.
-    """
-    if kind in _DECODER_CODECS:
-        raise SerializationError(f"decoder codec {kind!r} already registered")
-    _DECODER_CODECS[kind] = (cls, encode, decode)
-
-
-def _decoder_to_json(decoder: object) -> dict:
-    for kind, (cls, encode, _) in _DECODER_CODECS.items():
-        if type(decoder) is cls:
-            return {"kind": kind, **encode(decoder)}
-    raise SerializationError(
-        f"decoder type {type(decoder).__name__} has no registered wire "
-        f"form; register one with "
-        f"repro.runtime.serialization.register_decoder_codec"
-    )
-
-
-def _decoder_from_json(data: dict) -> object:
-    kind = data.get("kind")
-    entry = _DECODER_CODECS.get(kind)
-    if entry is None:
-        raise SerializationError(f"unknown decoder kind {kind!r}")
-    return entry[2](data)
-
-
-def _logical_processor_to_json(processor: LogicalProcessor) -> dict:
+def _decoder_to_json(decoder: object, circuits: dict | None) -> dict:
+    if type(decoder) is not LogicalProcessor:
+        raise SerializationError(
+            f"decoder type {type(decoder).__name__} has no wire form; "
+            f"only a LogicalProcessor decoder serialises"
+        )
     return {
-        "n_logical": processor.n_logical,
-        "include_resets": processor.include_resets,
-        "gates_applied": processor.logical_gates_applied,
+        "kind": "logical_processor",
+        "n_logical": decoder.n_logical,
+        "include_resets": decoder.include_resets,
+        "gates_applied": decoder.logical_gates_applied,
         "layouts": [
             {"data": list(l.data), "ancillas": list(l.ancillas)}
-            for l in processor.layouts
+            for l in decoder.layouts
         ],
-        "circuit": circuit_to_json(processor.circuit),
+        "circuit": _circuit_reference(decoder.circuit, circuits),
     }
 
 
-def _logical_processor_from_json(data: dict) -> LogicalProcessor:
-    circuit = circuit_from_json(data["circuit"])
+def _decoder_from_json(
+    data: dict, circuits: Mapping[str, Circuit]
+) -> LogicalProcessor:
+    if data.get("kind") != "logical_processor":
+        raise SerializationError(f"unknown decoder kind {data.get('kind')!r}")
+    circuit = _referenced_circuit(data["circuit"], circuits)
     processor = LogicalProcessor(
         data["n_logical"],
         include_resets=data["include_resets"],
@@ -375,50 +297,46 @@ def _logical_processor_from_json(data: dict) -> LogicalProcessor:
     return processor
 
 
-register_decoder_codec(
-    "logical_processor",
-    LogicalProcessor,
-    _logical_processor_to_json,
-    _logical_processor_from_json,
-)
-
-
 # ----------------------------------------------------------------------
 # Observables
 # ----------------------------------------------------------------------
 
-_OBSERVABLE_CODECS: dict[str, tuple[type, Callable, Callable]] = {}
+#: The observables that count failures through a decoder, by wire tag.
+_DECODED_OBSERVABLES = {
+    "decode": DecodeObservable,
+    "decoded_mismatch": DecodedMismatchObservable,
+}
 
 
-def register_observable_codec(
-    kind: str, cls: type, encode: Callable, decode: Callable
-) -> None:
-    """Register a wire form for an observable type (exact-type match)."""
-    if kind in _OBSERVABLE_CODECS:
-        raise SerializationError(
-            f"observable codec {kind!r} already registered"
-        )
-    _OBSERVABLE_CODECS[kind] = (cls, encode, decode)
-
-
-def observable_to_json(observable: object) -> dict:
+def _observable_to_json(observable: object, circuits: dict | None) -> dict:
     """The observable's tagged wire form, or :class:`SerializationError`."""
-    for kind, (cls, encode, _) in _OBSERVABLE_CODECS.items():
+    if type(observable) is PredicateObservable:
+        return {"kind": "predicate", **_predicate_to_json(observable)}
+    for kind, cls in _DECODED_OBSERVABLES.items():
         if type(observable) is cls:
-            return {"kind": kind, **encode(observable)}
+            return {
+                "kind": kind,
+                "decoder": _decoder_to_json(observable.decoder, circuits),
+                "expected": list(observable.expected),
+            }
     raise SerializationError(
-        f"observable type {type(observable).__name__} has no registered "
-        f"wire form; register one with "
-        f"repro.runtime.serialization.register_observable_codec"
+        f"observable type {type(observable).__name__} has no wire form; "
+        f"only PredicateObservable, DecodeObservable and "
+        f"DecodedMismatchObservable serialise"
     )
 
 
-def observable_from_json(data: dict) -> object:
+def _observable_from_json(data: dict, circuits: Mapping[str, Circuit]):
     kind = data.get("kind")
-    entry = _OBSERVABLE_CODECS.get(kind)
-    if entry is None:
+    if kind == "predicate":
+        return _predicate_from_json(data)
+    cls = _DECODED_OBSERVABLES.get(kind)
+    if cls is None:
         raise SerializationError(f"unknown observable kind {kind!r}")
-    return entry[2](data)
+    return cls(
+        decoder=_decoder_from_json(data["decoder"], circuits),
+        expected=tuple(data["expected"]),
+    )
 
 
 def _predicate_to_json(observable: PredicateObservable) -> dict:
@@ -452,42 +370,17 @@ def _predicate_from_json(data: dict) -> PredicateObservable:
     return PredicateObservable(predicate)
 
 
-register_observable_codec(
-    "predicate", PredicateObservable, _predicate_to_json, _predicate_from_json
-)
-register_observable_codec(
-    "decode",
-    DecodeObservable,
-    lambda o: {
-        "decoder": _decoder_to_json(o.decoder),
-        "expected": list(o.expected),
-    },
-    lambda d: DecodeObservable(
-        decoder=_decoder_from_json(d["decoder"]),
-        expected=tuple(d["expected"]),
-    ),
-)
-register_observable_codec(
-    "decoded_mismatch",
-    DecodedMismatchObservable,
-    lambda o: {
-        "decoder": _decoder_to_json(o.decoder),
-        "expected": list(o.expected),
-    },
-    lambda d: DecodedMismatchObservable(
-        decoder=_decoder_from_json(d["decoder"]),
-        expected=tuple(d["expected"]),
-    ),
-)
-
-
 # ----------------------------------------------------------------------
 # Specs
 # ----------------------------------------------------------------------
 
 
-def spec_to_json(spec: RunSpec) -> dict:
-    """The spec's versioned wire form.
+def spec_to_json(spec: RunSpec, circuits: dict[str, dict] | None = None) -> dict:
+    """The spec's versioned wire form, circuits as digest references.
+
+    When ``circuits`` is given, each referenced circuit's wire form is
+    recorded in it under its digest, so the caller can store it once
+    (see :func:`spec_from_json` for the way back).
 
     The seed must be a plain integer or ``None`` — a live
     :class:`numpy.random.Generator` has consumed an unknowable amount
@@ -509,43 +402,44 @@ def spec_to_json(spec: RunSpec) -> dict:
         )
     return {
         "format": SPEC_FORMAT_VERSION,
-        "circuit": circuit_to_json(spec.circuit),
+        "circuit": _circuit_reference(spec.circuit, circuits),
         "input_bits": list(spec.input_bits),
-        "observable": observable_to_json(spec.observable),
+        "observable": _observable_to_json(spec.observable, circuits),
         "noise": noise_to_json(spec.noise),
         "trials": spec.trials,
         "seed": None if seed is None else int(seed),
     }
 
 
-def spec_from_json(
-    data: dict, circuits: Mapping[str, Circuit] | None = None
-) -> RunSpec:
+def spec_from_json(data: dict, circuits: Mapping[str, Circuit]) -> RunSpec:
     """Rebuild a spec from :func:`spec_to_json` output.
 
-    ``data`` may also be the :func:`compress_for_hashing` form: each
-    ``{"circuit_digest": d}`` reference, in the spec or inside its
-    observable, resolves to ``circuits[d]`` before any codec runs, so
-    specs sharing a circuit share one
-    :class:`~repro.core.circuit.Circuit`.
+    Each ``{"circuit_digest": d}`` reference, in the spec or inside its
+    decoder, resolves to ``circuits[d]``, so specs sharing a circuit
+    share one :class:`~repro.core.circuit.Circuit`.
 
     Unknown format versions are rejected: mis-parsing a future wire
     form into a plausible-but-wrong spec would silently corrupt every
-    result derived from it.
+    result derived from it.  So is any payload of the wrong shape, as
+    a :class:`~repro.errors.SerializationError`.
     """
-    version = data.get("format")
-    if version != SPEC_FORMAT_VERSION:
-        raise SerializationError(
-            f"spec wire format {version!r} is not supported by this code "
-            f"(expected {SPEC_FORMAT_VERSION}); regenerate the manifest"
+    try:
+        version = data.get("format")
+        if version != SPEC_FORMAT_VERSION:
+            raise SerializationError(
+                f"spec wire format {version!r} is not supported by this "
+                f"code (expected {SPEC_FORMAT_VERSION}); regenerate the "
+                f"manifest"
+            )
+        return RunSpec(
+            circuit=_referenced_circuit(data["circuit"], circuits),
+            input_bits=tuple(data["input_bits"]),
+            observable=_observable_from_json(data["observable"], circuits),
+            noise=noise_from_json(data["noise"]),
+            trials=data["trials"],
+            seed=data["seed"],
         )
-    if circuits is not None:
-        data = _resolve_references(data, circuits)
-    return RunSpec(
-        circuit=circuit_from_json(data["circuit"]),
-        input_bits=tuple(data["input_bits"]),
-        observable=observable_from_json(data["observable"]),
-        noise=noise_from_json(data["noise"]),
-        trials=data["trials"],
-        seed=data["seed"],
-    )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise SerializationError(
+            f"spec wire form has the wrong shape: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -80,7 +80,7 @@ KEY_FUNCTIONS: frozenset[str] = frozenset(
         "point_key",
         "_key_from_wire",
         "_shard_id",
-        "compress_for_hashing",
+        "spec_to_json",
         "canonical_json",
     }
 )

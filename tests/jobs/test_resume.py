@@ -243,6 +243,21 @@ class TestCollect:
         assert reloaded.collect() == Executor(policy).run(specs)
 
 
+#: Hand edits that leave a manifest spec well-formed JSON of the wrong
+#: shape; each must fail the load with a JobError naming the manifest.
+SPEC_EDITS = {
+    "trials-dropped": lambda spec: spec.pop("trials"),
+    "layouts-dropped": lambda spec: spec["observable"]["decoder"].pop("layouts"),
+    "circuit-string": lambda spec: spec.update(circuit="abc"),
+    "input_bits-int": lambda spec: spec.update(input_bits=5),
+    "noise-string": lambda spec: spec.update(noise="x"),
+    "observable-kind-dropped": lambda spec: spec["observable"].pop("kind"),
+    "digest-path": lambda spec: spec.update(
+        circuit={"circuit_digest": "../manifest"}
+    ),
+}
+
+
 class TestManifestIntegrity:
     def test_load_missing_manifest_raises(self, tmp_path):
         with pytest.raises(JobError, match="manifest"):
@@ -266,6 +281,20 @@ class TestManifestIntegrity:
         path = tmp_path / "job" / "manifest.json"
         path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
         with pytest.raises(JobError, match=re.escape(str(path))):
+            SweepJob.load(tmp_path / "job")
+
+    @pytest.mark.parametrize("edit", sorted(SPEC_EDITS))
+    def test_wrong_shape_manifest_spec_names_the_file(
+        self, tmp_path, policy, edit
+    ):
+        SweepJob.submit(tmp_path / "job", _specs(4), policy)
+        path = tmp_path / "job" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        SPEC_EDITS[edit](manifest["specs"][1])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            JobError, match=rf"{re.escape(str(path))} spec 1 cannot be rebuilt"
+        ):
             SweepJob.load(tmp_path / "job")
 
     def test_foreign_checkpoint_detected(self, tmp_path, policy):

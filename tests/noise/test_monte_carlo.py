@@ -22,15 +22,17 @@ from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpe
 
 def estimate(circuit, input_bits, predicate, model, trials, seed=None):
     """One spec through the executor: ``(failure_fraction, failures)``."""
-    result = Executor().run_one(
-        RunSpec(
-            circuit=circuit,
-            input_bits=tuple(input_bits),
-            observable=PredicateObservable(predicate),
-            noise=model,
-            trials=trials,
-            seed=seed,
-        )
+    (result,) = Executor().run(
+        [
+            RunSpec(
+                circuit=circuit,
+                input_bits=tuple(input_bits),
+                observable=PredicateObservable(predicate),
+                noise=model,
+                trials=trials,
+                seed=seed,
+            )
+        ]
     )
     return result.failure_fraction, result.failures
 

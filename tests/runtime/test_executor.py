@@ -72,7 +72,7 @@ def legacy_point(spec):
 class TestSinglePointBitIdentity:
     def test_matches_legacy_runner(self):
         spec = recovery_spec(0.01, seed=11, trials=1000)
-        assert Executor(ExecutionPolicy()).run_one(spec) == legacy_point(spec)
+        assert Executor(ExecutionPolicy()).run([spec]) == [legacy_point(spec)]
 
 
 class TestStackedBatchingBitIdentity:

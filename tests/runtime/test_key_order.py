@@ -14,11 +14,13 @@ from repro.core.circuit import Circuit
 from repro.errors import SerializationError
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import point_key
+from repro.jobs import store as jobs_store
 from repro.runtime.serialization import (
+    _CIRCUIT_WIRE_CACHE,
     _CIRCUIT_WIRE_CACHE_MAX,
     canonical_json,
+    circuit_from_json,
     circuit_to_json,
-    compress_for_hashing,
     spec_from_json,
     spec_to_json,
 )
@@ -52,44 +54,47 @@ class TestCanonicalJson:
             canonical_json({"gate": object()})
 
 
-class TestCompressForHashing:
+class TestSpecWireForm:
     def test_insertion_order_independent(self):
-        # Reorder the top-level dict while keeping the memoised circuit
-        # fragments by reference (digest substitution is identity-keyed;
-        # the contract forbids mixing raw and compressed fragments in
-        # one key space).
         spec = one_spec()
         payload = spec_to_json(spec)
-        shuffled = {key: payload[key] for key in reversed(payload)}
-        a = canonical_json(compress_for_hashing(payload))
-        b = canonical_json(compress_for_hashing(shuffled))
-        assert a == b
+        assert canonical_json(payload) == canonical_json(reordered(payload))
 
-    def test_deep_reorder_without_fragments(self):
-        payload = {"b": {"y": [1, 2], "x": 3}, "a": {"q": 0}}
-        a = canonical_json(compress_for_hashing(payload))
-        b = canonical_json(compress_for_hashing(reordered(payload)))
-        assert a == b
-
-    def test_digest_substitution_still_happens(self):
+    def test_point_key_ignores_insertion_order(self, monkeypatch):
+        # point_key hashes spec_to_json's output; a wire form built
+        # with every dict's keys inserted in reverse must key the same.
         spec = one_spec()
-        fragment = circuit_to_json(spec.circuit)
-        compressed = compress_for_hashing({"circuit": fragment})
-        assert set(compressed["circuit"]) == {"circuit_digest"}
+        key = point_key(spec)
+        monkeypatch.setattr(
+            jobs_store, "spec_to_json", lambda s: reordered(spec_to_json(s))
+        )
+        assert point_key(spec) == key
 
-    def test_fragment_keeps_its_digest_when_the_memo_clears(self):
-        # A spec embeds two fragments (its circuit and its decoder's);
-        # the memo clearing between them must not leave the first one
-        # raw, or the same spec would hash two ways.
-        first = circuit_to_json(Circuit(2, name="first").cnot(0, 1))
+    def test_circuits_are_digest_references(self):
+        payload = spec_to_json(one_spec())
+        assert set(payload["circuit"]) == {"circuit_digest"}
+        decoder = payload["observable"]["decoder"]
+        assert decoder["circuit"] == payload["circuit"]
+        assert '"ops"' not in canonical_json(payload)
+
+    def test_spec_keeps_its_point_key_across_a_wire_cache_clear(self):
+        spec = one_spec()
+        key = point_key(spec)
         for index in range(_CIRCUIT_WIRE_CACHE_MAX):
             circuit_to_json(Circuit(2, name=f"filler-{index}").cnot(0, 1))
-        compressed = compress_for_hashing({"circuit": first})
-        assert set(compressed["circuit"]) == {"circuit_digest"}
+        memo_key = (spec.circuit.name, spec.circuit.content_key())
+        assert memo_key not in _CIRCUIT_WIRE_CACHE
+        assert point_key(spec) == key
 
 
 class TestPointKeyStability:
     def test_round_tripped_spec_keeps_its_point_key(self):
         spec = one_spec()
-        rebuilt = spec_from_json(spec_to_json(spec))
+        fragments: dict[str, dict] = {}
+        payload = spec_to_json(spec, fragments)
+        circuits = {
+            digest: circuit_from_json(fragment)
+            for digest, fragment in fragments.items()
+        }
+        rebuilt = spec_from_json(payload, circuits)
         assert point_key(rebuilt) == point_key(spec)

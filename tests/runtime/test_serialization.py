@@ -14,6 +14,7 @@ from repro.errors import SerializationError
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.noise.model import NoiseModel
 from repro.runtime import (
+    DecodeObservable,
     Executor,
     ExecutionPolicy,
     PredicateObservable,
@@ -23,14 +24,11 @@ from repro.runtime import (
     spec_to_json,
 )
 from repro.runtime.executor import _group_key
-from repro.runtime import serialization
 from repro.runtime.serialization import (
     circuit_from_json,
     circuit_to_json,
-    compress_for_hashing,
     noise_from_json,
     noise_to_json,
-    register_observable_codec,
 )
 
 
@@ -43,10 +41,20 @@ def _maj_circuit() -> Circuit:
     return Circuit(3, name="maj").cnot(0, 1).cnot(0, 2).toffoli(1, 2, 0)
 
 
+def _through_text(payload):
+    return json.loads(json.dumps(payload))
+
+
 def _roundtrip(spec: RunSpec) -> RunSpec:
-    # Through actual JSON text, not just dicts: the wire form must
-    # survive what a manifest file does to it.
-    return spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+    # Through actual JSON text, not just dicts: the wire form and its
+    # circuits must survive what a job directory's files do to them.
+    fragments: dict[str, dict] = {}
+    payload = _through_text(spec_to_json(spec, fragments))
+    circuits = {
+        digest: circuit_from_json(_through_text(fragment))
+        for digest, fragment in fragments.items()
+    }
+    return spec_from_json(payload, circuits)
 
 
 class TestCircuitRoundTrip:
@@ -91,56 +99,46 @@ class TestSpecRoundTrip:
         assert _group_key(rebuilt) == _group_key(spec)
 
     def test_compressed_round_trip_resolves_supplied_circuits(self):
-        # The stored form: circuits collapse to digest references and
-        # come back as one supplied Circuit, shared with the decoder.
+        # The one wire form: circuits are digest references, recorded
+        # once in the circuits mapping, and come back as one supplied
+        # Circuit, shared with the decoder.
         (spec,) = cycle_error_specs(((2e-3, 11),), 2000, cycles=1)
         fragments: dict[str, dict] = {}
-        compressed = compress_for_hashing(spec_to_json(spec), fragments)
-        assert '"ops"' not in json.dumps(compressed)
+        payload = spec_to_json(spec, fragments)
+        assert '"ops"' not in json.dumps(payload)
         (digest,) = fragments
-        circuit = circuit_from_json(json.loads(json.dumps(fragments[digest])))
-        rebuilt = spec_from_json(
-            json.loads(json.dumps(compressed)), {digest: circuit}
-        )
+        assert fragments[digest] == circuit_to_json(spec.circuit)
+        circuit = circuit_from_json(_through_text(fragments[digest]))
+        rebuilt = spec_from_json(_through_text(payload), {digest: circuit})
         assert rebuilt == spec
         assert rebuilt.circuit is circuit
         assert rebuilt.observable.decoder.circuit is circuit
 
     def test_unresolved_circuit_reference_refused(self):
         (spec,) = cycle_error_specs(((2e-3, 11),), 2000, cycles=1)
-        compressed = compress_for_hashing(spec_to_json(spec))
-        with pytest.raises(SerializationError, match="needs a circuits mapping"):
-            spec_from_json(compressed)
         with pytest.raises(SerializationError, match="no supplied circuit"):
-            spec_from_json(compressed, {})
+            spec_from_json(spec_to_json(spec), {})
 
-    def test_one_argument_codec_gets_the_supplied_circuit(self, monkeypatch):
-        # A caller's codec keeps the decode(data) signature: references
-        # are resolved before it runs, so circuit_from_json on its
-        # circuit field returns the supplied, shared circuit.
-        class CircuitObservable:
-            def __init__(self, circuit):
-                self.circuit = circuit
-
-            def count_failures(self, states):
-                return 0
-
-        codecs = dict(serialization._OBSERVABLE_CODECS)
-        monkeypatch.setattr(serialization, "_OBSERVABLE_CODECS", codecs)
-        register_observable_codec(
-            "test-circuit",
-            CircuitObservable,
-            lambda o: {"circuit": circuit_to_json(o.circuit)},
-            lambda d: CircuitObservable(circuit_from_json(d["circuit"])),
-        )
-        circuit = _maj_circuit()
-        spec = TestRefusals()._spec(observable=CircuitObservable(circuit))
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            "embedded",
+            "abc",
+            {"circuit_digest": "../manifest"},
+            {"circuit_digest": "A" * 64},
+            {"circuit_digest": 7},
+        ],
+    )
+    def test_circuit_that_is_not_a_digest_reference_refused(self, circuit):
+        (spec,) = cycle_error_specs(((2e-3, 11),), 2000, cycles=1)
         fragments: dict[str, dict] = {}
-        compressed = compress_for_hashing(spec_to_json(spec), fragments)
-        (digest,) = fragments
-        rebuilt = spec_from_json(json.loads(json.dumps(compressed)), {digest: circuit})
-        assert rebuilt.circuit is circuit
-        assert rebuilt.observable.circuit is circuit
+        payload = dict(spec_to_json(spec, fragments))
+        if circuit == "embedded":
+            (circuit,) = fragments.values()
+        payload["circuit"] = circuit
+        circuits = {d: spec.circuit for d in fragments}
+        with pytest.raises(SerializationError, match="64 lowercase hex"):
+            spec_from_json(payload, circuits)
 
     def test_rebuilt_spec_runs_bit_identical(self):
         specs = cycle_error_specs(((3e-3, 5), (6e-3, 6)), 2000, cycles=1)
@@ -207,7 +205,7 @@ class TestRefusals:
         data = spec_to_json(self._spec())
         data["format"] = SPEC_FORMAT_VERSION + 1
         with pytest.raises(SerializationError):
-            spec_from_json(data)
+            spec_from_json(data, {})
 
     def test_unregistered_observable_refused(self):
         class Odd:
@@ -216,6 +214,11 @@ class TestRefusals:
 
         with pytest.raises(SerializationError):
             spec_to_json(self._spec(observable=Odd()))
+
+    def test_decoder_other_than_a_logical_processor_refused(self):
+        observable = DecodeObservable(decoder=object(), expected=(0,))
+        with pytest.raises(SerializationError, match="LogicalProcessor"):
+            spec_to_json(self._spec(observable=observable))
 
 
 class TestLogicalProcessorEquality:
