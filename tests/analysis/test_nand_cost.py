@@ -59,6 +59,15 @@ class TestSearch:
         assert result.total_gates_searched == 40320
         assert result.achieving_gates > 0
 
+    def test_search_counts_are_pinned(self):
+        # The exhaustive scan's full census: every gate, the optimum,
+        # how many gates reach it and how many NAND wirings exist.
+        result = search_all_gates()
+        assert result.total_gates_searched == 40320
+        assert result.minimum_entropy == 1.5
+        assert result.achieving_gates == 22050
+        assert result.total_realisations == 41472
+
     def test_information_theoretic_floor(self):
         """No realisation anywhere beats 1.5 bits.
 
