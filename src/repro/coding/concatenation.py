@@ -36,8 +36,8 @@ from repro.core import library
 from repro.core.bits import Bits, majority
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
-from repro.core.simulator import BatchedState
-from repro.coding.repetition import THREE_BIT_CODE
+from repro.core.bitplane import BitplaneState
+from repro.coding.repetition import mismatch_plane
 from repro.errors import CodingError
 
 #: Sub-block indices playing each role, mirroring Figure 2's wires.
@@ -137,14 +137,18 @@ class Block:
         votes = tuple(child.decode(state) for child in self.data_blocks())
         return majority(votes)
 
-    def decode_batch(self, states: BatchedState) -> np.ndarray:
-        """Recursive majority decoding across a Monte-Carlo batch."""
+    def majority_plane(self, states: BitplaneState) -> np.ndarray:
+        """Packed recursive majority decoding of this block from a batch.
+
+        A level-0 block is its wire's plane; above that, each trial's
+        vote is ``(a & b) | (c & (a | b))`` over the planes of the
+        current data sub-blocks, so no trial is ever unpacked.  Padding
+        bits beyond the batch's trial count are unspecified.
+        """
         if self.level == 0:
-            return states.column(self.base).astype(np.uint8)
-        votes = np.stack(
-            [child.decode_batch(states) for child in self.data_blocks()], axis=1
-        )
-        return (votes.sum(axis=1) * 2 > 3).astype(np.uint8)
+            return states.planes[self.base]
+        a, b, c = (child.majority_plane(states) for child in self.data_blocks())
+        return (a & b) | (c & (a | b))
 
 
 # ----------------------------------------------------------------------
@@ -289,10 +293,19 @@ class ConcatenatedComputation:
         """Recursive majority decode of every logical bit."""
         return tuple(block.decode(state) for block in self.blocks)
 
-    def decode_batch(self, states: BatchedState) -> np.ndarray:
-        """Recursive majority decode across a Monte-Carlo batch."""
-        return np.stack(
-            [block.decode_batch(states) for block in self.blocks], axis=1
+    def decode_failure_plane(
+        self, states: BitplaneState, expected_logical: Sequence[int]
+    ) -> np.ndarray:
+        """Packed per-trial decode-failure plane of a bit-plane batch.
+
+        The concatenated analogue of
+        :meth:`~repro.coding.logical.LogicalProcessor.decode_failure_plane`:
+        bit ``t`` is set when trial ``t``'s recursively decoded logical
+        word differs from ``expected_logical`` anywhere.
+        """
+        return mismatch_plane(
+            [block.majority_plane(states) for block in self.blocks],
+            expected_logical,
         )
 
 

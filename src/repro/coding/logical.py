@@ -16,9 +16,10 @@ from collections.abc import Sequence
 from repro.core.bits import Bits
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
+from repro.core.bitplane import BitplaneState
 from repro.core.simulator import BatchedState
 from repro.coding.recovery import RecoveryLayout, append_recovery
-from repro.coding.repetition import THREE_BIT_CODE
+from repro.coding.repetition import THREE_BIT_CODE, mismatch_plane
 from repro.errors import CodingError
 
 import numpy as np
@@ -175,55 +176,18 @@ class LogicalProcessor:
         return np.stack(columns, axis=1)
 
     def decode_failure_plane(
-        self, states, expected_logical: Sequence[int]
+        self, states: BitplaneState, expected_logical: Sequence[int]
     ) -> np.ndarray:
         """Packed per-trial decode-failure plane of a bit-plane batch.
 
         Bit ``t`` of the returned ``(n_words,)`` uint64 plane is set
         when trial ``t``'s majority-decoded logical word differs from
-        ``expected_logical`` anywhere (padding bits beyond the batch's
-        trial count are unspecified).  Each codeword's majority plane is
-        XORed against its expected bit and ORed into the failure plane,
-        so no per-trial array is ever unpacked.  This is the packed
-        decode the runtime layer evaluates once across a whole stacked
-        point batch.
+        ``expected_logical`` anywhere (see
+        :func:`~repro.coding.repetition.mismatch_plane`).  This is the
+        packed decode the runtime layer evaluates once across a whole
+        stacked point batch.
         """
-        if len(expected_logical) != self.n_logical:
-            raise CodingError(
-                f"expected {self.n_logical} logical bits, "
-                f"got {len(expected_logical)}"
-            )
-        from repro.core.compiled import ALL_ONES
-
-        failed = None
-        for layout, bit in zip(self.layouts, expected_logical):
-            plane = states.majority_plane(layout.data)
-            if bit:
-                plane = plane ^ ALL_ONES
-            failed = plane if failed is None else failed | plane
-        return failed
-
-    def count_decode_failures(
-        self, states, expected_logical: Sequence[int]
-    ) -> int:
-        """Trials whose decoded logical word differs from ``expected_logical``.
-
-        Equivalent to decoding the batch and counting rows that
-        mismatch, but a bit-plane batch goes through
-        :meth:`decode_failure_plane`, so the comparison stays packed.
-        This is the hot path of the threshold pipeline.
-        """
-        from repro.core.bitplane import BitplaneState
-
-        if isinstance(states, BitplaneState):
-            return states.count_ones(
-                self.decode_failure_plane(states, expected_logical)
-            )
-        if len(expected_logical) != self.n_logical:
-            raise CodingError(
-                f"expected {self.n_logical} logical bits, "
-                f"got {len(expected_logical)}"
-            )
-        decoded = self.decode_batch(states)
-        expected = np.asarray(expected_logical, dtype=np.uint8)
-        return int((decoded != expected).any(axis=1).sum())
+        return mismatch_plane(
+            [states.majority_plane(layout.data) for layout in self.layouts],
+            expected_logical,
+        )

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.bits import Bits, hamming_distance, majority, validate_bits
 from repro.errors import CodingError
 
@@ -96,3 +98,25 @@ THREE_BIT_CODE = RepetitionCode(3)
 #: Logical codewords of the 3-bit code, for convenience.
 LOGICAL_ZERO: Bits = THREE_BIT_CODE.encode(0)
 LOGICAL_ONE: Bits = THREE_BIT_CODE.encode(1)
+
+
+def mismatch_plane(
+    majority_planes: Sequence[np.ndarray], expected: Sequence[int]
+) -> np.ndarray:
+    """Packed plane of trials whose decoded word differs from ``expected``.
+
+    ``majority_planes`` holds one packed majority plane per logical bit.
+    Each is XORed against its expected bit and ORed into the result, so
+    no trial is ever unpacked.  Padding bits beyond a batch's trial
+    count are unspecified.
+    """
+    if len(expected) != len(majority_planes):
+        raise CodingError(
+            f"expected {len(majority_planes)} logical bits, got {len(expected)}"
+        )
+    failed = None
+    for plane, bit in zip(majority_planes, expected):
+        if bit:
+            plane = ~plane
+        failed = plane if failed is None else failed | plane
+    return failed

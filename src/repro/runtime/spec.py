@@ -83,20 +83,22 @@ class PredicateObservable:
 class DecodeObservable:
     """Counts trials whose decoded logical word differs from ``expected``.
 
-    ``decoder`` is any object with ``count_decode_failures(states,
-    expected)`` — e.g. :class:`~repro.coding.logical.LogicalProcessor`,
-    whose bit-plane path compares majority planes without unpacking a
-    single trial (the threshold pipeline's hot decode).  Decoders that
-    also expose ``decode_failure_plane(states, expected)`` additionally
-    get the *stacked* decode: one failure plane computed across a whole
-    multi-point plane array, counted per point window.
+    ``decoder`` is any object with ``decode_failure_plane(states,
+    expected)`` returning a bit-plane batch's packed per-trial failure
+    plane — e.g. :class:`~repro.coding.logical.LogicalProcessor` or
+    :class:`~repro.coding.concatenation.ConcatenatedComputation`, which
+    compare majority planes without unpacking a single trial.  A
+    stacked multi-point plane array is decoded once and counted per
+    point window.
     """
 
     decoder: object
     expected: tuple[int, ...]
 
-    def count_failures(self, states: States) -> int:
-        return int(self.decoder.count_decode_failures(states, self.expected))
+    def count_failures(self, states: BitplaneState) -> int:
+        return states.count_ones(
+            self.decoder.decode_failure_plane(states, self.expected)
+        )
 
     def count_failures_stacked(
         self, states: BitplaneState, windows
@@ -110,44 +112,23 @@ class DecodeObservable:
         the plane a solo decode of that window would produce) and then
         counted per window with that window's own padding mask —
         bit-identical to calling :meth:`count_failures` on each window
-        view, at one decode pass instead of one per point.  Decoders
-        without ``decode_failure_plane`` fall back to exactly that
-        per-window path.
+        view, at one decode pass instead of one per point.
         """
-        decode_plane = getattr(self.decoder, "decode_failure_plane", None)
-        if decode_plane is None:
-            counts = []
-            for offset, trials in windows:
-                window = BitplaneState(
-                    states.planes[:, offset:offset + words_for(trials)],
-                    trials,
-                )
-                counts.append(self.count_failures(window))
-            return counts
-        failed = decode_plane(states, self.expected)
+        failed = self.decoder.decode_failure_plane(states, self.expected)
         return [
             count_trial_ones(failed[offset:offset + words_for(trials)], trials)
             for offset, trials in windows
         ]
 
 
-@dataclass(frozen=True)
-class DecodedMismatchObservable:
-    """Counts rows of ``decoder.decode_batch`` that mismatch ``expected``.
+class DecodedMismatchObservable(DecodeObservable):
+    """A :class:`DecodeObservable` under its own wire tag.
 
-    For decoders that expose only a batch decode (e.g.
-    :class:`~repro.coding.concatenation.ConcatenatedComputation`):
-    decodes the whole batch to a ``(trials, n_logical)`` array and
-    counts rows differing from ``expected`` anywhere.
+    It counts exactly as its base class does.  It stays a separate
+    class so that the specs built with it (e.g. Figure 3's concatenated
+    MAJ points) keep their ``"decoded_mismatch"`` wire form and hence
+    their point keys.
     """
-
-    decoder: object
-    expected: tuple[int, ...]
-
-    def count_failures(self, states: States) -> int:
-        decoded = self.decoder.decode_batch(states)
-        expected = np.asarray(self.expected, dtype=np.uint8)
-        return int((decoded != expected).any(axis=1).sum())
 
 
 def as_observable(observable):

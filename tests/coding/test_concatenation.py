@@ -14,10 +14,14 @@ from repro.coding.concatenation import (
     gamma_census,
 )
 from repro.core import library
+from repro.core.bitplane import BitplaneState, unpack_words
 from repro.core.bits import index_to_bits
 from repro.core.circuit import Circuit
 from repro.core.simulator import run
 from repro.errors import CodingError
+from repro.noise import NoiseModel, NoisyRunner
+from repro.runtime import DecodedMismatchObservable
+from tests.conftest import reference_decode, reference_decode_failures
 
 
 class TestBlockGeometry:
@@ -96,6 +100,55 @@ class TestCompiledSemantics:
         computation.apply(library.CNOT, 0, 1)
         output = run(computation.circuit, physical)
         assert computation.decode_output(output) == (1, 1)
+
+
+def rotated_noisy_batch(level: int, trials: int):
+    """A noisy level-``level`` MAJ whose recoveries have rotated roles."""
+    computation = ConcatenatedComputation(3, level)
+    physical = computation.physical_input((1, 0, 1))
+    computation.apply(library.MAJ, 0, 1, 2)
+    computation.recover(0)
+    assert computation.blocks[0].data_children != [0, 1, 2]
+    runner = NoisyRunner(NoiseModel(gate_error=0.03), seed=40 + level)
+    result = runner.run_from_input(computation.circuit, physical, trials)
+    return computation, result.states
+
+
+class TestPackedDecode:
+    """The packed recursive decode against the byte-per-bit reference."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_majority_planes_equal_the_reference(self, level):
+        computation, states = rotated_noisy_batch(level, trials=1000)
+        decoded = reference_decode(computation, states)
+        for index, block in enumerate(computation.blocks):
+            plane = block.majority_plane(states)
+            assert (unpack_words(plane, 1000) == decoded[:, index]).all()
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("flip", [(0, 0, 0), (1, 1, 1), (0, 1, 0)])
+    def test_failure_counts_equal_the_reference(self, level, flip):
+        # 1000 trials leave a partial last word.  The correct word
+        # (1, 1, 0) already mixes expected bits 0 and 1; the flips
+        # expect the other bit on some or all logical bits, so nearly
+        # every trial fails and no padding bit may be counted.
+        computation, states = rotated_noisy_batch(level, trials=1000)
+        correct = library.MAJ.apply((1, 0, 1))
+        expected = tuple(bit ^ f for bit, f in zip(correct, flip))
+        reference = reference_decode_failures(computation, states, expected)
+        observable = DecodedMismatchObservable(computation, expected)
+        assert observable.count_failures(states) == reference
+        assert reference > 0
+
+    @pytest.mark.parametrize("expected", [(1,), (1, 1, 1, 1)])
+    def test_wrong_length_expected_raises(self, expected):
+        computation = ConcatenatedComputation(3, level=1)
+        states = BitplaneState.broadcast(computation.physical_input((1, 0, 1)), 70)
+        observable = DecodedMismatchObservable(computation, expected)
+        with pytest.raises(CodingError, match="expected 3 logical bits"):
+            observable.count_failures(states)
+        with pytest.raises(CodingError, match="expected 3 logical bits"):
+            observable.count_failures_stacked(states, [(0, 70)])
 
 
 class TestGamma:

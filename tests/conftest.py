@@ -94,3 +94,28 @@ def reshape(document: dict, case: str) -> object:
     else:
         reshaped[key] = replacement
     return reshaped
+
+
+def reference_decode(computation, states) -> np.ndarray:
+    """Byte-per-bit recursive majority decode of a concatenated batch.
+
+    The reference for the packed ``decode_failure_plane``: every trial
+    of every data wire is unpacked to a byte and voted on with integer
+    sums, level by level.  Returns a ``(trials, n_logical)`` uint8 array.
+    """
+
+    def decode_block(block) -> np.ndarray:
+        if block.level == 0:
+            return states.column(block.base).astype(np.uint8)
+        votes = np.stack(
+            [decode_block(child) for child in block.data_blocks()], axis=1
+        )
+        return (votes.sum(axis=1) * 2 > 3).astype(np.uint8)
+
+    return np.stack([decode_block(block) for block in computation.blocks], axis=1)
+
+
+def reference_decode_failures(computation, states, expected) -> int:
+    """Trials whose :func:`reference_decode` row differs from ``expected``."""
+    decoded = reference_decode(computation, states)
+    return int((decoded != np.asarray(expected, dtype=np.uint8)).any(axis=1).sum())

@@ -221,8 +221,8 @@ class TestStackedBatchingBitIdentity:
         for spec, result in zip(specs, results):
             runner = NoisyRunner(spec.noise, spec.seed)
             run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
-            assert result.failures == processor.count_decode_failures(
-                run.states, (1, 0, 1)
+            assert result.failures == run.states.count_ones(
+                processor.decode_failure_plane(run.states, (1, 0, 1))
             )
 
 

@@ -13,6 +13,7 @@ from repro.errors import SimulationError
 from repro.noise.model import NoiseModel
 from repro.runtime import (
     DecodeObservable,
+    DecodedMismatchObservable,
     ExecutionPolicy,
     PointResult,
     PredicateObservable,
@@ -77,19 +78,24 @@ class TestObservables:
             wrapped.count_failures(BatchedState.from_rows([(1, 0)]))
 
     def test_decode_observable_delegates(self):
+        # The observable counts the trial bits of the decoder's failure
+        # plane; padding bits beyond the batch are ignored.
+        from repro.core.bitplane import BitplaneState
+
         class Decoder:
-            def count_decode_failures(self, states, expected):
-                return 7 if expected == (1,) else 0
+            def decode_failure_plane(self, states, expected):
+                plane = 0b1011 if expected == (1,) else 0
+                return np.full(states.n_words, plane | (1 << 63), np.uint64)
 
-        assert DecodeObservable(Decoder(), (1,)).count_failures(None) == 7
+        states = BitplaneState.zeros(1, 4)
+        assert DecodeObservable(Decoder(), (1,)).count_failures(states) == 3
+        assert DecodeObservable(Decoder(), (0,)).count_failures(states) == 0
 
 
-def stacked_decode_fixture(trials_per_window):
-    """A stacked plane array of noisy copies of one logical codeword."""
-    from repro.coding.logical import LogicalProcessor
+def stacked_decode_fixture(decoder, logical, trials_per_window):
+    """A stacked plane array of noisy copies of one logical word."""
     from repro.core.bitplane import BitplaneState, words_for
 
-    processor = LogicalProcessor(1, include_resets=True)
     rng = np.random.default_rng(5)
     windows = []
     offset = 0
@@ -97,12 +103,24 @@ def stacked_decode_fixture(trials_per_window):
     for trials in trials_per_window:
         windows.append((offset, trials))
         offset += words_for(trials)
-        word = processor.physical_input((1,))
+        word = decoder.physical_input(logical)
         block = np.tile(np.asarray(word, dtype=np.uint8), (words_for(trials) * 64, 1))
         flips = rng.random(block.shape) < 0.2
         rows.append(block ^ flips)
     states = BitplaneState.from_rows(np.concatenate(rows))
-    return processor, states, windows
+    return states, windows
+
+
+def assert_stacked_matches_per_window(observable, states, windows):
+    """One stacked decode equals a solo decode of every window view."""
+    from repro.core.bitplane import BitplaneState, words_for
+
+    stacked = observable.count_failures_stacked(states, windows)
+    for (offset, trials), count in zip(windows, stacked):
+        window = BitplaneState(
+            states.planes[:, offset:offset + words_for(trials)], trials
+        )
+        assert observable.count_failures(window) == count
 
 
 class TestStackedDecode:
@@ -110,33 +128,24 @@ class TestStackedDecode:
         # One decode pass over the whole stacked array must equal a
         # solo decode of every window view, including non-word-aligned
         # windows whose padding carries other (noisy) data.
-        from repro.core.bitplane import BitplaneState, words_for
+        from repro.coding.logical import LogicalProcessor
 
-        processor, states, windows = stacked_decode_fixture((130, 64, 77))
-        observable = DecodeObservable(processor, (1,))
-        stacked = observable.count_failures_stacked(states, windows)
-        for (offset, trials), count in zip(windows, stacked):
-            window = BitplaneState(
-                states.planes[:, offset:offset + words_for(trials)], trials
-            )
-            assert observable.count_failures(window) == count
-
-    def test_decoder_without_plane_path_falls_back(self):
-        class RowDecoder:
-            """A decoder with only the generic counting protocol."""
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def count_decode_failures(self, states, expected):
-                return self.inner.count_decode_failures(states, expected)
-
-        processor, states, windows = stacked_decode_fixture((100, 60))
-        plain = DecodeObservable(RowDecoder(processor), (1,))
-        full = DecodeObservable(processor, (1,))
-        assert plain.count_failures_stacked(states, windows) == (
-            full.count_failures_stacked(states, windows)
+        processor = LogicalProcessor(1, include_resets=True)
+        states, windows = stacked_decode_fixture(processor, (1,), (130, 64, 77))
+        assert_stacked_matches_per_window(
+            DecodeObservable(processor, (1,)), states, windows
         )
+
+    def test_decoded_mismatch_matches_per_window_counts(self):
+        from repro.coding.concatenation import ConcatenatedComputation
+
+        computation = ConcatenatedComputation(2, level=1)
+        states, windows = stacked_decode_fixture(
+            computation, (1, 0), (130, 64, 77)
+        )
+        observable = DecodedMismatchObservable(computation, (1, 0))
+        assert_stacked_matches_per_window(observable, states, windows)
+        assert sum(observable.count_failures_stacked(states, windows)) > 0
 
 
 class TestExecutionPolicy:
