@@ -581,8 +581,13 @@ class AnyWireDiffersPredicate:
     expected_bits: tuple[int, ...]
 
     def __call__(self, states: BatchedState | BitplaneState) -> np.ndarray:
-        expected = np.asarray(self.expected_bits, dtype=np.uint8)
-        return (states.columns(self.output_wires) != expected).any(axis=1)
+        # Column by column: a row-wise ``any`` over a (trials, wires)
+        # array is over ten times slower.
+        differs = np.zeros(states.trials, dtype=bool)
+        pairs = zip(self.output_wires, self.expected_bits, strict=True)
+        for wire, bit in pairs:
+            differs |= states.column(wire) != bit
+        return differs
 
 
 def repetition_failure_predicate(
