@@ -42,6 +42,9 @@ _NAND_OUTPUTS = (1, 1, 1, 0)
 #: Entropy of the distribution (1/2, 1/4, 1/4): the provable floor.
 OPTIMAL_NAND_ENTROPY = 1.5
 
+#: Weights packing an image 4-tuple of 3-bit values into a 12-bit code.
+_TUPLE_WEIGHTS = np.array([512, 64, 8, 1])
+
 
 @dataclass(frozen=True)
 class NandRealisation:
@@ -177,10 +180,6 @@ def search_all_gates() -> SearchResult:
         total_gates_searched=len(gates),
         total_realisations=total_realisations,
     )
-
-
-#: Weights packing an image 4-tuple of 3-bit values into a 12-bit code.
-_TUPLE_WEIGHTS = np.array([512, 64, 8, 1])
 
 
 def _permutation_table(n: int) -> np.ndarray:

@@ -304,8 +304,9 @@ class ConcatenatedComputation:
         word differs from ``expected_logical`` anywhere.
         """
         return mismatch_plane(
-            [block.majority_plane(states) for block in self.blocks],
+            (block.majority_plane(states) for block in self.blocks),
             expected_logical,
+            self.n_logical,
         )
 
 

@@ -188,6 +188,7 @@ class LogicalProcessor:
         stacked point batch.
         """
         return mismatch_plane(
-            [states.majority_plane(layout.data) for layout in self.layouts],
+            (states.majority_plane(layout.data) for layout in self.layouts),
             expected_logical,
+            self.n_logical,
         )

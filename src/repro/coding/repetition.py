@@ -8,7 +8,7 @@ without consequence (footnote 3).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,18 +101,21 @@ LOGICAL_ONE: Bits = THREE_BIT_CODE.encode(1)
 
 
 def mismatch_plane(
-    majority_planes: Sequence[np.ndarray], expected: Sequence[int]
+    majority_planes: Iterable[np.ndarray],
+    expected: Sequence[int],
+    n_logical: int,
 ) -> np.ndarray:
     """Packed plane of trials whose decoded word differs from ``expected``.
 
-    ``majority_planes`` holds one packed majority plane per logical bit.
-    Each is XORed against its expected bit and ORed into the result, so
-    no trial is ever unpacked.  Padding bits beyond a batch's trial
-    count are unspecified.
+    ``majority_planes`` yields one packed majority plane per logical
+    bit, lazily, so only one is alive at a time.  Each is XORed against
+    its expected bit and ORed into the result, so no trial is ever
+    unpacked.  Padding bits beyond a batch's trial count are
+    unspecified.
     """
-    if len(expected) != len(majority_planes):
+    if len(expected) != n_logical:
         raise CodingError(
-            f"expected {len(majority_planes)} logical bits, got {len(expected)}"
+            f"expected {n_logical} logical bits, got {len(expected)}"
         )
     failed = None
     for plane, bit in zip(majority_planes, expected):
