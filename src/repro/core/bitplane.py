@@ -18,11 +18,9 @@ bit-parallel via a carry-save binary counter.  The observation API
 ``BatchedState`` exactly, so failure predicates and decoders written
 against one state run unmodified against the other.
 
-Masks: the masked evolution methods accept either a boolean/uint8
-per-trial mask of shape ``(trials,)`` (the ``BatchedState`` convention)
-or an already-packed ``(n_words,)`` uint64 plane.  Noisy runs never
-mask: the fault kernel of :mod:`repro.noise.monte_carlo` scatters its
-faults straight into the planes.
+Evolution applies to every trial: the fault kernel of
+:mod:`repro.noise.monte_carlo` scatters its faults straight into the
+planes, so no state method takes a per-trial mask.
 
 Word layout note: packing goes through ``np.packbits(bitorder="little")``
 viewed as native uint64, so trial-to-bit assignment is
@@ -200,42 +198,15 @@ class BitplaneState:
         return BitplaneState(self.planes.copy(), self._trials)
 
     # ------------------------------------------------------------------
-    # Masks
-    # ------------------------------------------------------------------
-
-    def _mask_words(self, mask) -> np.ndarray:
-        """Normalise a per-trial or packed mask to packed uint64 words."""
-        mask = np.asarray(mask)
-        if mask.dtype == np.uint64 and mask.shape == (self.n_words,):
-            return mask
-        if mask.shape != (self._trials,):
-            raise SimulationError(
-                f"mask must have shape ({self._trials},) per-trial or "
-                f"({self.n_words},) packed, got {mask.shape}"
-            )
-        return pack_bool(mask)
-
-    # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------
 
-    def apply_program(
-        self,
-        program: tuple,
-        wires: Sequence[int],
-        mask: np.ndarray | None = None,
-    ) -> None:
+    def apply_program(self, program: tuple, wires: Sequence[int]) -> None:
         """Apply a compiled plane program to the given wires."""
         rows = list(wires)
         outputs = apply_plane_program(program, [self.planes[w] for w in rows])
-        if mask is None:
-            for wire, plane in zip(rows, outputs):
-                self.planes[wire] = plane
-        else:
-            mask = self._mask_words(mask)
-            keep = ~mask
-            for wire, plane in zip(rows, outputs):
-                self.planes[wire] = (plane & mask) | (self.planes[wire] & keep)
+        for wire, plane in zip(rows, outputs):
+            self.planes[wire] = plane
 
     def apply_program_stacked(
         self,
@@ -278,33 +249,15 @@ class BitplaneState:
             else:
                 self.planes[wire_matrix[:, i]] = block
 
-    def apply_gate(
-        self,
-        gate: Gate,
-        wires: Sequence[int],
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Apply ``gate`` to every trial (or only trials where ``mask``)."""
-        self.apply_program(gate_plane_program(gate), wires, mask)
+    def apply_gate(self, gate: Gate, wires: Sequence[int]) -> None:
+        """Apply ``gate`` to every trial."""
+        self.apply_program(gate_plane_program(gate), wires)
 
-    def reset(
-        self,
-        wires: Sequence[int],
-        value: int = 0,
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Reset wires to ``value`` on every trial (or only masked trials)."""
+    def reset(self, wires: Sequence[int], value: int = 0) -> None:
+        """Reset wires to ``value`` on every trial."""
         if not len(wires):
             raise SimulationError("reset requires at least one wire")
-        rows = list(wires)
-        if mask is None:
-            self.planes[rows] = ALL_ONES if value else np.uint64(0)
-        else:
-            mask = self._mask_words(mask)
-            if value:
-                self.planes[rows] |= mask
-            else:
-                self.planes[rows] &= ~mask
+        self.planes[list(wires)] = ALL_ONES if value else np.uint64(0)
 
     def apply_operation(self, op: Operation) -> None:
         """Apply one noiseless circuit operation to every trial."""

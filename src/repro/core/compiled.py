@@ -37,10 +37,12 @@ per process.  Every noisy run compiles fused and cached; the unfused
 form (``fuse=False``: every op its own single-op slot) and uncached
 compiles exist only as references for the verifier and the tests.
 
-The compiled schedule is engine-agnostic data; it is executed by
+A compiled circuit executes itself on a
 :class:`~repro.core.bitplane.BitplaneState` (which stores 64 trials per
-uint64 word), but the expressions themselves are plain tuples and could
-drive any bitwise backend.
+uint64 word): :meth:`CompiledCircuit.apply_slot` is the one slot walk,
+which :meth:`CompiledCircuit.run` and the Monte-Carlo fault kernel both
+loop over.  ``repro.verify`` proves that walk's transfer functions
+equal the circuit's gate tables (``RV300``).
 
 Plane-expression forms (tagged tuples):
 
@@ -456,14 +458,26 @@ class CompiledCircuit:
         self.n_gate_ops = sum(1 for op in schedule if not op.is_reset)
         self.n_reset_ops = len(schedule) - self.n_gate_ops
         self.slots: tuple[FusedSlot, ...] = fuse_schedule(self.schedule, fuse=fuse)
-        #: The prepared executable, filled lazily by
-        #: :func:`repro.backends.prepare` — the compiled circuit is the
-        #: natural cache scope, so a circuit lowered once is also
-        #: prepared at most once.
-        self.prepared: object | None = None
 
     def __len__(self) -> int:
         return len(self.schedule)
+
+    def apply_slot(self, state: "BitplaneState", index: int) -> None:
+        """Apply fused slot ``index`` of the schedule to ``state``.
+
+        The one slot walk: :meth:`run` loops over it, and the fault
+        kernel of :mod:`repro.noise.monte_carlo` calls it once per slot
+        and scatters the slot's pre-drawn faults in between.
+        """
+        slot = self.slots[index]
+        if slot.is_reset:
+            for value, wires in slot.resets:
+                state.reset(wires, value)
+        else:
+            for group in slot.groups:
+                state.apply_program_stacked(
+                    group.program, group.wire_matrix, group.row_slices
+                )
 
     def run(self, state: "BitplaneState") -> "BitplaneState":
         """Run the schedule noiselessly, mutating and returning ``state``."""
@@ -472,15 +486,8 @@ class CompiledCircuit:
                 f"bit-plane state has {state.n_wires} wires but compiled "
                 f"circuit has {self.n_wires}"
             )
-        for slot in self.slots:
-            if slot.is_reset:
-                for value, wires in slot.resets:
-                    state.reset(wires, value)
-            else:
-                for group in slot.groups:
-                    state.apply_program_stacked(
-                        group.program, group.wire_matrix, group.row_slices
-                    )
+        for index in range(len(self.slots)):
+            self.apply_slot(state, index)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,9 +14,11 @@ Two noiseless reference simulators and one Monte-Carlo engine exist:
   runs on.
 
 All three share the same conventions: wire 0 is the most significant
-bit of a packed pattern, and the observation API (``array``,
-``column``/``columns``, ``majority_of``) is identical, so predicates
-and decoders are state-agnostic.  ``tests/core/test_engine_equivalence``
+bit of a packed pattern, every evolution step applies to every trial
+(noise enters only through the fault kernel, never as a per-trial
+mask), and the observation API (``array``, ``column``/``columns``,
+``majority_of``) is identical, so predicates and decoders are
+state-agnostic.  ``tests/core/test_engine_equivalence``
 holds the differential suite proving the three bit-identical.
 """
 
@@ -128,13 +130,8 @@ class BatchedState:
     # Evolution
     # ------------------------------------------------------------------
 
-    def apply_gate(
-        self,
-        gate: Gate,
-        wires: Sequence[int],
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Apply ``gate`` to every trial (or only trials where ``mask``)."""
+    def apply_gate(self, gate: Gate, wires: Sequence[int]) -> None:
+        """Apply ``gate`` to every trial."""
         columns = list(wires)
         arity = len(columns)
         packed = np.zeros(self.trials, dtype=np.int64)
@@ -142,26 +139,14 @@ class BatchedState:
             packed = (packed << 1) | self.array[:, column]
         table = np.asarray(gate.table, dtype=np.int64)
         mapped = table[packed]
-        if mask is not None:
-            mapped = np.where(mask, mapped, packed)
         for position, column in enumerate(columns):
             self.array[:, column] = (mapped >> (arity - 1 - position)) & 1
 
-    def reset(
-        self,
-        wires: Sequence[int],
-        value: int = 0,
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Reset wires to ``value`` on every trial (or only masked trials)."""
+    def reset(self, wires: Sequence[int], value: int = 0) -> None:
+        """Reset wires to ``value`` on every trial."""
         if not len(wires):
             raise SimulationError("reset requires at least one wire")
-        if mask is None:
-            self.array[:, list(wires)] = value
-        else:
-            rows = np.nonzero(mask)[0]
-            for wire in wires:
-                self.array[rows, wire] = value
+        self.array[:, list(wires)] = value
 
     def apply_operation(self, op: Operation) -> None:
         """Apply one noiseless circuit operation to every trial."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -173,102 +172,6 @@ def _interval_sign(
     return 0
 
 
-def _measure_point(
-    point: tuple[float, tuple[int, ...]],
-    evaluate: Callable[[float, int, int], tuple[float, int]],
-    stages: tuple[int, ...],
-    z: float,
-    gate_cycles: int,
-) -> tuple[float, int, int]:
-    """Escalate one ``(g, stage_seeds)`` point through the budget stages.
-
-    Returns ``(rate, sign, trials_spent)`` where ``sign`` is the
-    ``z``-sigma-separated side of the identity line, or 0 when even the
-    final stage cannot tell.
-    """
-    gate_error, stage_seeds = point
-    spent = 0
-    for n, stage_seed in zip(stages, stage_seeds):
-        rate, failures = evaluate(gate_error, n, stage_seed)
-        spent += n
-        sign = _interval_sign(gate_error, failures, n, z, gate_cycles)
-        if sign:
-            return rate, sign, spent
-    return rate, 0, spent
-
-
-def _validate_bracket(
-    f_low: float,
-    sign_low: int,
-    f_high: float,
-    sign_high: int,
-    lower: float,
-    upper: float,
-) -> None:
-    """Endpoint validation shared by both search forms.
-
-    An endpoint the full budget cannot separate (sign 0) falls back to
-    the point-estimate comparison, so tiny CI budgets still get a best-effort search; only an endpoint on
-    the wrong side of the identity line is a caller error.  One shared
-    implementation, so the stacked and sequential forms can never
-    diverge on the inequalities or messages (the bit-identity
-    contract).
-    """
-    if sign_low > 0 or (sign_low == 0 and f_low >= lower):
-        raise AnalysisError(
-            f"error rate {f_low:.3g} at g={lower:.3g} is not below identity; "
-            "lower the bracket"
-        )
-    if sign_high < 0 or (sign_high == 0 and f_high < upper):
-        raise AnalysisError(
-            f"error rate {f_high:.3g} at g={upper:.3g} is not above identity; "
-            "raise the bracket"
-        )
-
-
-def _bisect(
-    measure_middle: Callable[[int, float, float, float], tuple[int, int]],
-    lower: float,
-    upper: float,
-    iterations: int,
-    trials_spent: int,
-) -> PseudoThreshold:
-    """The bisection driver shared by both search forms.
-
-    ``measure_middle(iteration, low, middle, high) -> (sign, spent)``
-    encapsulates how a form evaluates one midpoint; everything else —
-    bracket updates, billing, the resolution-limited stop, the final
-    estimate — lives here exactly once, so the two forms cannot drift
-    apart.  ``trials_spent`` enters as the bracket spend and
-    ``evaluations`` counts from the bracket's two.
-    """
-    evaluations = 2
-    low, high = lower, upper
-    for iteration in range(iterations):
-        middle = (low + high) / 2.0
-        sign, spent = measure_middle(iteration, low, middle, high)
-        evaluations += 1
-        trials_spent += spent
-        if sign == 0:
-            return PseudoThreshold(
-                estimate=middle,
-                bracket=(low, high),
-                evaluations=evaluations,
-                trials_spent=trials_spent,
-                resolution_limited=True,
-            )
-        if sign < 0:
-            low = middle
-        else:
-            high = middle
-    return PseudoThreshold(
-        estimate=(low + high) / 2.0,
-        bracket=(low, high),
-        evaluations=evaluations,
-        trials_spent=trials_spent,
-    )
-
-
 def _search_stages(trials: int) -> tuple[int, ...]:
     """The escalation ladder: 1/16 of the budget, then the full budget."""
     return tuple(dict.fromkeys((max(trials // 16, 1), trials)))
@@ -318,9 +221,9 @@ class _StackedStageEvaluator:
     A *request* is ``(candidate, stage, gate_error)``; results are
     cached under the same key, so the round planner can speculatively
     request both children of a midpoint and the unused branch is simply
-    never re-run.  Every request's spec carries the candidate's
-    pre-spawned stage seed, which makes each evaluation bit-identical
-    to the sequential search evaluating the same point — stacking is an
+    never re-run.  Every request's spec carries the pre-spawned stage
+    seed of the evaluation slot it fills, so a point's result does not
+    depend on which requests share its stacked call — stacking is an
     execution detail, never a statistical one.
     """
 
@@ -384,176 +287,18 @@ class _StackedStageEvaluator:
             )
 
 
-def _find_pseudo_threshold_stacked(
-    spec_builder,
-    lower: float,
-    upper: float,
-    trials: int,
-    iterations: int,
-    cycles: int,
-    z: float,
-    seed: int | None,
-    policy: ExecutionPolicy | None,
-) -> PseudoThreshold:
-    """The stacked round planner behind :func:`find_pseudo_threshold_adaptive`.
-
-    Each search round becomes ONE stacked Executor call instead of a
-    chain of solo runs:
-
-    * the bracket round stacks both endpoints' first stages together
-      with the first midpoint's (speculation: the bisection needs that
-      midpoint whenever the bracket validates);
-    * a bisection round whose midpoint still needs its first stage
-      stacks it with the two *next possible* midpoints — the low-side
-      and high-side children, whose circuits are identical — and the
-      unused branch is discarded;
-    * escalation stages (whose sign may stop the whole search at the
-      budget's statistical resolution) run as their own stacked call,
-      with that round's children typically already prefetched, so no
-      full-budget stage is ever evaluated speculatively.
-
-    Every candidate keeps the pre-spawned per-stage seeds of the
-    evaluation slot it occupies, so the returned
-    :class:`PseudoThreshold` — estimate, bracket, evaluations,
-    trials_spent, resolution flag — is bit-identical to the sequential
-    search whenever the same points get evaluated (``trials_spent``
-    counts the decided evaluations' stages, exactly the sequential
-    spend; speculative stages the bisection never consumed are not
-    billed).
-    """
-    with trace(
-        "threshold.search",
-        lower=lower,
-        upper=upper,
-        trials=trials,
-        iterations=iterations,
-    ) as span:
-        result, evaluator = _stacked_search(
-            spec_builder, lower, upper, trials, iterations, cycles, z,
-            seed, policy,
-        )
-        wasted = len(evaluator.speculative - evaluator.consumed)
-        _SPECULATION_WASTED.inc(wasted)
-        span.set(
-            estimate=result.estimate,
-            evaluations=result.evaluations,
-            trials_spent=result.trials_spent,
-            resolution_limited=result.resolution_limited,
-            speculated=len(evaluator.speculative),
-            speculation_wasted=wasted,
-        )
-    return result
-
-
-def _stacked_search(
-    spec_builder, lower, upper, trials, iterations, cycles, z, seed, policy,
-) -> tuple[PseudoThreshold, _StackedStageEvaluator]:
-    """The search itself; the caller owns the span and waste billing."""
-    stages = _search_stages(trials)
-    final_stage = len(stages) - 1
-    gate_cycles = 2 * cycles
-    seed_tuples = _spawn_stage_seeds(seed, stages, iterations)
-    evaluator = _StackedStageEvaluator(
-        spec_builder, stages, seed_tuples, cycles,
-        policy if policy is not None else ExecutionPolicy.from_env(),
-    )
-
-    # Bracket round: both endpoints' first stages and — speculatively —
-    # the first midpoint's, in one stacked call.  Undecided endpoints
-    # escalate jointly.
-    with trace("threshold.bracket", lower=lower, upper=upper) as bracket_span:
-        first_middle = (lower + upper) / 2.0
-        batch = [(0, 0, lower), (1, 0, upper)]
-        speculated = []
-        if iterations >= 1:
-            speculated = [(2, 0, first_middle)]
-            batch.append(speculated[0])
-        evaluator.run_batch(batch, speculative=speculated)
-        rates = {}
-        signs = {0: 0, 1: 0}
-        spent = {0: 0, 1: 0}
-        undecided = [(0, lower), (1, upper)]
-        for stage in range(len(stages)):
-            evaluator.run_batch(
-                [(candidate, stage, g) for candidate, g in undecided]
-            )
-            still = []
-            for candidate, g in undecided:
-                rate, failures = evaluator[(candidate, stage, g)]
-                rates[candidate] = rate
-                spent[candidate] += stages[stage]
-                sign = _interval_sign(
-                    g, failures, stages[stage], z, gate_cycles
-                )
-                signs[candidate] = sign
-                if sign == 0 and stage < final_stage:
-                    still.append((candidate, g))
-            undecided = still
-            if not undecided:
-                break
-        bracket_span.set(spent=spent[0] + spent[1])
-        _validate_bracket(
-            rates[0], signs[0], rates[1], signs[1], lower, upper
-        )
-
-    def measure_middle(iteration, low, middle, high):
-        """One round: walk the midpoint's stages, batching each fetch
-        with the two next possible midpoints' first stages."""
-        candidate = 2 + iteration
-        spent_here = 0
-        sign = 0
-        _ROUNDS.inc()
-        with trace(
-            "threshold.round", iteration=iteration, middle=middle
-        ) as round_span:
-            for stage in range(len(stages)):
-                key = (candidate, stage, middle)
-                if key not in evaluator:
-                    batch = [key]
-                    speculated = []
-                    if stage < final_stage and iteration + 1 < iterations:
-                        # Speculate the two next possible midpoints'
-                        # first stages: unless this round's *final*
-                        # stage stops the search, one of them is the
-                        # next round's midpoint (their specs share this
-                        # round's circuit, so they ride the same
-                        # stacked array).
-                        child = candidate + 1
-                        speculated = [
-                            (child, 0, (low + middle) / 2.0),
-                            (child, 0, (middle + high) / 2.0),
-                        ]
-                        batch.extend(speculated)
-                    evaluator.run_batch(batch, speculative=speculated)
-                _, failures = evaluator[key]
-                spent_here += stages[stage]
-                sign = _interval_sign(
-                    middle, failures, stages[stage], z, gate_cycles
-                )
-                if sign:
-                    break
-            round_span.set(sign=sign, spent=spent_here)
-        return sign, spent_here
-
-    return (
-        _bisect(
-            measure_middle, lower, upper, iterations, spent[0] + spent[1]
-        ),
-        evaluator,
-    )
 
 
 def find_pseudo_threshold_adaptive(
-    evaluate: Callable[[float, int, int], tuple[float, int]] | None = None,
-    lower: float | None = None,
-    upper: float | None = None,
-    trials: int | None = None,
+    lower: float,
+    upper: float,
+    trials: int,
     iterations: int = 12,
     cycles: int = 1,
     z: float = 3.0,
     seed: int | None = 0,
     *,
-    spec_builder: Callable[[float, int, int], RunSpec] | None = None,
+    spec_builder: Callable[[float, int, int], RunSpec],
     policy: ExecutionPolicy | None = None,
 ) -> PseudoThreshold:
     """Budget-aware bisection for the crossing ``f(g) = g``.
@@ -568,73 +313,155 @@ def find_pseudo_threshold_adaptive(
     statistical resolution and the search stops there
     (``resolution_limited``) instead of bisecting noise.
 
-    The workload comes in one of two forms (exactly one):
+    ``spec_builder(g, n_trials, seed) -> RunSpec`` builds one stage of
+    the workload (e.g. :func:`cycle_stage_spec`).  The reported rates
+    normalise the per-run failure fraction by ``cycles`` gate cycles
+    (:func:`per_cycle_rate`), so the builder must bake the MATCHING
+    cycle count into its circuit — for ``cycles != 1`` pass e.g.
+    ``functools.partial(cycle_stage_spec, cycles=3)``, not the bare
+    builder.
 
-    * ``evaluate(g, n_trials, seed) -> (per_cycle_rate, failures)`` —
-      an opaque evaluator, run sequentially in this process point by
-      point (the two bracket endpoints, then one midpoint per
-      iteration).  It is the reference the stacked form's bit-identity
-      tests compare against.
-    * ``spec_builder(g, n_trials, seed) -> RunSpec`` — a declarative
-      stage builder (e.g. :func:`cycle_stage_spec`); the search then
-      runs as STACKED rounds on :class:`~repro.runtime.Executor` under
-      ``policy``: bracket endpoints share one stacked call with the
-      speculatively evaluated first midpoint, and each bisection round
-      batches the midpoint's pending escalation stage with the two next
-      possible midpoints, discarding the unused branch.  The reported
-      rates normalise the per-run failure fraction by ``cycles`` gate
-      cycles (:func:`per_cycle_rate`), so the builder must bake the
-      MATCHING cycle count into its circuit — for ``cycles != 1`` pass
-      e.g. ``functools.partial(cycle_stage_spec, cycles=3)``, not the
-      bare builder.
+    The search runs as stacked rounds on :class:`~repro.runtime.Executor`
+    under ``policy``, one call per round instead of one per stage:
 
-    Per-stage seeds are spawned deterministically from ``seed`` per
-    evaluation *slot* (bracket endpoints, then one slot per bisection
-    iteration), so both forms return bit-identical
-    :class:`PseudoThreshold` values for the same workload — stacking
-    and speculation are execution details, never statistical ones.
+    * the bracket round stacks both endpoints' first stages with the
+      first midpoint's (speculation: the bisection needs that midpoint
+      whenever the bracket validates); undecided endpoints escalate
+      jointly;
+    * a bisection round whose midpoint still needs its first stage
+      stacks it with the two *next possible* midpoints — the low-side
+      and high-side children, whose circuits are identical — and the
+      unused branch is discarded;
+    * escalation stages (whose sign may stop the whole search at the
+      budget's statistical resolution) run as their own stacked call,
+      so no full-budget stage is ever evaluated speculatively.
+
+    Per-stage seeds are spawned from ``seed`` per evaluation *slot*
+    (the two bracket endpoints, then one slot per bisection iteration),
+    so the result is a pure function of the arguments: it equals
+    evaluating the same points one at a time, and ``trials_spent``
+    bills only the stages the bisection read, never unused speculation.
     """
-    if (evaluate is None) == (spec_builder is None):
-        raise AnalysisError(
-            "provide exactly one of evaluate= (sequential) or "
-            "spec_builder= (stacked runtime) to find_pseudo_threshold_adaptive"
-        )
-    # Reject the other form's knobs instead of dropping them on the floor.
-    if evaluate is not None and policy is not None:
-        raise AnalysisError(
-            "policy= applies to the spec_builder= form; an evaluate= "
-            "callable controls its own execution"
-        )
-    if lower is None or upper is None or trials is None:
-        raise AnalysisError("lower, upper, and trials are required")
     if not 0 <= lower < upper <= 1:
         raise AnalysisError(f"need 0 <= lower < upper <= 1, got {lower}, {upper}")
     if trials < 1:
         raise AnalysisError(f"trials must be >= 1, got {trials}")
-    if spec_builder is not None:
-        return _find_pseudo_threshold_stacked(
-            spec_builder, lower, upper, trials, iterations, cycles, z, seed,
-            policy,
+    with trace(
+        "threshold.search",
+        lower=lower,
+        upper=upper,
+        trials=trials,
+        iterations=iterations,
+    ) as span:
+        stages = _search_stages(trials)
+        final_stage = len(stages) - 1
+        gate_cycles = 2 * cycles
+        evaluator = _StackedStageEvaluator(
+            spec_builder,
+            stages,
+            _spawn_stage_seeds(seed, stages, iterations),
+            cycles,
+            policy if policy is not None else ExecutionPolicy.from_env(),
         )
-    stages = _search_stages(trials)
-    gate_cycles = 2 * cycles
-    seed_tuples = _spawn_stage_seeds(seed, stages, iterations)
-    measure = partial(
-        _measure_point,
-        evaluate=evaluate,
-        stages=stages,
-        z=z,
-        gate_cycles=gate_cycles,
-    )
-    f_low, sign_low, spent_low = measure((lower, seed_tuples[0]))
-    f_high, sign_high, spent_high = measure((upper, seed_tuples[1]))
-    _validate_bracket(f_low, sign_low, f_high, sign_high, lower, upper)
 
-    def measure_middle(iteration, low, middle, high):
-        _, sign, spent = measure((middle, seed_tuples[2 + iteration]))
-        return sign, spent
+        with trace("threshold.bracket", lower=lower, upper=upper) as bracket_span:
+            batch = [(0, 0, lower), (1, 0, upper)]
+            speculated = []
+            if iterations >= 1:
+                speculated = [(2, 0, (lower + upper) / 2.0)]
+                batch.extend(speculated)
+            evaluator.run_batch(batch, speculative=speculated)
+            rates = {}
+            signs = {0: 0, 1: 0}
+            trials_spent = 0
+            undecided = [(0, lower), (1, upper)]
+            for stage, n in enumerate(stages):
+                evaluator.run_batch(
+                    [(candidate, stage, g) for candidate, g in undecided]
+                )
+                still = []
+                for candidate, g in undecided:
+                    rates[candidate], failures = evaluator[(candidate, stage, g)]
+                    trials_spent += n
+                    signs[candidate] = _interval_sign(g, failures, n, z, gate_cycles)
+                    if signs[candidate] == 0 and stage < final_stage:
+                        still.append((candidate, g))
+                undecided = still
+                if not undecided:
+                    break
+            bracket_span.set(spent=trials_spent)
+            # An endpoint the full budget cannot separate (sign 0) falls
+            # back to the point estimate, so tiny budgets still get a
+            # best-effort search; only an endpoint on the wrong side of
+            # the identity line is a caller error.
+            if signs[0] > 0 or (signs[0] == 0 and rates[0] >= lower):
+                raise AnalysisError(
+                    f"error rate {rates[0]:.3g} at g={lower:.3g} is not below "
+                    "identity; lower the bracket"
+                )
+            if signs[1] < 0 or (signs[1] == 0 and rates[1] < upper):
+                raise AnalysisError(
+                    f"error rate {rates[1]:.3g} at g={upper:.3g} is not above "
+                    "identity; raise the bracket"
+                )
 
-    return _bisect(
-        measure_middle, lower, upper, iterations, spent_low + spent_high
-    )
+        evaluations = 2
+        resolution_limited = False
+        low, high = lower, upper
+        for iteration in range(iterations):
+            middle = (low + high) / 2.0
+            candidate = 2 + iteration
+            _ROUNDS.inc()
+            with trace(
+                "threshold.round", iteration=iteration, middle=middle
+            ) as round_span:
+                spent = 0
+                for stage, n in enumerate(stages):
+                    key = (candidate, stage, middle)
+                    if key not in evaluator:
+                        batch = [key]
+                        speculated = []
+                        if stage < final_stage and iteration + 1 < iterations:
+                            # Unless this round's final stage stops the
+                            # search, one of these is the next round's
+                            # midpoint.
+                            speculated = [
+                                (candidate + 1, 0, (low + middle) / 2.0),
+                                (candidate + 1, 0, (middle + high) / 2.0),
+                            ]
+                            batch.extend(speculated)
+                        evaluator.run_batch(batch, speculative=speculated)
+                    _, failures = evaluator[key]
+                    spent += n
+                    sign = _interval_sign(middle, failures, n, z, gate_cycles)
+                    if sign:
+                        break
+                round_span.set(sign=sign, spent=spent)
+            evaluations += 1
+            trials_spent += spent
+            if sign == 0:
+                resolution_limited = True
+                break
+            if sign < 0:
+                low = middle
+            else:
+                high = middle
 
+        result = PseudoThreshold(
+            estimate=(low + high) / 2.0,
+            bracket=(low, high),
+            evaluations=evaluations,
+            trials_spent=trials_spent,
+            resolution_limited=resolution_limited,
+        )
+        wasted = len(evaluator.speculative - evaluator.consumed)
+        _SPECULATION_WASTED.inc(wasted)
+        span.set(
+            estimate=result.estimate,
+            evaluations=result.evaluations,
+            trials_spent=result.trials_spent,
+            resolution_limited=result.resolution_limited,
+            speculated=len(evaluator.speculative),
+            speculation_wasted=wasted,
+        )
+    return result

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import prepare
 from repro.core.bitplane import BitplaneState, popcount_words, words_for
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
@@ -416,7 +415,7 @@ def _draw_phase(
     return points, faulted
 
 
-def _inject_phase(prepared, states, compiled, plan, points) -> None:
+def _inject_phase(states, compiled, plan, points) -> None:
     """Slot-loop phase of the kernel: apply every slot, then scatter.
 
     One apply per program slot over the whole stacked array, pure
@@ -437,7 +436,7 @@ def _inject_phase(prepared, states, compiled, plan, points) -> None:
     max_groups = plan.max_groups
     arity_of = plan.arity.tolist()
     for si, slot in enumerate(compiled.slots):
-        prepared.apply_slot(states, si)
+        compiled.apply_slot(states, si)
         if not active:
             continue
         cell_base = plan.slot_cells[si]
@@ -534,14 +533,13 @@ class NoisyRunner:
                 f"{circuit.n_wires}"
             )
         compiled = compile_circuit(circuit)
-        prepared = prepare(compiled)
         plan = _stack_plan(compiled)
         trials = states.trials
         points, _ = _draw_phase(
             compiled, plan, [self.model], [trials], [self.rng], [0],
             states.n_words, keep_positions=True,
         )
-        _inject_phase(prepared, states, compiled, plan, points)
+        _inject_phase(states, compiled, plan, points)
         fault_counts = np.zeros(trials, dtype=np.int64)
         positions = points[0].positions
         if positions is not None:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.backends import prepare
 from repro.core.bitplane import BitplaneState, words_for
 from repro.core.compiled import compile_circuit
 from repro.errors import SimulationError
@@ -145,7 +144,6 @@ def _run_group(specs: Sequence[RunSpec]) -> list[PointResult]:
     _GROUPS.inc()
     first = specs[0]
     compiled = compile_circuit(first.circuit)
-    prepared = prepare(compiled)
     plan = _stack_plan(compiled)
     words = [words_for(spec.trials) for spec in specs]
     offsets = [0]
@@ -173,7 +171,7 @@ def _run_group(specs: Sequence[RunSpec]) -> list[PointResult]:
                 total_words,
             )
         with trace("executor.group.apply"):
-            _inject_phase(prepared, states, compiled, plan, points)
+            _inject_phase(states, compiled, plan, points)
         with trace("executor.group.decode"):
             results = _decode_phase(specs, states, words, offsets, faulted)
     _STACKED_POINTS.inc(len(specs))

@@ -1,7 +1,8 @@
 """The conformance suite of the execution backend.
 
 ``test_conformance.py`` instantiates :class:`BackendConformance` on the
-one execution path, :func:`repro.backends.prepare`.  The suite is
+one execution path, the slot walk of
+:meth:`~repro.core.compiled.CompiledCircuit.apply_slot`.  The suite is
 behavioural: it pins the three guarantees the execution layers rely on.
 
 1. **Small-circuit equivalence** — every library gate and a population
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import prepare
 from repro.coding import recovery_circuit
 from repro.core.bitplane import BitplaneState, count_trial_ones, popcount_words
 from repro.core.circuit import Circuit
@@ -79,7 +79,7 @@ class BackendConformance:
             circuit.append_gate(gate, *range(gate.arity))
             rows = all_input_rows(gate.arity)
             state = BitplaneState.from_rows(rows)
-            prepare(compile_circuit(circuit)).run(state)
+            compile_circuit(circuit).run(state)
             np.testing.assert_array_equal(
                 state.array, reference_rows(circuit, rows), err_msg=name
             )
@@ -91,7 +91,7 @@ class BackendConformance:
                 circuit = random_circuit(rng, n_wires, n_ops=12)
                 rows = all_input_rows(n_wires)
                 state = BitplaneState.from_rows(rows)
-                prepare(compile_circuit(circuit)).run(state)
+                compile_circuit(circuit).run(state)
                 np.testing.assert_array_equal(
                     state.array, reference_rows(circuit, rows)
                 )
@@ -103,7 +103,7 @@ class BackendConformance:
         rows = rng.integers(0, 2, size=(1000, 9), dtype=np.uint8)
         circuit = recovery_circuit()
         state = BitplaneState.from_rows(rows)
-        prepare(compile_circuit(circuit)).run(state)
+        compile_circuit(circuit).run(state)
         np.testing.assert_array_equal(
             state.array, reference_rows(circuit, rows)
         )
@@ -114,10 +114,9 @@ class BackendConformance:
         compiled = compile_circuit(recovery_circuit())
         a = BitplaneState.broadcast(RECOVERY_INPUT, 777)
         b = BitplaneState.broadcast(RECOVERY_INPUT, 777)
-        prepared = prepare(compiled)
-        prepared.run(a)
+        compiled.run(a)
         for index in range(len(compiled.slots)):
-            prepared.apply_slot(b, index)
+            compiled.apply_slot(b, index)
         np.testing.assert_array_equal(a.planes, b.planes)
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ The compiler lowers every gate's truth table to a plane program
 schedule; these properties pin the lowering against the single-state
 reference simulator and against the gate algebra itself:
 
-1. Compile → prepare → apply over *all* inputs equals direct
+1. Compile → apply over *all* inputs equals direct
    simulation, for random circuits (mixed gates and resets, widths up
    to 6).
 2. Lowering commutes with inversion: the program of ``gate.inverse()``
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import prepare
 from repro.core import library
 from repro.core.bitplane import BitplaneState
 from repro.core.circuit import Circuit
@@ -84,7 +83,7 @@ class TestLoweringMatchesSimulation:
             dtype=np.uint8,
         )
         state = BitplaneState.from_rows(rows)
-        prepare(compile_circuit(circuit)).run(state)
+        compile_circuit(circuit).run(state)
         np.testing.assert_array_equal(state.array, expected)
 
     @given(mixed_circuits())

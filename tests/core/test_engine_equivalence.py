@@ -5,7 +5,7 @@ maps, resets included) are executed through all three engines; for up
 to 6 wires the check is exhaustive over all ``2**n`` inputs, and wider
 circuits are checked on broadcast and random-row batches.  Any
 divergence in the compiled bit-parallel lowering — plane expressions,
-packing, masking, majority voting — shows up here as a bit mismatch.
+packing, majority voting — shows up here as a bit mismatch.
 """
 
 from __future__ import annotations
@@ -114,35 +114,6 @@ class TestBatchEquivalenceBeyondExhaustive:
         np.testing.assert_array_equal(bitplane.to_batched().array, rows)
 
 
-class TestMaskedApplication:
-    """The noise layer's masked paths must agree across engines."""
-
-    @pytest.mark.parametrize("trials", [64, 100, 500])
-    def test_masked_gate_application(self, trials):
-        rng = np.random.default_rng(5000 + trials)
-        rows = rng.integers(0, 2, size=(trials, 6), dtype=np.uint8)
-        batched = BatchedState(rows.copy())
-        bitplane = BitplaneState.from_rows(rows)
-        for _ in range(10):
-            gate = GATES[int(rng.integers(len(GATES)))]
-            wires = tuple(int(w) for w in rng.choice(6, size=gate.arity, replace=False))
-            mask = rng.random(trials) < 0.5
-            batched.apply_gate(gate, wires, mask=mask)
-            bitplane.apply_gate(gate, wires, mask=mask)
-            np.testing.assert_array_equal(batched.array, bitplane.array)
-
-    def test_masked_reset(self):
-        rng = np.random.default_rng(6000)
-        rows = rng.integers(0, 2, size=(200, 4), dtype=np.uint8)
-        for value in (0, 1):
-            batched = BatchedState(rows.copy())
-            bitplane = BitplaneState.from_rows(rows)
-            mask = rng.random(200) < 0.3
-            batched.reset((1, 3), value=value, mask=mask)
-            bitplane.reset((1, 3), value=value, mask=mask)
-            np.testing.assert_array_equal(batched.array, bitplane.array)
-
-
 class TestObservationEquivalence:
     def test_columns_and_majority(self):
         rng = np.random.default_rng(7000)
@@ -184,8 +155,3 @@ class TestSharedErrorPaths:
     def test_reset_rejects_empty_wires(self, factory):
         with pytest.raises(SimulationError, match="at least one wire"):
             factory().reset(())
-
-    def test_reset_rejects_empty_wires_masked(self, factory):
-        mask = np.ones(10, dtype=bool)
-        with pytest.raises(SimulationError, match="at least one wire"):
-            factory().reset((), mask=mask)

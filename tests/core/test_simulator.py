@@ -88,16 +88,6 @@ class TestBatchedState:
         batch.apply_gate(library.MAJ_INV, (0, 1, 2))
         assert batch.array.tolist() == [[1, 1, 1], [0, 0, 0], [0, 1, 1]]
 
-    def test_apply_gate_with_mask(self):
-        batch = BatchedState.from_rows([(0,), (0,)])
-        batch.apply_gate(library.X, (0,), mask=np.array([True, False]))
-        assert batch.array.tolist() == [[1], [0]]
-
-    def test_reset_with_mask(self):
-        batch = BatchedState.from_rows([(1, 1), (1, 1)])
-        batch.reset((0,), value=0, mask=np.array([True, False]))
-        assert batch.array.tolist() == [[0, 1], [1, 1]]
-
     def test_majority_of(self):
         batch = BatchedState.from_rows([(1, 0, 1), (0, 0, 1)])
         assert batch.majority_of((0, 1, 2)).tolist() == [1, 0]

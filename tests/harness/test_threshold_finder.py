@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+from functools import partial
 
+import pytest
+from sequential_search import sequential_pseudo_threshold
+
+from repro.analysis.recursion import one_level
 from repro.analysis.threshold import threshold
 from repro.harness.threshold_finder import (
     _PROCESSOR_CACHE,
@@ -13,7 +17,7 @@ from repro.harness.threshold_finder import (
     measure_cycle_errors,
 )
 from repro.errors import AnalysisError
-from repro.runtime import ExecutionPolicy, Executor, RunSpec
+from repro.runtime import ExecutionPolicy, Executor, PointResult, RunSpec
 
 
 def logical_error_per_cycle(gate_error, trials, cycles=1, seed=0):
@@ -54,86 +58,92 @@ class TestProcessorCache:
         assert first == second
 
 
-def analytic_evaluator(gate_error, n_trials, seed):
-    # Deterministic pseudo-Monte-Carlo: failures implied by the exact
-    # one-level map, so Wilson intervals shrink with n like real data.
-    from repro.analysis.recursion import one_level
+def analytic_search(monkeypatch, per_run, **kwargs):
+    """The real search on an executor that returns exact expected counts.
 
-    per_cycle = one_level(gate_error, 11)
-    per_run = 1.0 - (1.0 - per_cycle) ** 2
-    return per_cycle, round(per_run * n_trials)
+    ``Executor.run`` answers each spec with ``round(per_run(g) * n)``
+    failures — deterministic pseudo-Monte-Carlo whose Wilson intervals
+    still shrink with ``n`` like real data.
+    """
+
+    def run(self, specs):
+        results = []
+        for spec in specs:
+            failures = round(per_run(spec.noise.gate_error) * spec.trials)
+            results.append(PointResult(failures, spec.trials, failures))
+        return results
+
+    monkeypatch.setattr(Executor, "run", run)
+    return find_pseudo_threshold_adaptive(spec_builder=cycle_stage_spec, **kwargs)
+
+
+def analytic_per_run(gate_error):
+    """The exact one-level map over a cycle's two gates."""
+    return 1.0 - (1.0 - one_level(gate_error, 11)) ** 2
 
 
 class TestAdaptiveBisection:
-    def test_matches_analytic_crossing(self):
+    def test_matches_analytic_crossing(self, monkeypatch):
         # Bisection either converges or stops at the Wilson resolution
         # of the budget — both land within a percent of the true rho.
-        result = find_pseudo_threshold_adaptive(
-            analytic_evaluator, lower=1e-4, upper=0.5, trials=10**7, iterations=30
+        result = analytic_search(
+            monkeypatch, analytic_per_run,
+            lower=1e-4, upper=0.5, trials=10**7, iterations=30,
         )
         assert result.estimate == pytest.approx(threshold(11), rel=1e-2)
         assert result.trials_spent > 0
 
-    def test_cheap_points_use_reduced_budget(self):
-        result = find_pseudo_threshold_adaptive(
-            analytic_evaluator, lower=1e-4, upper=0.5, trials=10**7, iterations=4
+    def test_cheap_points_use_reduced_budget(self, monkeypatch):
+        result = analytic_search(
+            monkeypatch, analytic_per_run,
+            lower=1e-4, upper=0.5, trials=10**7, iterations=4,
         )
         # Every point of the analytic map separates decisively at the
         # first stage, so the spend is 1/16 of budget per evaluation.
         assert result.trials_spent == result.evaluations * (10**7 // 16)
 
-    def test_resolution_stop(self):
+    def test_resolution_stop(self, monkeypatch):
         # An evaluator pinned to the identity line can never separate:
         # the very first midpoint must stop the search and flag it.
-        def on_the_line(gate_error, n_trials, seed):
-            per_run = 1.0 - (1.0 - gate_error) ** 2
-            return gate_error, round(per_run * n_trials)
-
-        def below_until_mid(gate_error, n_trials, seed):
+        def below_until_mid(gate_error):
             if gate_error < 0.05:
-                return 0.0, 0
+                return 0.0
             if gate_error > 0.2:
-                return 1.0, n_trials
-            return on_the_line(gate_error, n_trials, seed)
+                return 1.0
+            return 1.0 - (1.0 - gate_error) ** 2
 
-        result = find_pseudo_threshold_adaptive(
-            below_until_mid, lower=0.01, upper=0.4, trials=1000, iterations=8
+        result = analytic_search(
+            monkeypatch, below_until_mid,
+            lower=0.01, upper=0.4, trials=1000, iterations=8,
         )
         assert result.resolution_limited
         # Brackets, a decided midpoint at 0.205, then the stuck one.
         assert result.evaluations == 4
         assert result.estimate == pytest.approx(0.1075)
 
-    def test_bracket_validation(self):
-        with pytest.raises(AnalysisError):
-            find_pseudo_threshold_adaptive(
-                lambda g, n, s: (g * 0.5, round(g * 0.5 * n)),
-                lower=0.1,
-                upper=0.2,
-                trials=10**6,
+    def test_bracket_validation(self, monkeypatch):
+        # Everywhere below identity: the upper endpoint is misplaced.
+        with pytest.raises(AnalysisError, match="not above identity"):
+            analytic_search(
+                monkeypatch, lambda g: g * 0.5,
+                lower=0.1, upper=0.2, trials=10**6,
             )
-        with pytest.raises(AnalysisError):
-            find_pseudo_threshold_adaptive(
-                lambda g, n, s: (min(g * 2.0, 1.0), round(min(g * 2.0, 1.0) * n)),
-                lower=0.1,
-                upper=0.2,
-                trials=10**6,
+        # Everywhere above identity: the lower endpoint is misplaced.
+        with pytest.raises(AnalysisError, match="not below identity"):
+            analytic_search(
+                monkeypatch, lambda g: min(g * 2.0, 1.0),
+                lower=0.1, upper=0.2, trials=10**6,
             )
 
-    def test_deterministic_for_a_seed(self):
+    def test_deterministic_for_a_seed(self, monkeypatch):
         kwargs = dict(lower=1e-4, upper=0.5, trials=10**6, iterations=6, seed=9)
-        first = find_pseudo_threshold_adaptive(analytic_evaluator, **kwargs)
-        second = find_pseudo_threshold_adaptive(analytic_evaluator, **kwargs)
+        first = analytic_search(monkeypatch, analytic_per_run, **kwargs)
+        second = analytic_search(monkeypatch, analytic_per_run, **kwargs)
         assert first == second
 
 
-def cycle_stage_evaluator(gate_error, n_trials, seed):
-    """The sequential form of the stacked search's cycle workload."""
-    return measure_cycle_errors(((gate_error, seed),), n_trials)[0]
-
-
 class TestStackedSearch:
-    """The spec_builder path: stacked rounds == sequential evaluation."""
+    """Stacked rounds == the test-owned sequential reference."""
 
     @pytest.mark.parametrize("seed", [51, 7])
     def test_bit_identical_to_sequential(self, seed):
@@ -143,65 +153,49 @@ class TestStackedSearch:
         # evaluations, trials_spent, resolution flag — as evaluating
         # the stages one solo run at a time.
         kwargs = dict(
-            lower=2e-3, upper=8e-2, trials=4000, iterations=6, seed=seed
+            lower=2e-3, upper=8e-2, trials=4000, iterations=6, seed=seed,
+            spec_builder=cycle_stage_spec,
         )
-        sequential = find_pseudo_threshold_adaptive(
-            cycle_stage_evaluator, **kwargs
-        )
-        stacked = find_pseudo_threshold_adaptive(
-            spec_builder=cycle_stage_spec, **kwargs
-        )
+        sequential = sequential_pseudo_threshold(**kwargs)
+        stacked = find_pseudo_threshold_adaptive(**kwargs)
         assert sequential == stacked
 
     def test_bit_identical_on_coarse_bracket(self):
         # A coarse localisation run that stops on iteration count (not
         # statistical resolution) exercises the no-escalation rounds.
         kwargs = dict(
-            lower=1e-3, upper=0.256, trials=3000, iterations=3, seed=13
+            lower=1e-3, upper=0.256, trials=3000, iterations=3, seed=13,
+            spec_builder=cycle_stage_spec,
         )
-        sequential = find_pseudo_threshold_adaptive(
-            cycle_stage_evaluator, **kwargs
-        )
-        stacked = find_pseudo_threshold_adaptive(
-            spec_builder=cycle_stage_spec, **kwargs
-        )
+        sequential = sequential_pseudo_threshold(**kwargs)
+        stacked = find_pseudo_threshold_adaptive(**kwargs)
         assert sequential == stacked
 
     def test_small_budget_stages(self):
         # A tiny budget makes the 1/16 stage 125 trials — two words,
         # the second one padded — next to full 2000-trial stages in
         # one stacked batch.  The result must still match the
-        # sequential path exactly.
+        # sequential reference exactly.
         kwargs = dict(
-            lower=2e-3, upper=8e-2, trials=2000, iterations=4, seed=3
-        )
-        sequential = find_pseudo_threshold_adaptive(
-            cycle_stage_evaluator, **kwargs
-        )
-        stacked = find_pseudo_threshold_adaptive(
+            lower=2e-3, upper=8e-2, trials=2000, iterations=4, seed=3,
             spec_builder=cycle_stage_spec,
-            policy=ExecutionPolicy(),
-            **kwargs,
+        )
+        sequential = sequential_pseudo_threshold(**kwargs)
+        stacked = find_pseudo_threshold_adaptive(
+            policy=ExecutionPolicy(), **kwargs
         )
         assert sequential == stacked
 
     def test_multi_cycle_workload_contract(self):
         # cycles != 1 must be bound into the builder as well (the
         # search normalises rates by it); with the matching partial the
-        # stacked search stays bit-identical to the sequential form.
-        from functools import partial
-
+        # stacked search stays bit-identical to the sequential reference.
         kwargs = dict(
             lower=2e-3, upper=8e-2, trials=2000, iterations=3, seed=11,
-            cycles=2,
+            cycles=2, spec_builder=partial(cycle_stage_spec, cycles=2),
         )
-        sequential = find_pseudo_threshold_adaptive(
-            lambda g, n, s: measure_cycle_errors(((g, s),), n, cycles=2)[0],
-            **kwargs,
-        )
-        stacked = find_pseudo_threshold_adaptive(
-            spec_builder=partial(cycle_stage_spec, cycles=2), **kwargs
-        )
+        sequential = sequential_pseudo_threshold(**kwargs)
+        stacked = find_pseudo_threshold_adaptive(**kwargs)
         assert sequential == stacked
 
     def test_deterministic(self):
@@ -217,19 +211,14 @@ class TestStackedSearch:
         assert first == second
 
     def test_rounds_collapse_solo_stage_runs(self, monkeypatch):
-        # The canonical mc-threshold search: the sequential form runs
-        # one solo stage per evaluation (10), the stacked round planner
-        # batches them into 6 executor calls with the same result.
+        # The canonical mc-threshold search: the sequential reference
+        # runs one solo stage per evaluation (10), the stacked round
+        # planner batches them into 6 executor calls with the same
+        # result.
         kwargs = dict(
-            lower=2e-3, upper=8e-2, trials=100_000, iterations=8, seed=51
+            lower=2e-3, upper=8e-2, trials=100_000, iterations=8, seed=51,
+            spec_builder=cycle_stage_spec,
         )
-        solo_runs = []
-
-        def counting_stage(gate_error, n_trials, seed):
-            solo_runs.append(n_trials)
-            return cycle_stage_evaluator(gate_error, n_trials, seed)
-
-        sequential = find_pseudo_threshold_adaptive(counting_stage, **kwargs)
         calls = []
         original = Executor.run
 
@@ -238,11 +227,12 @@ class TestStackedSearch:
             return original(self, specs)
 
         monkeypatch.setattr(Executor, "run", counting_run)
-        stacked = find_pseudo_threshold_adaptive(
-            spec_builder=cycle_stage_spec, **kwargs
-        )
+        sequential = sequential_pseudo_threshold(**kwargs)
+        solo_runs = len(calls)
+        calls.clear()
+        stacked = find_pseudo_threshold_adaptive(**kwargs)
         assert sequential == stacked
-        assert (len(solo_runs), len(calls)) == (10, 6)
+        assert (solo_runs, len(calls)) == (10, 6)
 
     def test_bracket_validation(self):
         with pytest.raises(AnalysisError, match="not below identity"):
@@ -255,25 +245,26 @@ class TestStackedSearch:
             )
 
     def test_exactly_one_workload_form(self):
-        with pytest.raises(AnalysisError, match="exactly one"):
+        # The search takes a spec builder only; a positional evaluator
+        # callable is not a second form.
+        with pytest.raises(TypeError):
             find_pseudo_threshold_adaptive(
-                cycle_stage_evaluator,
+                measure_cycle_errors,
                 lower=1e-3,
                 upper=0.1,
                 trials=100,
                 spec_builder=cycle_stage_spec,
             )
-        with pytest.raises(AnalysisError, match="exactly one"):
-            find_pseudo_threshold_adaptive(lower=1e-3, upper=0.1, trials=100)
 
     def test_required_arguments(self):
-        with pytest.raises(AnalysisError, match="required"):
+        with pytest.raises(TypeError, match="spec_builder"):
+            find_pseudo_threshold_adaptive(lower=1e-3, upper=0.1, trials=100)
+        with pytest.raises(TypeError, match="lower"):
             find_pseudo_threshold_adaptive(spec_builder=cycle_stage_spec)
 
     def test_mismatched_form_knobs_rejected(self):
-        # The other form's knob must fail loudly, not be silently
-        # dropped; parallel= is gone from both forms (pool width is
-        # policy.parallel).
+        # An unknown knob must fail loudly, not be silently dropped;
+        # parallel= is gone (pool width is policy.parallel).
         with pytest.raises(TypeError, match="parallel"):
             find_pseudo_threshold_adaptive(
                 spec_builder=cycle_stage_spec,
@@ -281,14 +272,6 @@ class TestStackedSearch:
                 upper=0.1,
                 trials=100,
                 parallel=4,
-            )
-        with pytest.raises(AnalysisError, match="spec_builder"):
-            find_pseudo_threshold_adaptive(
-                cycle_stage_evaluator,
-                lower=1e-3,
-                upper=0.1,
-                trials=100,
-                policy=ExecutionPolicy(),
             )
 
     def test_spec_builder_budget_mismatch_fails_loudly(self):

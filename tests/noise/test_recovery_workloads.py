@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import prepare
 from repro.coding import recovery_circuit
 from repro.coding.concatenation import ConcatenatedComputation
 from repro.core import MAJ
@@ -40,7 +39,7 @@ def test_noiseless_compiled_recovery_keeps_codeword():
 
 def test_slot_walk_keeps_codeword_over_three_cycles():
     circuit = recovery_circuit() + recovery_circuit() + recovery_circuit()
-    state = prepare(compile_circuit(circuit)).run(
+    state = compile_circuit(circuit).run(
         BitplaneState.broadcast(RECOVERY_INPUT, TRIALS)
     )
     assert int(state.column(0).sum(dtype=np.int64)) == TRIALS

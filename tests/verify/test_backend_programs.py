@@ -1,8 +1,8 @@
 """Symbolic verification of the backend's prepared program.
 
 The conformance suite samples the backend dynamically; this suite
-proves the *artifact that executes* — the program ``get_backend().
-prepare`` hands the noise layer walks exactly the compiled slots that
+proves the *artifact that executes* — ``get_backend().prepare`` hands
+the noise layer the compiled circuit itself, whose slots
 ``verify_compiled`` proves equal to the circuit's gate tables (RV300).
 """
 
@@ -23,6 +23,6 @@ def test_every_backend_prepares_verifiably(label, backend_id):
     circuit = dict(CORPUS)[label]
     compiled = CompiledCircuit(circuit, fuse=True)
     prepared = get_backend(backend_id).prepare(compiled)
-    assert prepared.compiled is compiled
-    report = verify_compiled(circuit, prepared.compiled)
+    assert prepared is compiled
+    report = verify_compiled(circuit, prepared)
     assert report.ok, report.render()
