@@ -26,7 +26,7 @@ from repro.core.library import (
     TOFFOLI,
     X,
 )
-from repro.core.bitplane import BitplaneState, run_bitplane
+from repro.core.bitplane import BitplaneState
 from repro.core.compiled import (
     CompiledCircuit,
     FusedSlot,
@@ -82,7 +82,6 @@ __all__ = [
     "apply_gate",
     "run",
     "run_batched",
-    "run_bitplane",
     "circuit_gate",
     "circuit_permutation",
     "format_truth_table",

@@ -41,8 +41,6 @@ __all__ = [
     "constant",
     "evaluate",
     "p_and",
-    "p_not",
-    "p_or",
     "p_xor",
     "plane_expr_poly",
     "substitute",
@@ -86,16 +84,6 @@ def p_and(a: Poly, b: Poly) -> Poly:
             merged = left | right
             counts[merged] = counts.get(merged, 0) ^ 1
     return frozenset(m for m, parity in counts.items() if parity)
-
-
-def p_not(a: Poly) -> Poly:
-    """Complement: XOR with the constant 1."""
-    return a ^ ONE
-
-
-def p_or(a: Poly, b: Poly) -> Poly:
-    """OR via inclusion-exclusion over GF(2): ``a ^ b ^ ab``."""
-    return p_xor(a, b, p_and(a, b))
 
 
 def evaluate(poly: Poly, bits: Sequence[int]) -> int:
@@ -163,54 +151,38 @@ def table_anf(table: Sequence[int], arity: int) -> tuple[Poly, ...]:
 
 
 def plane_expr_poly(expression: tuple, inputs: Sequence[Poly]) -> Poly:
-    """Symbolically evaluate one tagged plane expression.
+    """Symbolically evaluate one plane expression ``(invert, monomials)``.
 
     Mirrors the runtime semantics of
-    :func:`repro.core.compiled.apply_plane_program` for each expression
-    form (``copy``/``affine``/``anf``/``dnf``) over polynomial inputs.
-    Malformed expressions raise :class:`~repro.errors.VerificationError`.
+    :func:`repro.core.compiled.apply_plane_program` over polynomial
+    inputs: the XOR over ``monomials`` of the AND of their input
+    positions, complemented when ``invert`` is true.  Anything the
+    runtime could not evaluate — not such a pair, a non-bool
+    ``invert``, no monomials, an empty monomial or a position out of
+    range — raises :class:`~repro.errors.VerificationError`.
     """
-    arity = len(inputs)
-    if not isinstance(expression, tuple) or not expression:
+    if (
+        not isinstance(expression, tuple)
+        or len(expression) != 2
+        or not isinstance(expression[0], bool)
+        or not isinstance(expression[1], tuple)
+        or not expression[1]
+    ):
         raise VerificationError(f"malformed plane expression: {expression!r}")
-    tag = expression[0]
-    if tag == "copy":
-        (position,) = expression[1:]
-        _check_position(position, arity, expression)
-        return inputs[position]
-    if tag == "affine":
-        invert, positions = expression[1], expression[2]
-        accumulator = constant(invert)
-        for position in positions:
-            _check_position(position, arity, expression)
-            accumulator = p_xor(accumulator, inputs[position])
-        return accumulator
-    if tag == "anf":
-        invert, monomials = expression[1], expression[2]
-        accumulator = constant(invert)
-        for monomial in monomials:
-            term = ONE
-            for position in monomial:
-                _check_position(position, arity, expression)
-                term = p_and(term, inputs[position])
-            accumulator = p_xor(accumulator, term)
-        return accumulator
-    if tag == "dnf":
-        accumulator = ZERO
-        for pattern in expression[1]:
-            if not 0 <= pattern < (1 << arity):
-                raise VerificationError(
-                    f"dnf minterm {pattern} out of range in {expression!r}"
-                )
-            term = ONE
-            for position in range(arity):
-                literal = inputs[position]
-                if not (pattern >> (arity - 1 - position)) & 1:
-                    literal = p_not(literal)
-                term = p_and(term, literal)
-            accumulator = p_or(accumulator, term)
-        return accumulator
-    raise VerificationError(f"unknown plane expression tag: {expression!r}")
+    invert, monomials = expression
+    accumulator = constant(invert)
+    for monomial in monomials:
+        if not isinstance(monomial, tuple) or not monomial:
+            raise VerificationError(
+                f"malformed monomial {monomial!r} in plane expression "
+                f"{expression!r}"
+            )
+        term = ONE
+        for position in monomial:
+            _check_position(position, len(inputs), expression)
+            term = p_and(term, inputs[position])
+        accumulator = p_xor(accumulator, term)
+    return accumulator
 
 
 def _check_position(position: object, arity: int, expression: tuple) -> None:

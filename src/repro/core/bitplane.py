@@ -11,12 +11,15 @@ instead of the ~1 MB the uint8 reference touches, which is where the
 10-50x Monte-Carlo speedup comes from.
 
 Gates are executed through the plane programs produced by
-:mod:`repro.core.compiled` (XOR-affine forms for linear gates, minterm
-sums for the rest); :meth:`BitplaneState.majority_of` is likewise fully
-bit-parallel via a carry-save binary counter.  The observation API
-(``array``, ``column``, ``columns``, ``majority_of``) mirrors
-``BatchedState`` exactly, so failure predicates and decoders written
-against one state run unmodified against the other.
+:mod:`repro.core.compiled` (each output its algebraic normal form, an
+XOR of ANDs of input planes), one fused slot group at a time through
+:meth:`BitplaneState.apply_program_stacked`; a circuit runs with
+``compile_circuit(circuit).run(state)``.
+:meth:`BitplaneState.majority_of` is likewise fully bit-parallel via a
+carry-save binary counter.  The observation API (``array``, ``column``,
+``columns``, ``majority_of``) mirrors ``BatchedState`` exactly, so
+failure predicates and decoders written against one state run
+unmodified against the other.
 
 Evolution applies to every trial: the fault kernel of
 :mod:`repro.noise.monte_carlo` scatters its faults straight into the
@@ -36,14 +39,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.bits import validate_bits
-from repro.core.circuit import Circuit, Operation
-from repro.core.compiled import (
-    ALL_ONES,
-    apply_plane_program,
-    compile_circuit,
-    gate_plane_program,
-)
-from repro.core.gate import Gate
+from repro.core.compiled import ALL_ONES, apply_plane_program
 from repro.errors import SimulationError
 
 #: Trials carried per plane word.
@@ -98,8 +94,10 @@ def count_trial_ones(words: np.ndarray, trials: int) -> int:
 class BitplaneState:
     """A batch of circuit states stored as ``(n_wires, n_words)`` planes.
 
-    Mirrors the :class:`~repro.core.simulator.BatchedState` API
-    (constructors, evolution, observation) on the packed layout.
+    Mirrors the :class:`~repro.core.simulator.BatchedState`
+    constructors and observation API on the packed layout; evolution
+    is :meth:`apply_program_stacked` and :meth:`reset`, which compiled
+    circuits drive.
     """
 
     def __init__(self, planes: np.ndarray, trials: int):
@@ -201,13 +199,6 @@ class BitplaneState:
     # Evolution
     # ------------------------------------------------------------------
 
-    def apply_program(self, program: tuple, wires: Sequence[int]) -> None:
-        """Apply a compiled plane program to the given wires."""
-        rows = list(wires)
-        outputs = apply_plane_program(program, [self.planes[w] for w in rows])
-        for wire, plane in zip(rows, outputs):
-            self.planes[wire] = plane
-
     def apply_program_stacked(
         self,
         program: tuple,
@@ -226,12 +217,10 @@ class BitplaneState:
         replaces the fancy-indexed gather/scatter with plane *views*
         for positions whose wires form an arithmetic progression — the
         transversal and per-codeword patterns always do — so those
-        positions move no bytes on input.  All outputs are computed
+        positions move no bytes on input; a single-instance group
+        (``k == 1``) is always all views.  All outputs are computed
         before any write-back, so view inputs are safe.
         """
-        if wire_matrix.shape[0] == 1:
-            self.apply_program(program, wire_matrix[0])
-            return
         arity = wire_matrix.shape[1]
         if row_slices:
             inputs = [
@@ -249,23 +238,11 @@ class BitplaneState:
             else:
                 self.planes[wire_matrix[:, i]] = block
 
-    def apply_gate(self, gate: Gate, wires: Sequence[int]) -> None:
-        """Apply ``gate`` to every trial."""
-        self.apply_program(gate_plane_program(gate), wires)
-
     def reset(self, wires: Sequence[int], value: int = 0) -> None:
         """Reset wires to ``value`` on every trial."""
         if not len(wires):
             raise SimulationError("reset requires at least one wire")
         self.planes[list(wires)] = ALL_ONES if value else np.uint64(0)
-
-    def apply_operation(self, op: Operation) -> None:
-        """Apply one noiseless circuit operation to every trial."""
-        if op.is_reset:
-            self.reset(op.wires, op.reset_value)
-        else:
-            assert op.gate is not None
-            self.apply_gate(op.gate, op.wires)
 
     # ------------------------------------------------------------------
     # Observation
@@ -323,13 +300,3 @@ class BitplaneState:
     def count_ones(self, plane: np.ndarray) -> int:
         """Number of set *trial* bits in a packed plane (padding ignored)."""
         return count_trial_ones(plane, self._trials)
-
-
-def run_bitplane(circuit: Circuit, states: BitplaneState) -> BitplaneState:
-    """Run a circuit noiselessly over a bit-plane batch, mutating it."""
-    if states.n_wires != circuit.n_wires:
-        raise SimulationError(
-            f"batch has {states.n_wires} wires but circuit has "
-            f"{circuit.n_wires}"
-        )
-    return compile_circuit(circuit).run(states)

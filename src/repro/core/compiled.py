@@ -3,13 +3,12 @@
 A :class:`~repro.core.gate.Gate` is a permutation table; a bit-plane
 engine wants each *output wire* of the gate expressed as a boolean
 function of the *input wires*, so one gate application becomes a
-handful of vectorised AND/OR/XOR/NOT operations on whole 64-trial
+handful of vectorised AND/XOR/NOT operations on whole 64-trial
 words.  This module performs that lowering once per gate:
 
 * :func:`gate_plane_program` converts a gate's truth table into one
-  *plane expression* per output position — a wire copy, an XOR-affine
-  form (``c ^ x_i ^ x_j ...``, which covers X/CNOT/SWAP exactly), or a
-  sum-of-minterms fallback that handles any gate of small arity;
+  *plane expression* per output position: the output's algebraic
+  normal form (see below);
 * :class:`CompiledCircuit` flattens a :class:`~repro.core.circuit.Circuit`
   into a schedule of :class:`CompiledOp` records with the plane program,
   reset constants, and fault-injection metadata (the touched wires and
@@ -44,26 +43,15 @@ which :meth:`CompiledCircuit.run` and the Monte-Carlo fault kernel both
 loop over.  ``repro.verify`` proves that walk's transfer functions
 equal the circuit's gate tables (``RV300``).
 
-Plane-expression forms (tagged tuples):
-
-``("copy", i)``
-    output equals input position ``i`` unchanged;
-``("affine", invert, positions)``
-    output is the XOR of the input positions, complemented when
-    ``invert`` is true;
-``("anf", invert, monomials)``
-    algebraic normal form: the XOR over ``monomials`` (tuples of input
-    positions) of the AND of those positions, complemented when
-    ``invert`` is true — e.g. the Toffoli target is ``x2 ^ x0·x1`` and
-    3-bit majority is ``x0·x1 ^ x0·x2 ^ x1·x2``;
-``("dnf", minterms)``
-    output is the OR over ``minterms`` (packed input patterns, wire 0
-    of the gate most significant) of the full AND of matched literals.
-
-The lowering computes the ANF coefficients by a Möbius transform of
-the output column and emits whichever of the nonlinear forms costs
-fewer word operations (ANF wins for every gate in the library: it
-needs no complemented literals).
+The plane expression of an output position is its algebraic normal
+form ``(invert, monomials)``: the XOR over ``monomials`` (tuples of
+input positions) of the AND of those positions, complemented when
+``invert`` is true.  A wire copy is ``(False, ((i,),))``, X is
+``(True, ((0,),))``, the CNOT target is ``x1 ^ x0``, the Toffoli target
+is ``x2 ^ x0·x1`` and 3-bit majority is ``x0·x1 ^ x0·x2 ^ x1·x2``.  The
+lowering computes the coefficients by a Möbius transform of the output
+column.  One form describes every boolean column; a linear column
+costs one copy and then one XOR per further term.
 """
 
 from __future__ import annotations
@@ -86,7 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: A full uint64 word of ones — the bit-plane "True" constant.
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-PlaneExpr = tuple
+#: One output position of a lowered gate: ``(invert, monomials)``, the
+#: XOR over ``monomials`` of the AND of their input positions,
+#: complemented when ``invert`` is true.
+PlaneExpr = tuple[bool, tuple[tuple[int, ...], ...]]
 
 
 def _input_bit(pattern: int, arity: int, position: int) -> int:
@@ -94,25 +85,7 @@ def _input_bit(pattern: int, arity: int, position: int) -> int:
     return (pattern >> (arity - 1 - position)) & 1
 
 
-def _try_affine(outputs: list[int], arity: int) -> PlaneExpr | None:
-    """An affine-over-GF(2) expression for the output column, if any."""
-    constant = outputs[0]
-    positions = [
-        i for i in range(arity)
-        if outputs[1 << (arity - 1 - i)] != constant
-    ]
-    for pattern in range(1 << arity):
-        parity = constant
-        for i in positions:
-            parity ^= _input_bit(pattern, arity, i)
-        if parity != outputs[pattern]:
-            return None
-    if constant == 0 and len(positions) == 1:
-        return ("copy", positions[0])
-    return ("affine", bool(constant), tuple(positions))
-
-
-def _anf_monomials(outputs: list[int], arity: int) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+def _anf_monomials(outputs: list[int], arity: int) -> PlaneExpr:
     """Möbius transform: ANF coefficients of the output column.
 
     Returns ``(invert, monomials)`` where each monomial is a tuple of
@@ -141,39 +114,25 @@ def _anf_monomials(outputs: list[int], arity: int) -> tuple[bool, tuple[tuple[in
     return invert, tuple(monomials)
 
 
-def _nonlinear_expression(outputs: list[int], arity: int) -> PlaneExpr:
-    """The cheaper of the ANF and minterm forms for a nonlinear column."""
-    invert, monomials = _anf_monomials(outputs, arity)
-    minterms = tuple(p for p, bit in enumerate(outputs) if bit)
-    # Word-op estimates: ANF pays |m|-1 ANDs plus one XOR per monomial;
-    # each minterm pays arity ANDs (literals, some complemented) plus
-    # one OR.  Complement planes are shared, so they are not counted.
-    anf_cost = sum(max(len(m) - 1, 0) + 1 for m in monomials) + int(invert)
-    dnf_cost = len(minterms) * (arity + 1)
-    if anf_cost <= dnf_cost:
-        return ("anf", invert, monomials)
-    return ("dnf", minterms)
-
-
 @lru_cache(maxsize=None)
 def gate_plane_program(gate: Gate) -> tuple[PlaneExpr, ...]:
-    """One plane expression per output position of ``gate``.
+    """The ANF of every output position of ``gate``.
 
     Cached per gate object (gates are frozen and hashable); the library
-    gates therefore compile exactly once per process.
+    gates therefore compile exactly once per process.  ANF is
+    canonical, so gates with equal tables get equal programs.
     """
     arity, table = gate.arity, gate.table
-    program = []
-    for position in range(arity):
-        outputs = [
-            _input_bit(table[pattern], arity, position)
-            for pattern in range(1 << arity)
-        ]
-        expression = _try_affine(outputs, arity)
-        if expression is None:
-            expression = _nonlinear_expression(outputs, arity)
-        program.append(expression)
-    return tuple(program)
+    return tuple(
+        _anf_monomials(
+            [
+                _input_bit(table[pattern], arity, position)
+                for pattern in range(1 << arity)
+            ],
+            arity,
+        )
+        for position in range(arity)
+    )
 
 
 def apply_plane_program(
@@ -184,85 +143,40 @@ def apply_plane_program(
     ``planes[i]`` holds the packed bits of the wire at gate position
     ``i``.  Returns freshly allocated output planes (never aliases the
     inputs, so callers may write them back over the input rows in any
-    order).
+    order).  Every output column of a permutation is balanced, so every
+    expression has at least one monomial.
     """
-    arity = len(planes)
-    negated: dict[int, np.ndarray] = {}
-
-    def complement(position: int) -> np.ndarray:
-        if position not in negated:
-            negated[position] = ~planes[position]
-        return negated[position]
-
     outputs = []
-    for expression in program:
-        tag = expression[0]
-        if tag == "copy":
-            outputs.append(planes[expression[1]].copy())
-        elif tag == "affine":
-            invert, positions = expression[1], expression[2]
-            if positions:
-                accumulator = planes[positions[0]].copy()
-                for position in positions[1:]:
-                    accumulator ^= planes[position]
-            else:  # constant output: impossible for reversible gates
-                accumulator = np.zeros_like(planes[0])
-            if invert:
-                np.invert(accumulator, out=accumulator)
-            outputs.append(accumulator)
-        elif tag == "anf":
-            invert, monomials = expression[1], expression[2]
-            accumulator = None
-            scratch = None
-            for monomial in monomials:
-                if len(monomial) == 1:
-                    term = planes[monomial[0]]
-                    if accumulator is None:
-                        accumulator = term.copy()
-                    else:
-                        accumulator ^= term
-                    continue
+    for invert, monomials in program:
+        accumulator = None
+        scratch = None
+        for monomial in monomials:
+            if len(monomial) == 1:
+                term = planes[monomial[0]]
                 if accumulator is None:
-                    # First AND monomial starts the accumulator fresh.
-                    accumulator = planes[monomial[0]] & planes[monomial[1]]
-                    for position in monomial[2:]:
-                        accumulator &= planes[position]
-                    continue
-                # Later AND monomials reuse one scratch buffer instead
-                # of allocating a temporary per monomial — this runs on
-                # whole stacked batches, so allocations are the cost.
-                if scratch is None:
-                    scratch = np.bitwise_and(
-                        planes[monomial[0]], planes[monomial[1]]
-                    )
+                    accumulator = term.copy()
                 else:
-                    np.bitwise_and(
-                        planes[monomial[0]], planes[monomial[1]], out=scratch
-                    )
+                    accumulator ^= term
+                continue
+            if accumulator is None:
+                # First AND monomial starts the accumulator fresh.
+                accumulator = planes[monomial[0]] & planes[monomial[1]]
                 for position in monomial[2:]:
-                    scratch &= planes[position]
-                accumulator ^= scratch
-            if accumulator is None:  # constant: impossible for reversible gates
-                accumulator = np.zeros_like(planes[0])
-            if invert:
-                np.invert(accumulator, out=accumulator)
-            outputs.append(accumulator)
-        else:  # "dnf"
-            accumulator = np.zeros_like(planes[0])
-            scratch = None
-            for pattern in expression[1]:
-                first = _input_bit(pattern, arity, 0)
-                if scratch is None:
-                    scratch = (planes[0] if first else complement(0)).copy()
-                else:
-                    scratch[...] = planes[0] if first else complement(0)
-                for position in range(1, arity):
-                    if _input_bit(pattern, arity, position):
-                        scratch &= planes[position]
-                    else:
-                        scratch &= complement(position)
-                accumulator |= scratch
-            outputs.append(accumulator)
+                    accumulator &= planes[position]
+                continue
+            # Later AND monomials reuse one scratch buffer instead of
+            # allocating a temporary per monomial — this runs on whole
+            # stacked batches, so allocations are the cost.
+            if scratch is None:
+                scratch = np.bitwise_and(planes[monomial[0]], planes[monomial[1]])
+            else:
+                np.bitwise_and(planes[monomial[0]], planes[monomial[1]], out=scratch)
+            for position in monomial[2:]:
+                scratch &= planes[position]
+            accumulator ^= scratch
+        if invert:
+            np.invert(accumulator, out=accumulator)
+        outputs.append(accumulator)
     return outputs
 
 

@@ -24,12 +24,15 @@ quantifies the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import groupby
 
-from repro.core.bits import all_bit_vectors
 from repro.core.circuit import Circuit
 from repro.coding.repetition import THREE_BIT_CODE
-from repro.noise.injector import Fault, run_with_faults
+from repro.noise.injector import (
+    iter_fault_pairs,
+    iter_single_faults,
+    run_with_faults,
+)
 from repro.errors import AnalysisError
 
 
@@ -61,11 +64,6 @@ class PairAnalysis:
         return 3 * comb(self.operations, 2)
 
 
-def _decoded(circuit: Circuit, state, output_wires) -> int:
-    final = run_with_faults(circuit, state, [])
-    return THREE_BIT_CODE.decode(tuple(final[w] for w in output_wires))
-
-
 def analyse_pairs(
     circuit: Circuit,
     input_state,
@@ -82,44 +80,32 @@ def analyse_pairs(
     to be exact at O(g^2), each faulting operation must contribute the
     same Bernoulli(g), which is the paper's error model.
     """
-    operations = len(circuit)
 
-    harmful_singles = 0
-    for index, op in enumerate(circuit.ops):
-        for pattern in all_bit_vectors(len(op.wires)):
-            final = run_with_faults(circuit, input_state, [Fault(index, pattern)])
-            decoded = THREE_BIT_CODE.decode(
-                tuple(final[w] for w in output_wires)
-            )
-            if decoded != expected_logical:
-                harmful_singles += 1
-                break  # one failing pattern makes this op harmful
+    def fails(faults) -> bool:
+        final = run_with_faults(circuit, input_state, faults)
+        decoded = THREE_BIT_CODE.decode(tuple(final[w] for w in output_wires))
+        return decoded != expected_logical
+
+    # One failing pattern makes an op harmful; ``any`` stops there.
+    harmful_singles = sum(
+        any(fails([fault]) for fault in faults)
+        for _, faults in groupby(
+            iter_single_faults(circuit), key=lambda fault: fault.op_index
+        )
+    )
 
     pair_weight = 0.0
     pair_count = 0
-    for first, second in combinations(range(operations), 2):
+    for _, pairs in groupby(
+        iter_fault_pairs(circuit),
+        key=lambda pair: (pair[0].op_index, pair[1].op_index),
+    ):
         pair_count += 1
-        arity_first = len(circuit.ops[first].wires)
-        arity_second = len(circuit.ops[second].wires)
-        failing = 0
-        total = 0
-        for pattern_first in all_bit_vectors(arity_first):
-            for pattern_second in all_bit_vectors(arity_second):
-                total += 1
-                final = run_with_faults(
-                    circuit,
-                    input_state,
-                    [Fault(first, pattern_first), Fault(second, pattern_second)],
-                )
-                decoded = THREE_BIT_CODE.decode(
-                    tuple(final[w] for w in output_wires)
-                )
-                if decoded != expected_logical:
-                    failing += 1
-        pair_weight += failing / total
+        outcomes = [fails(pair) for pair in pairs]
+        pair_weight += sum(outcomes) / len(outcomes)
 
     return PairAnalysis(
-        operations=operations,
+        operations=len(circuit),
         harmful_single_faults=harmful_singles,
         pair_count=pair_count,
         harmful_pair_weight=pair_weight,

@@ -16,9 +16,9 @@ import pytest
 from repro.core import (
     BatchedState,
     BitplaneState,
+    compile_circuit,
     run,
     run_batched,
-    run_bitplane,
 )
 from repro.core.bits import all_bit_vectors
 from repro.core.circuit import Circuit
@@ -65,7 +65,7 @@ class TestExhaustiveEquivalence:
             circuit = random_circuit(rng, n_wires, n_ops=20)
             expected = reference_outputs(circuit, rows)
             batched = run_batched(circuit, BatchedState.from_rows(rows))
-            bitplane = run_bitplane(circuit, BitplaneState.from_rows(rows))
+            bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
             np.testing.assert_array_equal(batched.array, expected)
             np.testing.assert_array_equal(bitplane.array, expected)
 
@@ -77,7 +77,7 @@ class TestExhaustiveEquivalence:
         for _ in range(4):
             circuit = random_circuit(rng, 5, n_ops=25, reset_probability=0.0)
             expected = reference_outputs(circuit, rows)
-            bitplane = run_bitplane(circuit, BitplaneState.from_rows(rows))
+            bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
             np.testing.assert_array_equal(bitplane.array, expected)
 
 
@@ -89,7 +89,9 @@ class TestBatchEquivalenceBeyondExhaustive:
         input_bits = tuple(int(b) for b in rng.integers(0, 2, size=9))
         expected_row = np.asarray(run(circuit, input_bits), dtype=np.uint8)
         batched = run_batched(circuit, BatchedState.broadcast(input_bits, trials))
-        bitplane = run_bitplane(circuit, BitplaneState.broadcast(input_bits, trials))
+        bitplane = compile_circuit(circuit).run(
+            BitplaneState.broadcast(input_bits, trials)
+        )
         np.testing.assert_array_equal(batched.array, bitplane.array)
         np.testing.assert_array_equal(
             bitplane.array, np.tile(expected_row, (trials, 1))
@@ -100,7 +102,7 @@ class TestBatchEquivalenceBeyondExhaustive:
         circuit = random_circuit(rng, 8, n_ops=30)
         rows = rng.integers(0, 2, size=(321, 8), dtype=np.uint8)
         batched = run_batched(circuit, BatchedState(rows.copy()))
-        bitplane = run_bitplane(circuit, BitplaneState.from_rows(rows))
+        bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
         np.testing.assert_array_equal(batched.array, bitplane.array)
         # Spot-check a handful of rows against the tuple engine.
         for index in (0, 63, 64, 320):

@@ -19,9 +19,9 @@ import pytest
 from repro.core import (
     BatchedState,
     BitplaneState,
+    compile_circuit,
     run,
     run_batched,
-    run_bitplane,
 )
 from repro.core.circuit import Circuit
 from repro.core.library import FREDKIN, MAJ, MAJ_INV, SWAP, SWAP3_DOWN, SWAP3_UP, X
@@ -56,7 +56,7 @@ class TestHammingWeightInvariant:
             weights = rows.sum(axis=1)
 
             batched = run_batched(circuit, BatchedState(rows.copy()))
-            bitplane = run_bitplane(circuit, BitplaneState.from_rows(rows))
+            bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
             np.testing.assert_array_equal(batched.array.sum(axis=1), weights)
             np.testing.assert_array_equal(bitplane.array.sum(axis=1), weights)
             for index in (0, 77, 199):
@@ -98,7 +98,7 @@ class TestParityInvariant:
             expected_parity = (rows.sum(axis=1) + x_count) % 2
 
             batched = run_batched(circuit, BatchedState(rows.copy()))
-            bitplane = run_bitplane(circuit, BitplaneState.from_rows(rows))
+            bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
             np.testing.assert_array_equal(
                 batched.array.sum(axis=1) % 2, expected_parity
             )
@@ -123,7 +123,7 @@ class TestMajNetworkInterior:
         rows = random_batch(rng, 300, n_wires)
 
         batched = run_batched(circuit, BatchedState(rows.copy()))
-        bitplane = run_bitplane(circuit, BitplaneState.from_rows(rows))
+        bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
         np.testing.assert_array_equal(batched.array, rows)
         np.testing.assert_array_equal(bitplane.array, rows)
 
@@ -143,7 +143,7 @@ class TestMajNetworkInterior:
                 circuit.append_gate(gate, *(int(w) for w in wires))
             sandwich = circuit + circuit.inverse()
             rows = random_batch(rng, 128, 6)
-            bitplane = run_bitplane(sandwich, BitplaneState.from_rows(rows))
+            bitplane = compile_circuit(sandwich).run(BitplaneState.from_rows(rows))
             np.testing.assert_array_equal(bitplane.array, rows)
             batched = run_batched(sandwich, BatchedState(rows.copy()))
             np.testing.assert_array_equal(batched.array, rows)

@@ -20,8 +20,6 @@ from repro.core.anf import (
     constant,
     evaluate,
     p_and,
-    p_not,
-    p_or,
     p_xor,
     substitute,
     symbolic_outputs,
@@ -52,13 +50,6 @@ class TestAlgebra:
         # (x0 ^ x1)(x0 ^ x1) = x0 ^ x1, exercising the parity counter.
         s = p_xor(x0, x1)
         assert p_and(s, s) == s
-
-    def test_not_is_xor_one(self):
-        assert p_not(x0) == p_xor(x0, ONE)
-        assert p_not(p_not(x0)) == x0
-
-    def test_or_expansion(self):
-        assert p_or(x0, x1) == p_xor(x0, x1, p_and(x0, x1))
 
     def test_absorbing_elements(self):
         assert p_and(x0, ZERO) == ZERO

@@ -112,35 +112,39 @@ def mutate_semantic_wire_swap(compiled):
     replace_group(compiled, 0, 0, wire_matrix=matrix, row_slices=())
 
 
-def tampered_program(op: CompiledOp) -> CompiledOp:
-    # An identity-on-target program where the table says XOR: position
-    # 1 copies itself instead of xoring in the control.
-    return dataclasses.replace(op, program=(("copy", 0), ("copy", 1)))
+def lower_to(program):
+    """A mutation giving every gate op the lowered ``program``.
+
+    The tampering is *consistent* across schedule, slot ops, and group
+    program, so only the lowering check (not the structural
+    reconciliation) can catch it.
+    """
+
+    def mutate(compiled):
+        def tamper(op: CompiledOp) -> CompiledOp:
+            return dataclasses.replace(op, program=program)
+
+        compiled.schedule = tuple(tamper(op) for op in compiled.schedule)
+        ops = tuple(tamper(op) for op in compiled.slots[0].ops)
+        replace_slot(compiled, 0, ops=ops)
+        replace_group(compiled, 0, 0, program=program)
+
+    return mutate
 
 
-def mutate_lowered_program(compiled):
-    # Tamper the lowering *consistently* across schedule, slot ops, and
-    # group program, so only the lowering check (not the structural
-    # reconciliation) can catch it.
-    compiled.schedule = tuple(tampered_program(op) for op in compiled.schedule)
-    slot = compiled.slots[0]
-    ops = tuple(tampered_program(op) for op in slot.ops)
-    replace_slot(compiled, 0, ops=ops)
-    replace_group(compiled, 0, 0, program=ops[0].program)
+#: The CNOT target as its ANF, ``x1 ^ x0``.
+CNOT_TARGET = (False, ((1,), (0,)))
 
-
-def uninterpretable_program(op: CompiledOp) -> CompiledOp:
-    return dataclasses.replace(op, program=(("warp", 0), ("copy", 1)))
-
-
-def mutate_uninterpretable_program(compiled):
-    compiled.schedule = tuple(
-        uninterpretable_program(op) for op in compiled.schedule
-    )
-    slot = compiled.slots[0]
-    ops = tuple(uninterpretable_program(op) for op in slot.ops)
-    replace_slot(compiled, 0, ops=ops)
-    replace_group(compiled, 0, 0, program=ops[0].program)
+# An identity-on-target program where the table says XOR: position 1
+# copies itself instead of xoring in the control.
+mutate_lowered_program = lower_to(((False, ((0,),)), (False, ((1,),))))
+# Well-formed pairs around a monomial that is no tuple of positions.
+mutate_uninterpretable_program = lower_to(((False, ("warp",)), CNOT_TARGET))
+mutate_out_of_range_position = lower_to(
+    ((False, ((0,),)), (False, ((1,), (0, 7))))
+)
+mutate_non_bool_invert = lower_to(((0, ((0,),)), CNOT_TARGET))
+mutate_leftover_tagged_entry = lower_to((("copy", 0), CNOT_TARGET))
 
 
 MUTATIONS = [
@@ -156,6 +160,9 @@ MUTATIONS = [
     ("scattered-wire-swap", scattered_circuit, mutate_semantic_wire_swap, "RV300"),
     ("lowered-program", transversal_circuit, mutate_lowered_program, "RV100"),
     ("uninterpretable-program", transversal_circuit, mutate_uninterpretable_program, "RV101"),
+    ("out-of-range-position", transversal_circuit, mutate_out_of_range_position, "RV101"),
+    ("non-bool-invert", transversal_circuit, mutate_non_bool_invert, "RV101"),
+    ("leftover-tagged-entry", transversal_circuit, mutate_leftover_tagged_entry, "RV101"),
 ]
 
 
