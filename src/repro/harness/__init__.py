@@ -1,13 +1,11 @@
-"""Statistics, sweeps, threshold search, tables, experiment registry."""
+"""Statistics, sweeps, threshold search and tables.
 
-from repro.harness.experiments import (
-    REGISTRY,
-    Experiment,
-    ExperimentResult,
-    execution_policy,
-    run_experiment,
-    trial_budget,
-)
+The experiment registry (``REGISTRY``, ``run_experiment`` and the rest)
+lives in :mod:`repro.harness.experiments` and is not re-exported here:
+it imports every layer the experiments run (synth, local, analysis,
+baselines), and a threshold search needs none of them.
+"""
+
 from repro.harness.stats import RateEstimate, required_trials, wilson_interval
 from repro.harness.sweep import geometric_grid, spawn_seeds
 from repro.harness.tables import format_table, paper_vs_measured
@@ -21,12 +19,6 @@ from repro.harness.threshold_finder import (
 )
 
 __all__ = [
-    "REGISTRY",
-    "Experiment",
-    "ExperimentResult",
-    "execution_policy",
-    "run_experiment",
-    "trial_budget",
     "RateEstimate",
     "required_trials",
     "wilson_interval",

@@ -1,4 +1,9 @@
-"""Noise models, deterministic fault injection, and Monte Carlo."""
+"""Noise models, deterministic fault injection, and Monte Carlo.
+
+The exact fault-pair census (``analyse_pairs`` and its cycle helpers)
+lives in :mod:`repro.noise.pair_analysis`; no simulation path needs
+it, so it is not re-exported here.
+"""
 
 from repro.noise.injector import (
     Fault,
@@ -8,12 +13,6 @@ from repro.noise.injector import (
     run_with_faults,
 )
 from repro.noise.model import NoiseModel
-from repro.noise.pair_analysis import (
-    PairAnalysis,
-    analyse_one_d_cycle,
-    analyse_pairs,
-    analyse_recovery_cycle,
-)
 from repro.noise.monte_carlo import (
     NoisyResult,
     NoisyRunner,
@@ -29,10 +28,6 @@ __all__ = [
     "iter_single_faults",
     "run_with_faults",
     "NoiseModel",
-    "PairAnalysis",
-    "analyse_one_d_cycle",
-    "analyse_pairs",
-    "analyse_recovery_cycle",
     "NoisyResult",
     "NoisyRunner",
     "any_wire_differs_predicate",

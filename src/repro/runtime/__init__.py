@@ -8,6 +8,10 @@ The public surface is small: describe each point as a
 together in one stacked bitplane array; independent groups can fan out
 to a process pool.  See :mod:`repro.runtime.executor` for the
 execution plan and its bit-identity guarantee.
+
+The wire form of a spec (``spec_to_json``, ``spec_from_json``,
+``SPEC_FORMAT_VERSION``) lives in :mod:`repro.runtime.serialization`;
+only the jobs layer needs it, so it is not re-exported here.
 """
 
 from repro.runtime.spec import (
@@ -21,11 +25,6 @@ from repro.runtime.spec import (
     as_observable,
 )
 from repro.runtime.executor import Executor
-from repro.runtime.serialization import (
-    SPEC_FORMAT_VERSION,
-    spec_from_json,
-    spec_to_json,
-)
 
 __all__ = [
     "DEFAULT_TRIALS",
@@ -36,8 +35,5 @@ __all__ = [
     "PointResult",
     "PredicateObservable",
     "RunSpec",
-    "SPEC_FORMAT_VERSION",
     "as_observable",
-    "spec_from_json",
-    "spec_to_json",
 ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from repro.core.compiled import warm_compile_cache
@@ -95,11 +94,15 @@ def pool_map(
     (``task`` and the items must pickle), each warmed with the distinct
     ``warm`` circuits, and a failing item raises ``error`` with the
     message ``"<label(index)> failed: <cause>"``, chained to the cause.
+    The pool modules (``concurrent.futures``, ``multiprocessing``) load
+    only here, when a pool opens: an in-process run never imports them.
     """
     if width == 0:
         for item in items:
             yield task(item)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     distinct = tuple({c.content_key(): c for c in warm}.values())
     initializer = partial(_start_worker, trace_sink(), distinct)
     with ProcessPoolExecutor(max_workers=width, initializer=initializer) as pool:

@@ -19,6 +19,8 @@ from repro.runtime import (
     ExecutionPolicy,
     PredicateObservable,
     RunSpec,
+)
+from repro.runtime.serialization import (
     SPEC_FORMAT_VERSION,
     spec_from_json,
     spec_to_json,
