@@ -1,6 +1,6 @@
 """Cold-start import contract: an entry point loads only the layers it runs.
 
-Each check imports in a fresh interpreter, so nothing the test session
+Each check imports in a fresh interpreter, so nothing the running test suite
 has already imported can hide a module the import pulls in.  A package
 ``__init__`` that re-exports a heavy submodule, or a module-level
 import of the process pool, fails here by name.
