@@ -33,7 +33,7 @@ from repro.core.compiled import (
     clear_compile_cache,
     compile_cache_stats,
     compile_circuit,
-    gate_plane_program,
+    gate_cascade,
 )
 from repro.core.permutation import Permutation
 from repro.core.simulator import BatchedState, apply_gate, run, run_batched
@@ -78,7 +78,7 @@ __all__ = [
     "clear_compile_cache",
     "compile_cache_stats",
     "compile_circuit",
-    "gate_plane_program",
+    "gate_cascade",
     "apply_gate",
     "run",
     "run_batched",

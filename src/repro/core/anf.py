@@ -1,10 +1,11 @@
 """GF(2) polynomial algebra for symbolic circuit verification.
 
 The bit-plane lowering of :mod:`repro.core.compiled` turns every gate
-into boolean plane expressions; this module provides the *algebraic*
-counterpart — multilinear polynomials over GF(2) in algebraic normal
-form — so that circuits and their compiled programs can be compared
-**symbolically**, with no simulation and no input sampling.
+into an in-place cascade of XOR-of-AND steps; this module provides the
+*algebraic* counterpart — multilinear polynomials over GF(2) in
+algebraic normal form — so that circuits and their compiled programs
+can be compared **symbolically**, with no simulation and no input
+sampling.
 
 A polynomial is a ``frozenset`` of monomials and a monomial is a
 ``frozenset`` of variable indices: XOR is symmetric difference (equal
@@ -15,12 +16,13 @@ term order — two polynomials are semantically equal *iff* the frozensets
 are equal, which is what makes equality a proof rather than a test.
 
 The table-to-ANF conversion here is deliberately **independent** of the
-Möbius butterfly in :mod:`repro.core.compiled`: it evaluates the
+cascade synthesis in :mod:`repro.core.compiled`: it evaluates the
 subset-lattice Möbius inversion directly (coefficient of monomial ``S``
 is the XOR of the output column over all input patterns supported
-inside ``S``).  The verifier in :mod:`repro.verify` compares lowered
-programs against tables through *this* path, so a bug in the production
-lowering cannot hide by being used on both sides of the comparison.
+inside ``S``).  The verifier in :mod:`repro.verify` composes each
+lowered cascade symbolically and compares it against the table through
+*this* path, so a bug in the production lowering cannot hide by being
+used on both sides of the comparison.
 
 Bit conventions match the simulator: gate position 0 is the most
 significant bit of a packed pattern (see ``_input_bit`` in
@@ -37,12 +39,12 @@ __all__ = [
     "ONE",
     "Poly",
     "ZERO",
+    "cascade_step_poly",
     "circuits_equivalent",
     "constant",
     "evaluate",
     "p_and",
     "p_xor",
-    "plane_expr_poly",
     "substitute",
     "symbolic_outputs",
     "table_anf",
@@ -150,46 +152,52 @@ def table_anf(table: Sequence[int], arity: int) -> tuple[Poly, ...]:
     return tuple(polys)
 
 
-def plane_expr_poly(expression: tuple, inputs: Sequence[Poly]) -> Poly:
-    """Symbolically evaluate one plane expression ``(invert, monomials)``.
+def cascade_step_poly(step: tuple, inputs: Sequence[Poly]) -> tuple[int, Poly]:
+    """Symbolically evaluate one cascade step ``(target, invert, monomials)``.
 
     Mirrors the runtime semantics of
-    :func:`repro.core.compiled.apply_plane_program` over polynomial
-    inputs: the XOR over ``monomials`` of the AND of their input
-    positions, complemented when ``invert`` is true.  Anything the
-    runtime could not evaluate — not such a pair, a non-bool
-    ``invert``, no monomials, an empty monomial or a position out of
-    range — raises :class:`~repro.errors.VerificationError`.
+    :meth:`repro.core.bitplane.BitplaneState.apply_cascade` over
+    polynomial inputs: returns ``target`` and its new value, the old
+    one XORed with the AND of each monomial's input positions and
+    complemented when ``invert`` is true.  Anything the runtime could
+    not evaluate, or that would not be its own inverse — not such a
+    triple, a target out of range, a non-bool ``invert``, an empty
+    monomial, a position out of range or a monomial containing the
+    target — raises :class:`~repro.errors.VerificationError`.
     """
     if (
-        not isinstance(expression, tuple)
-        or len(expression) != 2
-        or not isinstance(expression[0], bool)
-        or not isinstance(expression[1], tuple)
-        or not expression[1]
+        not isinstance(step, tuple)
+        or len(step) != 3
+        or not isinstance(step[1], bool)
+        or not isinstance(step[2], tuple)
     ):
-        raise VerificationError(f"malformed plane expression: {expression!r}")
-    invert, monomials = expression
-    accumulator = constant(invert)
+        raise VerificationError(f"malformed cascade step: {step!r}")
+    target, invert, monomials = step
+    _check_position(target, len(inputs), step)
+    accumulator = p_xor(inputs[target], constant(invert))
     for monomial in monomials:
         if not isinstance(monomial, tuple) or not monomial:
             raise VerificationError(
-                f"malformed monomial {monomial!r} in plane expression "
-                f"{expression!r}"
+                f"malformed monomial {monomial!r} in cascade step {step!r}"
             )
         term = ONE
         for position in monomial:
-            _check_position(position, len(inputs), expression)
+            _check_position(position, len(inputs), step)
+            if position == target:
+                raise VerificationError(
+                    f"monomial {monomial!r} contains the target of cascade "
+                    f"step {step!r}"
+                )
             term = p_and(term, inputs[position])
         accumulator = p_xor(accumulator, term)
-    return accumulator
+    return target, accumulator
 
 
-def _check_position(position: object, arity: int, expression: tuple) -> None:
+def _check_position(position: object, arity: int, step: tuple) -> None:
     if not isinstance(position, int) or not 0 <= position < arity:
         raise VerificationError(
             f"position {position!r} out of range for arity {arity} in "
-            f"plane expression {expression!r}"
+            f"cascade step {step!r}"
         )
 
 

@@ -10,10 +10,10 @@ for the Figure-2 recovery circuit this moves ~12 KB per wire per op
 instead of the ~1 MB the uint8 reference touches, which is where the
 10-50x Monte-Carlo speedup comes from.
 
-Gates are executed through the plane programs produced by
-:mod:`repro.core.compiled` (each output its algebraic normal form, an
-XOR of ANDs of input planes), one fused slot group at a time through
-:meth:`BitplaneState.apply_program_stacked`; a circuit runs with
+Gates are executed through the cascades produced by
+:mod:`repro.core.compiled` (in-place steps, each XORing ANDs of other
+planes into one target plane), one fused slot group at a time through
+:meth:`BitplaneState.apply_cascade`; a circuit runs with
 ``compile_circuit(circuit).run(state)``.
 :meth:`BitplaneState.majority_of` is likewise fully bit-parallel via a
 carry-save binary counter.  The observation API (``array``, ``column``,
@@ -39,7 +39,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.bits import validate_bits
-from repro.core.compiled import ALL_ONES, apply_plane_program
+from repro.core.compiled import ALL_ONES
 from repro.errors import SimulationError
 
 #: Trials carried per plane word.
@@ -96,7 +96,7 @@ class BitplaneState:
 
     Mirrors the :class:`~repro.core.simulator.BatchedState`
     constructors and observation API on the packed layout; evolution
-    is :meth:`apply_program_stacked` and :meth:`reset`, which compiled
+    is :meth:`apply_cascade` and :meth:`reset`, which compiled
     circuits drive.
     """
 
@@ -199,44 +199,59 @@ class BitplaneState:
     # Evolution
     # ------------------------------------------------------------------
 
-    def apply_program_stacked(
+    def apply_cascade(
         self,
-        program: tuple,
+        cascade: tuple,
         wire_matrix: np.ndarray,
         row_slices: tuple = (),
     ) -> None:
-        """Apply one plane program to ``k`` stacked gate instances.
+        """Apply one gate cascade to ``k`` stacked gate instances, in place.
 
         ``wire_matrix`` has shape ``(k, arity)``; column ``i`` selects
-        the planes feeding gate position ``i`` of every instance, so the
-        program is evaluated once on ``(k, n_words)`` blocks instead of
-        ``k`` times on single planes.  Instances must touch pairwise
-        disjoint wires (guaranteed by the fusion pass).
+        the planes at gate position ``i`` of every instance, so each
+        step is one ``(k, n_words)`` pass instead of ``k``.  Instances
+        must touch pairwise disjoint wires (guaranteed by the fusion
+        pass).
 
-        ``row_slices`` (from :class:`~repro.core.compiled.SlotGroup`)
-        replaces the fancy-indexed gather/scatter with plane *views*
-        for positions whose wires form an arithmetic progression — the
-        transversal and per-codeword patterns always do — so those
-        positions move no bytes on input; a single-instance group
-        (``k == 1``) is always all views.  All outputs are computed
-        before any write-back, so view inputs are safe.
+        A position with a ``row_slices`` entry (from
+        :class:`~repro.core.compiled.SlotGroup`) is a plane *view*, and
+        the steps update it where it lies — the transversal and
+        per-codeword patterns always qualify, and a single-instance
+        group (``k == 1``) is all views.  Any other position is a
+        gathered copy, scattered back once if some step targets it.
         """
-        arity = wire_matrix.shape[1]
-        if row_slices:
-            inputs = [
-                self.planes[row_slices[i]]
-                if row_slices[i] is not None
-                else self.planes[wire_matrix[:, i]]
-                for i in range(arity)
-            ]
-        else:
-            inputs = [self.planes[wire_matrix[:, i]] for i in range(arity)]
-        outputs = apply_plane_program(program, inputs)
-        for i, block in enumerate(outputs):
-            if row_slices and row_slices[i] is not None:
-                self.planes[row_slices[i]] = block
+        planes = self.planes
+        blocks = []
+        gathered = []
+        for i in range(wire_matrix.shape[1]):
+            view = row_slices[i] if row_slices else None
+            if view is None:
+                gathered.append(i)
+                blocks.append(planes[wire_matrix[:, i]])
             else:
-                self.planes[wire_matrix[:, i]] = block
+                blocks.append(planes[view])
+        scratch = None
+        for target, invert, monomials in cascade:
+            block = blocks[target]
+            for monomial in monomials:
+                if len(monomial) == 1:
+                    block ^= blocks[monomial[0]]
+                    continue
+                # One scratch buffer serves every AND monomial: this
+                # runs on whole stacked batches, so allocations are
+                # the cost.
+                if scratch is None:
+                    scratch = np.bitwise_and(blocks[monomial[0]], blocks[monomial[1]])
+                else:
+                    np.bitwise_and(blocks[monomial[0]], blocks[monomial[1]], out=scratch)
+                for position in monomial[2:]:
+                    scratch &= blocks[position]
+                block ^= scratch
+            if invert:
+                np.invert(block, out=block)
+        for i in gathered:
+            if any(step[0] == i for step in cascade):
+                planes[wire_matrix[:, i]] = blocks[i]
 
     def reset(self, wires: Sequence[int], value: int = 0) -> None:
         """Reset wires to ``value`` on every trial."""

@@ -1,30 +1,30 @@
-"""Lowering reversible circuits into bit-parallel boolean programs.
+"""Lowering reversible circuits into bit-parallel in-place cascades.
 
 A :class:`~repro.core.gate.Gate` is a permutation table; a bit-plane
-engine wants each *output wire* of the gate expressed as a boolean
-function of the *input wires*, so one gate application becomes a
-handful of vectorised AND/XOR/NOT operations on whole 64-trial
-words.  This module performs that lowering once per gate:
+engine wants it as a few vectorised AND/XOR/NOT passes over whole
+64-trial words.  The paper's own constructions show the form: Figure 1
+builds ``MAJ`` from two CNOTs and a Toffoli, each of which updates one
+wire in place by XORing in an AND of the others.  This module performs
+that lowering once per gate:
 
-* :func:`gate_plane_program` converts a gate's truth table into one
-  *plane expression* per output position: the output's algebraic
-  normal form (see below);
+* :func:`gate_cascade` synthesises a gate's *cascade* (see below) from
+  its truth table;
 * :class:`CompiledCircuit` flattens a :class:`~repro.core.circuit.Circuit`
-  into a schedule of :class:`CompiledOp` records with the plane program,
+  into a schedule of :class:`CompiledOp` records with the cascade,
   reset constants, and fault-injection metadata (the touched wires and
   whether the op draws the gate or the reset error rate) precomputed, so
   the Monte-Carlo inner loop does no per-op Python analysis;
 * on top of the flat schedule, the lowering pass *fuses* maximal runs
   of consecutive operations that touch pairwise-disjoint wires and
   share an error class (gate vs reset) into :class:`FusedSlot` records.
-  Within a slot, ops with an identical plane program are stacked into
-  one :class:`SlotGroup` whose ``(k, arity)`` wire matrix lets the
-  engine evaluate the program once over ``k`` gate instances via fancy
-  indexing — the transversal gates and per-codeword recovery cycles of
-  the fault-tolerant constructions fuse three wide this way.  Because
-  the fused ops commute (disjoint wires), executing the slot as a block
-  and injecting each op's faults afterwards is bit-identical to the
-  sequential schedule; only the *order of RNG draws* changes.
+  Within a slot, ops with an identical cascade are stacked into one
+  :class:`SlotGroup` whose ``(k, arity)`` wire matrix lets the engine
+  walk the cascade once over ``k`` gate instances — the transversal
+  gates and per-codeword recovery cycles of the fault-tolerant
+  constructions fuse three wide this way.  Because the fused ops
+  commute (disjoint wires), executing the slot as a block and injecting
+  each op's faults afterwards is bit-identical to the sequential
+  schedule; only the *order of RNG draws* changes.
 
 Compiled programs are cached process-wide by :func:`compile_circuit`,
 keyed on circuit *content* (wire count plus the exact operation
@@ -40,18 +40,21 @@ A compiled circuit executes itself on a
 :class:`~repro.core.bitplane.BitplaneState` (which stores 64 trials per
 uint64 word): :meth:`CompiledCircuit.apply_slot` is the one slot walk,
 which :meth:`CompiledCircuit.run` and the Monte-Carlo fault kernel both
-loop over.  ``repro.verify`` proves that walk's transfer functions
+loop over, and :meth:`~repro.core.bitplane.BitplaneState.apply_cascade`
+is the one gate apply.  ``repro.verify`` proves each cascade composes
+to the gate table's ANF (``RV100``) and that walk's transfer functions
 equal the circuit's gate tables (``RV300``).
 
-The plane expression of an output position is its algebraic normal
-form ``(invert, monomials)``: the XOR over ``monomials`` (tuples of
-input positions) of the AND of those positions, complemented when
-``invert`` is true.  A wire copy is ``(False, ((i,),))``, X is
-``(True, ((0,),))``, the CNOT target is ``x1 ^ x0``, the Toffoli target
-is ``x2 ^ x0·x1`` and 3-bit majority is ``x0·x1 ^ x0·x2 ^ x1·x2``.  The
-lowering computes the coefficients by a Möbius transform of the output
-column.  One form describes every boolean column; a linear column
-costs one copy and then one XOR per further term.
+A cascade is a tuple of single-target steps ``(target, invert,
+monomials)``: the plane at gate position ``target`` is XORed, in
+place, with the AND of each monomial's positions (never ``target``
+itself), then complemented when ``invert`` is true.  X is
+``((0, True, ()),)``, CNOT is ``((1, False, ((0,),)),)``, the Toffoli
+is ``((2, False, ((0, 1),)),)`` and ``MAJ`` is exactly Figure 1:
+``((1, False, ((0,),)), (2, False, ((0,),)), (0, False, ((1, 2),)))``.
+The steps come from transformation-based synthesis (Miller, Maslov &
+Dueck, DAC 2003) run on the table and on its inverse, keeping the one
+with fewer whole-block passes.  An identity gate lowers to ``()``.
 """
 
 from __future__ import annotations
@@ -74,10 +77,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: A full uint64 word of ones — the bit-plane "True" constant.
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: One output position of a lowered gate: ``(invert, monomials)``, the
-#: XOR over ``monomials`` of the AND of their input positions,
-#: complemented when ``invert`` is true.
-PlaneExpr = tuple[bool, tuple[tuple[int, ...], ...]]
+#: One step of a lowered gate: ``(target, invert, monomials)``.  The
+#: plane at gate position ``target`` is XORed with the AND of each
+#: monomial's positions, then complemented when ``invert`` is true.  No
+#: monomial contains ``target``, so every step is its own inverse.
+PlaneStep = tuple[int, bool, tuple[tuple[int, ...], ...]]
+
+#: A lowered gate: its steps, applied in order and in place.
+Cascade = tuple[PlaneStep, ...]
 
 
 def _input_bit(pattern: int, arity: int, position: int) -> int:
@@ -85,99 +92,93 @@ def _input_bit(pattern: int, arity: int, position: int) -> int:
     return (pattern >> (arity - 1 - position)) & 1
 
 
-def _anf_monomials(outputs: list[int], arity: int) -> PlaneExpr:
-    """Möbius transform: ANF coefficients of the output column.
+def _toffoli_gates(
+    table: Sequence[int], arity: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Transformation-based synthesis (Miller, Maslov & Dueck, DAC 2003).
 
-    Returns ``(invert, monomials)`` where each monomial is a tuple of
-    input positions whose AND contributes to the XOR, and ``invert``
-    absorbs the empty (constant-1) monomial.
+    Walks the patterns ``i`` in increasing order and appends
+    ``(target, controls)`` Toffoli gates at the output side until
+    ``table[i]`` is ``i``: first it sets the bits that ``i`` has and the
+    image lacks (controlled on the image's ones), then clears the bits
+    the image has and ``i`` lacks (controlled on ``i``'s ones).  Every
+    gate fires only on patterns above ``i``, so smaller patterns stay
+    fixed.  The gates, applied in order after ``table``, give the
+    identity.
     """
-    coefficients = list(outputs)
-    size = 1 << arity
-    step = 1
-    while step < size:
-        for block in range(0, size, step * 2):
-            for index in range(block, block + step):
-                coefficients[index + step] ^= coefficients[index]
-        step *= 2
-    monomials = []
-    invert = bool(coefficients[0])
-    for pattern in range(1, size):
-        if coefficients[pattern]:
-            monomials.append(
-                tuple(
-                    position
-                    for position in range(arity)
-                    if _input_bit(pattern, arity, position)
-                )
-            )
-    return invert, tuple(monomials)
+    images = list(table)
+    gates: list[tuple[int, tuple[int, ...]]] = []
 
-
-@lru_cache(maxsize=None)
-def gate_plane_program(gate: Gate) -> tuple[PlaneExpr, ...]:
-    """The ANF of every output position of ``gate``.
-
-    Cached per gate object (gates are frozen and hashable); the library
-    gates therefore compile exactly once per process.  ANF is
-    canonical, so gates with equal tables get equal programs.
-    """
-    arity, table = gate.arity, gate.table
-    return tuple(
-        _anf_monomials(
-            [
-                _input_bit(table[pattern], arity, position)
-                for pattern in range(1 << arity)
-            ],
-            arity,
+    def add(target: int, control_pattern: int) -> None:
+        controls = tuple(
+            p for p in range(arity) if _input_bit(control_pattern, arity, p)
         )
-        for position in range(arity)
+        gates.append((target, controls))
+        flip = 1 << (arity - 1 - target)
+        for index, image in enumerate(images):
+            if image & control_pattern == control_pattern:
+                images[index] = image ^ flip
+
+    for pattern in range(1 << arity):
+        for bit in range(arity):
+            if pattern >> bit & 1 and not images[pattern] >> bit & 1:
+                add(arity - 1 - bit, images[pattern])
+        for bit in range(arity):
+            if images[pattern] >> bit & 1 and not pattern >> bit & 1:
+                add(arity - 1 - bit, pattern)
+    return gates
+
+
+def _merge_steps(gates) -> Cascade:
+    """Fold consecutive same-target Toffoli gates into cascade steps.
+
+    A gate without controls is a NOT (it toggles ``invert``); equal
+    monomials on one target cancel.
+    """
+    steps: list[list] = []
+    for target, controls in gates:
+        if not steps or steps[-1][0] != target:
+            steps.append([target, False, []])
+        step = steps[-1]
+        if not controls:
+            step[1] = not step[1]
+        elif controls in step[2]:
+            step[2].remove(controls)
+        else:
+            step[2].append(controls)
+    return tuple(
+        (target, invert, tuple(monomials))
+        for target, invert, monomials in steps
+        if invert or monomials
     )
 
 
-def apply_plane_program(
-    program: tuple[PlaneExpr, ...], planes: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Evaluate a gate's plane program on input planes.
+def _cascade_cost(cascade: Cascade) -> int:
+    """Whole-block AND/XOR/NOT passes one application of ``cascade`` costs."""
+    return sum(
+        sum(len(monomial) for monomial in monomials) + invert
+        for _target, invert, monomials in cascade
+    )
 
-    ``planes[i]`` holds the packed bits of the wire at gate position
-    ``i``.  Returns freshly allocated output planes (never aliases the
-    inputs, so callers may write them back over the input rows in any
-    order).  Every output column of a permutation is balanced, so every
-    expression has at least one monomial.
+
+@lru_cache(maxsize=None)
+def gate_cascade(gate: Gate) -> Cascade:
+    """The in-place XOR cascade that applies ``gate`` to its planes.
+
+    Synthesised from the table and from its inverse; the cheaper result
+    by :func:`_cascade_cost` wins, the table's on a tie.  Synthesis on
+    the table finds gates that undo it, so they run in reverse; on the
+    inverse they run as found.  Cached per gate object (gates are frozen
+    and hashable), and a deterministic function of the table, so gates
+    with equal tables get equal cascades.
     """
-    outputs = []
-    for invert, monomials in program:
-        accumulator = None
-        scratch = None
-        for monomial in monomials:
-            if len(monomial) == 1:
-                term = planes[monomial[0]]
-                if accumulator is None:
-                    accumulator = term.copy()
-                else:
-                    accumulator ^= term
-                continue
-            if accumulator is None:
-                # First AND monomial starts the accumulator fresh.
-                accumulator = planes[monomial[0]] & planes[monomial[1]]
-                for position in monomial[2:]:
-                    accumulator &= planes[position]
-                continue
-            # Later AND monomials reuse one scratch buffer instead of
-            # allocating a temporary per monomial — this runs on whole
-            # stacked batches, so allocations are the cost.
-            if scratch is None:
-                scratch = np.bitwise_and(planes[monomial[0]], planes[monomial[1]])
-            else:
-                np.bitwise_and(planes[monomial[0]], planes[monomial[1]], out=scratch)
-            for position in monomial[2:]:
-                scratch &= planes[position]
-            accumulator ^= scratch
-        if invert:
-            np.invert(accumulator, out=accumulator)
-        outputs.append(accumulator)
-    return outputs
+    arity, table = gate.arity, gate.table
+    inverse = [0] * len(table)
+    for pattern, image in enumerate(table):
+        inverse[image] = pattern
+    forward = _merge_steps(reversed(_toffoli_gates(table, arity)))
+    backward = _merge_steps(_toffoli_gates(inverse, arity))
+    return forward if _cascade_cost(forward) <= _cascade_cost(backward) else backward
 
 
 @dataclass(frozen=True)
@@ -192,26 +193,26 @@ class CompiledOp:
     wires: tuple[int, ...]
     is_reset: bool
     reset_value: int = 0
-    program: tuple[PlaneExpr, ...] | None = None
+    program: Cascade | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class SlotGroup:
-    """Ops of one slot sharing a plane program, stacked for one apply.
+    """Ops of one slot sharing a cascade, stacked for one apply.
 
     ``wire_matrix`` has shape ``(k, arity)``: row ``j`` holds the wires
     of the ``j``-th stacked gate instance.  Fancy-indexing the state's
     planes with a column of this matrix yields a ``(k, n_words)`` block,
-    so the whole group costs one program evaluation regardless of ``k``.
+    so the whole group costs one cascade walk regardless of ``k``.
 
     ``row_slices`` holds one ``slice`` per gate position whenever that
     position's wires form an arithmetic progression with positive step
     (the transversal and per-codeword patterns always do — stride 9),
-    letting the engine gather and scatter plane *views* instead of
-    fancy-indexed copies; positions that don't qualify carry ``None``.
+    so the walk updates plane *views* in place instead of gathered
+    copies; positions that don't qualify carry ``None``.
     """
 
-    program: tuple[PlaneExpr, ...]
+    program: Cascade
     wire_matrix: np.ndarray
     row_slices: tuple[slice | None, ...] = ()
 
@@ -241,7 +242,7 @@ class FusedSlot:
 
     ``ops`` keeps the original order (it is the fault-injection
     metadata: each op still fails independently on its own wires);
-    ``groups`` partitions gate ops by identical program for stacked
+    ``groups`` partitions gate ops by identical cascade for stacked
     execution; ``resets`` partitions reset ops by reset value so each
     value costs a single plane assignment.  ``op_group``/``op_row`` map
     a slot-op index to its group and its row in that group's wire
@@ -255,22 +256,20 @@ class FusedSlot:
     resets: tuple[tuple[int, tuple[int, ...]], ...] = ()
     op_group: np.ndarray | None = None
     op_row: np.ndarray | None = None
-    #: Ops of the same error class (gate vs reset) in slots before this
-    #: one — the slot's offset into the circuit-level batched fault draw.
-    class_offset: int = 0
 
 
-def _build_slot(ops: list[CompiledOp], class_offset: int = 0) -> FusedSlot:
+def _build_slot(ops: list[CompiledOp]) -> FusedSlot:
     # Group ops for stacked execution and stacked fault injection: gate
-    # ops by identical plane program, reset ops by wire count (their
-    # "program" key is the empty tuple — fault injection only needs the
-    # uniform wire matrix).
+    # ops by arity and identical cascade (the pair fixes the table; the
+    # cascade alone does not, since it omits untouched positions), reset
+    # ops by wire count (their group program is empty — fault injection
+    # only needs the uniform wire matrix).
     by_key: dict[tuple, list[tuple[int, ...]]] = {}
     op_group = np.empty(len(ops), dtype=np.intp)
     op_row = np.empty(len(ops), dtype=np.intp)
     order: list[tuple] = []
     for index, op in enumerate(ops):
-        key: tuple = ((), len(op.wires)) if op.is_reset else op.program  # type: ignore[assignment]
+        key = (len(op.wires), op.program)
         rows = by_key.setdefault(key, [])
         if not rows:
             order.append(key)
@@ -279,7 +278,7 @@ def _build_slot(ops: list[CompiledOp], class_offset: int = 0) -> FusedSlot:
         rows.append(op.wires)
     groups = tuple(
         SlotGroup(
-            program=key if not ops[0].is_reset else (),
+            program=key[1] or (),
             wire_matrix=(matrix := np.asarray(by_key[key], dtype=np.intp)),
             row_slices=_column_slices(matrix),
         )
@@ -298,7 +297,6 @@ def _build_slot(ops: list[CompiledOp], class_offset: int = 0) -> FusedSlot:
         resets=resets,
         op_group=op_group,
         op_row=op_row,
-        class_offset=class_offset,
     )
 
 
@@ -311,19 +309,11 @@ def fuse_schedule(
     every wire the slot already touches (so the fused block is
     order-independent) and it draws the same error rate class; anything
     else flushes the slot.  ``fuse=False`` flushes after every op —
-    single-op slots through the same path, so the ``class_offset``
-    bookkeeping has exactly one implementation.
+    single-op slots through the same path.
     """
     slots: list[FusedSlot] = []
     pending: list[CompiledOp] = []
     touched: set[int] = set()
-    class_counts = {False: 0, True: 0}
-
-    def flush() -> None:
-        slot = _build_slot(pending, class_offset=class_counts[pending[0].is_reset])
-        class_counts[slot.is_reset] += len(slot.ops)
-        slots.append(slot)
-
     for op in schedule:
         fits = (
             fuse
@@ -332,12 +322,12 @@ def fuse_schedule(
             and touched.isdisjoint(op.wires)
         )
         if not fits and pending:
-            flush()
+            slots.append(_build_slot(pending))
             pending, touched = [], set()
         pending.append(op)
         touched.update(op.wires)
     if pending:
-        flush()
+        slots.append(_build_slot(pending))
     return tuple(slots)
 
 
@@ -365,7 +355,7 @@ class CompiledCircuit:
                     CompiledOp(
                         op.wires,
                         is_reset=False,
-                        program=gate_plane_program(op.gate),
+                        program=gate_cascade(op.gate),
                     )
                 )
         self.schedule: tuple[CompiledOp, ...] = tuple(schedule)
@@ -389,7 +379,7 @@ class CompiledCircuit:
                 state.reset(wires, value)
         else:
             for group in slot.groups:
-                state.apply_program_stacked(
+                state.apply_cascade(
                     group.program, group.wire_matrix, group.row_slices
                 )
 

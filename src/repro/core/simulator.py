@@ -9,7 +9,7 @@ Two noiseless reference simulators and one Monte-Carlo engine exist:
   lookup table; simple and fully vectorised across trials;
 * :class:`~repro.core.bitplane.BitplaneState` — the bit-parallel state
   packing 64 trials into each uint64 word and executing gates as the
-  boolean plane programs compiled by :mod:`repro.core.compiled`; the
+  in-place XOR cascades compiled by :mod:`repro.core.compiled`; the
   only state the Monte-Carlo layer (:mod:`repro.noise.monte_carlo`)
   runs on.
 

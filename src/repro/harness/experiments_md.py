@@ -11,17 +11,20 @@ that file::
                                                       # table and the record
     python -m repro.harness.experiments_md --check    # CI: re-run the whole
                                                       # registry and fail when
-                                                      # EXPERIMENTS.md section
-                                                      # names drift from it
+                                                      # any table differs from
+                                                      # EXPERIMENTS.md
 
-``--check`` runs every experiment at the current ``REPRO_TRIALS`` (CI
-uses a small budget — the goal is "still runs and still matches the
-registry", not statistical precision) and then verifies that the
-sections recorded in ``EXPERIMENTS.md`` are exactly the registry ids.
+``--check`` runs every experiment at the current ``REPRO_TRIALS``, then
+verifies that the sections recorded in ``EXPERIMENTS.md`` are exactly
+the registry ids and that every freshly rendered table equals its
+recorded block, so a published number that moves fails the check.  The
+record holds the default 100k-trial budget's tables; at a smaller
+budget the Monte-Carlo rows differ.
 """
 
 from __future__ import annotations
 
+import difflib
 import re
 import sys
 from pathlib import Path
@@ -92,6 +95,24 @@ def recorded_ids(text: str) -> list[str]:
     ]
 
 
+def recorded_tables(text: str) -> dict[str, str]:
+    """The ```text block of each section that has one, by experiment id."""
+    tables: dict[str, str] = {}
+    current = None
+    lines = iter(text.splitlines())
+    for line in lines:
+        if match := _HEADING.match(line):
+            current = match.group("experiment_id")
+        elif line == "```text" and current is not None:
+            block = []
+            for inner in lines:
+                if inner == "```":
+                    break
+                block.append(inner)
+            tables[current] = "\n".join(block)
+    return tables
+
+
 def write_record() -> Path:
     """Rewrite EXPERIMENTS.md from the current registry and results."""
     RECORD_PATH.write_text(render_record())
@@ -136,18 +157,32 @@ def check_record() -> int:
     """CI docs-consistency gate; returns a process exit code.
 
     Re-runs the full registry (at whatever ``REPRO_TRIALS`` the caller
-    set), then compares the section names in EXPERIMENTS.md against the
-    registry ids.
+    set), compares the section names in EXPERIMENTS.md against the
+    registry ids, then every rendered table against its recorded block.
     """
-    for experiment_id in REGISTRY:
-        result = run_experiment(experiment_id)
-        status = "ok" if result.all_match else "MISMATCH"
-        print(f"ran {experiment_id}: {len(result.rows)} rows, {status}")
     if not RECORD_PATH.exists():
         print("EXPERIMENTS.md is missing — regenerate it with "
               "`python -m repro.harness.experiments_md`")
         return 1
-    recorded = recorded_ids(RECORD_PATH.read_text())
+    text = RECORD_PATH.read_text()
+    tables = recorded_tables(text)
+    drifted = []
+    for experiment_id in REGISTRY:
+        result = run_experiment(experiment_id)
+        status = "ok" if result.all_match else "MISMATCH"
+        print(f"ran {experiment_id}: {len(result.rows)} rows, {status}")
+        fresh = format_result(result)
+        recorded = tables.get(experiment_id, "")
+        if recorded != fresh:
+            drifted.append(experiment_id)
+            print("  table differs from EXPERIMENTS.md:")
+            diff = difflib.unified_diff(
+                recorded.splitlines(), fresh.splitlines(),
+                "EXPERIMENTS.md", "rendered", lineterm="",
+            )
+            for line in diff:
+                print(f"    {line}")
+    recorded = recorded_ids(text)
     expected = list(REGISTRY)
     if recorded != expected:
         missing = sorted(set(expected) - set(recorded))
@@ -161,7 +196,12 @@ def check_record() -> int:
             print(f"  section order differs: {recorded} != {expected}")
         print("regenerate with `python -m repro.harness.experiments_md`")
         return 1
-    print(f"EXPERIMENTS.md is in sync ({len(recorded)} sections)")
+    if drifted:
+        print(f"{len(drifted)} table(s) differ from EXPERIMENTS.md: {drifted}")
+        print("refresh them with `python -m repro.harness.experiments_md "
+              "--run <id>` at the default trial budget")
+        return 1
+    print(f"EXPERIMENTS.md is in sync ({len(recorded)} sections and tables)")
     return 0
 
 

@@ -171,38 +171,28 @@ class _StackPlan:
             for gi, group in enumerate(slot.groups):
                 self.arity[si * max_groups + gi] = group.wire_matrix.shape[1]
         width = int(self.arity.max(initial=0))
-        cell_parts = [np.empty(0, dtype=np.int64)]
-        wire_parts = [np.empty((0, width), dtype=np.int64)]
-        global_parts = [np.empty(0, dtype=np.int64)]
+        op_cell: list[int] = []
+        op_wires: list[tuple[int, ...]] = []
+        cells: list[int] = []
         self.slot_cells = [0] * len(slots)
         cell_base = 0
         for is_reset in (False, True):  # the solo draw order
-            class_slots = [
-                (si, s) for si, s in enumerate(slots) if s.is_reset == is_reset
-            ]
-            if not class_slots:
-                continue
-            wires = np.zeros(
-                (sum(len(s.ops) for _, s in class_slots), width),
-                dtype=np.int64,
-            )
-            row = 0
-            for slot_c, (si, s) in enumerate(class_slots):
-                self.slot_cells[si] = cell_base + slot_c * max_groups
-                cell_parts.append(
-                    self.slot_cells[si] + s.op_group.astype(np.int64)
+            for si, slot in enumerate(slots):
+                if slot.is_reset != is_reset:
+                    continue
+                self.slot_cells[si] = cell_base
+                op_cell.extend(cell_base + g for g in slot.op_group.tolist())
+                op_wires.extend(
+                    op.wires + (0,) * (width - len(op.wires)) for op in slot.ops
                 )
-                for g, r in zip(s.op_group, s.op_row):
-                    matrix = s.groups[g].wire_matrix
-                    wires[row, :matrix.shape[1]] = matrix[r]
-                    row += 1
-                global_parts.append(si * max_groups + np.arange(max_groups))
-            wire_parts.append(wires)
-            cell_base += len(class_slots) * max_groups
-        self.op_cell = np.concatenate(cell_parts)
-        self.op_wires = np.ascontiguousarray(np.concatenate(wire_parts).T)
+                cells.extend(range(si * max_groups, (si + 1) * max_groups))
+                cell_base += max_groups
+        self.op_cell = np.array(op_cell, dtype=np.int64)
+        self.op_wires = np.array(op_wires, dtype=np.int64).reshape(
+            len(op_wires), width
+        ).T.copy()
         self.bins = np.arange(cell_base + 1, dtype=np.int64)
-        self.cells = np.concatenate(global_parts)
+        self.cells = np.array(cells, dtype=np.int64)
         self.monotone = bool(np.all(np.diff(self.op_cell) >= 0))
 
 

@@ -4,7 +4,7 @@ Two halves share one structured-diagnostics core
 (:mod:`repro.verify.diagnostics`):
 
 * the **symbolic IR verifier** (``RV###`` codes) proves circuits
-  well-formed and compiled plane programs — the slots the execution
+  well-formed and compiled cascades — the slots the execution
   layer walks — semantically equal to the gate-by-gate reference by
   canonical GF(2)/ANF polynomial equivalence — :func:`verify_circuit`,
   :func:`verify_compiled`, and ``python -m repro.verify`` over the CI

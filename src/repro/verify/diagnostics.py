@@ -66,13 +66,13 @@ CODES: dict[str, str] = {
     # --- IR verifier: classification notes ----------------------------
     "RV020": "parity classification of a gate table",
     # --- IR verifier: lowering ----------------------------------------
-    "RV100": "lowered plane program disagrees with the gate table's ANF",
-    "RV101": "plane program is structurally uninterpretable",
+    "RV100": "lowered cascade does not compose to the gate table's ANF",
+    "RV101": "lowered cascade is structurally uninterpretable",
     # --- IR verifier: fusion legality ---------------------------------
     "RV200": "fused slots do not reconcile with the flat schedule",
     "RV201": "slot mixes gate and reset error classes",
     "RV202": "ops within one fused slot touch overlapping wires",
-    "RV203": "slot class_offset disagrees with the recounted ops",
+    "RV203": "(retired) slot class_offset disagrees with the recounted ops",
     "RV204": "op_group/op_row bookkeeping is inconsistent",
     "RV205": "slot group rows do not match the member ops",
     "RV206": "stacked wire-matrix index out of wire bounds",

@@ -9,19 +9,20 @@ three layers, each symbolic over GF(2) polynomials
 
 1. **Schedule vs circuit** (``RV100``/``RV101``): the flat schedule
    must mirror the circuit op for op (wires, class, reset values), and
-   every gate op's lowered plane program must equal the gate table's
-   ANF — derived here by the *independent* Möbius inversion of
-   :func:`repro.core.anf.table_anf`, never by the production lowering,
-   so the lowering cannot vouch for itself.
+   every gate op's lowered cascade, composed step by step over GF(2),
+   must equal the gate table's ANF — derived here by the *independent*
+   Möbius inversion of :func:`repro.core.anf.table_anf`, never by the
+   production lowering, so the lowering cannot vouch for itself.
 2. **Slots vs schedule** (``RV2##``): the fused slots' ops must
    concatenate back to the schedule, every slot must be legal (one
    error class, pairwise-disjoint wires, in-bounds stacked indices,
-   faithful ``op_group``/``op_row``/``class_offset``/``row_slices``
-   bookkeeping, reset partitions matching the reset ops).
+   faithful ``op_group``/``op_row``/``row_slices`` bookkeeping, reset
+   partitions matching the reset ops).
 3. **Slot transfer functions** (``RV300``): each slot, executed by the
-   engines' stacked semantics (gather every group column, evaluate the
-   shared program once, scatter) over *fresh variables per wire*, must
-   equal the same ops applied sequentially from the gate tables.
+   engines' stacked semantics (walk the shared cascade once over every
+   group row, in place on view positions and on gathered copies of the
+   others) over *fresh variables per wire*, must equal the same ops
+   applied sequentially from the gate tables.
 
 The fresh-variables-per-slot device is what keeps this linear: a
 whole-circuit ANF composition grows exponentially on nonlinear
@@ -34,8 +35,8 @@ because function composition respects equality slot by slot.
 from __future__ import annotations
 
 from repro.core.anf import (
+    cascade_step_poly,
     constant,
-    plane_expr_poly,
     substitute,
     table_anf,
     variable,
@@ -84,14 +85,12 @@ def apply_ops_symbolic(polys: list, ops) -> None:
 def apply_slot_symbolic(polys: list, slot) -> None:
     """Apply one fused slot to a symbolic state, the engines' way.
 
-    Mirrors :meth:`~repro.core.bitplane.BitplaneState.apply_program_stacked`
-    exactly: groups run sequentially; within a group **all** input
-    columns are gathered before any output is scattered, the shared
-    program is evaluated once per stacked row, and outputs scatter
-    position-major.  Reset slots apply their value partitions.
-    Mutates ``polys`` in place; raises
+    Mirrors :meth:`~repro.core.bitplane.BitplaneState.apply_cascade`
+    exactly: groups run sequentially, and each group walks its cascade
+    step by step over every stacked row.  Reset slots apply their value
+    partitions.  Mutates ``polys`` in place; raises
     :class:`~repro.errors.VerificationError` on uninterpretable
-    programs (the caller maps that to ``RV101``).
+    cascades (the caller maps that to ``RV101``).
     """
     if slot.is_reset:
         for value, wires in slot.resets:
@@ -105,36 +104,45 @@ def apply_slot_symbolic(polys: list, slot) -> None:
 def apply_group_symbolic(polys: list, group) -> None:
     """Apply one stacked slot group to a symbolic state, in place.
 
-    Gather-all-then-scatter, position-major — the exact order of the
-    stacked runtime apply, so aliasing behaves identically.
+    The runtime's order: gather the positions without a row slice, walk
+    the steps (each over every row) on views and gathered copies, then
+    scatter the targeted gathered positions position-major — so
+    aliasing behaves identically.
     """
     k, arity = group.wire_matrix.shape
+    wires = [[int(w) for w in group.wire_matrix[row]] for row in range(k)]
     for row in range(k):
         for position in range(arity):
-            wire = int(group.wire_matrix[row, position])
-            if not 0 <= wire < len(polys):
+            if not 0 <= wires[row][position] < len(polys):
                 raise VerificationError(
-                    f"wire_matrix[{row}, {position}] = {wire} outside the "
-                    f"{len(polys)}-wire state"
+                    f"wire_matrix[{row}, {position}] = {wires[row][position]} "
+                    f"outside the {len(polys)}-wire state"
                 )
-    gathered = [
-        [polys[int(group.wire_matrix[row, position])] for row in range(k)]
+    gathered = {
+        position: [polys[wires[row][position]] for row in range(k)]
         for position in range(arity)
-    ]
-    outputs = []
-    for row in range(k):
-        row_inputs = [gathered[position][row] for position in range(arity)]
-        outputs.append(
-            [
-                plane_expr_poly(expression, row_inputs)
-                for expression in group.program
-            ]
-        )
-    for position in range(arity):
+        if not group.row_slices or group.row_slices[position] is None
+    }
+    if not isinstance(group.program, tuple):
+        raise VerificationError(f"malformed cascade: {group.program!r}")
+    for step in group.program:
         for row in range(k):
-            polys[int(group.wire_matrix[row, position])] = outputs[row][
-                position
+            inputs = [
+                gathered[position][row]
+                if position in gathered
+                else polys[wires[row][position]]
+                for position in range(arity)
             ]
+            target, value = cascade_step_poly(step, inputs)
+            if target in gathered:
+                gathered[target][row] = value
+            else:
+                polys[wires[row][target]] = value
+    targets = {step[0] for step in group.program}
+    for position, column in gathered.items():
+        if position in targets:
+            for row in range(k):
+                polys[wires[row][position]] = column[row]
 
 
 def slot_op_partition(compiled: CompiledCircuit) -> list[tuple[int, int]]:
@@ -192,34 +200,29 @@ def _verify_schedule(circuit, compiled, label, report) -> bool:
 
 def _verify_lowered_program(op, compiled_op, where, report) -> bool:
     gate = op.gate
-    program = compiled_op.program
-    if program is None or len(program) != gate.arity:
+    cascade = compiled_op.program
+    if not isinstance(cascade, tuple):
         report.error(
-            "RV101",
-            where,
-            f"gate op carries program of length "
-            f"{None if program is None else len(program)}, expected "
-            f"{gate.arity}",
+            "RV101", where, f"gate op carries no cascade: {cascade!r}"
         )
         return False
-    reference = table_anf(gate.table, gate.arity)
-    inputs = [variable(position) for position in range(gate.arity)]
-    sound = True
-    for position, expression in enumerate(program):
+    lowered = [variable(position) for position in range(gate.arity)]
+    for index, step in enumerate(cascade):
         try:
-            lowered = plane_expr_poly(expression, inputs)
+            target, value = cascade_step_poly(step, lowered)
         except VerificationError as exc:
-            report.error(
-                "RV101", where, f"output {position}: {exc}"
-            )
-            sound = False
-            continue
-        if lowered != reference[position]:
+            report.error("RV101", where, f"step {index}: {exc}")
+            return False
+        lowered[target] = value
+    reference = table_anf(gate.table, gate.arity)
+    sound = True
+    for position in range(gate.arity):
+        if lowered[position] != reference[position]:
             report.error(
                 "RV100",
                 where,
-                f"lowered expression for gate {gate.name!r} output "
-                f"{position} disagrees with the table's ANF",
+                f"cascade for gate {gate.name!r} composes output "
+                f"{position} to a polynomial other than the table's ANF",
             )
             sound = False
     return sound
@@ -245,19 +248,9 @@ def _verify_slot_concat(compiled, label, report) -> bool:
 
 def _verify_slot_structure(compiled, label, report) -> bool:
     sound = True
-    class_counts = {False: 0, True: 0}
     for slot_index, slot in enumerate(compiled.slots):
         where = f"{label} slot {slot_index}"
         sound &= _verify_one_slot(slot, compiled.n_wires, where, report)
-        if slot.class_offset != class_counts[slot.is_reset]:
-            report.error(
-                "RV203",
-                where,
-                f"class_offset {slot.class_offset} != {class_counts[slot.is_reset]} "
-                f"prior {'reset' if slot.is_reset else 'gate'} ops",
-            )
-            sound = False
-        class_counts[slot.is_reset] += len(slot.ops)
     return sound
 
 
@@ -339,7 +332,7 @@ def _verify_one_slot(slot, n_wires, where, report) -> bool:
             report.error(
                 "RV205",
                 f"{where} op {op_index}",
-                f"group {group_index} program differs from the op's program",
+                f"group {group_index} cascade differs from the op's cascade",
             )
             sound = False
     total_rows = sum(group.wire_matrix.shape[0] for group in slot.groups)

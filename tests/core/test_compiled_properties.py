@@ -1,23 +1,25 @@
-"""Property-based laws of plane-program lowering.
+"""Property-based laws of cascade lowering.
 
-The compiler lowers every output of a gate's truth table to its
-algebraic normal form ``(invert, monomials)`` and every circuit to a
-slot schedule; these properties pin the lowering against the
-single-state reference simulator and against the gate algebra itself,
-for the library gates, all 24 two-bit gates and Hypothesis-drawn
-permutation gates of arity 1-4:
+The compiler lowers every gate's truth table to an in-place XOR cascade
+``((target, invert, monomials), ...)`` and every circuit to a slot
+schedule; these properties pin the lowering against the single-state
+reference simulator and against the gate algebra itself, for the
+library gates, all 24 two-bit gates and Hypothesis-drawn permutation
+gates of arity 1-4:
 
 1. Compile → apply over *all* inputs equals direct
    simulation, for random circuits (mixed gates and resets, widths up
    to 6).
-2. A gate's program, applied through
-   :meth:`~repro.core.bitplane.BitplaneState.apply_program_stacked` to
-   all ``2**n`` input patterns, reproduces ``gate.table``, both as a
-   single instance and stacked two wide.
-3. Lowering commutes with inversion: the program of ``gate.inverse()``
-   undoes the program of ``gate`` on random bit planes, so the ANF
-   lowering is involution-stable, not merely truth-table correct on
-   broadcast states.
+2. A gate's cascade, walked by
+   :meth:`~repro.core.bitplane.BitplaneState.apply_cascade` over all
+   ``2**n`` input patterns, reproduces ``gate.table``, both as a single
+   instance and stacked two wide.
+3. Lowering commutes with inversion: the cascade of ``gate.inverse()``
+   undoes the cascade of ``gate`` on random bit planes.
+4. A stacked group whose positions mix plane views and gathered copies
+   equals walking its rows one at a time.
+5. ``MAJ`` lowers to exactly the paper's Figure 1, ``MAJ⁻¹`` to its
+   reverse, and an identity gate to the empty cascade.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 from repro.core import library
 from repro.core.bitplane import BitplaneState
 from repro.core.circuit import Circuit
-from repro.core.compiled import _column_slices, compile_circuit, gate_plane_program
+from repro.core.compiled import _column_slices, compile_circuit, gate_cascade
 from repro.core.gate import Gate
 from repro.core.library import REGISTRY
 from repro.core.simulator import run as reference_run
@@ -125,20 +127,20 @@ class TestLoweringMatchesSimulation:
         np.testing.assert_array_equal(fused.planes, unfused.planes)
 
 
-def _apply(state: BitplaneState, program: tuple, wire_matrix) -> None:
-    """Apply ``program`` the way a fused slot group does."""
+def _apply(state: BitplaneState, cascade: tuple, wire_matrix) -> None:
+    """Apply ``cascade`` the way a fused slot group does."""
     matrix = np.asarray(wire_matrix, dtype=np.intp)
-    state.apply_program_stacked(program, matrix, _column_slices(matrix))
+    state.apply_cascade(cascade, matrix, _column_slices(matrix))
 
 
-def _assert_program_reproduces_table(gate: Gate) -> None:
-    program = gate_plane_program(gate)
+def _assert_cascade_reproduces_table(gate: Gate) -> None:
+    cascade = gate_cascade(gate)
     arity = gate.arity
     patterns = _all_rows(arity)
     expected = _all_rows(arity)[list(gate.table)]
     for k in (1, 2):
         state = BitplaneState.from_rows(np.tile(patterns, (1, k)))
-        _apply(state, program, np.arange(k * arity).reshape(k, arity))
+        _apply(state, cascade, np.arange(k * arity).reshape(k, arity))
         np.testing.assert_array_equal(
             state.array, np.tile(expected, (1, k)), err_msg=f"{gate} k={k}"
         )
@@ -148,20 +150,20 @@ def _assert_inverse_undoes(gate: Gate, rng: np.random.Generator) -> None:
     planes = rng.integers(0, 2**64, size=(gate.arity, 5), dtype=np.uint64)
     state = BitplaneState(planes.copy(), 5 * 64)
     wires = [tuple(range(gate.arity))]
-    _apply(state, gate_plane_program(gate), wires)
-    _apply(state, gate_plane_program(gate.inverse()), wires)
+    _apply(state, gate_cascade(gate), wires)
+    _apply(state, gate_cascade(gate.inverse()), wires)
     np.testing.assert_array_equal(state.planes, planes, err_msg=str(gate))
 
 
 class TestLoweringMatchesTables:
     @pytest.mark.parametrize("name", sorted(LOWERED_GATES))
     def test_program_reproduces_table(self, name):
-        _assert_program_reproduces_table(LOWERED_GATES[name])
+        _assert_cascade_reproduces_table(LOWERED_GATES[name])
 
     @given(permutation_gates(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_drawn_gates_lower_exactly(self, gate, seed):
-        _assert_program_reproduces_table(gate)
+        _assert_cascade_reproduces_table(gate)
         _assert_inverse_undoes(gate, np.random.default_rng(seed))
 
 
@@ -175,12 +177,52 @@ class TestLoweringInvolution:
         gate = REGISTRY[name]
         if not gate.is_self_inverse():
             pytest.skip("not self-inverse")
-        program = gate_plane_program(gate)
+        cascade = gate_cascade(gate)
         planes = rng.integers(
             0, 2**64, size=(gate.arity, 3), dtype=np.uint64
         )
         state = BitplaneState(planes.copy(), 3 * 64)
         wires = [tuple(range(gate.arity))]
-        _apply(state, program, wires)
-        _apply(state, program, wires)
+        _apply(state, cascade, wires)
+        _apply(state, cascade, wires)
         np.testing.assert_array_equal(state.planes, planes, err_msg=name)
+
+
+class TestMixedViewGroups:
+    # Three stacked instances: positions 0 and 2 take arithmetic
+    # progressions (plane views), position 1 does not (a gathered copy).
+    WIRES = np.array([[0, 5, 6], [1, 3, 7], [2, 4, 8]], dtype=np.intp)
+
+    def test_positions_mix_views_and_gathers(self):
+        slices = _column_slices(self.WIRES)
+        assert slices[0] is not None and slices[2] is not None
+        assert slices[1] is None
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, g in LOWERED_GATES.items() if g.arity == 3)
+    )
+    def test_stacked_group_equals_rows_one_at_a_time(self, name, rng):
+        cascade = gate_cascade(LOWERED_GATES[name])
+        planes = rng.integers(0, 2**64, size=(9, 4), dtype=np.uint64)
+        stacked = BitplaneState(planes.copy(), 4 * 64)
+        stacked.apply_cascade(cascade, self.WIRES, _column_slices(self.WIRES))
+        rows = BitplaneState(planes.copy(), 4 * 64)
+        for row in self.WIRES:
+            _apply(rows, cascade, [row])
+        np.testing.assert_array_equal(stacked.planes, rows.planes, err_msg=name)
+
+
+class TestPinnedCascades:
+    #: Figure 1: CNOT(0→1), CNOT(0→2), then the Toffoli onto wire 0.
+    FIGURE_1 = ((1, False, ((0,),)), (2, False, ((0,),)), (0, False, ((1, 2),)))
+
+    def test_maj_lowers_to_figure_1(self):
+        assert gate_cascade(library.MAJ) == self.FIGURE_1
+
+    def test_maj_inverse_lowers_to_reversed_figure_1(self):
+        assert gate_cascade(library.MAJ_INV) == self.FIGURE_1[::-1]
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_identity_lowers_to_empty_cascade(self, arity):
+        identity = Gate("id", arity, tuple(range(1 << arity)))
+        assert gate_cascade(identity) == ()

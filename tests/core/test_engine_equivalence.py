@@ -4,7 +4,7 @@ Seeded-random circuits built from the full gate library (random wire
 maps, resets included) are executed through all three engines; for up
 to 6 wires the check is exhaustive over all ``2**n`` inputs, and wider
 circuits are checked on broadcast and random-row batches.  Any
-divergence in the compiled bit-parallel lowering — plane expressions,
+divergence in the compiled bit-parallel lowering — gate cascades,
 packing, majority voting — shows up here as a bit mismatch.
 """
 

@@ -130,7 +130,7 @@ class TestMajNetworkInterior:
     def test_inverse_sandwich_restores_any_gate_soup(self):
         # C followed by C⁻¹ is the identity for any reset-free circuit;
         # with the full library in play this exercises every compiled
-        # plane program forwards and backwards.
+        # gate cascade forwards and backwards.
         from repro.core.library import REGISTRY
 
         gates = [gate for gate in REGISTRY.values() if gate.arity <= 6]

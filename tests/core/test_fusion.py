@@ -63,15 +63,6 @@ class TestSlotInvariants:
                 row = group.wire_matrix[slot.op_row[index]]
                 assert tuple(row) == op.wires
 
-    def test_class_offsets_count_prior_same_class_ops(self):
-        compiled = CompiledCircuit(transversal_circuit())
-        counts = {False: 0, True: 0}
-        for slot in compiled.slots:
-            assert slot.class_offset == counts[slot.is_reset]
-            counts[slot.is_reset] += len(slot.ops)
-        assert counts[False] == compiled.n_gate_ops
-        assert counts[True] == compiled.n_reset_ops
-
     def test_transversal_layers_fuse(self):
         # Transversal gates and per-codeword recovery steps act on
         # disjoint wire sets, so fusion stacks them: every gate slot

@@ -11,9 +11,12 @@ from repro.harness.experiments import (
     run_experiment,
     trial_budget,
 )
+from repro.harness import experiments_md
 from repro.harness.experiments_md import (
     RECORD_PATH,
+    format_result,
     recorded_ids,
+    recorded_tables,
     render_record,
 )
 
@@ -70,6 +73,25 @@ class TestExperimentsRecord:
 
     def test_render_covers_registry(self):
         assert recorded_ids(render_record()) == list(REGISTRY)
+
+    def test_every_section_records_a_table(self):
+        tables = recorded_tables(RECORD_PATH.read_text())
+        assert list(tables) == list(REGISTRY)
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["in-sync", "moved"])
+    def test_check_fails_when_a_recorded_number_moves(
+        self, drift, tmp_path, monkeypatch
+    ):
+        # The deterministic Table 1 alone: its rendered table must
+        # equal the recorded block digit for digit.
+        table = format_result(run_experiment("table1"))
+        if drift:
+            table = table.replace("111    111", "111    110", 1)
+        record = tmp_path / "EXPERIMENTS.md"
+        record.write_text(f"## `table1` — Table 1\n\n```text\n{table}\n```\n")
+        monkeypatch.setattr(experiments_md, "RECORD_PATH", record)
+        monkeypatch.setattr(experiments_md, "REGISTRY", {"table1": REGISTRY["table1"]})
+        assert experiments_md.check_record() == (1 if drift else 0)
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPECTED_IDS))

@@ -61,10 +61,6 @@ def mutate_class_flip(compiled):
     replace_slot(compiled, 0, is_reset=True)
 
 
-def mutate_class_offset(compiled):
-    replace_slot(compiled, 0, class_offset=compiled.slots[0].class_offset + 1)
-
-
 def mutate_row_swap(compiled):
     # Point op 0 at op 1's group row and vice versa: the bookkeeping
     # stays a bijection, but the rows no longer hold the ops' wires.
@@ -112,45 +108,46 @@ def mutate_semantic_wire_swap(compiled):
     replace_group(compiled, 0, 0, wire_matrix=matrix, row_slices=())
 
 
-def lower_to(program):
-    """A mutation giving every gate op the lowered ``program``.
+def lower_to(cascade):
+    """A mutation giving every gate op the lowered ``cascade``.
 
     The tampering is *consistent* across schedule, slot ops, and group
-    program, so only the lowering check (not the structural
+    cascade, so only the lowering check (not the structural
     reconciliation) can catch it.
     """
 
     def mutate(compiled):
         def tamper(op: CompiledOp) -> CompiledOp:
-            return dataclasses.replace(op, program=program)
+            return dataclasses.replace(op, program=cascade)
 
         compiled.schedule = tuple(tamper(op) for op in compiled.schedule)
         ops = tuple(tamper(op) for op in compiled.slots[0].ops)
         replace_slot(compiled, 0, ops=ops)
-        replace_group(compiled, 0, 0, program=program)
+        replace_group(compiled, 0, 0, program=cascade)
 
     return mutate
 
 
-#: The CNOT target as its ANF, ``x1 ^ x0``.
-CNOT_TARGET = (False, ((1,), (0,)))
+#: The CNOT as its cascade: ``x1 ^= x0``.
+CNOT_STEP = (1, False, ((0,),))
 
-# An identity-on-target program where the table says XOR: position 1
-# copies itself instead of xoring in the control.
-mutate_lowered_program = lower_to(((False, ((0,),)), (False, ((1,),))))
-# Well-formed pairs around a monomial that is no tuple of positions.
-mutate_uninterpretable_program = lower_to(((False, ("warp",)), CNOT_TARGET))
-mutate_out_of_range_position = lower_to(
-    ((False, ((0,),)), (False, ((1,), (0, 7))))
-)
-mutate_non_bool_invert = lower_to(((0, ((0,),)), CNOT_TARGET))
-mutate_leftover_tagged_entry = lower_to((("copy", 0), CNOT_TARGET))
+# A well-formed cascade with the control and target swapped: it
+# computes CNOT(1, 0) where the table says CNOT(0, 1).
+mutate_lowered_program = lower_to(((0, False, ((1,),)),))
+# A well-formed step around a monomial that is no tuple of positions.
+mutate_uninterpretable_program = lower_to(((1, False, ("warp",)),))
+mutate_out_of_range_position = lower_to(((1, False, ((0, 7),)),))
+mutate_non_bool_invert = lower_to(((1, 0, ((0,),)),))
+# A pre-cascade lowering entry: a tagged copy, not a step triple.
+mutate_leftover_tagged_entry = lower_to((("copy", 0), CNOT_STEP))
+# ``x1 ^= x0 & x1`` is no reversible step: it loses x1 where x0 is 1.
+mutate_target_in_monomial = lower_to(((1, False, ((0, 1),)),))
+mutate_out_of_range_target = lower_to(((2, False, ((0,),)),))
 
 
 MUTATIONS = [
     ("dropped-slot-op", transversal_circuit, mutate_dropped_slot_op, "RV200"),
     ("class-flip", transversal_circuit, mutate_class_flip, "RV201"),
-    ("class-offset", transversal_circuit, mutate_class_offset, "RV203"),
     ("row-swap", transversal_circuit, mutate_row_swap, "RV205"),
     ("missing-bookkeeping", transversal_circuit, mutate_missing_bookkeeping, "RV204"),
     ("wire-matrix-bounds", transversal_circuit, mutate_wire_matrix_bounds, "RV206"),
@@ -163,6 +160,8 @@ MUTATIONS = [
     ("out-of-range-position", transversal_circuit, mutate_out_of_range_position, "RV101"),
     ("non-bool-invert", transversal_circuit, mutate_non_bool_invert, "RV101"),
     ("leftover-tagged-entry", transversal_circuit, mutate_leftover_tagged_entry, "RV101"),
+    ("target-in-monomial", transversal_circuit, mutate_target_in_monomial, "RV101"),
+    ("out-of-range-target", transversal_circuit, mutate_out_of_range_target, "RV101"),
 ]
 
 
