@@ -8,8 +8,6 @@ unprotected scaling ~ gT.
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.coding.logical import LogicalProcessor
 from repro.core import library
@@ -35,10 +33,9 @@ def _failure_rate(recover: bool, seed: int, trials: int) -> float:
     logical_input = (1, 0, 1)
     physical = processor.physical_input(logical_input)
     runner = NoisyRunner(NoiseModel(gate_error=GATE_ERROR), seed=seed)
-    result = runner.run_from_input(processor.circuit, physical, trials)
-    decoded = processor.decode_batch(result.states)
-    expected = np.asarray(logical_input, dtype=np.uint8)
-    return float((decoded != expected).any(axis=1).mean())
+    states = runner.run_from_input(processor.circuit, physical, trials).states
+    failed = processor.decode_failure_plane(states, logical_input)
+    return states.count_ones(failed) / trials
 
 
 def test_ablation_recovery_value(benchmark):

@@ -17,7 +17,6 @@ from repro.core.bits import Bits
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
 from repro.core.bitplane import BitplaneState
-from repro.core.simulator import BatchedState
 from repro.coding.recovery import RecoveryLayout, append_recovery
 from repro.coding.repetition import THREE_BIT_CODE, mismatch_plane
 from repro.errors import CodingError
@@ -167,7 +166,7 @@ class LogicalProcessor:
             decoded.append(THREE_BIT_CODE.decode(word))
         return tuple(decoded)
 
-    def decode_batch(self, states: BatchedState) -> np.ndarray:
+    def decode_batch(self, states: BitplaneState) -> np.ndarray:
         """Majority-decode every codeword across a Monte-Carlo batch.
 
         Returns an array of shape ``(trials, n_logical)``.

@@ -36,7 +36,7 @@ from repro.core.compiled import (
     gate_cascade,
 )
 from repro.core.permutation import Permutation
-from repro.core.simulator import BatchedState, apply_gate, run, run_batched
+from repro.core.simulator import apply_gate, run
 from repro.core.truth_table import (
     circuit_gate,
     circuit_permutation,
@@ -71,7 +71,6 @@ __all__ = [
     "TOFFOLI",
     "X",
     "Permutation",
-    "BatchedState",
     "BitplaneState",
     "CompiledCircuit",
     "FusedSlot",
@@ -81,7 +80,6 @@ __all__ = [
     "gate_cascade",
     "apply_gate",
     "run",
-    "run_batched",
     "circuit_gate",
     "circuit_permutation",
     "format_truth_table",

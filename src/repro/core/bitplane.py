@@ -1,14 +1,11 @@
 """Bit-parallel batched simulation: 64 Monte-Carlo trials per word.
 
-:class:`BitplaneState` is the state the Monte-Carlo engine runs on
-(the noiseless references are :func:`~repro.core.simulator.run` and
-:class:`~repro.core.simulator.BatchedState`).  It stores the batch
-*transposed and packed*: one row of uint64 words per wire, where bit
-``t`` of word ``j`` is the wire's value in trial ``64*j + t``.  A gate
-application is then a handful of bitwise operations on whole planes —
-for the Figure-2 recovery circuit this moves ~12 KB per wire per op
-instead of the ~1 MB the uint8 reference touches, which is where the
-10-50x Monte-Carlo speedup comes from.
+:class:`BitplaneState` is the state the Monte-Carlo engine runs on (the
+per-trial reference is :func:`~repro.core.simulator.run`).  It stores
+the batch *transposed and packed*: one row of uint64 words per wire,
+where bit ``t`` of word ``j`` is the wire's value in trial ``64*j + t``.
+A gate application is then a handful of bitwise operations on whole
+planes, one pass per 64 trials.
 
 Gates are executed through the cascades produced by
 :mod:`repro.core.compiled` (in-place steps, each XORing ANDs of other
@@ -17,9 +14,8 @@ planes into one target plane), one fused slot group at a time through
 ``compile_circuit(circuit).run(state)``.
 :meth:`BitplaneState.majority_of` is likewise fully bit-parallel via a
 carry-save binary counter.  The observation API (``array``, ``column``,
-``columns``, ``majority_of``) mirrors ``BatchedState`` exactly, so
-failure predicates and decoders written against one state run
-unmodified against the other.
+``columns``, ``majority_of``) unpacks to ``(trials, ...)`` uint8, so
+failure predicates and decoders read plain NumPy arrays.
 
 Evolution applies to every trial: the fault kernel of
 :mod:`repro.noise.monte_carlo` scatters its faults straight into the
@@ -94,10 +90,9 @@ def count_trial_ones(words: np.ndarray, trials: int) -> int:
 class BitplaneState:
     """A batch of circuit states stored as ``(n_wires, n_words)`` planes.
 
-    Mirrors the :class:`~repro.core.simulator.BatchedState`
-    constructors and observation API on the packed layout; evolution
-    is :meth:`apply_cascade` and :meth:`reset`, which compiled
-    circuits drive.
+    Constructors take bit vectors (:meth:`broadcast`, :meth:`zeros`,
+    :meth:`from_rows`); evolution is :meth:`apply_cascade` and
+    :meth:`reset`, which compiled circuits drive.
     """
 
     def __init__(self, planes: np.ndarray, trials: int):
@@ -155,17 +150,6 @@ class BitplaneState:
         for wire in range(n_wires):
             planes[wire] = pack_bool(array[:, wire])
         return BitplaneState(planes, trials)
-
-    @staticmethod
-    def from_batched(batched) -> "BitplaneState":
-        """Pack an existing :class:`BatchedState` into planes."""
-        return BitplaneState.from_rows(batched.array)
-
-    def to_batched(self):
-        """Unpack into a :class:`~repro.core.simulator.BatchedState`."""
-        from repro.core.simulator import BatchedState
-
-        return BatchedState(self.array)
 
     # ------------------------------------------------------------------
     # Shape

@@ -41,7 +41,6 @@ import numpy as np
 from repro.core.bitplane import BitplaneState, popcount_words, words_for
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
-from repro.core.simulator import BatchedState
 from repro.errors import SimulationError
 from repro.noise.model import NoiseModel
 from repro.noise.seeds import as_generator
@@ -514,8 +513,8 @@ class NoisyRunner:
         if not isinstance(states, BitplaneState):
             raise SimulationError(
                 f"NoisyRunner.run takes a BitplaneState, got "
-                f"{type(states).__name__}; convert a BatchedState with "
-                f"BitplaneState.from_batched"
+                f"{type(states).__name__}; build one with "
+                f"BitplaneState.from_rows or BitplaneState.broadcast"
             )
         if states.n_wires != circuit.n_wires:
             raise SimulationError(
@@ -557,7 +556,7 @@ class RepetitionFailurePredicate:
     output_wires: tuple[int, ...]
     expected: int
 
-    def __call__(self, states: BatchedState | BitplaneState) -> np.ndarray:
+    def __call__(self, states: BitplaneState) -> np.ndarray:
         return states.majority_of(self.output_wires) != self.expected
 
 
@@ -568,7 +567,7 @@ class AnyWireDiffersPredicate:
     output_wires: tuple[int, ...]
     expected_bits: tuple[int, ...]
 
-    def __call__(self, states: BatchedState | BitplaneState) -> np.ndarray:
+    def __call__(self, states: BitplaneState) -> np.ndarray:
         # Column by column: a row-wise ``any`` over a (trials, wires)
         # array is over ten times slower.
         differs = np.zeros(states.trials, dtype=bool)
@@ -580,13 +579,13 @@ class AnyWireDiffersPredicate:
 
 def repetition_failure_predicate(
     output_wires: Sequence[int], expected: int
-) -> Callable[[BatchedState | BitplaneState], np.ndarray]:
+) -> Callable[[BitplaneState], np.ndarray]:
     """Failure predicate: majority over ``output_wires`` != ``expected``."""
     return RepetitionFailurePredicate(tuple(output_wires), expected)
 
 
 def any_wire_differs_predicate(
     output_wires: Sequence[int], expected_bits: Sequence[int]
-) -> Callable[[BatchedState | BitplaneState], np.ndarray]:
+) -> Callable[[BitplaneState], np.ndarray]:
     """Failure predicate: any selected wire differs from expectation."""
     return AnyWireDiffersPredicate(tuple(output_wires), tuple(expected_bits))

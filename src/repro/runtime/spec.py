@@ -41,11 +41,8 @@ import numpy as np
 
 from repro.core.bitplane import BitplaneState, count_trial_ones, words_for
 from repro.core.circuit import Circuit
-from repro.core.simulator import BatchedState
 from repro.errors import ConfigError, SimulationError
 from repro.noise.model import NoiseModel
-
-States = BatchedState | BitplaneState
 
 #: Default Monte-Carlo trial budget (the ``REPRO_TRIALS`` default).
 DEFAULT_TRIALS = 100_000
@@ -60,16 +57,15 @@ DEFAULT_TRIALS = 100_000
 class PredicateObservable:
     """Counts failures through a ``states -> bool array`` predicate.
 
-    The predicate must stick to the state-agnostic observation API
-    (``array``/``columns``/``majority_of``), which the bit-plane and
-    uint8 reference states share.  For pooled execution the predicate
-    must be picklable (a module-level function or a
-    :func:`functools.partial` of one).
+    The predicate reads the state through its unpacked observation
+    API (``array``/``column``/``columns``/``majority_of``).  For pooled
+    execution the predicate must be picklable (a module-level function
+    or a :func:`functools.partial` of one).
     """
 
-    predicate: Callable[[States], np.ndarray]
+    predicate: Callable[[BitplaneState], np.ndarray]
 
-    def count_failures(self, states: States) -> int:
+    def count_failures(self, states: BitplaneState) -> int:
         failures = np.asarray(self.predicate(states), dtype=bool)
         if failures.shape != (states.trials,):
             raise SimulationError(

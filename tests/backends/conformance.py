@@ -23,9 +23,9 @@ from repro.core.bitplane import BitplaneState, count_trial_ones, popcount_words
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.core.library import REGISTRY
-from repro.core.simulator import run as reference_run
 from repro.noise import NoiseModel
 from repro.runtime import ExecutionPolicy, Executor, RunSpec
+from tests.conftest import reference_outputs
 
 RECOVERY_INPUT = (1, 1, 1) + (0,) * 6
 
@@ -35,14 +35,6 @@ def all_input_rows(n_wires: int) -> np.ndarray:
     patterns = np.arange(1 << n_wires, dtype=np.int64)
     shifts = np.arange(n_wires - 1, -1, -1, dtype=np.int64)
     return ((patterns[:, None] >> shifts) & 1).astype(np.uint8)
-
-
-def reference_rows(circuit: Circuit, rows: np.ndarray) -> np.ndarray:
-    """The single-state reference simulator over a block of inputs."""
-    return np.asarray(
-        [reference_run(circuit, tuple(int(b) for b in row)) for row in rows],
-        dtype=np.uint8,
-    )
 
 
 def random_circuit(rng: np.random.Generator, n_wires: int, n_ops: int) -> Circuit:
@@ -81,7 +73,7 @@ class BackendConformance:
             state = BitplaneState.from_rows(rows)
             compile_circuit(circuit).run(state)
             np.testing.assert_array_equal(
-                state.array, reference_rows(circuit, rows), err_msg=name
+                state.array, reference_outputs(circuit, rows), err_msg=name
             )
 
     def test_random_mixed_circuits_on_all_inputs(self):
@@ -93,7 +85,7 @@ class BackendConformance:
                 state = BitplaneState.from_rows(rows)
                 compile_circuit(circuit).run(state)
                 np.testing.assert_array_equal(
-                    state.array, reference_rows(circuit, rows)
+                    state.array, reference_outputs(circuit, rows)
                 )
 
     def test_recovery_circuit_on_a_wide_batch(self):
@@ -105,7 +97,7 @@ class BackendConformance:
         state = BitplaneState.from_rows(rows)
         compile_circuit(circuit).run(state)
         np.testing.assert_array_equal(
-            state.array, reference_rows(circuit, rows)
+            state.array, reference_outputs(circuit, rows)
         )
 
     def test_slotwise_apply_matches_whole_run(self):

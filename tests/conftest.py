@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.coding import THREE_BIT_CODE
+from repro.core.simulator import run
 from repro.local import ONE_D_DATA_POSITIONS
 
 
@@ -13,6 +14,17 @@ from repro.local import ONE_D_DATA_POSITIONS
 def rng() -> np.random.Generator:
     """A deterministic random generator per test."""
     return np.random.default_rng(12345)
+
+
+def reference_outputs(circuit, rows) -> np.ndarray:
+    """:func:`~repro.core.simulator.run` on every row, one trial at a time.
+
+    The per-trial reference the bit-plane engine is checked against:
+    ``rows`` is any ``(trials, wires)`` 0/1 sequence, and the result is
+    the ``(trials, wires)`` uint8 matrix of final states.
+    """
+    outputs = [run(circuit, tuple(int(bit) for bit in row)) for row in rows]
+    return np.array(outputs, dtype=np.uint8).reshape(len(outputs), circuit.n_wires)
 
 
 def embed_codeword(codeword, data_wires, n_wires: int = 9) -> tuple[int, ...]:

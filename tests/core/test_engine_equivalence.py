@@ -1,11 +1,13 @@
-"""Cross-engine differential tests: run == BatchedState == BitplaneState.
+"""Differential tests: the bit-plane engine against the per-trial ``run``.
 
 Seeded-random circuits built from the full gate library (random wire
-maps, resets included) are executed through all three engines; for up
-to 6 wires the check is exhaustive over all ``2**n`` inputs, and wider
-circuits are checked on broadcast and random-row batches.  Any
-divergence in the compiled bit-parallel lowering — gate cascades,
-packing, majority voting — shows up here as a bit mismatch.
+maps, resets included) are run on ``BitplaneState`` batches and
+compared, trial by trial, with :func:`repro.core.simulator.run`
+(``tests.conftest.reference_outputs``); for up to 6 wires the check is
+exhaustive over all ``2**n`` inputs, and wider circuits are checked on
+broadcast and random-row batches.  Any divergence in the compiled
+bit-parallel lowering — gate cascades, packing, majority voting —
+shows up here as a bit mismatch.
 """
 
 from __future__ import annotations
@@ -13,17 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    BatchedState,
-    BitplaneState,
-    compile_circuit,
-    run,
-    run_batched,
-)
+from repro.core import BitplaneState, compile_circuit, run
 from repro.core.bits import all_bit_vectors
 from repro.core.circuit import Circuit
 from repro.core.library import REGISTRY
 from repro.errors import SimulationError
+from tests.conftest import reference_outputs
 
 GATES = tuple(REGISTRY.values())
 
@@ -51,11 +48,6 @@ def random_circuit(
     return circuit
 
 
-def reference_outputs(circuit: Circuit, rows: list[tuple[int, ...]]) -> np.ndarray:
-    """The tuple-engine outputs for every row, as a uint8 matrix."""
-    return np.array([run(circuit, row) for row in rows], dtype=np.uint8)
-
-
 class TestExhaustiveEquivalence:
     @pytest.mark.parametrize("n_wires", [1, 2, 3, 4, 5, 6])
     def test_all_inputs_all_engines(self, n_wires):
@@ -64,9 +56,7 @@ class TestExhaustiveEquivalence:
         for _ in range(6):
             circuit = random_circuit(rng, n_wires, n_ops=20)
             expected = reference_outputs(circuit, rows)
-            batched = run_batched(circuit, BatchedState.from_rows(rows))
             bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
-            np.testing.assert_array_equal(batched.array, expected)
             np.testing.assert_array_equal(bitplane.array, expected)
 
     def test_reset_free_circuits_too(self):
@@ -88,11 +78,9 @@ class TestBatchEquivalenceBeyondExhaustive:
         circuit = random_circuit(rng, 9, n_ops=40)
         input_bits = tuple(int(b) for b in rng.integers(0, 2, size=9))
         expected_row = np.asarray(run(circuit, input_bits), dtype=np.uint8)
-        batched = run_batched(circuit, BatchedState.broadcast(input_bits, trials))
         bitplane = compile_circuit(circuit).run(
             BitplaneState.broadcast(input_bits, trials)
         )
-        np.testing.assert_array_equal(batched.array, bitplane.array)
         np.testing.assert_array_equal(
             bitplane.array, np.tile(expected_row, (trials, 1))
         )
@@ -101,59 +89,64 @@ class TestBatchEquivalenceBeyondExhaustive:
         rng = np.random.default_rng(3000)
         circuit = random_circuit(rng, 8, n_ops=30)
         rows = rng.integers(0, 2, size=(321, 8), dtype=np.uint8)
-        batched = run_batched(circuit, BatchedState(rows.copy()))
         bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
-        np.testing.assert_array_equal(batched.array, bitplane.array)
-        # Spot-check a handful of rows against the tuple engine.
-        for index in (0, 63, 64, 320):
-            expected = run(circuit, tuple(int(b) for b in rows[index]))
-            assert tuple(bitplane.array[index]) == expected
-
-    def test_roundtrip_between_engines(self):
-        rng = np.random.default_rng(4000)
-        rows = rng.integers(0, 2, size=(130, 5), dtype=np.uint8)
-        bitplane = BitplaneState.from_batched(BatchedState(rows.copy()))
-        np.testing.assert_array_equal(bitplane.to_batched().array, rows)
+        np.testing.assert_array_equal(bitplane.array, reference_outputs(circuit, rows))
 
 
 class TestObservationEquivalence:
+    """Packed observations against plain NumPy on the input rows."""
+
     def test_columns_and_majority(self):
         rng = np.random.default_rng(7000)
         rows = rng.integers(0, 2, size=(513, 9), dtype=np.uint8)
-        batched = BatchedState(rows.copy())
         bitplane = BitplaneState.from_rows(rows)
+        np.testing.assert_array_equal(bitplane.array, rows)
         for wire in range(9):
-            np.testing.assert_array_equal(batched.column(wire), bitplane.column(wire))
+            np.testing.assert_array_equal(bitplane.column(wire), rows[:, wire])
         for size in (1, 3, 5, 7, 9):
-            wires = tuple(int(w) for w in rng.choice(9, size=size, replace=False))
+            wires = [int(w) for w in rng.choice(9, size=size, replace=False)]
+            np.testing.assert_array_equal(bitplane.columns(wires), rows[:, wires])
             np.testing.assert_array_equal(
-                batched.columns(wires), bitplane.columns(wires)
-            )
-            np.testing.assert_array_equal(
-                batched.majority_of(wires), bitplane.majority_of(wires)
+                bitplane.majority_of(wires),
+                (rows[:, wires].sum(axis=1) * 2 > size).astype(np.uint8),
             )
 
 
 # ----------------------------------------------------------------------
-# Error paths shared by both engines
+# Error paths
 # ----------------------------------------------------------------------
 
-STATE_FACTORIES = [
-    pytest.param(lambda: BatchedState.zeros(5, 10), id="batched"),
-    pytest.param(lambda: BitplaneState.zeros(5, 10), id="bitplane"),
-]
 
-
-@pytest.mark.parametrize("factory", STATE_FACTORIES)
 class TestSharedErrorPaths:
-    def test_majority_rejects_empty_wires(self, factory):
+    def test_majority_rejects_empty_wires(self):
         with pytest.raises(SimulationError, match="at least one wire"):
-            factory().majority_of(())
+            BitplaneState.zeros(5, 10).majority_of(())
 
-    def test_majority_rejects_even_wire_count(self, factory):
+    def test_majority_rejects_even_wire_count(self):
         with pytest.raises(SimulationError, match="odd number"):
-            factory().majority_of((0, 1))
+            BitplaneState.zeros(5, 10).majority_of((0, 1))
 
-    def test_reset_rejects_empty_wires(self, factory):
+    def test_reset_rejects_empty_wires(self):
         with pytest.raises(SimulationError, match="at least one wire"):
-            factory().reset(())
+            BitplaneState.zeros(5, 10).reset(())
+
+    def test_rows_reject_non_binary_entries(self):
+        with pytest.raises(SimulationError, match="0 or 1"):
+            BitplaneState.from_rows(np.full((2, 2), 3, dtype=np.uint8))
+
+    @pytest.mark.parametrize("rows", [[0, 1, 0, 1], [[[0, 1]]]], ids=["1-D", "3-D"])
+    def test_rows_reject_wrong_rank(self, rows):
+        with pytest.raises(SimulationError, match="2-D"):
+            BitplaneState.from_rows(rows)
+
+    def test_planes_reject_non_uint64(self):
+        with pytest.raises(SimulationError, match="uint64"):
+            BitplaneState(np.zeros((2, 1), dtype=np.uint8), 10)
+
+    def test_planes_reject_wrong_word_count(self):
+        with pytest.raises(SimulationError, match="2 words per plane, got 1"):
+            BitplaneState(np.zeros((2, 1), dtype=np.uint64), 65)
+
+    def test_planes_reject_negative_trials(self):
+        with pytest.raises(SimulationError, match="trials must be >= 0"):
+            BitplaneState(np.zeros((2, 0), dtype=np.uint64), -1)

@@ -1,4 +1,4 @@
-"""Invariant-based property tests shared by all three engines.
+"""Invariant-based property tests for the bit-plane engine and ``run``.
 
 Conservative gates (Fredkin-style ops: SWAP, FREDKIN, and the SWAP3
 rotations) permute bits without creating or destroying ones, so any
@@ -7,8 +7,10 @@ and a fortiori the parity — of every state.  The MAJ network interior
 (a MAJ immediately undone by MAJ⁻¹, the shape of every recovery
 decode/encode block) is the identity, so it must restore states
 exactly.  These invariants hold with zero tolerance and serve as
-noise-free oracles for the engines: a lowering bug that survives the
-differential suite by luck still has to conserve weight here.
+noise-free oracles for both the bit-plane engine and the per-trial
+reference :func:`repro.core.simulator.run`: a lowering bug that
+survives the differential suite by luck still has to conserve weight
+here.
 """
 
 from __future__ import annotations
@@ -16,16 +18,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    BatchedState,
-    BitplaneState,
-    compile_circuit,
-    run,
-    run_batched,
-)
+from repro.core import BitplaneState, compile_circuit
 from repro.core.circuit import Circuit
 from repro.core.library import FREDKIN, MAJ, MAJ_INV, SWAP, SWAP3_DOWN, SWAP3_UP, X
 from repro.noise import NoiseModel, NoisyRunner
+from tests.conftest import reference_outputs
 
 #: Conservative (weight-preserving) gates of the library.
 CONSERVATIVE_GATES = (SWAP, FREDKIN, SWAP3_DOWN, SWAP3_UP)
@@ -55,13 +52,10 @@ class TestHammingWeightInvariant:
             rows = random_batch(rng, 200, n_wires)
             weights = rows.sum(axis=1)
 
-            batched = run_batched(circuit, BatchedState(rows.copy()))
+            reference = reference_outputs(circuit, rows)
             bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
-            np.testing.assert_array_equal(batched.array.sum(axis=1), weights)
+            np.testing.assert_array_equal(reference.sum(axis=1), weights)
             np.testing.assert_array_equal(bitplane.array.sum(axis=1), weights)
-            for index in (0, 77, 199):
-                output = run(circuit, tuple(int(b) for b in rows[index]))
-                assert sum(output) == int(weights[index])
 
     def test_weight_invariant_survives_noiseless_runner(self):
         # The same oracle through the Monte-Carlo layer: with zero
@@ -97,16 +91,14 @@ class TestParityInvariant:
             rows = random_batch(rng, 150, n_wires)
             expected_parity = (rows.sum(axis=1) + x_count) % 2
 
-            batched = run_batched(circuit, BatchedState(rows.copy()))
+            reference = reference_outputs(circuit, rows)
             bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
             np.testing.assert_array_equal(
-                batched.array.sum(axis=1) % 2, expected_parity
+                reference.sum(axis=1) % 2, expected_parity
             )
             np.testing.assert_array_equal(
                 bitplane.array.sum(axis=1) % 2, expected_parity
             )
-            output = run(circuit, tuple(int(b) for b in rows[0]))
-            assert sum(output) % 2 == int(expected_parity[0])
 
 
 class TestMajNetworkInterior:
@@ -122,9 +114,8 @@ class TestMajNetworkInterior:
             circuit.append_gate(MAJ_INV, *wires)
         rows = random_batch(rng, 300, n_wires)
 
-        batched = run_batched(circuit, BatchedState(rows.copy()))
         bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
-        np.testing.assert_array_equal(batched.array, rows)
+        np.testing.assert_array_equal(reference_outputs(circuit, rows), rows)
         np.testing.assert_array_equal(bitplane.array, rows)
 
     def test_inverse_sandwich_restores_any_gate_soup(self):
@@ -145,5 +136,4 @@ class TestMajNetworkInterior:
             rows = random_batch(rng, 128, 6)
             bitplane = compile_circuit(sandwich).run(BitplaneState.from_rows(rows))
             np.testing.assert_array_equal(bitplane.array, rows)
-            batched = run_batched(sandwich, BatchedState(rows.copy()))
-            np.testing.assert_array_equal(batched.array, rows)
+            np.testing.assert_array_equal(reference_outputs(sandwich, rows), rows)

@@ -1,16 +1,17 @@
-"""Tests for the deterministic and batched simulators."""
+"""Tests for the per-trial reference simulator and the bit-plane state."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import library
+from repro.core.bitplane import BitplaneState
 from repro.core.bits import index_to_bits
 from repro.core.circuit import Circuit
-from repro.core.simulator import BatchedState, apply_gate, run, run_batched
+from repro.core.compiled import compile_circuit
+from repro.core.simulator import apply_gate, run
 from repro.errors import SimulationError
 
 
@@ -61,51 +62,26 @@ class TestReferenceSimulator:
         assert input_bits == (1, 0, 1)
 
 
-class TestBatchedState:
+class TestBitplaneState:
     def test_broadcast(self):
-        batch = BatchedState.broadcast((1, 0), trials=4)
+        batch = BitplaneState.broadcast((1, 0), trials=4)
         assert batch.array.shape == (4, 2)
         assert (batch.column(0) == 1).all()
 
     def test_zeros(self):
-        batch = BatchedState.zeros(3, 5)
+        batch = BitplaneState.zeros(3, 5)
+        assert batch.array.shape == (5, 3)
         assert batch.array.sum() == 0
 
-    def test_from_rows(self):
-        batch = BatchedState.from_rows([(0, 1), (1, 0)])
-        assert batch.trials == 2
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(SimulationError):
-            BatchedState(np.full((2, 2), 3, dtype=np.uint8))
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(SimulationError):
-            BatchedState(np.zeros(4, dtype=np.uint8))
-
-    def test_apply_gate_vectorised(self):
-        batch = BatchedState.from_rows([(1, 0, 0), (0, 0, 0), (1, 1, 1)])
-        batch.apply_gate(library.MAJ_INV, (0, 1, 2))
-        assert batch.array.tolist() == [[1, 1, 1], [0, 0, 0], [0, 1, 1]]
-
-    def test_majority_of(self):
-        batch = BatchedState.from_rows([(1, 0, 1), (0, 0, 1)])
-        assert batch.majority_of((0, 1, 2)).tolist() == [1, 0]
-
-    def test_majority_requires_odd(self):
-        batch = BatchedState.zeros(2, 1)
-        with pytest.raises(SimulationError):
-            batch.majority_of((0, 1))
-
     def test_copy_is_independent(self):
-        batch = BatchedState.zeros(2, 2)
+        batch = BitplaneState.zeros(2, 2)
         clone = batch.copy()
-        clone.array[0, 0] = 1
+        clone.reset((0,), 1)
         assert batch.array[0, 0] == 0
 
 
 class TestEquivalence:
-    """The batched engine must agree with the reference simulator."""
+    """The bit-plane engine must agree with the reference simulator."""
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -117,12 +93,11 @@ class TestEquivalence:
             index_to_bits(data.draw(st.integers(0, (1 << n_wires) - 1)), n_wires)
             for _ in range(4)
         ]
-        batch = BatchedState.from_rows(inputs)
-        run_batched(circuit, batch)
+        batch = compile_circuit(circuit).run(BitplaneState.from_rows(inputs))
         for row, input_bits in enumerate(inputs):
             expected = run(circuit, input_bits)
             assert tuple(batch.array[row]) == expected
 
-    def test_run_batched_rejects_width_mismatch(self):
+    def test_compiled_run_rejects_width_mismatch(self):
         with pytest.raises(SimulationError):
-            run_batched(Circuit(3), BatchedState.zeros(2, 4))
+            compile_circuit(Circuit(3)).run(BitplaneState.zeros(2, 4))

@@ -8,7 +8,6 @@ import pytest
 from repro.core import library
 from repro.core.bitplane import BitplaneState
 from repro.core.circuit import Circuit
-from repro.core.simulator import BatchedState
 from repro.noise.model import NoiseModel
 from repro.noise.monte_carlo import (
     NoisyRunner,
@@ -129,8 +128,9 @@ class TestSingleEngine:
 
     def test_run_rejects_batched_state(self):
         runner = NoisyRunner(NoiseModel.noiseless(), seed=0)
-        with pytest.raises(SimulationError, match="BitplaneState.from_batched"):
-            runner.run(Circuit(3).maj(0, 1, 2), BatchedState.zeros(3, 10))
+        rows = np.zeros((10, 3), dtype=np.uint8)
+        with pytest.raises(SimulationError, match="BitplaneState.from_rows"):
+            runner.run(Circuit(3).maj(0, 1, 2), rows)
 
     def test_no_engine_parameter(self):
         with pytest.raises(TypeError):
@@ -181,5 +181,5 @@ class TestEstimation:
 
     def test_repetition_predicate(self):
         predicate = repetition_failure_predicate((0, 1, 2), expected=1)
-        states = BatchedState.from_rows([(1, 1, 0), (0, 0, 1), (1, 1, 1)])
+        states = BitplaneState.from_rows([(1, 1, 0), (0, 0, 1), (1, 1, 1)])
         assert predicate(states).tolist() == [False, True, False]

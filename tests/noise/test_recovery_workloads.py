@@ -3,8 +3,7 @@
 Each case runs a Figure-2 recovery or a level-2 logical gate over a
 batch of the size the repository benchmark uses, and checks the
 outcome: a noiseless run keeps the codeword on every trial, and a
-noisy run at g = 1e-3 stays almost always correct, also when the
-batch is packed from a byte-per-bit ``BatchedState``.  Their timing is
+noisy run at g = 1e-3 stays almost always correct.  Their timing is
 the benchmark's business (``perfbench/``), not these tests'.
 """
 
@@ -17,18 +16,11 @@ from repro.coding.concatenation import ConcatenatedComputation
 from repro.core import MAJ
 from repro.core.bitplane import BitplaneState
 from repro.core.compiled import CompiledCircuit, compile_circuit
-from repro.core.simulator import BatchedState, run_batched
 from repro.noise import NoiseModel, NoisyRunner
 from tests.conftest import reference_decode_failures
 
 TRIALS = 100_000
 RECOVERY_INPUT = (1, 1, 1) + (0,) * 6
-
-
-def test_noiseless_batched_recovery_keeps_codeword():
-    batch = BatchedState.broadcast(RECOVERY_INPUT, trials=TRIALS)
-    run_batched(recovery_circuit(), batch)
-    assert int(batch.array[:, 0].sum()) == TRIALS
 
 
 def test_noiseless_compiled_recovery_keeps_codeword():
@@ -70,10 +62,3 @@ def test_noisy_level_two_gate_mostly_correct():
     result = runner.run_from_input(computation.circuit, physical, 5000)
     assert _correct_trials(computation, result.states) > 4950
 
-
-def test_noisy_level_two_gate_from_batched_mostly_correct():
-    computation, physical = _level_two_maj()
-    states = BitplaneState.from_batched(BatchedState.broadcast(physical, 5000))
-    runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=1)
-    result = runner.run(computation.circuit, states)
-    assert _correct_trials(computation, result.states) > 4950

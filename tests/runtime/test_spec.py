@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.simulator import BatchedState
+from repro.core.bitplane import BitplaneState
 from repro.errors import SimulationError
 from repro.noise.model import NoiseModel
 from repro.runtime import (
@@ -65,7 +65,7 @@ class TestObservables:
     def test_callable_is_wrapped(self):
         wrapped = as_observable(all_ones_predicate)
         assert isinstance(wrapped, PredicateObservable)
-        states = BatchedState.from_rows([(1, 1, 1), (0, 1, 1)])
+        states = BitplaneState.from_rows([(1, 1, 1), (0, 1, 1)])
         assert wrapped.count_failures(states) == 1
 
     def test_count_failures_objects_pass_through(self):
@@ -75,13 +75,11 @@ class TestObservables:
     def test_predicate_shape_validated(self):
         wrapped = as_observable(lambda states: np.zeros((2, 2), dtype=bool))
         with pytest.raises(SimulationError):
-            wrapped.count_failures(BatchedState.from_rows([(1, 0)]))
+            wrapped.count_failures(BitplaneState.from_rows([(1, 0)]))
 
     def test_decode_observable_delegates(self):
         # The observable counts the trial bits of the decoder's failure
         # plane; padding bits beyond the batch are ignored.
-        from repro.core.bitplane import BitplaneState
-
         class Decoder:
             def decode_failure_plane(self, states, expected):
                 plane = 0b1011 if expected == (1,) else 0
