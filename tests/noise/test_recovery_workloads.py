@@ -44,21 +44,11 @@ def test_noisy_recovery_survives_at_g_1e_3():
     assert survived > 99_000
 
 
-def _level_two_maj():
+def test_noisy_level_two_gate_mostly_correct():
     computation = ConcatenatedComputation(3, 2)
     physical = computation.physical_input((1, 0, 1))
     computation.apply(MAJ, 0, 1, 2)
-    return computation, physical
-
-
-def _correct_trials(computation, states):
-    failures = reference_decode_failures(computation, states, MAJ.apply((1, 0, 1)))
-    return states.trials - failures
-
-
-def test_noisy_level_two_gate_mostly_correct():
-    computation, physical = _level_two_maj()
     runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=1)
-    result = runner.run_from_input(computation.circuit, physical, 5000)
-    assert _correct_trials(computation, result.states) > 4950
-
+    states = runner.run_from_input(computation.circuit, physical, 5000).states
+    failures = reference_decode_failures(computation, states, MAJ.apply((1, 0, 1)))
+    assert states.trials - failures > 4950
