@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from repro.core.bits import index_to_bits
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.core.simulator import apply_gate, run
-from repro.errors import SimulationError
+from repro.errors import GateDefinitionError, SimulationError
 
 
 def random_circuit(draw, n_wires: int, n_ops: int) -> Circuit:
@@ -72,6 +73,44 @@ class TestBitplaneState:
         batch = BitplaneState.zeros(3, 5)
         assert batch.array.shape == (5, 3)
         assert batch.array.sum() == 0
+
+    def test_zero_trials(self):
+        batch = BitplaneState.zeros(3, 0)
+        assert batch.n_words == 0
+        assert batch.array.shape == (0, 3)
+        assert batch.majority_of((0, 1, 2)).shape == (0,)
+        assert batch.count_ones(batch.planes[0]) == 0
+
+    def test_from_rows(self):
+        batch = BitplaneState.from_rows([(0, 1), (1, 0)])
+        assert (batch.trials, batch.n_wires, batch.n_words) == (2, 2, 1)
+        assert batch.array.tolist() == [[0, 1], [1, 0]]
+
+    def test_rejects_non_binary(self):
+        with pytest.raises(GateDefinitionError, match="0 or 1"):
+            BitplaneState.broadcast((0, 2), trials=4)
+
+    def test_rejects_wrong_rank(self):
+        with pytest.raises(SimulationError, match="2-D"):
+            BitplaneState(np.zeros(4, dtype=np.uint64), 4)
+
+    def test_apply_gate_vectorised(self):
+        circuit = Circuit(3).append_gate(library.MAJ_INV, 0, 1, 2)
+        batch = compile_circuit(circuit).run(
+            BitplaneState.from_rows([(1, 0, 0), (0, 0, 0), (1, 1, 1)])
+        )
+        assert batch.array.tolist() == [[1, 1, 1], [0, 0, 0], [0, 1, 1]]
+
+    def test_majority_of(self):
+        batch = BitplaneState.from_rows([(1, 0, 1), (0, 0, 1)])
+        assert batch.majority_of((0, 1, 2)).tolist() == [1, 0]
+
+    def test_reset_sets_every_trial(self):
+        batch = BitplaneState.from_rows([(1, 0, 1)] * 130)
+        batch.reset((0, 1), 1)
+        assert batch.count_ones(batch.planes[1]) == 130
+        batch.reset((2,))
+        assert batch.array.tolist() == [[1, 1, 0]] * 130
 
     def test_copy_is_independent(self):
         batch = BitplaneState.zeros(2, 2)
