@@ -112,11 +112,6 @@ class BlowupReport:
         """Physical gates in the fault-tolerant module."""
         return self.module_gates * self.gate_factor
 
-    @property
-    def total_bits_per_logical_bit(self) -> int:
-        """Physical bits per logical bit."""
-        return self.bit_factor
-
 
 def plan_module(
     gate_error: float, operation_count: int, module_gates: int

@@ -40,13 +40,11 @@ __all__ = [
     "Poly",
     "ZERO",
     "cascade_step_poly",
-    "circuits_equivalent",
     "constant",
     "evaluate",
     "p_and",
     "p_xor",
     "substitute",
-    "symbolic_outputs",
     "table_anf",
     "variable",
 ]
@@ -199,44 +197,3 @@ def _check_position(position: object, arity: int, step: tuple) -> None:
             f"position {position!r} out of range for arity {arity} in "
             f"cascade step {step!r}"
         )
-
-
-def symbolic_outputs(circuit) -> tuple[Poly, ...]:
-    """The circuit's output wires as polynomials in its input wires.
-
-    Runs the circuit gate by gate over a symbolic state whose wire ``w``
-    starts as the variable ``x_w``; gates substitute their table ANF
-    (via :func:`table_anf`, never the production lowering) and resets
-    substitute constants.  Intended for *small* circuits — peephole
-    windows, decompositions, single gates — where the composed ANF stays
-    tiny; the slot-local verifier in :mod:`repro.verify` exists so that
-    deep circuits never need this whole-circuit composition.
-    """
-    state = [variable(w) for w in range(circuit.n_wires)]
-    for op in circuit:
-        if op.is_reset:
-            for wire in op.wires:
-                state[wire] = constant(op.reset_value)
-            continue
-        gate = op.gate
-        inputs = [state[wire] for wire in op.wires]
-        outputs = [
-            substitute(poly, inputs)
-            for poly in table_anf(gate.table, gate.arity)
-        ]
-        for wire, poly in zip(op.wires, outputs):
-            state[wire] = poly
-    return tuple(state)
-
-
-def circuits_equivalent(a, b) -> bool:
-    """Whether two circuits compute identical wire functions.
-
-    Compares the canonical ANF of every output wire; equality of the
-    frozensets is an exact semantic proof over all ``2**n_wires``
-    inputs, not a sampled check.  Circuits on different wire counts are
-    never equivalent.
-    """
-    if a.n_wires != b.n_wires:
-        return False
-    return symbolic_outputs(a) == symbolic_outputs(b)

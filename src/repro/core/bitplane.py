@@ -175,10 +175,6 @@ class BitplaneState:
         """The batch unpacked to ``(trials, wires)`` uint8 — observation only."""
         return self.columns(range(self.n_wires))
 
-    def copy(self) -> "BitplaneState":
-        """An independent copy of the batch."""
-        return BitplaneState(self.planes.copy(), self._trials)
-
     # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------

@@ -14,7 +14,8 @@ operation exist:
 
 Circuits compose (``+``), invert (when reset-free), remap onto other
 wire sets, and tensor side by side; they also provide the op census
-used by the threshold accounting.
+used by the threshold accounting.  :func:`circuit_to_json` and
+:func:`circuit_from_json` are their one JSON wire form.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from hashlib import sha256
 
 from repro.core import library
 from repro.core.gate import Gate
-from repro.errors import CircuitError
+from repro.errors import CircuitError, SerializationError
 
 
 class OpKind(enum.Enum):
@@ -365,3 +366,74 @@ class Circuit:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
         return f"Circuit({self.n_wires} wires,{label} {len(self._ops)} ops)"
+
+
+# ----------------------------------------------------------------------
+# The wire form
+# ----------------------------------------------------------------------
+
+
+def circuit_to_json(circuit: Circuit) -> dict:
+    """The circuit's JSON wire form: a gate table pool plus an op list.
+
+    Each distinct gate is written once, with its name, arity and full
+    table, and ops reference it by index, so a 108-op recovery cycle
+    built from three gates carries three tables, not 108.  This is the
+    one circuit codec: spec wire forms, job circuit blobs and the
+    synthesis identity database all store circuits this way.
+    """
+    gates: list[Gate] = []
+    gate_index: dict[Gate, int] = {}
+    ops = []
+    for op in circuit.ops:
+        if op.kind is OpKind.GATE:
+            index = gate_index.get(op.gate)
+            if index is None:
+                index = len(gates)
+                gate_index[op.gate] = index
+                gates.append(op.gate)
+            ops.append({"kind": "gate", "wires": list(op.wires), "gate": index})
+        else:
+            ops.append(
+                {
+                    "kind": "reset",
+                    "wires": list(op.wires),
+                    "value": op.reset_value,
+                }
+            )
+    return {
+        "n_wires": circuit.n_wires,
+        "name": circuit.name,
+        "gates": [
+            {"name": g.name, "arity": g.arity, "table": list(g.table)}
+            for g in gates
+        ],
+        "ops": ops,
+    }
+
+
+def circuit_from_json(data: dict) -> Circuit:
+    """Rebuild a circuit from :func:`circuit_to_json` output.
+
+    Gate and circuit construction re-validate everything (bijective
+    tables, wire ranges, arity matches), so a tampered payload fails
+    as a library error instead of producing a silently wrong circuit.
+    """
+    gates = [
+        Gate(name=g["name"], arity=g["arity"], table=tuple(g["table"]))
+        for g in data["gates"]
+    ]
+    circuit = Circuit(data["n_wires"], name=data.get("name", ""))
+    for op in data["ops"]:
+        wires = tuple(op["wires"])
+        if op["kind"] == "gate":
+            circuit.append(
+                Operation(OpKind.GATE, wires, gate=gates[op["gate"]])
+            )
+        elif op["kind"] == "reset":
+            circuit.append(
+                Operation(OpKind.RESET, wires, reset_value=op["value"])
+            )
+        else:
+            raise SerializationError(f"unknown op kind {op['kind']!r}")
+    return circuit

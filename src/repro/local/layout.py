@@ -154,8 +154,3 @@ class TileAssembly:
             raise LocalityError(
                 f"tile {tile} outside assembly of {self.n_tiles} tiles"
             )
-
-
-def remapped_grid(assembly: TileAssembly) -> Grid:
-    """The plain grid lattice matching :meth:`TileAssembly.position`."""
-    return assembly.grid

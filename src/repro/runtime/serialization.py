@@ -20,9 +20,7 @@ This module provides exactly one:
   each digest in a mapping of rebuilt circuits, so specs sharing a
   circuit share one :class:`~repro.core.circuit.Circuit`.
 * :func:`circuit_to_json` / :func:`circuit_from_json` — a circuit's
-  own wire form, gate tables deduplicated (an op references its gate
-  by index), so a 108-op recovery cycle built from three distinct
-  gates serialises the tables three times, not 108.
+  own wire form, re-exported from :mod:`repro.core.circuit`.
 
 Observables and decoders serialise by exact type: the three built-in
 observables (:class:`~repro.runtime.spec.PredicateObservable`,
@@ -62,8 +60,7 @@ import numpy as np
 
 from repro.coding.logical import LogicalProcessor
 from repro.coding.recovery import RecoveryLayout
-from repro.core.circuit import Circuit, OpKind, Operation
-from repro.core.gate import Gate
+from repro.core.circuit import Circuit, circuit_from_json, circuit_to_json
 from repro.errors import SerializationError
 from repro.noise.model import NoiseModel
 from repro.runtime.spec import (
@@ -135,79 +132,12 @@ def _circuit_wire(circuit: Circuit) -> tuple[dict, str]:
     key = (circuit.name, circuit.content_key())
     cached = _CIRCUIT_WIRE_CACHE.get(key)
     if cached is None:
-        fragment = _circuit_to_json_uncached(circuit)
+        fragment = circuit_to_json(circuit)
         digest = hashlib.sha256(canonical_json(fragment).encode()).hexdigest()
         if len(_CIRCUIT_WIRE_CACHE) >= _CIRCUIT_WIRE_CACHE_MAX:
             _CIRCUIT_WIRE_CACHE.clear()
         cached = _CIRCUIT_WIRE_CACHE[key] = (fragment, digest)
     return cached
-
-
-def circuit_to_json(circuit: Circuit) -> dict:
-    """The circuit's wire form: gate table pool + op list.
-
-    The returned dict is memoised and shared — treat it as frozen
-    (serialize it, embed it in payloads, never mutate it in place).
-    """
-    return _circuit_wire(circuit)[0]
-
-
-def _circuit_to_json_uncached(circuit: Circuit) -> dict:
-    gates: list[Gate] = []
-    gate_index: dict[Gate, int] = {}
-    ops = []
-    for op in circuit.ops:
-        if op.kind is OpKind.GATE:
-            index = gate_index.get(op.gate)
-            if index is None:
-                index = len(gates)
-                gate_index[op.gate] = index
-                gates.append(op.gate)
-            ops.append({"kind": "gate", "wires": list(op.wires), "gate": index})
-        else:
-            ops.append(
-                {
-                    "kind": "reset",
-                    "wires": list(op.wires),
-                    "value": op.reset_value,
-                }
-            )
-    return {
-        "n_wires": circuit.n_wires,
-        "name": circuit.name,
-        "gates": [
-            {"name": g.name, "arity": g.arity, "table": list(g.table)}
-            for g in gates
-        ],
-        "ops": ops,
-    }
-
-
-def circuit_from_json(data: dict) -> Circuit:
-    """Rebuild a circuit from :func:`circuit_to_json` output.
-
-    Gate and circuit construction re-validate everything (bijective
-    tables, wire ranges, arity matches), so a tampered payload fails
-    as a library error instead of producing a silently wrong circuit.
-    """
-    gates = [
-        Gate(name=g["name"], arity=g["arity"], table=tuple(g["table"]))
-        for g in data["gates"]
-    ]
-    circuit = Circuit(data["n_wires"], name=data.get("name", ""))
-    for op in data["ops"]:
-        wires = tuple(op["wires"])
-        if op["kind"] == "gate":
-            circuit.append(
-                Operation(OpKind.GATE, wires, gate=gates[op["gate"]])
-            )
-        elif op["kind"] == "reset":
-            circuit.append(
-                Operation(OpKind.RESET, wires, reset_value=op["value"])
-            )
-        else:
-            raise SerializationError(f"unknown op kind {op['kind']!r}")
-    return circuit
 
 
 def _circuit_reference(circuit: Circuit, circuits: dict | None) -> dict:

@@ -4,7 +4,7 @@ Two reset-free circuits on the same wires are *equivalent* when their
 exhaustive actions — their permutations of all ``2**n`` patterns — are
 equal.  This module stores such equivalence classes as rewrite
 material: the peephole optimiser looks a window's action up here and
-splices in the cheapest known equivalent.  Classes whose action is the
+splices in the shortest known equivalent.  Classes whose action is the
 identity are the classic "circuit identities" of the synthesis
 literature (templates): any occurrence may be deleted outright.
 
@@ -24,10 +24,12 @@ exhaustion and checked against its class, so a corrupted or
 hand-edited JSON file cannot smuggle in a wrong rewrite.
 
 Persistence is JSON under ``benchmarks/results/`` (the same home as
-the experiment tables): gates are stored by library name when the name
-resolves to the standard library, and with their full permutation
-table otherwise, so databases survive library renames loudly rather
-than silently.
+the experiment tables), each member in the circuit wire form of
+:func:`~repro.core.circuit.circuit_to_json` — the same codec spec wire
+forms and job circuit blobs use, gates stored with their full tables.
+
+A member's cost is its op count: every op is one fault location, the
+``G`` of the paper's ``rho = 1/(3 C(G,2))``.
 """
 
 from __future__ import annotations
@@ -35,65 +37,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core import library
-from repro.core.circuit import Circuit
+from repro.core.circuit import Circuit, circuit_from_json, circuit_to_json
 from repro.core.gate import Gate
 from repro.core.permutation import Permutation
 from repro.core.truth_table import circuit_permutation
-from repro.errors import SynthesisError
+from repro.errors import ReproError, SynthesisError
 from repro.synth.search import build_circuit, enumerate_canonical, placed_library
-from repro.synth.target import DEFAULT_COST_MODEL, CostModel
 
 #: Repository root (this file lives at src/repro/synth/).
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
 #: Default persistence home — next to the experiment result tables.
 DEFAULT_DATABASE_DIR = REPO_ROOT / "benchmarks" / "results"
-
-
-# ----------------------------------------------------------------------
-# Circuit (de)serialisation
-# ----------------------------------------------------------------------
-
-
-def circuit_to_json(circuit: Circuit) -> dict:
-    """A JSON-serialisable description of a circuit's content."""
-    ops = []
-    for op in circuit:
-        if op.is_reset:
-            ops.append({"reset": op.reset_value, "wires": list(op.wires)})
-            continue
-        assert op.gate is not None
-        entry: dict = {"gate": op.gate.name, "wires": list(op.wires)}
-        registered = library.REGISTRY.get(op.gate.name)
-        if registered is None or not registered.same_action(op.gate):
-            entry["table"] = list(op.gate.table)
-        ops.append(entry)
-    return {"n_wires": circuit.n_wires, "name": circuit.name, "ops": ops}
-
-
-def circuit_from_json(data: dict) -> Circuit:
-    """Rebuild a circuit serialised by :func:`circuit_to_json`."""
-    try:
-        circuit = Circuit(int(data["n_wires"]), name=str(data.get("name", "")))
-        for entry in data["ops"]:
-            wires = tuple(int(w) for w in entry["wires"])
-            if "reset" in entry:
-                circuit.append_reset(*wires, value=int(entry["reset"]))
-                continue
-            name = entry["gate"]
-            if "table" in entry:
-                gate = Gate(
-                    name=name,
-                    arity=len(wires),
-                    table=tuple(int(image) for image in entry["table"]),
-                )
-            else:
-                gate = library.get(name)
-            circuit.append_gate(gate, *wires)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SynthesisError(f"malformed circuit record: {exc}") from exc
-    return circuit
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +65,7 @@ class IdentityDatabase:
     """
 
     #: On-disk format version.
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, n_wires: int):
         if n_wires < 1:
@@ -149,13 +104,12 @@ class IdentityDatabase:
         gate_library: tuple[Gate, ...],
         max_gates: int,
         keep: int = 4,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> int:
         """Populate from the searcher's canonical enumeration.
 
         Walks every canonical placement sequence of up to ``max_gates``
-        gates, keeping at most ``keep`` cheapest members per class (a
-        rewrite needs the cheapest member plus a little diversity for
+        gates, keeping at most ``keep`` shortest members per class (a
+        rewrite needs the shortest member plus a little diversity for
         inspection, not the whole equivalence class).  Returns the net
         number of circuits the run added (insertions minus evictions).
         """
@@ -165,18 +119,10 @@ class IdentityDatabase:
         added = 0
         for sequence, mapping in enumerate_canonical(ops, max_gates):
             members = self.classes.setdefault(mapping, {})
-            # A reset-free candidate of k gates costs at least
-            # k * gate_location_weight (+ one depth layer when k > 0);
-            # when the class is full of members at or below that lower
-            # bound, building and scoring the candidate cannot improve
-            # the kept set.  The bound — not the raw gate count — keeps
-            # the skip sound for cost models with sub-unit weights.
-            lower_bound = cost_model.gate_location_weight * len(sequence)
-            if sequence:
-                lower_bound += cost_model.depth_weight
+            # A class already full of members no longer than this
+            # candidate keeps them: the candidate cannot shorten it.
             if len(members) >= keep and all(
-                cost_model.cost(member) <= lower_bound
-                for member in members.values()
+                len(member) <= len(sequence) for member in members.values()
             ):
                 continue
             circuit = build_circuit(ops, sequence, self.n_wires)
@@ -194,9 +140,7 @@ class IdentityDatabase:
             members[digest] = circuit
             added += 1
             if len(members) > keep:
-                worst = max(
-                    members, key=lambda d: (cost_model.cost(members[d]), d)
-                )
+                worst = max(members, key=lambda d: (len(members[d]), d))
                 del members[worst]
                 added -= 1
         return added
@@ -211,12 +155,10 @@ class IdentityDatabase:
         """Total member circuits across all classes."""
         return sum(len(members) for members in self.classes.values())
 
-    def best(
-        self,
-        action: Permutation | tuple[int, ...],
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-    ) -> Circuit | None:
-        """The cheapest known circuit with ``action``, or ``None``.
+    def best(self, action: Permutation | tuple[int, ...]) -> Circuit | None:
+        """The shortest known circuit with ``action``, or ``None``.
+
+        Ties between equally long members break by content digest.
 
         The identity action always answers with the empty circuit even
         on a freshly constructed database — deleting a no-op window
@@ -233,10 +175,7 @@ class IdentityDatabase:
             candidates.append(Circuit(self.n_wires))
         if not candidates:
             return None
-        return min(
-            candidates,
-            key=lambda c: (cost_model.cost(c), c.content_key()),
-        )
+        return min(candidates, key=lambda c: (len(c), c.content_key()))
 
     def identities(self) -> tuple[Circuit, ...]:
         """All mined circuits whose action is the identity."""
@@ -277,15 +216,14 @@ class IdentityDatabase:
         gate_library: tuple[Gate, ...],
         max_gates: int,
         keep: int = 4,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> "IdentityDatabase":
         """The persisted database at ``path``, mining it on first use.
 
         An existing file is loaded (and therefore re-verified member by
         member — a hand-edited database fails loudly) when its recorded
         mining parameters match the requested ones; a missing file, or
-        one mined under *different* parameters (library, depth, keep,
-        cost weights), is re-mined and overwritten, so editing the
+        one mined under *different* parameters (library, depth, keep),
+        is re-mined and overwritten, so editing the
         parameters in code can never silently keep serving the old
         rewrite rules.  A width mismatch raises: that is a caller
         confusion, not staleness.
@@ -296,11 +234,6 @@ class IdentityDatabase:
                 "gates": sorted(gate.name for gate in gate_library),
                 "max_gates": max_gates,
                 "keep": keep,
-                "cost": [
-                    cost_model.gate_location_weight,
-                    cost_model.reset_location_weight,
-                    cost_model.depth_weight,
-                ],
             }
         }
         if path.exists():
@@ -314,7 +247,7 @@ class IdentityDatabase:
                 return database
         database = cls(n_wires)
         database.metadata = provenance
-        database.mine(gate_library, max_gates, keep=keep, cost_model=cost_model)
+        database.mine(gate_library, max_gates, keep=keep)
         database.save(path)
         return database
 
@@ -341,7 +274,13 @@ class IdentityDatabase:
         for record in payload.get("classes", []):
             recorded = tuple(int(image) for image in record["mapping"])
             for circuit_record in record.get("circuits", []):
-                circuit = circuit_from_json(circuit_record)
+                try:
+                    circuit = circuit_from_json(circuit_record)
+                except (LookupError, TypeError, ValueError, ReproError) as exc:
+                    raise SynthesisError(
+                        f"identity database {path} holds a malformed "
+                        f"circuit record: {exc}"
+                    ) from exc
                 if (
                     circuit.n_wires != database.n_wires
                     or circuit_permutation(circuit).mapping != recorded

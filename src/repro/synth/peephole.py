@@ -15,28 +15,25 @@ fixed-point window scan with three rewrite families:
    :class:`~repro.synth.database.IdentityDatabase` is spliced out for
    that equivalent (no-op windows are deleted outright).
 
+The objective is the op count, which is the fault-location count: a
+database rewrite must make its window strictly shorter.
+
 **Verification contract.**  No rewrite is ever applied on faith: an
 inverse-pair cancellation re-checks ``b∘a = identity`` over all
-``2**arity`` patterns, and a database rewrite must prove the window's
-and the replacement's actions equal — even though the database already
-verified its members.  The proof has a fast path and an authority:
-first the static ANF prover (:mod:`repro.core.anf`) compares the two
-circuits' canonical GF(2) polynomials per output wire, which is a
-complete symbolic proof at polynomial cost; only if that does not
-certify equality is the full ``2**wires`` exhaustion recomputed, and
-exhaustion remains the authority of record — a rewrite raises only
-after *both* reject it.  A rewrite that fails verification raises
-instead of degrading silently.  Reset operations take part in none of this: they
+``2**arity`` patterns, and a database rewrite recomputes the
+replacement's action over all ``2**wires`` patterns and compares it
+with the window's — even though the database already verified its
+members.  A rewrite that fails verification raises instead of
+degrading silently.  Reset operations take part in none of this: they
 are not permutations, so they are never moved, merged, or rewritten
 (disjoint-wire gates may still cancel *across* them, which is exact).
 
 ``optimize`` terminates because every applied rewrite strictly
-decreases the cost model's score, and is idempotent because a
-fixed point by definition admits no further rewrite; both properties
-are pinned by the property tests.  The paper's own constructions
-(Figure-1 MAJ, Figure-5 SWAP3, the decomposition catalogue) are
-already optimal under the default cost model and pass through
-untouched.
+decreases the op count, and is idempotent because a fixed point by
+definition admits no further rewrite; both properties are pinned by
+the property tests.  The paper's own constructions (Figure-1 MAJ,
+Figure-5 SWAP3, the decomposition catalogue) are already minimal and
+pass through untouched.
 
 :func:`inflate` is the adversary: it pads a circuit with
 provably-identity redundancy (commuting X pairs around every gate,
@@ -50,14 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.coding.concatenation import gamma_census
 from repro.core import library
-from repro.core.anf import circuits_equivalent
 from repro.core.circuit import Circuit, Operation
 from repro.core.decompositions import maj_circuit, maj_inv_circuit
 from repro.core.truth_table import circuit_permutation
 from repro.errors import SynthesisError
 from repro.synth.database import IdentityDatabase
-from repro.synth.target import DEFAULT_COST_MODEL, CostModel
 
 #: Longest contiguous gate window offered to the database.
 DEFAULT_MAX_WINDOW = 4
@@ -71,11 +67,12 @@ MAX_WINDOW_WIRES = 6
 class OptimizationReport:
     """What :func:`optimize` did to one circuit.
 
-    ``verified_rewrites`` counts the equivalence proofs that passed
-    (static ANF fast path or exhaustive recheck) — by the verification
-    contract it equals ``cancellations + identity_removals +
-    database_rewrites`` (every applied rewrite was proved; nothing is
-    applied unchecked).
+    ``verified_rewrites`` counts the exhaustive equivalence checks that
+    passed — by the verification contract it equals ``cancellations +
+    identity_removals + database_rewrites`` (every applied rewrite was
+    proved; nothing is applied unchecked).  The location counts are
+    :func:`~repro.coding.concatenation.gamma_census` of the input and
+    the output.
     """
 
     original: Circuit
@@ -172,27 +169,8 @@ def _compact_window(
     return wires, window
 
 
-def _verify_rewrite(
-    window: Circuit, replacement: Circuit, window_mapping: tuple[int, ...]
-) -> bool:
-    """Prove ``replacement``'s action equals ``window``'s.
-
-    Fast path: the static ANF prover — canonical GF(2) polynomial
-    equality per output wire, a complete symbolic proof at polynomial
-    cost in the window size.  When it certifies equality the
-    ``2**wires`` exhaustion is skipped; when it does not, exhaustion
-    runs and remains the authority of record, so a prover regression
-    can only cost time, never admit a wrong splice.
-    """
-    if circuits_equivalent(window, replacement):
-        return True
-    return circuit_permutation(replacement).mapping == window_mapping
-
-
 def _window_pass(
-    ops: list[Operation],
-    database: IdentityDatabase,
-    cost_model: CostModel,
+    ops: list[Operation], database: IdentityDatabase
 ) -> tuple[int, int]:
     """One database-rewrite sweep; returns ``(rewrites, verified)``."""
     rewrites = 0
@@ -206,21 +184,21 @@ def _window_pass(
                 continue
             wires, window = located
             mapping = circuit_permutation(window).mapping
-            replacement = database.best(mapping, cost_model)
+            replacement = database.best(mapping)
             if replacement is None:
                 continue
             if not replacement.wires_touched() <= set(range(len(wires))):
                 continue  # replacement would spill past the window's wires
-            if cost_model.cost(replacement) >= cost_model.cost(window):
+            if len(replacement) >= width:
                 continue
-            # The verification contract: prove both actions equal
-            # before splicing, independent of what the database
-            # recorded — static ANF first, exhaustion as authority.
-            if not _verify_rewrite(window, replacement, mapping):
+            # The verification contract: prove both actions equal by
+            # exhaustion before splicing, independent of what the
+            # database recorded.
+            if circuit_permutation(replacement).mapping != mapping:
                 raise SynthesisError(
                     "database rewrite failed equivalence verification; "
                     "refusing to splice"
-                )  # pragma: no cover - database verifies on every entry path
+                )
             verified += 1
             from_compact = dict(enumerate(wires))
             ops[index:index + width] = [
@@ -236,12 +214,11 @@ def _window_pass(
 
 def optimize_report(
     circuit: Circuit,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
     database: IdentityDatabase | None = None,
     max_passes: int | None = None,
 ) -> OptimizationReport:
     """Run :func:`optimize` and report what happened."""
-    locations_before = cost_model.fault_locations(circuit)
+    locations_before = gamma_census(circuit)
     ops = list(circuit.ops)
     if max_passes is None:
         max_passes = len(ops) + 4
@@ -251,8 +228,8 @@ def optimize_report(
         if passes >= max_passes:
             raise SynthesisError(
                 f"peephole optimisation did not reach a fixed point in "
-                f"{max_passes} passes; the cost model is not decreasing"
-            )  # pragma: no cover - every rewrite strictly lowers cost
+                f"{max_passes} passes; the op count is not decreasing"
+            )  # pragma: no cover - every rewrite strictly lowers the op count
         passes += 1
         removed, cancelled = _cancel_pass(ops)
         identity_removals += removed
@@ -263,7 +240,7 @@ def optimize_report(
         verified += removed + cancelled
         rewrites = 0
         if database is not None:
-            rewrites, checked = _window_pass(ops, database, cost_model)
+            rewrites, checked = _window_pass(ops, database)
             database_rewrites += rewrites
             verified += checked
         if not (removed or cancelled or rewrites):
@@ -280,14 +257,12 @@ def optimize_report(
         database_rewrites=database_rewrites,
         verified_rewrites=verified,
         locations_before=locations_before,
-        locations_after=cost_model.fault_locations(optimized),
+        locations_after=gamma_census(optimized),
     )
 
 
 def optimize(
-    circuit: Circuit,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    database: IdentityDatabase | None = None,
+    circuit: Circuit, database: IdentityDatabase | None = None
 ) -> Circuit:
     """The circuit with every verified peephole rewrite applied.
 
@@ -298,7 +273,7 @@ def optimize(
     exhaustion before it is applied — and running ``optimize`` on its
     own output is a no-op (fixed point).
     """
-    return optimize_report(circuit, cost_model, database).circuit
+    return optimize_report(circuit, database).circuit
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Provably minimal reversible-circuit search.
 
-:func:`find_optimal` answers "what is the cheapest circuit over this
-gate library implementing this target?" by iterative deepening on gate
+:func:`find_optimal` answers "what is the shortest circuit over this
+gate library implementing this permutation?" by iterative deepening on gate
 count with a bidirectional (meet-in-the-middle) frontier: depth ``d``
 is decided by hashing every ``ceil(d/2)``-gate prefix action and
 probing it against every ``floor(d/2)``-gate suffix action, so the
@@ -31,15 +31,12 @@ whose actions may need such words.  The database miner, which
 enumerates whole circuits rather than actions, does apply it; see
 :func:`enumerate_canonical`.)
 
-Fully specified targets get the bidirectional search; targets with
-don't-care patterns cannot be probed by hash (many permutations match
-them) and fall back to forward-only iterative deepening over the same
-pruned frontiers.
-
 The search is exhaustive at each depth, so the first depth with a
-match yields the provably minimal gate count; among the canonical
-representatives meeting at that depth the returned circuit minimises
-``cost_model`` (ties broken by op order, deterministically).  The
+match yields the provably minimal gate count.  Gate count is the one
+objective: every op is one fault location, the ``G`` of the paper's
+``rho = 1/(3 C(G,2))``.  Among the canonical representatives meeting
+at the minimal depth the returned circuit is the one with the
+smallest op-index sequence, deterministically.  The
 ``REPRO_SYNTH_DEPTH`` environment knob does not change behaviour here
 — it is read by the benchmark/CI smoke layer via
 :func:`search_depth_budget` to cap ``max_gates`` on shared runners.
@@ -53,12 +50,11 @@ from dataclasses import dataclass
 from itertools import permutations as wire_orderings
 
 from repro.core import library
-from repro.core.bits import bits_to_index, index_to_bits
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
 from repro.core.permutation import Permutation
+from repro.core.truth_table import circuit_permutation
 from repro.errors import SynthesisError
-from repro.synth.target import DEFAULT_COST_MODEL, CostModel, SynthesisTarget
 
 #: The Figure-1 universal basis — the default synthesis library.
 DEFAULT_GATE_LIBRARY: tuple[Gate, ...] = (
@@ -69,6 +65,11 @@ DEFAULT_GATE_LIBRARY: tuple[Gate, ...] = (
 
 #: Default iterative-deepening bound (gates) before giving up.
 DEFAULT_MAX_GATES = 8
+
+#: Widest target :func:`find_optimal` accepts: the search enumerates
+#: permutations of ``2**n`` patterns, and beyond this the frontiers stop
+#: fitting in memory anyway.
+MAX_TARGET_WIRES = 6
 
 
 def search_depth_budget(default: int = DEFAULT_MAX_GATES) -> int:
@@ -112,19 +113,6 @@ class PlacedOp:
         return not set(self.wires) & set(other.wires)
 
 
-def op_permutation(gate: Gate, wires: tuple[int, ...], n_wires: int) -> tuple[int, ...]:
-    """The mapping of all ``2**n_wires`` patterns under one placement."""
-    mapping = []
-    for pattern in range(1 << n_wires):
-        bits = list(index_to_bits(pattern, n_wires))
-        packed = bits_to_index(tuple(bits[w] for w in wires))
-        image = index_to_bits(gate.table[packed], gate.arity)
-        for position, wire in enumerate(wires):
-            bits[wire] = image[position]
-        mapping.append(bits_to_index(bits))
-    return tuple(mapping)
-
-
 def placed_library(
     gate_library: tuple[Gate, ...], n_wires: int
 ) -> tuple[PlacedOp, ...]:
@@ -146,7 +134,9 @@ def placed_library(
         if gate.arity > n_wires:
             continue
         for wires in wire_orderings(range(n_wires), gate.arity):
-            mapping = op_permutation(gate, wires, n_wires)
+            mapping = circuit_permutation(
+                Circuit(n_wires).append_gate(gate, *wires)
+            ).mapping
             if mapping == identity or mapping in seen:
                 continue
             seen[mapping] = len(ops)
@@ -261,13 +251,11 @@ class SynthesisResult:
     """Outcome of :func:`find_optimal`.
 
     ``circuit`` implements the target at the provably minimal gate
-    count over the given library; ``cost`` is its score under the
-    search's cost model; ``states_explored`` totals the frontier
-    entries ever created (the measure the benchmarks budget).
+    count over the given library; ``states_explored`` totals the
+    frontier entries ever created (the measure the benchmarks budget).
     """
 
     circuit: Circuit
-    cost: float
     states_explored: int
 
     @property
@@ -290,19 +278,19 @@ def build_circuit(
 
 
 def find_optimal(
-    target: SynthesisTarget | Gate | Permutation | Circuit,
+    target: Gate | Permutation | Circuit,
     gate_library: tuple[Gate, ...] = DEFAULT_GATE_LIBRARY,
     max_gates: int = DEFAULT_MAX_GATES,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> SynthesisResult:
-    """The cheapest circuit over ``gate_library`` implementing ``target``.
+    """A minimal-gate-count circuit over ``gate_library`` implementing ``target``.
 
-    Iterative deepening guarantees the returned circuit's gate count is
-    minimal; among the canonical candidates found at that minimal
-    depth, ``cost_model`` picks the winner (with the default model the
-    two notions coincide — cost *is* gate count for reset-free
-    circuits).  Raises :class:`~repro.errors.SynthesisError` when no
-    circuit of at most ``max_gates`` gates matches.
+    ``target`` is the permutation of all ``2**n`` patterns to build,
+    given as a gate, a reset-free circuit or a
+    :class:`~repro.core.permutation.Permutation` on 1 to
+    :data:`MAX_TARGET_WIRES` wires.  Iterative deepening guarantees the
+    returned circuit's gate count is minimal.  Raises
+    :class:`~repro.errors.SynthesisError` when no circuit of at most
+    ``max_gates`` gates matches.
 
     The Figure-1 and Figure-5 constructions fall out directly::
 
@@ -312,64 +300,34 @@ def find_optimal(
         # -> 2 SWAPs, the paper's Figure 5
     """
     if isinstance(target, Gate):
-        target = SynthesisTarget.from_gate(target)
-    elif isinstance(target, Permutation):
-        target = SynthesisTarget.from_permutation(target)
+        permutation, label = target.permutation, target.name
     elif isinstance(target, Circuit):
-        target = SynthesisTarget.from_circuit(target)
+        permutation, label = circuit_permutation(target), target.name
+    elif isinstance(target, Permutation):
+        permutation, label = target, ""
+    else:
+        raise SynthesisError(
+            f"target must be a Gate, Circuit or Permutation, got "
+            f"{type(target).__name__}"
+        )
+    target_mapping = permutation.mapping
+    n_wires = len(target_mapping).bit_length() - 1
+    if 1 << n_wires != len(target_mapping):
+        raise SynthesisError(
+            f"permutation size {len(target_mapping)} is not a power of two"
+        )
+    if not 1 <= n_wires <= MAX_TARGET_WIRES:
+        raise SynthesisError(
+            f"target needs 1..{MAX_TARGET_WIRES} wires, got {n_wires}"
+        )
     if max_gates < 0:
         raise SynthesisError(f"max_gates must be >= 0, got {max_gates}")
-    ops = placed_library(tuple(gate_library), target.n_wires)
-    name = f"synth:{target.name}" if target.name else "synth"
+    ops = placed_library(tuple(gate_library), n_wires)
+    name = f"synth:{label}" if label else "synth"
 
-    identity = tuple(range(1 << target.n_wires))
-    if target.matches(identity):
-        return SynthesisResult(
-            circuit=Circuit(target.n_wires, name=name), cost=0.0,
-            states_explored=0,
-        )
-    if target.is_fully_specified:
-        return _search_bidirectional(target, ops, max_gates, cost_model, name)
-    return _search_forward(target, ops, max_gates, cost_model, name)
-
-
-def _pick_best(
-    candidates: list[tuple[int, ...]],
-    ops: tuple[PlacedOp, ...],
-    n_wires: int,
-    cost_model: CostModel,
-    name: str,
-    states_explored: int,
-) -> SynthesisResult:
-    best_circuit: Circuit | None = None
-    best_key: tuple | None = None
-    for sequence in candidates:
-        circuit = build_circuit(ops, sequence, n_wires, name)
-        key = (cost_model.cost(circuit), sequence)
-        if best_key is None or key < best_key:
-            best_key, best_circuit = key, circuit
-    assert best_circuit is not None and best_key is not None
-    return SynthesisResult(
-        circuit=best_circuit, cost=best_key[0], states_explored=states_explored
-    )
-
-
-def _no_match(ops: tuple[PlacedOp, ...], max_gates: int, label: str) -> SynthesisError:
-    return SynthesisError(
-        f"no circuit of <= {max_gates} gates over "
-        f"{sorted({op.gate.name for op in ops})} matches target {label}"
-    )
-
-
-def _search_bidirectional(
-    target: SynthesisTarget,
-    ops: tuple[PlacedOp, ...],
-    max_gates: int,
-    cost_model: CostModel,
-    name: str,
-) -> SynthesisResult:
-    target_mapping = target.outputs
     empty: Frontier = {tuple(range(len(target_mapping))): ()}
+    if target_mapping in empty:
+        return SynthesisResult(Circuit(n_wires, name=name), states_explored=0)
     forward: list[Frontier] = [empty]   # forward[k]: canonical k-gate prefixes
     backward: list[Frontier] = [empty]  # backward[k]: canonical k-gate suffixes
     states = 0
@@ -387,35 +345,15 @@ def _search_bidirectional(
         for mapping, prefix in forward[prefix_depth].items():
             # Need a suffix S with S ∘ F = target, i.e. S = target ∘ F⁻¹.
             needed = tuple(target_mapping[i] for i in _invert(mapping))
-            suffix = suffixes.get(needed)  # type: ignore[arg-type]
+            suffix = suffixes.get(needed)
             if suffix is not None:
                 candidates.append(prefix + suffix)
         if candidates:
-            return _pick_best(
-                candidates, ops, target.n_wires, cost_model, name, states
-            )
-    raise _no_match(ops, max_gates, target.name or repr(target.outputs))
-
-
-def _search_forward(
-    target: SynthesisTarget,
-    ops: tuple[PlacedOp, ...],
-    max_gates: int,
-    cost_model: CostModel,
-    name: str,
-) -> SynthesisResult:
-    frontier: Frontier = {tuple(range(len(target.outputs))): ()}
-    states = 0
-    for _ in range(max_gates):
-        frontier = _expand_forward(frontier, ops)
-        states += len(frontier)
-        candidates = [
-            sequence
-            for mapping, sequence in frontier.items()
-            if target.matches(mapping)
-        ]
-        if candidates:
-            return _pick_best(
-                candidates, ops, target.n_wires, cost_model, name, states
-            )
-    raise _no_match(ops, max_gates, target.name or "with don't cares")
+            # Every candidate has ``depth`` gates, the minimum.
+            circuit = build_circuit(ops, min(candidates), n_wires, name)
+            return SynthesisResult(circuit, states_explored=states)
+    raise SynthesisError(
+        f"no circuit of <= {max_gates} gates over "
+        f"{sorted({op.gate.name for op in ops})} matches target "
+        f"{label or repr(target_mapping)}"
+    )

@@ -112,12 +112,6 @@ class TestBitplaneState:
         batch.reset((2,))
         assert batch.array.tolist() == [[1, 1, 0]] * 130
 
-    def test_copy_is_independent(self):
-        batch = BitplaneState.zeros(2, 2)
-        clone = batch.copy()
-        clone.reset((0,), 1)
-        assert batch.array[0, 0] == 0
-
 
 class TestEquivalence:
     """The bit-plane engine must agree with the reference simulator."""

@@ -18,9 +18,9 @@ from repro.jobs import store as jobs_store
 from repro.runtime.serialization import (
     _CIRCUIT_WIRE_CACHE,
     _CIRCUIT_WIRE_CACHE_MAX,
+    _circuit_wire,
     canonical_json,
     circuit_from_json,
-    circuit_to_json,
     spec_from_json,
     spec_to_json,
 )
@@ -81,7 +81,7 @@ class TestSpecWireForm:
         spec = one_spec()
         key = point_key(spec)
         for index in range(_CIRCUIT_WIRE_CACHE_MAX):
-            circuit_to_json(Circuit(2, name=f"filler-{index}").cnot(0, 1))
+            _circuit_wire(Circuit(2, name=f"filler-{index}").cnot(0, 1))
         memo_key = (spec.circuit.name, spec.circuit.content_key())
         assert memo_key not in _CIRCUIT_WIRE_CACHE
         assert point_key(spec) == key

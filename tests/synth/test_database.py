@@ -7,16 +7,12 @@ import json
 import pytest
 
 from repro.core import library
-from repro.core.circuit import Circuit
+from repro.core.circuit import Circuit, circuit_to_json
 from repro.core.gate import Gate
 from repro.core.permutation import Permutation
+from repro.core.truth_table import circuit_permutation
 from repro.errors import SynthesisError
-from repro.synth import (
-    CostModel,
-    IdentityDatabase,
-    circuit_from_json,
-    circuit_to_json,
-)
+from repro.synth import IdentityDatabase
 
 
 def fig1_circuit() -> Circuit:
@@ -58,32 +54,34 @@ class TestContentDigest:
         assert database.n_circuits == 2
 
 
-class TestSerialisation:
-    def test_round_trip_library_gates(self):
-        circuit = fig1_circuit().append_reset(1, value=1)
-        rebuilt = circuit_from_json(circuit_to_json(circuit))
-        assert rebuilt.ops == circuit.ops
-        assert rebuilt.n_wires == circuit.n_wires
+class TestWireForm:
+    def test_members_are_stored_in_the_circuit_wire_form(self, tmp_path):
+        database = IdentityDatabase(3)
+        database.add(fig1_circuit())
+        path = database.save(tmp_path / "identities.json")
+        (record,) = json.loads(path.read_text())["classes"][0]["circuits"]
+        assert record == circuit_to_json(fig1_circuit())
 
-    def test_round_trip_custom_gate_inlines_table(self):
-        rotated = Gate.from_permutation(
-            "ROT4", Permutation((1, 2, 3, 0))
-        )
-        circuit = Circuit(2).append_gate(rotated, 0, 1)
-        record = circuit_to_json(circuit)
-        assert record["ops"][0]["table"] == [1, 2, 3, 0]
-        assert circuit_from_json(record).ops == circuit.ops
-
-    def test_renamed_library_gate_keeps_its_action(self):
-        # A gate that *shadows* a library name with a different action
-        # must serialise its table, not just the name.
+    def test_custom_gate_member_keeps_its_content_key(self, tmp_path):
+        # A gate that shadows a library name with a different action
+        # must come back with its own table, not the library's.
         impostor = library.SWAP.renamed("CNOT")
-        record = circuit_to_json(Circuit(2).append_gate(impostor, 0, 1))
-        assert "table" in record["ops"][0]
+        database = IdentityDatabase(2)
+        database.add(Circuit(2).append_gate(impostor, 0, 1))
+        loaded = IdentityDatabase.load(database.save(tmp_path / "db.json"))
+        ((mapping, members),) = loaded.classes.items()
+        assert mapping == library.SWAP.table
+        assert set(members) == set(database.classes[mapping])
 
-    def test_malformed_record_rejected(self):
+    def test_malformed_record_rejected(self, tmp_path):
+        database = IdentityDatabase(2)
+        database.add(Circuit(2).swap(0, 1))
+        path = database.save(tmp_path / "identities.json")
+        payload = json.loads(path.read_text())
+        payload["classes"][0]["circuits"][0] = {"n_wires": 2}
+        path.write_text(json.dumps(payload))
         with pytest.raises(SynthesisError, match="malformed"):
-            circuit_from_json({"n_wires": 2})
+            IdentityDatabase.load(path)
 
 
 class TestAddAndQuery:
@@ -118,24 +116,27 @@ class TestAddAndQuery:
         with pytest.raises(SynthesisError, match="does not fit"):
             IdentityDatabase(2).best((0, 1))
 
-    def test_best_ranks_equivalent_members_by_cost(self):
+    def test_best_ranks_equivalent_members_by_length(self):
         database = IdentityDatabase(2)
         lean = Circuit(2).x(0).cnot(0, 1).x(0)
         padded = Circuit(2).x(0).cnot(0, 1).x(0).x(1).x(1)
-        from repro.core.truth_table import circuit_permutation
-
         assert circuit_permutation(padded) == circuit_permutation(lean)
         database.add(padded)
         database.add(lean)
         best = database.best(circuit_permutation(lean))
         assert best is not None and len(best) == 3
-        # With gate locations free, the tie breaks deterministically by
+
+    def test_best_breaks_length_ties_by_digest(self):
+        # Equally long members: the tie breaks deterministically by
         # digest rather than by insertion order.
-        free = CostModel(gate_location_weight=0.0)
-        tied = database.best(circuit_permutation(lean), cost_model=free)
-        assert tied is not None
-        assert tied.content_key() == min(
-            lean.content_key(), padded.content_key()
+        database = IdentityDatabase(2)
+        first, second = Circuit(2).x(1).x(0), Circuit(2).x(0).x(1)
+        database.add(first)
+        database.add(second)
+        best = database.best(circuit_permutation(first))
+        assert best is not None
+        assert best.content_key() == min(
+            first.content_key(), second.content_key()
         )
 
 
@@ -172,8 +173,6 @@ class TestMining:
         database.mine((library.X, library.CNOT), max_gates=4)
         identities = database.identities()
         assert identities
-        from repro.core.truth_table import circuit_permutation
-
         assert all(
             circuit_permutation(circuit).is_identity()
             for circuit in identities
@@ -242,23 +241,39 @@ class TestPersistence:
         )
         assert again.n_circuits == deeper.n_circuits
 
-    def test_mine_skip_heuristic_sound_for_subunit_weights(self):
-        # Regression: with gate locations cheap, a later shorter member
-        # must not be skipped just because the kept member's *cost* is
-        # below the candidate's gate count.
-        cheap = CostModel(gate_location_weight=0.1)
+    def test_mine_replaces_a_longer_member_in_a_full_class(self):
+        # The full-class skip must not keep a hand-added longer member
+        # over a shorter mined one.
         database = IdentityDatabase(2)
         padded = Circuit(2).cnot(0, 1).x(0).x(0).cnot(0, 1).cnot(0, 1)
-        database.add(padded)  # 5 gates, cost 0.5, same action as CNOT(0,1)
-        database.mine((library.CNOT,), max_gates=1, keep=1, cost_model=cheap)
-        best = database.best(library.CNOT.table, cost_model=cheap)
-        assert best is not None and len(best) == 1
+        database.add(padded)  # 5 gates, same action as CNOT(0,1)
+        database.mine((library.CNOT,), max_gates=1, keep=1)
+        assert [len(member) for member in database.classes[library.CNOT.table].values()] == [1]
 
     def test_load_or_mine_rejects_width_mismatch(self, tmp_path):
         path = tmp_path / "identities.json"
         IdentityDatabase.load_or_mine(path, 2, (library.X,), max_gates=1)
         with pytest.raises(SynthesisError, match="expected 3"):
             IdentityDatabase.load_or_mine(path, 3, (library.X,), max_gates=1)
+
+    def test_committed_database_serves_the_experiment_without_mining(
+        self, monkeypatch
+    ):
+        # The committed file's mining parameters must equal what the
+        # synth-peephole experiment requests, or load_or_mine would
+        # re-mine and overwrite the tracked file on every run.
+        from repro.harness.experiments import _synth_rewrite_database
+        from repro.synth.database import DEFAULT_DATABASE_DIR
+
+        path = DEFAULT_DATABASE_DIR / "synth_identities.json"
+        committed = json.loads(path.read_text())["metadata"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the committed database was re-mined")
+
+        monkeypatch.setattr(IdentityDatabase, "mine", refuse)
+        monkeypatch.setattr(IdentityDatabase, "save", refuse)
+        assert _synth_rewrite_database().metadata == committed
 
     def test_committed_experiment_database_verifies(self):
         # The repository ships the synth-peephole rewrite database;

@@ -7,14 +7,12 @@ import pytest
 
 from repro.core import library
 from repro.core.circuit import Circuit
+from repro.core.permutation import Permutation
 from repro.core.truth_table import circuit_gate, circuit_permutation
 from repro.errors import SynthesisError
 from repro.synth import (
-    SynthesisTarget,
-    CostModel,
     enumerate_canonical,
     find_optimal,
-    op_permutation,
     placed_library,
     search_depth_budget,
 )
@@ -37,14 +35,6 @@ class TestPlacedLibrary:
         assert len(ops) == 2
         assert ops[0].inverse_index == 1
         assert ops[1].inverse_index == 0
-
-    def test_op_permutation_matches_simulator(self):
-        for wires in ((0, 2, 1), (2, 0, 3)):
-            mapping = op_permutation(library.MAJ, wires, 4)
-            reference = circuit_permutation(
-                Circuit(4).append_gate(library.MAJ, *wires)
-            )
-            assert mapping == reference.mapping
 
     def test_empty_library_rejected(self):
         with pytest.raises(SynthesisError, match="at least one gate"):
@@ -88,7 +78,7 @@ class TestMinimality:
             Circuit(2).cnot(0, 1).cnot(0, 1), (library.CNOT,), max_gates=3
         )
         assert result.gate_count == 0
-        assert result.cost == 0.0
+        assert result.states_explored == 0
 
     def test_single_gate_target(self):
         result = find_optimal(library.CNOT, (library.CNOT,), max_gates=3)
@@ -125,55 +115,41 @@ class TestMinimality:
                 }
                 reference_depth += 1
             result = find_optimal(
-                SynthesisTarget(3, target_mapping), gates, max_gates=5
+                Permutation(target_mapping), gates, max_gates=5
             )
             assert result.gate_count == reference_depth
             assert circuit_permutation(result.circuit).mapping == target_mapping
 
 
-class TestDontCareSearch:
-    def test_partial_toffoli_spec(self):
-        # Specify only the ancilla-clean inputs (wire 2 = 0): the AND
-        # of wires 0,1 lands on wire 2.  Toffoli satisfies it in one.
-        rows = {
-            "000": "000",
-            "010": "010",
-            "100": "100",
-            "110": "111",
-        }
-        target = SynthesisTarget.from_truth_table(rows, n_wires=3, name="and")
-        result = find_optimal(
-            target, (library.CNOT, library.TOFFOLI), max_gates=3
-        )
+class TestTargets:
+    def test_circuit_target_names_the_result(self):
+        fig1 = Circuit(3, name="fig1").cnot(0, 1).cnot(0, 2).toffoli(1, 2, 0)
+        result = find_optimal(fig1, (library.MAJ,), max_gates=2)
+        assert [op.label for op in result.circuit] == ["MAJ"]
+        assert result.circuit.name == "synth:fig1"
+
+    def test_permutation_target(self):
+        result = find_optimal(library.CNOT.permutation, (library.CNOT,))
         assert result.gate_count == 1
-        assert result.circuit.ops[0].label == "TOFFOLI"
-        assert target.matches_circuit(result.circuit)
+        assert result.circuit.name == "synth"
 
-    def test_forward_search_on_partial_spec(self):
-        # Inputs with wire 0 set are don't cares; the forward search
-        # still proves the empty circuit fails (wire 1 must flip) and
-        # finds the single-X solution at depth 1.
-        target = SynthesisTarget.from_truth_table(
-            {"00": "01", "01": "00"}, n_wires=2
-        )
-        result = find_optimal(target, (library.X, library.CNOT), max_gates=2)
-        assert result.gate_count == 1
-        assert target.matches_circuit(result.circuit)
+    def test_permutation_size_must_be_a_power_of_two(self):
+        with pytest.raises(SynthesisError, match="power of two"):
+            find_optimal(Permutation((1, 2, 0)), (library.X,))
 
+    def test_wire_bound(self):
+        with pytest.raises(SynthesisError, match="1..6 wires"):
+            find_optimal(Permutation(tuple(range(128))), (library.X,))
 
-class TestCostModelSelection:
-    def test_depth_weight_breaks_gate_count_ties(self):
-        # Two X gates on distinct wires: any order has 2 gates, depth 1;
-        # the cost model is exercised across the tied candidates.
-        target = SynthesisTarget.from_circuit(Circuit(2).x(0).x(1))
-        result = find_optimal(
-            target,
-            (library.X,),
-            max_gates=3,
-            cost_model=CostModel(depth_weight=0.25),
-        )
-        assert result.gate_count == 2
-        assert result.cost == 2 + 0.25 * 1
+    def test_non_permutation_target_rejected(self):
+        with pytest.raises(SynthesisError, match="Gate, Circuit or Permutation"):
+            find_optimal((1, 0), (library.X,))
+
+    def test_equal_length_candidates_break_ties_by_op_order(self):
+        # X(0) and X(1) commute: of the two 2-gate orders, the
+        # canonical search returns the library-order one.
+        result = find_optimal(Circuit(2).x(1).x(0), (library.X,), max_gates=3)
+        assert [op.wires for op in result.circuit] == [(0,), (1,)]
 
 
 class TestEnumerateCanonical:

@@ -1,12 +1,14 @@
-"""The static ANF fast path in the rewrite-verification contract."""
+"""The rewrite-verification contract: no database splice on faith."""
 
 from __future__ import annotations
+
+import pytest
 
 from repro.core import library
 from repro.core.circuit import Circuit
 from repro.core.truth_table import circuit_permutation
+from repro.errors import SynthesisError
 from repro.synth import IdentityDatabase, optimize_report
-from repro.synth.peephole import _verify_rewrite
 
 
 def database() -> IdentityDatabase:
@@ -18,45 +20,21 @@ def database() -> IdentityDatabase:
     return db
 
 
+class LyingDatabase(IdentityDatabase):
+    """Answers every lookup with a one-gate circuit of the wrong action."""
+
+    def best(self, action):
+        return Circuit(self.n_wires).x(0)
+
+
 class TestVerifyRewrite:
-    def test_static_proof_accepts_equal_circuits(self):
-        window = Circuit(3).cnot(0, 1).cnot(0, 1).cnot(0, 2)
-        replacement = Circuit(3).cnot(0, 2)
-        mapping = circuit_permutation(window).mapping
-        assert _verify_rewrite(window, replacement, mapping)
-
-    def test_unequal_circuits_are_rejected(self):
-        window = Circuit(3).cnot(0, 1)
-        replacement = Circuit(3).cnot(0, 2)
-        mapping = circuit_permutation(window).mapping
-        assert not _verify_rewrite(window, replacement, mapping)
-
-    def test_static_path_needs_no_exhaustion(self, monkeypatch):
-        # When the ANF prover certifies equality, the exhaustive
-        # recomputation must not run at all — that is the fast path.
-        import repro.synth.peephole as peephole
-
-        def boom(circuit):
-            raise AssertionError("exhaustion ran despite a static proof")
-
-        monkeypatch.setattr(peephole, "circuit_permutation", boom)
-        window = Circuit(3).maj(0, 1, 2)
-        replacement = Circuit(3).maj(0, 1, 2)
-        assert _verify_rewrite(window, replacement, None)
-
-    def test_exhaustion_remains_the_authority(self, monkeypatch):
-        # If the static prover is broken and rejects a true equality,
-        # the exhaustive check still accepts the rewrite — a prover
-        # regression can cost time, never correctness.
-        import repro.synth.peephole as peephole
-
-        monkeypatch.setattr(
-            peephole, "circuits_equivalent", lambda a, b: False
-        )
-        window = Circuit(3).cnot(0, 1)
-        replacement = Circuit(3).cnot(0, 1)
-        mapping = circuit_permutation(window).mapping
-        assert _verify_rewrite(window, replacement, mapping)
+    def test_wrong_action_replacement_is_refused(self):
+        # The database verifies its members on entry, but the optimiser
+        # re-proves every splice by exhaustion: a replacement whose
+        # action differs from the window's must raise, never splice.
+        circuit = Circuit(3).cnot(0, 1).toffoli(0, 1, 2)
+        with pytest.raises(SynthesisError, match="failed equivalence"):
+            optimize_report(circuit, database=LyingDatabase(3))
 
 
 class TestOptimizeStillSound:
