@@ -248,7 +248,8 @@ class TestPersistence:
         padded = Circuit(2).cnot(0, 1).x(0).x(0).cnot(0, 1).cnot(0, 1)
         database.add(padded)  # 5 gates, same action as CNOT(0,1)
         database.mine((library.CNOT,), max_gates=1, keep=1)
-        assert [len(member) for member in database.classes[library.CNOT.table].values()] == [1]
+        members = database.classes[library.CNOT.table].values()
+        assert [len(member) for member in members] == [1]
 
     def test_load_or_mine_rejects_width_mismatch(self, tmp_path):
         path = tmp_path / "identities.json"
