@@ -427,9 +427,15 @@ def circuit_from_json(data: dict) -> Circuit:
     for op in data["ops"]:
         wires = tuple(op["wires"])
         if op["kind"] == "gate":
-            circuit.append(
-                Operation(OpKind.GATE, wires, gate=gates[op["gate"]])
-            )
+            index = op["gate"]
+            # A negative index would silently pick a gate from the end
+            # of the pool.
+            if type(index) is not int or not 0 <= index < len(gates):
+                raise SerializationError(
+                    f"gate index {index!r} is outside the pool of "
+                    f"{len(gates)} gate(s)"
+                )
+            circuit.append(Operation(OpKind.GATE, wires, gate=gates[index]))
         elif op["kind"] == "reset":
             circuit.append(
                 Operation(OpKind.RESET, wires, reset_value=op["value"])

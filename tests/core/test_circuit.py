@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import library
-from repro.core.circuit import Circuit, Operation, OpKind
-from repro.errors import CircuitError
+from repro.core.circuit import (
+    Circuit,
+    Operation,
+    OpKind,
+    circuit_from_json,
+    circuit_to_json,
+)
+from repro.core.gate import Gate
+from repro.core.permutation import Permutation
+from repro.errors import CircuitError, GateDefinitionError, SerializationError
 
 
 class TestOperation:
@@ -178,3 +188,101 @@ class TestCensus:
     def test_depth_serial_chain(self):
         circuit = Circuit(2).cnot(0, 1).cnot(0, 1).cnot(0, 1)
         assert circuit.depth() == 3
+
+
+class TestWireForm:
+    """``circuit_to_json``/``circuit_from_json``, the one circuit codec."""
+
+    def test_round_trip_library_gates(self):
+        circuit = (
+            Circuit(3).cnot(0, 1).cnot(0, 2).toffoli(1, 2, 0)
+            .append_reset(1, value=1)
+        )
+        rebuilt = circuit_from_json(circuit_to_json(circuit))
+        assert rebuilt.ops == circuit.ops
+        assert rebuilt.n_wires == circuit.n_wires
+
+    @pytest.mark.parametrize("name", list(library.REGISTRY))
+    def test_every_library_gate_round_trips(self, name):
+        gate = library.REGISTRY[name]
+        circuit = Circuit(gate.arity).append_gate(gate, *range(gate.arity))
+        rebuilt = circuit_from_json(circuit_to_json(circuit))
+        assert rebuilt.ops[0].gate == gate
+        assert rebuilt.content_key() == circuit.content_key()
+
+    def test_round_trip_custom_gate_inlines_table(self):
+        rotated = Gate.from_permutation("ROT4", Permutation((1, 2, 3, 0)))
+        circuit = Circuit(2).append_gate(rotated, 0, 1)
+        record = circuit_to_json(circuit)
+        assert record["gates"] == [
+            {"name": "ROT4", "arity": 2, "table": [1, 2, 3, 0]}
+        ]
+        assert circuit_from_json(record).ops == circuit.ops
+
+    def test_renamed_library_gate_keeps_its_action(self):
+        # A gate that shadows a library name with a different action
+        # comes back with its own table, not the library's.
+        impostor = library.SWAP.renamed("CNOT")
+        record = circuit_to_json(Circuit(2).append_gate(impostor, 0, 1))
+        rebuilt = circuit_from_json(record)
+        assert rebuilt.ops[0].gate.table == library.SWAP.table
+        assert rebuilt.ops[0].gate.name == "CNOT"
+
+    def test_name_round_trips(self):
+        circuit = Circuit(2, name="pair").cnot(0, 1)
+        assert circuit_from_json(circuit_to_json(circuit)).name == "pair"
+
+    def test_missing_name_reads_as_empty(self):
+        record = circuit_to_json(Circuit(2).cnot(0, 1))
+        del record["name"]
+        assert circuit_from_json(record).name == ""
+
+    def test_round_trip_through_text(self):
+        circuit = Circuit(4).maj(0, 1, 2).append_reset(3).swap3_up(1, 2, 3)
+        text = json.dumps(circuit_to_json(circuit))
+        assert circuit_from_json(json.loads(text)).content_key() == (
+            circuit.content_key()
+        )
+
+    def test_gates_pool_is_written_once_per_gate(self):
+        circuit = Circuit(3).cnot(0, 1).cnot(1, 2).cnot(0, 2).x(0)
+        record = circuit_to_json(circuit)
+        assert [g["name"] for g in record["gates"]] == ["CNOT", "X"]
+        assert [op["gate"] for op in record["ops"]] == [0, 0, 0, 1]
+
+    def test_unknown_op_kind_rejected(self):
+        record = circuit_to_json(Circuit(2).cnot(0, 1))
+        record["ops"][0]["kind"] = "measure"
+        with pytest.raises(SerializationError, match="unknown op kind"):
+            circuit_from_json(record)
+
+    @pytest.mark.parametrize("index", [-1, 1, True, "0"])
+    def test_gate_index_outside_the_pool_rejected(self, index):
+        record = circuit_to_json(Circuit(2).cnot(0, 1))
+        record["ops"][0]["gate"] = index
+        with pytest.raises(SerializationError, match="outside the pool"):
+            circuit_from_json(record)
+
+    def test_non_bijective_table_rejected(self):
+        record = circuit_to_json(Circuit(2).cnot(0, 1))
+        record["gates"][0]["table"] = [0, 1, 1, 3]
+        with pytest.raises(GateDefinitionError):
+            circuit_from_json(record)
+
+    def test_wire_out_of_range_rejected(self):
+        record = circuit_to_json(Circuit(2).cnot(0, 1))
+        record["ops"][0]["wires"] = [0, 2]
+        with pytest.raises(CircuitError):
+            circuit_from_json(record)
+
+    def test_arity_mismatch_rejected(self):
+        record = circuit_to_json(Circuit(3).cnot(0, 1))
+        record["ops"][0]["wires"] = [0, 1, 2]
+        with pytest.raises(CircuitError):
+            circuit_from_json(record)
+
+    def test_bad_reset_value_rejected(self):
+        record = circuit_to_json(Circuit(2).append_reset(0))
+        record["ops"][0]["value"] = 2
+        with pytest.raises(CircuitError):
+            circuit_from_json(record)

@@ -428,6 +428,15 @@ class TestCircuitBlobs:
         with pytest.raises(JobError, match=re.escape(str(blob))):
             SweepJob.load(tmp_path / "job")
 
+    def test_gate_index_past_the_pool_raises(self, tmp_path, policy):
+        self._ran(tmp_path, policy, count=2)
+        blob = self._blob(tmp_path)
+        circuit = json.loads(blob.read_text())
+        circuit["ops"][0]["gate"] = len(circuit["gates"])
+        blob.write_text(json.dumps(circuit))
+        with pytest.raises(JobError, match=re.escape(str(blob))):
+            SweepJob.load(tmp_path / "job")
+
     def test_edited_blob_fails_the_job_id_check(self, tmp_path, policy):
         self._ran(tmp_path, policy, count=2)
         blob = self._blob(tmp_path)

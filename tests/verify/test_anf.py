@@ -1,10 +1,9 @@
 """The GF(2)/ANF algebra that underwrites symbolic verification.
 
 The verifier is only as trustworthy as its algebra, so the algebra is
-pinned against an independent oracle: exhaustive truth tables.
-Whole-circuit composition (:func:`table_anf` substituted op by op) is
-exercised by the verifier's own tests, which prove compiled programs
-equal to their circuits through it.
+pinned against an independent oracle: exhaustive truth tables (for
+evaluation) and :func:`~repro.core.truth_table.circuit_permutation`
+(for whole circuits, composed here from :func:`table_anf` op by op).
 """
 
 from __future__ import annotations
@@ -25,6 +24,9 @@ from repro.core.anf import (
     table_anf,
     variable,
 )
+from repro.core.circuit import Circuit
+from repro.core.decompositions import DECOMPOSITIONS
+from repro.core.truth_table import circuit_permutation
 from repro.errors import VerificationError
 
 x0, x1, x2 = variable(0), variable(1), variable(2)
@@ -95,3 +97,74 @@ class TestTableAnf:
     def test_size_mismatch_raises(self):
         with pytest.raises(VerificationError):
             table_anf((0, 1, 2), 2)
+
+
+def symbolic_outputs(circuit) -> tuple:
+    """The circuit's output wires as polynomials in its input wires.
+
+    Wire ``w`` starts as ``x_w``; a gate substitutes its inputs into its
+    :func:`table_anf`, a reset makes its wires constants.
+    """
+    state = [variable(w) for w in range(circuit.n_wires)]
+    for op in circuit:
+        if op.is_reset:
+            for wire in op.wires:
+                state[wire] = constant(op.reset_value)
+            continue
+        inputs = [state[wire] for wire in op.wires]
+        outputs = [
+            substitute(poly, inputs)
+            for poly in table_anf(op.gate.table, op.gate.arity)
+        ]
+        for wire, poly in zip(op.wires, outputs):
+            state[wire] = poly
+    return tuple(state)
+
+
+class TestCircuitEquivalence:
+    @pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+    def test_decompositions_equal_their_gates(self, name):
+        decomposition, gate, target_wires = DECOMPOSITIONS[name]
+        reference = Circuit(decomposition.n_wires)
+        reference.append_gate(gate, *target_wires)
+        assert symbolic_outputs(decomposition) == symbolic_outputs(reference)
+
+    def test_detects_inequivalence(self):
+        a = Circuit(2).cnot(0, 1)
+        b = Circuit(2).cnot(1, 0)
+        assert symbolic_outputs(a) != symbolic_outputs(b)
+
+    def test_resets_become_constants(self):
+        circuit = Circuit(2).append_reset(1, value=1).cnot(1, 0)
+        outputs = symbolic_outputs(circuit)
+        assert outputs[0] == p_xor(x0, ONE)
+        assert outputs[1] == ONE
+
+    def test_random_circuits_match_permutation_oracle(self):
+        # Deterministic pseudo-random gate soup, cross-checked against
+        # the exhaustive permutation semantics wire by wire.
+        n = 4
+        circuit = Circuit(n)
+        gates = [library.CNOT, library.TOFFOLI, library.X, library.SWAP]
+        state = 0x2545F491
+        for _ in range(24):
+            state = (state * 6364136223846793005 + 1442695040888963407) % (
+                1 << 64
+            )
+            gate = gates[state % len(gates)]
+            wires = []
+            pick = state >> 8
+            while len(wires) < gate.arity:
+                wire = pick % n
+                pick //= n
+                if wire not in wires:
+                    wires.append(wire)
+            circuit.append_gate(gate, *wires)
+        outputs = symbolic_outputs(circuit)
+        mapping = circuit_permutation(circuit).mapping
+        for pattern in range(1 << n):
+            bits = tuple((pattern >> (n - 1 - i)) & 1 for i in range(n))
+            image = mapping[pattern]
+            for position in range(n):
+                expected = (image >> (n - 1 - position)) & 1
+                assert evaluate(outputs[position], bits) == expected
