@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from repro.local.routing import (
     AdjacentSwap,
     adjacent_swaps_to_sort,
+    apply_swap_schedule,
     move_token,
     swaps_touching,
 )
@@ -116,8 +117,6 @@ def parallel_2d_schedule() -> tuple[list[AdjacentSwap], InterleaveReport]:
     keys = [3 * token[2] + token[1] for token in line]
     swaps = adjacent_swaps_to_sort(keys)
     final = list(line)
-    from repro.local.routing import apply_swap_schedule
-
     apply_swap_schedule(final, swaps)
     return swaps, _report("2d_parallel", line, swaps, final)
 

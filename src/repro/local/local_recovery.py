@@ -31,7 +31,12 @@ from dataclasses import dataclass
 from repro.core import library
 from repro.core.circuit import Circuit
 from repro.local.lattice import Chain, Grid
-from repro.local.routing import PackedOp, adjacent_swaps_to_sort, pack_swaps
+from repro.local.routing import (
+    PackedOp,
+    adjacent_swaps_to_sort,
+    append_packed,
+    pack_swaps,
+)
 from repro.errors import CodingError, LocalityError
 
 # ----------------------------------------------------------------------
@@ -72,13 +77,7 @@ def append_one_d_recovery(
             circuit.append_reset(*pair)
     for base in (0, 3, 6):
         circuit.maj_inv(base, base + 1, base + 2)
-    for op in one_d_routing_ops():
-        if op.kind == "SWAP":
-            circuit.swap(*op.wires)
-        elif op.kind == "SWAP3_UP":
-            circuit.swap3_up(*op.wires)
-        else:
-            circuit.swap3_down(*op.wires)
+    append_packed(circuit, one_d_routing_ops())
     for base in (0, 3, 6):
         circuit.maj(base, base + 1, base + 2)
 

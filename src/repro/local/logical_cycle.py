@@ -33,7 +33,12 @@ from repro.local.local_recovery import (
     TileRecovery,
     append_one_d_recovery,
 )
-from repro.local.routing import pack_swaps
+from repro.local.routing import (
+    adjacent_swaps_to_sort,
+    append_packed,
+    apply_swap_schedule,
+    pack_swaps,
+)
 from repro.errors import CodingError
 
 #: Wires per codeword cell on the 1D line.
@@ -94,19 +99,11 @@ def one_d_logical_cycle(
     circuit = Circuit(3 * CELL, name=f"1D-cycle[{gate.name}]")
 
     swaps, _ = interleave_1d_schedule()
-    for op in pack_swaps(swaps):
-        if op.kind == "SWAP":
-            circuit.swap(*op.wires)
-        elif op.kind == "SWAP3_UP":
-            circuit.swap3_up(*op.wires)
-        else:
-            circuit.swap3_down(*op.wires)
+    append_packed(circuit, pack_swaps(swaps))
 
     # After interleaving, transversal triple i is contiguous; find it
     # by replaying the schedule on the token line.
     line = one_d_initial_line()
-    from repro.local.routing import apply_swap_schedule
-
     apply_swap_schedule(line, swaps)
     for index in range(3):
         positions = [
@@ -114,13 +111,7 @@ def one_d_logical_cycle(
         ]
         circuit.append_gate(gate, *positions)
 
-    for op in pack_swaps([s for s in reversed(swaps)]):
-        if op.kind == "SWAP":
-            circuit.swap(*op.wires)
-        elif op.kind == "SWAP3_UP":
-            circuit.swap3_up(*op.wires)
-        else:
-            circuit.swap3_down(*op.wires)
+    append_packed(circuit, pack_swaps(swaps[::-1]))
 
     for cell in range(3):
         sub = Circuit(CELL)
@@ -177,17 +168,8 @@ def two_d_logical_cycle(
     # target is (bit i of every codeword adjacent): token (codeword j,
     # slot s) -> row 3s + j, where s is the slot order within the tile.
     keys = [3 * (row % 3) + (row // 3) for row in range(9)]
-    from repro.local.routing import adjacent_swaps_to_sort, apply_swap_schedule
-
     swaps = adjacent_swaps_to_sort(keys)
-    for op in pack_swaps(swaps):
-        wires = tuple(column_wires[w] for w in op.wires)
-        if op.kind == "SWAP":
-            circuit.swap(*wires)
-        elif op.kind == "SWAP3_UP":
-            circuit.swap3_up(*wires)
-        else:
-            circuit.swap3_down(*wires)
+    append_packed(circuit, pack_swaps(swaps), column_wires)
 
     # Transversal triples: after sorting, rows 3i..3i+2 hold slot i of
     # codewords 0, 1, 2 (in codeword order by construction of the key).
@@ -198,14 +180,7 @@ def two_d_logical_cycle(
         ordered = sorted(rows, key=lambda row: line[row] // 3)
         circuit.append_gate(gate, *[column_wires[row] for row in ordered])
 
-    for op in pack_swaps([s for s in reversed(swaps)]):
-        wires = tuple(column_wires[w] for w in op.wires)
-        if op.kind == "SWAP":
-            circuit.swap(*wires)
-        elif op.kind == "SWAP3_UP":
-            circuit.swap3_up(*wires)
-        else:
-            circuit.swap3_down(*wires)
+    append_packed(circuit, pack_swaps(swaps[::-1]), column_wires)
 
     trackers = []
     for tile in range(3):

@@ -10,7 +10,9 @@ module provides:
 * :func:`move_token` — the "move this bit over there" primitive used
   by the paper's interleaving description;
 * :func:`pack_swaps` — the greedy fusion of consecutive swaps into
-  SWAP3 gates (two SWAPs on three contiguous wires).
+  SWAP3 gates (two SWAPs on three contiguous wires);
+* :func:`append_packed` — the one emitter of packed routing gates onto
+  a circuit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass
 
+from repro.core import library
+from repro.core.circuit import Circuit
 from repro.errors import LocalityError
 
 #: An adjacent transposition of line positions ``(i, i + 1)``.
@@ -139,6 +143,21 @@ def pack_swaps(swaps: Sequence[AdjacentSwap]) -> list[PackedOp]:
         packed.append(PackedOp(kind="SWAP", wires=first))
         index += 1
     return packed
+
+
+def append_packed(
+    circuit: Circuit,
+    packed: Sequence[PackedOp],
+    wire_map: Sequence[int] | None = None,
+) -> None:
+    """Append packed routing gates to ``circuit``.
+
+    An op's line positions are circuit wires, or, given ``wire_map``,
+    index it: position ``p`` acts on wire ``wire_map[p]``.
+    """
+    for op in packed:
+        wires = op.wires if wire_map is None else tuple(wire_map[p] for p in op.wires)
+        circuit.append_gate(library.REGISTRY[op.kind], *wires)
 
 
 def packed_census(packed: Sequence[PackedOp]) -> dict[str, int]:
