@@ -10,7 +10,7 @@ threshold.
 from __future__ import annotations
 
 from benchmarks.conftest import RESULTS_DIR, run_once
-from repro.coding.recovery import repeated_recovery
+from repro.coding import repeated_recovery
 from repro.harness.experiments import trial_budget
 from repro.harness.tables import format_table
 from repro.noise.model import NoiseModel

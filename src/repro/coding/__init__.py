@@ -1,19 +1,22 @@
-"""Repetition coding, majority-multiplexing recovery, concatenation."""
+"""Repetition coding, majority-multiplexing recovery, concatenation.
+
+One compiler builds every fault-tolerant circuit: a logical bit is a
+:class:`Block` tree, :func:`compile_gate` and :func:`compile_recovery`
+lower a gate and a Figure-2 recovery at any level (level 1 is the
+base case), and :class:`LogicalProcessor` drives them over
+``n_logical`` bits at a chosen concatenation level.
+"""
 
 from repro.coding.concatenation import (
     Block,
-    ConcatenatedComputation,
     compile_gate,
     compile_recovery,
     concatenated_gate_circuit,
     gamma_census,
+    recovery_circuit,
+    repeated_recovery,
 )
-from repro.coding.logical import (
-    LogicalProcessor,
-    WIRES_PER_LOGICAL_BIT,
-    append_transversal_gate,
-    transversal_wire_triples,
-)
+from repro.coding.logical import LogicalProcessor
 from repro.coding.recovery import (
     ANCILLA_WIRES,
     DATA_WIRES,
@@ -23,11 +26,8 @@ from repro.coding.recovery import (
     RECOVERY_OPS_WITH_INIT,
     RECOVERY_OPS_WITHOUT_INIT,
     RecoveryLayout,
-    append_recovery,
     operations_per_encoded_gate,
-    recovery_circuit,
     recovery_op_count,
-    repeated_recovery,
 )
 from repro.coding.repetition import (
     LOGICAL_ONE,
@@ -38,15 +38,13 @@ from repro.coding.repetition import (
 
 __all__ = [
     "Block",
-    "ConcatenatedComputation",
     "compile_gate",
     "compile_recovery",
     "concatenated_gate_circuit",
     "gamma_census",
+    "recovery_circuit",
+    "repeated_recovery",
     "LogicalProcessor",
-    "WIRES_PER_LOGICAL_BIT",
-    "append_transversal_gate",
-    "transversal_wire_triples",
     "ANCILLA_WIRES",
     "DATA_WIRES",
     "DECODE_TRIPLES",
@@ -55,11 +53,8 @@ __all__ = [
     "RECOVERY_OPS_WITH_INIT",
     "RECOVERY_OPS_WITHOUT_INIT",
     "RecoveryLayout",
-    "append_recovery",
     "operations_per_encoded_gate",
-    "recovery_circuit",
     "recovery_op_count",
-    "repeated_recovery",
     "LOGICAL_ONE",
     "LOGICAL_ZERO",
     "RepetitionCode",

@@ -19,6 +19,12 @@ definition exactly:
   ``MAJ`` — as *level-(L−1) gates* (each with its own recursive
   recovery).
 
+Level 1 is the base case: its sub-blocks are single wires, so a
+level-1 gate is three physical gates on codeword bits and a level-1
+recovery is Figure 2 exactly (two 3-bit resets, three ``MAJ⁻¹``, three
+``MAJ``).  :func:`recovery_circuit` and :func:`repeated_recovery` build
+that cycle on the standard nine wires.
+
 With initialisation excluded from the census (the paper's ``E = 6``
 convention) the compiled physical gate count of one level-``k`` gate is
 exactly ``(3(1+E))**k = 21**k`` — the paper's ``Γ_k`` — which the test
@@ -28,37 +34,33 @@ suite checks by compiling and counting.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import library
-from repro.core.bits import Bits, majority
+from repro.core.bits import majority
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
 from repro.core.bitplane import BitplaneState
-from repro.coding.repetition import mismatch_plane
+from repro.coding.recovery import RecoveryLayout
 from repro.errors import CodingError
-
-#: Sub-block indices playing each role, mirroring Figure 2's wires.
-_DATA_ROLES = (0, 1, 2)
-_ANCILLA_ROLES = (3, 4, 5, 6, 7, 8)
 
 
 @dataclass
 class Block:
     """A level-``L`` coded bit on ``9**L`` contiguous physical wires.
 
-    ``data_children`` / ``ancilla_children`` hold the indices of the
-    nine sub-blocks currently playing each role; recovery rotates these
-    roles (the footnote-3 rotation) without moving any physical bits.
+    ``roles`` is a :class:`~repro.coding.recovery.RecoveryLayout` over
+    the indices ``0..8`` of the nine sub-blocks: which carry the
+    codeword and which serve as recovery ancillas.  Recovery advances
+    it (the footnote-3 rotation) without moving any physical bits.
     """
 
     level: int
     base: int
-    children: tuple["Block", ...] = field(default_factory=tuple)
-    data_children: list[int] = field(default_factory=lambda: list(_DATA_ROLES))
-    ancilla_children: list[int] = field(default_factory=lambda: list(_ANCILLA_ROLES))
+    children: tuple["Block", ...] = ()
+    roles: RecoveryLayout = RecoveryLayout.standard()
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -98,17 +100,19 @@ class Block:
         """The physical wire range occupied by this block."""
         return range(self.base, self.base + self.size)
 
-    def data_blocks(self) -> list["Block"]:
-        """Sub-blocks currently carrying the codeword."""
+    def sub_blocks(self, indices: Sequence[int]) -> list["Block"]:
+        """The sub-blocks at ``indices`` (positions in :attr:`roles`)."""
         if self.level == 0:
             raise CodingError("a level-0 block has no sub-blocks")
-        return [self.children[i] for i in self.data_children]
+        return [self.children[i] for i in indices]
+
+    def data_blocks(self) -> list["Block"]:
+        """Sub-blocks currently carrying the codeword."""
+        return self.sub_blocks(self.roles.data)
 
     def ancilla_blocks(self) -> list["Block"]:
         """Sub-blocks currently serving as recovery ancillas."""
-        if self.level == 0:
-            raise CodingError("a level-0 block has no sub-blocks")
-        return [self.children[i] for i in self.ancilla_children]
+        return self.sub_blocks(self.roles.ancillas)
 
     def deep_data_wires(self) -> list[int]:
         """Physical wires carrying codeword bits, recursively."""
@@ -118,13 +122,6 @@ class Block:
         for child in self.data_blocks():
             wires.extend(child.deep_data_wires())
         return wires
-
-    def advance_roles(self) -> None:
-        """Rotate roles after a recovery at this block's level."""
-        d0, d1, d2 = self.data_children
-        a0, a1, a2, a3, a4, a5 = self.ancilla_children
-        self.data_children = [d0, a0, a3]
-        self.ancilla_children = [d1, d2, a1, a2, a4, a5]
 
     # ------------------------------------------------------------------
     # Logical value
@@ -156,44 +153,41 @@ class Block:
 # ----------------------------------------------------------------------
 
 
-def _reset_block(circuit: Circuit, block: Block) -> None:
-    """Re-initialise every wire of ``block`` using 3-bit reset ops."""
-    wires = list(block.wires)
-    if len(wires) % 3 == 0:
-        for start in range(0, len(wires), 3):
-            circuit.append_reset(*wires[start : start + 3])
-    else:  # level-0 ancilla: a single wire
-        circuit.append_reset(*wires)
+def compile_recovery(
+    circuit: Circuit, block: Block, include_resets: bool = True
+) -> None:
+    """Emit one error-recovery cycle at ``block.level`` onto ``circuit``.
 
-
-def compile_recovery(circuit: Circuit, block: Block) -> None:
-    """Emit one error-recovery cycle at ``block.level`` onto ``circuit``."""
+    The Figure-2 pattern over the block's sub-blocks: reset the two
+    ancilla groups with 3-bit resets, fan each data sub-block out with
+    ``MAJ⁻¹``, then vote with ``MAJ``, all as level-``L−1`` gates.
+    ``include_resets=False`` omits the resets at every level (the
+    paper's ``E = 6`` accounting); callers are then responsible for
+    the ancillas being clean.
+    """
     if block.level == 0:
         raise CodingError("recovery is defined for levels >= 1")
-    ancillas = block.ancilla_blocks()
-    if block.level == 1:
-        # Figure 2 exactly: two 3-bit initialisation operations.
-        anc_wires = [anc.base for anc in ancillas]
-        circuit.append_reset(*anc_wires[0:3])
-        circuit.append_reset(*anc_wires[3:6])
-    else:
-        for ancilla in ancillas:
-            _reset_block(circuit, ancilla)
-    data = block.data_blocks()
-    # Encode: fan each data sub-block onto one ancilla from each group.
-    for i in range(3):
+    roles = block.roles
+    if include_resets:
+        for group in roles.reset_groups():
+            wires = [w for child in block.sub_blocks(group) for w in child.wires]
+            for start in range(0, len(wires), 3):
+                circuit.append_reset(*wires[start : start + 3])
+    for triple in roles.encode_triples():
         compile_gate(
-            circuit, library.MAJ_INV, [data[i], ancillas[i], ancillas[i + 3]]
+            circuit,
+            library.MAJ_INV,
+            block.sub_blocks(triple),
+            include_resets=include_resets,
         )
-    # Decode: block majorities into the first operand of each triple.
-    decode_triples = (
-        (data[0], data[1], data[2]),
-        (ancillas[0], ancillas[1], ancillas[2]),
-        (ancillas[3], ancillas[4], ancillas[5]),
-    )
-    for triple in decode_triples:
-        compile_gate(circuit, library.MAJ, list(triple))
-    block.advance_roles()
+    for triple in roles.decode_triples():
+        compile_gate(
+            circuit,
+            library.MAJ,
+            block.sub_blocks(triple),
+            include_resets=include_resets,
+        )
+    block.roles = roles.advance()
 
 
 def compile_gate(
@@ -201,6 +195,7 @@ def compile_gate(
     gate: Gate,
     operands: Sequence[Block],
     recover: bool = True,
+    include_resets: bool = True,
 ) -> None:
     """Emit a logical ``gate`` on equal-level operand blocks.
 
@@ -223,104 +218,61 @@ def compile_gate(
         return
     data = [block.data_blocks() for block in operands]
     for i in range(3):
-        compile_gate(circuit, gate, [d[i] for d in data])
+        compile_gate(
+            circuit, gate, [d[i] for d in data], include_resets=include_resets
+        )
     if recover:
         for block in operands:
-            compile_recovery(circuit, block)
+            compile_recovery(circuit, block, include_resets)
 
 
 # ----------------------------------------------------------------------
-# Whole computations
+# Standard circuits
 # ----------------------------------------------------------------------
 
 
-class ConcatenatedComputation:
-    """A fault-tolerant computation compiled at concatenation level L.
+def recovery_circuit(include_resets: bool = True, name: str = "EL") -> Circuit:
+    """The Figure-2 recovery circuit on the standard nine-wire layout.
 
-    Allocates ``n_logical`` level-``L`` blocks side by side and lowers
-    each logical gate through :func:`compile_gate`.  The analogue of
-    :class:`~repro.coding.logical.LogicalProcessor` for arbitrary level.
+    The recovered codeword lands on
+    :data:`~repro.coding.recovery.OUTPUT_WIRES`.
     """
+    return repeated_recovery(1, include_resets, name)[0]
 
-    def __init__(self, n_logical: int, level: int, name: str = ""):
-        if n_logical < 1:
-            raise CodingError(f"need >= 1 logical bit, got {n_logical}")
-        if level < 1:
-            raise CodingError(f"concatenation level must be >= 1, got {level}")
-        self.level = level
-        block_size = 9 ** level
-        self.blocks = [
-            Block.allocate(level, base=i * block_size) for i in range(n_logical)
-        ]
-        self.circuit = Circuit(n_logical * block_size, name=name)
 
-    @property
-    def n_logical(self) -> int:
-        """Number of logical bits."""
-        return len(self.blocks)
+def repeated_recovery(
+    cycles: int, include_resets: bool = True, name: str = "EL^n"
+) -> tuple[Circuit, RecoveryLayout]:
+    """``cycles`` chained recovery cycles on nine wires.
 
-    def apply(self, gate: Gate, *logical_bits: int, recover: bool = True) -> None:
-        """Apply a logical gate (then recovery) at the top level."""
-        if len(set(logical_bits)) != len(logical_bits):
-            raise CodingError(f"logical operands must be distinct: {logical_bits}")
-        operands = [self.blocks[bit] for bit in logical_bits]
-        compile_gate(self.circuit, gate, operands, recover=recover)
-
-    def recover(self, logical_bit: int) -> None:
-        """Run top-level recovery on one logical bit."""
-        compile_recovery(self.circuit, self.blocks[logical_bit])
-
-    def physical_input(self, logical_bits: Sequence[int]) -> Bits:
-        """Encode logical bits into a physical input vector.
-
-        Deep data wires carry the bit; everything else starts at zero.
-        Uses the blocks' *current* role maps, so call on a fresh
-        computation (before any recovery has rotated roles).
-        """
-        if len(logical_bits) != self.n_logical:
-            raise CodingError(
-                f"expected {self.n_logical} logical bits, got {len(logical_bits)}"
-            )
-        state = [0] * self.circuit.n_wires
-        for block, bit in zip(self.blocks, logical_bits):
-            if bit not in (0, 1):
-                raise CodingError(f"logical bit must be 0 or 1, got {bit!r}")
-            for wire in block.deep_data_wires():
-                state[wire] = bit
-        return tuple(state)
-
-    def decode_output(self, state: Sequence[int]) -> tuple[int, ...]:
-        """Recursive majority decode of every logical bit."""
-        return tuple(block.decode(state) for block in self.blocks)
-
-    def decode_failure_plane(
-        self, states: BitplaneState, expected_logical: Sequence[int]
-    ) -> np.ndarray:
-        """Packed per-trial decode-failure plane of a bit-plane batch.
-
-        The concatenated analogue of
-        :meth:`~repro.coding.logical.LogicalProcessor.decode_failure_plane`:
-        bit ``t`` is set when trial ``t``'s recursively decoded logical
-        word differs from ``expected_logical`` anywhere.
-        """
-        return mismatch_plane(
-            (block.majority_plane(states) for block in self.blocks),
-            expected_logical,
-            self.n_logical,
-        )
+    Returns the circuit and the final layout (whose ``data`` wires hold
+    the surviving codeword).
+    """
+    if cycles < 0:
+        raise CodingError(f"cycle count must be >= 0, got {cycles}")
+    circuit = Circuit(9, name=name)
+    block = Block.allocate(1)
+    for _ in range(cycles):
+        compile_recovery(circuit, block, include_resets)
+    # Based at wire 0, the sub-block indices are the wires.
+    return circuit, block.roles
 
 
 def concatenated_gate_circuit(
     gate: Gate, level: int, recover: bool = True
 ) -> tuple[Circuit, list[Block]]:
-    """One logical 3-bit gate at ``level``, fully compiled.
+    """One logical gate at ``level``, fully compiled.
 
-    Returns the circuit and the three operand blocks (whose role maps
-    reflect the post-recovery state).
+    Returns the circuit and the operand blocks (whose roles reflect the
+    post-recovery state).
     """
-    computation = ConcatenatedComputation(gate.arity, level)
-    computation.apply(gate, *range(gate.arity), recover=recover)
-    return computation.circuit, computation.blocks
+    if level < 1:
+        raise CodingError(f"concatenation level must be >= 1, got {level}")
+    size = 9 ** level
+    blocks = [Block.allocate(level, base=i * size) for i in range(gate.arity)]
+    circuit = Circuit(gate.arity * size)
+    compile_gate(circuit, gate, blocks, recover=recover)
+    return circuit, blocks
 
 
 def gamma_census(circuit: Circuit) -> dict[str, int]:

@@ -1,4 +1,4 @@
-"""Level-1 fault-tolerant computation on repetition codewords.
+"""Fault-tolerant computation on concatenated repetition codewords.
 
 Because the codewords of the repetition code are ``000`` and ``111``,
 *any* reversible gate acts on logical values transversally: applying a
@@ -6,77 +6,68 @@ Because the codewords of the repetition code are ``000`` and ``111``,
 bit i of codeword C) for i = 0, 1, 2 applies the gate to the logical
 values.  "After each gate operation, we apply our error-recovery
 circuit" (Section 2) — :class:`LogicalProcessor` automates exactly
-that schedule and is the building block of the fault-tolerant examples.
+that schedule, at any concatenation level, through the one compiler of
+:mod:`repro.coding.concatenation`.  It is the building block of the
+fault-tolerant examples, the threshold search and Figure 3.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.bits import Bits
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
-from repro.core.bitplane import BitplaneState
-from repro.coding.recovery import RecoveryLayout, append_recovery
-from repro.coding.repetition import THREE_BIT_CODE, mismatch_plane
+from repro.core.bitplane import BitplaneState, unpack_words
+from repro.coding.concatenation import Block, compile_gate, compile_recovery
+from repro.coding.repetition import mismatch_plane
 from repro.errors import CodingError
-
-import numpy as np
-
-#: Wires occupied by one level-1 logical bit (codeword + ancillas).
-WIRES_PER_LOGICAL_BIT = 9
-
-
-def transversal_wire_triples(
-    layouts: Sequence[RecoveryLayout],
-) -> tuple[tuple[int, ...], ...]:
-    """Wire tuples for a transversal gate across the given codewords.
-
-    For operand codewords with data wires ``(a0,a1,a2)``, ``(b0,b1,b2)``,
-    ... the i-th transversal application touches ``(ai, bi, ci, ...)``.
-    """
-    return tuple(
-        tuple(layout.data[i] for layout in layouts) for i in range(3)
-    )
-
-
-def append_transversal_gate(
-    circuit: Circuit, gate: Gate, layouts: Sequence[RecoveryLayout]
-) -> None:
-    """Append the three transversal applications of ``gate``."""
-    if gate.arity != len(layouts):
-        raise CodingError(
-            f"gate {gate.name!r} has arity {gate.arity} but "
-            f"{len(layouts)} codewords were given"
-        )
-    for wires in transversal_wire_triples(layouts):
-        circuit.append_gate(gate, *wires)
 
 
 class LogicalProcessor:
-    """Builds a level-1 fault-tolerant circuit over ``n_logical`` bits.
+    """Builds a fault-tolerant circuit over ``n_logical`` bits.
 
-    Each logical bit owns a nine-wire cell (3 data + 6 ancilla wires).
-    :meth:`apply` emits a transversal logical gate followed by an
-    error-recovery cycle on each operand codeword, per the paper's
-    schedule.  The resulting :attr:`circuit` can be run noiselessly or
-    handed to the Monte-Carlo engine.
+    Each logical bit is a level-``level``
+    :class:`~repro.coding.concatenation.Block` of ``9**level`` wires
+    (at level 1, a nine-wire cell of 3 data + 6 ancilla wires).
+    :meth:`apply` lowers a logical gate through
+    :func:`~repro.coding.concatenation.compile_gate`: the gate applied
+    transversally, then an error-recovery cycle on each operand, per
+    the paper's schedule.  ``include_resets=False`` omits the ancilla
+    resets at every level.  The resulting :attr:`circuit` can be run
+    noiselessly or handed to the Monte-Carlo engine.
     """
 
-    def __init__(self, n_logical: int, include_resets: bool = True, name: str = ""):
+    def __init__(
+        self,
+        n_logical: int,
+        level: int = 1,
+        include_resets: bool = True,
+        name: str = "",
+    ):
         if n_logical < 1:
             raise CodingError(f"need >= 1 logical bit, got {n_logical}")
-        self.n_logical = n_logical
+        if level < 1:
+            raise CodingError(f"concatenation level must be >= 1, got {level}")
+        self.level = level
         self.include_resets = include_resets
-        self.circuit = Circuit(WIRES_PER_LOGICAL_BIT * n_logical, name=name)
-        self.layouts: list[RecoveryLayout] = [
-            RecoveryLayout.standard(offset=WIRES_PER_LOGICAL_BIT * index)
-            for index in range(n_logical)
-        ]
+        size = 9 ** level
+        self.blocks = [Block.allocate(level, base=i * size) for i in range(n_logical)]
+        self.circuit = Circuit(n_logical * size, name=name)
         self.logical_gates_applied = 0
+        # Inputs are encoded on the data wires of the *initial* roles,
+        # whatever recovery has rotated since.
+        self._input_wires = [block.deep_data_wires() for block in self.blocks]
+
+    @property
+    def n_logical(self) -> int:
+        """Number of logical bits."""
+        return len(self.blocks)
 
     def __eq__(self, other: object) -> bool:
-        """Value equality: same construction state, circuit, and layouts.
+        """Value equality: same construction state, circuit, and roles.
 
         Two processors compare equal when one could decode the other's
         output — the contract the JSON round-trip of
@@ -87,51 +78,53 @@ class LogicalProcessor:
         if not isinstance(other, LogicalProcessor):
             return NotImplemented
         return (
-            self.n_logical == other.n_logical
+            self.level == other.level
             and self.include_resets == other.include_resets
             and self.logical_gates_applied == other.logical_gates_applied
-            and self.layouts == other.layouts
+            and self.blocks == other.blocks
             and self.circuit == other.circuit
         )
 
     def __hash__(self) -> int:
-        # Only init-time immutable fields participate: layouts and the
+        # Only init-time immutable fields participate: roles and the
         # circuit mutate as cycles append, and a hash that moved with
         # them would corrupt any set or frozen-dataclass hash (e.g.
         # DecodeObservable) holding the processor.  Collisions between
         # same-shape processors are fine; equality disambiguates.
-        return hash((LogicalProcessor, self.n_logical, self.include_resets))
+        return hash(
+            (LogicalProcessor, self.n_logical, self.level, self.include_resets)
+        )
 
     # ------------------------------------------------------------------
     # Program construction
     # ------------------------------------------------------------------
 
+    def _block(self, logical_bit: int) -> Block:
+        if not 0 <= logical_bit < self.n_logical:
+            raise CodingError(
+                f"logical bit {logical_bit} out of range for "
+                f"{self.n_logical} logical bits"
+            )
+        return self.blocks[logical_bit]
+
     def apply(self, gate: Gate, *logical_bits: int, recover: bool = True) -> None:
         """Apply ``gate`` to logical bits transversally, then recover.
 
-        ``recover=False`` skips the recovery cycles (useful for
-        measuring the value of recovery in ablation experiments).
+        ``recover=False`` skips the top-level recovery cycles (useful
+        for measuring the value of recovery in ablation experiments).
         """
-        for bit in logical_bits:
-            if not 0 <= bit < self.n_logical:
-                raise CodingError(f"logical bit {bit} out of range")
+        operands = [self._block(bit) for bit in logical_bits]
         if len(set(logical_bits)) != len(logical_bits):
             raise CodingError(f"logical operands must be distinct: {logical_bits}")
-        operands = [self.layouts[bit] for bit in logical_bits]
-        append_transversal_gate(self.circuit, gate, operands)
+        compile_gate(self.circuit, gate, operands, recover, self.include_resets)
         self.logical_gates_applied += 1
-        if recover:
-            for bit in logical_bits:
-                self.recover(bit)
 
     def recover(self, logical_bit: int) -> None:
-        """Append one recovery cycle on a single codeword."""
-        self.layouts[logical_bit] = append_recovery(
-            self.circuit, self.layouts[logical_bit], self.include_resets
-        )
+        """Append one top-level recovery cycle on a single logical bit."""
+        compile_recovery(self.circuit, self._block(logical_bit), self.include_resets)
 
     def recover_all(self) -> None:
-        """Append a recovery cycle on every codeword."""
+        """Append a recovery cycle on every logical bit."""
         for bit in range(self.n_logical):
             self.recover(bit)
 
@@ -142,36 +135,35 @@ class LogicalProcessor:
     def physical_input(self, logical_bits: Sequence[int]) -> Bits:
         """The physical input vector encoding the given logical bits.
 
-        Data wires carry the codeword; ancillas start at zero.  Uses the
-        *initial* layouts, so call before building or on a fresh
-        processor's wire numbering.
+        The data wires of the initial roles carry the bit, recursively;
+        everything else starts at zero.  The vector is the same before
+        and after the program is built.
         """
         if len(logical_bits) != self.n_logical:
             raise CodingError(
                 f"expected {self.n_logical} logical bits, got {len(logical_bits)}"
             )
         state = [0] * self.circuit.n_wires
-        for index, bit in enumerate(logical_bits):
-            codeword = THREE_BIT_CODE.encode(bit)
-            layout = RecoveryLayout.standard(offset=WIRES_PER_LOGICAL_BIT * index)
-            for wire, value in zip(layout.data, codeword):
-                state[wire] = value
+        for wires, bit in zip(self._input_wires, logical_bits):
+            if bit not in (0, 1):
+                raise CodingError(f"logical bit must be 0 or 1, got {bit!r}")
+            for wire in wires:
+                state[wire] = bit
         return tuple(state)
 
     def decode_output(self, state: Sequence[int]) -> tuple[int, ...]:
-        """Majority-decode every codeword from a final physical state."""
-        decoded = []
-        for layout in self.layouts:
-            word = tuple(state[w] for w in layout.data)
-            decoded.append(THREE_BIT_CODE.decode(word))
-        return tuple(decoded)
+        """Recursive majority decode of every logical bit from one state."""
+        return tuple(block.decode(state) for block in self.blocks)
 
     def decode_batch(self, states: BitplaneState) -> np.ndarray:
-        """Majority-decode every codeword across a Monte-Carlo batch.
+        """Majority-decode every logical bit across a Monte-Carlo batch.
 
-        Returns an array of shape ``(trials, n_logical)``.
+        Returns a uint8 array of shape ``(trials, n_logical)``.
         """
-        columns = [states.majority_of(layout.data) for layout in self.layouts]
+        columns = [
+            unpack_words(block.majority_plane(states), states.trials)
+            for block in self.blocks
+        ]
         return np.stack(columns, axis=1)
 
     def decode_failure_plane(
@@ -180,14 +172,14 @@ class LogicalProcessor:
         """Packed per-trial decode-failure plane of a bit-plane batch.
 
         Bit ``t`` of the returned ``(n_words,)`` uint64 plane is set
-        when trial ``t``'s majority-decoded logical word differs from
-        ``expected_logical`` anywhere (see
+        when trial ``t``'s recursively decoded logical word differs
+        from ``expected_logical`` anywhere (see
         :func:`~repro.coding.repetition.mismatch_plane`).  This is the
         packed decode the runtime layer evaluates once across a whole
         stacked point batch.
         """
         return mismatch_plane(
-            (states.majority_plane(layout.data) for layout in self.layouts),
+            (block.majority_plane(states) for block in self.blocks),
             expected_logical,
             self.n_logical,
         )

@@ -18,6 +18,14 @@ rotation of the logical bit line the paper notes can be ignored
 (footnote 3).  :class:`RecoveryLayout` tracks that rotation so recovery
 cycles can be chained indefinitely.
 
+This module holds the circuit's values: its wire roles, the rotation
+and the operation counts.  The circuit itself is emitted by
+:func:`~repro.coding.concatenation.compile_recovery`, the one Figure-2
+emitter, whose level-1 case is this figure exactly;
+:func:`~repro.coding.concatenation.recovery_circuit` and
+:func:`~repro.coding.concatenation.repeated_recovery` build it on the
+standard nine wires.
+
 Fault-tolerance, proved exhaustively in the test-suite:
 
 * clean input, no faults → output equals input codeword;
@@ -30,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.circuit import Circuit
 from repro.errors import CodingError
 
 #: Standard Figure-2 wire roles.
@@ -103,52 +110,6 @@ class RecoveryLayout:
         d0, d1, d2 = self.data
         a0, a1, a2, a3, a4, a5 = self.ancillas
         return RecoveryLayout(data=(d0, a0, a3), ancillas=(d1, d2, a1, a2, a4, a5))
-
-
-def append_recovery(
-    circuit: Circuit, layout: RecoveryLayout, include_resets: bool = True
-) -> RecoveryLayout:
-    """Append one recovery cycle for ``layout`` to ``circuit``.
-
-    Returns the layout after the cycle.  ``include_resets=False`` omits
-    the two initialisation operations (the paper's E = 6 accounting);
-    callers are then responsible for the ancillas being clean.
-    """
-    if include_resets:
-        for group in layout.reset_groups():
-            circuit.append_reset(*group)
-    for triple in layout.encode_triples():
-        circuit.maj_inv(*triple)
-    for triple in layout.decode_triples():
-        circuit.maj(*triple)
-    return layout.advance()
-
-
-def recovery_circuit(include_resets: bool = True, name: str = "EL") -> Circuit:
-    """The Figure-2 recovery circuit on the standard nine-wire layout.
-
-    The recovered codeword lands on :data:`OUTPUT_WIRES`.
-    """
-    circuit = Circuit(9, name=name)
-    append_recovery(circuit, RecoveryLayout.standard(), include_resets)
-    return circuit
-
-
-def repeated_recovery(
-    cycles: int, include_resets: bool = True, name: str = "EL^n"
-) -> tuple[Circuit, RecoveryLayout]:
-    """``cycles`` chained recovery cycles on nine wires.
-
-    Returns the circuit and the final layout (whose ``data`` wires hold
-    the surviving codeword).
-    """
-    if cycles < 0:
-        raise CodingError(f"cycle count must be >= 0, got {cycles}")
-    circuit = Circuit(9, name=name)
-    layout = RecoveryLayout.standard()
-    for _ in range(cycles):
-        layout = append_recovery(circuit, layout, include_resets)
-    return circuit, layout
 
 
 def recovery_op_count(include_resets: bool = True) -> int:

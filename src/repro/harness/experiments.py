@@ -61,7 +61,6 @@ from repro.coding import (
     gamma_census,
     recovery_circuit,
 )
-from repro.coding.concatenation import ConcatenatedComputation
 from repro.coding.logical import LogicalProcessor
 from repro.core import (
     CNOT,
@@ -99,6 +98,7 @@ from repro.noise import (
 )
 from repro.harness.stats import wilson_interval
 from repro.harness.threshold_finder import (
+    cycle_processor,
     cycle_stage_spec,
     find_pseudo_threshold_adaptive,
     measure_cycle_errors,
@@ -122,14 +122,13 @@ Row = tuple[str, object, object, bool]
 
 def _concatenation_spec(level: int, trials: int, gate_error: float) -> RunSpec:
     """Spec for the decoded failure of one noisy level-``level`` MAJ gate."""
-    computation = ConcatenatedComputation(3, level)
-    physical = computation.physical_input((1, 0, 1))
-    computation.apply(MAJ, 0, 1, 2)
+    processor = LogicalProcessor(3, level)
+    processor.apply(MAJ, 0, 1, 2)
     expected = tuple(MAJ.apply((1, 0, 1)))
     return RunSpec(
-        circuit=computation.circuit,
-        input_bits=physical,
-        observable=DecodedMismatchObservable(computation, expected),
+        circuit=processor.circuit,
+        input_bits=processor.physical_input((1, 0, 1)),
+        observable=DecodedMismatchObservable(processor, expected),
         noise=NoiseModel(gate_error=gate_error),
         trials=trials,
         seed=21 + level,
@@ -813,15 +812,6 @@ def _op_shape(op) -> tuple:
     return (op.label, op.wires)
 
 
-def _synth_cycle_processor(cycles: int = 2) -> LogicalProcessor:
-    """The canonical ``cycles``-cycle workload the optimiser must match."""
-    processor = LogicalProcessor(3, include_resets=True)
-    for _ in range(cycles):
-        processor.apply(MAJ, 0, 1, 2)
-        processor.apply(MAJ_INV, 0, 1, 2)
-    return processor
-
-
 def _synth_rewrite_database() -> IdentityDatabase:
     """Rewrite material for the recovery workload, mined by the searcher.
 
@@ -845,7 +835,7 @@ def _synth_rewrite_database() -> IdentityDatabase:
     "same logical accuracy",
 )
 def experiment_synth_peephole() -> ExperimentResult:
-    processor = _synth_cycle_processor()
+    processor = cycle_processor(2)
     canonical = processor.circuit
     redundant = inflate(canonical)
     report = optimize_report(redundant, database=_synth_rewrite_database())

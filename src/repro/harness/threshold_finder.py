@@ -49,8 +49,13 @@ _SPECULATED = counter("threshold.speculated")
 _SPECULATION_WASTED = counter("threshold.speculation_wasted")
 
 
-def _cycle_processor(cycles: int) -> LogicalProcessor:
-    """The 3-logical-bit processor running ``cycles`` identity cycles."""
+def cycle_processor(cycles: int) -> LogicalProcessor:
+    """The 3-logical-bit processor running ``cycles`` identity cycles.
+
+    Memoised: every caller shares one processor per cycle count, so
+    callers must not extend it (transformations such as
+    :func:`repro.synth.inflate` return new circuits).
+    """
     cached = _PROCESSOR_CACHE.get(cycles)
     if cached is not None:
         return cached
@@ -83,7 +88,7 @@ def cycle_error_specs(
     # The reset operations always run (the ancillas must be re-zeroed
     # between cycles); ``include_resets`` only selects whether they are
     # as noisy as gates (G = 11) or perfectly accurate (G = 9).
-    processor = _cycle_processor(cycles)
+    processor = cycle_processor(cycles)
     physical = processor.physical_input(_CYCLE_INPUT)
     observable = DecodeObservable(processor, _CYCLE_INPUT)
     return [

@@ -25,7 +25,7 @@ This module provides exactly one:
 Observables and decoders serialise by exact type: the three built-in
 observables (:class:`~repro.runtime.spec.PredicateObservable`,
 :class:`~repro.runtime.spec.DecodeObservable`,
-:class:`~repro.runtime.spec.DecodedMismatchObservable`) over a
+:class:`~repro.runtime.spec.DecodedMismatchObservable`) over a level-1
 :class:`~repro.coding.logical.LogicalProcessor` decoder.
 
 The round trip is *value-faithful*: ``spec_from_json(spec_to_json(s,
@@ -39,10 +39,11 @@ still merge bit-for-bit with shards run before the crash.
 Anything without a faithful wire form raises
 :class:`~repro.errors.SerializationError` at serialisation time:
 predicates that are not module-level functions, live RNG generators as
-seeds, observable or decoder types outside the built-in ones.  Reading
-refuses the same way: a payload of the wrong shape (a missing field, a
-string where an object belongs, a digest that is not 64 lowercase hex
-characters) raises :class:`~repro.errors.SerializationError`, never a
+seeds, observable or decoder types outside the built-in ones, a decoder
+above concatenation level 1.  Reading refuses the same way: a payload
+of the wrong shape (a missing field, a string where an object belongs,
+a digest that is not 64 lowercase hex characters, a layout wire outside
+its logical bit's nine-wire cell) raises :class:`~repro.errors.SerializationError`, never a
 bare ``KeyError``/``TypeError``.  Refusing is the feature — a spec
 that cannot round-trip must never be written into a manifest that
 resume will trust.
@@ -58,10 +59,11 @@ from importlib import import_module
 
 import numpy as np
 
+from repro.coding.concatenation import Block
 from repro.coding.logical import LogicalProcessor
 from repro.coding.recovery import RecoveryLayout
 from repro.core.circuit import Circuit, circuit_from_json, circuit_to_json
-from repro.errors import SerializationError
+from repro.errors import CodingError, SerializationError
 from repro.noise.model import NoiseModel
 from repro.runtime.spec import (
     DecodeObservable,
@@ -190,17 +192,45 @@ def _decoder_to_json(decoder: object, circuits: dict | None) -> dict:
             f"decoder type {type(decoder).__name__} has no wire form; "
             f"only a LogicalProcessor decoder serialises"
         )
+    if decoder.level != 1:
+        raise SerializationError(
+            f"a level-{decoder.level} LogicalProcessor has no wire form; "
+            f"only level 1 serialises"
+        )
     return {
         "kind": "logical_processor",
         "n_logical": decoder.n_logical,
         "include_resets": decoder.include_resets,
         "gates_applied": decoder.logical_gates_applied,
-        "layouts": [
-            {"data": list(l.data), "ancillas": list(l.ancillas)}
-            for l in decoder.layouts
-        ],
+        "layouts": [_roles_to_json(block) for block in decoder.blocks],
         "circuit": _circuit_reference(decoder.circuit, circuits),
     }
+
+
+def _roles_to_json(block: Block) -> dict:
+    """A level-1 block's roles as the wires of its nine-wire cell."""
+    return {
+        "data": [block.base + i for i in block.roles.data],
+        "ancillas": [block.base + i for i in block.roles.ancillas],
+    }
+
+
+def _roles_from_json(layout: dict, block: Block) -> RecoveryLayout:
+    """Roles of ``block`` from a wire layout, refusing wires off its cell."""
+    wires = (*layout["data"], *layout["ancillas"])
+    cell = block.wires
+    if not all(type(wire) is int and wire in cell for wire in wires):
+        raise SerializationError(
+            f"layout wires {list(wires)} fall outside the cell "
+            f"{cell.start}..{cell.stop - 1}"
+        )
+    try:
+        return RecoveryLayout(
+            data=tuple(w - block.base for w in layout["data"]),
+            ancillas=tuple(w - block.base for w in layout["ancillas"]),
+        )
+    except CodingError as exc:
+        raise SerializationError(f"bad decoder layout: {exc}") from exc
 
 
 def _decoder_from_json(
@@ -215,14 +245,16 @@ def _decoder_from_json(
         name=circuit.name,
     )
     # The constructor builds an empty program; restore the serialised
-    # build state wholesale.  RecoveryLayout re-validates wire counts.
-    processor.circuit = circuit
-    processor.layouts = [
-        RecoveryLayout(
-            data=tuple(layout["data"]), ancillas=tuple(layout["ancillas"])
+    # build state wholesale.
+    layouts = data["layouts"]
+    if len(layouts) != processor.n_logical:
+        raise SerializationError(
+            f"decoder has {processor.n_logical} logical bits but "
+            f"{len(layouts)} layouts"
         )
-        for layout in data["layouts"]
-    ]
+    processor.circuit = circuit
+    for block, layout in zip(processor.blocks, layouts):
+        block.roles = _roles_from_json(layout, block)
     processor.logical_gates_applied = data["gates_applied"]
     return processor
 

@@ -81,11 +81,10 @@ class DecodeObservable:
 
     ``decoder`` is any object with ``decode_failure_plane(states,
     expected)`` returning a bit-plane batch's packed per-trial failure
-    plane — e.g. :class:`~repro.coding.logical.LogicalProcessor` or
-    :class:`~repro.coding.concatenation.ConcatenatedComputation`, which
-    compare majority planes without unpacking a single trial.  A
-    stacked multi-point plane array is decoded once and counted per
-    point window.
+    plane — e.g. :class:`~repro.coding.logical.LogicalProcessor` at
+    any concatenation level, which compares recursive majority planes
+    without unpacking a single trial.  A stacked multi-point plane
+    array is decoded once and counted per point window.
     """
 
     decoder: object
@@ -121,9 +120,11 @@ class DecodedMismatchObservable(DecodeObservable):
     """A :class:`DecodeObservable` under its own wire tag.
 
     It counts exactly as its base class does.  It stays a separate
-    class so that the specs built with it (e.g. Figure 3's concatenated
-    MAJ points) keep their ``"decoded_mismatch"`` wire form and hence
-    their point keys.
+    class so that a serialisable spec built with it keeps its
+    ``"decoded_mismatch"`` wire form and hence its point key: the
+    level-1 spec pinned in ``tests/jobs/test_key_pins.py``.  Figure 3's
+    level-2 points use it too, but a decoder above level 1 has no wire
+    form, so those specs have no point key at all.
     """
 
 

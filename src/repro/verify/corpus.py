@@ -11,7 +11,7 @@ and stacked groups three wide.
 
 from __future__ import annotations
 
-from repro.coding.recovery import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.core.circuit import Circuit
 from repro.core.decompositions import DECOMPOSITIONS
 from repro.core.library import REGISTRY

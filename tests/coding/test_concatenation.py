@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from repro.coding.concatenation import (
     Block,
-    ConcatenatedComputation,
     compile_recovery,
     concatenated_gate_circuit,
     gamma_census,
 )
+from repro.coding.logical import LogicalProcessor
+from repro.coding.recovery import RecoveryLayout
 from repro.core import library
 from repro.core.bitplane import BitplaneState, unpack_words
 from repro.core.bits import index_to_bits
@@ -51,11 +52,16 @@ class TestBlockGeometry:
         with pytest.raises(CodingError):
             block.ancilla_blocks()
 
-    def test_advance_roles_partitions_children(self):
-        block = Block.allocate(1)
-        block.advance_roles()
-        assert sorted(block.data_children + block.ancilla_children) == list(range(9))
-        assert block.data_children == [0, 3, 6]
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_recovery_rotates_roles(self, level):
+        # The block's roles rotate exactly as the Figure-2 layout does.
+        block = Block.allocate(level)
+        compile_recovery(Circuit(block.size), block)
+        assert block.roles == RecoveryLayout.standard().advance()
+        assert sorted(block.roles.wires) == list(range(9))
+        assert [b.base for b in block.data_blocks()] == [
+            9 ** (level - 1) * i for i in (0, 3, 6)
+        ]
 
     def test_decode_level_zero(self):
         block = Block.allocate(0, base=2)
@@ -72,21 +78,21 @@ class TestCompiledSemantics:
     @settings(max_examples=8, deadline=None)
     def test_level_one_gate_matches_logical_action(self, packed):
         logical_in = index_to_bits(packed, 3)
-        computation = ConcatenatedComputation(3, level=1)
+        computation = LogicalProcessor(3, level=1)
         physical = computation.physical_input(logical_in)
         computation.apply(library.MAJ, 0, 1, 2)
         output = run(computation.circuit, physical)
         assert computation.decode_output(output) == library.MAJ.apply(logical_in)
 
     def test_level_two_gate_matches_logical_action(self):
-        computation = ConcatenatedComputation(3, level=2)
+        computation = LogicalProcessor(3, level=2)
         physical = computation.physical_input((1, 0, 1))
         computation.apply(library.MAJ, 0, 1, 2)
         output = run(computation.circuit, physical)
         assert computation.decode_output(output) == library.MAJ.apply((1, 0, 1))
 
     def test_level_two_corrects_a_planted_physical_error(self):
-        computation = ConcatenatedComputation(3, level=2)
+        computation = LogicalProcessor(3, level=2)
         physical = list(computation.physical_input((1, 1, 0)))
         # Flip one deep physical bit of the first logical block.
         physical[computation.blocks[0].deep_data_wires()[0]] ^= 1
@@ -95,7 +101,7 @@ class TestCompiledSemantics:
         assert computation.decode_output(output) == library.MAJ.apply((1, 1, 0))
 
     def test_two_logical_bit_gate(self):
-        computation = ConcatenatedComputation(2, level=1)
+        computation = LogicalProcessor(2, level=1)
         physical = computation.physical_input((1, 0))
         computation.apply(library.CNOT, 0, 1)
         output = run(computation.circuit, physical)
@@ -104,11 +110,11 @@ class TestCompiledSemantics:
 
 def rotated_noisy_batch(level: int, trials: int):
     """A noisy level-``level`` MAJ whose recoveries have rotated roles."""
-    computation = ConcatenatedComputation(3, level)
+    computation = LogicalProcessor(3, level)
     physical = computation.physical_input((1, 0, 1))
     computation.apply(library.MAJ, 0, 1, 2)
     computation.recover(0)
-    assert computation.blocks[0].data_children != [0, 1, 2]
+    assert computation.blocks[0].roles != RecoveryLayout.standard()
     runner = NoisyRunner(NoiseModel(gate_error=0.03), seed=40 + level)
     result = runner.run_from_input(computation.circuit, physical, trials)
     return computation, result.states
@@ -142,7 +148,7 @@ class TestPackedDecode:
 
     @pytest.mark.parametrize("expected", [(1,), (1, 1, 1, 1)])
     def test_wrong_length_expected_raises(self, expected):
-        computation = ConcatenatedComputation(3, level=1)
+        computation = LogicalProcessor(3, level=1)
         states = BitplaneState.broadcast(computation.physical_input((1, 0, 1)), 70)
         observable = DecodedMismatchObservable(computation, expected)
         with pytest.raises(CodingError, match="expected 3 logical bits"):
@@ -177,7 +183,7 @@ class TestGamma:
         assert counts == {"RESET": 2, "MAJ⁻¹": 3, "MAJ": 3}
 
     def test_recover_false_gives_bare_transversal(self):
-        computation = ConcatenatedComputation(3, level=1)
+        computation = LogicalProcessor(3, level=1)
         computation.apply(library.MAJ, 0, 1, 2, recover=False)
         assert len(computation.circuit) == 3
 
@@ -189,15 +195,15 @@ class TestValidation:
 
     def test_level_must_be_positive(self):
         with pytest.raises(CodingError):
-            ConcatenatedComputation(1, level=0)
+            LogicalProcessor(1, level=0)
 
     def test_operands_must_be_distinct(self):
-        computation = ConcatenatedComputation(2, level=1)
+        computation = LogicalProcessor(2, level=1)
         with pytest.raises(CodingError):
             computation.apply(library.CNOT, 0, 0)
 
     def test_physical_input_validates(self):
-        computation = ConcatenatedComputation(2, level=1)
+        computation = LogicalProcessor(2, level=1)
         with pytest.raises(CodingError):
             computation.physical_input((1,))
         with pytest.raises(CodingError):

@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.coding.concatenation import (
+    Block,
+    compile_recovery,
+    recovery_circuit,
+    repeated_recovery,
+)
 from repro.coding.recovery import (
     OUTPUT_WIRES,
     RECOVERY_OPS_WITH_INIT,
     RECOVERY_OPS_WITHOUT_INIT,
     RecoveryLayout,
-    append_recovery,
     operations_per_encoded_gate,
-    recovery_circuit,
     recovery_op_count,
-    repeated_recovery,
 )
 from repro.coding.repetition import THREE_BIT_CODE
 from repro.core.circuit import Circuit
@@ -140,10 +143,12 @@ class TestLayout:
         with pytest.raises(CodingError):
             RecoveryLayout(data=(0, 1, 2), ancillas=(2, 3, 4, 5, 6, 7))
 
-    def test_append_recovery_returns_advanced_layout(self):
+    def test_compile_recovery_advances_the_block_roles(self):
         circuit = Circuit(9)
-        layout = append_recovery(circuit, RecoveryLayout.standard())
-        assert layout.data == (0, 3, 6)
+        block = Block.allocate(1)
+        compile_recovery(circuit, block)
+        assert block.roles == RecoveryLayout.standard().advance()
+        assert block.roles.data == (0, 3, 6)
         assert len(circuit) == 8
 
 

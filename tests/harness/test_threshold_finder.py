@@ -11,7 +11,7 @@ from repro.analysis.recursion import one_level
 from repro.analysis.threshold import threshold
 from repro.harness.threshold_finder import (
     _PROCESSOR_CACHE,
-    _cycle_processor,
+    cycle_processor,
     cycle_stage_spec,
     find_pseudo_threshold_adaptive,
     measure_cycle_errors,
@@ -48,8 +48,8 @@ class TestLogicalErrorPerCycle:
 class TestProcessorCache:
     def test_cycle_processor_is_memoised(self):
         _PROCESSOR_CACHE.clear()
-        assert _cycle_processor(1) is _cycle_processor(1)
-        assert _cycle_processor(2) is not _cycle_processor(1)
+        assert cycle_processor(1) is cycle_processor(1)
+        assert cycle_processor(2) is not cycle_processor(1)
 
     def test_repeated_calls_reuse_circuit(self):
         _PROCESSOR_CACHE.clear()

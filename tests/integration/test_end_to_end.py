@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.recursion import error_at_level
 from repro.analysis.threshold import logical_error_bound, threshold
-from repro.coding.concatenation import ConcatenatedComputation
 from repro.coding.logical import LogicalProcessor
 from repro.core import library
 from repro.core.simulator import run
@@ -42,7 +41,7 @@ class TestConcatenationEndToEnd:
     def test_level2_identity_storage_under_noise(self):
         """A level-2 coded bit survives a gate cycle at g near rho/2."""
         g = threshold(9) / 2
-        computation = ConcatenatedComputation(3, level=2)
+        computation = LogicalProcessor(3, level=2)
         physical = computation.physical_input((1, 1, 1))
         computation.apply(library.MAJ, 0, 1, 2)
         runner = NoisyRunner(NoiseModel(gate_error=g, reset_error=0.0), seed=83)
@@ -53,7 +52,7 @@ class TestConcatenationEndToEnd:
         assert failures / 4000 < 0.05
 
     def test_noiseless_deep_circuit_is_exact(self):
-        computation = ConcatenatedComputation(3, level=2)
+        computation = LogicalProcessor(3, level=2)
         physical = computation.physical_input((0, 1, 1))
         for _ in range(2):
             computation.apply(library.MAJ, 0, 1, 2)

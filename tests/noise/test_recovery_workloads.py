@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding import recovery_circuit
-from repro.coding.concatenation import ConcatenatedComputation
+from repro.coding.logical import LogicalProcessor
 from repro.core import MAJ
 from repro.core.bitplane import BitplaneState
 from repro.core.compiled import CompiledCircuit, compile_circuit
@@ -45,7 +45,7 @@ def test_noisy_recovery_survives_at_g_1e_3():
 
 
 def test_noisy_level_two_gate_mostly_correct():
-    computation = ConcatenatedComputation(3, 2)
+    computation = LogicalProcessor(3, 2)
     physical = computation.physical_input((1, 0, 1))
     computation.apply(MAJ, 0, 1, 2)
     runner = NoisyRunner(NoiseModel(gate_error=1e-3), seed=1)

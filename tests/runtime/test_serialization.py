@@ -15,6 +15,7 @@ from repro.harness.threshold_finder import cycle_error_specs
 from repro.noise.model import NoiseModel
 from repro.runtime import (
     DecodeObservable,
+    DecodedMismatchObservable,
     Executor,
     ExecutionPolicy,
     PredicateObservable,
@@ -221,6 +222,67 @@ class TestRefusals:
         observable = DecodeObservable(decoder=object(), expected=(0,))
         with pytest.raises(SerializationError, match="LogicalProcessor"):
             spec_to_json(self._spec(observable=observable))
+
+    def test_level_two_decoder_refused(self):
+        # The type check alone would pass it: the wire form holds only
+        # level-1 roles.
+        processor = LogicalProcessor(3, level=2)
+        processor.apply(library.MAJ, 0, 1, 2)
+        spec = RunSpec(
+            circuit=processor.circuit,
+            input_bits=processor.physical_input((1, 0, 1)),
+            observable=DecodedMismatchObservable(processor, (1, 0, 1)),
+            noise=NoiseModel(gate_error=1e-3),
+            trials=64,
+            seed=3,
+        )
+        with pytest.raises(SerializationError, match="level-2"):
+            spec_to_json(spec)
+
+
+class TestTamperedDecoderLayouts:
+    """A decoder layout read back must name its own nine-wire cell."""
+
+    def _payload(self):
+        (spec,) = cycle_error_specs(((2e-3, 11),), 100, cycles=1)
+        fragments: dict[str, dict] = {}
+        payload = _through_text(spec_to_json(spec, fragments))
+        circuits = {d: spec.circuit for d in fragments}
+        return payload, payload["observable"]["decoder"], circuits
+
+    @pytest.mark.parametrize("wire", [9, -1, 27])
+    def test_out_of_cell_wire_refused(self, wire):
+        payload, decoder, circuits = self._payload()
+        decoder["layouts"][0]["ancillas"][0] = wire
+        with pytest.raises(SerializationError, match="outside the cell 0..8"):
+            spec_from_json(payload, circuits)
+
+    def test_another_cells_layout_refused(self):
+        payload, decoder, circuits = self._payload()
+        decoder["layouts"][0], decoder["layouts"][1] = (
+            decoder["layouts"][1],
+            decoder["layouts"][0],
+        )
+        with pytest.raises(SerializationError, match="outside the cell"):
+            spec_from_json(payload, circuits)
+
+    def test_repeated_wire_refused(self):
+        payload, decoder, circuits = self._payload()
+        layout = decoder["layouts"][2]
+        layout["ancillas"][0] = layout["data"][0]
+        with pytest.raises(SerializationError, match="9 distinct wires"):
+            spec_from_json(payload, circuits)
+
+    def test_layout_count_must_match_the_logical_bits(self):
+        payload, decoder, circuits = self._payload()
+        del decoder["layouts"][1]
+        with pytest.raises(SerializationError, match="3 logical bits but 2"):
+            spec_from_json(payload, circuits)
+
+    def test_untampered_payload_reads_back(self):
+        payload, decoder, circuits = self._payload()
+        processor = spec_from_json(payload, circuits).observable.decoder
+        assert processor.blocks[1].roles.data == (0, 1, 5)
 
 
 class TestLogicalProcessorEquality:

@@ -135,9 +135,9 @@ class TestStackedDecode:
         )
 
     def test_decoded_mismatch_matches_per_window_counts(self):
-        from repro.coding.concatenation import ConcatenatedComputation
+        from repro.coding.logical import LogicalProcessor
 
-        computation = ConcatenatedComputation(2, level=1)
+        computation = LogicalProcessor(2, level=2)
         states, windows = stacked_decode_fixture(
             computation, (1, 0), (130, 64, 77)
         )

@@ -11,7 +11,7 @@ must leave every one of them unchanged.
 from __future__ import annotations
 
 from repro.core.library import CNOT, MAJ, SWAP, SWAP3_UP, TOFFOLI
-from repro.harness.experiments import _synth_cycle_processor
+from repro.harness.threshold_finder import cycle_processor
 from repro.synth import IdentityDatabase, find_optimal, inflate, optimize_report
 from repro.synth.database import DEFAULT_DATABASE_DIR
 
@@ -23,10 +23,14 @@ OPTIMISED_CYCLE_KEY = (
 
 
 def test_optimize_report_on_the_inflated_two_cycle_workload():
-    canonical = _synth_cycle_processor().circuit
+    canonical = cycle_processor(2).circuit
+    canonical_ops = list(canonical)
     report = optimize_report(
         inflate(canonical), database=IdentityDatabase.load(COMMITTED_DATABASE)
     )
+    # The processor is memoised and shared with the threshold search,
+    # so neither inflating nor optimising may touch its circuit.
+    assert list(canonical) == canonical_ops
     assert report.passes == 2
     assert report.identity_removals == 0
     assert report.cancellations == 276
