@@ -65,6 +65,11 @@ class RecoveryLayout:
     ancillas: tuple[int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
+        if len(self.data) != 3 or len(self.ancillas) != 6:
+            raise CodingError(
+                f"layout needs 3 data and 6 ancilla wires, got "
+                f"{len(self.data)} and {len(self.ancillas)}"
+            )
         wires = self.data + self.ancillas
         if len(set(wires)) != 9:
             raise CodingError(f"layout wires must be 9 distinct wires: {wires}")

@@ -156,7 +156,9 @@ def append_packed(
     index it: position ``p`` acts on wire ``wire_map[p]``.
     """
     for op in packed:
-        wires = op.wires if wire_map is None else tuple(wire_map[p] for p in op.wires)
+        wires = op.wires
+        if wire_map is not None:
+            wires = tuple(wire_map[p] for p in wires)
         circuit.append_gate(library.REGISTRY[op.kind], *wires)
 
 

@@ -43,8 +43,9 @@ seeds, observable or decoder types outside the built-in ones, a decoder
 above concatenation level 1.  Reading refuses the same way: a payload
 of the wrong shape (a missing field, a string where an object belongs,
 a digest that is not 64 lowercase hex characters, a layout wire outside
-its logical bit's nine-wire cell) raises :class:`~repro.errors.SerializationError`, never a
-bare ``KeyError``/``TypeError``.  Refusing is the feature — a spec
+its logical bit's nine-wire cell) raises
+:class:`~repro.errors.SerializationError`, never a bare
+``KeyError``/``TypeError``.  Refusing is the feature — a spec
 that cannot round-trip must never be written into a manifest that
 resume will trust.
 """

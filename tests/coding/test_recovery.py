@@ -143,6 +143,10 @@ class TestLayout:
         with pytest.raises(CodingError):
             RecoveryLayout(data=(0, 1, 2), ancillas=(2, 3, 4, 5, 6, 7))
 
+    def test_rejects_wrong_role_sizes(self):
+        with pytest.raises(CodingError, match="3 data and 6 ancilla"):
+            RecoveryLayout(data=(0, 1, 2, 3), ancillas=(4, 5, 6, 7, 8))
+
     def test_compile_recovery_advances_the_block_roles(self):
         circuit = Circuit(9)
         block = Block.allocate(1)

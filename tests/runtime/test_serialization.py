@@ -273,6 +273,14 @@ class TestTamperedDecoderLayouts:
         with pytest.raises(SerializationError, match="9 distinct wires"):
             spec_from_json(payload, circuits)
 
+    def test_misshapen_roles_refused(self):
+        # Nine distinct in-cell wires, but four of them marked as data.
+        payload, decoder, circuits = self._payload()
+        layout = decoder["layouts"][0]
+        layout["data"].append(layout["ancillas"].pop())
+        with pytest.raises(SerializationError, match="3 data and 6 ancilla"):
+            spec_from_json(payload, circuits)
+
     def test_layout_count_must_match_the_logical_bits(self):
         payload, decoder, circuits = self._payload()
         del decoder["layouts"][1]
