@@ -253,6 +253,11 @@ def _decoder_from_json(
             f"decoder has {processor.n_logical} logical bits but "
             f"{len(layouts)} layouts"
         )
+    if circuit.n_wires != processor.circuit.n_wires:
+        raise SerializationError(
+            f"decoder of {processor.n_logical} logical bits needs a "
+            f"{processor.circuit.n_wires}-wire circuit, got {circuit.n_wires}"
+        )
     processor.circuit = circuit
     for block, layout in zip(processor.blocks, layouts):
         block.roles = _roles_from_json(layout, block)

@@ -287,6 +287,16 @@ class TestTamperedDecoderLayouts:
         with pytest.raises(SerializationError, match="3 logical bits but 2"):
             spec_from_json(payload, circuits)
 
+    def test_logical_bits_beyond_the_circuit_refused(self):
+        # Four consistent cells, but the circuit only has wires for three.
+        payload, decoder, circuits = self._payload()
+        decoder["n_logical"] = 4
+        decoder["layouts"].append(
+            {"data": [27, 28, 29], "ancillas": [30, 31, 32, 33, 34, 35]}
+        )
+        with pytest.raises(SerializationError, match="36-wire circuit, got 27"):
+            spec_from_json(payload, circuits)
+
     def test_untampered_payload_reads_back(self):
         payload, decoder, circuits = self._payload()
         processor = spec_from_json(payload, circuits).observable.decoder
