@@ -11,12 +11,11 @@ from repro.coding.concatenation import (
     Block,
     compile_gate,
     compile_recovery,
-    concatenated_gate_circuit,
     gamma_census,
     recovery_circuit,
     repeated_recovery,
 )
-from repro.coding.logical import LogicalProcessor
+from repro.coding.logical import LogicalProcessor, concatenated_gate_circuit
 from repro.coding.recovery import (
     ANCILLA_WIRES,
     DATA_WIRES,

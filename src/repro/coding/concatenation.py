@@ -258,23 +258,6 @@ def repeated_recovery(
     return circuit, block.roles
 
 
-def concatenated_gate_circuit(
-    gate: Gate, level: int, recover: bool = True
-) -> tuple[Circuit, list[Block]]:
-    """One logical gate at ``level``, fully compiled.
-
-    Returns the circuit and the operand blocks (whose roles reflect the
-    post-recovery state).
-    """
-    if level < 1:
-        raise CodingError(f"concatenation level must be >= 1, got {level}")
-    size = 9 ** level
-    blocks = [Block.allocate(level, base=i * size) for i in range(gate.arity)]
-    circuit = Circuit(gate.arity * size)
-    compile_gate(circuit, gate, blocks, recover=recover)
-    return circuit, blocks
-
-
 def gamma_census(circuit: Circuit) -> dict[str, int]:
     """Physical op census of a compiled circuit: gates vs resets."""
     gates = circuit.gate_count(include_resets=False)

@@ -183,3 +183,16 @@ class LogicalProcessor:
             expected_logical,
             self.n_logical,
         )
+
+
+def concatenated_gate_circuit(
+    gate: Gate, level: int, recover: bool = True
+) -> tuple[Circuit, list[Block]]:
+    """One logical gate at ``level``, fully compiled.
+
+    Returns the circuit and the operand blocks (whose roles reflect the
+    post-recovery state).
+    """
+    processor = LogicalProcessor(gate.arity, level)
+    processor.apply(gate, *range(gate.arity), recover=recover)
+    return processor.circuit, processor.blocks

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from repro.coding.concatenation import (
     Block,
     compile_recovery,
-    concatenated_gate_circuit,
     gamma_census,
 )
-from repro.coding.logical import LogicalProcessor
+from repro.coding.logical import LogicalProcessor, concatenated_gate_circuit
 from repro.coding.recovery import RecoveryLayout
 from repro.core import library
 from repro.core.bitplane import BitplaneState, unpack_words
