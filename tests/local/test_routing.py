@@ -12,6 +12,7 @@ from repro.core.permutation import Permutation
 from repro.local.routing import (
     PackedOp,
     adjacent_swaps_to_sort,
+    append_packed,
     apply_swap_schedule,
     move_token,
     pack_swaps,
@@ -83,14 +84,17 @@ class TestPacking:
         for low, high in swaps:
             plain.swap(low, high)
         fused = Circuit(9)
-        for op in packed:
-            if op.kind == "SWAP":
-                fused.swap(*op.wires)
-            elif op.kind == "SWAP3_UP":
-                fused.swap3_up(*op.wires)
-            else:
-                fused.swap3_down(*op.wires)
+        append_packed(fused, packed)
         assert circuit_permutation(plain) == circuit_permutation(fused)
+
+    def test_append_packed_maps_positions_to_wires(self):
+        packed = [PackedOp("SWAP3_UP", (0, 1, 2)), PackedOp("SWAP", (1, 2))]
+        circuit = Circuit(8)
+        append_packed(circuit, packed, [5, 3, 7])
+        assert [(op.label, op.wires) for op in circuit] == [
+            ("SWAP3_UP", (5, 3, 7)),
+            ("SWAP", (3, 7)),
+        ]
 
     @given(lines)
     def test_packing_never_lengthens(self, line):
