@@ -17,19 +17,19 @@ on a shared host is below the run-to-run spread.
 from __future__ import annotations
 
 from repro.coding import recovery_circuit
-from repro.noise import NoiseModel, repetition_failure_predicate
+from repro.noise import NoiseModel
 from repro.obs.metrics import Counter
 from repro.runtime import (
     ExecutionPolicy,
     Executor,
-    PredicateObservable,
+    MajorityMismatchObservable,
     RunSpec,
 )
 import repro.runtime.executor as executor_module
 
 RECOVERY_INPUT = (1, 1, 1) + (0,) * 6
 POINTS = 4
-OBSERVABLE = PredicateObservable(repetition_failure_predicate((0, 1, 2), 1))
+OBSERVABLE = MajorityMismatchObservable((0, 1, 2), 1)
 
 
 def _specs(circuit, trials):

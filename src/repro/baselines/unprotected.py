@@ -19,8 +19,12 @@ import numpy as np
 
 from repro.core.circuit import Circuit
 from repro.noise.model import NoiseModel
-from repro.noise.monte_carlo import any_wire_differs_predicate
-from repro.runtime import ExecutionPolicy, Executor, RunSpec
+from repro.runtime import (
+    ExecutionPolicy,
+    Executor,
+    RunSpec,
+    WireMismatchObservable,
+)
 from repro.errors import AnalysisError
 
 
@@ -92,7 +96,7 @@ def simulate_unprotected(
     spec = RunSpec(
         circuit=circuit,
         input_bits=input_bits,
-        observable=any_wire_differs_predicate(range(n_wires), input_bits),
+        observable=WireMismatchObservable(range(n_wires), input_bits),
         noise=NoiseModel(gate_error=gate_error),
         trials=trials,
         seed=seed,

@@ -104,12 +104,6 @@ class RecoveryLayout:
         a0, a1, a2, a3, a4, a5 = self.ancillas
         return ((a0, a1, a2), (a3, a4, a5))
 
-    def output_wires(self) -> tuple[int, int, int]:
-        """Wires holding the recovered codeword after the cycle."""
-        d0, _, _ = self.data
-        a0, _, _, a3, _, _ = self.ancillas
-        return (d0, a0, a3)
-
     def advance(self) -> "RecoveryLayout":
         """Roles after one recovery cycle (the footnote-3 rotation)."""
         d0, d1, d2 = self.data

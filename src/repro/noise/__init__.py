@@ -13,12 +13,7 @@ from repro.noise.injector import (
     run_with_faults,
 )
 from repro.noise.model import NoiseModel
-from repro.noise.monte_carlo import (
-    NoisyResult,
-    NoisyRunner,
-    any_wire_differs_predicate,
-    repetition_failure_predicate,
-)
+from repro.noise.monte_carlo import NoisyResult, NoisyRunner
 from repro.noise.seeds import as_generator, spawn_seeds
 
 __all__ = [
@@ -30,8 +25,6 @@ __all__ = [
     "NoiseModel",
     "NoisyResult",
     "NoisyRunner",
-    "any_wire_differs_predicate",
     "as_generator",
-    "repetition_failure_predicate",
     "spawn_seeds",
 ]

@@ -28,12 +28,15 @@ with: every stacked point is bit-identical to a solo run.
 All entry points take an explicit seed or
 :class:`numpy.random.Generator`, so every experiment is reproducible
 bit for bit; ``tests/noise/test_engine_determinism`` pins the stream.
+Scoring a run is not this module's job: the observables of
+:mod:`repro.runtime.spec` turn the final planes into one packed
+failure plane.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -543,49 +546,3 @@ class NoisyRunner:
     ) -> NoisyResult:
         """Broadcast one input over ``trials`` and run noisily."""
         return self.run(circuit, BitplaneState.broadcast(input_bits, trials))
-
-
-@dataclass(frozen=True)
-class RepetitionFailurePredicate:
-    """Failure predicate: majority over ``output_wires`` != ``expected``.
-
-    A frozen callable rather than a closure so specs carrying it can
-    cross a process-pool boundary.
-    """
-
-    output_wires: tuple[int, ...]
-    expected: int
-
-    def __call__(self, states: BitplaneState) -> np.ndarray:
-        return states.majority_of(self.output_wires) != self.expected
-
-
-@dataclass(frozen=True)
-class AnyWireDiffersPredicate:
-    """Failure predicate: any selected wire differs from expectation."""
-
-    output_wires: tuple[int, ...]
-    expected_bits: tuple[int, ...]
-
-    def __call__(self, states: BitplaneState) -> np.ndarray:
-        # Column by column: a row-wise ``any`` over a (trials, wires)
-        # array is over ten times slower.
-        differs = np.zeros(states.trials, dtype=bool)
-        pairs = zip(self.output_wires, self.expected_bits, strict=True)
-        for wire, bit in pairs:
-            differs |= states.column(wire) != bit
-        return differs
-
-
-def repetition_failure_predicate(
-    output_wires: Sequence[int], expected: int
-) -> Callable[[BitplaneState], np.ndarray]:
-    """Failure predicate: majority over ``output_wires`` != ``expected``."""
-    return RepetitionFailurePredicate(tuple(output_wires), expected)
-
-
-def any_wire_differs_predicate(
-    output_wires: Sequence[int], expected_bits: Sequence[int]
-) -> Callable[[BitplaneState], np.ndarray]:
-    """Failure predicate: any selected wire differs from expectation."""
-    return AnyWireDiffersPredicate(tuple(output_wires), tuple(expected_bits))

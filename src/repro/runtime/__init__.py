@@ -19,10 +19,11 @@ from repro.runtime.spec import (
     DecodeObservable,
     DecodedMismatchObservable,
     ExecutionPolicy,
+    MajorityMismatchObservable,
     PointResult,
     PredicateObservable,
     RunSpec,
-    as_observable,
+    WireMismatchObservable,
 )
 from repro.runtime.executor import Executor
 
@@ -32,8 +33,9 @@ __all__ = [
     "DecodedMismatchObservable",
     "ExecutionPolicy",
     "Executor",
+    "MajorityMismatchObservable",
     "PointResult",
     "PredicateObservable",
     "RunSpec",
-    "as_observable",
+    "WireMismatchObservable",
 ]

@@ -24,7 +24,9 @@ spec, in spec order.  The execution plan has three levels:
    operations being wordwise, every point's window is
    **bit-identical** to running that spec alone through
    ``NoisyRunner``.  Batching is purely an execution detail, never a
-   statistical one.
+   statistical one.  Observation follows suit: each distinct
+   observable computes one packed failure plane over its points'
+   windows, and each point counts the trials of its own window.
 
 3. **Process pool (across groups only).**  With
    ``policy.parallel`` >= 2 workers and more than one group, whole
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.core.bitplane import BitplaneState, words_for
+import numpy as np
+
+from repro.core.bitplane import BitplaneState, count_trial_ones, words_for
 from repro.core.compiled import compile_circuit
 from repro.errors import SimulationError
 from repro.noise.monte_carlo import (
@@ -49,12 +53,7 @@ from repro.noise.monte_carlo import (
 from repro.noise.seeds import as_generator
 from repro.obs import counter, enable_tracing, trace
 from repro.runtime.pool import pool_map, resolve_workers
-from repro.runtime.spec import (
-    ExecutionPolicy,
-    PointResult,
-    RunSpec,
-    as_observable,
-)
+from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
 # Executor-layer metrics (see repro.obs for the naming convention).
 # Held as module references so the hot paths pay one attribute
@@ -83,49 +82,54 @@ def _group_key(spec: RunSpec) -> tuple:
 
 
 def _decode_phase(specs, states, words, offsets, faulted):
-    """Observation phase — points sharing one observable (the sweep
-    and threshold-search common case) are decoded in ONE stacked pass
-    over the whole plane array; each point's count is read off its
-    window of the resulting failure plane, so the decode cost is paid
-    per *batch*, not per point.  Observables without a stacked path —
-    and singleton clusters, where stacking buys nothing — keep the
-    per-window ``count_failures`` call.
+    """Observation phase: one failure plane per distinct observable.
+
+    Each distinct observable (compared with ``==``, in first-seen
+    order) computes ONE failure plane over the word span from its
+    first member's window to its last member's, and each member's
+    count is read off its own window of that plane with its own
+    padding mask.  Observables are per-trial functions and plane
+    operations are wordwise, so a window's slice equals the plane a
+    solo run produces: points sharing an observable (the sweep and
+    threshold-search common case) pay one decode per group, and a lone
+    observable reads only its own window.
     """
-    failure_counts: list[int | None] = [None] * len(specs)
     clusters: list[tuple[object, list[int]]] = []
     for p, spec in enumerate(specs):
-        observable = as_observable(spec.observable)
-        if hasattr(observable, "count_failures_stacked"):
-            for seen, members in clusters:
-                if seen == observable:
-                    members.append(p)
-                    break
-            else:
-                clusters.append((observable, [p]))
+        for observable, members in clusters:
+            if observable == spec.observable:
+                members.append(p)
+                break
+        else:
+            clusters.append((spec.observable, [p]))
+    failures = [0] * len(specs)
     for observable, members in clusters:
-        if len(members) < 2:
-            continue
-        counts = observable.count_failures_stacked(
-            states, [(offsets[p], specs[p].trials) for p in members]
-        )
-        for p, count in zip(members, counts):
-            failure_counts[p] = count
-    results = []
-    for p, spec in enumerate(specs):
-        failures = failure_counts[p]
-        if failures is None:
-            window = BitplaneState(
-                states.planes[:, offsets[p]:offsets[p] + words[p]], spec.trials
-            )
-            failures = as_observable(spec.observable).count_failures(window)
-        results.append(
-            PointResult(
-                failures=failures,
-                trials=spec.trials,
-                faulted_trials=faulted[p],
+        first, last = members[0], members[-1]
+        start, stop = offsets[first], offsets[last] + words[last]
+        failed = observable.failure_plane(
+            BitplaneState(
+                states.planes[:, start:stop],
+                (offsets[last] - start) * 64 + specs[last].trials,
             )
         )
-    return results
+        if getattr(failed, "shape", None) != (stop - start,) or (
+            failed.dtype != np.uint64
+        ):
+            raise SimulationError(
+                f"{type(observable).__name__}.failure_plane must return a "
+                f"({stop - start},) uint64 plane"
+            )
+        for p in members:
+            at = offsets[p] - start
+            failures[p] = count_trial_ones(
+                failed[at:at + words[p]], specs[p].trials
+            )
+    return [
+        PointResult(
+            failures=failures[p], trials=spec.trials, faulted_trials=faulted[p]
+        )
+        for p, spec in enumerate(specs)
+    ]
 
 
 def _run_group(specs: Sequence[RunSpec]) -> list[PointResult]:

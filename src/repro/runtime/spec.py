@@ -18,11 +18,20 @@ failure predicate".  This module gives that shape a value type:
   CLI runs trace too — see :mod:`repro.obs`.)
 * :class:`PointResult` — one point's outcome: failure count, trial
   count, and fault statistics.
-* Observables — the failure predicate half of a spec.  Anything with a
-  ``count_failures(states) -> int`` method qualifies;
-  :func:`as_observable` wraps a plain ``states -> bool array``
-  predicate.  The provided frozen observables are picklable, so specs
-  can cross a process-pool boundary.
+* Observables — the failure predicate half of a spec.  The one
+  protocol is ``failure_plane(states) -> (n_words,) uint64``: bit
+  ``t`` is set when trial ``t`` failed, and padding bits beyond the
+  batch are unspecified.  An observable must be a per-trial function
+  of the planes (a trial's bit depends on that trial's wires alone),
+  which is what lets the executor compute one plane over several
+  stacked points and count each point's window of it.  Callers read
+  the plane and never write to it.  :class:`PredicateObservable`
+  wraps a ``states -> bool array`` predicate;
+  :class:`MajorityMismatchObservable` and
+  :class:`WireMismatchObservable` compare packed planes through
+  :func:`~repro.coding.repetition.mismatch_plane`;
+  :class:`DecodeObservable` asks a decoder.  All are frozen and
+  picklable, so specs can cross a process-pool boundary.
 
 Specs are deliberately execution-free: the same ``RunSpec`` runs
 serially or pooled, alone or stacked with other points into one plane
@@ -39,7 +48,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.core.bitplane import BitplaneState, count_trial_ones, words_for
+from repro.coding.repetition import mismatch_plane
+from repro.core.bitplane import BitplaneState, pack_bool
 from repro.core.circuit import Circuit
 from repro.errors import ConfigError, SimulationError
 from repro.noise.model import NoiseModel
@@ -55,93 +65,103 @@ DEFAULT_TRIALS = 100_000
 
 @dataclass(frozen=True)
 class PredicateObservable:
-    """Counts failures through a ``states -> bool array`` predicate.
+    """Failure plane of a ``states -> bool array`` predicate.
 
     The predicate reads the state through its unpacked observation
-    API (``array``/``column``/``columns``/``majority_of``).  For pooled
-    execution the predicate must be picklable (a module-level function
-    or a :func:`functools.partial` of one).
+    API (``array``/``column``/``columns``/``majority_of``) and must be
+    a per-trial function, like every observable.  For pooled execution
+    it must be picklable (a module-level function or a
+    :func:`functools.partial` of one).
     """
 
     predicate: Callable[[BitplaneState], np.ndarray]
 
-    def count_failures(self, states: BitplaneState) -> int:
+    def failure_plane(self, states: BitplaneState) -> np.ndarray:
         failures = np.asarray(self.predicate(states), dtype=bool)
         if failures.shape != (states.trials,):
             raise SimulationError(
                 f"is_failure returned shape {failures.shape}, expected "
                 f"({states.trials},)"
             )
-        return int(failures.sum())
+        return pack_bool(failures)
+
+
+@dataclass(frozen=True)
+class MajorityMismatchObservable:
+    """Trials whose majority vote over ``wires`` differs from ``expected``.
+
+    One repetition codeword decoded in place: the paper's failure
+    criterion for a single logical bit, computed on packed planes.
+    """
+
+    wires: tuple[int, ...]
+    expected: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wires", tuple(self.wires))
+
+    def failure_plane(self, states: BitplaneState) -> np.ndarray:
+        return mismatch_plane(
+            [states.majority_plane(self.wires)], (self.expected,), 1
+        )
+
+
+@dataclass(frozen=True)
+class WireMismatchObservable:
+    """Trials in which any of ``wires`` differs from its expected bit."""
+
+    wires: tuple[int, ...]
+    expected_bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wires", tuple(self.wires))
+        object.__setattr__(self, "expected_bits", tuple(self.expected_bits))
+        if not self.wires or len(self.wires) != len(self.expected_bits):
+            raise SimulationError(
+                f"need one expected bit per wire and at least one wire, "
+                f"got {len(self.wires)} wires and "
+                f"{len(self.expected_bits)} bits"
+            )
+
+    def failure_plane(self, states: BitplaneState) -> np.ndarray:
+        return mismatch_plane(
+            (states.planes[wire] for wire in self.wires),
+            self.expected_bits,
+            len(self.wires),
+        )
 
 
 @dataclass(frozen=True)
 class DecodeObservable:
-    """Counts trials whose decoded logical word differs from ``expected``.
+    """Trials whose decoded logical word differs from ``expected``.
 
     ``decoder`` is any object with ``decode_failure_plane(states,
     expected)`` returning a bit-plane batch's packed per-trial failure
     plane — e.g. :class:`~repro.coding.logical.LogicalProcessor` at
     any concatenation level, which compares recursive majority planes
-    without unpacking a single trial.  A stacked multi-point plane
-    array is decoded once and counted per point window.
+    without unpacking a single trial.
     """
 
     decoder: object
     expected: tuple[int, ...]
 
-    def count_failures(self, states: BitplaneState) -> int:
-        return states.count_ones(
-            self.decoder.decode_failure_plane(states, self.expected)
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "expected", tuple(self.expected))
 
-    def count_failures_stacked(
-        self, states: BitplaneState, windows
-    ) -> list[int]:
-        """Per-window failure counts of a stacked multi-point array.
-
-        ``windows`` is a sequence of ``(word_offset, trials)`` pairs
-        describing each point's word-aligned window of ``states``.  The
-        decoder's failure plane is computed ONCE over the full array
-        (plane operations are wordwise, so each window's slice equals
-        the plane a solo decode of that window would produce) and then
-        counted per window with that window's own padding mask —
-        bit-identical to calling :meth:`count_failures` on each window
-        view, at one decode pass instead of one per point.
-        """
-        failed = self.decoder.decode_failure_plane(states, self.expected)
-        return [
-            count_trial_ones(failed[offset:offset + words_for(trials)], trials)
-            for offset, trials in windows
-        ]
+    def failure_plane(self, states: BitplaneState) -> np.ndarray:
+        return self.decoder.decode_failure_plane(states, self.expected)
 
 
 class DecodedMismatchObservable(DecodeObservable):
     """A :class:`DecodeObservable` under its own wire tag.
 
-    It counts exactly as its base class does.  It stays a separate
+    It decodes exactly as its base class does.  It stays a separate
     class so that a serialisable spec built with it keeps its
     ``"decoded_mismatch"`` wire form and hence its point key: the
     level-1 spec pinned in ``tests/jobs/test_key_pins.py``.  Figure 3's
     level-2 points use it too, but a decoder above level 1 has no wire
     form, so those specs have no point key at all.
     """
-
-
-def as_observable(observable):
-    """Normalise a spec's observable to the ``count_failures`` protocol.
-
-    Objects already exposing ``count_failures`` pass through; a plain
-    callable is wrapped as a :class:`PredicateObservable`.
-    """
-    if hasattr(observable, "count_failures"):
-        return observable
-    if callable(observable):
-        return PredicateObservable(observable)
-    raise SimulationError(
-        f"observable must expose count_failures(states) or be a "
-        f"states -> bool-array callable, got {type(observable).__name__}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +176,8 @@ class RunSpec:
     Attributes:
         circuit: the circuit to evolve noisily.
         input_bits: the broadcast input vector (one value per wire).
-        observable: the failure predicate — anything accepted by
-            :func:`as_observable`.
+        observable: the failure predicate — an object with a
+            ``failure_plane(states)`` method (see the module docstring).
         noise: the :class:`~repro.noise.model.NoiseModel` applied at
             this point.
         trials: Monte-Carlo batch size (must be >= 1).
@@ -182,7 +202,12 @@ class RunSpec:
             )
         if self.trials < 1:
             raise SimulationError(f"trials must be >= 1, got {self.trials}")
-        as_observable(self.observable)  # validate the protocol up front
+        if not callable(getattr(self.observable, "failure_plane", None)):
+            raise SimulationError(
+                f"observable must expose failure_plane(states), got "
+                f"{type(self.observable).__name__}; wrap a states -> "
+                f"bool-array predicate in PredicateObservable"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = self.circuit.name or f"{self.circuit.n_wires}-wire circuit"

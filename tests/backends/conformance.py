@@ -24,7 +24,12 @@ from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.core.library import REGISTRY
 from repro.noise import NoiseModel
-from repro.runtime import ExecutionPolicy, Executor, RunSpec
+from repro.runtime import (
+    ExecutionPolicy,
+    Executor,
+    MajorityMismatchObservable,
+    RunSpec,
+)
 from tests.conftest import reference_outputs
 
 RECOVERY_INPUT = (1, 1, 1) + (0,) * 6
@@ -123,7 +128,7 @@ class BackendConformance:
             RunSpec(
                 circuit=circuit,
                 input_bits=RECOVERY_INPUT,
-                observable=lambda s: s.majority_of((0, 1, 2)) != 1,
+                observable=MajorityMismatchObservable((0, 1, 2), 1),
                 noise=NoiseModel(gate_error=g),
                 trials=3000,
                 seed=40 + i,

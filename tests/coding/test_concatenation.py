@@ -20,7 +20,12 @@ from repro.core.circuit import Circuit
 from repro.core.simulator import run
 from repro.errors import CodingError
 from repro.noise import NoiseModel, NoisyRunner
-from repro.runtime import DecodedMismatchObservable
+from repro.runtime import (
+    DecodedMismatchObservable,
+    ExecutionPolicy,
+    Executor,
+    RunSpec,
+)
 from tests.conftest import reference_decode, reference_decode_failures
 
 
@@ -142,18 +147,27 @@ class TestPackedDecode:
         expected = tuple(bit ^ f for bit, f in zip(correct, flip))
         reference = reference_decode_failures(computation, states, expected)
         observable = DecodedMismatchObservable(computation, expected)
-        assert observable.count_failures(states) == reference
+        assert states.count_ones(observable.failure_plane(states)) == reference
         assert reference > 0
 
     @pytest.mark.parametrize("expected", [(1,), (1, 1, 1, 1)])
     def test_wrong_length_expected_raises(self, expected):
         computation = LogicalProcessor(3, level=1)
-        states = BitplaneState.broadcast(computation.physical_input((1, 0, 1)), 70)
+        physical = computation.physical_input((1, 0, 1))
+        states = BitplaneState.broadcast(physical, 70)
         observable = DecodedMismatchObservable(computation, expected)
         with pytest.raises(CodingError, match="expected 3 logical bits"):
-            observable.count_failures(states)
+            observable.failure_plane(states)
+        spec = RunSpec(
+            circuit=computation.circuit,
+            input_bits=physical,
+            observable=observable,
+            noise=NoiseModel.noiseless(),
+            trials=70,
+            seed=0,
+        )
         with pytest.raises(CodingError, match="expected 3 logical bits"):
-            observable.count_failures_stacked(states, [(0, 70)])
+            Executor(ExecutionPolicy()).run([spec])
 
 
 class TestGamma:

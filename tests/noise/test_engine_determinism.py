@@ -31,8 +31,13 @@ from repro.core.compiled import (
     compile_cache_stats,
     compile_circuit,
 )
-from repro.noise import NoiseModel, NoisyRunner, repetition_failure_predicate
-from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpec
+from repro.noise import NoiseModel, NoisyRunner
+from repro.runtime import (
+    ExecutionPolicy,
+    Executor,
+    MajorityMismatchObservable,
+    RunSpec,
+)
 from repro.synth import inflate
 
 #: Frozen stream digests for the reference run below.  If an
@@ -137,9 +142,7 @@ def mixed_arity_runner_digest() -> str:
 
 
 def mixed_arity_executor_digest() -> str:
-    observable = PredicateObservable(
-        repetition_failure_predicate(OUTPUT_WIRES, 1)
-    )
+    observable = MajorityMismatchObservable(OUTPUT_WIRES, 1)
     specs = [
         RunSpec(
             circuit=mixed_arity_circuit(),

@@ -6,27 +6,29 @@ import numpy as np
 import pytest
 
 from repro.core import library
-from repro.core.bitplane import BitplaneState
+from repro.core.bitplane import BitplaneState, unpack_words
 from repro.core.circuit import Circuit
 from repro.noise.model import NoiseModel
-from repro.noise.monte_carlo import (
-    NoisyRunner,
-    any_wire_differs_predicate,
-    repetition_failure_predicate,
-    resolve_engine,
-)
+from repro.noise.monte_carlo import NoisyRunner, resolve_engine
 from repro.errors import SimulationError
-from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpec
+from repro.runtime import (
+    ExecutionPolicy,
+    Executor,
+    MajorityMismatchObservable,
+    PredicateObservable,
+    RunSpec,
+    WireMismatchObservable,
+)
 
 
-def estimate(circuit, input_bits, predicate, model, trials, seed=None):
+def estimate(circuit, input_bits, observable, model, trials, seed=None):
     """One spec through the executor: ``(failure_fraction, failures)``."""
     (result,) = Executor().run(
         [
             RunSpec(
                 circuit=circuit,
                 input_bits=tuple(input_bits),
-                observable=PredicateObservable(predicate),
+                observable=observable,
                 noise=model,
                 trials=trials,
                 seed=seed,
@@ -148,7 +150,7 @@ class TestEstimation:
         rate, count = estimate(
             circuit,
             (1, 0, 1),
-            any_wire_differs_predicate((0, 1, 2), library.MAJ.apply((1, 0, 1))),
+            WireMismatchObservable((0, 1, 2), library.MAJ.apply((1, 0, 1))),
             NoiseModel.noiseless(),
             trials=100,
             seed=0,
@@ -160,7 +162,7 @@ class TestEstimation:
         rate, count = estimate(
             circuit,
             (1, 0, 1),
-            any_wire_differs_predicate((0, 1, 2), library.MAJ.apply((1, 0, 1))),
+            WireMismatchObservable((0, 1, 2), library.MAJ.apply((1, 0, 1))),
             NoiseModel(gate_error=0.5),
             trials=2000,
             seed=0,
@@ -174,12 +176,13 @@ class TestEstimation:
             estimate(
                 circuit,
                 (0,),
-                lambda states: np.zeros((2, 2), dtype=bool),
+                PredicateObservable(lambda states: np.zeros((2, 2), dtype=bool)),
                 NoiseModel.noiseless(),
                 trials=10,
             )
 
     def test_repetition_predicate(self):
-        predicate = repetition_failure_predicate((0, 1, 2), expected=1)
+        observable = MajorityMismatchObservable((0, 1, 2), expected=1)
         states = BitplaneState.from_rows([(1, 1, 0), (0, 0, 1), (1, 1, 1)])
-        assert predicate(states).tolist() == [False, True, False]
+        plane = observable.failure_plane(states)
+        assert unpack_words(plane, 3).tolist() == [0, 1, 0]

@@ -14,6 +14,7 @@ The load-bearing guarantees of the execution layer are proved here:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.coding import recovery_circuit
@@ -22,32 +23,38 @@ from repro.coding.recovery import OUTPUT_WIRES
 from repro.core import library
 from repro.core.circuit import Circuit
 from repro.errors import SimulationError
-from repro.noise import (
-    NoiseModel,
-    NoisyRunner,
-    repetition_failure_predicate,
-)
+from repro.noise import NoiseModel, NoisyRunner
 from repro.runtime import (
     DecodeObservable,
     ExecutionPolicy,
     Executor,
+    MajorityMismatchObservable,
     PointResult,
     PredicateObservable,
     RunSpec,
+    WireMismatchObservable,
 )
 
-REPETITION_PREDICATE = PredicateObservable(
-    repetition_failure_predicate((0, 1, 2), 1)
-)
+REPETITION_OBSERVABLE = MajorityMismatchObservable((0, 1, 2), 1)
 
 #: Decodes the recovery cycle's actual output wires: zero failures
 #: without noise.
-OUTPUT_PREDICATE = PredicateObservable(
-    repetition_failure_predicate(OUTPUT_WIRES, 1)
-)
+OUTPUT_OBSERVABLE = MajorityMismatchObservable(OUTPUT_WIRES, 1)
 
 
-def recovery_spec(gate_error, seed, trials, observable=REPETITION_PREDICATE):
+def output_majority_fails(states):
+    """Module-level predicate: the cycle's output majority is not 1."""
+    return states.majority_of(OUTPUT_WIRES) != 1
+
+
+def solo_failures(spec):
+    """The spec's failure count on a solo ``NoisyRunner`` run."""
+    runner = NoisyRunner(spec.noise, spec.seed)
+    run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
+    return run.states.count_ones(spec.observable.failure_plane(run.states))
+
+
+def recovery_spec(gate_error, seed, trials, observable=REPETITION_OBSERVABLE):
     return RunSpec(
         circuit=recovery_circuit(),
         input_bits=(1, 1, 1) + (0,) * 6,
@@ -63,7 +70,9 @@ def legacy_point(spec):
     runner = NoisyRunner(spec.noise, spec.seed)
     result = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
     return PointResult(
-        failures=spec.observable.count_failures(result.states),
+        failures=result.states.count_ones(
+            spec.observable.failure_plane(result.states)
+        ),
         trials=spec.trials,
         faulted_trials=int((result.fault_counts > 0).sum()),
     )
@@ -101,7 +110,7 @@ class TestStackedBatchingBitIdentity:
             for seed, trials in enumerate(edges, start=101)
         ]
         specs = [
-            recovery_spec(g, seed, trials, observable=OUTPUT_PREDICATE)
+            recovery_spec(g, seed, trials, observable=OUTPUT_OBSERVABLE)
             for g, seed, trials in points
         ]
         results = Executor(ExecutionPolicy()).run(specs)
@@ -116,9 +125,7 @@ class TestStackedBatchingBitIdentity:
         maj_spec = RunSpec(
             circuit=maj_circuit,
             input_bits=(1, 0, 1),
-            observable=PredicateObservable(
-                repetition_failure_predicate((0, 1, 2), 1)
-            ),
+            observable=MajorityMismatchObservable((0, 1, 2), 1),
             noise=NoiseModel(gate_error=0.05),
             trials=1500,
             seed=41,
@@ -130,11 +137,7 @@ class TestStackedBatchingBitIdentity:
         ]
         results = Executor(ExecutionPolicy()).run(interleaved)
         for spec, result in zip(interleaved, results):
-            runner = NoisyRunner(spec.noise, spec.seed)
-            run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
-            assert result.failures == REPETITION_PREDICATE.count_failures(
-                run.states
-            )
+            assert result.failures == solo_failures(spec)
 
     def test_mixed_arity_stacked_points_equal_solo_runs(self):
         # 1-, 2- and 3-wire groups in both error classes: the padded
@@ -146,7 +149,7 @@ class TestStackedBatchingBitIdentity:
             RunSpec(
                 circuit=circuit,
                 input_bits=(1, 1, 1) + (0,) * 6,
-                observable=REPETITION_PREDICATE,
+                observable=REPETITION_OBSERVABLE,
                 noise=NoiseModel(gate_error=g, reset_error=g / 3),
                 trials=trials,
                 seed=seed,
@@ -190,13 +193,39 @@ class TestStackedBatchingBitIdentity:
         ]
         results = Executor(ExecutionPolicy()).run(specs)
         for spec, result in zip(specs, results):
-            runner = NoisyRunner(spec.noise, spec.seed)
-            run = runner.run_from_input(
-                spec.circuit, spec.input_bits, spec.trials
+            assert result.failures == solo_failures(spec)
+
+    def test_mixed_observables_share_one_group(self):
+        # One group mixes a predicate, a packed wire comparison and a
+        # shared decode over unaligned windows.  Every distinct
+        # observable computes one plane over the span of its points'
+        # windows (the predicate's span covers the others' windows),
+        # and each count must equal the solo run's.
+        processor = LogicalProcessor(3, include_resets=True)
+        processor.apply(library.MAJ, 0, 1, 2)
+        physical = processor.physical_input((1, 0, 1))
+        predicate = PredicateObservable(output_majority_fails)
+        wires = WireMismatchObservable(OUTPUT_WIRES, (1, 1, 1))
+        shared = DecodeObservable(processor, (1, 0, 1))
+        points = (
+            (predicate, 1), (shared, 63), (wires, 65), (predicate, 777),
+            (shared, 1), (wires, 63), (predicate, 65), (shared, 777),
+        )
+        specs = [
+            RunSpec(
+                circuit=processor.circuit,
+                input_bits=physical,
+                observable=observable,
+                noise=NoiseModel(gate_error=0.03),
+                trials=trials,
+                seed=seed,
             )
-            assert result.failures == spec.observable.count_failures(
-                run.states
-            )
+            for seed, (observable, trials) in enumerate(points, start=91)
+        ]
+        results = Executor(ExecutionPolicy()).run(specs)
+        failures = [result.failures for result in results]
+        assert failures == [solo_failures(spec) for spec in specs]
+        assert sum(failures) > 0
 
     def test_decode_observable_on_stacked_windows(self):
         # The packed decode path must read each point's plane window
@@ -219,11 +248,7 @@ class TestStackedBatchingBitIdentity:
         ]
         results = Executor(ExecutionPolicy()).run(specs)
         for spec, result in zip(specs, results):
-            runner = NoisyRunner(spec.noise, spec.seed)
-            run = runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
-            assert result.failures == run.states.count_ones(
-                processor.decode_failure_plane(run.states, (1, 0, 1))
-            )
+            assert result.failures == solo_failures(spec)
 
 
 class TestContentGrouping:
@@ -247,7 +272,7 @@ class TestContentGrouping:
             RunSpec(
                 circuit=twin,
                 input_bits=(1, 1, 1) + (0,) * 6,
-                observable=REPETITION_PREDICATE,
+                observable=REPETITION_OBSERVABLE,
                 noise=NoiseModel(gate_error=0.02),
                 trials=1234,
                 seed=5,
@@ -265,7 +290,7 @@ class TestContentGrouping:
         other = RunSpec(
             circuit=recovery_circuit(include_resets=False),
             input_bits=(1, 1, 1) + (0,) * 6,
-            observable=REPETITION_PREDICATE,
+            observable=REPETITION_OBSERVABLE,
             noise=NoiseModel(gate_error=0.01),
             trials=1000,
             seed=1,
@@ -280,7 +305,7 @@ class TestPoolAcrossGroups:
             RunSpec(
                 circuit=Circuit(3, name="maj").maj(0, 1, 2),
                 input_bits=(1, 0, 1),
-                observable=REPETITION_PREDICATE,
+                observable=REPETITION_OBSERVABLE,
                 noise=NoiseModel(gate_error=0.05),
                 trials=1024,
                 seed=72,
@@ -294,7 +319,7 @@ class TestPoolAcrossGroups:
 
     def test_worker_failure_names_the_group(self):
         class Boom:
-            def count_failures(self, states):
+            def failure_plane(self, states):
                 raise ValueError("observable exploded")
 
         specs = [
@@ -330,7 +355,7 @@ class TestPoolAcrossGroups:
         import concurrent.futures.process as cfp
 
         class Boom:
-            def count_failures(self, states):
+            def failure_plane(self, states):
                 raise ValueError("observable exploded")
 
         specs = [
@@ -371,6 +396,22 @@ class TestExecutorSurface:
     def test_non_spec_rejected(self):
         with pytest.raises(SimulationError):
             Executor().run(["not a spec"])
+
+    @pytest.mark.parametrize(
+        "plane",
+        [None, np.zeros(3, np.uint64), np.zeros(2, np.uint8), [0, 0]],
+        ids=["none", "too-long", "bytes", "list"],
+    )
+    def test_misshapen_failure_plane_refused(self, plane):
+        # A wrong plane would be sliced and counted silently; the
+        # executor refuses anything but one uint64 word per window word.
+        class Misshapen:
+            def failure_plane(self, states):
+                return plane
+
+        spec = recovery_spec(0.0, seed=1, trials=100, observable=Misshapen())
+        with pytest.raises(SimulationError, match=r"\(2,\) uint64 plane"):
+            Executor(ExecutionPolicy()).run([spec])
 
     def test_measure_cycle_errors_batches_points(self):
         # The harness-level sweep API: many points, one stacked run,

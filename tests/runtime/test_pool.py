@@ -24,9 +24,14 @@ from repro.errors import AnalysisError
 from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import SweepJob
-from repro.noise import NoiseModel, repetition_failure_predicate
+from repro.noise import NoiseModel
 from repro.obs import disable_tracing, flush_trace, reset_metrics, validate_trace
-from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpec
+from repro.runtime import (
+    ExecutionPolicy,
+    Executor,
+    MajorityMismatchObservable,
+    RunSpec,
+)
 from repro.runtime.pool import pool_map, resolve_workers
 
 
@@ -184,9 +189,7 @@ def _counter_total(documents, name: str) -> int:
 
 class TestWorkerTraces:
     def test_pooled_executor_worker_files_hold_only_worker_spans(self, traced):
-        observable = PredicateObservable(
-            repetition_failure_predicate((0, 1, 2), 1)
-        )
+        observable = MajorityMismatchObservable((0, 1, 2), 1)
         circuits = [
             Circuit(3, name="maj").maj(0, 1, 2),
             Circuit(3, name="cnot").cnot(0, 1),

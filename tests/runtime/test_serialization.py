@@ -11,7 +11,7 @@ from repro.coding.logical import LogicalProcessor
 from repro.core import library
 from repro.core.circuit import Circuit
 from repro.errors import SerializationError
-from repro.harness.threshold_finder import cycle_error_specs
+from repro.harness.threshold_finder import cycle_error_specs, cycle_processor
 from repro.noise.model import NoiseModel
 from repro.runtime import (
     DecodeObservable,
@@ -100,6 +100,21 @@ class TestSpecRoundTrip:
         assert rebuilt == spec
         assert rebuilt.circuit.content_key() == spec.circuit.content_key()
         assert _group_key(rebuilt) == _group_key(spec)
+
+    def test_list_expected_word_round_trips_to_an_equal_spec(self):
+        # The reader builds a tuple, so the observable must hold one
+        # whatever sequence it was given.
+        processor = cycle_processor(1)
+        spec = RunSpec(
+            circuit=processor.circuit,
+            input_bits=processor.physical_input((1, 0, 1)),
+            observable=DecodeObservable(processor, [1, 0, 1]),
+            noise=NoiseModel(gate_error=2e-3),
+            trials=100,
+            seed=4,
+        )
+        assert spec.observable.expected == (1, 0, 1)
+        assert _roundtrip(spec) == spec
 
     def test_compressed_round_trip_resolves_supplied_circuits(self):
         # The one wire form: circuits are digest references, recorded
@@ -212,8 +227,8 @@ class TestRefusals:
 
     def test_unregistered_observable_refused(self):
         class Odd:
-            def count_failures(self, states):
-                return 0
+            def failure_plane(self, states):
+                return np.zeros(states.n_words, np.uint64)
 
         with pytest.raises(SerializationError):
             spec_to_json(self._spec(observable=Odd()))

@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.bitplane import BitplaneState
+from repro.core.bitplane import BitplaneState, count_trial_ones, unpack_words
 from repro.errors import SimulationError
 from repro.noise.model import NoiseModel
 from repro.runtime import (
     DecodeObservable,
     DecodedMismatchObservable,
     ExecutionPolicy,
+    MajorityMismatchObservable,
     PointResult,
     PredicateObservable,
     RunSpec,
-    as_observable,
+    WireMismatchObservable,
 )
 
 
@@ -30,7 +31,7 @@ def make_spec(**overrides):
     values = dict(
         circuit=Circuit(3).maj(0, 1, 2),
         input_bits=(1, 0, 1),
-        observable=all_ones_predicate,
+        observable=PredicateObservable(all_ones_predicate),
         noise=NoiseModel(gate_error=0.01),
         trials=100,
         seed=0,
@@ -56,38 +57,123 @@ class TestRunSpec:
         with pytest.raises(SimulationError):
             make_spec(observable=42)
 
+    def test_bare_callable_refused(self):
+        # A predicate is not an observable until it is wrapped: the
+        # error names the wrapper.
+        with pytest.raises(SimulationError, match="PredicateObservable"):
+            make_spec(observable=all_ones_predicate)
+
     def test_specs_are_hashable_values(self):
         # Frozen specs with equal content must compare equal.
         assert make_spec() == make_spec()
 
 
 class TestObservables:
-    def test_callable_is_wrapped(self):
-        wrapped = as_observable(all_ones_predicate)
-        assert isinstance(wrapped, PredicateObservable)
-        states = BitplaneState.from_rows([(1, 1, 1), (0, 1, 1)])
-        assert wrapped.count_failures(states) == 1
-
-    def test_count_failures_objects_pass_through(self):
+    def test_predicate_plane_packs_the_verdicts(self):
         observable = PredicateObservable(all_ones_predicate)
-        assert as_observable(observable) is observable
+        states = BitplaneState.from_rows([(1, 1, 1), (0, 1, 1), (1, 1, 1)])
+        plane = observable.failure_plane(states)
+        assert plane.dtype == np.uint64 and plane.shape == (1,)
+        assert unpack_words(plane, 3).tolist() == [1, 0, 1]
 
     def test_predicate_shape_validated(self):
-        wrapped = as_observable(lambda states: np.zeros((2, 2), dtype=bool))
+        observable = PredicateObservable(
+            lambda states: np.zeros((2, 2), dtype=bool)
+        )
         with pytest.raises(SimulationError):
-            wrapped.count_failures(BitplaneState.from_rows([(1, 0)]))
+            observable.failure_plane(BitplaneState.from_rows([(1, 0)]))
 
     def test_decode_observable_delegates(self):
-        # The observable counts the trial bits of the decoder's failure
-        # plane; padding bits beyond the batch are ignored.
+        # The observable returns the decoder's failure plane; counting
+        # its trial bits ignores the padding bits beyond the batch.
         class Decoder:
             def decode_failure_plane(self, states, expected):
                 plane = 0b1011 if expected == (1,) else 0
                 return np.full(states.n_words, plane | (1 << 63), np.uint64)
 
         states = BitplaneState.zeros(1, 4)
-        assert DecodeObservable(Decoder(), (1,)).count_failures(states) == 3
-        assert DecodeObservable(Decoder(), (0,)).count_failures(states) == 0
+        for expected, count in (((1,), 3), ((0,), 0)):
+            plane = DecodeObservable(Decoder(), expected).failure_plane(states)
+            assert states.count_ones(plane) == count
+
+    def test_decode_observable_expected_coerced_to_tuple(self):
+        observable = DecodeObservable(object(), [1, 0, 1])
+        assert observable.expected == (1, 0, 1)
+        assert observable == DecodeObservable(observable.decoder, (1, 0, 1))
+
+
+def random_states(trials, n_wires=5, seed=0):
+    """Random planes, padding bits included: only trial bits may count."""
+    rng = np.random.default_rng(seed)
+    planes = rng.integers(
+        0, 2**64, size=(n_wires, (trials + 63) // 64), dtype=np.uint64
+    )
+    return BitplaneState(planes, trials)
+
+
+def old_majority_predicate(states, wires, expected):
+    """The per-trial definition the packed majority observable replaced."""
+    return states.majority_of(wires) != expected
+
+
+def old_any_wire_predicate(states, wires, expected_bits):
+    """The per-trial definition the packed wire observable replaced."""
+    differs = np.zeros(states.trials, dtype=bool)
+    for wire, bit in zip(wires, expected_bits, strict=True):
+        differs |= states.column(wire) != bit
+    return differs
+
+
+class TestPackedObservables:
+    """The packed observables against the byte-per-trial definitions."""
+
+    @pytest.mark.parametrize("trials", [1, 63, 65, 777])
+    @pytest.mark.parametrize("wires", [(0,), (0, 1, 2), (4, 1, 3, 0, 2)])
+    @pytest.mark.parametrize("expected", [0, 1])
+    def test_majority_mismatch_equals_the_old_predicate(
+        self, trials, wires, expected
+    ):
+        states = random_states(trials, seed=trials)
+        observable = MajorityMismatchObservable(list(wires), expected)
+        assert observable.wires == wires
+        plane = observable.failure_plane(states)
+        reference = old_majority_predicate(states, wires, expected)
+        assert (unpack_words(plane, trials) == reference).all()
+        assert count_trial_ones(plane, trials) == int(reference.sum())
+
+    @pytest.mark.parametrize("trials", [1, 63, 65, 777])
+    @pytest.mark.parametrize(
+        "wires, expected_bits",
+        [((2,), (0,)), ((2,), (1,)), ((0, 1, 2), (1, 0, 1)),
+         ((4, 0, 3), (0, 0, 0))],
+    )
+    def test_wire_mismatch_equals_the_old_predicate(
+        self, trials, wires, expected_bits
+    ):
+        states = random_states(trials, seed=trials + 1)
+        observable = WireMismatchObservable(iter(wires), list(expected_bits))
+        assert observable.wires == wires
+        assert observable.expected_bits == expected_bits
+        plane = observable.failure_plane(states)
+        reference = old_any_wire_predicate(states, wires, expected_bits)
+        assert (unpack_words(plane, trials) == reference).all()
+        assert count_trial_ones(plane, trials) == int(reference.sum())
+
+    @pytest.mark.parametrize(
+        "wires, expected_bits", [((), ()), ((0, 1), (1,)), ((0,), (1, 0))]
+    )
+    def test_wire_mismatch_needs_one_bit_per_wire(self, wires, expected_bits):
+        with pytest.raises(SimulationError, match="one expected bit per wire"):
+            WireMismatchObservable(wires, expected_bits)
+
+    def test_packed_observables_are_picklable_values(self):
+        import pickle
+
+        for observable in (
+            MajorityMismatchObservable((0, 1, 2), 1),
+            WireMismatchObservable((0, 1), (1, 0)),
+        ):
+            assert pickle.loads(pickle.dumps(observable)) == observable
 
 
 def stacked_decode_fixture(decoder, logical, trials_per_window):
@@ -110,15 +196,21 @@ def stacked_decode_fixture(decoder, logical, trials_per_window):
 
 
 def assert_stacked_matches_per_window(observable, states, windows):
-    """One stacked decode equals a solo decode of every window view."""
+    """Windows of one stacked failure plane equal solo planes' counts.
+
+    Returns the per-window counts.
+    """
     from repro.core.bitplane import BitplaneState, words_for
 
-    stacked = observable.count_failures_stacked(states, windows)
-    for (offset, trials), count in zip(windows, stacked):
-        window = BitplaneState(
-            states.planes[:, offset:offset + words_for(trials)], trials
-        )
-        assert observable.count_failures(window) == count
+    plane = observable.failure_plane(states)
+    counts = []
+    for offset, trials in windows:
+        words = words_for(trials)
+        count = count_trial_ones(plane[offset:offset + words], trials)
+        window = BitplaneState(states.planes[:, offset:offset + words], trials)
+        assert window.count_ones(observable.failure_plane(window)) == count
+        counts.append(count)
+    return counts
 
 
 class TestStackedDecode:
@@ -142,8 +234,8 @@ class TestStackedDecode:
             computation, (1, 0), (130, 64, 77)
         )
         observable = DecodedMismatchObservable(computation, (1, 0))
-        assert_stacked_matches_per_window(observable, states, windows)
-        assert sum(observable.count_failures_stacked(states, windows)) > 0
+        counts = assert_stacked_matches_per_window(observable, states, windows)
+        assert sum(counts) > 0
 
 
 class TestExecutionPolicy:

@@ -38,10 +38,12 @@ HEAVY = (
 
 IN_PROCESS_RUN = """
 from repro.core.circuit import Circuit
-from repro.noise import NoiseModel, repetition_failure_predicate
-from repro.runtime import ExecutionPolicy, Executor, PredicateObservable, RunSpec
+from repro.noise import NoiseModel
+from repro.runtime import (
+    ExecutionPolicy, Executor, MajorityMismatchObservable, RunSpec,
+)
 
-observable = PredicateObservable(repetition_failure_predicate((0, 1, 2), 1))
+observable = MajorityMismatchObservable((0, 1, 2), 1)
 specs = [
     RunSpec(
         circuit=Circuit(3, name="maj").maj(0, 1, 2),
