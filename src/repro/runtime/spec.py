@@ -80,7 +80,7 @@ class PredicateObservable:
         failures = np.asarray(self.predicate(states), dtype=bool)
         if failures.shape != (states.trials,):
             raise SimulationError(
-                f"is_failure returned shape {failures.shape}, expected "
+                f"predicate returned shape {failures.shape}, expected "
                 f"({states.trials},)"
             )
         return pack_bool(failures)

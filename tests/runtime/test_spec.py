@@ -80,7 +80,7 @@ class TestObservables:
         observable = PredicateObservable(
             lambda states: np.zeros((2, 2), dtype=bool)
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="predicate returned shape"):
             observable.failure_plane(BitplaneState.from_rows([(1, 0)]))
 
     def test_decode_observable_delegates(self):
