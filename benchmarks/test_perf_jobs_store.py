@@ -11,7 +11,8 @@ workload of ``BENCHMARK.json``).
 
 from __future__ import annotations
 
-from repro.harness.sweep import geometric_grid, spawn_seeds
+from repro.harness.sweep import geometric_grid
+from repro.noise.seeds import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import CachingExecutor, ResultStore
 from repro.runtime import ExecutionPolicy, Executor

@@ -10,7 +10,8 @@ repository benchmark (``perfbench/``).
 
 from __future__ import annotations
 
-from repro.harness.sweep import geometric_grid, spawn_seeds
+from repro.harness.sweep import geometric_grid
+from repro.noise.seeds import spawn_seeds
 from repro.harness.threshold_finder import measure_cycle_errors
 
 POINTS = 10

@@ -30,8 +30,8 @@ from repro.harness import (
     format_table,
     geometric_grid,
     measure_cycle_errors,
-    spawn_seeds,
 )
+from repro.noise.seeds import spawn_seeds
 
 
 def main(trials: int = 40000) -> None:

@@ -19,8 +19,6 @@ from repro.coding.logical import LogicalProcessor, concatenated_gate_circuit
 from repro.coding.recovery import (
     ANCILLA_WIRES,
     DATA_WIRES,
-    DECODE_TRIPLES,
-    ENCODE_TRIPLES,
     OUTPUT_WIRES,
     RECOVERY_OPS_WITH_INIT,
     RECOVERY_OPS_WITHOUT_INIT,
@@ -46,8 +44,6 @@ __all__ = [
     "LogicalProcessor",
     "ANCILLA_WIRES",
     "DATA_WIRES",
-    "DECODE_TRIPLES",
-    "ENCODE_TRIPLES",
     "OUTPUT_WIRES",
     "RECOVERY_OPS_WITH_INIT",
     "RECOVERY_OPS_WITHOUT_INIT",

@@ -110,10 +110,6 @@ class Block:
         """Sub-blocks currently carrying the codeword."""
         return self.sub_blocks(self.roles.data)
 
-    def ancilla_blocks(self) -> list["Block"]:
-        """Sub-blocks currently serving as recovery ancillas."""
-        return self.sub_blocks(self.roles.ancillas)
-
     def deep_data_wires(self) -> list[int]:
         """Physical wires carrying codeword bits, recursively."""
         if self.level == 0:
@@ -231,13 +227,13 @@ def compile_gate(
 # ----------------------------------------------------------------------
 
 
-def recovery_circuit(include_resets: bool = True, name: str = "EL") -> Circuit:
+def recovery_circuit(include_resets: bool = True) -> Circuit:
     """The Figure-2 recovery circuit on the standard nine-wire layout.
 
     The recovered codeword lands on
     :data:`~repro.coding.recovery.OUTPUT_WIRES`.
     """
-    return repeated_recovery(1, include_resets, name)[0]
+    return repeated_recovery(1, include_resets, "EL")[0]
 
 
 def repeated_recovery(

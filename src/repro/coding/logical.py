@@ -123,11 +123,6 @@ class LogicalProcessor:
         """Append one top-level recovery cycle on a single logical bit."""
         compile_recovery(self.circuit, self._block(logical_bit), self.include_resets)
 
-    def recover_all(self) -> None:
-        """Append a recovery cycle on every logical bit."""
-        for bit in range(self.n_logical):
-            self.recover(bit)
-
     # ------------------------------------------------------------------
     # Input/output helpers
     # ------------------------------------------------------------------
@@ -186,7 +181,7 @@ class LogicalProcessor:
 
 
 def concatenated_gate_circuit(
-    gate: Gate, level: int, recover: bool = True
+    gate: Gate, level: int
 ) -> tuple[Circuit, list[Block]]:
     """One logical gate at ``level``, fully compiled.
 
@@ -194,5 +189,5 @@ def concatenated_gate_circuit(
     post-recovery state).
     """
     processor = LogicalProcessor(gate.arity, level)
-    processor.apply(gate, *range(gate.arity), recover=recover)
+    processor.apply(gate, *range(gate.arity))
     return processor.circuit, processor.blocks

@@ -44,8 +44,6 @@ from repro.errors import CodingError
 DATA_WIRES: tuple[int, int, int] = (0, 1, 2)
 ANCILLA_WIRES: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
 OUTPUT_WIRES: tuple[int, int, int] = (0, 3, 6)
-ENCODE_TRIPLES: tuple[tuple[int, int, int], ...] = ((0, 3, 6), (1, 4, 7), (2, 5, 8))
-DECODE_TRIPLES: tuple[tuple[int, int, int], ...] = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
 #: Operation counts quoted in Section 2.2: E = 8 with initialisation
 #: (two 3-bit resets + three MAJ⁻¹ + three MAJ) and E = 6 without.
@@ -75,12 +73,9 @@ class RecoveryLayout:
             raise CodingError(f"layout wires must be 9 distinct wires: {wires}")
 
     @staticmethod
-    def standard(offset: int = 0) -> "RecoveryLayout":
-        """The Figure-2 layout, optionally shifted by ``offset`` wires."""
-        return RecoveryLayout(
-            data=tuple(w + offset for w in DATA_WIRES),
-            ancillas=tuple(w + offset for w in ANCILLA_WIRES),
-        )
+    def standard() -> "RecoveryLayout":
+        """The Figure-2 layout."""
+        return RecoveryLayout(data=DATA_WIRES, ancillas=ANCILLA_WIRES)
 
     @property
     def wires(self) -> tuple[int, ...]:

@@ -30,20 +30,6 @@ class RepetitionCode:
             )
 
     # ------------------------------------------------------------------
-    # Code parameters
-    # ------------------------------------------------------------------
-
-    @property
-    def distance(self) -> int:
-        """Minimum distance between codewords (equals the length)."""
-        return self.length
-
-    @property
-    def correctable_errors(self) -> int:
-        """Largest number of bit flips guaranteed correctable."""
-        return (self.length - 1) // 2
-
-    # ------------------------------------------------------------------
     # Encoding / decoding
     # ------------------------------------------------------------------
 
@@ -58,19 +44,10 @@ class RepetitionCode:
         self._check_length(word)
         return majority(tuple(word))
 
-    def is_codeword(self, word: Sequence[int]) -> bool:
-        """True when the word is an exact codeword."""
-        self._check_length(word)
-        return len(set(word)) == 1
-
     def errors_in(self, word: Sequence[int], logical: int) -> int:
         """Number of positions differing from the codeword for ``logical``."""
         self._check_length(word)
         return hamming_distance(word, self.encode(logical))
-
-    def codewords(self) -> tuple[Bits, Bits]:
-        """Both codewords (logical 0 first)."""
-        return (self.encode(0), self.encode(1))
 
     def corrupt(self, word: Sequence[int], positions: Sequence[int]) -> Bits:
         """The word with the listed positions flipped."""

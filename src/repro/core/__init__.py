@@ -5,7 +5,6 @@ from repro.core.bits import (
     bits_to_index,
     bitstring,
     hamming_distance,
-    hamming_weight,
     index_to_bits,
     majority,
     parse_bits,
@@ -41,7 +40,6 @@ from repro.core.truth_table import (
     circuit_gate,
     circuit_permutation,
     format_truth_table,
-    is_reversible,
     truth_table_rows,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "bits_to_index",
     "bitstring",
     "hamming_distance",
-    "hamming_weight",
     "index_to_bits",
     "majority",
     "parse_bits",
@@ -83,6 +80,5 @@ __all__ = [
     "circuit_gate",
     "circuit_permutation",
     "format_truth_table",
-    "is_reversible",
     "truth_table_rows",
 ]

@@ -11,7 +11,7 @@ paper, where the input ``100`` maps to the output ``011``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.errors import GateDefinitionError
 
@@ -82,12 +82,6 @@ def hamming_distance(left: Sequence[int], right: Sequence[int]) -> int:
     return sum(1 for a, b in zip(left, right) if a != b)
 
 
-def hamming_weight(bits: Sequence[int]) -> int:
-    """Number of 1 bits in a bit vector."""
-    validate_bits(bits)
-    return sum(bits)
-
-
 def majority(bits: Sequence[int]) -> int:
     """Majority value of an odd-length bit vector.
 
@@ -99,32 +93,3 @@ def majority(bits: Sequence[int]) -> int:
     validate_bits(bits)
     return 1 if sum(bits) * 2 > len(bits) else 0
 
-
-def flip(bits: Sequence[int], position: int) -> Bits:
-    """Return a copy of ``bits`` with one position flipped."""
-    validate_bits(bits)
-    if not 0 <= position < len(bits):
-        raise GateDefinitionError(f"flip position {position} out of range")
-    return tuple(
-        bit ^ 1 if index == position else bit for index, bit in enumerate(bits)
-    )
-
-
-def xor(left: Sequence[int], right: Sequence[int]) -> Bits:
-    """Bitwise XOR of two equal-length bit vectors."""
-    if len(left) != len(right):
-        raise GateDefinitionError(
-            f"length mismatch: {len(left)} vs {len(right)}"
-        )
-    validate_bits(left)
-    validate_bits(right)
-    return tuple(a ^ b for a, b in zip(left, right))
-
-
-def concat(*chunks: Iterable[int]) -> Bits:
-    """Concatenate several bit vectors into one."""
-    joined: list[int] = []
-    for chunk in chunks:
-        joined.extend(chunk)
-    validate_bits(joined)
-    return tuple(joined)

@@ -12,17 +12,17 @@ operation exist:
   only irreversible primitive, and the mechanism by which entropy
   leaves the computer).
 
-Circuits compose (``+``), invert (when reset-free), remap onto other
-wire sets, and tensor side by side; they also provide the op census
-used by the threshold accounting.  :func:`circuit_to_json` and
-:func:`circuit_from_json` are their one JSON wire form.
+Circuits compose (``+``) and invert (when reset-free); they also
+provide the op census used by the threshold accounting.
+:func:`circuit_to_json` and :func:`circuit_from_json` are their one
+JSON wire form.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from hashlib import sha256
 
@@ -167,18 +167,6 @@ class Circuit:
         """Doubly-controlled NOT."""
         return self.append_gate(library.TOFFOLI, control_a, control_b, target)
 
-    def fredkin(self, control: int, a: int, b: int) -> "Circuit":
-        """Controlled SWAP."""
-        return self.append_gate(library.FREDKIN, control, a, b)
-
-    def swap3_down(self, a: int, b: int, c: int) -> "Circuit":
-        """Two-SWAP rotation ``(a,b,c) -> (b,c,a)`` (Figure 5)."""
-        return self.append_gate(library.SWAP3_DOWN, a, b, c)
-
-    def swap3_up(self, a: int, b: int, c: int) -> "Circuit":
-        """Two-SWAP rotation ``(a,b,c) -> (c,a,b)`` (Figure 5, reversed)."""
-        return self.append_gate(library.SWAP3_UP, a, b, c)
-
     def maj(self, q0: int, q1: int, q2: int) -> "Circuit":
         """The reversible majority gate of Table 1."""
         return self.append_gate(library.MAJ, q0, q1, q2)
@@ -248,39 +236,6 @@ class Circuit:
             inverted.append_gate(op.gate.inverse(), *op.wires)
         return inverted
 
-    def remap(self, mapping: Mapping[int, int] | Sequence[int], n_wires: int) -> "Circuit":
-        """Relabel wires via ``mapping`` onto a circuit with ``n_wires``.
-
-        ``mapping`` may be a dict or a sequence where position ``i``
-        holds the new index of old wire ``i``.
-        """
-        if not isinstance(mapping, Mapping):
-            mapping = {old: new for old, new in enumerate(mapping)}
-        remapped = Circuit(n_wires, name=self.name)
-        for op in self._ops:
-            remapped.append(op.remapped(mapping))
-        return remapped
-
-    def tensor(self, other: "Circuit", name: str = "") -> "Circuit":
-        """Place ``other`` below ``self`` on fresh wires, side by side."""
-        combined = Circuit(self.n_wires + other.n_wires, name=name)
-        for op in self._ops:
-            combined.append(op)
-        offset = {w: w + self.n_wires for w in range(other.n_wires)}
-        for op in other._ops:
-            combined.append(op.remapped(offset))
-        return combined
-
-    def repeated(self, times: int) -> "Circuit":
-        """The circuit concatenated with itself ``times`` times."""
-        if times < 0:
-            raise CircuitError(f"repetition count must be >= 0, got {times}")
-        result = Circuit(self.n_wires, name=self.name)
-        for _ in range(times):
-            for op in self._ops:
-                result.append(op)
-        return result
-
     # ------------------------------------------------------------------
     # Census and structure
     # ------------------------------------------------------------------
@@ -347,10 +302,6 @@ class Circuit:
         for op in self._ops:
             touched.update(op.wires)
         return frozenset(touched)
-
-    def ops_touching(self, wire: int) -> tuple[int, ...]:
-        """Indices of operations acting on ``wire``."""
-        return tuple(i for i, op in enumerate(self._ops) if wire in op.wires)
 
     def depth(self) -> int:
         """Greedy ASAP layering depth (ops on disjoint wires overlap)."""

@@ -427,9 +427,9 @@ _CACHE_MISSES = counter("compile.cache.miss")
 class CompileCache:
     """Content-keyed LRU cache of :class:`CompiledCircuit` with counters."""
 
-    def __init__(self, max_entries: int = COMPILE_CACHE_MAX_ENTRIES) -> None:
+    def __init__(self) -> None:
         self._entries: dict[tuple, CompiledCircuit] = {}
-        self.max_entries = max_entries
+        self.max_entries = COMPILE_CACHE_MAX_ENTRIES
         self.hits = 0
         self.misses = 0
 

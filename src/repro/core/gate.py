@@ -86,10 +86,6 @@ class Gate:
         """The gate's action as an abstract permutation."""
         return Permutation(self.table)
 
-    def apply_index(self, index: int) -> int:
-        """Apply the gate to a packed input pattern."""
-        return self.table[index]
-
     def apply(self, bits: Sequence[int]) -> Bits:
         """Apply the gate to a bit vector of length ``arity``."""
         if len(bits) != self.arity:

@@ -90,9 +90,6 @@ SWAP3_UP = Gate.from_function("SWAP3_UP", 3, _swap3_up_action)
 MAJ = Gate.from_function("MAJ", 3, _maj_action)
 MAJ_INV = MAJ.inverse("MAJ⁻¹")
 
-#: Gate names that the threshold accounting treats as SWAP3 gates.
-SWAP3_NAMES = frozenset({"SWAP3_DOWN", "SWAP3_UP"})
-
 #: Gate names counted as MAJ-family operations in recovery circuits.
 MAJ_NAMES = frozenset({"MAJ", "MAJ⁻¹"})
 

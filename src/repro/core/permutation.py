@@ -3,13 +3,12 @@
 A :class:`Permutation` is the mathematical backbone of a reversible
 gate: a reversible gate on ``k`` wires *is* a permutation of the
 ``2**k`` input patterns.  This module keeps permutations abstract
-(indices, not bits) so it can also serve the routing layer, where
-permutations act on wire positions rather than on states.
+(indices, not bits); the bit-level views live in
+:mod:`repro.core.gate` and :mod:`repro.core.truth_table`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.errors import GateDefinitionError
@@ -48,27 +47,6 @@ class Permutation:
         """The identity permutation on ``range(size)``."""
         return Permutation(tuple(range(size)))
 
-    @staticmethod
-    def from_cycles(size: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build a permutation from disjoint cycles.
-
-        >>> Permutation.from_cycles(3, [(0, 1)]).mapping
-        (1, 0, 2)
-        """
-        mapping = list(range(size))
-        touched: set[int] = set()
-        for cycle in cycles:
-            for element in cycle:
-                if element in touched:
-                    raise GateDefinitionError(
-                        f"element {element} appears in more than one cycle"
-                    )
-                touched.add(element)
-            for position, element in enumerate(cycle):
-                image = cycle[(position + 1) % len(cycle)]
-                mapping[element] = image
-        return Permutation(tuple(mapping))
-
     # ------------------------------------------------------------------
     # Group operations
     # ------------------------------------------------------------------
@@ -93,10 +71,6 @@ class Permutation:
             )
         return Permutation(tuple(self.mapping[first.mapping[i]] for i in range(self.size)))
 
-    def then(self, second: "Permutation") -> "Permutation":
-        """The permutation *second after self* (apply ``self``, then ``second``)."""
-        return second.compose(self)
-
     def inverse(self) -> "Permutation":
         """The inverse permutation."""
         inverse = [0] * self.size
@@ -112,46 +86,12 @@ class Permutation:
         """True when every element is a fixed point."""
         return all(image == index for index, image in enumerate(self.mapping))
 
-    def fixed_points(self) -> tuple[int, ...]:
-        """Indices mapped to themselves."""
-        return tuple(i for i, image in enumerate(self.mapping) if image == i)
-
-    def cycles(self, include_fixed_points: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle led by its minimum."""
-        seen = [False] * self.size
-        cycles: list[tuple[int, ...]] = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            current = self.mapping[start]
-            while current != start:
-                cycle.append(current)
-                seen[current] = True
-                current = self.mapping[current]
-            if len(cycle) > 1 or include_fixed_points:
-                cycles.append(tuple(cycle))
-        return cycles
-
-    def order(self) -> int:
-        """Smallest positive ``n`` with ``self**n`` the identity."""
-        result = 1
-        for cycle in self.cycles():
-            result = _lcm(result, len(cycle))
-        return result
-
-    def parity(self) -> int:
-        """0 for even permutations, 1 for odd ones."""
-        transpositions = sum(len(cycle) - 1 for cycle in self.cycles())
-        return transpositions % 2
-
     def inversions(self) -> int:
         """Number of out-of-order pairs; the minimal adjacent-swap count.
 
         Sorting the sequence ``mapping`` with adjacent transpositions
-        takes exactly this many swaps, which is why the routing layer
-        uses it to prove its swap schedules optimal.
+        takes exactly this many swaps, which is why the routing tests
+        use it to prove the layer's swap schedules optimal.
         """
         count = 0
         for i in range(self.size):
@@ -159,29 +99,3 @@ class Permutation:
                 if self.mapping[i] > self.mapping[j]:
                     count += 1
         return count
-
-    def __pow__(self, exponent: int) -> "Permutation":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Permutation.identity(self.size)
-        base = self
-        power = exponent
-        while power:
-            if power & 1:
-                result = base.compose(result)
-            base = base.compose(base)
-            power >>= 1
-        return result
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
-def permutation_distance(left: Permutation, right: Permutation) -> int:
-    """Number of points on which two permutations disagree."""
-    if left.size != right.size:
-        raise GateDefinitionError("cannot compare permutations of different sizes")
-    return sum(1 for i in range(left.size) if left.mapping[i] != right.mapping[i])

@@ -9,8 +9,6 @@ exhaustion rather than by sampling.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.core.bits import bits_to_index, bitstring, index_to_bits
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
@@ -50,26 +48,6 @@ def circuit_gate(circuit: Circuit, name: str) -> Gate:
     return Gate.from_permutation(name, circuit_permutation(circuit))
 
 
-def is_reversible(circuit: Circuit) -> bool:
-    """True when the circuit's action is a bijection.
-
-    Reset-free circuits are bijections by construction; circuits with
-    resets are checked by exhaustive evaluation.
-    """
-    if not circuit.has_resets:
-        return True
-    if circuit.n_wires > MAX_EXHAUSTIVE_WIRES:
-        raise SimulationError(
-            f"refusing to enumerate 2**{circuit.n_wires} states "
-            f"(limit is 2**{MAX_EXHAUSTIVE_WIRES})"
-        )
-    width = circuit.n_wires
-    images = set()
-    for index in range(1 << width):
-        images.add(run(circuit, index_to_bits(index, width)))
-    return len(images) == (1 << width)
-
-
 def truth_table_rows(source: Gate | Circuit) -> list[tuple[str, str]]:
     """``(input, output)`` bit-string rows for a gate or circuit."""
     if isinstance(source, Gate):
@@ -85,13 +63,11 @@ def truth_table_rows(source: Gate | Circuit) -> list[tuple[str, str]]:
     ]
 
 
-def format_truth_table(
-    source: Gate | Circuit, headers: Sequence[str] = ("Input", "Output")
-) -> str:
+def format_truth_table(source: Gate | Circuit) -> str:
     """Render a Table-1-style truth table as fixed-width text."""
     rows = truth_table_rows(source)
-    width = max(len(headers[0]), len(headers[1]), len(rows[0][0]))
-    lines = [f"{headers[0]:<{width}}  {headers[1]:<{width}}"]
+    width = max(len("Output"), len(rows[0][0]))
+    lines = [f"{'Input':<{width}}  {'Output':<{width}}"]
     lines.append("-" * (2 * width + 2))
     for input_bits, output_bits in rows:
         lines.append(f"{input_bits:<{width}}  {output_bits:<{width}}")

@@ -6,8 +6,8 @@ it imports every layer the experiments run (synth, local, analysis,
 baselines), and a threshold search needs none of them.
 """
 
-from repro.harness.stats import RateEstimate, required_trials, wilson_interval
-from repro.harness.sweep import geometric_grid, spawn_seeds
+from repro.harness.stats import RateEstimate, wilson_interval
+from repro.harness.sweep import geometric_grid
 from repro.harness.tables import format_table, paper_vs_measured
 from repro.harness.threshold_finder import (
     PseudoThreshold,
@@ -20,10 +20,8 @@ from repro.harness.threshold_finder import (
 
 __all__ = [
     "RateEstimate",
-    "required_trials",
     "wilson_interval",
     "geometric_grid",
-    "spawn_seeds",
     "format_table",
     "paper_vs_measured",
     "PseudoThreshold",

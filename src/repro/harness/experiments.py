@@ -140,9 +140,9 @@ def execution_policy() -> ExecutionPolicy:
     return ExecutionPolicy.from_env()
 
 
-def trial_budget(default: int = 100000) -> int:
-    """Monte-Carlo trial count, overridable via ``REPRO_TRIALS``."""
-    return ExecutionPolicy.from_env(trials=default).trials
+def trial_budget() -> int:
+    """Monte-Carlo trial count: 100k unless ``REPRO_TRIALS`` says otherwise."""
+    return ExecutionPolicy.from_env().trials
 
 
 @dataclass

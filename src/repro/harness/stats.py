@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import sqrt
 
 from repro.errors import AnalysisError
 
@@ -71,29 +71,7 @@ class RateEstimate:
         """The Wilson confidence interval."""
         return wilson_interval(self.failures, self.trials, self.z)
 
-    def compatible_with(self, value: float) -> bool:
-        """True when ``value`` lies inside the confidence interval."""
-        low, high = self.interval
-        return low <= value <= high
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         low, high = self.interval
         return f"{self.rate:.3g} [{low:.3g}, {high:.3g}] ({self.trials} trials)"
 
-
-def required_trials(
-    probability: float, relative_error: float = 0.1, z: float = 1.96
-) -> int:
-    """Trials needed to estimate ``probability`` to a relative error.
-
-    Uses the binomial variance: ``n = z^2 (1-p) / (p rel^2)``.
-    """
-    if not 0.0 < probability < 1.0:
-        raise AnalysisError(
-            f"probability must be in (0, 1), got {probability}"
-        )
-    if relative_error <= 0:
-        raise AnalysisError(
-            f"relative error must be positive, got {relative_error}"
-        )
-    return ceil(z**2 * (1.0 - probability) / (probability * relative_error**2))

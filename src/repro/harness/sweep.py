@@ -1,11 +1,10 @@
-"""Sweep grids and per-point seeds.
+"""Sweep grids.
 
-``geometric_grid`` spaces a sweep's parameter values; ``spawn_seeds``
-derives per-point child seeds from one base seed via
-:class:`numpy.random.SeedSequence`, so every point owns an independent,
-reproducible stream however the points are scheduled.  It lives in
-:mod:`repro.noise.seeds` (the RNG-owning layer) and is re-exported here
-for its historical callers.
+``geometric_grid`` spaces a sweep's parameter values.  Per-point seeds
+come from :func:`repro.noise.seeds.spawn_seeds`, which derives child
+seeds from one base seed via :class:`numpy.random.SeedSequence`, so
+every point owns an independent, reproducible stream however the
+points are scheduled.
 
 A sweep itself is a batch of :class:`~repro.runtime.RunSpec` points
 through :class:`~repro.runtime.Executor` (or a
@@ -16,9 +15,8 @@ sharing a circuit into one plane array.
 from __future__ import annotations
 
 from repro.errors import AnalysisError
-from repro.noise.seeds import spawn_seeds
 
-__all__ = ["geometric_grid", "spawn_seeds"]
+__all__ = ["geometric_grid"]
 
 
 def geometric_grid(start: float, stop: float, points: int) -> list[float]:

@@ -5,24 +5,21 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def _render_cell(value, float_format: str) -> str:
+def _render_cell(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return format(value, float_format)
+        return format(value, ".4g")
     return str(value)
 
 
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence],
-    float_format: str = ".4g",
     title: str | None = None,
 ) -> str:
-    """Render rows as a fixed-width text table."""
-    rendered = [
-        [_render_cell(value, float_format) for value in row] for row in rows
-    ]
+    """Render rows as a fixed-width text table (floats to 4 significant digits)."""
+    rendered = [[_render_cell(value) for value in row] for row in rows]
     widths = [
         max(len(str(header)), *(len(row[i]) for row in rendered))
         if rendered

@@ -18,8 +18,8 @@ import numpy as np
 from repro.coding.logical import LogicalProcessor
 from repro.core import library
 from repro.harness.stats import wilson_interval
-from repro.harness.sweep import spawn_seeds
 from repro.noise.model import NoiseModel
+from repro.noise.seeds import spawn_seeds
 from repro.obs import counter, trace
 from repro.runtime import (
     DecodeObservable,
@@ -111,8 +111,18 @@ def per_cycle_rate(failures: int, trials: int, cycles: int) -> float:
     """Normalise a per-run failure count to a per-gate-cycle rate.
 
     Two logical gates per loop iteration; failures accumulate per gate
-    cycle, so ``1 - (1 - f/n)**(1 / (2 * cycles))``.
+    cycle, so ``1 - (1 - f/n)**(1 / (2 * cycles))``.  Raises
+    :class:`~repro.errors.AnalysisError` unless ``cycles >= 1``,
+    ``trials >= 1`` and ``0 <= failures <= trials``.
     """
+    if cycles < 1:
+        raise AnalysisError(f"cycles must be >= 1, got {cycles}")
+    if trials < 1:
+        raise AnalysisError(f"trials must be >= 1, got {trials}")
+    if not 0 <= failures <= trials:
+        raise AnalysisError(
+            f"failures ({failures}) must be within [0, trials={trials}]"
+        )
     return 1.0 - (1.0 - failures / trials) ** (1.0 / (2 * cycles))
 
 

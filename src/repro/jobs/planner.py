@@ -16,7 +16,7 @@ obligations:
   shard never recompiles.
 * **Bit-identity.**  Shards never touch seeds: each point keeps the
   integer seed it was submitted with (the per-point seed-spawning
-  discipline of :func:`repro.harness.sweep.spawn_seeds`), so the union
+  discipline of :func:`repro.noise.seeds.spawn_seeds`), so the union
   of shard results is bit-identical to a single
   :meth:`~repro.runtime.Executor.run` over the whole list, however the
   shards are scheduled.
@@ -80,7 +80,7 @@ def plan_shards(
             raise JobError(
                 f"spec {index} has seed {spec.seed!r}; sharded execution "
                 f"requires integer per-point seeds (spawn them with "
-                f"repro.harness.sweep.spawn_seeds)"
+                f"repro.noise.seeds.spawn_seeds)"
             )
     keys = [point_key(spec) for spec in specs]
     groups: dict[tuple, list[int]] = {}

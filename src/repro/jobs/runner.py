@@ -11,7 +11,7 @@ checkpointing against a content-keyed result store
                              # as digest references), shard plan
         circuits/<d>.json    # each distinct circuit's wire form, once
         shards/<id>.json     # one checkpoint per completed shard
-        store/               # the result store (unless shared)
+        store/               # the result store
 
 The contract that makes this a *service* rather than a script:
 
@@ -56,7 +56,6 @@ from repro.jobs.store import (
 )
 from repro.obs import (
     counter,
-    enable_tracing,
     gauge,
     histogram,
     stopwatch,
@@ -246,21 +245,18 @@ class SweepJob:
         specs: Sequence[RunSpec],
         policy: ExecutionPolicy | None = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        store: ResultStore | str | Path | None = None,
     ) -> "SweepJob":
         """Create (or resume) the job for ``specs`` under ``job_dir``.
 
         Writes the manifest on first submit; on resubmit verifies the
         existing manifest describes the *same* sweep (matching job ID)
-        and raises :class:`~repro.errors.JobError` otherwise.  ``store``
-        defaults to a store inside the job directory; passing a shared
-        store lets many jobs (and ad-hoc
-        :class:`~repro.jobs.caching.CachingExecutor` queries) reuse
-        each other's points.  A resubmitted job runs under ``policy``
-        (the environment's when ``None``), like a fresh one.
+        and raises :class:`~repro.errors.JobError` otherwise.  Results
+        go to the store at ``<job_dir>/store``.  A resubmitted job runs
+        under ``policy`` (the environment's when ``None``), like a
+        fresh one.
         """
         with trace("jobs.submit") as span:
-            job = cls._submit_impl(job_dir, specs, policy, shard_size, store)
+            job = cls._submit_impl(job_dir, specs, policy, shard_size)
             span.set(
                 job=job.job_id,
                 points=len(job.specs),
@@ -269,7 +265,7 @@ class SweepJob:
         return job
 
     @classmethod
-    def _submit_impl(cls, job_dir, specs, policy, shard_size, store):
+    def _submit_impl(cls, job_dir, specs, policy, shard_size):
         job_dir = Path(job_dir)
         specs = list(specs)
         if not specs:
@@ -280,7 +276,7 @@ class SweepJob:
         job_id = cls._job_id(specs)
         manifest_path = job_dir / MANIFEST_NAME
         if manifest_path.exists():
-            existing = cls.load(job_dir, store=store)
+            existing = cls.load(job_dir)
             if existing.job_id != job_id:
                 raise JobError(
                     f"{job_dir} already holds job {existing.job_id}, which "
@@ -304,16 +300,11 @@ class SweepJob:
         }
         _write_circuit_blobs(job_dir, circuits)
         write_json_atomic(manifest_path, manifest)
-        return cls(
-            job_dir, specs, shards, policy, cls._store(job_dir, store), job_id
-        )
+        store = ResultStore(job_dir / STORE_DIR)
+        return cls(job_dir, specs, shards, policy, store, job_id)
 
     @classmethod
-    def load(
-        cls,
-        job_dir: str | Path,
-        store: ResultStore | str | Path | None = None,
-    ) -> "SweepJob":
+    def load(cls, job_dir: str | Path) -> "SweepJob":
         """Open an existing job from its manifest.
 
         The specs are rebuilt from their JSON wire forms — this is the
@@ -384,17 +375,8 @@ class SweepJob:
                 f"each spec exactly once; the manifest was edited or "
                 f"corrupted"
             )
-        return cls(
-            job_dir, specs, shards, policy, cls._store(job_dir, store), job_id
-        )
-
-    @staticmethod
-    def _store(
-        job_dir: Path, store: ResultStore | str | Path | None
-    ) -> ResultStore:
-        if isinstance(store, ResultStore):
-            return store
-        return ResultStore(store if store is not None else job_dir / STORE_DIR)
+        store = ResultStore(job_dir / STORE_DIR)
+        return cls(job_dir, specs, shards, policy, store, job_id)
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -492,8 +474,6 @@ class SweepJob:
         after each pending shard finishes with ``(done, pending_total,
         shard_id, elapsed_s)`` — the CLI's verbose heartbeat.
         """
-        if self.policy.trace:
-            enable_tracing(self.policy.trace)
         with trace("jobs.run", job=self.job_id) as span:
             return self._run_impl(max_shards, on_progress, span)
 

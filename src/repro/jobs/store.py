@@ -117,7 +117,7 @@ def _require_integer_seed(spec: RunSpec) -> None:
         raise JobError(
             f"a stored point must be reproducible, which needs an integer "
             f"seed; got {spec.seed!r} (spawn per-point seeds with "
-            f"repro.harness.sweep.spawn_seeds)"
+            f"repro.noise.seeds.spawn_seeds)"
         )
 
 

@@ -107,27 +107,19 @@ def is_connected_set(lattice: Lattice, positions: Sequence[Position]) -> bool:
     return not remaining
 
 
-def is_local_operation(
-    lattice: Lattice,
-    wires: Iterable[int],
-    max_size: int = MAX_LOCAL_OPERATION_SIZE,
-) -> bool:
+def is_local_operation(lattice: Lattice, wires: Iterable[int]) -> bool:
     """True when an operation on ``wires`` is allowed on the lattice."""
     wire_list = list(wires)
-    if len(wire_list) > max_size:
+    if len(wire_list) > MAX_LOCAL_OPERATION_SIZE:
         return False
     positions = [lattice.position(w) for w in wire_list]
     return is_connected_set(lattice, positions)
 
 
-def validate_circuit_locality(
-    circuit: Circuit,
-    lattice: Lattice,
-    max_size: int = MAX_LOCAL_OPERATION_SIZE,
-) -> None:
+def validate_circuit_locality(circuit: Circuit, lattice: Lattice) -> None:
     """Raise :class:`LocalityError` at the first non-local operation."""
     for index, op in enumerate(circuit):
-        if not is_local_operation(lattice, op.wires, max_size):
+        if not is_local_operation(lattice, op.wires):
             positions = [lattice.position(w) for w in op.wires]
             raise LocalityError(
                 f"operation {index} ({op.label}) on wires {op.wires} at "
@@ -135,14 +127,10 @@ def validate_circuit_locality(
             )
 
 
-def circuit_is_local(
-    circuit: Circuit,
-    lattice: Lattice,
-    max_size: int = MAX_LOCAL_OPERATION_SIZE,
-) -> bool:
+def circuit_is_local(circuit: Circuit, lattice: Lattice) -> bool:
     """Boolean form of :func:`validate_circuit_locality`."""
     try:
-        validate_circuit_locality(circuit, lattice, max_size)
+        validate_circuit_locality(circuit, lattice)
     except LocalityError:
         return False
     return True

@@ -12,9 +12,8 @@ encode triple ``(q0,q3,q6) (q1,q4,q7) (q2,q5,q8)`` is a row while every
 decode triple ``(q0,q1,q2) (q3,q4,q5) (q6,q7,q8)`` is a column — the
 whole recovery circuit is nearest-neighbour local with no routing.
 
-Tiles assemble into logical registers either stacked along the logical
-line (for "parallel" interleaving) or side by side (for
-"perpendicular" interleaving); both assemblies expose grid positions
+Tiles assemble into a logical register stacked along the logical line
+(the "parallel" interleaving geometry), which exposes grid positions
 for the locality checker.
 """
 
@@ -57,35 +56,24 @@ DATA_COLUMN = 1
 class TileAssembly:
     """``n_tiles`` Figure-4 tiles glued into one grid.
 
-    ``orientation='stacked'`` places tile ``t`` on grid rows
-    ``3t..3t+2`` (logical bits in a vertical line — data bits of
-    consecutive tiles are collinear, the *parallel* geometry);
-    ``orientation='side_by_side'`` places tile ``t`` on grid columns
-    ``3t..3t+2`` (the *perpendicular* geometry, with two ancilla
-    columns between consecutive data columns).
+    Tile ``t`` sits on grid rows ``3t..3t+2`` (logical bits in a
+    vertical line — data bits of consecutive tiles are collinear, the
+    *parallel* geometry).
 
     Circuit wires are numbered ``9 t + label`` for tile ``t`` and
     Figure-4 label ``label``.
     """
 
     n_tiles: int
-    orientation: str = "stacked"
 
     def __post_init__(self) -> None:
         if self.n_tiles < 1:
             raise LocalityError(f"need >= 1 tile, got {self.n_tiles}")
-        if self.orientation not in ("stacked", "side_by_side"):
-            raise LocalityError(
-                f"orientation must be 'stacked' or 'side_by_side', "
-                f"got {self.orientation!r}"
-            )
 
     @property
     def grid(self) -> Grid:
         """The assembled grid."""
-        if self.orientation == "stacked":
-            return Grid(rows=3 * self.n_tiles, cols=3)
-        return Grid(rows=3, cols=3 * self.n_tiles)
+        return Grid(rows=3 * self.n_tiles, cols=3)
 
     @property
     def n_wires(self) -> int:
@@ -106,9 +94,7 @@ class TileAssembly:
             )
         tile, label = divmod(wire, 9)
         row, col = tile_position(label)
-        if self.orientation == "stacked":
-            return (3 * tile + row, col)
-        return (row, 3 * tile + col)
+        return (3 * tile + row, col)
 
     def adjacent(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
         """Nearest-neighbour adjacency (so the assembly acts as a lattice).
@@ -121,28 +107,9 @@ class TileAssembly:
 
     def wire_at(self, row: int, col: int) -> int:
         """Circuit wire at a grid position."""
-        if self.orientation == "stacked":
-            tile, tile_row = divmod(row, 3)
-            tile_col = col
-        else:
-            tile, tile_col = divmod(col, 3)
-            tile_row = row
+        tile, tile_row = divmod(row, 3)
         self._check_tile(tile)
-        return 9 * tile + tile_wire(tile_row, tile_col)
-
-    def grid_lattice_wire_map(self) -> list[int]:
-        """``mapping[grid_wire] = circuit_wire`` for the assembled grid.
-
-        Lets callers remap a tile-numbered circuit onto grid-numbered
-        wires so the plain :class:`~repro.local.lattice.Grid` position
-        convention applies.
-        """
-        grid = self.grid
-        mapping = []
-        for site in range(grid.n_sites):
-            row, col = grid.position(site)
-            mapping.append(self.wire_at(row, col))
-        return mapping
+        return 9 * tile + tile_wire(tile_row, col)
 
     def data_wires(self, tile: int) -> tuple[int, int, int]:
         """Circuit wires of a tile's codeword (labels q0, q1, q2)."""

@@ -82,9 +82,7 @@ def append_one_d_recovery(
         circuit.maj(base, base + 1, base + 2)
 
 
-def one_d_recovery_circuit(
-    cycles: int = 1, include_resets: bool = True, name: str = "EL-1D"
-) -> Circuit:
+def one_d_recovery_circuit(cycles: int = 1, include_resets: bool = True) -> Circuit:
     """``cycles`` chained Figure-7 recovery cycles on nine wires.
 
     The codeword enters and leaves on :data:`ONE_D_DATA_POSITIONS`, so
@@ -92,7 +90,7 @@ def one_d_recovery_circuit(
     """
     if cycles < 0:
         raise CodingError(f"cycle count must be >= 0, got {cycles}")
-    circuit = Circuit(9, name=name)
+    circuit = Circuit(9, name="EL-1D")
     for _ in range(cycles):
         append_one_d_recovery(circuit, include_resets)
     return circuit
@@ -101,18 +99,6 @@ def one_d_recovery_circuit(
 def one_d_lattice() -> Chain:
     """The nine-site line the 1D recovery must be local on."""
     return Chain(9)
-
-
-def one_d_census(include_resets: bool = True) -> dict[str, int]:
-    """Physical op census of one 1D cycle, plus the paper's accounting."""
-    circuit = one_d_recovery_circuit(1, include_resets)
-    counts = dict(circuit.count_ops())
-    counts["paper_accounting"] = (
-        ONE_D_RECOVERY_OPS_WITH_INIT
-        if include_resets
-        else ONE_D_RECOVERY_OPS_WITHOUT_INIT
-    )
-    return counts
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +195,7 @@ class TileRecovery:
 
 
 def two_d_recovery_circuit(
-    cycles: int = 1,
-    include_resets: bool = True,
-    orientation: TileOrientation = STANDARD_TILE_ORIENTATION,
-    name: str = "EL-2D",
+    cycles: int = 1, include_resets: bool = True
 ) -> tuple[Circuit, TileRecovery]:
     """``cycles`` chained tile recovery cycles on a 3×3 grid.
 
@@ -221,8 +204,8 @@ def two_d_recovery_circuit(
     """
     if cycles < 0:
         raise CodingError(f"cycle count must be >= 0, got {cycles}")
-    circuit = Circuit(9, name=name)
-    tracker = TileRecovery(orientation)
+    circuit = Circuit(9, name="EL-2D")
+    tracker = TileRecovery()
     for _ in range(cycles):
         tracker.append_cycle(circuit, include_resets)
     return circuit, tracker
@@ -232,21 +215,3 @@ def two_d_lattice() -> Grid:
     """The 3×3 grid the tile recovery must be local on."""
     return Grid(3, 3)
 
-
-#: Per-codeword operation counts for a full 2D logical cycle.  The
-#: paper reports 14/16 (Section 3.1); counting with the same
-#: per-codeword convention it uses in 1D (3 SWAP3 interleave + 3
-#: transversal + 3 SWAP3 uninterleave + recovery) gives 15/17 — a
-#: one-operation accounting difference documented in DESIGN.md.
-TWO_D_CYCLE_OPS_PAPER = {"with_init": 16, "without_init": 14}
-TWO_D_CYCLE_OPS_RECOUNTED = {"with_init": 17, "without_init": 15}
-
-
-def two_d_cycle_operation_count(include_init: bool = True) -> int:
-    """Per-codeword ops of a 2D logical cycle, recounted from circuits.
-
-    3 SWAP3 (interleave) + 3 transversal gates + 3 SWAP3
-    (uninterleave) + 8 or 6 recovery operations.
-    """
-    recovery = 8 if include_init else 6
-    return 3 + 3 + 3 + recovery

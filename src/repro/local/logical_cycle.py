@@ -158,7 +158,7 @@ def two_d_logical_cycle(
         raise CodingError(
             f"the 2D cycle applies a 3-bit logical gate, got arity {gate.arity}"
         )
-    assembly = TileAssembly(3, "stacked")
+    assembly = TileAssembly(3)
     circuit = Circuit(assembly.n_wires, name=f"2D-cycle[{gate.name}]")
 
     # The data column, top to bottom: rows 0..8 at the data column.

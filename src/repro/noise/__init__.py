@@ -7,18 +7,16 @@ it, so it is not re-exported here.
 
 from repro.noise.injector import (
     Fault,
-    count_fault_sites,
     iter_fault_pairs,
     iter_single_faults,
     run_with_faults,
 )
 from repro.noise.model import NoiseModel
 from repro.noise.monte_carlo import NoisyResult, NoisyRunner
-from repro.noise.seeds import as_generator, spawn_seeds
+from repro.noise.seeds import as_generator
 
 __all__ = [
     "Fault",
-    "count_fault_sites",
     "iter_fault_pairs",
     "iter_single_faults",
     "run_with_faults",
@@ -26,5 +24,4 @@ __all__ = [
     "NoisyResult",
     "NoisyRunner",
     "as_generator",
-    "spawn_seeds",
 ]

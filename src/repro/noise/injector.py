@@ -117,9 +117,3 @@ def iter_fault_pairs(
                     Fault(op_index=second, pattern=pattern_second),
                 )
 
-
-def count_fault_sites(circuit: Circuit, include_resets: bool = True) -> int:
-    """Number of operations that can fault (the paper's op count)."""
-    return sum(
-        1 for op in circuit if include_resets or not op.is_reset
-    )

@@ -52,11 +52,6 @@ class NoiseModel:
             return self.gate_error
         return self.reset_error
 
-    @property
-    def counts_resets(self) -> bool:
-        """True when resets are as noisy as gates (paper's "with init")."""
-        return self.effective_reset_error > 0.0
-
     def scaled(self, factor: float) -> "NoiseModel":
         """A model with every rate multiplied by ``factor``."""
         reset = None if self.reset_error is None else self.reset_error * factor

@@ -482,17 +482,6 @@ class NoisyResult:
         """Number of Monte-Carlo trials in the batch."""
         return self.states.trials
 
-    def fraction_with_faults(self) -> float:
-        """Fraction of trials that experienced at least one fault.
-
-        A zero-trial batch has no faulted trials, so the fraction is
-        0.0 (a plain mean would be NumPy's NaN-with-warning
-        mean-of-empty).
-        """
-        if self.fault_counts.size == 0:
-            return 0.0
-        return float((self.fault_counts > 0).mean())
-
 
 class NoisyRunner:
     """Runs circuits under a :class:`NoiseModel` on bit-plane states."""

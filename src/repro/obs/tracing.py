@@ -12,9 +12,8 @@ When tracing is disabled (the default) ``trace`` returns a shared no-op
 span — no allocation, no clock read, no branch beyond one global load —
 so instrumentation may sit on hot paths.  Enabled via
 ``REPRO_TRACE=<path|stderr|stdout>`` (read once at import) or
-programmatically through :func:`enable_tracing` /
-``ExecutionPolicy.trace``.  The collected tree flushes at interpreter
-exit; pool workers (:mod:`repro.runtime.pool`) start their own tracer
+programmatically through :func:`enable_tracing`.  The collected tree
+flushes at interpreter exit; pool workers (:mod:`repro.runtime.pool`) start their own tracer
 on ``<path>.<pid>`` so children never clobber the parent's file, and
 flush it after every task because they exit via ``os._exit``.
 
@@ -243,8 +242,8 @@ def enable_tracing(sink: str = "stderr") -> None:
 
     ``sink`` is a file path, ``"stderr"``, or ``"stdout"``.  If tracing
     is already enabled only the sink is re-pointed — the collected tree
-    survives, so a late ``ExecutionPolicy.trace`` does not discard
-    spans recorded since ``REPRO_TRACE`` enabled tracing at import.
+    survives, so a later call does not discard spans recorded since
+    ``REPRO_TRACE`` enabled tracing at import.
     """
     global _TRACER
     if not sink:

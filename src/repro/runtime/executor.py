@@ -51,7 +51,7 @@ from repro.noise.monte_carlo import (
     _stack_plan,
 )
 from repro.noise.seeds import as_generator
-from repro.obs import counter, enable_tracing, trace
+from repro.obs import counter, trace
 from repro.runtime.pool import pool_map, resolve_workers
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
@@ -192,8 +192,6 @@ class Executor:
 
     def __init__(self, policy: ExecutionPolicy | None = None):
         self.policy = policy if policy is not None else ExecutionPolicy.from_env()
-        if self.policy.trace:
-            enable_tracing(self.policy.trace)
 
     def run(self, specs: Sequence[RunSpec]) -> list[PointResult]:
         """Evaluate every spec; results come back in spec order."""

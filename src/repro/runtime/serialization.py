@@ -362,9 +362,9 @@ def spec_to_json(spec: RunSpec, circuits: dict[str, dict] | None = None) -> dict
         raise SerializationError(
             "a RunSpec carrying a live numpy Generator cannot be "
             "serialised; give each point an integer seed (see "
-            "repro.harness.sweep.spawn_seeds)"
+            "repro.noise.seeds.spawn_seeds)"
         )
-    if seed is not None and not isinstance(seed, (int, np.integer)):
+    if seed is not None and not isinstance(seed, int):
         raise SerializationError(
             f"seed must be an int or None to serialise, got {type(seed).__name__}"
         )
@@ -375,7 +375,7 @@ def spec_to_json(spec: RunSpec, circuits: dict[str, dict] | None = None) -> dict
         "observable": _observable_to_json(spec.observable, circuits),
         "noise": noise_to_json(spec.noise),
         "trials": spec.trials,
-        "seed": None if seed is None else int(seed),
+        "seed": seed,
     }
 
 

@@ -9,13 +9,12 @@ failure predicate".  This module gives that shape a value type:
   an :class:`~repro.runtime.executor.Executor` is handed a batch of
   them.
 * :class:`ExecutionPolicy` — *how* specs run (worker pool, default
-  trial budget, trace sink), hydrated once from the
-  environment by :meth:`ExecutionPolicy.from_env`.  This is the single
-  home of every ``REPRO_*`` execution knob; nothing else in the library
-  reads them mid-run.  No policy field can change a result, so a
-  point's identity is its spec alone.  (The observability layer
-  additionally reads its own ``REPRO_TRACE`` once at import so bare
-  CLI runs trace too — see :mod:`repro.obs`.)
+  trial budget), hydrated once from the environment by
+  :meth:`ExecutionPolicy.from_env`.  This is the single home of every
+  ``REPRO_*`` execution knob; nothing else in the library reads them
+  mid-run.  No policy field can change a result, so a point's identity
+  is its spec alone.  (The observability layer reads its own
+  ``REPRO_TRACE`` once at import — see :mod:`repro.obs`.)
 * :class:`PointResult` — one point's outcome: failure count, trial
   count, and fault statistics.
 * Observables — the failure predicate half of a spec.  The one
@@ -182,8 +181,10 @@ class RunSpec:
             this point.
         trials: Monte-Carlo batch size (must be >= 1).
         seed: per-point RNG seed.  An integer (or ``None``) spawns a
-            fresh ``numpy`` generator; an existing generator is used
-            as-is (and is then consumed by the run).
+            fresh ``numpy`` generator; a NumPy integer is stored as a
+            plain ``int``, so it keys and serialises like one.  An
+            existing generator is used as-is (and is then consumed by
+            the run).
     """
 
     circuit: Circuit
@@ -195,6 +196,8 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_bits", tuple(self.input_bits))
+        if isinstance(self.seed, np.integer):
+            object.__setattr__(self, "seed", int(self.seed))
         if len(self.input_bits) != self.circuit.n_wires:
             raise SimulationError(
                 f"input has {len(self.input_bits)} bits but circuit has "
@@ -241,12 +244,6 @@ class ExecutionPolicy:
             sharing a program batch into one plane array instead.
         trials: default Monte-Carlo budget for callers that take their
             trial count from the policy (``REPRO_TRIALS``).
-        trace: span-trace sink — a file path, ``"stderr"`` or
-            ``"stdout"`` — or ``None`` for no tracing
-            (``REPRO_TRACE``; see :mod:`repro.obs`).  Tracing is
-            observational only and can never change a result; pool
-            workers (:mod:`repro.runtime.pool`) trace into
-            ``<path>.<pid>``.
 
     A negative ``parallel`` and a ``trials`` below 1 raise
     :class:`~repro.errors.ConfigError` (a ``SimulationError``
@@ -265,7 +262,6 @@ class ExecutionPolicy:
 
     parallel: int | bool | None = None
     trials: int = DEFAULT_TRIALS
-    trace: str | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -312,8 +308,6 @@ class ExecutionPolicy:
                 raise ConfigError(
                     f"REPRO_TRIALS={env['REPRO_TRIALS']!r} must be >= 1"
                 )
-        if "REPRO_TRACE" in env:
-            updates["trace"] = env["REPRO_TRACE"] or None
         return replace(policy, **updates) if updates else policy
 
 
@@ -340,8 +334,3 @@ class PointResult:
     def failure_fraction(self) -> float:
         """``failures / trials``."""
         return self.failures / self.trials
-
-    @property
-    def fault_fraction(self) -> float:
-        """Fraction of trials with at least one injected fault."""
-        return self.faulted_trials / self.trials

@@ -50,6 +50,10 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 #: Default persistence home — next to the experiment result tables.
 DEFAULT_DATABASE_DIR = REPO_ROOT / "benchmarks" / "results"
 
+#: Shortest members a persisted database keeps per action class; part
+#: of its recorded mining parameters.
+_PERSISTED_KEEP = 4
+
 
 # ----------------------------------------------------------------------
 # The database
@@ -177,11 +181,6 @@ class IdentityDatabase:
             return None
         return min(candidates, key=lambda c: (len(c), c.content_key()))
 
-    def identities(self) -> tuple[Circuit, ...]:
-        """All mined circuits whose action is the identity."""
-        mapping = tuple(range(1 << self.n_wires))
-        return tuple(self.classes.get(mapping, {}).values())
-
     # -- persistence ---------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
@@ -215,7 +214,6 @@ class IdentityDatabase:
         n_wires: int,
         gate_library: tuple[Gate, ...],
         max_gates: int,
-        keep: int = 4,
     ) -> "IdentityDatabase":
         """The persisted database at ``path``, mining it on first use.
 
@@ -233,7 +231,7 @@ class IdentityDatabase:
             "mined": {
                 "gates": sorted(gate.name for gate in gate_library),
                 "max_gates": max_gates,
-                "keep": keep,
+                "keep": _PERSISTED_KEEP,
             }
         }
         if path.exists():
@@ -247,7 +245,7 @@ class IdentityDatabase:
                 return database
         database = cls(n_wires)
         database.metadata = provenance
-        database.mine(gate_library, max_gates, keep=keep)
+        database.mine(gate_library, max_gates, keep=_PERSISTED_KEEP)
         database.save(path)
         return database
 

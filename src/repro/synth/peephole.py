@@ -213,15 +213,12 @@ def _window_pass(
 
 
 def optimize_report(
-    circuit: Circuit,
-    database: IdentityDatabase | None = None,
-    max_passes: int | None = None,
+    circuit: Circuit, database: IdentityDatabase | None = None
 ) -> OptimizationReport:
     """Run :func:`optimize` and report what happened."""
     locations_before = gamma_census(circuit)
     ops = list(circuit.ops)
-    if max_passes is None:
-        max_passes = len(ops) + 4
+    max_passes = len(ops) + 4
     identity_removals = cancellations = database_rewrites = verified = 0
     passes = 0
     while True:
@@ -281,31 +278,25 @@ def optimize(
 # ----------------------------------------------------------------------
 
 
-def inflate(
-    circuit: Circuit,
-    expand_maj: bool = True,
-    pad_gates: bool = True,
-    pair_resets: bool = True,
-) -> Circuit:
+def inflate(circuit: Circuit) -> Circuit:
     """A behaviourally identical circuit with redundant fault locations.
 
-    Three independent redundancy families, each an exact identity:
+    Three redundancy families, each an exact identity:
 
-    * ``expand_maj`` — MAJ/MAJ⁻¹ gates are replaced by their Figure-1
-      CNOT·CNOT·Toffoli decompositions (3 fault locations where one
-      stood);
-    * ``pad_gates`` — every gate op is wrapped in a pair of X gates on
-      a wire it does not touch (the pair commutes with the op and
-      multiplies to the identity);
-    * ``pair_resets`` — every reset is followed by a doubled SWAP on
-      two of the wires it just initialised.
+    * MAJ/MAJ⁻¹ gates are replaced by their Figure-1 CNOT·CNOT·Toffoli
+      decompositions (3 fault locations where one stood);
+    * every gate op is wrapped in a pair of X gates on a wire it does
+      not touch (the pair commutes with the op and multiplies to the
+      identity);
+    * every reset is followed by a doubled SWAP on two of the wires it
+      just initialised.
 
     The result is the benchmark workload for :func:`optimize`, which
     must strip all of it back out.
     """
     expanded: list[Operation] = []
     for op in circuit:
-        if expand_maj and op.is_gate and op.gate is not None and (
+        if op.is_gate and op.gate is not None and (
             op.gate.name in library.MAJ_NAMES
         ):
             body = maj_circuit() if op.gate.name == "MAJ" else maj_inv_circuit()
@@ -322,13 +313,13 @@ def inflate(
         pad_wire = next(
             (w for w in range(circuit.n_wires) if w not in op.wires), None
         )
-        if pad_gates and op.is_gate and pad_wire is not None:
+        if op.is_gate and pad_wire is not None:
             inflated.x(pad_wire)
             inflated.append(op)
             inflated.x(pad_wire)
         else:
             inflated.append(op)
-        if pair_resets and op.is_reset and len(op.wires) >= 2:
+        if op.is_reset and len(op.wires) >= 2:
             a, b = op.wires[0], op.wires[1]
             inflated.swap(a, b)
             inflated.swap(a, b)

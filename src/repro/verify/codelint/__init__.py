@@ -46,17 +46,15 @@ class SourceFile:
     tree: ast.Module
 
 
-def load_source_files(
-    root: Path, subdir: str = "src/repro"
-) -> list[SourceFile]:
-    """Parse every ``*.py`` under ``root/subdir``, in sorted order.
+def load_source_files(root: Path) -> list[SourceFile]:
+    """Parse every ``*.py`` under ``root/src/repro``, in sorted order.
 
     A file that does not parse raises
     :class:`~repro.errors.VerificationError` — the lint driver maps
     that to its driver-failure exit code (the tree cannot even import,
     which is not a lint finding).
     """
-    base = Path(root) / subdir
+    base = Path(root) / "src" / "repro"
     files: list[SourceFile] = []
     for path in sorted(base.rglob("*.py")):
         relpath = path.relative_to(root).as_posix()
@@ -85,11 +83,9 @@ def run_codebase_lints(
     root: Path,
     *,
     passes: list[str] | None = None,
-    report: DiagnosticReport | None = None,
 ) -> DiagnosticReport:
     """Run the selected lint passes (default: all) over a repo root."""
-    if report is None:
-        report = DiagnosticReport()
+    report = DiagnosticReport()
     selected = list(PASSES) if passes is None else passes
     unknown = [name for name in selected if name not in PASSES]
     if unknown:

@@ -442,7 +442,6 @@ def verify_compiled(
     circuit,
     compiled: CompiledCircuit | None = None,
     *,
-    fuse: bool = True,
     report: DiagnosticReport | None = None,
     check_circuit: bool = True,
 ) -> DiagnosticReport:
@@ -452,8 +451,8 @@ def verify_compiled(
     symbolic reference meaningless), then the three program layers:
     schedule mirroring + lowering correctness, fusion legality and
     bookkeeping, and per-slot transfer-function equality over fresh
-    variables.  ``compiled`` defaults to ``compile_circuit(circuit,
-    fuse=fuse)``; pass an explicit object to verify an artifact that
+    variables.  ``compiled`` defaults to ``compile_circuit(circuit)``
+    (fused); pass an explicit object to verify an artifact that
     did not come from the production compiler.  ``check_circuit=False``
     skips the well-formedness pass for callers that already ran it
     (e.g. ``python -m repro.verify`` verifying one circuit under
@@ -469,7 +468,7 @@ def verify_compiled(
         if not well_formed.ok:
             return report
     if compiled is None:
-        compiled = compile_circuit(circuit, fuse=fuse)
+        compiled = compile_circuit(circuit)
     if compiled.n_wires != circuit.n_wires:
         report.error(
             "RV200",

@@ -46,6 +46,11 @@ class TestFactors:
         with pytest.raises(AnalysisError):
             bit_blowup(-1)
 
+    def test_overhead_exponent_needs_three_operations(self):
+        # log2(3(G - 2)) is undefined below G = 3.
+        with pytest.raises(AnalysisError, match=">= 3"):
+            gate_overhead_exponent(2)
+
 
 class TestRequiredLevel:
     def test_paper_worked_example(self):
@@ -98,6 +103,11 @@ class TestAchievableSize:
         g, G = threshold(9) / 10, 9
         assert achievable_module_size(g, G, 0) == pytest.approx(1080.0, rel=1e-6)
         assert achievable_module_size(g, G, 2) >= 10**6
+
+
+    def test_above_threshold_rejected(self):
+        with pytest.raises(AnalysisError, match="rho"):
+            achievable_module_size(threshold(9), 9, 1)
 
 
 class TestUnprotected:

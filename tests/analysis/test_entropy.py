@@ -91,6 +91,21 @@ class TestLevelBounds:
         with pytest.raises(AnalysisError):
             max_level_for_constant_entropy(0.0, 11)
 
+    @pytest.mark.parametrize(
+        "bound,match",
+        [
+            (lambda: entropy_upper_bound(1e-2, 0, 2), "gates_per_level"),
+            (lambda: entropy_upper_bound(1.5, 24, 2), r"\[0, 1\]"),
+            (lambda: entropy_upper_bound(1e-2, 24, -1), "level must be >= 0"),
+            (lambda: entropy_lower_bound(1e-2, 0, 2), "recovery_ops"),
+            (lambda: max_level_for_constant_entropy(1e-2, 0), "recovery_ops"),
+        ],
+        ids=["gates-per-level", "rate", "level", "lower-ops", "max-level-ops"],
+    )
+    def test_out_of_domain_arguments_rejected(self, bound, match):
+        with pytest.raises(AnalysisError, match=match):
+            bound()
+
 
 class TestLandauer:
     def test_one_bit_at_room_temperature(self):

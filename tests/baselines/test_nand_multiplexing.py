@@ -62,6 +62,15 @@ class TestDeterministicThreshold:
         final = trajectory[-1]
         assert final > 0.9 or final < 0.1
 
+    @pytest.mark.parametrize(
+        "bracket,match",
+        [((0.0, 0.05), "no degradation"), ((0.2, 0.25), "already")],
+        ids=["upper-too-low", "lower-too-high"],
+    )
+    def test_critical_epsilon_needs_a_bracketing_interval(self, bracket, match):
+        with pytest.raises(AnalysisError, match=match):
+            critical_epsilon(*bracket)
+
     def test_unit_fraction_in_range(self):
         assert 0.0 <= multiplexed_unit_fraction(0.7, 0.7, 0.05) <= 1.0
 

@@ -39,6 +39,19 @@ class TestFormulas:
         with pytest.raises(AnalysisError):
             largest_reliable_module(0.0)
 
+    @pytest.mark.parametrize(
+        "formula,match",
+        [
+            (lambda: module_error(1e-3, -1), "module size"),
+            (lambda: module_error_linear(1.5, 10), "gate error"),
+            (lambda: largest_reliable_module(1e-3, target_error=1.0), "target error"),
+        ],
+        ids=["negative-size", "linear-rate", "target"],
+    )
+    def test_each_argument_validated(self, formula, match):
+        with pytest.raises(AnalysisError, match=match):
+            formula()
+
 
 class TestIdentityModule:
     def test_action_is_identity(self):

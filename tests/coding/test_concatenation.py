@@ -40,7 +40,8 @@ class TestBlockGeometry:
         block = Block.allocate(1)
         assert block.size == 9
         assert block.deep_data_wires() == [0, 1, 2]
-        assert [b.base for b in block.ancilla_blocks()] == [3, 4, 5, 6, 7, 8]
+        ancillas = block.sub_blocks(block.roles.ancillas)
+        assert [b.base for b in ancillas] == [3, 4, 5, 6, 7, 8]
 
     def test_level_two_size(self):
         block = Block.allocate(2, base=81)
@@ -54,7 +55,7 @@ class TestBlockGeometry:
         with pytest.raises(CodingError):
             block.data_blocks()
         with pytest.raises(CodingError):
-            block.ancilla_blocks()
+            block.sub_blocks((0,))
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_recovery_rotates_roles(self, level):
@@ -209,6 +210,19 @@ class TestValidation:
     def test_level_must_be_positive(self):
         with pytest.raises(CodingError):
             LogicalProcessor(1, level=0)
+
+    def test_needs_a_logical_bit(self):
+        with pytest.raises(CodingError, match="logical bit"):
+            LogicalProcessor(0)
+
+    @pytest.mark.parametrize(
+        "level,children,match",
+        [(-1, (), "level must be >= 0"), (1, (), "needs 9 children")],
+        ids=["negative-level", "missing-children"],
+    )
+    def test_block_shape_validated(self, level, children, match):
+        with pytest.raises(CodingError, match=match):
+            Block(level=level, base=0, children=children)
 
     def test_operands_must_be_distinct(self):
         computation = LogicalProcessor(2, level=1)

@@ -139,7 +139,8 @@ class TestNoiselessSemantics:
     @pytest.mark.parametrize("level,ops", [(1, 8), (2, 180)])
     def test_recover_all(self, level, ops):
         processor = LogicalProcessor(2, level)
-        processor.recover_all()
+        processor.recover(0)
+        processor.recover(1)
         assert len(processor.circuit) == 2 * ops
 
     # Without resets a level-1 recovery is 6 gates and a level-2 one

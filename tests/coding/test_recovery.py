@@ -126,14 +126,6 @@ class TestLayout:
         assert layout.decode_triples() == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
         assert layout.advance().data == OUTPUT_WIRES == (0, 3, 6)
 
-    def test_offset_layout(self):
-        layout = RecoveryLayout.standard(offset=9)
-        assert layout.data == (9, 10, 11)
-
-    def test_advance_matches_outputs(self):
-        layout = RecoveryLayout.standard(offset=9)
-        assert layout.advance().data == tuple(w + 9 for w in OUTPUT_WIRES)
-
     def test_advance_partitions_wires(self):
         layout = RecoveryLayout.standard()
         advanced = layout.advance()

@@ -30,10 +30,6 @@ class TestConstruction:
         with pytest.raises(CodingError):
             RepetitionCode(-3)
 
-    def test_distance_and_correction(self):
-        code = RepetitionCode(5)
-        assert code.distance == 5
-        assert code.correctable_errors == 2
 
 
 class TestEncodeDecode:
@@ -62,7 +58,7 @@ class TestEncodeDecode:
     def test_decoding_corrects_up_to_t_errors(self, bit, data):
         length = data.draw(odd_lengths)
         code = RepetitionCode(length)
-        n_errors = data.draw(st.integers(0, code.correctable_errors))
+        n_errors = data.draw(st.integers(0, (length - 1) // 2))
         positions = data.draw(
             st.lists(
                 st.integers(0, length - 1),
@@ -78,7 +74,7 @@ class TestEncodeDecode:
     def test_majority_plus_one_errors_flip_decoding(self, bit, data):
         length = data.draw(odd_lengths)
         code = RepetitionCode(length)
-        n_errors = code.correctable_errors + 1
+        n_errors = (length - 1) // 2 + 1
         positions = list(range(n_errors))
         corrupted = code.corrupt(code.encode(bit), positions)
         # With exactly t+1 errors on a 2t+1 code the majority flips.
@@ -86,17 +82,9 @@ class TestEncodeDecode:
 
 
 class TestUtilities:
-    def test_is_codeword(self):
-        assert THREE_BIT_CODE.is_codeword((1, 1, 1))
-        assert not THREE_BIT_CODE.is_codeword((1, 0, 1))
-
     def test_errors_in(self):
         assert THREE_BIT_CODE.errors_in((1, 0, 1), 1) == 1
         assert THREE_BIT_CODE.errors_in((1, 0, 1), 0) == 2
-
-    def test_codewords_listing(self):
-        zero, one = THREE_BIT_CODE.codewords()
-        assert zero == (0, 0, 0) and one == (1, 1, 1)
 
     def test_corrupt_validates_positions(self):
         with pytest.raises(CodingError):

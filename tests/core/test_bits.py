@@ -84,9 +84,6 @@ class TestHamming:
         with pytest.raises(GateDefinitionError):
             bits.hamming_distance((0, 0), (0, 0, 0))
 
-    def test_weight(self):
-        assert bits.hamming_weight((1, 0, 1, 1)) == 3
-
     @given(bit_vectors)
     def test_distance_to_self_is_zero(self, vector):
         assert bits.hamming_distance(vector, vector) == 0
@@ -123,21 +120,3 @@ class TestMajority:
         complement = [b ^ 1 for b in vector]
         assert bits.majority(vector) == 1 - bits.majority(complement)
 
-
-class TestManipulation:
-    def test_flip(self):
-        assert bits.flip((0, 0, 0), 1) == (0, 1, 0)
-
-    def test_flip_out_of_range(self):
-        with pytest.raises(GateDefinitionError):
-            bits.flip((0, 0), 5)
-
-    def test_xor(self):
-        assert bits.xor((1, 0, 1), (1, 1, 0)) == (0, 1, 1)
-
-    @given(bit_vectors)
-    def test_xor_with_self_is_zero(self, vector):
-        assert bits.xor(vector, vector) == (0,) * len(vector)
-
-    def test_concat(self):
-        assert bits.concat((1, 0), (0,), (1, 1)) == (1, 0, 0, 1, 1)

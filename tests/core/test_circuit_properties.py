@@ -2,8 +2,7 @@
 
 These pin down the semantics that every other layer builds on: circuit
 concatenation is composition of actions, inversion really inverts,
-remapping commutes with evaluation, and tensoring acts independently on
-the two halves.
+and depth behaves under concatenation.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import library
-from repro.core.bits import index_to_bits
 from repro.core.circuit import Circuit
 from repro.core.truth_table import circuit_permutation
 
@@ -76,90 +74,6 @@ class TestCompositionLaws:
         (same gates, same wires, same order), not merely on behaviour.
         """
         assert circuit.inverse().inverse().ops == circuit.ops
-
-
-class TestRemapLaws:
-    @given(circuits(), st.permutations(list(range(4))), st.integers(0, 15))
-    @settings(max_examples=40, deadline=None)
-    def test_remap_commutes_with_evaluation(self, circuit, wire_map, packed):
-        """Evaluating a remapped circuit = permuting wires around evaluation."""
-        from repro.core.simulator import run
-
-        remapped = circuit.remap(list(wire_map), n_wires=4)
-        input_bits = index_to_bits(packed, 4)
-        # Input seen through the wire map: new wire wire_map[i] carries
-        # what old wire i carried.
-        permuted_input = [0] * 4
-        for old, new in enumerate(wire_map):
-            permuted_input[new] = input_bits[old]
-        direct = run(remapped, tuple(permuted_input))
-        original = run(circuit, input_bits)
-        for old, new in enumerate(wire_map):
-            assert direct[new] == original[old]
-
-
-class TestTruthTablePreservation:
-    @given(circuits())
-    @settings(max_examples=30, deadline=None)
-    def test_identity_remap_preserves_truth_table(self, circuit):
-        from repro.core.truth_table import truth_table_rows
-
-        remapped = circuit.remap(list(range(4)), n_wires=4)
-        assert truth_table_rows(remapped) == truth_table_rows(circuit)
-
-    @given(circuits(), st.permutations(list(range(4))))
-    @settings(max_examples=30, deadline=None)
-    def test_remap_round_trip_preserves_truth_table(self, circuit, wire_map):
-        """Remapping out and back restores content and truth table."""
-        from repro.core.truth_table import truth_table_rows
-
-        inverse_map = [0] * 4
-        for old, new in enumerate(wire_map):
-            inverse_map[new] = old
-        round_tripped = circuit.remap(list(wire_map), 4).remap(inverse_map, 4)
-        assert round_tripped.ops == circuit.ops
-        assert truth_table_rows(round_tripped) == truth_table_rows(circuit)
-
-    @given(circuits(n_wires=3, max_ops=5), circuits(n_wires=3, max_ops=5))
-    @settings(max_examples=20, deadline=None)
-    def test_tensor_preserves_each_factor_truth_table(self, top, bottom):
-        """Each tensor factor keeps its truth table on its own wires."""
-        from repro.core.bits import bits_to_index, index_to_bits
-        from repro.core.truth_table import circuit_permutation
-
-        combined = circuit_permutation(top.tensor(bottom))
-        top_rows = circuit_permutation(top)
-        bottom_rows = circuit_permutation(bottom)
-        for packed in range(64):
-            bits = index_to_bits(packed, 6)
-            image = index_to_bits(combined.mapping[packed], 6)
-            assert bits_to_index(image[:3]) == top_rows.mapping[
-                bits_to_index(bits[:3])
-            ]
-            assert bits_to_index(image[3:]) == bottom_rows.mapping[
-                bits_to_index(bits[3:])
-            ]
-
-
-class TestTensorLaws:
-    @given(circuits(n_wires=3, max_ops=5), circuits(n_wires=3, max_ops=5))
-    @settings(max_examples=30, deadline=None)
-    def test_tensor_acts_independently(self, top, bottom):
-        from repro.core.simulator import run
-
-        combined = top.tensor(bottom)
-        for packed in (0, 21, 63):
-            bits = index_to_bits(packed, 6)
-            joint = run(combined, bits)
-            assert joint[:3] == run(top, bits[:3])
-            assert joint[3:] == run(bottom, bits[3:])
-
-    @given(circuits(n_wires=3, max_ops=4))
-    @settings(max_examples=20, deadline=None)
-    def test_tensor_with_empty_is_padding(self, circuit):
-        padded = circuit.tensor(Circuit(2))
-        assert padded.n_wires == 5
-        assert len(padded) == len(circuit)
 
 
 class TestDepthProperties:

@@ -40,6 +40,15 @@ class TestDraw:
         art = draw(Circuit(3).maj(0, 1, 2))
         assert "[MAJ]" in art
 
+    def test_fredkin_symbols(self):
+        # Control dot on the control wire, swap crosses on the targets.
+        from repro.core import library
+
+        art = draw(Circuit(3).append_gate(library.FREDKIN, 0, 1, 2))
+        top, middle, bottom = art.splitlines()
+        assert "●" in top
+        assert "×" in middle and "×" in bottom
+
     def test_reset_marker(self):
         art = draw(Circuit(1).append_reset(0))
         assert "|0>" in art

@@ -66,7 +66,7 @@ class TestHammingWeightInvariant:
         runner = NoisyRunner(NoiseModel.noiseless(), seed=0)
         result = runner.run_from_input(circuit, input_bits, trials=500)
         assert (result.states.array.sum(axis=1) == 3).all()
-        assert result.fraction_with_faults() == 0.0
+        assert not result.fault_counts.any()
 
 
 class TestParityInvariant:

@@ -79,7 +79,7 @@ class TestSwap3:
 
     def test_three_applications_is_identity(self):
         perm = library.SWAP3_UP.permutation
-        assert (perm ** 3).is_identity()
+        assert perm.compose(perm).compose(perm).is_identity()
 
 
 class TestRegistry:

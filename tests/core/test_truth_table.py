@@ -10,7 +10,6 @@ from repro.core.truth_table import (
     circuit_gate,
     circuit_permutation,
     format_truth_table,
-    is_reversible,
     truth_table_rows,
 )
 from repro.errors import SimulationError
@@ -40,23 +39,12 @@ class TestCircuitPermutation:
             circuit_permutation(Circuit(21))
 
     def test_inverse_circuit_gives_inverse_permutation(self):
-        circuit = Circuit(3).maj(0, 1, 2).cnot(2, 0).swap3_down(0, 1, 2)
+        circuit = Circuit(3).maj(0, 1, 2).cnot(2, 0).append_gate(
+            library.SWAP3_DOWN, 0, 1, 2
+        )
         forward = circuit_permutation(circuit)
         backward = circuit_permutation(circuit.inverse())
         assert forward.compose(backward).is_identity()
-
-
-class TestReversibility:
-    def test_gate_circuits_reversible(self):
-        assert is_reversible(Circuit(3).maj(0, 1, 2))
-
-    def test_reset_circuit_not_reversible(self):
-        assert not is_reversible(Circuit(2).append_reset(0))
-
-    def test_reset_of_constant_wire_counts_as_irreversible(self):
-        # Even a reset that happens to preserve half the states is a
-        # many-to-one map over all states.
-        assert not is_reversible(Circuit(1).append_reset(0, value=1))
 
 
 class TestRendering:

@@ -54,6 +54,14 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_TRIALS", "123")
         assert trial_budget() == 123
 
+    def test_duplicate_id_refused(self):
+        from repro.errors import ReproError
+        from repro.harness.experiments import register
+
+        with pytest.raises(ReproError, match="duplicate experiment id 'fig1'"):
+            register("fig1", "Figure 1", "a second Figure 1")(lambda: None)
+        assert REGISTRY["fig1"].description != "a second Figure 1"
+
     def test_metadata_complete(self):
         for experiment in REGISTRY.values():
             assert experiment.paper_ref

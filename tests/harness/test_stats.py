@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.harness.stats import RateEstimate, required_trials, wilson_interval
+from repro.harness.stats import RateEstimate, wilson_interval
 from repro.errors import AnalysisError
 
 
@@ -49,11 +49,6 @@ class TestRateEstimate:
         estimate = RateEstimate(failures=25, trials=100)
         assert estimate.rate == 0.25
 
-    def test_compatibility(self):
-        estimate = RateEstimate(failures=25, trials=100)
-        assert estimate.compatible_with(0.25)
-        assert not estimate.compatible_with(0.9)
-
     @pytest.mark.parametrize("trials", [0, -5])
     def test_zero_or_negative_trials_rejected_at_construction(self, trials):
         # Regression: this used to construct fine and then raise a bare
@@ -67,16 +62,3 @@ class TestRateEstimate:
         with pytest.raises(AnalysisError):
             RateEstimate(failures=failures, trials=10)
 
-
-class TestRequiredTrials:
-    def test_rarer_events_need_more_trials(self):
-        assert required_trials(1e-4) > required_trials(1e-2)
-
-    def test_tighter_precision_needs_more_trials(self):
-        assert required_trials(0.01, 0.01) > required_trials(0.01, 0.1)
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            required_trials(0.0)
-        with pytest.raises(AnalysisError):
-            required_trials(0.5, relative_error=0.0)

@@ -5,14 +5,15 @@ from __future__ import annotations
 import pytest
 
 import repro.harness.sweep as sweep_module
-from repro.harness.sweep import geometric_grid, spawn_seeds
+from repro.harness.sweep import geometric_grid
 from repro.errors import AnalysisError
+from repro.noise.seeds import spawn_seeds
 
 
-def test_module_exports_only_grid_and_seeds():
+def test_module_exports_only_the_grid():
     # Sweeps run as RunSpec batches on the executor; this module keeps
-    # only the grid and seed helpers.
-    assert sorted(sweep_module.__all__) == ["geometric_grid", "spawn_seeds"]
+    # only the grid helper (seeds come from repro.noise.seeds).
+    assert sweep_module.__all__ == ["geometric_grid"]
     with pytest.raises(ImportError):
         from repro.harness.sweep import sweep  # noqa: F401
 

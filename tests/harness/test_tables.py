@@ -16,8 +16,8 @@ class TestFormatTable:
         assert text.splitlines()[0] == "My Table"
 
     def test_float_formatting(self):
-        text = format_table(("v",), [(0.123456789,)], float_format=".2f")
-        assert "0.12" in text
+        text = format_table(("v",), [(0.123456789,), (12345.678,)])
+        assert "0.1235" in text and "1.235e+04" in text
 
     def test_bool_rendering(self):
         text = format_table(("ok",), [(True,), (False,)])

@@ -15,6 +15,7 @@ from repro.harness.threshold_finder import (
     cycle_stage_spec,
     find_pseudo_threshold_adaptive,
     measure_cycle_errors,
+    per_cycle_rate,
 )
 from repro.errors import AnalysisError
 from repro.runtime import ExecutionPolicy, Executor, PointResult, RunSpec
@@ -43,6 +44,23 @@ class TestLogicalErrorPerCycle:
     def test_cycles_validated(self):
         with pytest.raises(AnalysisError):
             logical_error_per_cycle(0.01, trials=10, cycles=0)
+
+
+class TestPerCycleRate:
+    @pytest.mark.parametrize(
+        "failures,trials,cycles,match",
+        [
+            (1, 10, 0, "cycles"),
+            (1, 0, 1, "trials"),
+            (-1, 10, 1, "failures"),
+            (11, 10, 1, "failures"),
+        ],
+    )
+    def test_refuses_out_of_range_arguments(self, failures, trials, cycles, match):
+        # Regression: cycles or trials of 0 raised ZeroDivisionError,
+        # and failures above trials returned a complex number.
+        with pytest.raises(AnalysisError, match=match):
+            per_cycle_rate(failures, trials, cycles)
 
 
 class TestProcessorCache:
@@ -242,6 +260,22 @@ class TestStackedSearch:
                 upper=8e-2,
                 trials=3000,
                 seed=1,
+            )
+
+    @pytest.mark.parametrize(
+        "lower,upper,trials,match",
+        [(0.1, 0.05, 3000, "lower < upper"), (1e-3, 0.1, 0, "trials")],
+        ids=["inverted-bracket", "no-trials"],
+    )
+    def test_arguments_validated_before_any_run(
+        self, lower, upper, trials, match
+    ):
+        with pytest.raises(AnalysisError, match=match):
+            find_pseudo_threshold_adaptive(
+                spec_builder=cycle_stage_spec,
+                lower=lower,
+                upper=upper,
+                trials=trials,
             )
 
     def test_exactly_one_workload_form(self):

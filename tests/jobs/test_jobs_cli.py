@@ -75,6 +75,34 @@ class TestCliLifecycle:
         assert "different sweep" in capsys.readouterr().err
 
 
+class TestCollect:
+    def test_per_cycle_column_uses_the_jobs_cycle_count(
+        self, tmp_path, jobs_cli, capsys
+    ):
+        # Regression: collect took the count from its own --cycles flag,
+        # so a mismatched flag printed a wrong rate with no error.
+        from repro.harness.threshold_finder import per_cycle_rate
+
+        job_dir = str(tmp_path / "job")
+        assert jobs_cli.main(["submit", job_dir, *SWEEP, "--cycles", "2"]) == 0
+        capsys.readouterr()
+        assert jobs_cli.main(["collect", job_dir]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            _, failures, trials, per_cycle, _, _ = row.split()
+            expected = per_cycle_rate(int(failures), int(trials), 2)
+            assert per_cycle == f"{expected:.4g}"
+
+    def test_cycles_flag_is_gone(self, tmp_path, jobs_cli, capsys):
+        job_dir = str(tmp_path / "job")
+        assert jobs_cli.main(["submit", job_dir, *SWEEP]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            jobs_cli.main(["collect", job_dir, "--cycles", "3"])
+        assert "--cycles" in capsys.readouterr().err
+
+
 class TestVerboseStatus:
     def test_verbose_shard_table_and_hit_ratio(
         self, tmp_path, jobs_cli, capsys

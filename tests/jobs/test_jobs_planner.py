@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, JobError
-from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import DEFAULT_SHARD_SIZE, plan_shards
+from repro.noise.seeds import spawn_seeds
 
 
 def _specs(count, trials=100, cycles=1):
@@ -55,6 +55,15 @@ class TestPlanning:
         shards = plan_shards(_specs(3))
         assert len(shards) == 1
         assert DEFAULT_SHARD_SIZE >= 3
+
+
+class TestNumpySeeds:
+    def test_numpy_integer_seed_is_planned_like_int(self):
+        points = ((0.001, 7), (0.002, 8))
+        numpy_points = tuple((g, np.int64(seed)) for g, seed in points)
+        assert plan_shards(cycle_error_specs(numpy_points, 100)) == plan_shards(
+            cycle_error_specs(points, 100)
+        )
 
 
 class TestRefusals:

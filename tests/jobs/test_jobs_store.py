@@ -68,6 +68,17 @@ class TestPointKey:
         with pytest.raises(JobError, match="integer"):
             point_key(bad)
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.int32(5), np.uint64(5)])
+    def test_numpy_integer_seed_keys_and_runs_like_int(self, seed, policy):
+        # Regression: spec_to_json accepted a NumPy seed but point_key
+        # refused it ("needs an integer seed").
+        (plain,) = cycle_error_specs(((1e-3, 5),), 1000)
+        (numpy_seeded,) = cycle_error_specs(((1e-3, seed),), 1000)
+        assert type(numpy_seeded.seed) is int
+        assert point_key(numpy_seeded) == point_key(plain)
+        executor = Executor(policy)
+        assert executor.run([numpy_seeded]) == executor.run([plain])
+
 
 class TestStoreRoundTrip:
     def test_miss_then_put_then_hit(self, tmp_path, policy):
@@ -183,6 +194,26 @@ class TestStaleDetection:
             store.get(spec)
         assert store.stats()["stale"] == 1
 
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda entry: entry.update(key="0" * 64), "embedded key"),
+            (
+                lambda entry: entry["result"].update(trials=7),
+                "stored trials 7 != spec trials",
+            ),
+        ],
+        ids=["key", "trials"],
+    )
+    def test_edited_entry_names_the_problem(self, tmp_path, policy, edit, match):
+        store, spec, path = self._stored(tmp_path, policy)
+        entry = json.loads(path.read_text())
+        edit(entry)
+        path.write_text(json.dumps(entry))
+        with pytest.raises(JobError, match=match):
+            store.get(spec)
+        assert store.stats()["stale"] == 1
+
     @pytest.mark.parametrize("case", ["document-list"])
     def test_wrong_shape_raises(self, tmp_path, policy, case):
         store, spec, path = self._stored(tmp_path, policy)
@@ -200,6 +231,18 @@ class TestStaleDetection:
         path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match="spec"):
             store.get(spec)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file_and_keeps_the_old_one(
+        self, tmp_path
+    ):
+        path = tmp_path / "entry.json"
+        jobs_store.write_json_atomic(path, {"n": 1})
+        with pytest.raises(TypeError):
+            jobs_store.write_json_atomic(path, {"n": object()})
+        assert json.loads(path.read_text()) == {"n": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.json"]
 
 
 class TestCachingExecutor:
@@ -224,6 +267,17 @@ class TestCachingExecutor:
         assert caching.run(specs) == Executor(policy).run(specs)
         assert caching.simulated_points == 2
         assert caching.cached_points == 1
+
+    def test_numpy_integer_seed_is_served_from_the_store(self, tmp_path, policy):
+        # Regression: a NumPy seed bypassed the store, so every run
+        # simulated the point again (simulated 2, cached 0).
+        specs = cycle_error_specs(((1e-3, np.int64(5)),), 1000)
+        caching = CachingExecutor(ResultStore(tmp_path), policy=policy)
+        first = caching.run(specs)
+        assert caching.run(specs) == first
+        assert caching.simulated_points == 1
+        assert caching.cached_points == 1
+        assert len(caching.store) == 1
 
     def test_generator_seed_bypasses_the_store(self, tmp_path, policy):
         (spec,) = _specs(1)

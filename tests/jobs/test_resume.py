@@ -15,10 +15,10 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import AnalysisError, JobError
-from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import SweepJob, point_key
 from repro.jobs import runner
+from repro.noise.seeds import spawn_seeds
 from repro.runtime import ExecutionPolicy, Executor
 from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
 
@@ -91,6 +91,11 @@ class TestSubmitAndRun:
         job.run()
         assert job.collect() == Executor(policy).run(specs)
 
+    def test_negative_max_shards_refused(self, tmp_path, policy):
+        job = SweepJob.submit(tmp_path / "job", _specs(2), policy)
+        with pytest.raises(AnalysisError, match="max_shards"):
+            job.run(max_shards=-1)
+
     def test_workers_knob_is_gone(self, tmp_path, policy):
         job = SweepJob.submit(tmp_path / "job", _specs(2), policy)
         with pytest.raises(TypeError):
@@ -99,7 +104,7 @@ class TestSubmitAndRun:
     def test_resubmit_keeps_the_callers_policy(self, tmp_path, monkeypatch):
         # Regression: a resubmit returned the loaded job, whose policy
         # came from the environment, and dropped the caller's.
-        for name in ("REPRO_PARALLEL", "REPRO_TRIALS", "REPRO_TRACE"):
+        for name in ("REPRO_PARALLEL", "REPRO_TRIALS"):
             monkeypatch.delenv(name, raising=False)
         specs = _specs(4)
         policy = ExecutionPolicy(parallel=2, trials=777)
@@ -281,6 +286,31 @@ class TestManifestIntegrity:
         path = tmp_path / "job" / "manifest.json"
         path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
         with pytest.raises(JobError, match=re.escape(str(path))):
+            SweepJob.load(tmp_path / "job")
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda m: m["specs"].__setitem__(0, 5), "a spec is not a JSON object"),
+            (lambda m: m["shards"].__setitem__(0, {"id": 3}), "a shard is not"),
+            (lambda m: m.update(format=99), "has format 99"),
+            (lambda m: m["shards"][0]["indices"].pop(), "does not cover"),
+        ],
+        ids=["spec-not-object", "shard-not-object", "foreign-format", "plan-gap"],
+    )
+    def test_edited_manifest_names_the_problem(self, tmp_path, policy, edit, match):
+        SweepJob.submit(tmp_path / "job", _specs(4), policy)
+        path = tmp_path / "job" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(JobError, match=match):
+            SweepJob.load(tmp_path / "job")
+
+    def test_corrupt_manifest_raises(self, tmp_path, policy):
+        SweepJob.submit(tmp_path / "job", _specs(4), policy)
+        (tmp_path / "job" / "manifest.json").write_text("{")
+        with pytest.raises(JobError, match="is corrupt"):
             SweepJob.load(tmp_path / "job")
 
     @pytest.mark.parametrize("edit", sorted(SPEC_EDITS))

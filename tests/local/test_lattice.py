@@ -56,6 +56,10 @@ class TestGrid:
         with pytest.raises(LocalityError):
             grid.position(4)
 
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(LocalityError, match="grid dimensions"):
+            Grid(0, 3)
+
 
 class TestConnectedSets:
     def test_empty_and_singleton_connected(self):

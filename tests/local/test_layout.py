@@ -47,29 +47,15 @@ class TestTile:
 
 class TestAssembly:
     def test_stacked_geometry(self):
-        assembly = TileAssembly(3, "stacked")
+        assembly = TileAssembly(3)
         assert assembly.grid.rows == 9 and assembly.grid.cols == 3
         # Tile 1's q0 sits three rows below tile 0's q0.
         r0 = assembly.position(assembly.wire(0, 0))
         r1 = assembly.position(assembly.wire(1, 0))
         assert r1 == (r0[0] + 3, r0[1])
 
-    def test_side_by_side_geometry(self):
-        assembly = TileAssembly(3, "side_by_side")
-        assert assembly.grid.rows == 3 and assembly.grid.cols == 9
-        c0 = assembly.position(assembly.wire(0, 0))
-        c1 = assembly.position(assembly.wire(1, 0))
-        assert c1 == (c0[0], c0[1] + 3)
-
-    def test_data_columns_two_apart_side_by_side(self):
-        # "the ancillary bits in between two logical lines"
-        assembly = TileAssembly(2, "side_by_side")
-        col0 = {assembly.position(w)[1] for w in assembly.data_wires(0)}
-        col1 = {assembly.position(w)[1] for w in assembly.data_wires(1)}
-        assert col0 == {1} and col1 == {4}
-
     def test_stacked_data_collinear(self):
-        assembly = TileAssembly(2, "stacked")
+        assembly = TileAssembly(2)
         cols = {
             assembly.position(w)[1]
             for t in range(2)
@@ -80,7 +66,7 @@ class TestAssembly:
     def test_stacked_data_bits_contiguous_across_tiles(self):
         # Consecutive tiles' codewords form one unbroken column of data
         # cells — the "parallel" interleave geometry.
-        assembly = TileAssembly(3, "stacked")
+        assembly = TileAssembly(3)
         positions = [
             assembly.position(w)
             for t in range(3)
@@ -89,15 +75,10 @@ class TestAssembly:
         assert is_connected_set(assembly.grid, positions)
 
     def test_wire_at_round_trip(self):
-        assembly = TileAssembly(2, "stacked")
+        assembly = TileAssembly(2)
         for wire in range(assembly.n_wires):
             row, col = assembly.position(wire)
             assert assembly.wire_at(row, col) == wire
-
-    def test_grid_lattice_wire_map_is_a_bijection(self):
-        assembly = TileAssembly(2, "side_by_side")
-        mapping = assembly.grid_lattice_wire_map()
-        assert sorted(mapping) == list(range(assembly.n_wires))
 
     def test_adjacency_delegates_to_grid(self):
         assembly = TileAssembly(1)
@@ -108,6 +89,8 @@ class TestAssembly:
         with pytest.raises(LocalityError):
             TileAssembly(0)
         with pytest.raises(LocalityError):
-            TileAssembly(1, "diagonal")
-        with pytest.raises(LocalityError):
             TileAssembly(1).wire(3, 0)
+
+    def test_position_of_a_wire_outside_the_assembly(self):
+        with pytest.raises(LocalityError, match="outside assembly of 2 tiles"):
+            TileAssembly(2).position(18)

@@ -10,10 +10,11 @@ from repro.core.circuit import Circuit
 from repro.local.lattice import circuit_is_local
 from repro.local.local_recovery import (
     ONE_D_DATA_POSITIONS,
+    ONE_D_RECOVERY_OPS_WITH_INIT,
+    ONE_D_RECOVERY_OPS_WITHOUT_INIT,
     STANDARD_TILE_ORIENTATION,
     TileOrientation,
     TileRecovery,
-    one_d_census,
     one_d_lattice,
     one_d_recovery_circuit,
     one_d_routing_ops,
@@ -31,21 +32,24 @@ class TestOneDStructure:
         assert circuit_is_local(one_d_recovery_circuit(4), one_d_lattice())
 
     def test_census_matches_paper_gate_count(self):
-        census = one_d_census(include_resets=True)
+        circuit = one_d_recovery_circuit(1)
+        census = circuit.count_ops()
         assert census["MAJ"] == 3 and census["MAJ⁻¹"] == 3
         assert census["SWAP3_UP"] == 4
         assert census["SWAP"] == 1
         assert census["RESET"] == 3  # three local 2-bit resets
-        assert census["paper_accounting"] == 13
+        # The paper books the six ancilla bits as two 3-bit resets.
+        assert circuit.gate_count(include_resets=False) + 2 == 13
+        assert ONE_D_RECOVERY_OPS_WITH_INIT == 13
 
     def test_gates_excluding_init_is_eleven(self):
         circuit = one_d_recovery_circuit(1)
         assert circuit.gate_count(include_resets=False) == 11
 
     def test_without_resets(self):
-        census = one_d_census(include_resets=False)
+        census = one_d_recovery_circuit(1, include_resets=False).count_ops()
         assert "RESET" not in census
-        assert census["paper_accounting"] == 11
+        assert sum(census.values()) == ONE_D_RECOVERY_OPS_WITHOUT_INIT == 11
 
     def test_routing_is_four_swap3_plus_one_swap(self):
         kinds = [op.kind for op in one_d_routing_ops()]
@@ -124,6 +128,14 @@ class TestTwoDStructure:
         assert len(circuit) == 8
         counts = circuit.count_ops()
         assert counts == {"RESET": 2, "MAJ⁻¹": 3, "MAJ": 3}
+
+    def test_negative_cycles_rejected(self):
+        with pytest.raises(CodingError, match="cycle count"):
+            two_d_recovery_circuit(-1)
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(CodingError, match="9 wires"):
+            TileRecovery().append_cycle(Circuit(8))
 
     def test_orientation_alternates(self):
         tracker = TileRecovery()

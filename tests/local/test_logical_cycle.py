@@ -138,3 +138,11 @@ class TestTwoDCycle:
         _, _, assembly, _ = two_d_logical_cycle(MAJ)
         with pytest.raises(CodingError):
             two_d_cycle_io((1,), assembly)
+        with pytest.raises(CodingError, match="0 or 1"):
+            two_d_cycle_io((1, 0, 2), assembly)
+
+    def test_gate_arity_validated(self):
+        from repro.core import CNOT
+
+        with pytest.raises(CodingError, match="arity 2"):
+            two_d_logical_cycle(CNOT)

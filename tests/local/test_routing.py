@@ -110,6 +110,10 @@ class TestPacking:
         with pytest.raises(LocalityError):
             pack_swaps([(0, 2)])
 
+    def test_schedule_past_the_line_rejected(self):
+        with pytest.raises(LocalityError, match="outside line of length 3"):
+            apply_swap_schedule(["a", "b", "c"], [(2, 3)])
+
     def test_single_swap_stays_swap(self):
         assert pack_swaps([(3, 4)]) == [PackedOp(kind="SWAP", wires=(3, 4))]
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.circuit import Circuit
 from repro.noise.injector import (
     Fault,
-    count_fault_sites,
     iter_fault_pairs,
     iter_single_faults,
     run_with_faults,
@@ -92,11 +91,6 @@ class TestEnumeration:
         circuit = simple_circuit()
         for first, second in iter_fault_pairs(circuit):
             assert first.op_index < second.op_index
-
-    def test_count_fault_sites(self):
-        circuit = simple_circuit()
-        assert count_fault_sites(circuit) == 3
-        assert count_fault_sites(circuit, include_resets=False) == 2
 
     def test_fault_validates_pattern(self):
         with pytest.raises(Exception):

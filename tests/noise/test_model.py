@@ -12,12 +12,10 @@ class TestNoiseModel:
     def test_reset_error_defaults_to_gate_error(self):
         model = NoiseModel(gate_error=0.01)
         assert model.effective_reset_error == 0.01
-        assert model.counts_resets
 
     def test_accurate_initialisation(self):
         model = NoiseModel(gate_error=0.01, reset_error=0.0)
         assert model.effective_reset_error == 0.0
-        assert not model.counts_resets
 
     def test_explicit_reset_error(self):
         model = NoiseModel(gate_error=0.01, reset_error=0.5)

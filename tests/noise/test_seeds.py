@@ -31,13 +31,12 @@ class TestSpawnSeeds:
         with pytest.raises(AnalysisError):
             spawn_seeds(0, -1)
 
-    def test_harness_reexport_is_the_same_object(self):
-        # importlib, because ``repro.harness`` re-exports the ``sweep``
-        # *function* under the submodule's name.
+    def test_one_import_path(self):
+        # repro.noise.seeds is the only module that exports spawn_seeds.
         import importlib
 
-        sweep_module = importlib.import_module("repro.harness.sweep")
-        assert sweep_module.spawn_seeds is spawn_seeds
+        for name in ("repro.harness", "repro.harness.sweep", "repro.noise"):
+            assert not hasattr(importlib.import_module(name), "spawn_seeds")
 
 
 class TestAsGenerator:

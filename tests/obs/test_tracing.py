@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.obs.tracing import NOOP_SPAN
 from repro.obs import (
     clock_ns,
@@ -86,6 +87,20 @@ class TestEnabled:
         document = json.loads(Path(destination).read_text())
         assert [s["name"] for s in document["spans"]] == ["kept.span"]
 
+    def test_empty_sink_refused(self):
+        with pytest.raises(ConfigError, match="sink"):
+            enable_tracing("")
+        assert not tracing_enabled()
+
+    def test_stderr_sink_gets_the_document(self, capsys):
+        enable_tracing("stderr")
+        with trace("stream.span"):
+            pass
+        assert flush_trace() == "stderr"
+        document = json.loads(capsys.readouterr().err)
+        assert validate_trace(document) == []
+        assert [s["name"] for s in document["spans"]] == ["stream.span"]
+
     def test_non_scalar_attrs_coerced(self, tmp_path):
         enable_tracing(str(tmp_path / "trace.json"))
         with trace("attr.span", items=(1, 2), obj={"not": "scalar"}):
@@ -126,6 +141,39 @@ class TestValidate:
         }
         assert len(validate_trace(document)) >= 2
 
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            (lambda d: d.update(pid="1"), "pid is not an int"),
+            (lambda d: d.update(spans={}), "spans is not a list"),
+            (lambda d: d.update(metrics=[]), "metrics is not an object"),
+            (lambda d: d["spans"].append(3), "span is not an object"),
+            (
+                lambda d: d["spans"].append(
+                    {
+                        "name": "a",
+                        "start_ns": 0,
+                        "duration_ns": 0,
+                        "attrs": {"k": {"nested": 1}},
+                        "children": [],
+                    }
+                ),
+                "attr 'k' is not a JSON scalar",
+            ),
+        ],
+        ids=["pid", "spans", "metrics", "span", "attr"],
+    )
+    def test_names_each_problem(self, edit, problem):
+        document = {
+            "format": 1,
+            "pid": 1,
+            "spans": [],
+            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        }
+        assert validate_trace(document) == []
+        edit(document)
+        assert any(problem in p for p in validate_trace(document))
+
 
 def test_repro_trace_env_flushes_at_exit(tmp_path):
     # The whole contract end to end, as a user would hit it: set
@@ -146,3 +194,30 @@ def test_repro_trace_env_flushes_at_exit(tmp_path):
     document = json.loads(sink.read_text())
     assert validate_trace(document) == []
     assert [s["name"] for s in document["spans"]] == ["smoke.span"]
+
+
+def test_repro_trace_exported_after_import_does_not_trace(tmp_path):
+    # REPRO_TRACE is read once, when repro.obs is imported; the
+    # execution policy has no trace field, so an executor built after a
+    # late export does not start tracing.
+    sink = tmp_path / "trace.json"
+    env = dict(os.environ)
+    env.pop("REPRO_TRACE", None)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    script = (
+        "import os\n"
+        "from repro.core.circuit import Circuit\n"
+        "from repro.noise.model import NoiseModel\n"
+        "from repro.obs import tracing_enabled\n"
+        "from repro.runtime import Executor, MajorityMismatchObservable, RunSpec\n"
+        f"os.environ['REPRO_TRACE'] = {str(sink)!r}\n"
+        "spec = RunSpec(Circuit(3).maj(0, 1, 2), (1, 1, 1),\n"
+        "               MajorityMismatchObservable((0, 1, 2), 1),\n"
+        "               NoiseModel(gate_error=0.01), trials=10, seed=0)\n"
+        "Executor().run([spec])\n"
+        "assert not tracing_enabled()\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, timeout=60
+    )
+    assert not sink.exists()

@@ -21,11 +21,17 @@ from repro.core.compiled import (
     compile_circuit,
 )
 from repro.errors import AnalysisError
-from repro.harness.sweep import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import SweepJob
 from repro.noise import NoiseModel
-from repro.obs import disable_tracing, flush_trace, reset_metrics, validate_trace
+from repro.noise.seeds import spawn_seeds
+from repro.obs import (
+    disable_tracing,
+    enable_tracing,
+    flush_trace,
+    reset_metrics,
+    validate_trace,
+)
 from repro.runtime import (
     ExecutionPolicy,
     Executor,
@@ -206,7 +212,8 @@ class TestWorkerTraces:
             )
             for seed, circuit in enumerate(circuits)
         ]
-        Executor(ExecutionPolicy(parallel=2, trace=str(traced))).run(specs)
+        enable_tracing(str(traced))
+        Executor(ExecutionPolicy(parallel=2)).run(specs)
         parent, workers = _documents(traced)
         assert workers, "no worker trace file was written"
         for document in workers:
@@ -226,7 +233,8 @@ class TestWorkerTraces:
         specs = cycle_error_specs(
             tuple((0.002 * (i + 1), seeds[i]) for i in range(4)), 200, cycles=1
         )
-        policy = ExecutionPolicy(parallel=2, trace=str(traced))
+        enable_tracing(str(traced))
+        policy = ExecutionPolicy(parallel=2)
         job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=1)
         report = job.run()
         parent, workers = _documents(traced)

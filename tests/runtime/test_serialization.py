@@ -238,6 +238,19 @@ class TestRefusals:
         with pytest.raises(SerializationError, match="LogicalProcessor"):
             spec_to_json(self._spec(observable=observable))
 
+    def test_non_integer_seed_refused(self):
+        with pytest.raises(SerializationError, match="float"):
+            spec_to_json(self._spec(seed=3.0))
+
+    def test_unknown_decoder_kind_refused(self):
+        (spec,) = cycle_error_specs(((2e-3, 11),), 200, cycles=1)
+        circuits: dict[str, dict] = {}
+        payload = spec_to_json(spec, circuits)
+        payload["observable"]["decoder"]["kind"] = "mystery"
+        (digest,) = circuits
+        with pytest.raises(SerializationError, match="unknown decoder kind"):
+            spec_from_json(payload, {digest: spec.circuit})
+
     def test_level_two_decoder_refused(self):
         # The type check alone would pass it: the wire form holds only
         # level-1 roles.

@@ -250,7 +250,7 @@ class TestExecutionPolicy:
         # read-only constants, and no remaining field can change a
         # result.
         assert [field.name for field in fields(ExecutionPolicy)] == [
-            "parallel", "trials", "trace",
+            "parallel", "trials",
         ]
         policy = ExecutionPolicy()
         assert policy.engine == "bitplane" and policy.backend == "numpy"
@@ -265,9 +265,8 @@ class TestExecutionPolicy:
     def test_from_env_reads_every_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "3")
         monkeypatch.setenv("REPRO_TRIALS", "1234")
-        monkeypatch.setenv("REPRO_TRACE", "stderr")
         policy = ExecutionPolicy.from_env()
-        assert policy == ExecutionPolicy(parallel=3, trials=1234, trace="stderr")
+        assert policy == ExecutionPolicy(parallel=3, trials=1234)
 
     def test_from_env_parallel_max(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "max")
@@ -280,7 +279,7 @@ class TestExecutionPolicy:
         assert ExecutionPolicy.from_env(trials=555).trials == 777
 
     def test_from_env_unset_environment_keeps_defaults(self, monkeypatch):
-        for knob in ("REPRO_PARALLEL", "REPRO_TRIALS", "REPRO_TRACE"):
+        for knob in ("REPRO_PARALLEL", "REPRO_TRIALS"):
             monkeypatch.delenv(knob, raising=False)
         assert ExecutionPolicy.from_env() == ExecutionPolicy()
 
@@ -289,4 +288,3 @@ class TestPointResult:
     def test_fractions(self):
         result = PointResult(failures=25, trials=100, faulted_trials=40)
         assert result.failure_fraction == 0.25
-        assert result.fault_fraction == 0.40

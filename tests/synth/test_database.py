@@ -165,19 +165,6 @@ class TestMining:
         with pytest.raises(SynthesisError, match="keep"):
             IdentityDatabase(2).mine((library.X,), max_gates=1, keep=0)
 
-    def test_identities_lists_identity_class(self):
-        database = IdentityDatabase(2)
-        # X(0) X(0) is pruned as an adjacent inverse pair, but the
-        # four-op X0 X1 X0 X1 ... canonical identities need depth 4;
-        # CNOT conjugations appear at depth 3+.  Mine deep enough.
-        database.mine((library.X, library.CNOT), max_gates=4)
-        identities = database.identities()
-        assert identities
-        assert all(
-            circuit_permutation(circuit).is_identity()
-            for circuit in identities
-        )
-
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):

@@ -131,15 +131,6 @@ class TestInflate:
         assert len(redundant) > len(circuit)
         assert same_noiseless_action(circuit, redundant)
 
-    def test_components_are_independent(self):
-        circuit = recovery_circuit()
-        for flags in ((True, False, False), (False, True, False), (False, False, True)):
-            expand, pad, pair = flags
-            redundant = inflate(
-                circuit, expand_maj=expand, pad_gates=pad, pair_resets=pair
-            )
-            assert same_noiseless_action(circuit, redundant), flags
-
     def test_round_trip_recovers_the_recovery_circuit_exactly(self):
         circuit = recovery_circuit()
         report = optimize_report(inflate(circuit), database=rewrite_database())

@@ -14,3 +14,23 @@ def test_report_main_runs_all_experiments(monkeypatch, capsys):
     # Every experiment id appears in the output.
     for experiment_id in ("table1", "table2", "fig7", "nand-cost", "synth-peephole"):
         assert experiment_id in captured
+
+
+def test_report_main_fails_when_an_experiment_mismatches(monkeypatch, capsys):
+    from repro.harness.experiments import Experiment, ExperimentResult
+
+    def mismatched() -> ExperimentResult:
+        return ExperimentResult("probe", "none", [("x", 1, 2, False)])
+
+    monkeypatch.setattr(
+        repro.report,
+        "REGISTRY",
+        {"probe": Experiment("probe", "none", "always mismatches", mismatched)},
+    )
+    monkeypatch.setattr(
+        repro.report, "run_experiment", lambda experiment_id: mismatched()
+    )
+    assert repro.report.main() == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] probe" in out
+    assert "1 experiment(s) did not match the paper" in out

@@ -15,7 +15,7 @@ per-shard heartbeat to stderr as shards finish.
 ``submit`` builds a Figure-2-style cycle-error sweep — a geometric
 grid of gate-error points (:func:`repro.harness.sweep.geometric_grid`)
 with per-point seeds spawned from one master seed
-(:func:`repro.harness.sweep.spawn_seeds`), turned into specs by
+(:func:`repro.noise.seeds.spawn_seeds`), turned into specs by
 :func:`repro.harness.threshold_finder.cycle_error_specs` — then
 submits it as a sharded job and runs it.  Submit is idempotent:
 re-running the same command against the same directory resumes,
@@ -24,6 +24,8 @@ from the result store.  ``--max-shards`` deliberately stops early
 (how the CI smoke test simulates a crash); a later submit or a bare
 ``submit`` with the same arguments finishes the job.
 
+``collect`` reads each point's cycle count from its spec (the cycle
+decoder records two logical gates per cycle) for the per-cycle column.
 ``collect --check-serial`` re-runs the whole sweep through a plain
 in-process :meth:`~repro.runtime.Executor.run` and fails unless the
 merged shard results are bit-identical — the job layer's core
@@ -41,11 +43,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.errors import ReproError
+from repro.coding.logical import LogicalProcessor
+from repro.errors import JobError, ReproError
 from repro.harness.stats import RateEstimate
-from repro.harness.sweep import geometric_grid, spawn_seeds
+from repro.harness.sweep import geometric_grid
 from repro.harness.threshold_finder import cycle_error_specs, per_cycle_rate
 from repro.jobs import DEFAULT_SHARD_SIZE, SweepJob
+from repro.noise.seeds import spawn_seeds
 from repro.runtime import ExecutionPolicy, Executor
 
 
@@ -127,6 +131,17 @@ def cmd_status(arguments: argparse.Namespace) -> int:
     return 0 if status.complete else 3
 
 
+def _cycles(spec) -> int:
+    """The identity cycles a cycle-error spec runs: two logical gates each."""
+    decoder = getattr(spec.observable, "decoder", None)
+    if not isinstance(decoder, LogicalProcessor):
+        raise JobError(
+            "collect reads cycle-error sweeps; a spec of this job has no "
+            "cycle decoder"
+        )
+    return decoder.logical_gates_applied // 2
+
+
 def cmd_collect(arguments: argparse.Namespace) -> int:
     job = SweepJob.load(arguments.job_dir)
     results = job.collect()
@@ -140,7 +155,7 @@ def cmd_collect(arguments: argparse.Namespace) -> int:
         )
         low, high = estimate.interval
         cycle_rate = per_cycle_rate(
-            result.failures, result.trials, arguments.cycles
+            result.failures, result.trials, _cycles(spec)
         )
         print(
             f"{spec.noise.gate_error:>12.6g} {result.failures:>9} "
@@ -223,12 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "collect", help="merge shard results into the sweep table"
     )
     collect.add_argument("job_dir", type=Path)
-    collect.add_argument(
-        "--cycles",
-        type=int,
-        default=1,
-        help="cycle count used at submit time (for the per-cycle column)",
-    )
     collect.add_argument(
         "--check-serial",
         action="store_true",

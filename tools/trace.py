@@ -1,7 +1,7 @@
 """Render and validate repro.obs trace documents.
 
-Usage over a trace file written via ``REPRO_TRACE=<path>`` (or
-``ExecutionPolicy.trace``)::
+Usage over a trace file written via ``REPRO_TRACE=<path>`` (read once
+when :mod:`repro.obs` is imported) or :func:`repro.obs.enable_tracing`::
 
     python tools/trace.py TRACE.json              # span tree + top spans
     python tools/trace.py TRACE.json --top 20     # wider flat profile
