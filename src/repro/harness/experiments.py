@@ -1,9 +1,9 @@
 """The experiment registry: every table, figure, and numeric claim.
 
 Each experiment reproduces one artefact of the paper and returns
-``(quantity, paper value, measured value, match)`` rows.  The bench
-suite runs these functions and prints the comparisons; EXPERIMENTS.md
-is the curated record of their output.
+``(quantity, paper value, measured value, match)`` rows.
+``python -m repro.report`` runs these functions and prints the
+comparisons; EXPERIMENTS.md is the curated record of their output.
 
 Monte-Carlo experiments hydrate one
 :class:`~repro.runtime.ExecutionPolicy` from the environment
@@ -815,7 +815,7 @@ def _op_shape(op) -> tuple:
 def _synth_rewrite_database() -> IdentityDatabase:
     """Rewrite material for the recovery workload, mined by the searcher.
 
-    Persisted next to the experiment tables; loading re-verifies every
+    Committed next to its loader in ``repro.synth``; loading re-verifies every
     member by exhaustion, so the committed JSON is itself under test.
     """
     from repro.synth.database import DEFAULT_DATABASE_DIR

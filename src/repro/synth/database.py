@@ -23,8 +23,9 @@ by hand, or loaded back from disk — has its action recomputed by
 exhaustion and checked against its class, so a corrupted or
 hand-edited JSON file cannot smuggle in a wrong rewrite.
 
-Persistence is JSON under ``benchmarks/results/`` (the same home as
-the experiment tables), each member in the circuit wire form of
+Persistence is JSON, by default in this package's directory (where the
+``synth-peephole`` experiment's committed database lives), each member
+in the circuit wire form of
 :func:`~repro.core.circuit.circuit_to_json` — the same codec spec wire
 forms and job circuit blobs use, gates stored with their full tables.
 
@@ -44,11 +45,8 @@ from repro.core.truth_table import circuit_permutation
 from repro.errors import ReproError, SynthesisError
 from repro.synth.search import build_circuit, enumerate_canonical, placed_library
 
-#: Repository root (this file lives at src/repro/synth/).
-REPO_ROOT = Path(__file__).resolve().parents[3]
-
-#: Default persistence home — next to the experiment result tables.
-DEFAULT_DATABASE_DIR = REPO_ROOT / "benchmarks" / "results"
+#: Default persistence home: this package, next to the loader.
+DEFAULT_DATABASE_DIR = Path(__file__).resolve().parent
 
 #: Shortest members a persisted database keeps per action class; part
 #: of its recorded mining parameters.

@@ -75,9 +75,9 @@ MAX_TARGET_WIRES = 6
 def search_depth_budget(default: int = DEFAULT_MAX_GATES) -> int:
     """The ``max_gates`` cap for smoke runs (``REPRO_SYNTH_DEPTH``).
 
-    Benchmarks and the CI synth smoke step read this so shared runners
-    can cap the exhaustive search depth; library callers pass
-    ``max_gates`` explicitly and never consult the environment.
+    The synthesis tests and the CI synth smoke step read this so
+    shared runners can cap the exhaustive search depth; library callers
+    pass ``max_gates`` explicitly and never consult the environment.
     """
     raw = os.environ.get("REPRO_SYNTH_DEPTH", default)
     try:
@@ -252,7 +252,7 @@ class SynthesisResult:
 
     ``circuit`` implements the target at the provably minimal gate
     count over the given library; ``states_explored`` totals the
-    frontier entries ever created (the measure the benchmarks budget).
+    frontier entries ever created (the measure the search pins freeze).
     """
 
     circuit: Circuit

@@ -7,7 +7,6 @@ the concrete objects behind Section 3's G = 16 (2D) and G = 40 (1D).
 
 from __future__ import annotations
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.core import MAJ
 from repro.harness.tables import format_table
 from repro.local import (
@@ -19,15 +18,9 @@ from repro.local import (
 )
 
 
-def test_ablation_assembled_cycles(benchmark):
-    def build():
-        one_d = one_d_logical_cycle(MAJ)
-        two_d = two_d_logical_cycle(MAJ)
-        return one_d, two_d
-
-    (circuit_1d, census_1d), (circuit_2d, census_2d, assembly, _) = run_once(
-        benchmark, build
-    )
+def test_ablation_assembled_cycles(published_table):
+    circuit_1d, census_1d = one_d_logical_cycle(MAJ)
+    circuit_2d, census_2d, assembly, _ = two_d_logical_cycle(MAJ)
 
     rows = [
         (
@@ -56,10 +49,7 @@ def test_ablation_assembled_cycles(benchmark):
         rows,
         title="Assembled logical cycles (one MAJ on three codewords)",
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "ablation-assembled-cycles.txt").write_text(text + "\n")
-    print()
-    print(text)
+    published_table("ablation-assembled-cycles", text)
 
     # Locality costs: 1D needs over twice the operations of 2D.
     assert census_1d.total_ops > 2 * census_2d.total_ops

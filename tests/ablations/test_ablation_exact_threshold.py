@@ -9,16 +9,13 @@ well above the paper's ``1/(3 C(G,2))``.
 
 from __future__ import annotations
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.harness.tables import format_table
 from repro.noise.pair_analysis import analyse_one_d_cycle, analyse_recovery_cycle
 
 
-def test_ablation_exact_threshold(benchmark):
-    def analyse():
-        return analyse_recovery_cycle(), analyse_one_d_cycle()
-
-    nonlocal_analysis, one_d_analysis = run_once(benchmark, analyse)
+def test_ablation_exact_threshold(published_table):
+    nonlocal_analysis = analyse_recovery_cycle()
+    one_d_analysis = analyse_one_d_cycle()
 
     rows = []
     for label, analysis in (
@@ -47,10 +44,7 @@ def test_ablation_exact_threshold(benchmark):
         rows,
         title="Exact pair analysis vs the paper's pair-counting bound",
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "ablation-exact-threshold.txt").write_text(text + "\n")
-    print()
-    print(text)
+    published_table("ablation-exact-threshold", text)
 
     # The fault-tolerance property: no single fault is harmful.
     assert nonlocal_analysis.harmful_single_faults == 0

@@ -2,14 +2,13 @@
 
 Section 2.2 quotes both G = 11 (initialisation as noisy as gates,
 rho = 1/165) and G = 9 (accurate initialisation, rho = 1/108).  This
-bench measures the logical error under both noise models and confirms
+test measures the logical error under both noise models and confirms
 accurate initialisation strictly helps — the measured counterpart of
 the two threshold columns.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.harness.experiments import trial_budget
 from repro.harness.tables import format_table
 from repro.harness.threshold_finder import measure_cycle_errors
@@ -17,19 +16,14 @@ from repro.harness.threshold_finder import measure_cycle_errors
 GATE_ERROR = 8e-3
 
 
-def test_ablation_init_accuracy(benchmark):
+def test_ablation_init_accuracy(published_table):
     trials = trial_budget()
-
-    def compare():
-        (noisy_init, _), = measure_cycle_errors(
-            ((GATE_ERROR, 93),), trials, include_resets=True
-        )
-        (clean_init, _), = measure_cycle_errors(
-            ((GATE_ERROR, 94),), trials, include_resets=False
-        )
-        return noisy_init, clean_init
-
-    noisy_init, clean_init = run_once(benchmark, compare)
+    (noisy_init, _), = measure_cycle_errors(
+        ((GATE_ERROR, 93),), trials, include_resets=True
+    )
+    (clean_init, _), = measure_cycle_errors(
+        ((GATE_ERROR, 94),), trials, include_resets=False
+    )
     text = format_table(
         ("initialisation model", "G", "analytic rho", "measured g_logical"),
         [
@@ -38,8 +32,5 @@ def test_ablation_init_accuracy(benchmark):
         ],
         title=f"Per-cycle logical error at g = {GATE_ERROR} ({trials} trials)",
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "ablation-init-accuracy.txt").write_text(text + "\n")
-    print()
-    print(text)
+    published_table("ablation-init-accuracy", text)
     assert clean_init <= noisy_init

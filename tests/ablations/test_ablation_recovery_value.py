@@ -8,7 +8,6 @@ unprotected scaling ~ gT.
 
 from __future__ import annotations
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.coding.logical import LogicalProcessor
 from repro.core import library
 from repro.harness.experiments import trial_budget
@@ -38,16 +37,10 @@ def _failure_rate(recover: bool, seed: int, trials: int) -> float:
     return states.count_ones(failed) / trials
 
 
-def test_ablation_recovery_value(benchmark):
+def test_ablation_recovery_value(published_table):
     trials = trial_budget()
-
-    def compare():
-        return (
-            _failure_rate(recover=True, seed=91, trials=trials),
-            _failure_rate(recover=False, seed=92, trials=trials),
-        )
-
-    with_recovery, without_recovery = run_once(benchmark, compare)
+    with_recovery = _failure_rate(recover=True, seed=91, trials=trials)
+    without_recovery = _failure_rate(recover=False, seed=92, trials=trials)
     text = format_table(
         ("configuration", "failure rate"),
         [
@@ -63,8 +56,5 @@ def test_ablation_recovery_value(benchmark):
             f"({trials} trials)"
         ),
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "ablation-recovery-value.txt").write_text(text + "\n")
-    print()
-    print(text)
+    published_table("ablation-recovery-value", text)
     assert with_recovery < without_recovery

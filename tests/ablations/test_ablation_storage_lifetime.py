@@ -9,7 +9,6 @@ threshold.
 
 from __future__ import annotations
 
-from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.coding import repeated_recovery
 from repro.harness.experiments import trial_budget
 from repro.harness.tables import format_table
@@ -26,17 +25,12 @@ def _survival(gate_error: float, trials: int, seed: int) -> float:
     return float((result.states.majority_of(layout.data) == 1).mean())
 
 
-def test_ablation_storage_lifetime(benchmark):
+def test_ablation_storage_lifetime(published_table):
     trials = min(trial_budget(), 20000)
     error_rates = (1e-3, 5e-3, 2e-2, 1e-1)
-
-    def sweep():
-        return [
-            _survival(g, trials, seed=100 + i)
-            for i, g in enumerate(error_rates)
-        ]
-
-    survivals = run_once(benchmark, sweep)
+    survivals = [
+        _survival(g, trials, seed=100 + i) for i, g in enumerate(error_rates)
+    ]
     rows = [
         (f"{g:.0e}", f"{survival:.4f}")
         for g, survival in zip(error_rates, survivals)
@@ -46,10 +40,7 @@ def test_ablation_storage_lifetime(benchmark):
         rows,
         title=f"Logical memory lifetime ({trials} trials)",
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "ablation-storage-lifetime.txt").write_text(text + "\n")
-    print()
-    print(text)
+    published_table("ablation-storage-lifetime", text)
 
     # Survival is monotone in g and collapses far above threshold.
     assert all(a >= b for a, b in zip(survivals, survivals[1:]))

@@ -59,6 +59,15 @@ class TestBounds:
     def test_tight_bound_below_working_bound(self, g, G):
         assert logical_error_bound_tight(g, G) <= logical_error_bound(g, G) + 1e-12
 
+    def test_tight_bound_exact_value(self):
+        # g = 0.1, G = 3: P_bit = 1 - 0.9**3 - 3 * 0.1 * 0.9**2
+        # = 1 - 0.729 - 0.243 = 0.028, and 1 - (1 - 0.028)**3
+        # = 1 - 0.918330048 = 0.081669952.
+        assert bit_error_bound(0.1, 3) == pytest.approx(0.028, rel=0, abs=1e-12)
+        assert logical_error_bound_tight(0.1, 3) == pytest.approx(
+            0.081669952, rel=0, abs=1e-12
+        )
+
     def test_improvement_exactly_below_threshold(self):
         rho = threshold(9)
         assert improves(rho * 0.99, 9)

@@ -16,6 +16,30 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def published_table(monkeypatch):
+    """Assert that a freshly built table equals its EXPERIMENTS.md block.
+
+    Unsets ``REPRO_TRIALS`` first, so the table is built at the default
+    budget the record holds, whatever budget the run was given.  On a
+    difference the fresh table is printed, ready to paste.
+    """
+    from repro.report import RECORD_PATH, recorded_tables
+
+    monkeypatch.delenv("REPRO_TRIALS", raising=False)
+    blocks = recorded_tables(RECORD_PATH.read_text())
+
+    def assert_published(table_id: str, table: str) -> None:
+        if table != blocks.get(table_id):
+            print(table)
+        assert table == blocks.get(table_id), (
+            f"{table_id}: the fresh table (printed above) differs from "
+            "its EXPERIMENTS.md block"
+        )
+
+    return assert_published
+
+
 def reference_outputs(circuit, rows) -> np.ndarray:
     """:func:`~repro.core.simulator.run` on every row, one trial at a time.
 

@@ -11,13 +11,13 @@ from repro.harness.experiments import (
     run_experiment,
     trial_budget,
 )
-from repro.harness import experiments_md
-from repro.harness.experiments_md import (
+import repro.report
+from repro.report import (
     RECORD_PATH,
     format_result,
-    recorded_ids,
     recorded_tables,
-    render_record,
+    render_sections,
+    split_record,
 )
 
 EXPECTED_IDS = {
@@ -68,23 +68,45 @@ class TestRegistry:
             assert experiment.description
 
 
+ABLATION_IDS = [
+    "ablation-recovery-value",
+    "ablation-storage-lifetime",
+    "ablation-init-accuracy",
+    "ablation-exact-threshold",
+    "ablation-assembled-cycles",
+]
+
+
 class TestExperimentsRecord:
     def test_record_sections_match_registry(self):
-        # EXPERIMENTS.md is generated; its sections must be exactly the
-        # registry ids, in registry order (the CI docs-consistency step
-        # re-runs the registry too — here we just guard the structure).
-        assert RECORD_PATH.exists(), (
-            "EXPERIMENTS.md is missing; regenerate with "
-            "`python -m repro.harness.experiments_md`"
+        # The generated sections must be exactly the registry ids, in
+        # registry order, between the hand-kept preamble and the
+        # hand-kept Ablations part.
+        preamble, sections, ablations = split_record(RECORD_PATH.read_text())
+        assert preamble.startswith("# EXPERIMENTS")
+        assert list(recorded_tables(sections)) == list(REGISTRY)
+        assert ablations.startswith("# Ablations\n")
+        assert list(recorded_tables(ablations)) == ABLATION_IDS
+
+    def test_rendered_sections_split_back_out(self):
+        tables = {experiment_id: "table" for experiment_id in REGISTRY}
+        text = "preamble\n\n" + render_sections(tables) + "\n# Ablations\n"
+        assert split_record(text) == (
+            "preamble\n\n", render_sections(tables), "# Ablations\n"
         )
-        assert recorded_ids(RECORD_PATH.read_text()) == list(REGISTRY)
+        assert recorded_tables(text) == tables
 
-    def test_render_covers_registry(self):
-        assert recorded_ids(render_record()) == list(REGISTRY)
-
-    def test_every_section_records_a_table(self):
-        tables = recorded_tables(RECORD_PATH.read_text())
-        assert list(tables) == list(REGISTRY)
+    def test_check_fails_when_a_section_is_missing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        record = tmp_path / "EXPERIMENTS.md"
+        record.write_text("# EXPERIMENTS\n\n# Ablations\n")
+        monkeypatch.setattr(repro.report, "RECORD_PATH", record)
+        monkeypatch.setattr(repro.report, "REGISTRY", {"table1": REGISTRY["table1"]})
+        assert repro.report.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "sections drifted from the experiment registry" in out
+        assert "recorded: []" in out
 
     @pytest.mark.parametrize("drift", [False, True], ids=["in-sync", "moved"])
     def test_check_fails_when_a_recorded_number_moves(
@@ -97,9 +119,9 @@ class TestExperimentsRecord:
             table = table.replace("111    111", "111    110", 1)
         record = tmp_path / "EXPERIMENTS.md"
         record.write_text(f"## `table1` — Table 1\n\n```text\n{table}\n```\n")
-        monkeypatch.setattr(experiments_md, "RECORD_PATH", record)
-        monkeypatch.setattr(experiments_md, "REGISTRY", {"table1": REGISTRY["table1"]})
-        assert experiments_md.check_record() == (1 if drift else 0)
+        monkeypatch.setattr(repro.report, "RECORD_PATH", record)
+        monkeypatch.setattr(repro.report, "REGISTRY", {"table1": REGISTRY["table1"]})
+        assert repro.report.main(["--check"]) == (1 if drift else 0)
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPECTED_IDS))
@@ -111,3 +133,8 @@ def test_experiment_matches_paper(experiment_id, monkeypatch):
     failing = [row for row in result.rows if not row[3]]
     assert result.all_match, f"{experiment_id}: mismatched rows {failing}"
     assert result.rows, "experiment produced no comparison rows"
+
+
+@pytest.mark.parametrize("experiment_id", list(REGISTRY))
+def test_published_table(experiment_id, published_table):
+    published_table(experiment_id, format_result(run_experiment(experiment_id)))

@@ -25,6 +25,21 @@ class TestWilson:
         assert high == 1.0
         assert low < 1.0
 
+    @pytest.mark.parametrize(
+        "successes, trials, low, high",
+        [
+            # (p + z²/2n ± z·sqrt(p(1 - p)/n + z²/4n²)) / (1 + z²/n) at
+            # z = 1.96, worked in 40-digit decimal arithmetic.
+            (3, 100, 0.010254338223414805, 0.084520780804026991),
+            (50, 100, 0.40382982859014715, 0.59617017140985285),
+            (1, 100_000, 1.7652023237775918e-06, 5.6648553653372790e-05),
+        ],
+    )
+    def test_exact_endpoints(self, successes, trials, low, high):
+        assert wilson_interval(successes, trials) == pytest.approx(
+            (low, high), rel=0, abs=1e-12
+        )
+
     @given(st.integers(1, 10000), st.data())
     def test_interval_well_formed(self, trials, data):
         successes = data.draw(st.integers(0, trials))

@@ -83,7 +83,7 @@ def _hook_calls(monkeypatch, specs) -> list[str]:
 def test_obs_hook_calls_do_not_scale_with_work(monkeypatch):
     from repro.obs import tracing_enabled
 
-    assert not tracing_enabled(), "benchmark requires tracing disabled"
+    assert not tracing_enabled(), "the count needs tracing disabled"
     cycle = recovery_circuit()
     three_cycles = cycle + cycle + cycle
     small = _hook_calls(monkeypatch, _specs(cycle, 2_000))

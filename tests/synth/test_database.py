@@ -269,9 +269,6 @@ class TestPersistence:
         # keeps the committed JSON honest.
         from repro.synth.database import DEFAULT_DATABASE_DIR
 
-        path = DEFAULT_DATABASE_DIR / "synth_identities.json"
-        if not path.exists():
-            pytest.skip("persisted database not generated yet")
-        database = IdentityDatabase.load(path)
+        database = IdentityDatabase.load(DEFAULT_DATABASE_DIR / "synth_identities.json")
         assert database.n_wires == 3
         assert database.best(library.MAJ.permutation) is not None

@@ -1,7 +1,7 @@
 """Frozen outputs of the synthesis layer.
 
 These pin what the ``synth-peephole`` experiment, the synthesis example
-and the synthesis benchmarks observe: the optimiser's counts and output
+and the synthesis tests observe: the optimiser's counts and output
 circuit on the inflated two-cycle recovery workload, the searcher's
 Figure-1 and Figure-5 circuits with their explored-state counts, and the
 size of the committed identity database.  A refactor of ``repro.synth``

@@ -1,6 +1,5 @@
-"""Bench: the synthesis searcher rediscovers Figures 1 and 5 minimally.
+"""The synthesis searcher rediscovers Figures 1 and 5 minimally.
 
-This file is the PR acceptance gate for `repro.synth.search`:
 `find_optimal` must return the paper's MAJ decomposition (2 CNOTs + a
 Toffoli, Figure 1) and both SWAP3 rotations (2 SWAPs each, Figure 5)
 at provably minimal gate count, and the identity miner must populate
@@ -16,11 +15,9 @@ from repro.core import CNOT, MAJ, SWAP, SWAP3_DOWN, SWAP3_UP, TOFFOLI, circuit_g
 from repro.synth import IdentityDatabase, find_optimal, search_depth_budget
 
 
-def test_search_rediscovers_fig1_maj(benchmark):
+def test_search_rediscovers_fig1_maj():
     budget = max(search_depth_budget(4), 3)
-    result = benchmark(
-        lambda: find_optimal(MAJ, (CNOT, TOFFOLI), max_gates=budget)
-    )
+    result = find_optimal(MAJ, (CNOT, TOFFOLI), max_gates=budget)
     assert result.gate_count == 3
     assert result.circuit.count_ops() == {"CNOT": 2, "TOFFOLI": 1}
     assert circuit_gate(result.circuit, "synth-maj").same_action(MAJ)
@@ -31,31 +28,22 @@ def test_search_rediscovers_fig1_maj(benchmark):
     ]
 
 
-def test_search_rediscovers_fig5_swap3(benchmark):
+def test_search_rediscovers_fig5_swap3():
     budget = max(search_depth_budget(4), 2)
-
-    def synthesise_both():
-        return [
-            find_optimal(rotation, (SWAP,), max_gates=budget)
-            for rotation in (SWAP3_UP, SWAP3_DOWN)
-        ]
-
-    results = benchmark(synthesise_both)
+    results = [
+        find_optimal(rotation, (SWAP,), max_gates=budget)
+        for rotation in (SWAP3_UP, SWAP3_DOWN)
+    ]
     for rotation, result in zip((SWAP3_UP, SWAP3_DOWN), results):
         assert result.gate_count == 2
         assert result.circuit.count_ops() == {"SWAP": 2}
         assert circuit_gate(result.circuit, "synth-swap3").same_action(rotation)
 
 
-def test_identity_mining_covers_the_figure_1_class(benchmark):
+def test_identity_mining_covers_the_figure_1_class():
     depth = max(min(search_depth_budget(3), 3), 1)
-
-    def mine():
-        database = IdentityDatabase(3)
-        database.mine((CNOT, TOFFOLI, MAJ), max_gates=depth)
-        return database
-
-    database = benchmark(mine)
+    database = IdentityDatabase(3)
+    database.mine((CNOT, TOFFOLI, MAJ), max_gates=depth)
     best = database.best(MAJ.permutation)
     assert best is not None and len(best) == 1
     if depth >= 3:

@@ -34,3 +34,20 @@ def test_report_main_fails_when_an_experiment_mismatches(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] probe" in out
     assert "1 experiment(s) did not match the paper" in out
+
+
+def test_write_regenerates_the_record_byte_for_byte(tmp_path, monkeypatch):
+    # At the default budget a fresh run rewrites EXPERIMENTS.md to the
+    # committed bytes, its hand-kept Ablations part included.
+    monkeypatch.delenv("REPRO_TRIALS", raising=False)
+    committed = repro.report.RECORD_PATH.read_text()
+    record = tmp_path / "EXPERIMENTS.md"
+    record.write_text(committed.replace("111    111", "111    110", 1))
+    monkeypatch.setattr(repro.report, "RECORD_PATH", record)
+    assert repro.report.main(["--write"]) == 0
+    assert record.read_text() == committed
+
+
+def test_unknown_arguments_print_usage(capsys):
+    assert repro.report.main(["--run", "fig2"]) == 2
+    assert "usage: python -m repro.report [--check | --write]" in capsys.readouterr().out
