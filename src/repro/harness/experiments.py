@@ -815,8 +815,8 @@ def _op_shape(op) -> tuple:
 def _synth_rewrite_database() -> IdentityDatabase:
     """Rewrite material for the recovery workload, mined by the searcher.
 
-    Committed next to its loader in ``repro.synth``; loading re-verifies every
-    member by exhaustion, so the committed JSON is itself under test.
+    Committed next to its loader in ``repro.synth``; loading re-verifies
+    every member by exhaustion, so the committed JSON is itself under test.
     """
     from repro.synth.database import DEFAULT_DATABASE_DIR
 

@@ -17,8 +17,8 @@ exact quadratic coefficient is computable:
 
 The *exact threshold* of the cycle is then the crossing
 ``c2 * g**2 = g``, i.e. ``1/c2`` — always at or above the paper's
-``1/(3 C(G,2))`` because many pairs are harmless.  The ``ablation-exact-threshold``
-table of EXPERIMENTS.md quantifies the gap.
+``1/(3 C(G,2))`` because many pairs are harmless.  The
+``ablation-exact-threshold`` table of EXPERIMENTS.md quantifies the gap.
 """
 
 from __future__ import annotations
