@@ -81,6 +81,6 @@ class JobError(ReproError):
 
     Covers manifest mismatches (resubmitting a *different* sweep into
     an existing job directory), corrupt or stale result-store entries
-    (content digest no longer matching the stored payload), and shard
-    checkpoints that fail verification on resume.
+    (content digest no longer matching the stored payload), and shards
+    that fail on the process pool.
     """

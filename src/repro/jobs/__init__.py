@@ -9,8 +9,9 @@ this process".  This package turns that into a durable service:
   executor's surface with the store consulted per point.
 * :mod:`~repro.jobs.planner` — deterministic, program-affine shard
   planning over a spec batch.
-* :mod:`~repro.jobs.runner` — :class:`SweepJob`: submit, checkpoint,
-  crash-safe resume, bit-identical collect/merge.
+* :mod:`~repro.jobs.runner` — :class:`SweepJob`: submit, crash-safe
+  resume from the store (a job's only result record), bit-identical
+  collect/merge.
 
 The whole layer preserves the executor's bit-identity guarantee: a
 sharded, interrupted, resumed, store-served sweep returns exactly the

@@ -58,26 +58,44 @@ class CachingExecutor:
         visible only in the counters.
         """
         specs = list(specs)
-        results: list[PointResult | None] = [None] * len(specs)
-        pending: list[int] = []
-        for index, spec in enumerate(specs):
-            if not isinstance(spec.seed, int):
-                # No reproducible identity -> no store key; always run.
-                pending.append(index)
-                continue
-            stored = self.store.get(spec)
-            if stored is None:
-                pending.append(index)
-            else:
-                results[index] = stored
+        results, pending = lookup(self.store, specs)
         if pending:
-            computed = self.executor.run([specs[i] for i in pending])
+            missed = [specs[i] for i in pending]
+            computed = self.executor.run(missed)
+            record(self.store, missed, computed)
             self.simulated_points += len(pending)
             _SIMULATED.inc(len(pending))
             for index, result in zip(pending, computed):
                 results[index] = result
-                if isinstance(specs[index].seed, int):
-                    self.store.put(specs[index], result)
         self.cached_points += len(specs) - len(pending)
         _SERVED.inc(len(specs) - len(pending))
         return results  # type: ignore[return-value]
+
+
+def lookup(
+    store: ResultStore, specs: Sequence[RunSpec]
+) -> tuple[list[PointResult | None], list[int]]:
+    """Each spec's stored result, and the positions that must run.
+
+    The result is ``None`` at each pending position.  A spec with no
+    reproducible identity (a ``None`` or generator seed) has no store
+    key, so it always runs.
+    """
+    results: list[PointResult | None] = [None] * len(specs)
+    pending: list[int] = []
+    for index, spec in enumerate(specs):
+        stored = store.get(spec) if isinstance(spec.seed, int) else None
+        if stored is None:
+            pending.append(index)
+        else:
+            results[index] = stored
+    return results, pending
+
+
+def record(
+    store: ResultStore, specs: Sequence[RunSpec], results: Sequence[PointResult]
+) -> None:
+    """Put each simulated result whose spec has a store key."""
+    for spec, result in zip(specs, results):
+        if isinstance(spec.seed, int):
+            store.put(spec, result)

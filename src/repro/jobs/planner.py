@@ -1,8 +1,8 @@
 """Deterministic shard planning for spec batches.
 
-A *shard* is the unit of checkpointing and fan-out: a slice of the
-submitted spec list small enough to re-run cheaply after a crash and
-large enough to amortise one compiled program.  The planner's
+A *shard* is the unit of fan-out and of a job's progress: a slice of
+the submitted spec list small enough to re-run cheaply after a crash
+and large enough to amortise one compiled program.  The planner's
 obligations:
 
 * **Determinism.**  The same spec list (same circuits, noise, trials,
@@ -41,9 +41,10 @@ from repro.runtime.spec import RunSpec
 __all__ = ["DEFAULT_SHARD_SIZE", "Shard", "plan_shards"]
 
 #: Points per shard when the caller does not choose.  Small enough
-#: that an interrupted million-point sweep loses at most this many
-#: points of work, large enough that per-shard overhead (one manifest
-#: line, one checkpoint file) stays negligible.
+#: that a killed run loses at most this many points of work per shard
+#: in flight (a shard's points reach the store when it finishes),
+#: large enough that per-shard overhead (one manifest line, one pool
+#: task, one run log) stays negligible.
 DEFAULT_SHARD_SIZE = 64
 
 
@@ -73,6 +74,16 @@ def plan_shards(
     contract of the store and of resume); violations raise
     :class:`~repro.errors.JobError` naming the offending position.
     """
+    return _keyed_plan(specs, shard_size)[1]
+
+
+def _keyed_plan(
+    specs: Sequence[RunSpec], shard_size: int
+) -> tuple[list[str], list[Shard]]:
+    """Each spec's :func:`point_key`, and the shards planned from them.
+
+    The job runner keeps the keys, so a submit hashes each point once.
+    """
     if shard_size < 1:
         raise AnalysisError(f"shard_size must be >= 1, got {shard_size}")
     for index, spec in enumerate(specs):
@@ -94,4 +105,4 @@ def plan_shards(
             shards.append(
                 Shard(_shard_id([keys[i] for i in chunk], chunk), chunk)
             )
-    return shards
+    return keys, shards

@@ -1,28 +1,31 @@
-"""The sweep job runner: submit, checkpoint, resume, collect.
+"""The sweep job runner: submit, run, resume, collect.
 
 A *job* is a durable directory representing one sweep — a batch of
 :class:`~repro.runtime.RunSpec` points — split into deterministic
-shards (:mod:`repro.jobs.planner`) and executed with per-shard
-checkpointing against a content-keyed result store
-(:mod:`repro.jobs.store`).  Layout::
+shards (:mod:`repro.jobs.planner`) whose results go to a content-keyed
+result store (:mod:`repro.jobs.store`).  Layout::
 
     <job_dir>/
         manifest.json        # versioned: specs (wire form, circuits
                              # as digest references), shard plan
         circuits/<d>.json    # each distinct circuit's wire form, once
-        shards/<id>.json     # one checkpoint per completed shard
-        store/               # the result store
+        store/               # the result store: the job's only results
+        shards/<id>.json     # a stats-only run log per shard run
 
 The contract that makes this a *service* rather than a script:
 
 * **Submit is idempotent.**  Re-submitting the same sweep into an
-  existing job directory verifies the job ID (a hash of the shard
-  plan) and resumes; submitting a *different* sweep into it fails
-  loudly instead of silently mixing results.
-* **Resume is crash-safe.**  A killed run leaves complete shard
-  checkpoints or none (atomic writes); the next :meth:`SweepJob.run`
-  re-executes only shards without checkpoints, and the store serves
-  any points the dead run finished inside an unfinished shard.
+  existing job directory verifies the job ID (a hash of the ordered
+  point keys) and resumes; submitting a *different* sweep into it
+  fails loudly instead of silently mixing results.
+* **The store is the one record.**  A shard is done when every one of
+  its points has a store entry; nothing else decides it.  A run log
+  holds only observational stats (elapsed seconds, simulated vs served
+  points) for ``status --verbose``, so deleting ``shards/`` changes no
+  result and no shard's done state.
+* **Resume is crash-safe.**  Store writes are atomic, so a killed run
+  leaves complete entries or none; the next :meth:`SweepJob.run`
+  simulates only the points of shards with a missing entry.
 * **Merge is bit-identical.**  Every point keeps its own integer seed
   and the executor's stacking guarantee, so :meth:`SweepJob.collect`
   returns exactly what one uninterrupted
@@ -45,15 +48,9 @@ from pathlib import Path
 
 from repro.core.circuit import Circuit
 from repro.errors import AnalysisError, JobError, ReproError
-from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
-from repro.jobs.store import (
-    ResultStore,
-    point_key,
-    result_from_json,
-    result_problem,
-    result_to_json,
-    write_json_atomic,
-)
+from repro.jobs.caching import lookup, record
+from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, _keyed_plan
+from repro.jobs.store import ResultStore, point_key, write_json_atomic
 from repro.obs import (
     counter,
     gauge,
@@ -73,18 +70,23 @@ from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
 __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]
 
-#: Version of the manifest/checkpoint on-disk shape.  Version 2:
-#: manifest policies and checkpoint results no longer carry an engine.
-#: Version 3: job ids and shard ids hash policy-free point keys, and the
+#: Version of a job directory's on-disk shape.  Version 2: manifest
+#: policies and checkpoint results no longer carry an engine.  Version
+#: 3: job ids and shard ids hash policy-free point keys, and the
 #: manifest policy records only the backend.  Version 4: the manifest
 #: records no policy.  Version 5: manifest specs name their circuits
-#: by digest, each circuit stored once under ``circuits/``.
-JOB_FORMAT_VERSION = 5
+#: by digest, each circuit stored once under ``circuits/``.  Version 6:
+#: the store alone holds results and done state; ``shards/`` holds
+#: stats-only run logs.
+JOB_FORMAT_VERSION = 6
 
 MANIFEST_NAME = "manifest.json"
-SHARD_DIR = "shards"
+RUN_LOG_DIR = "shards"
 STORE_DIR = "store"
 CIRCUIT_DIR = "circuits"
+
+#: The observational fields of a shard's run log, besides its ids.
+_RUN_LOG_STATS = ("elapsed_s", "simulated", "cached")
 
 # Job-layer metrics (repro.obs): shard throughput plus the live
 # done/total gauges a heartbeat reads mid-run.
@@ -210,24 +212,24 @@ class SweepJob:
         self,
         job_dir: str | Path,
         specs: list[RunSpec],
+        keys: list[str],
         shards: list[Shard],
         policy: ExecutionPolicy,
-        store: ResultStore,
-        job_id: str,
     ):
         self.job_dir = Path(job_dir)
         self.specs = specs
+        self.keys = keys
         self.shards = shards
         self.policy = policy
-        self.store = store
-        self.job_id = job_id
+        self.store = ResultStore(self.job_dir / STORE_DIR)
+        self.job_id = self._job_id(keys)
 
     # ------------------------------------------------------------------
     # Creation
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _job_id(specs: Sequence[RunSpec]) -> str:
+    def _job_id(keys: Sequence[str]) -> str:
         """The sweep's identity: its ordered point keys, nothing else.
 
         Shard size is a scheduling choice, not part of what the sweep
@@ -235,8 +237,7 @@ class SweepJob:
         manifest's stored plan even if the caller's ``shard_size``
         drifted.
         """
-        payload = [point_key(spec) for spec in specs]
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+        return hashlib.sha256(canonical_json(list(keys)).encode()).hexdigest()[:16]
 
     @classmethod
     def submit(
@@ -272,16 +273,16 @@ class SweepJob:
             raise AnalysisError("a sweep job needs at least one spec")
         if policy is None:
             policy = ExecutionPolicy.from_env()
-        shards = plan_shards(specs, shard_size)
-        job_id = cls._job_id(specs)
+        keys, shards = _keyed_plan(specs, shard_size)
+        job = cls(job_dir, specs, keys, shards, policy)
         manifest_path = job_dir / MANIFEST_NAME
         if manifest_path.exists():
             existing = cls.load(job_dir)
-            if existing.job_id != job_id:
+            if existing.job_id != job.job_id:
                 raise JobError(
                     f"{job_dir} already holds job {existing.job_id}, which "
                     f"is a different sweep than the one submitted "
-                    f"({job_id}); use a fresh job directory"
+                    f"({job.job_id}); use a fresh job directory"
                 )
             # Same sweep: resume under the manifest's stored shard
             # plan (shard_size is scheduling, not identity) and the
@@ -291,7 +292,7 @@ class SweepJob:
         circuits: dict[str, dict] = {}
         manifest = {
             "format": JOB_FORMAT_VERSION,
-            "job_id": job_id,
+            "job_id": job.job_id,
             "specs": [spec_to_json(spec, circuits) for spec in specs],
             "shards": [
                 {"id": shard.shard_id, "indices": list(shard.indices)}
@@ -300,8 +301,7 @@ class SweepJob:
         }
         _write_circuit_blobs(job_dir, circuits)
         write_json_atomic(manifest_path, manifest)
-        store = ResultStore(job_dir / STORE_DIR)
-        return cls(job_dir, specs, shards, policy, store, job_id)
+        return job
 
     @classmethod
     def load(cls, job_dir: str | Path) -> "SweepJob":
@@ -309,11 +309,11 @@ class SweepJob:
 
         The specs are rebuilt from their JSON wire forms — this is the
         resume path, and it is why the wire form must be
-        value-faithful: the reloaded job verifies its shard plan
-        hashes to the manifest's job ID, so a manifest (or circuit
-        blob) whose specs no longer reproduce their own plan fails
-        here instead of merging wrong numbers later.  Each distinct
-        circuit blob is read once and rebuilt into one
+        value-faithful: the reloaded job verifies its specs hash to
+        the manifest's job ID, so a manifest (or circuit blob) whose
+        specs no longer reproduce their own keys fails here instead of
+        merging wrong numbers later.  Each distinct circuit blob is
+        read once and rebuilt into one
         :class:`~repro.core.circuit.Circuit` that every spec naming it
         shares.  A spec that cannot be rebuilt (wrong shape, bad digest,
         missing or unreadable blob) raises
@@ -341,9 +341,6 @@ class SweepJob:
                 f"{manifest.get('format')!r}; this code reads "
                 f"{JOB_FORMAT_VERSION}"
             )
-        # No policy field can change a result, so the manifest records
-        # none and a resume runs under the environment's policy.
-        policy = ExecutionPolicy.from_env()
         circuits = _CircuitBlobs(job_dir)
         specs = []
         for index, data in enumerate(manifest["specs"]):
@@ -358,12 +355,20 @@ class SweepJob:
             Shard(entry["id"], tuple(entry["indices"]))
             for entry in manifest["shards"]
         ]
-        job_id = manifest["job_id"]
+        # No policy field can change a result, so the manifest records
+        # none and a resume runs under the environment's policy.
+        job = cls(
+            job_dir,
+            specs,
+            [point_key(spec) for spec in specs],
+            shards,
+            ExecutionPolicy.from_env(),
+        )
         # The reloaded specs must hash back to the manifest's job ID —
         # this is where a wire form that is not value-faithful (or a
         # hand-edited manifest) fails, instead of merging wrong
         # numbers later.
-        if cls._job_id(specs) != job_id:
+        if job.job_id != manifest["job_id"]:
             raise JobError(
                 f"job manifest {manifest_path} specs do not hash to its "
                 f"job id; the manifest was edited or corrupted"
@@ -375,89 +380,53 @@ class SweepJob:
                 f"each spec exactly once; the manifest was edited or "
                 f"corrupted"
             )
-        store = ResultStore(job_dir / STORE_DIR)
-        return cls(job_dir, specs, shards, policy, store, job_id)
+        return job
 
     # ------------------------------------------------------------------
-    # Checkpoints
+    # Run logs
     # ------------------------------------------------------------------
 
-    def _shard_path(self, shard: Shard) -> Path:
-        return self.job_dir / SHARD_DIR / f"{shard.shard_id}.json"
+    def _run_log_path(self, shard: Shard) -> Path:
+        return self.job_dir / RUN_LOG_DIR / f"{shard.shard_id}.json"
 
-    def _load_checkpoint(self, shard: Shard) -> list[PointResult] | None:
-        """The shard's checkpointed results, or ``None`` if not done.
+    def _write_run_log(self, shard: Shard, elapsed_s: float, simulated: int) -> None:
+        write_json_atomic(
+            self._run_log_path(shard),
+            {
+                "job_id": self.job_id,
+                "shard_id": shard.shard_id,
+                "elapsed_s": elapsed_s,
+                "simulated": simulated,
+                "cached": len(shard) - simulated,
+            },
+        )
 
-        An unreadable checkpoint counts as *not done* (a crash can
-        leave none, never a torn one — but a foreign file could sit
-        there) while a readable checkpoint that contradicts the
-        manifest raises: that is corruption, not interruption.
+    def _read_run_log(self, shard: Shard) -> dict:
+        """The shard's last run log, or ``{}`` when missing or unreadable.
+
+        A log is observational only: no result, key or done state ever
+        depends on it.
         """
-        path = self._shard_path(shard)
-        if not path.exists():
-            return None
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("format") != JOB_FORMAT_VERSION
-            or data.get("shard_id") != shard.shard_id
-            or data.get("job_id") != self.job_id
+            log = json.loads(self._run_log_path(shard).read_text())
+        except (OSError, ValueError):
+            return {}
+        if isinstance(log, dict) and all(
+            isinstance(log.get(name), (int, float)) for name in _RUN_LOG_STATS
         ):
-            raise JobError(
-                f"shard checkpoint {path} does not belong to this job; "
-                f"delete it to re-run the shard"
-            )
-        points = data.get("points")
-        if (
-            not isinstance(points, list)
-            or not all(isinstance(point, dict) for point in points)
-            or [point.get("index") for point in points] != list(shard.indices)
-        ):
-            raise JobError(
-                f"shard checkpoint {path} covers different points than the "
-                f"manifest plans; delete it to re-run the shard"
-            )
-        results = []
-        for entry in points:
-            result = entry.get("result")
-            problem = result_problem(result, self.specs[entry["index"]].trials)
-            if problem is not None:
-                raise JobError(
-                    f"shard checkpoint {path} holds counts inconsistent "
-                    f"with the manifest spec ({problem}); delete it to re-run"
-                )
-            results.append(result_from_json(result))
-        return results
-
-    def _write_checkpoint(
-        self,
-        shard: Shard,
-        results: Sequence[PointResult],
-        stats: dict | None = None,
-    ) -> None:
-        payload = {
-            "format": JOB_FORMAT_VERSION,
-            "job_id": self.job_id,
-            "shard_id": shard.shard_id,
-            "points": [
-                {"index": index, "result": result_to_json(result)}
-                for index, result in zip(shard.indices, results)
-            ],
-        }
-        if stats is not None:
-            # Observational only (elapsed seconds, simulated/cached
-            # split for `status --verbose`): never key material, and
-            # absent from checkpoints written by older runs — readers
-            # must treat it as optional.
-            payload["stats"] = stats
-        write_json_atomic(self._shard_path(shard), payload)
+            return log
+        return {}
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+
+    def _done_shards(self) -> list[bool]:
+        """Per shard, whether the store holds every one of its points."""
+        return [
+            all(self.keys[index] in self.store for index in shard.indices)
+            for shard in self.shards
+        ]
 
     def run(
         self,
@@ -466,12 +435,13 @@ class SweepJob:
     ) -> RunReport:
         """Execute every unfinished shard (optionally at most ``max_shards``).
 
-        Completed shards are skipped by checkpoint; within a resumed
-        shard, points the store already holds are served, not re-run.
-        The policy's ``parallel`` width fans pending shards out to the
-        process pool, whose workers pre-warm their compile caches with
-        the shards' circuits.  ``on_progress``, when given, is called
-        after each pending shard finishes with ``(done, pending_total,
+        A shard is unfinished while the store lacks one of its points;
+        within it, points the store already holds are served, not
+        re-run.  The policy's ``parallel`` width fans pending shards
+        out to the process pool, whose workers pre-warm their compile
+        caches with the shards' circuits.  Each shard that simulates
+        leaves a run log.  ``on_progress``, when given, is called after
+        each such shard finishes with ``(done, shards_to_simulate,
         shard_id, elapsed_s)`` — the CLI's verbose heartbeat.
         """
         with trace("jobs.run", job=self.job_id) as span:
@@ -480,13 +450,12 @@ class SweepJob:
     def _run_impl(self, max_shards, on_progress, span) -> RunReport:
         if max_shards is not None and max_shards < 0:
             raise AnalysisError(f"max_shards must be >= 0, got {max_shards}")
-        pending: list[Shard] = []
-        skipped = 0
-        for shard in self.shards:
-            if self._load_checkpoint(shard) is None:
-                pending.append(shard)
-            else:
-                skipped += 1
+        pending = [
+            shard
+            for shard, done in zip(self.shards, self._done_shards())
+            if not done
+        ]
+        skipped = len(self.shards) - len(pending)
         interrupted = False
         if max_shards is not None and len(pending) > max_shards:
             pending = pending[:max_shards]
@@ -496,79 +465,41 @@ class SweepJob:
         span.set(
             shards=len(self.shards), pending=len(pending), skipped=skipped
         )
-        simulated = 0
-        cached = 0
-        completed = 0
-        shard_stats: dict[str, dict] = {}
         # Store lookups and puts happen in the parent (single
         # reader/writer); shards only ever simulate what the store does
-        # not hold.
-        plan: list[tuple[Shard, list[PointResult | None], list[int]]] = []
+        # not hold.  A pending shard whose points all turn up stored
+        # (another run finished them meanwhile) needs no task.
+        plan: list[tuple[Shard, list[RunSpec]]] = []
         for shard in pending:
-            results: list[PointResult | None] = [None] * len(shard.indices)
-            misses: list[int] = []
-            for position, index in enumerate(shard.indices):
-                stored = self.store.get(self.specs[index])
-                if stored is None:
-                    misses.append(position)
-                else:
-                    results[position] = stored
-                    cached += 1
-            plan.append((shard, results, misses))
-        to_simulate = [entry for entry in plan if entry[2]]
-        batches = [
-            [self.specs[shard.indices[i]] for i in misses]
-            for shard, _, misses in to_simulate
-        ]
+            specs = [self.specs[index] for index in shard.indices]
+            _, misses = lookup(self.store, specs)
+            if misses:
+                plan.append((shard, [specs[position] for position in misses]))
         outcomes = pool_map(
             _run_shard_specs,
-            batches,
-            resolve_workers(self.policy.parallel, len(batches)),
+            [misses for _, misses in plan],
+            resolve_workers(self.policy.parallel, len(plan)),
             error=JobError,
-            label=lambda b: f"shard {to_simulate[b][0].shard_id}",
-            warm=[spec.circuit for batch in batches for spec in batch],
+            label=lambda b: f"shard {plan[b][0].shard_id}",
+            warm=[spec.circuit for _, misses in plan for spec in misses],
         )
         # Outcomes first: zip then drains the generator, which shuts the
-        # pool down before any checkpoint is written.
-        for (computed, elapsed), (shard, results, misses) in zip(
-            outcomes, to_simulate
+        # pool down once the last shard is in.
+        for completed, ((computed, elapsed), (shard, misses)) in enumerate(
+            zip(outcomes, plan), start=1
         ):
-            simulated += len(misses)
-            for position, result in zip(misses, computed):
-                results[position] = result
-                self.store.put(self.specs[shard.indices[position]], result)
-            completed += 1
-            shard_stats[shard.shard_id] = {
-                "elapsed_s": elapsed,
-                "simulated": len(misses),
-                "cached": len(shard.indices) - len(misses),
-            }
+            record(self.store, misses, computed)
+            self._write_run_log(shard, elapsed, len(misses))
             _SHARDS_RUN.inc()
             _SHARDS_DONE.inc()
             _SHARD_SECONDS.observe(elapsed)
             if on_progress is not None:
-                on_progress(completed, len(pending), shard.shard_id, elapsed)
-        # Checkpoints are written only once every point of the shard is
-        # in hand — a crash between store puts and here re-runs nothing
-        # but the shard's bookkeeping.
-        for shard, results, misses in plan:
-            stats = shard_stats.get(shard.shard_id)
-            if stats is None:
-                # The whole shard was served from the store: no compute
-                # happened, but the shard still completes this run.
-                stats = {
-                    "elapsed_s": 0.0,
-                    "simulated": 0,
-                    "cached": len(shard.indices),
-                }
-                completed += 1
-                _SHARDS_DONE.inc()
-                if on_progress is not None:
-                    on_progress(completed, len(pending), shard.shard_id, 0.0)
-            self._write_checkpoint(shard, results, stats)  # type: ignore[arg-type]
+                on_progress(completed, len(plan), shard.shard_id, elapsed)
+        simulated = sum(len(misses) for _, misses in plan)
+        cached = sum(len(shard) for shard in pending) - simulated
         span.set(simulated=simulated, cached=cached)
         return RunReport(
-            shards_run=len(plan),
+            shards_run=len(pending),
             shards_skipped=skipped,
             simulated_points=simulated,
             cached_points=cached,
@@ -580,64 +511,49 @@ class SweepJob:
     # ------------------------------------------------------------------
 
     def status(self) -> JobStatus:
-        """Shard/point completion counts from the checkpoints on disk."""
-        done = 0
-        points_done = 0
-        for shard in self.shards:
-            if self._load_checkpoint(shard) is not None:
-                done += 1
-                points_done += len(shard)
+        """Shard/point completion counts, from which store entries exist."""
+        done = self._done_shards()
         return JobStatus(
             job_id=self.job_id,
             shards_total=len(self.shards),
-            shards_done=done,
+            shards_done=sum(done),
             points_total=len(self.specs),
-            points_done=points_done,
+            points_done=sum(
+                len(shard) for shard, ok in zip(self.shards, done) if ok
+            ),
         )
 
     def shard_stats(self) -> list[dict]:
         """Per-shard progress rows for verbose status output.
 
         One dict per planned shard — ``shard_id``, ``points``,
-        ``done``, and (for checkpoints that recorded a stats block)
-        ``elapsed_s``/``simulated``/``cached``.  Checkpoints written
-        before stats existed report ``None`` for those three; the
-        fields are observational and never affect results or keys.
+        ``done``, and, for a done shard whose run log is readable,
+        ``elapsed_s``/``simulated``/``cached`` (``None`` otherwise).
+        The log is observational: deleting it changes nothing else.
         """
         rows: list[dict] = []
-        for shard in self.shards:
-            done = self._load_checkpoint(shard) is not None
-            stats: dict = {}
-            if done:
-                try:
-                    stats = (
-                        json.loads(self._shard_path(shard).read_text()).get(
-                            "stats"
-                        )
-                        or {}
-                    )
-                except (OSError, json.JSONDecodeError):
-                    stats = {}
+        for shard, done in zip(self.shards, self._done_shards()):
+            log = self._read_run_log(shard) if done else {}
             rows.append(
                 {
                     "shard_id": shard.shard_id,
                     "points": len(shard),
                     "done": done,
-                    "elapsed_s": stats.get("elapsed_s"),
-                    "simulated": stats.get("simulated"),
-                    "cached": stats.get("cached"),
+                    **{name: log.get(name) for name in _RUN_LOG_STATS},
                 }
             )
         return rows
 
     def collect(self) -> list[PointResult]:
-        """Merge every shard checkpoint into spec-order results.
+        """Read every point back from the store, in spec order.
 
-        Raises :class:`~repro.errors.AnalysisError` when nothing has
-        completed (an empty store has nothing to merge — the classic
-        way to get here is collecting before running) or when shards
-        are still missing; a partial merge would silently misrepresent
-        the sweep.
+        Each point is read and verified through
+        :meth:`~repro.jobs.store.ResultStore.get`, so a stale or
+        tampered entry raises :class:`~repro.errors.JobError` naming
+        its file.  Raises :class:`~repro.errors.AnalysisError` when no
+        shard is done (the classic way to get here is collecting
+        before running) or when shards are still missing; a partial
+        merge would silently misrepresent the sweep.
         """
         with trace("jobs.collect", job=self.job_id) as span:
             results = self._collect_impl()
@@ -645,18 +561,13 @@ class SweepJob:
         return results
 
     def _collect_impl(self) -> list[PointResult]:
-        results: list[PointResult | None] = [None] * len(self.specs)
-        missing = []
-        done = 0
-        for shard in self.shards:
-            checkpoint = self._load_checkpoint(shard)
-            if checkpoint is None:
-                missing.append(shard.shard_id)
-                continue
-            done += 1
-            for index, result in zip(shard.indices, checkpoint):
-                results[index] = result
-        if done == 0:
+        results = [self.store.get(spec) for spec in self.specs]
+        missing = [
+            shard.shard_id
+            for shard in self.shards
+            if any(results[index] is None for index in shard.indices)
+        ]
+        if len(missing) == len(self.shards):
             raise AnalysisError(
                 f"job {self.job_id} has no completed shards to collect — "
                 f"the result store is empty for this sweep; run the job "

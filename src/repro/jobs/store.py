@@ -17,6 +17,10 @@ sharing one circuit writes none.  (A job directory keeps each circuit
 once, for the specs its manifest must rebuild.)  Properties the job
 layer leans on:
 
+* **One result record.**  A sweep job (:mod:`repro.jobs.runner`)
+  keeps no other copy of its results: a shard is done when each of its
+  points has an entry here, and ``collect`` reads every point back
+  through :meth:`ResultStore.get`.
 * **Cache hits on repeat queries.**  Re-submitting a sweep whose
   points are already stored costs file reads, not simulation.
 * **Crash safety.**  Writes go to a temp file and ``os.replace`` into
@@ -49,9 +53,6 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "ResultStore",
     "point_key",
-    "result_from_json",
-    "result_problem",
-    "result_to_json",
     "write_json_atomic",
 ]
 
@@ -90,8 +91,8 @@ def write_json_atomic(path: Path, payload) -> None:
     encoder; ``json.dump`` to a handle runs the pure-Python one) into
     a temp file in the same directory, then ``os.replace``d into
     place, so a crash leaves the old file or the new one, never a torn
-    one.  Manifests, checkpoints, store entries and circuit blobs all
-    go through here.
+    one.  Manifests, store entries, circuit blobs and shard run logs
+    all go through here.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     descriptor, tmp_name = tempfile.mkstemp(
@@ -135,14 +136,12 @@ def point_key(spec: RunSpec) -> str:
     return _key_from_wire(spec_to_json(spec))
 
 
-def result_problem(block: object, trials: int) -> str | None:
+def _result_problem(block: object, trials: int) -> str | None:
     """What is wrong with a stored result block, or ``None`` if sane.
 
-    The one count check shared by store entries and shard checkpoints:
-    the block must be a dict of integer ``failures``/``trials``/
+    The block must be a dict of integer ``failures``/``trials``/
     ``faulted_trials`` with ``trials`` equal to the spec's and both
-    counts within ``[0, trials]``.  Readers raise
-    :class:`~repro.errors.JobError` naming their file on any problem.
+    counts within ``[0, trials]``.
     """
     if not isinstance(block, dict):
         return "missing result block"
@@ -155,16 +154,6 @@ def result_problem(block: object, trials: int) -> str | None:
     if not (0 <= failures <= trials and 0 <= faulted <= trials):
         return "result counts out of range"
     return None
-
-
-def result_to_json(result: PointResult) -> dict:
-    """The stored form of a result block."""
-    return {name: getattr(result, name) for name in _RESULT_FIELDS}
-
-
-def result_from_json(block: dict) -> PointResult:
-    """Rebuild a result block that :func:`result_problem` passed."""
-    return PointResult(**{name: block[name] for name in _RESULT_FIELDS})
 
 
 # Store traffic metrics (repro.obs).  Dual-accounted with the
@@ -197,6 +186,10 @@ class ResultStore:
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
+
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry exists under ``key`` (a stat, not a read)."""
+        return self._path(key).exists()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -234,7 +227,8 @@ class ResultStore:
         self._verify(entry, key, spec, spec_json, path)
         self.hits += 1
         _STORE_HITS.inc()
-        return result_from_json(entry["result"])
+        block = entry["result"]
+        return PointResult(**{name: block[name] for name in _RESULT_FIELDS})
 
     def _verify(
         self, entry: object, key: str, spec: RunSpec, spec_json: dict, path: Path
@@ -251,7 +245,7 @@ class ResultStore:
                 problems.append("embedded key does not match the content key")
             if entry.get("spec") != spec_json:
                 problems.append("stored spec differs from the requested spec")
-            problem = result_problem(entry.get("result"), spec.trials)
+            problem = _result_problem(entry.get("result"), spec.trials)
             if problem is not None:
                 problems.append(problem)
         if problems:
@@ -289,7 +283,7 @@ class ResultStore:
                 "version": __version__,
                 "stream": RESULT_STREAM_VERSION,
             },
-            "result": result_to_json(result),
+            "result": {name: getattr(result, name) for name in _RESULT_FIELDS},
         }
         write_json_atomic(self._path(key), entry)
         self.puts += 1

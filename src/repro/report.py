@@ -139,16 +139,9 @@ def main(argv: Sequence[str] = ()) -> int:
         result = run_experiment(experiment_id)
         status = "PASS" if result.all_match else "FAIL"
         print(f"[{status}] {experiment_id} ({watch.elapsed_s:.1f}s)")
-        if mode:
-            tables[experiment_id] = format_result(result)
-        else:
-            print(
-                paper_vs_measured(
-                    result.rows, title=f"{result.experiment_id} — {result.paper_ref}"
-                )
-            )
-            if result.notes:
-                print(f"Notes: {result.notes}")
+        tables[experiment_id] = format_result(result)
+        if not mode:
+            print(tables[experiment_id])
             print()
         if not result.all_match:
             failures += 1

@@ -22,11 +22,13 @@ This module provides exactly one:
 * :func:`circuit_to_json` / :func:`circuit_from_json` — a circuit's
   own wire form, re-exported from :mod:`repro.core.circuit`.
 
-Observables and decoders serialise by exact type: the three built-in
-observables (:class:`~repro.runtime.spec.PredicateObservable`,
-:class:`~repro.runtime.spec.DecodeObservable`,
+Observables and decoders serialise by exact type: the two decode
+observables (:class:`~repro.runtime.spec.DecodeObservable`,
 :class:`~repro.runtime.spec.DecodedMismatchObservable`) over a level-1
-:class:`~repro.coding.logical.LogicalProcessor` decoder.
+:class:`~repro.coding.logical.LogicalProcessor` decoder.  A
+:class:`~repro.runtime.spec.PredicateObservable` wraps arbitrary code,
+so it has no wire form, and reading never imports a module a payload
+names.
 
 The round trip is *value-faithful*: ``spec_from_json(spec_to_json(s,
 c), rebuilt(c)) == s``, the reconstructed circuit has the same
@@ -38,9 +40,9 @@ still merge bit-for-bit with shards run before the crash.
 
 Anything without a faithful wire form raises
 :class:`~repro.errors.SerializationError` at serialisation time:
-predicates that are not module-level functions, live RNG generators as
-seeds, observable or decoder types outside the built-in ones, a decoder
-above concatenation level 1.  Reading refuses the same way: a payload
+live RNG generators as seeds, observable or decoder types outside the
+built-in ones (predicate observables included), a decoder above
+concatenation level 1.  Reading refuses the same way: a payload
 of the wrong shape (a missing field, a string where an object belongs,
 a digest that is not 64 lowercase hex characters, a layout wire outside
 its logical bit's nine-wire cell) raises
@@ -56,7 +58,6 @@ import hashlib
 import json
 import re
 from collections.abc import Mapping
-from importlib import import_module
 
 import numpy as np
 
@@ -69,7 +70,6 @@ from repro.noise.model import NoiseModel
 from repro.runtime.spec import (
     DecodeObservable,
     DecodedMismatchObservable,
-    PredicateObservable,
     RunSpec,
 )
 
@@ -278,8 +278,6 @@ _DECODED_OBSERVABLES = {
 
 def _observable_to_json(observable: object, circuits: dict | None) -> dict:
     """The observable's tagged wire form, or :class:`SerializationError`."""
-    if type(observable) is PredicateObservable:
-        return {"kind": "predicate", **_predicate_to_json(observable)}
     for kind, cls in _DECODED_OBSERVABLES.items():
         if type(observable) is cls:
             return {
@@ -289,15 +287,12 @@ def _observable_to_json(observable: object, circuits: dict | None) -> dict:
             }
     raise SerializationError(
         f"observable type {type(observable).__name__} has no wire form; "
-        f"only PredicateObservable, DecodeObservable and "
-        f"DecodedMismatchObservable serialise"
+        f"only DecodeObservable and DecodedMismatchObservable serialise"
     )
 
 
 def _observable_from_json(data: dict, circuits: Mapping[str, Circuit]):
     kind = data.get("kind")
-    if kind == "predicate":
-        return _predicate_from_json(data)
     cls = _DECODED_OBSERVABLES.get(kind)
     if cls is None:
         raise SerializationError(f"unknown observable kind {kind!r}")
@@ -305,37 +300,6 @@ def _observable_from_json(data: dict, circuits: Mapping[str, Circuit]):
         decoder=_decoder_from_json(data["decoder"], circuits),
         expected=tuple(data["expected"]),
     )
-
-
-def _predicate_to_json(observable: PredicateObservable) -> dict:
-    predicate = observable.predicate
-    module = getattr(predicate, "__module__", None)
-    qualname = getattr(predicate, "__qualname__", None)
-    if not module or not qualname or "<" in qualname or "." in qualname:
-        raise SerializationError(
-            f"predicate {predicate!r} is not a module-level function; only "
-            f"importable-by-name predicates have a JSON wire form (lambdas, "
-            f"closures, and bound methods do not)"
-        )
-    resolved = getattr(import_module(module), qualname, None)
-    if resolved is not predicate:
-        raise SerializationError(
-            f"predicate {module}.{qualname} does not resolve back to the "
-            f"serialised function; it cannot round-trip"
-        )
-    return {"module": module, "qualname": qualname}
-
-
-def _predicate_from_json(data: dict) -> PredicateObservable:
-    try:
-        module = import_module(data["module"])
-        predicate = getattr(module, data["qualname"])
-    except (ImportError, AttributeError) as exc:
-        raise SerializationError(
-            f"predicate {data['module']}.{data['qualname']} is not "
-            f"importable: {exc}"
-        ) from exc
-    return PredicateObservable(predicate)
 
 
 # ----------------------------------------------------------------------

@@ -80,10 +80,10 @@ def all_corrupted_codewords():
     return cases
 
 
-#: Readable-but-wrong result blocks for the job layer's two readers
-#: (store entries and shard checkpoints): each must raise ``JobError``
-#: naming the file, never serve the counts or leak a bare
-#: ``TypeError``/``KeyError``.  ``None`` as the field drops the block.
+#: Readable-but-wrong result blocks for store entries, the job layer's
+#: one result record: each must raise ``JobError`` naming the file,
+#: never serve the counts or leak a bare ``TypeError``/``KeyError``.
+#: ``None`` as the field drops the block.
 MALFORMED_RESULTS = {
     "faulted-above-trials": ("faulted_trials", 5000),
     "faulted-negative": ("faulted_trials", -3),
@@ -102,17 +102,15 @@ def malform_result(holder: dict, case: str) -> None:
         holder["result"][field] = value
 
 
-#: Well-formed JSON of the wrong shape for the job layer's three readers
-#: (store entries, shard checkpoints, the job manifest): case ->
-#: ``(key, replacement)``.  Key ``None`` replaces the whole document,
+#: Well-formed JSON of the wrong shape for the job layer's two readers
+#: (store entries, the job manifest): case -> ``(key, replacement)``.
+#: Key ``None`` replaces the whole document,
 #: replacement :data:`DROP` deletes the key.  Each reader must raise
 #: ``JobError`` naming the file, never leak ``AttributeError``/
 #: ``KeyError``.
 DROP = object()
 WRONG_SHAPES = {
     "document-list": (None, []),
-    "points-dict": ("points", {"a": 1}),
-    "points-entry-list": ("points", [[]]),
     "specs-missing": ("specs", DROP),
     "shards-missing": ("shards", DROP),
     "job_id-missing": ("job_id", DROP),

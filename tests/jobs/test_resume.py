@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -179,24 +180,6 @@ class TestInterruptAndResume:
         resumed.run()
         assert resumed.collect() == Executor(policy).run(specs)
 
-    def test_lost_checkpoint_reruns_only_that_shard_from_store(
-        self, tmp_path, policy
-    ):
-        # A crash can die between the store puts and the checkpoint
-        # write; the shard re-runs, but its points come back from the
-        # store without a single simulation.
-        specs = _specs()
-        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
-        job.run()
-        victim = job.shards[0]
-        (tmp_path / "job" / "shards" / f"{victim.shard_id}.json").unlink()
-        resumed = SweepJob.load(tmp_path / "job")
-        report = resumed.run()
-        assert report.shards_run == 1
-        assert report.simulated_points == 0
-        assert report.cached_points == len(victim)
-        assert resumed.collect() == Executor(policy).run(specs)
-
     def test_completed_resubmit_serves_everything_from_disk(
         self, tmp_path, policy
     ):
@@ -226,27 +209,6 @@ class TestCollect:
         job.run(max_shards=1)
         with pytest.raises(AnalysisError, match="incomplete"):
             job.collect()
-
-    def test_checkpoint_with_old_key_field_collects_unchanged(
-        self, tmp_path, policy
-    ):
-        # Checkpoints no longer carry each point's store key; one
-        # written when they did still loads, and readers ignore the
-        # extra field.
-        specs = _specs(4, trials=200)
-        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
-        job.run()
-        for shard in job.shards:
-            path = tmp_path / "job" / "shards" / f"{shard.shard_id}.json"
-            checkpoint = json.loads(path.read_text())
-            for index, point in zip(shard.indices, checkpoint["points"]):
-                assert "key" not in point
-                point["key"] = point_key(specs[index])
-            path.write_text(json.dumps(checkpoint))
-        reloaded = SweepJob.load(tmp_path / "job")
-        assert reloaded.status().shards_done == len(job.shards)
-        assert reloaded.collect() == Executor(policy).run(specs)
-
 
 #: Hand edits that leave a manifest spec well-formed JSON of the wrong
 #: shape; each must fail the load with a JobError naming the manifest.
@@ -327,77 +289,65 @@ class TestManifestIntegrity:
         ):
             SweepJob.load(tmp_path / "job")
 
-    def test_foreign_checkpoint_detected(self, tmp_path, policy):
-        specs = _specs(4, trials=200)
+class TestStoreIsTheRecord:
+    """The store alone holds results and decides which shards are done;
+    ``shards/`` holds only run logs."""
+
+    def _ran(self, tmp_path, policy, count=6):
+        specs = _specs(count)
         job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
         job.run()
-        shard = job.shards[0]
-        path = tmp_path / "job" / "shards" / f"{shard.shard_id}.json"
-        checkpoint = json.loads(path.read_text())
-        checkpoint["job_id"] = "somebody-else"
-        path.write_text(json.dumps(checkpoint))
-        with pytest.raises(JobError, match="does not belong"):
-            job.status()
+        return specs, job
 
-    def test_unreadable_checkpoint_is_pending_not_fatal(
+    def _entry(self, job, index):
+        key = point_key(job.specs[index])
+        return job.job_dir / "store" / key[:2] / f"{key}.json"
+
+    def test_deleting_run_logs_changes_no_result(self, tmp_path, policy):
+        # The warm step of the jobs benchmark: drop shards/, keep the
+        # store, resubmit.
+        specs, job = self._ran(tmp_path, policy)
+        shutil.rmtree(tmp_path / "job" / "shards")
+        reloaded = SweepJob.load(tmp_path / "job")
+        assert reloaded.status().complete
+        assert reloaded.collect() == Executor(policy).run(specs)
+        again = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
+        report = again.run()
+        assert report.simulated_points == 0
+        assert report.shards_skipped == len(job.shards)
+        assert again.store.stats()["puts"] == 0
+
+    def test_deleted_store_entry_reruns_exactly_that_point(
         self, tmp_path, policy
     ):
-        # Crash-safety: a torn/garbage checkpoint file means the shard
-        # simply has not finished; it re-runs (from the store).
-        specs = _specs(4, trials=200)
-        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
-        job.run()
-        shard = job.shards[0]
-        path = tmp_path / "job" / "shards" / f"{shard.shard_id}.json"
-        path.write_text("{torn")
-        assert job.status().shards_done == len(job.shards) - 1
-        report = job.run()
+        specs, job = self._ran(tmp_path, policy)
+        entry = self._entry(job, 3)
+        original = entry.read_bytes()
+        entry.unlink()
+        (victim,) = [shard for shard in job.shards if 3 in shard.indices]
+        resumed = SweepJob.load(tmp_path / "job")
+        assert resumed.status().shards_done == len(job.shards) - 1
+        pending = [row["shard_id"] for row in resumed.shard_stats() if not row["done"]]
+        assert pending == [victim.shard_id]
+        report = resumed.run()
         assert report.shards_run == 1
-        assert report.simulated_points == 0
-        assert job.collect() == Executor(policy).run(specs)
+        assert report.simulated_points == 1
+        assert report.cached_points == len(victim) - 1
+        assert entry.read_bytes() == original
+        assert resumed.collect() == Executor(policy).run(specs)
 
-    def test_tampered_checkpoint_counts_detected(self, tmp_path, policy):
-        specs = _specs(4, trials=200)
-        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
-        job.run()
-        shard = job.shards[0]
-        path = tmp_path / "job" / "shards" / f"{shard.shard_id}.json"
-        checkpoint = json.loads(path.read_text())
-        checkpoint["points"][0]["result"]["failures"] = (
-            checkpoint["points"][0]["result"]["trials"] + 1
-        )
-        path.write_text(json.dumps(checkpoint))
-        with pytest.raises(JobError, match="inconsistent"):
-            job.collect()
-
-    @pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
-    def test_malformed_checkpoint_counts_detected(
-        self, tmp_path, policy, case
-    ):
-        job = SweepJob.submit(
-            tmp_path / "job", _specs(4, trials=200), policy, shard_size=2
-        )
-        job.run()
-        shard = job.shards[0]
-        path = tmp_path / "job" / "shards" / f"{shard.shard_id}.json"
-        checkpoint = json.loads(path.read_text())
-        malform_result(checkpoint["points"][0], case)
-        path.write_text(json.dumps(checkpoint))
+    @pytest.mark.parametrize("case", ["tampered", *sorted(MALFORMED_RESULTS)])
+    def test_tampered_store_entry_fails_collect(self, tmp_path, policy, case):
+        _, job = self._ran(tmp_path, policy, count=4)
+        path = self._entry(job, 2)
+        entry = json.loads(path.read_text())
+        if case == "tampered":
+            entry["result"]["failures"] = entry["result"]["trials"] + 1
+        else:
+            malform_result(entry, case)
+        path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match=re.escape(str(path))):
-            job.collect()
-
-    @pytest.mark.parametrize(
-        "case", ["document-list", "points-dict", "points-entry-list"]
-    )
-    def test_wrong_shape_checkpoint_detected(self, tmp_path, policy, case):
-        job = SweepJob.submit(
-            tmp_path / "job", _specs(4, trials=200), policy, shard_size=2
-        )
-        job.run()
-        path = tmp_path / "job" / "shards" / f"{job.shards[0].shard_id}.json"
-        path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
-        with pytest.raises(JobError, match=re.escape(str(path))):
-            job.collect()
+            SweepJob.load(tmp_path / "job").collect()
 
 
 class TestCircuitBlobs:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from repro.runtime.serialization import (
 
 
 def no_failures(states):
-    """Module-level predicate, importable by name."""
+    """A module-level predicate, which the wire form refuses all the same."""
     return np.zeros(states.trials, dtype=bool)
 
 
@@ -165,29 +167,11 @@ class TestSpecRoundTrip:
         rebuilt = Executor(policy).run([_roundtrip(s) for s in specs])
         assert original == rebuilt
 
-    def test_predicate_observable_by_dotted_path(self):
-        spec = RunSpec(
-            circuit=_maj_circuit(),
-            input_bits=(1, 0, 1),
-            observable=PredicateObservable(no_failures),
-            noise=NoiseModel(gate_error=1e-3),
-            trials=64,
-            seed=3,
-        )
-        rebuilt = _roundtrip(spec)
-        assert rebuilt == spec
-        assert rebuilt.observable.predicate is no_failures
-
     def test_none_seed_round_trips(self):
-        spec = RunSpec(
-            circuit=_maj_circuit(),
-            input_bits=(0, 0, 0),
-            observable=PredicateObservable(no_failures),
-            noise=NoiseModel(gate_error=0.0),
-            trials=10,
-            seed=None,
-        )
-        assert _roundtrip(spec).seed is None
+        (spec,) = cycle_error_specs(((2e-3, 11),), 10, cycles=1)
+        rebuilt = _roundtrip(replace(spec, seed=None))
+        assert rebuilt.seed is None
+        assert rebuilt == replace(spec, seed=None)
 
     def test_format_version_stamped(self):
         (spec,) = cycle_error_specs(((2e-3, 11),), 100, cycles=1)
@@ -196,16 +180,8 @@ class TestSpecRoundTrip:
 
 class TestRefusals:
     def _spec(self, **overrides) -> RunSpec:
-        base = dict(
-            circuit=_maj_circuit(),
-            input_bits=(1, 0, 1),
-            observable=PredicateObservable(no_failures),
-            noise=NoiseModel(gate_error=1e-3),
-            trials=64,
-            seed=3,
-        )
-        base.update(overrides)
-        return RunSpec(**base)
+        (spec,) = cycle_error_specs(((1e-3, 3),), 64, cycles=1)
+        return replace(spec, **overrides)
 
     def test_lambda_predicate_refused(self):
         spec = self._spec(
@@ -213,6 +189,28 @@ class TestRefusals:
         )
         with pytest.raises(SerializationError):
             spec_to_json(spec)
+
+    def test_module_level_predicate_refused(self):
+        spec = self._spec(observable=PredicateObservable(no_failures))
+        with pytest.raises(SerializationError, match="PredicateObservable"):
+            spec_to_json(spec)
+
+    def test_predicate_entry_is_an_unknown_kind_and_imports_nothing(self):
+        # A manifest is read before its job id is checked, so reading
+        # must never import a module the payload names.
+        circuits: dict[str, dict] = {}
+        spec = self._spec()
+        payload = spec_to_json(spec, circuits)
+        payload["observable"] = {
+            "kind": "predicate",
+            "module": "colorsys",
+            "qualname": "rgb_to_hsv",
+        }
+        (digest,) = circuits
+        loaded = set(sys.modules)
+        with pytest.raises(SerializationError, match="unknown observable kind"):
+            spec_from_json(payload, {digest: spec.circuit})
+        assert set(sys.modules) == loaded
 
     def test_generator_seed_refused(self):
         spec = self._spec(seed=np.random.default_rng(0))

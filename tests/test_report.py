@@ -36,6 +36,26 @@ def test_report_main_fails_when_an_experiment_mismatches(monkeypatch, capsys):
     assert "1 experiment(s) did not match the paper" in out
 
 
+def test_plain_mode_prints_the_recorded_table_form(monkeypatch, capsys):
+    # One text form per table: plain output is format_result's, the
+    # blank line before the notes included.
+    from repro.harness.experiments import Experiment, ExperimentResult
+
+    def noted() -> ExperimentResult:
+        return ExperimentResult("probe", "none", [("x", 1, 1, True)], "a note")
+
+    monkeypatch.setattr(
+        repro.report,
+        "REGISTRY",
+        {"probe": Experiment("probe", "none", "always matches", noted)},
+    )
+    monkeypatch.setattr(repro.report, "run_experiment", lambda experiment_id: noted())
+    assert repro.report.main() == 0
+    out = capsys.readouterr().out
+    assert f"\n{repro.report.format_result(noted())}\n\n" in out
+    assert "\n\nNotes: a note\n" in out
+
+
 def test_write_regenerates_the_record_byte_for_byte(tmp_path, monkeypatch):
     # At the default budget a fresh run rewrites EXPERIMENTS.md to the
     # committed bytes, its hand-kept Ablations part included.

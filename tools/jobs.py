@@ -6,10 +6,12 @@ Three subcommands over a job directory::
     python tools/jobs.py status  JOB_DIR [--verbose]       # progress
     python tools/jobs.py collect JOB_DIR [--check-serial]  # merged table
 
-``status --verbose`` adds a per-shard table (points, elapsed seconds,
-simulated vs store-served split, read from each checkpoint's optional
-stats block) and the job's overall store hit ratio; the exit contract
-(0 complete, 3 pending) is unchanged.  ``submit --verbose`` prints a
+``status`` counts a shard done when the result store holds every one
+of its points.  ``status --verbose`` adds a per-shard table (points,
+elapsed seconds, simulated vs store-served split, read from each
+shard's run log under ``shards/``; ``-`` when a done shard has none)
+and the job's overall store hit ratio; the exit contract (0 complete,
+3 pending) is unchanged.  ``submit --verbose`` prints a
 per-shard heartbeat to stderr as shards finish.
 
 ``submit`` builds a Figure-2-style cycle-error sweep — a geometric
@@ -19,8 +21,8 @@ with per-point seeds spawned from one master seed
 :func:`repro.harness.threshold_finder.cycle_error_specs` — then
 submits it as a sharded job and runs it.  Submit is idempotent:
 re-running the same command against the same directory resumes,
-serving finished shards from their checkpoints and finished points
-from the result store.  ``--max-shards`` deliberately stops early
+skipping the shards whose points the result store holds and serving
+stored points of the rest.  ``--max-shards`` deliberately stops early
 (how the CI smoke test simulates a crash); a later submit or a bare
 ``submit`` with the same arguments finishes the job.
 
@@ -28,7 +30,7 @@ from the result store.  ``--max-shards`` deliberately stops early
 decoder records two logical gates per cycle) for the per-cycle column.
 ``collect --check-serial`` re-runs the whole sweep through a plain
 in-process :meth:`~repro.runtime.Executor.run` and fails unless the
-merged shard results are bit-identical — the job layer's core
+results read back from the store are bit-identical — the job layer's core
 guarantee, checkable from the shell.
 """
 
@@ -106,7 +108,7 @@ def cmd_status(arguments: argparse.Namespace) -> int:
     if arguments.verbose:
         simulated = 0
         cached = 0
-        print(f"{'shard':>16} {'points':>7} {'state':>8} {'elapsed':>9} {'sim':>5} {'hit':>5}")
+        print(f"{'shard':>17} {'points':>7} {'state':>8} {'elapsed':>9} {'sim':>5} {'hit':>5}")
         for row in job.shard_stats():
             state = "done" if row["done"] else "pending"
             elapsed = (
@@ -117,7 +119,7 @@ def cmd_status(arguments: argparse.Namespace) -> int:
             sim = "-" if row["simulated"] is None else str(row["simulated"])
             hit = "-" if row["cached"] is None else str(row["cached"])
             print(
-                f"{row['shard_id']:>16} {row['points']:>7} {state:>8} "
+                f"{row['shard_id']:>17} {row['points']:>7} {state:>8} "
                 f"{elapsed:>9} {sim:>5} {hit:>5}"
             )
             simulated += row["simulated"] or 0
