@@ -402,7 +402,8 @@ class SweepJob:
         )
 
     def _read_run_log(self, shard: Shard) -> dict:
-        """The shard's last run log, or ``{}`` when missing or unreadable.
+        """The shard's last run log, or ``{}`` when missing, unreadable,
+        or written for another job or shard.
 
         A log is observational only: no result, key or done state ever
         depends on it.
@@ -411,8 +412,14 @@ class SweepJob:
             log = json.loads(self._run_log_path(shard).read_text())
         except (OSError, ValueError):
             return {}
-        if isinstance(log, dict) and all(
-            isinstance(log.get(name), (int, float)) for name in _RUN_LOG_STATS
+        if (
+            isinstance(log, dict)
+            and log.get("job_id") == self.job_id
+            and log.get("shard_id") == shard.shard_id
+            and all(
+                isinstance(log.get(name), (int, float))
+                for name in _RUN_LOG_STATS
+            )
         ):
             return log
         return {}

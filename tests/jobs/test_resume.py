@@ -350,6 +350,64 @@ class TestStoreIsTheRecord:
             SweepJob.load(tmp_path / "job").collect()
 
 
+#: Run-log edits that leave stats no shard can vouch for: case -> edit.
+BAD_RUN_LOGS = {
+    "document-list": lambda log: [log],
+    "stat-missing": lambda log: {k: v for k, v in log.items() if k != "elapsed_s"},
+    "stat-string": lambda log: {**log, "simulated": "2"},
+    "other-job": lambda log: {**log, "job_id": "0" * 16},
+    "other-shard": lambda log: {**log, "shard_id": "s" + "0" * 16},
+}
+
+
+class TestRunLogs:
+    """``shards/<id>.json`` records how a shard's last run split between
+    simulated and served points, and nothing reads it but the stats."""
+
+    def _stats(self, job):
+        return {row["shard_id"]: row for row in job.shard_stats()}
+
+    def test_logs_record_each_runs_split(self, tmp_path, policy):
+        specs = _specs(4)
+        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
+        job.run()
+        for row in self._stats(job).values():
+            assert row["done"] and row["elapsed_s"] >= 0
+            assert (row["simulated"], row["cached"]) == (2, 0)
+        key = point_key(specs[1])
+        (job.job_dir / "store" / key[:2] / f"{key}.json").unlink()
+        (victim,) = [shard for shard in job.shards if 1 in shard.indices]
+        resumed = SweepJob.load(tmp_path / "job")
+        resumed.run()
+        stats = self._stats(resumed)
+        assert (stats[victim.shard_id]["simulated"], stats[victim.shard_id]["cached"]) == (1, 1)
+        assert all(
+            (row["simulated"], row["cached"]) == (2, 0)
+            for shard_id, row in stats.items()
+            if shard_id != victim.shard_id
+        )
+
+    @pytest.mark.parametrize("case", sorted(BAD_RUN_LOGS))
+    def test_bad_log_reads_as_no_stats(self, tmp_path, policy, case):
+        specs = _specs(4)
+        job = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
+        job.run()
+        first, second = job.shards
+        path = job._run_log_path(first)
+        path.write_text(json.dumps(BAD_RUN_LOGS[case](json.loads(path.read_text()))))
+        stats = self._stats(SweepJob.load(tmp_path / "job"))
+        assert stats[first.shard_id] == {
+            "shard_id": first.shard_id,
+            "points": 2,
+            "done": True,
+            "elapsed_s": None,
+            "simulated": None,
+            "cached": None,
+        }
+        assert stats[second.shard_id]["simulated"] == 2
+        assert job.collect() == Executor(policy).run(specs)
+
+
 class TestCircuitBlobs:
     """Each distinct circuit is stored once, as ``circuits/<digest>.json``
     in the job directory; store entries only name it."""

@@ -9,7 +9,8 @@ Three subcommands over a job directory::
 ``status`` counts a shard done when the result store holds every one
 of its points.  ``status --verbose`` adds a per-shard table (points,
 elapsed seconds, simulated vs store-served split, read from each
-shard's run log under ``shards/``; ``-`` when a done shard has none)
+shard's run log under ``shards/``; ``-`` when a done shard has none,
+or a log written for another job or shard)
 and the job's overall store hit ratio; the exit contract (0 complete,
 3 pending) is unchanged.  ``submit --verbose`` prints a
 per-shard heartbeat to stderr as shards finish.
