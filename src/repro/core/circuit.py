@@ -21,6 +21,7 @@ JSON wire form.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -363,15 +364,36 @@ def circuit_to_json(circuit: Circuit) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=256)
+def _gate_of(name: str, arity: int, table: tuple[int, ...]) -> Gate:
+    return Gate(name=name, arity=arity, table=table)
+
+
+def _interned_gate(name, arity, table) -> Gate:
+    """One shared, validated :class:`Gate` per distinct wire-form gate.
+
+    The identity database repeats a handful of gates across hundreds
+    of records, so each is built and bijection-checked once.  The key
+    admits only exact ``int`` entries: ``1.0 == 1`` would otherwise let
+    a tampered table hit a valid gate's cache entry.
+    """
+    if type(arity) is not int or any(type(image) is not int for image in table):
+        raise SerializationError(
+            f"gate {name!r}: arity and table entries must be integers"
+        )
+    return _gate_of(name, arity, table)
+
+
 def circuit_from_json(data: dict) -> Circuit:
     """Rebuild a circuit from :func:`circuit_to_json` output.
 
     Gate and circuit construction re-validate everything (bijective
     tables, wire ranges, arity matches), so a tampered payload fails
     as a library error instead of producing a silently wrong circuit.
+    Equal gates decode to one shared :class:`Gate`.
     """
     gates = [
-        Gate(name=g["name"], arity=g["arity"], table=tuple(g["table"]))
+        _interned_gate(g["name"], g["arity"], tuple(g["table"]))
         for g in data["gates"]
     ]
     circuit = Circuit(data["n_wires"], name=data.get("name", ""))

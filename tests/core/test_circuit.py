@@ -244,6 +244,24 @@ class TestWireForm:
         with pytest.raises(GateDefinitionError):
             circuit_from_json(record)
 
+    def test_records_sharing_a_gate_decode_to_one_gate(self):
+        first = circuit_from_json(circuit_to_json(Circuit(2).cnot(0, 1)))
+        second = circuit_from_json(circuit_to_json(Circuit(3).cnot(2, 0).x(1)))
+        assert first.ops[0].gate is second.ops[0].gate
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("table", [0.0, 1, 3, 2]), ("table", [False, 1, 3, 2]), ("arity", 2.0)],
+    )
+    def test_non_integer_gate_rejected_after_a_valid_decode(self, field, value):
+        # ``0.0 == 0``: a tampered table must not hit the valid CNOT
+        # that an earlier decode interned.
+        record = circuit_to_json(Circuit(2).cnot(0, 1))
+        circuit_from_json(record)
+        record["gates"][0][field] = value
+        with pytest.raises(SerializationError, match="integers"):
+            circuit_from_json(record)
+
     def test_wire_out_of_range_rejected(self):
         record = circuit_to_json(Circuit(2).cnot(0, 1))
         record["ops"][0]["wires"] = [0, 2]

@@ -64,3 +64,15 @@ def test_committed_database_size():
     database = IdentityDatabase.load(COMMITTED_DATABASE)
     assert len(database) == 192
     assert database.n_circuits == 225
+
+
+def test_committed_database_shares_one_gate_per_action():
+    database = IdentityDatabase.load(COMMITTED_DATABASE)
+    gates = [
+        op.gate
+        for members in database.classes.values()
+        for circuit in members.values()
+        for op in circuit.ops
+        if op.is_gate
+    ]
+    assert len({id(gate) for gate in gates}) == len(set(gates)) < len(gates)
