@@ -26,11 +26,11 @@ splitting, so a point's stream never depends on what it is stacked
 with: every stacked point is bit-identical to a solo run.
 
 Importing this module sets one heap policy for the whole process, once:
-glibc keeps :data:`HEAP_TOP_PAD` bytes at the heap top (``M_TOP_PAD``)
-with a :data:`HEAP_MMAP_THRESHOLD` mmap threshold, so the arrays one
-stacked group frees are reused by the next instead of being trimmed
-and faulted back in.  It changes no result and is a no-op where the C
-library has no ``mallopt``.
+glibc keeps 8 MiB of slack at the heap top (``M_TOP_PAD``) and maps
+only arrays of 32 MiB or more, so the arrays one stacked group frees
+are reused by the next instead of being trimmed and faulted back in.
+It changes no result and is a no-op where the C library has no
+``mallopt``.
 
 All entry points take an explicit seed or
 :class:`numpy.random.Generator`, so every experiment is reproducible
@@ -78,14 +78,15 @@ _M_MMAP_THRESHOLD = -3
 #: smallest round pad after which a warm 100k-trial benchmark search
 #: panel takes no minor faults (5 MiB left 4k, 6 MiB 8-18; 2-CPU
 #: x86_64, glibc 2.36).
-HEAP_TOP_PAD = 8 << 20
+_HEAP_TOP_PAD = 8 << 20
 
 #: Setting ``M_TOP_PAD`` also freezes glibc's mmap threshold at its
 #: 128 KiB start, so an array larger than the heap top's slack would be
-#: mapped and faulted in afresh on every allocation: with the pad alone
-#: a 1M-trial search took 2.4x the faults of no policy.  32 MiB is the
-#: ceiling glibc's own dynamic threshold climbs to on 64-bit hosts.
-HEAP_MMAP_THRESHOLD = 32 << 20
+#: mapped and faulted in afresh on every allocation: with a 12 MiB pad
+#: alone a 1M-trial search took 2.4x the faults of no policy.  32 MiB
+#: is the ceiling glibc's own dynamic threshold climbs to on 64-bit
+#: hosts.
+_HEAP_MMAP_THRESHOLD = 32 << 20
 
 
 def _keep_heap_top() -> None:
@@ -94,8 +95,8 @@ def _keep_heap_top() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no C library or no mallopt
         return
-    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
-    mallopt(_M_TOP_PAD, HEAP_TOP_PAD)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
 _keep_heap_top()

@@ -3,8 +3,8 @@
 Importing :mod:`repro.noise.monte_carlo` pads glibc's heap top
 (``M_TOP_PAD``) and fixes its mmap threshold, so the arrays one stacked
 group frees stay mapped for the next group instead of being trimmed
-and faulted back in.  Without the policy this loop takes about 8k
-minor faults; with it, a few hundred.
+and faulted back in.  Without the policy the ten timed batches below
+take 9k to 12k minor faults; with it, under 1k.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ def test_committed_database_size():
     assert database.n_circuits == 225
 
 
-def test_committed_database_shares_one_gate_per_action():
+def test_committed_database_decodes_each_gate_once():
     database = IdentityDatabase.load(COMMITTED_DATABASE)
     gates = [
         op.gate
