@@ -30,7 +30,6 @@ from repro.core.compiled import (
     CompiledCircuit,
     FusedSlot,
     clear_compile_cache,
-    compile_cache_stats,
     compile_circuit,
     gate_cascade,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "CompiledCircuit",
     "FusedSlot",
     "clear_compile_cache",
-    "compile_cache_stats",
     "compile_circuit",
     "gate_cascade",
     "apply_gate",

@@ -407,7 +407,7 @@ class CompiledCircuit:
 # ----------------------------------------------------------------------
 
 
-#: Default entry bound of the process-wide compile cache.  Sweeps and
+#: Entry bound of the process-wide compile cache.  Sweeps and
 #: bisections reuse a handful of circuits; the bound only matters for
 #: long-lived processes streaming many *distinct* circuits (e.g. the
 #: random-circuit differential suites), where it caps memory at a few
@@ -415,61 +415,13 @@ class CompiledCircuit:
 COMPILE_CACHE_MAX_ENTRIES = 256
 
 
-# Process-wide compile-cache metrics (repro.obs).  Dual-accounted:
-# each CompileCache instance keeps its own ints (the stats()/clear()
-# contract existing callers and tests rely on) while the registry
-# counters aggregate monotonically across every instance and never
-# reset with the cache.
 _CACHE_HITS = counter("compile.cache.hit")
 _CACHE_MISSES = counter("compile.cache.miss")
 
-
-class CompileCache:
-    """Content-keyed LRU cache of :class:`CompiledCircuit` with counters."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, CompiledCircuit] = {}
-        self.max_entries = COMPILE_CACHE_MAX_ENTRIES
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, circuit: Circuit, fuse: bool) -> CompiledCircuit:
-        # The public content key plus the fusion flag: two circuits
-        # built independently but op-for-op identical share one cache
-        # entry, while any mutation misses; fused and unfused programs
-        # are distinct entries.
-        key = (circuit.content_key(), fuse)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            _CACHE_HITS.inc()
-            # dicts iterate in insertion order; re-inserting keeps the
-            # eviction order least-recently-used.
-            self._entries[key] = self._entries.pop(key)
-            return cached
-        self.misses += 1
-        _CACHE_MISSES.inc()
-        compiled = CompiledCircuit(circuit, fuse=fuse)
-        self._entries[key] = compiled
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        return compiled
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._entries),
-        }
-
-
-#: The process-wide cache used by :func:`compile_circuit`.
-_COMPILE_CACHE = CompileCache()
+#: The process-wide compile cache: ``(content key, fuse)`` ->
+#: program, in least-recently-used order (dicts iterate in insertion
+#: order, and a hit re-inserts its entry).
+_COMPILE_CACHE: dict[tuple, CompiledCircuit] = {}
 
 
 def compile_circuit(
@@ -479,11 +431,24 @@ def compile_circuit(
 
     ``cache=False`` recompiles; results are bit-identical either way —
     the cache only skips redundant lowering.  ``fuse=False`` builds the
-    single-op-slot reference schedule (its own cache entry).
+    single-op-slot reference schedule (its own cache entry).  The key
+    is the public content key plus the fusion flag: two circuits built
+    independently but op-for-op identical share one entry, while any
+    mutation misses.
     """
     if not cache:
         return CompiledCircuit(circuit, fuse=fuse)
-    return _COMPILE_CACHE.get(circuit, fuse)
+    key = (circuit.content_key(), fuse)
+    compiled = _COMPILE_CACHE.pop(key, None)
+    if compiled is not None:
+        _CACHE_HITS.inc()
+    else:
+        _CACHE_MISSES.inc()
+        compiled = CompiledCircuit(circuit, fuse=fuse)
+        if len(_COMPILE_CACHE) >= COMPILE_CACHE_MAX_ENTRIES:
+            del _COMPILE_CACHE[next(iter(_COMPILE_CACHE))]
+    _COMPILE_CACHE[key] = compiled
+    return compiled
 
 
 def warm_compile_cache(circuits: Sequence[Circuit]) -> None:
@@ -499,11 +464,6 @@ def warm_compile_cache(circuits: Sequence[Circuit]) -> None:
         compile_circuit(circuit)
 
 
-def compile_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters of the process-wide compile cache."""
-    return _COMPILE_CACHE.stats()
-
-
 def clear_compile_cache() -> None:
-    """Empty the process-wide compile cache and zero its counters."""
+    """Empty the process-wide compile cache (the next compile misses)."""
     _COMPILE_CACHE.clear()

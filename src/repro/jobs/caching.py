@@ -27,8 +27,7 @@ from repro.runtime.executor import Executor
 __all__ = ["CachingExecutor"]
 
 # Process-wide split between simulated and store-served points, across
-# every CachingExecutor (the per-instance ints stay authoritative for
-# "what did this executor do" assertions).
+# every CachingExecutor.
 _SIMULATED = counter("jobs.cache.simulated_points")
 _SERVED = counter("jobs.cache.served_points")
 
@@ -39,23 +38,23 @@ class CachingExecutor:
     Attributes:
         policy: the wrapped executor's policy (exposed because callers
             of the plain executor read it).
-        simulated_points: points this instance actually ran.
-        cached_points: points served from the store.
+        simulated_points: points this instance actually ran, a copy
+            of the ``jobs.cache.simulated_points`` counter that the
+            benchmark reads.
     """
 
     def __init__(self, store: ResultStore, policy: ExecutionPolicy | None = None):
         self.store = store
         self.executor = Executor(policy)
         self.policy = self.executor.policy
-        self.simulated_points = 0
-        self.cached_points = 0
+        self.simulated_points = 0  # delete with the next benchmark change
 
     def run(self, specs: Sequence[RunSpec]) -> list[PointResult]:
         """Evaluate every spec, serving stored points from the store.
 
         Results come back in spec order, exactly as the plain executor
         returns them; the split between served and simulated is
-        visible only in the counters.
+        visible only in the ``jobs.cache.*`` counters.
         """
         specs = list(specs)
         results, pending = lookup(self.store, specs)
@@ -67,7 +66,6 @@ class CachingExecutor:
             _SIMULATED.inc(len(pending))
             for index, result in zip(pending, computed):
                 results[index] = result
-        self.cached_points += len(specs) - len(pending)
         _SERVED.inc(len(specs) - len(pending))
         return results  # type: ignore[return-value]
 

@@ -51,13 +51,7 @@ from repro.errors import AnalysisError, JobError, ReproError
 from repro.jobs.caching import lookup, record
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, _keyed_plan
 from repro.jobs.store import ResultStore, point_key, write_json_atomic
-from repro.obs import (
-    counter,
-    gauge,
-    histogram,
-    stopwatch,
-    trace,
-)
+from repro.obs import counter, stopwatch, trace
 from repro.runtime.executor import Executor
 from repro.runtime.pool import pool_map, resolve_workers
 from repro.runtime.serialization import (
@@ -88,12 +82,9 @@ CIRCUIT_DIR = "circuits"
 #: The observational fields of a shard's run log, besides its ids.
 _RUN_LOG_STATS = ("elapsed_s", "simulated", "cached")
 
-# Job-layer metrics (repro.obs): shard throughput plus the live
-# done/total gauges a heartbeat reads mid-run.
+# Shards simulated, across every job of the process (repro.obs).  Each
+# shard's time is its ``jobs.shard`` span and its run log's elapsed_s.
 _SHARDS_RUN = counter("jobs.shards.run")
-_SHARD_SECONDS = histogram("jobs.shard_seconds")
-_SHARDS_TOTAL = gauge("jobs.shards.total")
-_SHARDS_DONE = gauge("jobs.shards.done")
 
 
 def _write_circuit_blobs(job_dir: Path, circuits: dict[str, dict]) -> None:
@@ -467,8 +458,6 @@ class SweepJob:
         if max_shards is not None and len(pending) > max_shards:
             pending = pending[:max_shards]
             interrupted = True
-        _SHARDS_TOTAL.set(len(self.shards))
-        _SHARDS_DONE.set(skipped)
         span.set(
             shards=len(self.shards), pending=len(pending), skipped=skipped
         )
@@ -498,8 +487,6 @@ class SweepJob:
             record(self.store, misses, computed)
             self._write_run_log(shard, elapsed, len(misses))
             _SHARDS_RUN.inc()
-            _SHARDS_DONE.inc()
-            _SHARD_SECONDS.observe(elapsed)
             if on_progress is not None:
                 on_progress(completed, len(plan), shard.shard_id, elapsed)
         simulated = sum(len(misses) for _, misses in plan)

@@ -156,10 +156,7 @@ def _result_problem(block: object, trials: int) -> str | None:
     return None
 
 
-# Store traffic metrics (repro.obs).  Dual-accounted with the
-# per-instance ints: instance counters answer "what did THIS store see"
-# (the stats() contract the tests pin), the registry counters aggregate
-# across every store in the process for trace/metrics dumps.
+# Store traffic, counted process-wide across every store (repro.obs).
 _STORE_HITS = counter("jobs.store.hit")
 _STORE_MISSES = counter("jobs.store.miss")
 _STORE_PUTS = counter("jobs.store.put")
@@ -171,18 +168,14 @@ class ResultStore:
 
     Entries live two levels deep (``<root>/<key[:2]>/<key>.json``) so
     a million-point store never puts a million files in one directory.
-    The store counts its traffic — ``hits``/``misses``/``puts``/
-    ``stale`` — which is how the tests assert "served entirely from
-    the store, zero simulation".
+    Its traffic is counted by the ``jobs.store.hit``/``miss``/``put``/
+    ``stale`` counters of :mod:`repro.obs`, which is how the tests
+    assert "served entirely from the store, zero simulation".
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.stale = 0
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -212,20 +205,17 @@ class ResultStore:
         key = _key_from_wire(spec_json)
         path = self._path(key)
         if not path.exists():
-            self.misses += 1
             _STORE_MISSES.inc()
             return None
         try:
             entry = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            self.stale += 1
             _STORE_STALE.inc()
             raise JobError(
                 f"result store entry {path} is unreadable: {exc}; delete "
                 f"it to recompute"
             ) from exc
         self._verify(entry, key, spec, spec_json, path)
-        self.hits += 1
         _STORE_HITS.inc()
         block = entry["result"]
         return PointResult(**{name: block[name] for name in _RESULT_FIELDS})
@@ -249,7 +239,6 @@ class ResultStore:
             if problem is not None:
                 problems.append(problem)
         if problems:
-            self.stale += 1
             _STORE_STALE.inc()
             raise JobError(
                 f"stale result store entry {path}: {'; '.join(problems)}; "
@@ -286,7 +275,6 @@ class ResultStore:
             "result": {name: getattr(result, name) for name in _RESULT_FIELDS},
         }
         write_json_atomic(self._path(key), entry)
-        self.puts += 1
         _STORE_PUTS.inc()
         return key
 
@@ -296,12 +284,3 @@ class ResultStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def stats(self) -> dict[str, int]:
-        """Traffic counters since construction."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "stale": self.stale,
-        }

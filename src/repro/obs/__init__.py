@@ -1,10 +1,10 @@
 """``repro.obs`` — tracing, metrics, and profiling behind one front door.
 
 The observability layer of the reproduction: a span tracer
-(:func:`trace`), a process-wide metrics registry (:func:`counter` /
-:func:`gauge` / :func:`histogram`), and the clock front door
-(:func:`clock_ns` / :func:`stopwatch`).  Zero dependencies beyond the
-standard library; strictly no-op-cheap when disabled.
+(:func:`trace`), the process-wide counters (:func:`counter`), and the
+clock front door (:func:`clock_ns` / :func:`stopwatch`).  Zero
+dependencies beyond the standard library; strictly no-op-cheap when
+disabled.
 
 The one knob (read once at import):
 
@@ -21,18 +21,7 @@ Two invariants, both pinned by tests and codelint:
   :func:`trace`, :func:`stopwatch`, or :func:`clock_ns`.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    counter,
-    gauge,
-    histogram,
-    metrics_snapshot,
-    reset_metrics,
-)
+from repro.obs.metrics import Counter, counter, metrics_snapshot, reset_metrics
 from repro.obs.tracing import (
     Span,
     Stopwatch,
@@ -50,10 +39,6 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
     "Span",
     "Stopwatch",
     "TRACE_FORMAT_VERSION",
@@ -62,8 +47,6 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "flush_trace",
-    "gauge",
-    "histogram",
     "metrics_snapshot",
     "reset_metrics",
     "stopwatch",

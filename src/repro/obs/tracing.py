@@ -19,10 +19,13 @@ flush it after every task because they exit via ``os._exit``.
 
 Trace documents are versioned JSON::
 
-    {"format": 1, "pid": ..., "spans": [...], "metrics": {...}}
+    {"format": 2, "pid": ..., "spans": [...],
+     "metrics": {"counters": {name: count}}}
 
 where each span is ``{"name", "start_ns", "duration_ns", "attrs",
 "children"}`` with ``start_ns`` relative to the tracer's origin.
+Format 2 holds counters only; format 1 also carried gauges and
+histograms.
 :func:`validate_trace` is the schema checker shared with
 ``tools/trace.py --check``.
 
@@ -42,7 +45,7 @@ import sys
 import time
 
 from repro.errors import ConfigError
-from repro.obs.metrics import metrics_snapshot
+from repro.obs.metrics import _NAME_RE, metrics_snapshot
 
 __all__ = [
     "Span",
@@ -59,7 +62,7 @@ __all__ = [
     "validate_trace",
 ]
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
@@ -347,10 +350,14 @@ def validate_trace(document) -> list[str]:
     metrics = document.get("metrics")
     if not isinstance(metrics, dict):
         problems.append("metrics is not an object")
+    elif not isinstance(metrics.get("counters"), dict):
+        problems.append("metrics.counters is not an object")
     else:
-        for section in ("counters", "gauges", "histograms"):
-            if not isinstance(metrics.get(section), dict):
-                problems.append(f"metrics.{section} is not an object")
+        for name, value in metrics["counters"].items():
+            if not _NAME_RE.match(name):
+                problems.append(f"counter {name!r} is not a dotted lowercase path")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                problems.append(f"counter {name!r} is not a non-negative int")
     return problems
 
 

@@ -59,7 +59,6 @@ from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 # Held as module references so the hot paths pay one attribute
 # increment, never a registry lookup.
 _RUNS = counter("executor.runs")
-_POINTS = counter("executor.points")
 _GROUPS = counter("executor.groups")
 _STACKED_POINTS = counter("executor.stacked_points")
 
@@ -209,7 +208,6 @@ class Executor:
                     f"{type(spec).__name__}"
                 )
         _RUNS.inc()
-        _POINTS.inc(len(specs))
         with trace("executor.run", specs=len(specs)) as span:
             groups: dict[tuple, list[int]] = {}
             for index, spec in enumerate(specs):

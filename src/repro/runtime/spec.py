@@ -179,7 +179,9 @@ class RunSpec:
             ``failure_plane(states)`` method (see the module docstring).
         noise: the :class:`~repro.noise.model.NoiseModel` applied at
             this point.
-        trials: Monte-Carlo batch size (must be >= 1).
+        trials: Monte-Carlo batch size, an integer >= 1 (a NumPy
+            integer is stored as a plain ``int``; a ``bool`` or a float
+            is refused).
         seed: per-point RNG seed.  An integer (or ``None``) spawns a
             fresh ``numpy`` generator; a NumPy integer is stored as a
             plain ``int``, so it keys and serialises like one.  An
@@ -198,6 +200,13 @@ class RunSpec:
         object.__setattr__(self, "input_bits", tuple(self.input_bits))
         if isinstance(self.seed, np.integer):
             object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.trials, np.integer):
+            object.__setattr__(self, "trials", int(self.trials))
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
+            raise SimulationError(
+                f"trials must be an int, got {type(self.trials).__name__} "
+                f"{self.trials!r}"
+            )
         if len(self.input_bits) != self.circuit.n_wires:
             raise SimulationError(
                 f"input has {len(self.input_bits)} bits but circuit has "

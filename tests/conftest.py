@@ -8,6 +8,7 @@ import pytest
 from repro.coding import THREE_BIT_CODE
 from repro.core.simulator import run
 from repro.local import ONE_D_DATA_POSITIONS
+from repro.obs import metrics_snapshot
 
 
 @pytest.fixture
@@ -38,6 +39,22 @@ def published_table(monkeypatch):
         )
 
     return assert_published
+
+
+class CounterDeltas:
+    """How far each ``repro.obs`` counter has risen since construction.
+
+    ``deltas["jobs.store.hit"]`` reads one counter's increase.  The
+    counters are the only record of cache and store traffic, so tests
+    assert on these deltas.  A name no code registered raises
+    ``KeyError``: a renamed counter fails the test instead of reading 0.
+    """
+
+    def __init__(self) -> None:
+        self._before = metrics_snapshot()["counters"]
+
+    def __getitem__(self, name: str) -> int:
+        return metrics_snapshot()["counters"][name] - self._before.get(name, 0)
 
 
 def reference_outputs(circuit, rows) -> np.ndarray:

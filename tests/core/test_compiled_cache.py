@@ -1,4 +1,4 @@
-"""The process-wide compile cache: keying, counters, env knobs."""
+"""The process-wide compile cache: keying, counters, knobs, eviction."""
 
 from __future__ import annotations
 
@@ -6,12 +6,14 @@ import pytest
 
 from repro.core.circuit import Circuit
 from repro.core.compiled import (
+    COMPILE_CACHE_MAX_ENTRIES,
     CompiledCircuit,
+    _COMPILE_CACHE,
     clear_compile_cache,
-    compile_cache_stats,
     compile_circuit,
 )
 from repro.core.library import MAJ
+from tests.conftest import CounterDeltas
 
 
 @pytest.fixture(autouse=True)
@@ -60,22 +62,25 @@ class TestContentKey:
 
 class TestKeying:
     def test_identical_content_hits(self):
+        counts = CounterDeltas()
         first = compile_circuit(build_circuit())
         second = compile_circuit(build_circuit())  # rebuilt from scratch
         assert first is second
-        stats = compile_cache_stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
+        assert counts["compile.cache.hit"] == 1
+        assert counts["compile.cache.miss"] == 1
+        assert len(_COMPILE_CACHE) == 1
 
     def test_mutated_circuit_misses(self):
+        counts = CounterDeltas()
         circuit = build_circuit()
         first = compile_circuit(circuit)
         circuit.maj(0, 1, 2)
         second = compile_circuit(circuit)
         assert first is not second
         assert len(second) == len(first) + 1
-        assert compile_cache_stats() == {"hits": 0, "misses": 2, "size": 2}
+        assert counts["compile.cache.hit"] == 0
+        assert counts["compile.cache.miss"] == 2
+        assert len(_COMPILE_CACHE) == 2
 
     def test_reset_value_is_part_of_the_key(self):
         first = compile_circuit(Circuit(2).append_reset(0, value=0))
@@ -101,10 +106,12 @@ class TestKeying:
 
 class TestKnobs:
     def test_cache_disabled_compiles_fresh(self):
+        counts = CounterDeltas()
         first = compile_circuit(build_circuit(), cache=False)
         second = compile_circuit(build_circuit(), cache=False)
         assert first is not second
-        assert compile_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
+        assert counts["compile.cache.hit"] == counts["compile.cache.miss"] == 0
+        assert len(_COMPILE_CACHE) == 0
 
     def test_disabling_ignores_warm_entries(self):
         warm = compile_circuit(build_circuit())
@@ -116,24 +123,30 @@ class TestKnobs:
         assert len(compiled.slots) == len(compiled.schedule)
 
     def test_clear_resets_counters(self):
-        compile_circuit(build_circuit())
+        # Clearing empties the cache, so the next compile misses; the
+        # process-wide counters are monotonic and keep counting.
+        first = compile_circuit(build_circuit())
         clear_compile_cache()
-        assert compile_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
+        assert len(_COMPILE_CACHE) == 0
+        counts = CounterDeltas()
+        assert compile_circuit(build_circuit()) is not first
+        assert counts["compile.cache.miss"] == 1
+        assert counts["compile.cache.hit"] == 0
 
     def test_direct_construction_bypasses_cache(self):
+        counts = CounterDeltas()
         CompiledCircuit(build_circuit())
-        assert compile_cache_stats()["size"] == 0
+        assert len(_COMPILE_CACHE) == 0
+        assert counts["compile.cache.miss"] == 0
 
 
 class TestEviction:
     def test_bounded_with_lru_eviction(self):
-        from repro.core.compiled import _COMPILE_CACHE
-
         oldest = compile_circuit(Circuit(2).cnot(0, 1))
-        for wires in range(3, 2 + _COMPILE_CACHE.max_entries):  # fill to the bound
+        for wires in range(3, 2 + COMPILE_CACHE_MAX_ENTRIES):  # fill to the bound
             compile_circuit(Circuit(wires).cnot(0, 1))
         # Touch the oldest entry so eviction removes something else.
         assert compile_circuit(Circuit(2).cnot(0, 1)) is oldest
         compile_circuit(Circuit(2).swap(0, 1))  # exceeds the bound
-        assert compile_cache_stats()["size"] == _COMPILE_CACHE.max_entries
+        assert len(_COMPILE_CACHE) == COMPILE_CACHE_MAX_ENTRIES
         assert compile_circuit(Circuit(2).cnot(0, 1)) is oldest  # survived

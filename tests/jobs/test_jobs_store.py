@@ -19,7 +19,11 @@ from repro.jobs import (
 )
 from repro.jobs import store as jobs_store
 from repro.runtime import ExecutionPolicy, Executor, PointResult
-from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
+from tests.conftest import CounterDeltas, MALFORMED_RESULTS, malform_result, reshape
+
+
+#: The store's traffic counters, ``jobs.store.<name>``.
+STORE_TRAFFIC = ("hit", "miss", "put", "stale")
 
 
 def _specs(count=2, trials=200):
@@ -51,8 +55,9 @@ class TestPointKey:
         requery = CachingExecutor(
             store, policy=ExecutionPolicy(parallel=2, trials=7)
         )
+        counts = CounterDeltas()
         served = requery.run(specs)
-        assert requery.simulated_points == 0
+        assert counts["jobs.cache.simulated_points"] == 0
         assert served == Executor(ExecutionPolicy()).run(specs)
 
     def test_non_integer_seed_refused(self):
@@ -84,11 +89,12 @@ class TestStoreRoundTrip:
     def test_miss_then_put_then_hit(self, tmp_path, policy):
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
+        counts = CounterDeltas()
         assert store.get(spec) is None
         (result,) = Executor(policy).run([spec])
         store.put(spec, result)
         assert store.get(spec) == result
-        assert store.stats() == {"hits": 1, "misses": 1, "puts": 1, "stale": 0}
+        assert [counts[f"jobs.store.{name}"] for name in STORE_TRAFFIC] == [1, 1, 1, 0]
         assert len(store) == 1
 
     def test_entry_embeds_provenance(self, tmp_path, policy):
@@ -112,8 +118,9 @@ class TestStoreRoundTrip:
         entry = json.loads(path.read_text())
         entry["provenance"]["backend"] = "numpy"
         path.write_text(json.dumps(entry))
+        counts = CounterDeltas()
         assert store.get(spec) == result
-        assert store.stats()["hits"] == 1
+        assert counts["jobs.store.hit"] == 1
 
     def test_entries_reference_the_circuit_by_digest(self, tmp_path, policy):
         # Three puts sharing one circuit write three entries and no copy
@@ -141,8 +148,10 @@ class TestStoreRoundTrip:
         monkeypatch.setattr(jobs_store, "STORE_FORMAT_VERSION", 3)
         store.put(spec, result)
         monkeypatch.undo()
+        counts = CounterDeltas()
         assert store.get(spec) is None
-        assert store.stats()["stale"] == 0
+        assert counts["jobs.store.stale"] == 0
+        assert counts["jobs.store.miss"] == 1
         assert len(store) == 1
 
     def test_mismatched_trials_refused_on_put(self, tmp_path, policy):
@@ -164,9 +173,10 @@ class TestStaleDetection:
     def test_corrupt_json_raises_not_served(self, tmp_path, policy):
         store, spec, path = self._stored(tmp_path, policy)
         path.write_text("{not json")
+        counts = CounterDeltas()
         with pytest.raises(JobError, match="unreadable"):
             store.get(spec)
-        assert store.stats()["stale"] == 1
+        assert counts["jobs.store.stale"] == 1
 
     def test_foreign_format_version_raises(self, tmp_path, policy):
         store, spec, path = self._stored(tmp_path, policy)
@@ -190,9 +200,10 @@ class TestStaleDetection:
         entry = json.loads(path.read_text())
         malform_result(entry, case)
         path.write_text(json.dumps(entry))
+        counts = CounterDeltas()
         with pytest.raises(JobError, match=re.escape(str(path))):
             store.get(spec)
-        assert store.stats()["stale"] == 1
+        assert counts["jobs.store.stale"] == 1
 
     @pytest.mark.parametrize(
         "edit,match",
@@ -210,17 +221,19 @@ class TestStaleDetection:
         entry = json.loads(path.read_text())
         edit(entry)
         path.write_text(json.dumps(entry))
+        counts = CounterDeltas()
         with pytest.raises(JobError, match=match):
             store.get(spec)
-        assert store.stats()["stale"] == 1
+        assert counts["jobs.store.stale"] == 1
 
     @pytest.mark.parametrize("case", ["document-list"])
     def test_wrong_shape_raises(self, tmp_path, policy, case):
         store, spec, path = self._stored(tmp_path, policy)
         path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
+        counts = CounterDeltas()
         with pytest.raises(JobError, match=re.escape(str(path))):
             store.get(spec)
-        assert store.stats()["stale"] == 1
+        assert counts["jobs.store.stale"] == 1
 
     def test_swapped_spec_raises(self, tmp_path, policy):
         # An entry whose embedded spec differs from the request means
@@ -246,37 +259,45 @@ class TestAtomicWrite:
 
 
 class TestCachingExecutor:
+    @staticmethod
+    def _split(counts) -> tuple[int, int]:
+        """(simulated, served) points since ``counts`` was taken."""
+        return (
+            counts["jobs.cache.simulated_points"],
+            counts["jobs.cache.served_points"],
+        )
+
     def test_second_run_is_all_cache_hits(self, tmp_path, policy):
         specs = _specs(3)
         direct = Executor(policy).run(specs)
         caching = CachingExecutor(ResultStore(tmp_path), policy=policy)
+        counts = CounterDeltas()
         first = caching.run(specs)
         assert first == direct
-        assert caching.simulated_points == 3
-        assert caching.cached_points == 0
+        assert self._split(counts) == (3, 0)
         again = CachingExecutor(caching.store, policy=policy)
+        counts = CounterDeltas()
         assert again.run(specs) == direct
-        assert again.simulated_points == 0
-        assert again.cached_points == 3
+        assert self._split(counts) == (0, 3)
 
     def test_partial_hit_simulates_only_misses(self, tmp_path, policy):
         specs = _specs(3)
         store = ResultStore(tmp_path)
         CachingExecutor(store, policy=policy).run(specs[:1])
         caching = CachingExecutor(store, policy=policy)
+        counts = CounterDeltas()
         assert caching.run(specs) == Executor(policy).run(specs)
-        assert caching.simulated_points == 2
-        assert caching.cached_points == 1
+        assert self._split(counts) == (2, 1)
 
     def test_numpy_integer_seed_is_served_from_the_store(self, tmp_path, policy):
         # Regression: a NumPy seed bypassed the store, so every run
         # simulated the point again (simulated 2, cached 0).
         specs = cycle_error_specs(((1e-3, np.int64(5)),), 1000)
         caching = CachingExecutor(ResultStore(tmp_path), policy=policy)
+        counts = CounterDeltas()
         first = caching.run(specs)
         assert caching.run(specs) == first
-        assert caching.simulated_points == 1
-        assert caching.cached_points == 1
+        assert self._split(counts) == (1, 1)
         assert len(caching.store) == 1
 
     def test_generator_seed_bypasses_the_store(self, tmp_path, policy):
@@ -291,6 +312,7 @@ class TestCachingExecutor:
         )
         store = ResultStore(tmp_path)
         caching = CachingExecutor(store, policy=policy)
+        counts = CounterDeltas()
         caching.run([bad])
-        assert caching.simulated_points == 1
+        assert self._split(counts) == (1, 0)
         assert len(store) == 0  # nothing durable for an unreproducible point

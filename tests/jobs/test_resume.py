@@ -21,7 +21,7 @@ from repro.jobs import SweepJob, point_key
 from repro.jobs import runner
 from repro.noise.seeds import spawn_seeds
 from repro.runtime import ExecutionPolicy, Executor
-from tests.conftest import MALFORMED_RESULTS, malform_result, reshape
+from tests.conftest import CounterDeltas, MALFORMED_RESULTS, malform_result, reshape
 
 
 def _specs(count=6, trials=300, base_seed=11):
@@ -79,10 +79,10 @@ class TestSubmitAndRun:
             replace(policy, parallel=workers),
             shard_size=2,
         )
+        counts = CounterDeltas()
         job.run()
-        stats = job.store.stats()
-        assert stats["misses"] == stats["puts"] == len(specs)
-        assert stats["hits"] == 0
+        assert counts["jobs.store.miss"] == counts["jobs.store.put"] == len(specs)
+        assert counts["jobs.store.hit"] == 0
 
     def test_pooled_run_bit_identical(self, tmp_path, policy):
         specs = _specs(4, trials=200)
@@ -214,6 +214,8 @@ class TestCollect:
 #: shape; each must fail the load with a JobError naming the manifest.
 SPEC_EDITS = {
     "trials-dropped": lambda spec: spec.pop("trials"),
+    "trials-float": lambda spec: spec.update(trials=100.5),
+    "trials-bool": lambda spec: spec.update(trials=True),
     "layouts-dropped": lambda spec: spec["observable"]["decoder"].pop("layouts"),
     "circuit-string": lambda spec: spec.update(circuit="abc"),
     "input_bits-int": lambda spec: spec.update(input_bits=5),
@@ -312,10 +314,11 @@ class TestStoreIsTheRecord:
         assert reloaded.status().complete
         assert reloaded.collect() == Executor(policy).run(specs)
         again = SweepJob.submit(tmp_path / "job", specs, policy, shard_size=2)
+        counts = CounterDeltas()
         report = again.run()
         assert report.simulated_points == 0
         assert report.shards_skipped == len(job.shards)
-        assert again.store.stats()["puts"] == 0
+        assert counts["jobs.store.put"] == 0
 
     def test_deleted_store_entry_reruns_exactly_that_point(
         self, tmp_path, policy

@@ -26,11 +26,7 @@ from repro.coding import recovery_circuit
 from repro.coding.recovery import OUTPUT_WIRES
 from repro.core.circuit import Circuit
 from repro.backends import get_backend
-from repro.core.compiled import (
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_circuit,
-)
+from repro.core.compiled import clear_compile_cache, compile_circuit
 from repro.noise import NoiseModel, NoisyRunner
 from repro.runtime import (
     ExecutionPolicy,
@@ -39,6 +35,7 @@ from repro.runtime import (
     RunSpec,
 )
 from repro.synth import inflate
+from tests.conftest import CounterDeltas
 
 #: Frozen stream digests for the reference run below.  If an
 #: intentional RNG-stream change lands, re-record these and flag the
@@ -173,8 +170,10 @@ def test_mixed_arity_stream_digest_is_frozen():
 
 def test_compile_cache_is_result_invariant():
     # Cache-miss and cache-hit runs must be digest-identical.
+    counts = CounterDeltas()
     cold = run_digest(reference_run())
-    assert compile_cache_stats()["misses"] >= 1
+    assert counts["compile.cache.miss"] >= 1
+    counts = CounterDeltas()
     warm = run_digest(reference_run())
-    assert compile_cache_stats()["hits"] >= 1
+    assert counts["compile.cache.hit"] >= 1
     assert cold == warm == EXPECTED_DIGESTS["bitplane"]

@@ -102,7 +102,6 @@ def test_obs_hook_calls_do_not_scale_with_work(monkeypatch):
             "span executor.group.apply",
             "span executor.group.decode",
             "counter executor.runs",
-            "counter executor.points",
             "counter executor.groups",
             "counter executor.stacked_points",
             "counter compile.cache.hit",

@@ -1,17 +1,11 @@
-"""The metrics registry: kinds, names, reset semantics, snapshots."""
+"""The counter registry: names, reset semantics, snapshots."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import (
-    counter,
-    gauge,
-    histogram,
-    metrics_snapshot,
-    reset_metrics,
-)
+from repro.obs import counter, metrics_snapshot, reset_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -37,38 +31,6 @@ class TestCounter:
             counter("test.counter.neg").inc(-1)
 
 
-class TestGauge:
-    def test_set(self):
-        g = gauge("test.gauge.basic")
-        g.set(7)
-        assert g.value == 7
-        g.set(3)
-        assert g.value == 3
-
-    def test_inc_and_dec(self):
-        g = gauge("test.gauge.move")
-        g.inc(2)
-        g.inc(-3)
-        assert g.value == -1
-
-
-class TestHistogram:
-    def test_observes(self):
-        h = histogram("test.hist.basic")
-        for value in (1, 2, 3):
-            h.observe(value)
-        assert h.count == 3
-        assert h.total == 6
-        assert h.min == 1
-        assert h.max == 3
-
-    def test_empty_snapshot_shape(self):
-        histogram("test.hist.empty")
-        stats = metrics_snapshot()["histograms"]["test.hist.empty"]
-        assert stats["count"] == 0
-        assert stats["mean"] is None
-
-
 class TestNaming:
     @pytest.mark.parametrize(
         "bad", ["", "nodots", "Upper.case", "trailing.", ".leading", "a b.c"]
@@ -76,11 +38,6 @@ class TestNaming:
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ConfigError):
             counter(bad)
-
-    def test_kind_collision_rejected(self):
-        counter("test.kind.clash")
-        with pytest.raises(ConfigError):
-            gauge("test.kind.clash")
 
 
 class TestResetAndSnapshot:
@@ -96,9 +53,11 @@ class TestResetAndSnapshot:
 
     def test_snapshot_sections_sorted(self):
         counter("test.snap.b").inc()
-        counter("test.snap.a").inc()
-        gauge("test.snap.g").set(1)
+        counter("test.snap.a").inc(2)
         snapshot = metrics_snapshot()
+        # Counters are the only section: the trace document's metrics
+        # and the benchmark read ``snapshot["counters"]``.
+        assert list(snapshot) == ["counters"]
         names = [n for n in snapshot["counters"] if n.startswith("test.snap.")]
-        assert names == sorted(names)
-        assert snapshot["gauges"]["test.snap.g"] == 1
+        assert names == ["test.snap.a", "test.snap.b"]
+        assert snapshot["counters"]["test.snap.a"] == 2

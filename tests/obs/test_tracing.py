@@ -134,10 +134,10 @@ class TestValidate:
 
     def test_rejects_bad_span(self):
         document = {
-            "format": 1,
+            "format": 2,
             "pid": 1,
             "spans": [{"name": "", "start_ns": -1}],
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+            "metrics": {"counters": {}},
         }
         assert len(validate_trace(document)) >= 2
 
@@ -160,15 +160,53 @@ class TestValidate:
                 ),
                 "attr 'k' is not a JSON scalar",
             ),
+            (lambda d: d.update(format=1), "format is 1, expected 2"),
+            (
+                lambda d: d["metrics"].update(counters=[]),
+                "metrics.counters is not an object",
+            ),
+            (
+                lambda d: d["metrics"]["counters"].update({"a.b": "x"}),
+                "counter 'a.b' is not a non-negative int",
+            ),
+            (
+                lambda d: d["metrics"]["counters"].update({"c.d": -3}),
+                "counter 'c.d' is not a non-negative int",
+            ),
+            (
+                lambda d: d["metrics"]["counters"].update({"e.f": True}),
+                "counter 'e.f' is not a non-negative int",
+            ),
+            (
+                lambda d: d["metrics"]["counters"].update({"g.h": 1.5}),
+                "counter 'g.h' is not a non-negative int",
+            ),
+            (
+                lambda d: d["metrics"]["counters"].update({"nodots": 1}),
+                "counter 'nodots' is not a dotted lowercase path",
+            ),
         ],
-        ids=["pid", "spans", "metrics", "span", "attr"],
+        ids=[
+            "pid",
+            "spans",
+            "metrics",
+            "span",
+            "attr",
+            "format-1",
+            "counters",
+            "counter-string",
+            "counter-negative",
+            "counter-bool",
+            "counter-float",
+            "counter-name",
+        ],
     )
     def test_names_each_problem(self, edit, problem):
         document = {
-            "format": 1,
+            "format": 2,
             "pid": 1,
             "spans": [],
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+            "metrics": {"counters": {"executor.runs": 3}},
         }
         assert validate_trace(document) == []
         edit(document)

@@ -15,11 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.compiled import (
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_circuit,
-)
+from repro.core.compiled import clear_compile_cache, compile_circuit
 from repro.errors import AnalysisError
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs import SweepJob
@@ -39,6 +35,7 @@ from repro.runtime import (
     RunSpec,
 )
 from repro.runtime.pool import pool_map, resolve_workers
+from tests.conftest import CounterDeltas
 
 
 def square(x):
@@ -60,13 +57,9 @@ def explode_fast_or_sleep(x):
 
 def _compile_probe(circuit):
     """Compile ``circuit`` and report the cache traffic it caused."""
-    before = compile_cache_stats()
+    counts = CounterDeltas()
     compile_circuit(circuit)
-    after = compile_cache_stats()
-    return (
-        after["hits"] - before["hits"],
-        after["misses"] - before["misses"],
-    )
+    return counts["compile.cache.hit"], counts["compile.cache.miss"]
 
 
 def run_pool(task, items, width, **options):

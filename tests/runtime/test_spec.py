@@ -53,6 +53,27 @@ class TestRunSpec:
         with pytest.raises(SimulationError):
             make_spec(trials=0)
 
+    @pytest.mark.parametrize(
+        "trials",
+        [100.5, 100.0, True, "100", None],
+        ids=["float", "integral-float", "bool", "string", "none"],
+    )
+    def test_non_integer_trials_refused(self, trials):
+        # A float used to build and then fail deep in the broadcast; a
+        # bool ran one trial but keyed as ``true``, not ``1``.
+        with pytest.raises(SimulationError, match="trials must be an int"):
+            make_spec(trials=trials)
+
+    @pytest.mark.parametrize(
+        "trials",
+        [np.int64(100), np.int32(100), np.uint16(100)],
+        ids=["int64", "int32", "uint16"],
+    )
+    def test_numpy_integer_trials_stored_as_int(self, trials):
+        spec = make_spec(trials=trials)
+        assert type(spec.trials) is int
+        assert spec == make_spec(trials=100)
+
     def test_observable_protocol_validated(self):
         with pytest.raises(SimulationError):
             make_spec(observable=42)

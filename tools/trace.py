@@ -5,7 +5,7 @@ when :mod:`repro.obs` is imported) or :func:`repro.obs.enable_tracing`::
 
     python tools/trace.py TRACE.json              # span tree + top spans
     python tools/trace.py TRACE.json --top 20     # wider flat profile
-    python tools/trace.py TRACE.json --metrics    # counters/gauges/histograms
+    python tools/trace.py TRACE.json --metrics    # the counters
     python tools/trace.py TRACE.json --check      # schema validation only
 
 The default render shows the span tree (total and self milliseconds per
@@ -80,23 +80,10 @@ def render_tree(document: dict, top: int) -> str:
 
 
 def render_metrics(document: dict) -> str:
-    """The trace's metrics snapshot, one dotted name per line."""
-    metrics = document.get("metrics", {})
-    lines = []
-    for name, value in sorted(metrics.get("counters", {}).items()):
-        lines.append(f"counter    {name} = {value}")
-    for name, value in sorted(metrics.get("gauges", {}).items()):
-        lines.append(f"gauge      {name} = {value}")
-    for name, stats in sorted(metrics.get("histograms", {}).items()):
-        if stats["count"]:
-            lines.append(
-                f"histogram  {name}: count={stats['count']} "
-                f"mean={stats['mean']:.1f} min={stats['min']} "
-                f"max={stats['max']}"
-            )
-        else:
-            lines.append(f"histogram  {name}: count=0")
-    return "\n".join(lines) if lines else "no metrics recorded"
+    """The trace's counters, one dotted name per line."""
+    counters = document["metrics"]["counters"]
+    lines = [f"counter {name} = {value}" for name, value in sorted(counters.items())]
+    return "\n".join(lines) if lines else "no counters recorded"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="dump the embedded metrics snapshot instead of the span tree",
+        help="print the embedded counters instead of the span tree",
     )
     parser.add_argument(
         "--check",
