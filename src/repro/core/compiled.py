@@ -415,6 +415,7 @@ class CompiledCircuit:
 COMPILE_CACHE_MAX_ENTRIES = 256
 
 
+# Compile-cache traffic, counted process-wide (repro.obs).
 _CACHE_HITS = counter("compile.cache.hit")
 _CACHE_MISSES = counter("compile.cache.miss")
 
