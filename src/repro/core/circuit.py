@@ -256,11 +256,20 @@ class Circuit:
         identity is about behaviour-bearing structure.
 
         The digest is computed once and cached on the instance until
-        the next :meth:`append`.  This single key drives the compile
-        cache (:mod:`repro.core.compiled`), executor grouping, the job
-        planner and the synthesis identity database
-        (:mod:`repro.synth.database`); there is deliberately no second
-        hashing scheme.
+        the next :meth:`append`.  It drives the compile cache
+        (:mod:`repro.core.compiled`), executor and job-shard grouping
+        and the synthesis identity database
+        (:mod:`repro.synth.database`, whose tie-break orders by it).
+
+        It is one of two circuit digests.  The other, the SHA-256 of
+        the canonical JSON wire text
+        (``repro.runtime.serialization._circuit_wire``), covers the
+        name too: it names a job's circuit blobs and, as a spec's
+        circuit reference, enters every store point key and shard ID.
+        Both are pinned (this one by ``tests/coding/test_construction_pins.py``
+        and ``tests/synth/test_synth_pins.py``, the wire digest through
+        ``tests/jobs/test_key_pins.py``), so they stay apart: folding
+        one into the other would move stored keys or identities.
         """
         if self._digest is None:
             material = repr(

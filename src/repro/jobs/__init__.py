@@ -3,8 +3,9 @@
 The runtime (:mod:`repro.runtime`) answers "run these specs, now, in
 this process".  This package turns that into a durable service:
 
-* :mod:`~repro.jobs.store` — a content-keyed result store; a point
-  computed once is never simulated again.
+* :mod:`~repro.jobs.store` — a content-keyed result store, read and
+  written at each point's :func:`point_address`; a point computed once
+  is never simulated again.
 * :mod:`~repro.jobs.caching` — :class:`CachingExecutor`, the plain
   executor's surface with the store consulted per point.
 * :mod:`~repro.jobs.planner` — deterministic, program-affine shard
@@ -31,7 +32,7 @@ from repro.jobs.store import (
     RESULT_STREAM_VERSION,
     STORE_FORMAT_VERSION,
     ResultStore,
-    point_key,
+    point_address,
 )
 
 __all__ = [
@@ -46,5 +47,5 @@ __all__ = [
     "Shard",
     "SweepJob",
     "plan_shards",
-    "point_key",
+    "point_address",
 ]

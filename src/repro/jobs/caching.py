@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.jobs.store import ResultStore
+from repro.jobs.store import ResultStore, point_address
 from repro.obs import counter
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 from repro.runtime.executor import Executor
@@ -27,7 +27,7 @@ from repro.runtime.executor import Executor
 __all__ = ["CachingExecutor"]
 
 # Process-wide split between simulated and store-served points, across
-# every CachingExecutor.
+# every lookup of a CachingExecutor or a SweepJob.
 _SIMULATED = counter("jobs.cache.simulated_points")
 _SERVED = counter("jobs.cache.served_points")
 
@@ -57,43 +57,43 @@ class CachingExecutor:
         visible only in the ``jobs.cache.*`` counters.
         """
         specs = list(specs)
-        results, pending = lookup(self.store, specs)
+        addresses = [point_address(spec) for spec in specs]
+        results, pending = lookup(self.store, addresses)
         if pending:
-            missed = [specs[i] for i in pending]
-            computed = self.executor.run(missed)
-            record(self.store, missed, computed)
+            computed = self.executor.run([specs[i] for i in pending])
+            record(self.store, [addresses[i] for i in pending], computed)
             self.simulated_points += len(pending)
-            _SIMULATED.inc(len(pending))
             for index, result in zip(pending, computed):
                 results[index] = result
-        _SERVED.inc(len(specs) - len(pending))
         return results  # type: ignore[return-value]
 
 
 def lookup(
-    store: ResultStore, specs: Sequence[RunSpec]
+    store: ResultStore, addresses: Sequence[tuple[str, dict] | None]
 ) -> tuple[list[PointResult | None], list[int]]:
-    """Each spec's stored result, and the positions that must run.
-
-    The result is ``None`` at each pending position.  A spec with no
-    reproducible identity (a ``None`` or generator seed) has no store
-    key, so it always runs.
+    """Each address's stored result (``None`` where pending), and the
+    pending positions, which the caller runs; a ``None`` address is
+    always pending.  Counts the split in ``jobs.cache.*``.
     """
-    results: list[PointResult | None] = [None] * len(specs)
+    results: list[PointResult | None] = [None] * len(addresses)
     pending: list[int] = []
-    for index, spec in enumerate(specs):
-        stored = store.get(spec) if isinstance(spec.seed, int) else None
+    for index, address in enumerate(addresses):
+        stored = None if address is None else store.get(address)
         if stored is None:
             pending.append(index)
         else:
             results[index] = stored
+    _SIMULATED.inc(len(pending))
+    _SERVED.inc(len(addresses) - len(pending))
     return results, pending
 
 
 def record(
-    store: ResultStore, specs: Sequence[RunSpec], results: Sequence[PointResult]
+    store: ResultStore,
+    addresses: Sequence[tuple[str, dict] | None],
+    results: Sequence[PointResult],
 ) -> None:
-    """Put each simulated result whose spec has a store key."""
-    for spec, result in zip(specs, results):
-        if isinstance(spec.seed, int):
-            store.put(spec, result)
+    """Put each simulated result whose point has a store address."""
+    for address, result in zip(addresses, results):
+        if address is not None:
+            store.put(address, result)

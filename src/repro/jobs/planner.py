@@ -6,14 +6,12 @@ and large enough to amortise one compiled program.  The planner's
 obligations:
 
 * **Determinism.**  The same spec list (same circuits, noise, trials,
-  integer seeds) always plans the same shards with the same IDs — a
-  resumed process replans from the manifest's specs and must agree
-  with the process that died.
-* **Program affinity.**  Specs are grouped by circuit content and
-  input vector *before* chunking, so every shard's points share one
-  compiled program and ride one stacked plane array inside the
-  executor.  A worker that warms the compile cache once then runs a
-  shard never recompiles.
+  integer seeds) always plans the same shards with the same IDs.
+* **Program affinity.**  Specs are grouped by the executor's own
+  group key (circuit content and input vector) *before* chunking, so
+  every shard's points share one compiled program and ride one
+  stacked plane array inside the executor.  A worker that warms the
+  compile cache once then runs a shard never recompiles.
 * **Bit-identity.**  Shards never touch seeds: each point keeps the
   integer seed it was submitted with (the per-point seed-spawning
   discipline of :func:`repro.noise.seeds.spawn_seeds`), so the union
@@ -21,10 +19,10 @@ obligations:
   :meth:`~repro.runtime.Executor.run` over the whole list, however the
   shards are scheduled.
 
-Shard IDs hash the member points' store keys
-(:func:`repro.jobs.store.point_key` — circuit content, noise, trials,
-seed) plus their positions, so an ID is stable across
-resubmissions and unique within a job even when two points coincide.
+Shard IDs hash the member points' store keys (from
+:func:`repro.jobs.store.point_address`, which the caller computes)
+plus their positions, so an ID is stable across resubmissions and
+unique within a job even when two points coincide.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.errors import AnalysisError, JobError
-from repro.jobs.store import point_key
+from repro.errors import AnalysisError
+from repro.runtime.executor import _group_key
 from repro.runtime.serialization import canonical_json
 from repro.runtime.spec import RunSpec
 
@@ -66,38 +64,17 @@ def _shard_id(keys: Sequence[str], indices: Sequence[int]) -> str:
 
 
 def plan_shards(
-    specs: Sequence[RunSpec], shard_size: int = DEFAULT_SHARD_SIZE
+    specs: Sequence[RunSpec],
+    keys: Sequence[str],
+    shard_size: int = DEFAULT_SHARD_SIZE,
 ) -> list[Shard]:
-    """Split ``specs`` into deterministic, program-affine shards.
-
-    Every spec must carry an integer seed (the reproducibility
-    contract of the store and of resume); violations raise
-    :class:`~repro.errors.JobError` naming the offending position.
-    """
-    return _keyed_plan(specs, shard_size)[1]
-
-
-def _keyed_plan(
-    specs: Sequence[RunSpec], shard_size: int
-) -> tuple[list[str], list[Shard]]:
-    """Each spec's :func:`point_key`, and the shards planned from them.
-
-    The job runner keeps the keys, so a submit hashes each point once.
-    """
+    """Split ``specs``, whose store keys are ``keys``, into
+    deterministic, program-affine shards."""
     if shard_size < 1:
         raise AnalysisError(f"shard_size must be >= 1, got {shard_size}")
-    for index, spec in enumerate(specs):
-        if not isinstance(spec.seed, int):
-            raise JobError(
-                f"spec {index} has seed {spec.seed!r}; sharded execution "
-                f"requires integer per-point seeds (spawn them with "
-                f"repro.noise.seeds.spawn_seeds)"
-            )
-    keys = [point_key(spec) for spec in specs]
     groups: dict[tuple, list[int]] = {}
     for index, spec in enumerate(specs):
-        group = (spec.circuit.content_key(), spec.input_bits)
-        groups.setdefault(group, []).append(index)
+        groups.setdefault(_group_key(spec), []).append(index)
     shards: list[Shard] = []
     for indices in groups.values():
         for start in range(0, len(indices), shard_size):
@@ -105,4 +82,4 @@ def _keyed_plan(
             shards.append(
                 Shard(_shard_id([keys[i] for i in chunk], chunk), chunk)
             )
-    return keys, shards
+    return shards

@@ -16,8 +16,10 @@ The contract that makes this a *service* rather than a script:
 
 * **Submit is idempotent.**  Re-submitting the same sweep into an
   existing job directory verifies the job ID (a hash of the ordered
-  point keys) and resumes; submitting a *different* sweep into it
-  fails loudly instead of silently mixing results.
+  point keys) and the manifest's specs, and resumes; submitting a
+  *different* sweep into it fails loudly instead of silently mixing
+  results.  Submit and load compute each point's store address once,
+  and nothing later serialises or hashes a spec.
 * **The store is the one record.**  A shard is done when every one of
   its points has a store entry; nothing else decides it.  A run log
   holds only observational stats (elapsed seconds, simulated vs served
@@ -48,9 +50,9 @@ from pathlib import Path
 
 from repro.core.circuit import Circuit
 from repro.errors import AnalysisError, JobError, ReproError
-from repro.jobs.caching import lookup, record
-from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, _keyed_plan
-from repro.jobs.store import ResultStore, point_key, write_json_atomic
+from repro.jobs.caching import _SERVED, lookup, record
+from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
+from repro.jobs.store import ResultStore, point_address, write_json_atomic
 from repro.obs import counter, stopwatch, trace
 from repro.runtime.executor import Executor
 from repro.runtime.pool import pool_map, resolve_workers
@@ -58,7 +60,6 @@ from repro.runtime.serialization import (
     canonical_json,
     circuit_from_json,
     spec_from_json,
-    spec_to_json,
 )
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
@@ -98,6 +99,21 @@ def _write_circuit_blobs(job_dir: Path, circuits: dict[str, dict]) -> None:
         path = job_dir / CIRCUIT_DIR / f"{digest}.json"
         if not path.exists():
             write_json_atomic(path, fragment)
+
+
+def _addresses(
+    specs: Sequence[RunSpec], where: str, circuits: dict | None = None
+) -> list[tuple[str, dict]]:
+    """Each spec's store address; a spec without one cannot join a job."""
+    addresses = [point_address(spec, circuits) for spec in specs]
+    if None in addresses:
+        index = addresses.index(None)
+        raise JobError(
+            f"{where}spec {index} has seed {specs[index].seed!r}; a sweep "
+            f"job requires integer per-point seeds (spawn them with "
+            f"repro.noise.seeds.spawn_seeds)"
+        )
+    return addresses
 
 
 class _CircuitBlobs(dict):
@@ -162,9 +178,14 @@ class RunReport:
 
 
 def _manifest_problem(manifest: object) -> str | None:
-    """What is wrong with a parsed manifest's shape, or ``None``."""
+    """What is wrong with a parsed manifest, or ``None``."""
     if not isinstance(manifest, dict):
         return "not a JSON object"
+    if manifest.get("format") != JOB_FORMAT_VERSION:
+        return (
+            f"it has format {manifest.get('format')!r}; this code reads "
+            f"{JOB_FORMAT_VERSION}"
+        )
     for name, kind in (("job_id", str), ("specs", list), ("shards", list)):
         if not isinstance(manifest.get(name), kind):
             return f"{name!r} is missing or not a {kind.__name__}"
@@ -177,7 +198,25 @@ def _manifest_problem(manifest: object) -> str | None:
             and isinstance(entry.get("indices"), list)
         ):
             return "a shard is not an {id, indices} object"
+    covered = sorted(i for entry in manifest["shards"] for i in entry["indices"])
+    if covered != list(range(len(manifest["specs"]))):
+        return "the shard plan does not cover each spec exactly once"
     return None
+
+
+def _read_manifest(path: Path) -> tuple[dict, list[Shard]]:
+    """The manifest at ``path`` and its shard plan; any problem raises
+    :class:`~repro.errors.JobError` naming the file."""
+    try:
+        manifest = json.loads(path.read_text())
+    except OSError as exc:
+        raise JobError(f"no job manifest at {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise JobError(f"job manifest {path} is corrupt: {exc}") from exc
+    problem = _manifest_problem(manifest)
+    if problem is not None:
+        raise JobError(f"job manifest {path} is unusable: {problem}")
+    return manifest, [Shard(e["id"], tuple(e["indices"])) for e in manifest["shards"]]
 
 
 def _run_shard_specs(specs: list[RunSpec]) -> tuple[list[PointResult], float]:
@@ -203,24 +242,24 @@ class SweepJob:
         self,
         job_dir: str | Path,
         specs: list[RunSpec],
-        keys: list[str],
+        addresses: list[tuple[str, dict]],
         shards: list[Shard],
         policy: ExecutionPolicy,
     ):
         self.job_dir = Path(job_dir)
         self.specs = specs
-        self.keys = keys
+        self.addresses = addresses
         self.shards = shards
         self.policy = policy
         self.store = ResultStore(self.job_dir / STORE_DIR)
-        self.job_id = self._job_id(keys)
+        self.job_id = self._job_id(addresses)
 
     # ------------------------------------------------------------------
     # Creation
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _job_id(keys: Sequence[str]) -> str:
+    def _job_id(addresses: Sequence[tuple[str, dict]]) -> str:
         """The sweep's identity: its ordered point keys, nothing else.
 
         Shard size is a scheduling choice, not part of what the sweep
@@ -228,7 +267,8 @@ class SweepJob:
         manifest's stored plan even if the caller's ``shard_size``
         drifted.
         """
-        return hashlib.sha256(canonical_json(list(keys)).encode()).hexdigest()[:16]
+        keys = [key for key, _ in addresses]
+        return hashlib.sha256(canonical_json(keys).encode()).hexdigest()[:16]
 
     @classmethod
     def submit(
@@ -241,11 +281,11 @@ class SweepJob:
         """Create (or resume) the job for ``specs`` under ``job_dir``.
 
         Writes the manifest on first submit; on resubmit verifies the
-        existing manifest describes the *same* sweep (matching job ID)
-        and raises :class:`~repro.errors.JobError` otherwise.  Results
-        go to the store at ``<job_dir>/store``.  A resubmitted job runs
-        under ``policy`` (the environment's when ``None``), like a
-        fresh one.
+        existing manifest describes the *same* sweep (matching job ID
+        and spec wire forms) and raises :class:`~repro.errors.JobError`
+        otherwise.  Results go to the store at ``<job_dir>/store``.  A
+        resubmitted job runs under ``policy`` (the environment's when
+        ``None``), like a fresh one.
         """
         with trace("jobs.submit") as span:
             job = cls._submit_impl(job_dir, specs, policy, shard_size)
@@ -264,35 +304,39 @@ class SweepJob:
             raise AnalysisError("a sweep job needs at least one spec")
         if policy is None:
             policy = ExecutionPolicy.from_env()
-        keys, shards = _keyed_plan(specs, shard_size)
-        job = cls(job_dir, specs, keys, shards, policy)
+        circuits: dict[str, dict] = {}
+        addresses = _addresses(specs, "", circuits)
+        wires = [wire for _, wire in addresses]
+        job_id = cls._job_id(addresses)
         manifest_path = job_dir / MANIFEST_NAME
         if manifest_path.exists():
-            existing = cls.load(job_dir)
-            if existing.job_id != job.job_id:
-                raise JobError(
-                    f"{job_dir} already holds job {existing.job_id}, which "
-                    f"is a different sweep than the one submitted "
-                    f"({job.job_id}); use a fresh job directory"
-                )
             # Same sweep: resume under the manifest's stored shard
             # plan (shard_size is scheduling, not identity) and the
-            # caller's policy.
-            existing.policy = policy
-            return existing
-        circuits: dict[str, dict] = {}
-        manifest = {
-            "format": JOB_FORMAT_VERSION,
-            "job_id": job.job_id,
-            "specs": [spec_to_json(spec, circuits) for spec in specs],
-            "shards": [
-                {"id": shard.shard_id, "indices": list(shard.indices)}
-                for shard in shards
-            ],
-        }
-        _write_circuit_blobs(job_dir, circuits)
-        write_json_atomic(manifest_path, manifest)
-        return job
+            # caller's policy and specs.
+            manifest, shards = _read_manifest(manifest_path)
+            if manifest["job_id"] != job_id or manifest["specs"] != wires:
+                raise JobError(
+                    f"{job_dir} already holds job {manifest['job_id']}, "
+                    f"whose specs are a different sweep than the one "
+                    f"submitted ({job_id}); use a fresh job directory"
+                )
+            _write_circuit_blobs(job_dir, circuits)
+        else:
+            shards = plan_shards(specs, [key for key, _ in addresses], shard_size)
+            _write_circuit_blobs(job_dir, circuits)
+            write_json_atomic(
+                manifest_path,
+                {
+                    "format": JOB_FORMAT_VERSION,
+                    "job_id": job_id,
+                    "specs": wires,
+                    "shards": [
+                        {"id": shard.shard_id, "indices": list(shard.indices)}
+                        for shard in shards
+                    ],
+                },
+            )
+        return cls(job_dir, specs, addresses, shards, policy)
 
     @classmethod
     def load(cls, job_dir: str | Path) -> "SweepJob":
@@ -307,31 +351,13 @@ class SweepJob:
         read once and rebuilt into one
         :class:`~repro.core.circuit.Circuit` that every spec naming it
         shares.  A spec that cannot be rebuilt (wrong shape, bad digest,
-        missing or unreadable blob) raises
+        missing or unreadable blob) or has no store address raises
         :class:`~repro.errors.JobError` naming the manifest and the
         spec's index.
         """
         job_dir = Path(job_dir)
         manifest_path = job_dir / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except OSError as exc:
-            raise JobError(f"no job manifest at {manifest_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise JobError(
-                f"job manifest {manifest_path} is corrupt: {exc}"
-            ) from exc
-        problem = _manifest_problem(manifest)
-        if problem is not None:
-            raise JobError(
-                f"job manifest {manifest_path} is malformed: {problem}"
-            )
-        if manifest.get("format") != JOB_FORMAT_VERSION:
-            raise JobError(
-                f"job manifest {manifest_path} has format "
-                f"{manifest.get('format')!r}; this code reads "
-                f"{JOB_FORMAT_VERSION}"
-            )
+        manifest, shards = _read_manifest(manifest_path)
         circuits = _CircuitBlobs(job_dir)
         specs = []
         for index, data in enumerate(manifest["specs"]):
@@ -342,16 +368,12 @@ class SweepJob:
                     f"job manifest {manifest_path} spec {index} cannot be "
                     f"rebuilt: {exc}"
                 ) from exc
-        shards = [
-            Shard(entry["id"], tuple(entry["indices"]))
-            for entry in manifest["shards"]
-        ]
         # No policy field can change a result, so the manifest records
         # none and a resume runs under the environment's policy.
         job = cls(
             job_dir,
             specs,
-            [point_key(spec) for spec in specs],
+            _addresses(specs, f"job manifest {manifest_path} "),
             shards,
             ExecutionPolicy.from_env(),
         )
@@ -363,13 +385,6 @@ class SweepJob:
             raise JobError(
                 f"job manifest {manifest_path} specs do not hash to its "
                 f"job id; the manifest was edited or corrupted"
-            )
-        covered = sorted(i for shard in shards for i in shard.indices)
-        if covered != list(range(len(specs))):
-            raise JobError(
-                f"job manifest {manifest_path} shard plan does not cover "
-                f"each spec exactly once; the manifest was edited or "
-                f"corrupted"
             )
         return job
 
@@ -422,7 +437,7 @@ class SweepJob:
     def _done_shards(self) -> list[bool]:
         """Per shard, whether the store holds every one of its points."""
         return [
-            all(self.keys[index] in self.store for index in shard.indices)
+            all(self.addresses[index][0] in self.store for index in shard.indices)
             for shard in self.shards
         ]
 
@@ -435,8 +450,9 @@ class SweepJob:
 
         A shard is unfinished while the store lacks one of its points;
         within it, points the store already holds are served, not
-        re-run.  The policy's ``parallel`` width fans pending shards
-        out to the process pool, whose workers pre-warm their compile
+        re-run (the ``jobs.cache.*`` counters count a done shard's
+        points as served).  The policy's ``parallel`` width fans
+        pending shards out to the process pool, whose workers pre-warm their compile
         caches with the shards' circuits.  Each shard that simulates
         leaves a run log.  ``on_progress``, when given, is called after
         each such shard finishes with ``(done, shards_to_simulate,
@@ -448,12 +464,10 @@ class SweepJob:
     def _run_impl(self, max_shards, on_progress, span) -> RunReport:
         if max_shards is not None and max_shards < 0:
             raise AnalysisError(f"max_shards must be >= 0, got {max_shards}")
-        pending = [
-            shard
-            for shard, done in zip(self.shards, self._done_shards())
-            if not done
-        ]
+        done = self._done_shards()
+        pending = [shard for shard, ok in zip(self.shards, done) if not ok]
         skipped = len(self.shards) - len(pending)
+        _SERVED.inc(sum(len(shard) for shard, ok in zip(self.shards, done) if ok))
         interrupted = False
         if max_shards is not None and len(pending) > max_shards:
             pending = pending[:max_shards]
@@ -465,26 +479,28 @@ class SweepJob:
         # reader/writer); shards only ever simulate what the store does
         # not hold.  A pending shard whose points all turn up stored
         # (another run finished them meanwhile) needs no task.
-        plan: list[tuple[Shard, list[RunSpec]]] = []
+        plan: list[tuple[Shard, list[int]]] = []
         for shard in pending:
-            specs = [self.specs[index] for index in shard.indices]
-            _, misses = lookup(self.store, specs)
+            _, misses = lookup(
+                self.store, [self.addresses[index] for index in shard.indices]
+            )
             if misses:
-                plan.append((shard, [specs[position] for position in misses]))
+                plan.append((shard, [shard.indices[i] for i in misses]))
+        batches = [[self.specs[index] for index in misses] for _, misses in plan]
         outcomes = pool_map(
             _run_shard_specs,
-            [misses for _, misses in plan],
+            batches,
             resolve_workers(self.policy.parallel, len(plan)),
             error=JobError,
             label=lambda b: f"shard {plan[b][0].shard_id}",
-            warm=[spec.circuit for _, misses in plan for spec in misses],
+            warm=[spec.circuit for batch in batches for spec in batch],
         )
         # Outcomes first: zip then drains the generator, which shuts the
         # pool down once the last shard is in.
         for completed, ((computed, elapsed), (shard, misses)) in enumerate(
             zip(outcomes, plan), start=1
         ):
-            record(self.store, misses, computed)
+            record(self.store, [self.addresses[i] for i in misses], computed)
             self._write_run_log(shard, elapsed, len(misses))
             _SHARDS_RUN.inc()
             if on_progress is not None:
@@ -555,7 +571,7 @@ class SweepJob:
         return results
 
     def _collect_impl(self) -> list[PointResult]:
-        results = [self.store.get(spec) for spec in self.specs]
+        results = [self.store.get(address) for address in self.addresses]
         missing = [
             shard.shard_id
             for shard in self.shards

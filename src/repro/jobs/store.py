@@ -7,15 +7,18 @@ noise, trials, integer seed).  No field of the
 width and batching are execution details — so the policy is
 deliberately **not** part of the key, nor recorded with the entry.
 
-:func:`point_key` hashes exactly that determining tuple (through the
-versioned JSON wire form of :mod:`repro.runtime.serialization`), and
-:class:`ResultStore` is a directory of one small JSON file per key.
-Entries hold the spec's wire form, in which each circuit is a
-``{"circuit_digest": d}`` reference: the digest pins the circuit's
-wire bytes, so an entry needs no copy of them, and a 10-point sweep
-sharing one circuit writes none.  (A job directory keeps each circuit
-once, for the specs its manifest must rebuild.)  Properties the job
-layer leans on:
+A point's *address* is the pair ``(key, wire)`` that
+:func:`point_address` computes once: ``wire`` is the spec's versioned
+JSON wire form (:mod:`repro.runtime.serialization`) and ``key`` hashes
+it with the format and stream versions.  :class:`ResultStore` is a
+directory of one small JSON file per key, and its
+:meth:`~ResultStore.get`/:meth:`~ResultStore.put` take addresses, so
+they neither serialise nor hash.  Entries hold the wire form, in
+which each circuit is a ``{"circuit_digest": d}`` reference: the
+digest pins the circuit's wire bytes, so an entry needs no copy of
+them, and a 10-point sweep sharing one circuit writes none.  (A job
+directory keeps each circuit once, for the specs its manifest must
+rebuild.)  Properties the job layer leans on:
 
 * **One result record.**  A sweep job (:mod:`repro.jobs.runner`)
   keeps no other copy of its results: a shard is done when each of its
@@ -52,7 +55,7 @@ __all__ = [
     "RESULT_STREAM_VERSION",
     "STORE_FORMAT_VERSION",
     "ResultStore",
-    "point_key",
+    "point_address",
     "write_json_atomic",
 ]
 
@@ -113,27 +116,22 @@ def write_json_atomic(path: Path, payload) -> None:
 _RESULT_FIELDS = ("failures", "trials", "faulted_trials")
 
 
-def _require_integer_seed(spec: RunSpec) -> None:
-    if not isinstance(spec.seed, int):
-        raise JobError(
-            f"a stored point must be reproducible, which needs an integer "
-            f"seed; got {spec.seed!r} (spawn per-point seeds with "
-            f"repro.noise.seeds.spawn_seeds)"
-        )
+def point_address(
+    spec: RunSpec, circuits: dict[str, dict] | None = None
+) -> tuple[str, dict] | None:
+    """The point's store address ``(key, wire)``, or ``None``.
 
-
-def point_key(spec: RunSpec) -> str:
-    """The content key determining one point's result, as a hex digest.
-
-    Hashes the spec's JSON wire form together with the stream/format
-    versions — everything that can change a failure count, and nothing
-    that cannot.  Requires a
-    concrete integer seed: a ``None`` or generator seed draws from an
-    unreproducible stream, and a store keyed on it would serve numbers
-    no one can ever check.
+    ``wire`` is the spec's :func:`~repro.runtime.serialization.spec_to_json`
+    form (recording its circuits in ``circuits``), and ``key`` hashes
+    it with the stream/format versions: everything that can change a
+    failure count, and nothing that cannot.  Only an integer seed names
+    a reproducible stream, so any other seed has no address; this is
+    the one place that decides whether a point may be stored.
     """
-    _require_integer_seed(spec)
-    return _key_from_wire(spec_to_json(spec))
+    if type(spec.seed) is not int:
+        return None
+    wire = spec_to_json(spec, circuits)
+    return _key_from_wire(wire), wire
 
 
 def _result_problem(block: object, trials: int) -> str | None:
@@ -164,7 +162,7 @@ _STORE_STALE = counter("jobs.store.stale")
 
 
 class ResultStore:
-    """A directory of JSON point results keyed by :func:`point_key`.
+    """A directory of JSON point results keyed by :func:`point_address`.
 
     Entries live two levels deep (``<root>/<key[:2]>/<key>.json``) so
     a million-point store never puts a million files in one directory.
@@ -188,8 +186,8 @@ class ResultStore:
     # Lookup
     # ------------------------------------------------------------------
 
-    def get(self, spec: RunSpec) -> PointResult | None:
-        """The stored result for ``spec``, or ``None``.
+    def get(self, address: tuple[str, dict]) -> PointResult | None:
+        """The stored result at ``address``, or ``None``.
 
         A present-but-wrong entry — unreadable JSON, foreign format
         version, key not matching the content, spec wire form not
@@ -198,11 +196,7 @@ class ResultStore:
         the contract: a stale entry must never be silently served *or*
         silently recomputed over.
         """
-        # One serialization serves both the key and the verification
-        # compare — the warm path's cost is file reads plus this.
-        _require_integer_seed(spec)
-        spec_json = spec_to_json(spec)
-        key = _key_from_wire(spec_json)
+        key, wire = address
         path = self._path(key)
         if not path.exists():
             _STORE_MISSES.inc()
@@ -215,14 +209,12 @@ class ResultStore:
                 f"result store entry {path} is unreadable: {exc}; delete "
                 f"it to recompute"
             ) from exc
-        self._verify(entry, key, spec, spec_json, path)
+        self._verify(entry, key, wire, path)
         _STORE_HITS.inc()
         block = entry["result"]
         return PointResult(**{name: block[name] for name in _RESULT_FIELDS})
 
-    def _verify(
-        self, entry: object, key: str, spec: RunSpec, spec_json: dict, path: Path
-    ) -> None:
+    def _verify(self, entry: object, key: str, wire: dict, path: Path) -> None:
         problems = []
         if not isinstance(entry, dict):
             problems.append("entry is not a JSON object")
@@ -233,9 +225,9 @@ class ResultStore:
                 )
             if entry.get("key") != key:
                 problems.append("embedded key does not match the content key")
-            if entry.get("spec") != spec_json:
+            if entry.get("spec") != wire:
                 problems.append("stored spec differs from the requested spec")
-            problem = _result_problem(entry.get("result"), spec.trials)
+            problem = _result_problem(entry.get("result"), wire["trials"])
             if problem is not None:
                 problems.append(problem)
         if problems:
@@ -249,25 +241,23 @@ class ResultStore:
     # Insertion
     # ------------------------------------------------------------------
 
-    def put(self, spec: RunSpec, result: PointResult) -> str:
-        """Durably record ``result`` for ``spec``; returns the key.
+    def put(self, address: tuple[str, dict], result: PointResult) -> None:
+        """Durably record ``result`` at ``address``.
 
         The write is atomic (temp file + ``os.replace`` in the same
         directory), so a crash mid-put leaves the previous state, not
         a torn entry.
         """
-        if result.trials != spec.trials:
+        key, wire = address
+        if result.trials != wire["trials"]:
             raise JobError(
                 f"result has {result.trials} trials but spec asked for "
-                f"{spec.trials}; refusing to store a mismatched entry"
+                f"{wire['trials']}; refusing to store a mismatched entry"
             )
-        _require_integer_seed(spec)
-        spec_json = spec_to_json(spec)
-        key = _key_from_wire(spec_json)
         entry = {
             "format": STORE_FORMAT_VERSION,
             "key": key,
-            "spec": spec_json,
+            "spec": wire,
             "provenance": {
                 "version": __version__,
                 "stream": RESULT_STREAM_VERSION,
@@ -276,7 +266,6 @@ class ResultStore:
         }
         write_json_atomic(self._path(key), entry)
         _STORE_PUTS.inc()
-        return key
 
     # ------------------------------------------------------------------
     # Introspection

@@ -75,7 +75,8 @@ def _group_key(spec: RunSpec) -> tuple:
     compiled program across separate batches.  The key is a digest
     cached on the circuit, so grouping costs one string hash per spec,
     and batching never changes a point's numbers (the executor's
-    bit-identity guarantee), so wider grouping is pure upside.
+    bit-identity guarantee), so wider grouping is pure upside.  The job
+    planner groups shards by this key too.
     """
     return spec.circuit.content_key(), spec.input_bits
 

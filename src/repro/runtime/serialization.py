@@ -317,9 +317,9 @@ def spec_to_json(spec: RunSpec, circuits: dict[str, dict] | None = None) -> dict
     The seed must be a plain integer or ``None`` — a live
     :class:`numpy.random.Generator` has consumed an unknowable amount
     of stream and cannot be reproduced from JSON, so it is refused
-    rather than approximated.  (Durable job manifests additionally
-    require a concrete integer; the planner enforces that stricter
-    rule itself.)
+    rather than approximated.  (A stored point additionally needs a
+    concrete integer; :func:`repro.jobs.store.point_address` decides
+    that.)
     """
     seed = spec.seed
     if isinstance(seed, np.random.Generator):

@@ -182,11 +182,12 @@ class RunSpec:
         trials: Monte-Carlo batch size, an integer >= 1 (a NumPy
             integer is stored as a plain ``int``; a ``bool`` or a float
             is refused).
-        seed: per-point RNG seed.  An integer (or ``None``) spawns a
-            fresh ``numpy`` generator; a NumPy integer is stored as a
-            plain ``int``, so it keys and serialises like one.  An
-            existing generator is used as-is (and is then consumed by
-            the run).
+        seed: per-point RNG seed.  A non-negative integer (or
+            ``None``) spawns a fresh ``numpy`` generator; a NumPy
+            integer is stored as a plain ``int``, so it keys and
+            serialises like one, and a ``bool`` or negative integer is
+            refused.  An existing generator is used as-is (and is then
+            consumed by the run).
     """
 
     circuit: Circuit
@@ -202,6 +203,11 @@ class RunSpec:
             object.__setattr__(self, "seed", int(self.seed))
         if isinstance(self.trials, np.integer):
             object.__setattr__(self, "trials", int(self.trials))
+        if isinstance(self.seed, bool) or (isinstance(self.seed, int) and self.seed < 0):
+            raise SimulationError(
+                f"seed must be a non-negative int, None or a Generator, "
+                f"got {type(self.seed).__name__} {self.seed!r}"
+            )
         if not isinstance(self.trials, int) or isinstance(self.trials, bool):
             raise SimulationError(
                 f"trials must be an int, got {type(self.trials).__name__} "

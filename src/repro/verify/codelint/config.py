@@ -77,7 +77,7 @@ TIMING_OWNING_PREFIX = "src/repro/obs/"
 KEY_FUNCTIONS: frozenset[str] = frozenset(
     {
         "content_key",
-        "point_key",
+        "point_address",
         "_key_from_wire",
         "_shard_id",
         "spec_to_json",

@@ -7,8 +7,14 @@ import pytest
 
 from repro.errors import AnalysisError, JobError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import DEFAULT_SHARD_SIZE, plan_shards
+from repro.jobs import DEFAULT_SHARD_SIZE, SweepJob, plan_shards, point_address
 from repro.noise.seeds import spawn_seeds
+
+
+def _plan(specs, shard_size=DEFAULT_SHARD_SIZE):
+    """``plan_shards`` over ``specs`` with their store keys."""
+    keys = [point_address(spec)[0] for spec in specs]
+    return plan_shards(specs, keys, shard_size=shard_size)
 
 
 def _specs(count, trials=100, cycles=1):
@@ -19,22 +25,22 @@ def _specs(count, trials=100, cycles=1):
 
 class TestPlanning:
     def test_deterministic_ids_and_indices(self):
-        first = plan_shards(_specs(7), shard_size=3)
-        second = plan_shards(_specs(7), shard_size=3)
+        first = _plan(_specs(7), shard_size=3)
+        second = _plan(_specs(7), shard_size=3)
         assert first == second
 
     def test_covers_each_spec_exactly_once(self):
-        shards = plan_shards(_specs(10), shard_size=3)
+        shards = _plan(_specs(10), shard_size=3)
         covered = sorted(i for shard in shards for i in shard.indices)
         assert covered == list(range(10))
 
     def test_respects_shard_size(self):
-        shards = plan_shards(_specs(10), shard_size=4)
+        shards = _plan(_specs(10), shard_size=4)
         assert max(len(shard) for shard in shards) <= 4
 
     def test_distinct_sweeps_get_distinct_ids(self):
-        a = plan_shards(_specs(4, trials=100), shard_size=2)
-        b = plan_shards(_specs(4, trials=200), shard_size=2)
+        a = _plan(_specs(4, trials=100), shard_size=2)
+        b = _plan(_specs(4, trials=200), shard_size=2)
         assert {s.shard_id for s in a}.isdisjoint(s.shard_id for s in b)
 
     def test_groups_by_circuit_before_chunking(self):
@@ -43,7 +49,7 @@ class TestPlanning:
         one = _specs(3, cycles=1)
         two = _specs(3, cycles=2)
         mixed = [one[0], two[0], one[1], two[1], one[2], two[2]]
-        shards = plan_shards(mixed, shard_size=10)
+        shards = _plan(mixed, shard_size=10)
         for shard in shards:
             keys = {
                 mixed[i].circuit.content_key() for i in shard.indices
@@ -52,7 +58,7 @@ class TestPlanning:
         assert len(shards) == 2
 
     def test_default_shard_size(self):
-        shards = plan_shards(_specs(3))
+        shards = _plan(_specs(3))
         assert len(shards) == 1
         assert DEFAULT_SHARD_SIZE >= 3
 
@@ -61,7 +67,7 @@ class TestNumpySeeds:
     def test_numpy_integer_seed_is_planned_like_int(self):
         points = ((0.001, 7), (0.002, 8))
         numpy_points = tuple((g, np.int64(seed)) for g, seed in points)
-        assert plan_shards(cycle_error_specs(numpy_points, 100)) == plan_shards(
+        assert _plan(cycle_error_specs(numpy_points, 100)) == _plan(
             cycle_error_specs(points, 100)
         )
 
@@ -69,9 +75,11 @@ class TestNumpySeeds:
 class TestRefusals:
     def test_non_positive_shard_size(self):
         with pytest.raises(AnalysisError, match="shard_size"):
-            plan_shards(_specs(2), shard_size=0)
+            _plan(_specs(2), shard_size=0)
 
-    def test_generator_seed_named_by_index(self):
+    def test_generator_seed_named_by_index(self, tmp_path):
+        # A point without a store address cannot join a job; the
+        # submit names its position.
         specs = _specs(3)
         bad = type(specs[1])(
             circuit=specs[1].circuit,
@@ -82,4 +90,5 @@ class TestRefusals:
             seed=np.random.default_rng(5),
         )
         with pytest.raises(JobError, match="spec 1"):
-            plan_shards([specs[0], bad, specs[2]])
+            SweepJob.submit(tmp_path / "job", [specs[0], bad, specs[2]])
+        assert not (tmp_path / "job" / "manifest.json").exists()

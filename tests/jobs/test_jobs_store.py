@@ -15,7 +15,7 @@ from repro.jobs import (
     RESULT_STREAM_VERSION,
     STORE_FORMAT_VERSION,
     ResultStore,
-    point_key,
+    point_address,
 )
 from repro.jobs import store as jobs_store
 from repro.runtime import ExecutionPolicy, Executor, PointResult
@@ -39,11 +39,11 @@ def policy():
 class TestPointKey:
     def test_deterministic(self):
         (spec,) = _specs(1)
-        assert point_key(spec) == point_key(spec)
+        assert point_address(spec) == point_address(spec)
 
     def test_seed_and_noise_change_the_key(self):
         spec_a, spec_b = _specs(2)
-        assert point_key(spec_a) != point_key(spec_b)
+        assert point_address(spec_a)[0] != point_address(spec_b)[0]
 
     def test_policy_does_not_change_the_key(self, tmp_path):
         # No policy field can change a result, so the policy is not key
@@ -70,17 +70,16 @@ class TestPointKey:
             trials=spec.trials,
             seed=np.random.default_rng(0),
         )
-        with pytest.raises(JobError, match="integer"):
-            point_key(bad)
+        assert point_address(bad) is None
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.int32(5), np.uint64(5)])
     def test_numpy_integer_seed_keys_and_runs_like_int(self, seed, policy):
-        # Regression: spec_to_json accepted a NumPy seed but point_key
-        # refused it ("needs an integer seed").
+        # Regression: spec_to_json accepted a NumPy seed but the store
+        # key refused it ("needs an integer seed").
         (plain,) = cycle_error_specs(((1e-3, 5),), 1000)
         (numpy_seeded,) = cycle_error_specs(((1e-3, seed),), 1000)
         assert type(numpy_seeded.seed) is int
-        assert point_key(numpy_seeded) == point_key(plain)
+        assert point_address(numpy_seeded) == point_address(plain)
         executor = Executor(policy)
         assert executor.run([numpy_seeded]) == executor.run([plain])
 
@@ -89,11 +88,12 @@ class TestStoreRoundTrip:
     def test_miss_then_put_then_hit(self, tmp_path, policy):
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
+        address = point_address(spec)
         counts = CounterDeltas()
-        assert store.get(spec) is None
+        assert store.get(address) is None
         (result,) = Executor(policy).run([spec])
-        store.put(spec, result)
-        assert store.get(spec) == result
+        store.put(address, result)
+        assert store.get(address) == result
         assert [counts[f"jobs.store.{name}"] for name in STORE_TRAFFIC] == [1, 1, 1, 0]
         assert len(store) == 1
 
@@ -101,7 +101,8 @@ class TestStoreRoundTrip:
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
         (result,) = Executor(policy).run([spec])
-        key = store.put(spec, result)
+        key, _ = address = point_address(spec)
+        store.put(address, result)
         entry = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
         assert entry["format"] == STORE_FORMAT_VERSION
         assert entry["provenance"]["stream"] == RESULT_STREAM_VERSION
@@ -113,13 +114,14 @@ class TestStoreRoundTrip:
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
         (result,) = Executor(policy).run([spec])
-        key = store.put(spec, result)
+        key, _ = address = point_address(spec)
+        store.put(address, result)
         path = tmp_path / key[:2] / f"{key}.json"
         entry = json.loads(path.read_text())
         entry["provenance"]["backend"] = "numpy"
         path.write_text(json.dumps(entry))
         counts = CounterDeltas()
-        assert store.get(spec) == result
+        assert store.get(address) == result
         assert counts["jobs.store.hit"] == 1
 
     def test_entries_reference_the_circuit_by_digest(self, tmp_path, policy):
@@ -128,16 +130,17 @@ class TestStoreRoundTrip:
         # a lookup compares those references.
         store = ResultStore(tmp_path)
         specs = _specs(3)
+        addresses = [point_address(spec) for spec in specs]
         results = Executor(policy).run(specs)
-        for spec, result in zip(specs, results):
-            store.put(spec, result)
+        for address, result in zip(addresses, results):
+            store.put(address, result)
         assert len(store) == 3
         files = [path for path in tmp_path.rglob("*") if path.is_file()]
         assert len(files) == 3
         for path in files:
             assert '"ops"' not in path.read_text()
             assert set(json.loads(path.read_text())["spec"]["circuit"]) == {"circuit_digest"}
-        assert [store.get(spec) for spec in specs] == results
+        assert [store.get(address) for address in addresses] == results
 
     def test_format_3_entry_is_a_miss(self, tmp_path, policy, monkeypatch):
         # The format is key material: an entry written under an older
@@ -146,10 +149,10 @@ class TestStoreRoundTrip:
         (spec,) = _specs(1)
         (result,) = Executor(policy).run([spec])
         monkeypatch.setattr(jobs_store, "STORE_FORMAT_VERSION", 3)
-        store.put(spec, result)
+        store.put(point_address(spec), result)
         monkeypatch.undo()
         counts = CounterDeltas()
-        assert store.get(spec) is None
+        assert store.get(point_address(spec)) is None
         assert counts["jobs.store.stale"] == 0
         assert counts["jobs.store.miss"] == 1
         assert len(store) == 1
@@ -159,7 +162,7 @@ class TestStoreRoundTrip:
         (spec,) = _specs(1, trials=200)
         bad = PointResult(failures=0, trials=100, faulted_trials=5)
         with pytest.raises(JobError, match="mismatched"):
-            store.put(spec, bad)
+            store.put(point_address(spec), bad)
 
 
 class TestStaleDetection:
@@ -167,42 +170,43 @@ class TestStaleDetection:
         store = ResultStore(tmp_path)
         (spec,) = _specs(1)
         (result,) = Executor(policy).run([spec])
-        key = store.put(spec, result)
-        return store, spec, tmp_path / key[:2] / f"{key}.json"
+        key, _ = address = point_address(spec)
+        store.put(address, result)
+        return store, address, tmp_path / key[:2] / f"{key}.json"
 
     def test_corrupt_json_raises_not_served(self, tmp_path, policy):
-        store, spec, path = self._stored(tmp_path, policy)
+        store, address, path = self._stored(tmp_path, policy)
         path.write_text("{not json")
         counts = CounterDeltas()
         with pytest.raises(JobError, match="unreadable"):
-            store.get(spec)
+            store.get(address)
         assert counts["jobs.store.stale"] == 1
 
     def test_foreign_format_version_raises(self, tmp_path, policy):
-        store, spec, path = self._stored(tmp_path, policy)
+        store, address, path = self._stored(tmp_path, policy)
         entry = json.loads(path.read_text())
         entry["format"] = STORE_FORMAT_VERSION + 1
         path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match="format"):
-            store.get(spec)
+            store.get(address)
 
     def test_tampered_counts_raise(self, tmp_path, policy):
-        store, spec, path = self._stored(tmp_path, policy)
+        store, address, path = self._stored(tmp_path, policy)
         entry = json.loads(path.read_text())
         entry["result"]["failures"] = entry["result"]["trials"] + 1
         path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match="stale"):
-            store.get(spec)
+            store.get(address)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
     def test_malformed_counts_raise(self, tmp_path, policy, case):
-        store, spec, path = self._stored(tmp_path, policy)
+        store, address, path = self._stored(tmp_path, policy)
         entry = json.loads(path.read_text())
         malform_result(entry, case)
         path.write_text(json.dumps(entry))
         counts = CounterDeltas()
         with pytest.raises(JobError, match=re.escape(str(path))):
-            store.get(spec)
+            store.get(address)
         assert counts["jobs.store.stale"] == 1
 
     @pytest.mark.parametrize(
@@ -217,33 +221,33 @@ class TestStaleDetection:
         ids=["key", "trials"],
     )
     def test_edited_entry_names_the_problem(self, tmp_path, policy, edit, match):
-        store, spec, path = self._stored(tmp_path, policy)
+        store, address, path = self._stored(tmp_path, policy)
         entry = json.loads(path.read_text())
         edit(entry)
         path.write_text(json.dumps(entry))
         counts = CounterDeltas()
         with pytest.raises(JobError, match=match):
-            store.get(spec)
+            store.get(address)
         assert counts["jobs.store.stale"] == 1
 
     @pytest.mark.parametrize("case", ["document-list"])
     def test_wrong_shape_raises(self, tmp_path, policy, case):
-        store, spec, path = self._stored(tmp_path, policy)
+        store, address, path = self._stored(tmp_path, policy)
         path.write_text(json.dumps(reshape(json.loads(path.read_text()), case)))
         counts = CounterDeltas()
         with pytest.raises(JobError, match=re.escape(str(path))):
-            store.get(spec)
+            store.get(address)
         assert counts["jobs.store.stale"] == 1
 
     def test_swapped_spec_raises(self, tmp_path, policy):
         # An entry whose embedded spec differs from the request means
         # the file was moved or the key scheme broke — never serve it.
-        store, spec, path = self._stored(tmp_path, policy)
+        store, address, path = self._stored(tmp_path, policy)
         entry = json.loads(path.read_text())
         entry["spec"]["trials"] = entry["spec"]["trials"] + 1
         path.write_text(json.dumps(entry))
         with pytest.raises(JobError, match="spec"):
-            store.get(spec)
+            store.get(address)
 
 
 class TestAtomicWrite:

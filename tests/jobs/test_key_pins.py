@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.coding.logical import LogicalProcessor
 from repro.core import CNOT
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import SweepJob, point_key
+from repro.jobs import SweepJob, point_address
 from repro.noise.model import NoiseModel
 from repro.runtime import DecodedMismatchObservable, ExecutionPolicy, RunSpec
 
@@ -47,7 +47,7 @@ def _mixed_sweep() -> list[RunSpec]:
 
 
 def test_point_keys_are_pinned():
-    assert [point_key(spec) for spec in _mixed_sweep()] == POINT_KEYS
+    assert [point_address(spec)[0] for spec in _mixed_sweep()] == POINT_KEYS
 
 
 def test_job_and_shard_ids_are_pinned(tmp_path):
@@ -63,6 +63,6 @@ def test_reloaded_job_keeps_its_pinned_ids(tmp_path):
         tmp_path / "job", _mixed_sweep(), ExecutionPolicy(), shard_size=2
     )
     job = SweepJob.load(tmp_path / "job")
-    assert [point_key(spec) for spec in job.specs] == POINT_KEYS
+    assert [key for key, _ in job.addresses] == POINT_KEYS
     assert job.job_id == JOB_ID
     assert [shard.shard_id for shard in job.shards] == SHARD_IDS

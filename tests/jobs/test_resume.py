@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import AnalysisError, JobError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import SweepJob, point_key
+from repro.jobs import SweepJob
 from repro.jobs import runner
 from repro.noise.seeds import spawn_seeds
 from repro.runtime import ExecutionPolicy, Executor
@@ -216,6 +216,8 @@ SPEC_EDITS = {
     "trials-dropped": lambda spec: spec.pop("trials"),
     "trials-float": lambda spec: spec.update(trials=100.5),
     "trials-bool": lambda spec: spec.update(trials=True),
+    "seed-bool": lambda spec: spec.update(seed=True),
+    "seed-negative": lambda spec: spec.update(seed=-5),
     "layouts-dropped": lambda spec: spec["observable"]["decoder"].pop("layouts"),
     "circuit-string": lambda spec: spec.update(circuit="abc"),
     "input_bits-int": lambda spec: spec.update(input_bits=5),
@@ -302,7 +304,7 @@ class TestStoreIsTheRecord:
         return specs, job
 
     def _entry(self, job, index):
-        key = point_key(job.specs[index])
+        key, _ = job.addresses[index]
         return job.job_dir / "store" / key[:2] / f"{key}.json"
 
     def test_deleting_run_logs_changes_no_result(self, tmp_path, policy):
@@ -377,7 +379,7 @@ class TestRunLogs:
         for row in self._stats(job).values():
             assert row["done"] and row["elapsed_s"] >= 0
             assert (row["simulated"], row["cached"]) == (2, 0)
-        key = point_key(specs[1])
+        key, _ = job.addresses[1]
         (job.job_dir / "store" / key[:2] / f"{key}.json").unlink()
         (victim,) = [shard for shard in job.shards if 1 in shard.indices]
         resumed = SweepJob.load(tmp_path / "job")

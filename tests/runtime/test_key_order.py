@@ -13,7 +13,7 @@ import pytest
 from repro.core.circuit import Circuit
 from repro.errors import SerializationError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import point_key
+from repro.jobs import point_address
 from repro.jobs import store as jobs_store
 from repro.runtime.serialization import (
     _CIRCUIT_WIRE_CACHE,
@@ -61,14 +61,16 @@ class TestSpecWireForm:
         assert canonical_json(payload) == canonical_json(reordered(payload))
 
     def test_point_key_ignores_insertion_order(self, monkeypatch):
-        # point_key hashes spec_to_json's output; a wire form built
+        # point_address hashes spec_to_json's output; a wire form built
         # with every dict's keys inserted in reverse must key the same.
         spec = one_spec()
-        key = point_key(spec)
+        key = point_address(spec)[0]
         monkeypatch.setattr(
-            jobs_store, "spec_to_json", lambda s: reordered(spec_to_json(s))
+            jobs_store,
+            "spec_to_json",
+            lambda s, circuits=None: reordered(spec_to_json(s, circuits)),
         )
-        assert point_key(spec) == key
+        assert point_address(spec)[0] == key
 
     def test_circuits_are_digest_references(self):
         payload = spec_to_json(one_spec())
@@ -79,12 +81,12 @@ class TestSpecWireForm:
 
     def test_spec_keeps_its_point_key_across_a_wire_cache_clear(self):
         spec = one_spec()
-        key = point_key(spec)
+        key = point_address(spec)[0]
         for index in range(_CIRCUIT_WIRE_CACHE_MAX):
             _circuit_wire(Circuit(2, name=f"filler-{index}").cnot(0, 1))
         memo_key = (spec.circuit.name, spec.circuit.content_key())
         assert memo_key not in _CIRCUIT_WIRE_CACHE
-        assert point_key(spec) == key
+        assert point_address(spec)[0] == key
 
 
 class TestPointKeyStability:
@@ -97,4 +99,4 @@ class TestPointKeyStability:
             for digest, fragment in fragments.items()
         }
         rebuilt = spec_from_json(payload, circuits)
-        assert point_key(rebuilt) == point_key(spec)
+        assert point_address(rebuilt)[0] == point_address(spec)[0]

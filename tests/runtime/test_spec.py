@@ -74,6 +74,21 @@ class TestRunSpec:
         assert type(spec.trials) is int
         assert spec == make_spec(trials=100)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [True, False, -5, np.int64(-1)],
+        ids=["true", "false", "negative", "numpy-negative"],
+    )
+    def test_bool_or_negative_seed_refused(self, seed):
+        # ``True`` ran like seed 1 but keyed as ``true``; a negative
+        # seed built and then failed in NumPy's seeding at run time.
+        with pytest.raises(SimulationError, match="seed must be a non-negative"):
+            make_spec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, None, np.uint64(3)])
+    def test_non_negative_int_or_none_seed_accepted(self, seed):
+        assert make_spec(seed=seed).seed == seed
+
     def test_observable_protocol_validated(self):
         with pytest.raises(SimulationError):
             make_spec(observable=42)

@@ -86,7 +86,7 @@ class TestRngPurity:
         plant(
             tmp_path,
             "src/repro/jobs/keys.py",
-            "def point_key(parts):\n"
+            "def point_address(parts):\n"
             "    out = []\n"
             "    for p in set(parts):\n"
             "        out.append(p)\n"
