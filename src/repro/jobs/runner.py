@@ -196,8 +196,9 @@ def _manifest_problem(manifest: object) -> str | None:
             isinstance(entry, dict)
             and isinstance(entry.get("id"), str)
             and isinstance(entry.get("indices"), list)
+            and all(type(index) is int for index in entry["indices"])
         ):
-            return "a shard is not an {id, indices} object"
+            return "a shard is not an {id, integer indices} object"
     covered = sorted(i for entry in manifest["shards"] for i in entry["indices"])
     if covered != list(range(len(manifest["specs"]))):
         return "the shard plan does not cover each spec exactly once"

@@ -261,8 +261,15 @@ class TestManifestIntegrity:
             (lambda m: m["shards"].__setitem__(0, {"id": 3}), "a shard is not"),
             (lambda m: m.update(format=99), "has format 99"),
             (lambda m: m["shards"][0]["indices"].pop(), "does not cover"),
+            (lambda m: m["shards"][0]["indices"].append("0"), "a shard is not"),
         ],
-        ids=["spec-not-object", "shard-not-object", "foreign-format", "plan-gap"],
+        ids=[
+            "spec-not-object",
+            "shard-not-object",
+            "foreign-format",
+            "plan-gap",
+            "index-string",
+        ],
     )
     def test_edited_manifest_names_the_problem(self, tmp_path, policy, edit, match):
         SweepJob.submit(tmp_path / "job", _specs(4), policy)
