@@ -13,15 +13,16 @@ the census against the closed form.
 
 from __future__ import annotations
 
-from repro.analysis import (
+from repro.analysis.blowup import (
     gate_overhead_exponent,
     plan_module,
-    threshold,
     unprotected_module_limit,
 )
-from repro.coding import concatenated_gate_circuit, gamma_census
-from repro.core import MAJ
-from repro.harness import format_table
+from repro.analysis.threshold import threshold
+from repro.coding.concatenation import gamma_census
+from repro.coding.logical import concatenated_gate_circuit
+from repro.core.library import MAJ
+from repro.harness.tables import format_table
 
 
 def main() -> None:

@@ -13,21 +13,22 @@ the optimal 3/2-bit NAND realisation found by exhaustive search.
 
 from __future__ import annotations
 
-from repro.analysis import (
+from repro.analysis.entropy import (
     KAPPA,
+    empirical_entropy_from_columns,
     entropy_lower_bound,
     entropy_upper_bound,
     landauer_heat_joules,
     max_level_for_constant_entropy,
-    min_nand_cost,
-    search_all_gates,
     single_gate_entropy,
 )
-from repro.analysis.entropy import empirical_entropy_from_columns
-from repro.coding import RecoveryLayout, recovery_circuit
-from repro.core import MAJ_INV, TOFFOLI
-from repro.harness import format_table
-from repro.noise import NoiseModel, NoisyRunner
+from repro.analysis.nand_cost import min_nand_cost, search_all_gates
+from repro.coding.concatenation import recovery_circuit
+from repro.coding.recovery import RecoveryLayout
+from repro.core.library import MAJ_INV, TOFFOLI
+from repro.harness.tables import format_table
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
 
 RECOVERY_OPS = 11  # E with initialisation at G = 11 accounting
 GATES_PER_LEVEL = 3 * RECOVERY_OPS

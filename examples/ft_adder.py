@@ -21,10 +21,14 @@ import sys
 
 import numpy as np
 
-from repro.coding import LogicalProcessor
-from repro.core import MAJ, Circuit, CNOT, Gate, run
-from repro.harness import format_table
-from repro.noise import NoiseModel, NoisyRunner
+from repro.coding.logical import LogicalProcessor
+from repro.core.circuit import Circuit
+from repro.core.gate import Gate
+from repro.core.library import CNOT, MAJ
+from repro.core.simulator import run
+from repro.harness.tables import format_table
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
 
 
 def _uma_action(bits):

@@ -13,19 +13,22 @@ threshold.
 
 from __future__ import annotations
 
-from repro.analysis import threshold
-from repro.core import Circuit, draw
-from repro.harness import format_table
-from repro.local import (
-    FIG4_TILE,
-    circuit_is_local,
+from repro.analysis.threshold import threshold
+from repro.core.circuit import Circuit
+from repro.core.draw import draw
+from repro.harness.tables import format_table
+from repro.local.interleave import (
     interleave_1d_schedule,
     one_d_cycle_operation_count,
+    parallel_2d_schedule,
+    perpendicular_2d_schedule,
+)
+from repro.local.lattice import circuit_is_local
+from repro.local.layout import FIG4_TILE
+from repro.local.local_recovery import (
     one_d_lattice,
     one_d_recovery_circuit,
     one_d_routing_ops,
-    parallel_2d_schedule,
-    perpendicular_2d_schedule,
     two_d_lattice,
     two_d_recovery_circuit,
 )

@@ -11,9 +11,14 @@ first cleanly, then with a deliberately injected fault.
 
 from __future__ import annotations
 
-from repro.core import MAJ, Circuit, circuit_gate, draw, format_truth_table, run
-from repro.coding import OUTPUT_WIRES, recovery_circuit
-from repro.noise import Fault, run_with_faults
+from repro.core.circuit import Circuit
+from repro.core.draw import draw
+from repro.core.library import MAJ
+from repro.core.simulator import run
+from repro.core.truth_table import circuit_gate, format_truth_table
+from repro.coding.concatenation import recovery_circuit
+from repro.coding.recovery import OUTPUT_WIRES
+from repro.noise.injector import Fault, run_with_faults
 
 
 def main() -> None:

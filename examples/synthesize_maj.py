@@ -15,28 +15,22 @@ Three acts:
 3. `optimize` strips a deliberately redundant recovery circuit back to
    the hand-written Figure-2 original, counting fault locations as it
    goes — every rewrite verified by exhaustion before it is applied.
-
-``REPRO_SYNTH_DEPTH`` caps the search depth (CI smoke uses 3).
 """
 
 from __future__ import annotations
 
-from repro.coding import recovery_circuit
-from repro.core import CNOT, MAJ, MAJ_INV, SWAP, SWAP3_UP, TOFFOLI, circuit_gate, draw
-from repro.synth import (
-    IdentityDatabase,
-    find_optimal,
-    inflate,
-    optimize_report,
-    search_depth_budget,
-)
+from repro.coding.concatenation import recovery_circuit
+from repro.core.draw import draw
+from repro.core.library import CNOT, MAJ, MAJ_INV, SWAP, SWAP3_UP, TOFFOLI
+from repro.core.truth_table import circuit_gate
+from repro.synth.database import IdentityDatabase
+from repro.synth.peephole import inflate, optimize_report
+from repro.synth.search import find_optimal
 
 
 def main() -> None:
-    budget = max(search_depth_budget(4), 3)
-
     print("=== Figure 1, rediscovered: MAJ over {CNOT, TOFFOLI} ===")
-    result = find_optimal(MAJ, (CNOT, TOFFOLI), max_gates=budget)
+    result = find_optimal(MAJ, (CNOT, TOFFOLI), max_gates=3)
     print(draw(result.circuit))
     print(
         f"gates: {result.gate_count} (provably minimal), "
@@ -46,7 +40,7 @@ def main() -> None:
     print()
 
     print("=== Figure 5, rediscovered: SWAP3 over {SWAP} ===")
-    rotation = find_optimal(SWAP3_UP, (SWAP,), max_gates=budget)
+    rotation = find_optimal(SWAP3_UP, (SWAP,), max_gates=3)
     print(draw(rotation.circuit))
     print(f"gates: {rotation.gate_count} (provably minimal)")
     print()

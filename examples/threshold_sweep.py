@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import logical_error_bound, threshold
-from repro.harness import (
+from repro.analysis.threshold import logical_error_bound, threshold
+from repro.harness.sweep import geometric_grid
+from repro.harness.tables import format_table
+from repro.harness.threshold_finder import (
     cycle_stage_spec,
     find_pseudo_threshold_adaptive,
-    format_table,
-    geometric_grid,
     measure_cycle_errors,
 )
 from repro.noise.seeds import spawn_seeds

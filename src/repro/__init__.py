@@ -19,18 +19,19 @@ P. O. Boykin and V. P. Roychowdhury, "Reversible Fault-Tolerant Logic"
 * :mod:`repro.baselines` — the unprotected circuit model and a von
   Neumann NAND-multiplexing baseline;
 * :mod:`repro.runtime` — the declarative execution layer: frozen
-  :class:`~repro.runtime.RunSpec` points, the environment-hydrated
-  :class:`~repro.runtime.ExecutionPolicy`, and an
-  :class:`~repro.runtime.Executor` that batches points sharing a
+  :class:`~repro.runtime.spec.RunSpec` points, the environment-hydrated
+  :class:`~repro.runtime.spec.ExecutionPolicy`, and an
+  :class:`~repro.runtime.executor.Executor` that batches points sharing a
   compiled circuit into one stacked bitplane array;
 * :mod:`repro.harness` — statistics, sweeps, pseudo-threshold search,
   and the experiment registry that maps every table and figure of the
   paper to reproduction code.
 
-Quickstart::
+Quickstart (each name is imported from the module that defines it)::
 
-    from repro.core import run
-    from repro.coding import recovery_circuit, OUTPUT_WIRES
+    from repro.coding.concatenation import recovery_circuit
+    from repro.coding.recovery import OUTPUT_WIRES
+    from repro.core.simulator import run
 
     circuit = recovery_circuit()            # Figure 2, nine wires
     noisy_codeword = (1, 0, 1)              # logical 1 with one flip
@@ -39,6 +40,4 @@ Quickstart::
     assert logical == (1, 1, 1)             # the error was corrected
 """
 
-from repro._version import __version__
-
-__all__ = ["__version__"]
+__version__ = "1.0.0"

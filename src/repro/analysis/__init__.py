@@ -1,105 +1,1 @@
 """Closed-form analysis: thresholds, recursions, blow-ups, entropy."""
-
-from repro.analysis.blowup import (
-    BlowupReport,
-    achievable_module_size,
-    bit_blowup,
-    bit_overhead_exponent,
-    gate_blowup,
-    gate_overhead_exponent,
-    plan_module,
-    required_level,
-    required_level_exact,
-    unprotected_module_limit,
-)
-from repro.analysis.entropy import (
-    BOLTZMANN_J_PER_K,
-    KAPPA,
-    binary_entropy,
-    empirical_entropy,
-    empirical_entropy_from_columns,
-    entropy_lower_bound,
-    entropy_upper_bound,
-    landauer_heat_joules,
-    max_level_for_constant_entropy,
-    single_gate_entropy,
-    single_gate_entropy_sqrt_bound,
-)
-from repro.analysis.nand_cost import (
-    OPTIMAL_NAND_ENTROPY,
-    NandRealisation,
-    SearchResult,
-    min_nand_cost,
-    nand_realisations,
-    search_all_gates,
-)
-from repro.analysis.recursion import (
-    PAPER_TABLE_2,
-    Table2Row,
-    error_at_level,
-    iterate_levels,
-    mixed_error_at_level,
-    mixed_threshold,
-    one_level,
-    strip_width,
-    table2_rows,
-)
-from repro.analysis.threshold import (
-    PAPER_SCHEMES,
-    SchemeAccounting,
-    bit_error_bound,
-    bit_error_quadratic_bound,
-    improves,
-    logical_error_bound,
-    logical_error_bound_tight,
-    threshold,
-    threshold_denominator,
-)
-
-__all__ = [
-    "BlowupReport",
-    "achievable_module_size",
-    "bit_blowup",
-    "bit_overhead_exponent",
-    "gate_blowup",
-    "gate_overhead_exponent",
-    "plan_module",
-    "required_level",
-    "required_level_exact",
-    "unprotected_module_limit",
-    "BOLTZMANN_J_PER_K",
-    "KAPPA",
-    "binary_entropy",
-    "empirical_entropy",
-    "empirical_entropy_from_columns",
-    "entropy_lower_bound",
-    "entropy_upper_bound",
-    "landauer_heat_joules",
-    "max_level_for_constant_entropy",
-    "single_gate_entropy",
-    "single_gate_entropy_sqrt_bound",
-    "OPTIMAL_NAND_ENTROPY",
-    "NandRealisation",
-    "SearchResult",
-    "min_nand_cost",
-    "nand_realisations",
-    "search_all_gates",
-    "PAPER_TABLE_2",
-    "Table2Row",
-    "error_at_level",
-    "iterate_levels",
-    "mixed_error_at_level",
-    "mixed_threshold",
-    "one_level",
-    "strip_width",
-    "table2_rows",
-    "PAPER_SCHEMES",
-    "SchemeAccounting",
-    "bit_error_bound",
-    "bit_error_quadratic_bound",
-    "improves",
-    "logical_error_bound",
-    "logical_error_bound_tight",
-    "threshold",
-    "threshold_denominator",
-]

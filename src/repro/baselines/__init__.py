@@ -1,33 +1,1 @@
 """Baselines: the unprotected model and von Neumann NAND multiplexing."""
-
-from repro.baselines.nand_multiplexing import (
-    BundleSimulator,
-    critical_epsilon,
-    degrades,
-    iterate_units,
-    monte_carlo_degrades,
-    multiplexed_unit_fraction,
-    nand_stage_fraction,
-)
-from repro.baselines.unprotected import (
-    identity_module,
-    largest_reliable_module,
-    module_error,
-    module_error_linear,
-    simulate_unprotected,
-)
-
-__all__ = [
-    "BundleSimulator",
-    "critical_epsilon",
-    "degrades",
-    "iterate_units",
-    "monte_carlo_degrades",
-    "multiplexed_unit_fraction",
-    "nand_stage_fraction",
-    "identity_module",
-    "largest_reliable_module",
-    "module_error",
-    "module_error_linear",
-    "simulate_unprotected",
-]

@@ -19,12 +19,8 @@ import numpy as np
 
 from repro.core.circuit import Circuit
 from repro.noise.model import NoiseModel
-from repro.runtime import (
-    ExecutionPolicy,
-    Executor,
-    RunSpec,
-    WireMismatchObservable,
-)
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy, RunSpec, WireMismatchObservable
 from repro.errors import AnalysisError
 
 
@@ -88,8 +84,8 @@ def simulate_unprotected(
     Returns the fraction of trials whose output differs from the
     input anywhere — the empirical ``1 - (1-g)**T`` (slightly below it,
     since a fault can be silent or cancelled).  The point is declared
-    as a :class:`~repro.runtime.RunSpec` and executed through
-    :class:`~repro.runtime.Executor`.
+    as a :class:`~repro.runtime.spec.RunSpec` and executed through
+    :class:`~repro.runtime.executor.Executor`.
     """
     circuit = identity_module(module_gates, n_wires)
     input_bits = tuple(i % 2 for i in range(n_wires))

@@ -69,7 +69,7 @@ import numpy as np
 from repro.core.circuit import Circuit
 from repro.core.gate import Gate
 from repro.errors import SimulationError
-from repro.obs import counter
+from repro.obs.metrics import counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.bitplane import BitplaneState

@@ -28,7 +28,7 @@ class ConfigError(SimulationError):
     """A configuration knob has an invalid value.
 
     Raised when a ``REPRO_*`` environment variable or an
-    :class:`~repro.runtime.ExecutionPolicy` field is out of range or
+    :class:`~repro.runtime.spec.ExecutionPolicy` field is out of range or
     fails to parse — configuration mistakes must fail loudly instead of
     silently falling back to defaults.  Subclasses
     :class:`SimulationError` so existing handlers keep working.
@@ -54,7 +54,7 @@ class SynthesisError(ReproError):
 class SerializationError(ReproError):
     """A value cannot be converted to or from its JSON wire form.
 
-    Raised when a :class:`~repro.runtime.RunSpec` (or one of its
+    Raised when a :class:`~repro.runtime.spec.RunSpec` (or one of its
     parts: circuit, observable, noise model, seed) is asked to
     round-trip through JSON but carries state with no registered wire
     form — an unpicklable-by-path predicate, a live RNG generator, an

@@ -6,8 +6,8 @@ Each experiment reproduces one artefact of the paper and returns
 comparisons; EXPERIMENTS.md is the curated record of their output.
 
 Monte-Carlo experiments hydrate one
-:class:`~repro.runtime.ExecutionPolicy` from the environment
-(:meth:`~repro.runtime.ExecutionPolicy.from_env` — ``REPRO_TRIALS``
+:class:`~repro.runtime.spec.ExecutionPolicy` from the environment
+(:meth:`~repro.runtime.spec.ExecutionPolicy.from_env` — ``REPRO_TRIALS``
 for the budget, ``REPRO_PARALLEL`` for the pool), so CI-speed and
 high-precision runs use the same code.  One
 exception to the budget: fig2's g^2-scaling row floors its trials at
@@ -16,8 +16,8 @@ failure counts and is meaningless below that.
 
 Independent Monte-Carlo points (fig2's two error rates, fig3's two
 concatenation levels, mc-threshold's bracket) are expressed as
-:class:`~repro.runtime.RunSpec` batches through
-:class:`~repro.runtime.Executor`: points sharing a circuit (fig2)
+:class:`~repro.runtime.spec.RunSpec` batches through
+:class:`~repro.runtime.executor.Executor`: points sharing a circuit (fig2)
 evaluate in one stacked plane array, and distinct circuits (fig3's two
 levels) fan out to a process pool when ``REPRO_PARALLEL`` is set to a
 worker count (or ``max``).  Every point carries its own frozen seed
@@ -33,36 +33,37 @@ from math import isclose, log2
 
 import numpy as np
 
-from repro.analysis import (
-    KAPPA,
-    PAPER_SCHEMES,
-    PAPER_TABLE_2,
-    entropy_lower_bound,
-    entropy_upper_bound,
+from repro.analysis.blowup import (
+    bit_overhead_exponent,
     gate_blowup,
     gate_overhead_exponent,
-    bit_overhead_exponent,
-    max_level_for_constant_entropy,
-    min_nand_cost,
     plan_module,
-    search_all_gates,
+)
+from repro.analysis.entropy import (
+    KAPPA,
+    empirical_entropy_from_columns,
+    entropy_lower_bound,
+    entropy_upper_bound,
+    max_level_for_constant_entropy,
     single_gate_entropy,
-    table2_rows,
+)
+from repro.analysis.nand_cost import min_nand_cost, search_all_gates
+from repro.analysis.recursion import PAPER_TABLE_2, table2_rows
+from repro.analysis.threshold import (
+    PAPER_SCHEMES,
     threshold,
     threshold_denominator,
 )
-from repro.analysis.entropy import empirical_entropy_from_columns
-from repro.baselines import critical_epsilon, module_error, simulate_unprotected
-from repro.coding import (
-    OUTPUT_WIRES,
-    RecoveryLayout,
-    THREE_BIT_CODE,
-    concatenated_gate_circuit,
-    gamma_census,
-    recovery_circuit,
-)
-from repro.coding.logical import LogicalProcessor
-from repro.core import (
+from repro.baselines.nand_multiplexing import critical_epsilon
+from repro.baselines.unprotected import module_error, simulate_unprotected
+from repro.coding.concatenation import gamma_census, recovery_circuit
+from repro.coding.logical import LogicalProcessor, concatenated_gate_circuit
+from repro.coding.recovery import DATA_WIRES, OUTPUT_WIRES, RecoveryLayout
+from repro.coding.repetition import THREE_BIT_CODE
+from repro.core import library
+from repro.core.bits import majority, parse_bits
+from repro.core.circuit import Circuit
+from repro.core.library import (
     CNOT,
     MAJ,
     MAJ_INV,
@@ -70,32 +71,9 @@ from repro.core import (
     SWAP3_DOWN,
     SWAP3_UP,
     TOFFOLI,
-    Circuit,
-    circuit_gate,
-    run,
 )
-from repro.core import library
-from repro.core.bits import majority, parse_bits
-from repro.local import (
-    ONE_D_DATA_POSITIONS,
-    circuit_is_local,
-    interleave_1d_schedule,
-    one_d_cycle_operation_count,
-    one_d_lattice,
-    one_d_recovery_circuit,
-    one_d_routing_ops,
-    packed_census,
-    parallel_2d_schedule,
-    perpendicular_2d_schedule,
-    two_d_lattice,
-    two_d_recovery_circuit,
-)
-from repro.noise import (
-    NoiseModel,
-    NoisyRunner,
-    iter_single_faults,
-    run_with_faults,
-)
+from repro.core.simulator import run
+from repro.core.truth_table import circuit_gate
 from repro.harness.stats import wilson_interval
 from repro.harness.threshold_finder import (
     cycle_processor,
@@ -103,14 +81,34 @@ from repro.harness.threshold_finder import (
     find_pseudo_threshold_adaptive,
     measure_cycle_errors,
 )
-from repro.runtime import (
+from repro.local.interleave import (
+    interleave_1d_schedule,
+    one_d_cycle_operation_count,
+    parallel_2d_schedule,
+    perpendicular_2d_schedule,
+)
+from repro.local.lattice import circuit_is_local
+from repro.local.local_recovery import (
+    ONE_D_DATA_POSITIONS,
+    one_d_lattice,
+    one_d_recovery_circuit,
+    one_d_routing_ops,
+    two_d_lattice,
+    two_d_recovery_circuit,
+)
+from repro.local.routing import packed_census
+from repro.noise.injector import iter_single_faults, run_with_faults
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
+from repro.runtime.executor import Executor
+from repro.runtime.spec import (
     DecodeObservable,
     DecodedMismatchObservable,
     ExecutionPolicy,
-    Executor,
     RunSpec,
 )
-from repro.synth import IdentityDatabase, inflate, optimize_report
+from repro.synth.database import IdentityDatabase
+from repro.synth.peephole import inflate, optimize_report
 from repro.errors import ReproError
 
 Row = tuple[str, object, object, bool]
@@ -283,6 +281,44 @@ def experiment_fig1() -> ExperimentResult:
     return ExperimentResult("fig1", "Figure 1", rows)
 
 
+def _single_error_rows(
+    circuit: Circuit, data_in: tuple[int, ...], data_out: tuple[int, ...]
+) -> list[Row]:
+    """The exhaustive fault-tolerance rows of a recovery circuit.
+
+    Every codeword with at most one flipped bit, written to ``data_in``
+    (every other wire starts at 0), must come back on ``data_out`` as
+    the codeword; under any single fault at most one output bit may be
+    wrong.
+    """
+
+    def embed(word):
+        state = [0] * circuit.n_wires
+        for wire, bit in zip(data_in, word):
+            state[wire] = bit
+        return tuple(state)
+
+    def errors(output, codeword):
+        return sum(output[wire] != bit for wire, bit in zip(data_out, codeword))
+
+    corrected = True
+    worst = 0
+    for logical in (0, 1):
+        codeword = THREE_BIT_CODE.encode(logical)
+        for error_position in (None, 0, 1, 2):
+            word = list(codeword)
+            if error_position is not None:
+                word[error_position] ^= 1
+            corrected &= errors(run(circuit, embed(word)), codeword) == 0
+        for fault in iter_single_faults(circuit):
+            output = run_with_faults(circuit, embed(codeword), [fault])
+            worst = max(worst, errors(output, codeword))
+    return [
+        ("corrects every single-bit input error", True, corrected, corrected),
+        ("worst output errors under any single fault", "<= 1", worst, worst <= 1),
+    ]
+
+
 @register(
     "fig2",
     "Figure 2",
@@ -290,28 +326,7 @@ def experiment_fig1() -> ExperimentResult:
 )
 def experiment_fig2() -> ExperimentResult:
     circuit = recovery_circuit()
-    rows: list[Row] = []
-
-    corrected = True
-    for logical in (0, 1):
-        codeword = THREE_BIT_CODE.encode(logical)
-        for error_position in (None, 0, 1, 2):
-            word = list(codeword)
-            if error_position is not None:
-                word[error_position] ^= 1
-            output = run(circuit, tuple(word) + (0,) * 6)
-            recovered = tuple(output[w] for w in OUTPUT_WIRES)
-            corrected &= recovered == codeword
-    rows.append(("corrects every single-bit input error", True, corrected, corrected))
-
-    worst = 0
-    for logical in (0, 1):
-        codeword = THREE_BIT_CODE.encode(logical)
-        for fault in iter_single_faults(circuit):
-            output = run_with_faults(circuit, codeword + (0,) * 6, [fault])
-            recovered = tuple(output[w] for w in OUTPUT_WIRES)
-            worst = max(worst, sum(a != b for a, b in zip(recovered, codeword)))
-    rows.append(("worst output errors under any single fault", "<= 1", worst, worst <= 1))
+    rows = _single_error_rows(circuit, DATA_WIRES, OUTPUT_WIRES)
 
     ops = len(circuit)
     rows.append(("operations incl. initialisation (E)", 8, ops, ops == 8))
@@ -486,33 +501,9 @@ def experiment_fig7() -> ExperimentResult:
     gate_ops = single.gate_count(include_resets=False)
     rows.append(("recovery gates excluding initialisation", 11, gate_ops, gate_ops == 11))
 
-    def embed(word):
-        state = [0] * 9
-        for position, bit in zip(ONE_D_DATA_POSITIONS, word):
-            state[position] = bit
-        return tuple(state)
-
-    corrected = True
-    for logical in (0, 1):
-        codeword = THREE_BIT_CODE.encode(logical)
-        for error_position in (None, 0, 1, 2):
-            word = list(codeword)
-            if error_position is not None:
-                word[error_position] ^= 1
-            output = run(single, embed(word))
-            corrected &= (
-                tuple(output[p] for p in ONE_D_DATA_POSITIONS) == codeword
-            )
-    rows.append(("corrects every single-bit input error", True, corrected, corrected))
-
-    worst = 0
-    for logical in (0, 1):
-        codeword = THREE_BIT_CODE.encode(logical)
-        for fault in iter_single_faults(single):
-            output = run_with_faults(single, embed(codeword), [fault])
-            recovered = tuple(output[p] for p in ONE_D_DATA_POSITIONS)
-            worst = max(worst, sum(a != b for a, b in zip(recovered, codeword)))
-    rows.append(("worst output errors under any single fault", "<= 1", worst, worst <= 1))
+    rows += _single_error_rows(
+        single, ONE_D_DATA_POSITIONS, ONE_D_DATA_POSITIONS
+    )
     return ExperimentResult(
         "fig7",
         "Figure 7",

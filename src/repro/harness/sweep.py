@@ -6,9 +6,9 @@ seeds from one base seed via :class:`numpy.random.SeedSequence`, so
 every point owns an independent, reproducible stream however the
 points are scheduled.
 
-A sweep itself is a batch of :class:`~repro.runtime.RunSpec` points
-through :class:`~repro.runtime.Executor` (or a
-:class:`~repro.jobs.SweepJob` for a durable one), which stacks points
+A sweep itself is a batch of :class:`~repro.runtime.spec.RunSpec` points
+through :class:`~repro.runtime.executor.Executor` (or a
+:class:`~repro.jobs.runner.SweepJob` for a durable one), which stacks points
 sharing a circuit into one plane array.
 """
 

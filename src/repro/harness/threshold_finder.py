@@ -20,13 +20,10 @@ from repro.core import library
 from repro.harness.stats import wilson_interval
 from repro.noise.model import NoiseModel
 from repro.noise.seeds import spawn_seeds
-from repro.obs import counter, trace
-from repro.runtime import (
-    DecodeObservable,
-    ExecutionPolicy,
-    Executor,
-    RunSpec,
-)
+from repro.obs.metrics import counter
+from repro.obs.tracing import trace
+from repro.runtime.executor import Executor
+from repro.runtime.spec import DecodeObservable, ExecutionPolicy, RunSpec
 from repro.errors import AnalysisError
 
 #: Built cycle processors keyed by cycle count.  A bisection or sweep
@@ -54,7 +51,7 @@ def cycle_processor(cycles: int) -> LogicalProcessor:
 
     Memoised: every caller shares one processor per cycle count, so
     callers must not extend it (transformations such as
-    :func:`repro.synth.inflate` return new circuits).
+    :func:`repro.synth.peephole.inflate` return new circuits).
     """
     cached = _PROCESSOR_CACHE.get(cycles)
     if cached is not None:
@@ -76,7 +73,7 @@ def cycle_error_specs(
     """Declarative specs for the cycle-error measurement at ``points``.
 
     Each point is a ``(gate_error, seed)`` pair; every spec shares the
-    memoised cycle circuit, so an :class:`~repro.runtime.Executor`
+    memoised cycle circuit, so an :class:`~repro.runtime.executor.Executor`
     evaluates the whole batch as ONE stacked bitplane array (the
     multi-point sweep workload pays one program execution, not one per
     point).
@@ -144,7 +141,7 @@ def measure_cycle_errors(
     All points share one compiled circuit, so the executor evaluates
     them in a single stacked plane array; each point's numbers are
     bit-identical to measuring it alone.  ``policy`` defaults to
-    :meth:`~repro.runtime.ExecutionPolicy.from_env`.
+    :meth:`~repro.runtime.spec.ExecutionPolicy.from_env`.
     """
     specs = cycle_error_specs(points, trials, cycles, include_resets)
     results = Executor(policy).run(specs)
@@ -220,7 +217,7 @@ def cycle_stage_spec(
     """One escalation stage of the cycle-error workload as a spec.
 
     The ``spec_builder`` the stacked threshold search feeds to its
-    :class:`~repro.runtime.Executor` — module-level (and building on
+    :class:`~repro.runtime.executor.Executor` — module-level (and building on
     the memoised cycle processor) so specs are picklable and every
     stage of every candidate shares ONE compiled circuit.  A search
     with ``cycles != 1`` must bind the same value here
@@ -336,8 +333,9 @@ def find_pseudo_threshold_adaptive(
     ``functools.partial(cycle_stage_spec, cycles=3)``, not the bare
     builder.
 
-    The search runs as stacked rounds on :class:`~repro.runtime.Executor`
-    under ``policy``, one call per round instead of one per stage:
+    The search runs as stacked rounds on
+    :class:`~repro.runtime.executor.Executor` under ``policy``, one call
+    per round instead of one per stage:
 
     * the bracket round stacks both endpoints' first stages with the
       first midpoint's (speculation: the bisection needs that midpoint

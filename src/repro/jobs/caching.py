@@ -1,7 +1,7 @@
 """A store-backed executor: cache hits skip simulation entirely.
 
 :class:`CachingExecutor` wraps the plain
-:class:`~repro.runtime.Executor` behind the same ``run(specs) ->
+:class:`~repro.runtime.executor.Executor` behind the same ``run(specs) ->
 list[PointResult]`` surface, so code written against an executor
 gains a durable cache by swapping the object, not the code.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.jobs.store import ResultStore, point_address
-from repro.obs import counter
+from repro.obs.metrics import counter
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 from repro.runtime.executor import Executor
 

@@ -16,7 +16,7 @@ obligations:
   integer seed it was submitted with (the per-point seed-spawning
   discipline of :func:`repro.noise.seeds.spawn_seeds`), so the union
   of shard results is bit-identical to a single
-  :meth:`~repro.runtime.Executor.run` over the whole list, however the
+  :meth:`~repro.runtime.executor.Executor.run` over the whole list, however the
   shards are scheduled.
 
 Shard IDs hash the member points' store keys (from

@@ -1,7 +1,7 @@
 """The sweep job runner: submit, run, resume, collect.
 
 A *job* is a durable directory representing one sweep — a batch of
-:class:`~repro.runtime.RunSpec` points — split into deterministic
+:class:`~repro.runtime.spec.RunSpec` points — split into deterministic
 shards (:mod:`repro.jobs.planner`) whose results go to a content-keyed
 result store (:mod:`repro.jobs.store`).  Layout::
 
@@ -31,7 +31,7 @@ The contract that makes this a *service* rather than a script:
 * **Merge is bit-identical.**  Every point keeps its own integer seed
   and the executor's stacking guarantee, so :meth:`SweepJob.collect`
   returns exactly what one uninterrupted
-  :meth:`~repro.runtime.Executor.run` over the submitted specs would
+  :meth:`~repro.runtime.executor.Executor.run` over the submitted specs would
   — pinned by ``tests/jobs/test_resume.py``.
 
 With ``policy.parallel`` >= 2, shards fan out over
@@ -48,19 +48,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.circuit import Circuit
+from repro.core.circuit import Circuit, circuit_from_json
 from repro.errors import AnalysisError, JobError, ReproError
 from repro.jobs.caching import _SERVED, lookup, record
 from repro.jobs.planner import DEFAULT_SHARD_SIZE, Shard, plan_shards
 from repro.jobs.store import ResultStore, point_address, write_json_atomic
-from repro.obs import counter, stopwatch, trace
+from repro.obs.metrics import counter
+from repro.obs.tracing import stopwatch, trace
 from repro.runtime.executor import Executor
 from repro.runtime.pool import pool_map, resolve_workers
-from repro.runtime.serialization import (
-    canonical_json,
-    circuit_from_json,
-    spec_from_json,
-)
+from repro.runtime.serialization import canonical_json, spec_from_json
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
 __all__ = ["JOB_FORMAT_VERSION", "JobStatus", "RunReport", "SweepJob"]

@@ -1,9 +1,9 @@
 """The content-keyed result store: durable Monte-Carlo point results.
 
 Every Monte-Carlo point in this repository is fully determined by its
-:class:`~repro.runtime.RunSpec` (circuit content, input, observable,
+:class:`~repro.runtime.spec.RunSpec` (circuit content, input, observable,
 noise, trials, integer seed).  No field of the
-:class:`~repro.runtime.ExecutionPolicy` can change a number — pool
+:class:`~repro.runtime.spec.ExecutionPolicy` can change a number — pool
 width and batching are execution details — so the policy is
 deliberately **not** part of the key, nor recorded with the entry.
 
@@ -45,9 +45,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro._version import __version__
+from repro import __version__
 from repro.errors import JobError
-from repro.obs import counter
+from repro.obs.metrics import counter
 from repro.runtime.serialization import canonical_json, spec_to_json
 from repro.runtime.spec import PointResult, RunSpec
 

@@ -1,109 +1,1 @@
 """Near-neighbour (1D/2D) fault-tolerant constructions."""
-
-from repro.local.interleave import (
-    InterleaveReport,
-    interleave_1d_schedule,
-    one_d_cycle_operation_count,
-    one_d_initial_line,
-    parallel_2d_schedule,
-    perpendicular_2d_schedule,
-)
-from repro.local.lattice import (
-    MAX_LOCAL_OPERATION_SIZE,
-    Chain,
-    Grid,
-    circuit_is_local,
-    is_connected_set,
-    is_local_operation,
-    validate_circuit_locality,
-)
-from repro.local.layout import (
-    DATA_COLUMN,
-    FIG4_TILE,
-    TileAssembly,
-    tile_position,
-    tile_wire,
-)
-from repro.local.local_recovery import (
-    ONE_D_DATA_POSITIONS,
-    ONE_D_LINE_LABELS,
-    ONE_D_RECOVERY_OPS_WITH_INIT,
-    ONE_D_RECOVERY_OPS_WITHOUT_INIT,
-    ONE_D_RESET_PAIRS,
-    STANDARD_TILE_ORIENTATION,
-    TileOrientation,
-    TileRecovery,
-    append_one_d_recovery,
-    one_d_lattice,
-    one_d_recovery_circuit,
-    one_d_routing_ops,
-    two_d_lattice,
-    two_d_recovery_circuit,
-)
-from repro.local.logical_cycle import (
-    CycleCensus,
-    one_d_cycle_io,
-    one_d_logical_cycle,
-    two_d_cycle_io,
-    two_d_logical_cycle,
-)
-from repro.local.routing import (
-    AdjacentSwap,
-    PackedOp,
-    adjacent_swaps_to_sort,
-    append_packed,
-    apply_swap_schedule,
-    move_token,
-    pack_swaps,
-    packed_census,
-    swaps_touching,
-)
-
-__all__ = [
-    "InterleaveReport",
-    "interleave_1d_schedule",
-    "one_d_cycle_operation_count",
-    "one_d_initial_line",
-    "parallel_2d_schedule",
-    "perpendicular_2d_schedule",
-    "MAX_LOCAL_OPERATION_SIZE",
-    "Chain",
-    "Grid",
-    "circuit_is_local",
-    "is_connected_set",
-    "is_local_operation",
-    "validate_circuit_locality",
-    "DATA_COLUMN",
-    "FIG4_TILE",
-    "TileAssembly",
-    "tile_position",
-    "tile_wire",
-    "ONE_D_DATA_POSITIONS",
-    "ONE_D_LINE_LABELS",
-    "ONE_D_RECOVERY_OPS_WITH_INIT",
-    "ONE_D_RECOVERY_OPS_WITHOUT_INIT",
-    "ONE_D_RESET_PAIRS",
-    "STANDARD_TILE_ORIENTATION",
-    "TileOrientation",
-    "TileRecovery",
-    "append_one_d_recovery",
-    "one_d_lattice",
-    "one_d_recovery_circuit",
-    "one_d_routing_ops",
-    "two_d_lattice",
-    "two_d_recovery_circuit",
-    "CycleCensus",
-    "one_d_cycle_io",
-    "one_d_logical_cycle",
-    "two_d_cycle_io",
-    "two_d_logical_cycle",
-    "AdjacentSwap",
-    "PackedOp",
-    "adjacent_swaps_to_sort",
-    "append_packed",
-    "apply_swap_schedule",
-    "move_token",
-    "pack_swaps",
-    "packed_census",
-    "swaps_touching",
-]

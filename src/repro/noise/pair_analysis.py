@@ -114,7 +114,8 @@ def analyse_pairs(
 
 def analyse_recovery_cycle(include_resets: bool = True) -> PairAnalysis:
     """Pair analysis of one Figure-2 recovery cycle storing logical 1."""
-    from repro.coding import OUTPUT_WIRES, recovery_circuit
+    from repro.coding.concatenation import recovery_circuit
+    from repro.coding.recovery import OUTPUT_WIRES
 
     circuit = recovery_circuit(include_resets=include_resets)
     input_state = (1, 1, 1) + (0,) * 6

@@ -1,8 +1,10 @@
-"""``repro.obs`` — tracing, metrics, and profiling behind one front door.
+"""``repro.obs`` — span tracing, process counters and the one clock.
 
 The observability layer of the reproduction: a span tracer
-(:func:`trace`), the process-wide counters (:func:`counter`), and the
-clock front door (:func:`clock_ns` / :func:`stopwatch`).  Zero
+(:func:`~repro.obs.tracing.trace`), the process-wide counters
+(:func:`~repro.obs.metrics.counter`), and the clock front door
+(:func:`~repro.obs.tracing.clock_ns` /
+:func:`~repro.obs.tracing.stopwatch`).  Zero
 dependencies beyond the standard library; strictly no-op-cheap when
 disabled.
 
@@ -18,40 +20,22 @@ Two invariants, both pinned by tests and codelint:
   leaves every frozen digest bit-identical.
 * **One clock.**  Raw ``time.*`` calls are banned in ``src/repro``
   outside this package (codelint RL500); elapsed time flows through
-  :func:`trace`, :func:`stopwatch`, or :func:`clock_ns`.
+  ``trace``, ``stopwatch``, or ``clock_ns``.
 """
 
-from repro.obs.metrics import Counter, counter, metrics_snapshot, reset_metrics
+# Kept for the benchmark; delete with the next benchmark change.
+from repro.obs.metrics import metrics_snapshot
 from repro.obs.tracing import (
-    Span,
-    Stopwatch,
-    TRACE_FORMAT_VERSION,
-    clock_ns,
     disable_tracing,
     enable_tracing,
     flush_trace,
-    stopwatch,
     trace,
-    trace_sink,
-    tracing_enabled,
-    validate_trace,
 )
 
 __all__ = [
-    "Counter",
-    "Span",
-    "Stopwatch",
-    "TRACE_FORMAT_VERSION",
-    "clock_ns",
-    "counter",
     "disable_tracing",
     "enable_tracing",
     "flush_trace",
     "metrics_snapshot",
-    "reset_metrics",
-    "stopwatch",
     "trace",
-    "trace_sink",
-    "tracing_enabled",
-    "validate_trace",
 ]

@@ -2,7 +2,7 @@
 
 Usage at an instrumentation site::
 
-    from repro.obs import trace
+    from repro.obs.tracing import trace
 
     with trace("executor.group", specs=len(specs)) as span:
         ...

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.harness.experiments import REGISTRY, ExperimentResult, run_experiment
 from repro.harness.tables import paper_vs_measured
-from repro.obs import stopwatch
+from repro.obs.tracing import stopwatch
 
 #: The published record (this file lives at src/repro/).
 RECORD_PATH = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"

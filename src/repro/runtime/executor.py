@@ -51,7 +51,8 @@ from repro.noise.monte_carlo import (
     _stack_plan,
 )
 from repro.noise.seeds import as_generator
-from repro.obs import counter, trace
+from repro.obs.metrics import counter
+from repro.obs.tracing import trace
 from repro.runtime.pool import pool_map, resolve_workers
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 

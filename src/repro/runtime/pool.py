@@ -1,8 +1,8 @@
 """The process pool: the one place work fans out over processes.
 
 :func:`pool_map` runs a picklable task over a list of items and yields
-the results in item order.  :class:`~repro.runtime.Executor` fans its
-compiled groups out through it and :class:`~repro.jobs.SweepJob` its
+the results in item order.  :class:`~repro.runtime.executor.Executor` fans its
+compiled groups out through it and :class:`~repro.jobs.runner.SweepJob` its
 shards; nothing else in ``repro`` opens a pool.  Scheduling never
 changes a result: every item carries its own seeds, so a pooled run is
 bit-identical to the in-process one.
@@ -30,11 +30,11 @@ from functools import partial
 
 from repro.core.compiled import warm_compile_cache
 from repro.errors import AnalysisError
-from repro.obs import (
+from repro.obs.metrics import reset_metrics
+from repro.obs.tracing import (
     disable_tracing,
     enable_tracing,
     flush_trace,
-    reset_metrics,
     trace_sink,
 )
 

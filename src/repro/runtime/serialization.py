@@ -18,9 +18,9 @@ This module provides exactly one:
   circuit's wire form in ``circuits`` under its digest;
   ``spec_from_json(data, circuits)`` takes the way back, resolving
   each digest in a mapping of rebuilt circuits, so specs sharing a
-  circuit share one :class:`~repro.core.circuit.Circuit`.
-* :func:`circuit_to_json` / :func:`circuit_from_json` — a circuit's
-  own wire form, re-exported from :mod:`repro.core.circuit`.
+  circuit share one :class:`~repro.core.circuit.Circuit`.  Each blob is
+  the circuit codec's wire form
+  (:func:`~repro.core.circuit.circuit_to_json`).
 
 Observables and decoders serialise by exact type: the two decode
 observables (:class:`~repro.runtime.spec.DecodeObservable`,
@@ -64,7 +64,7 @@ import numpy as np
 from repro.coding.concatenation import Block
 from repro.coding.logical import LogicalProcessor
 from repro.coding.recovery import RecoveryLayout
-from repro.core.circuit import Circuit, circuit_from_json, circuit_to_json
+from repro.core.circuit import Circuit, circuit_to_json
 from repro.errors import CodingError, SerializationError
 from repro.noise.model import NoiseModel
 from repro.runtime.spec import (
@@ -76,8 +76,6 @@ from repro.runtime.spec import (
 __all__ = [
     "SPEC_FORMAT_VERSION",
     "canonical_json",
-    "circuit_from_json",
-    "circuit_to_json",
     "noise_from_json",
     "noise_to_json",
     "spec_from_json",

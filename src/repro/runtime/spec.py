@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -285,18 +285,16 @@ class ExecutionPolicy:
             raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
 
     @classmethod
-    def from_env(cls, **defaults) -> "ExecutionPolicy":
+    def from_env(cls) -> "ExecutionPolicy":
         """The policy described by the ``REPRO_*`` environment knobs.
 
-        ``defaults`` override the dataclass defaults for knobs the
-        environment leaves unset, so callers can say "100k trials
-        unless ``REPRO_TRIALS`` is exported".  This classmethod is the
-        only place the execution knobs are read; hydrate once and pass
-        the policy around.  Invalid values raise
-        :class:`~repro.errors.ConfigError` naming the offending
-        variable — never a silent fall-back to the default.
+        Knobs the environment leaves unset keep the dataclass
+        defaults.  This classmethod is the only place the execution
+        knobs are read; hydrate once and pass the policy around.
+        Invalid values raise :class:`~repro.errors.ConfigError` naming
+        the offending variable — never a silent fall-back to the
+        default.
         """
-        policy = cls(**defaults)
         env = os.environ
         updates: dict = {}
         if env.get("REPRO_PARALLEL") is not None:
@@ -323,7 +321,7 @@ class ExecutionPolicy:
                 raise ConfigError(
                     f"REPRO_TRIALS={env['REPRO_TRIALS']!r} must be >= 1"
                 )
-        return replace(policy, **updates) if updates else policy
+        return cls(**updates)
 
 
 # ----------------------------------------------------------------------

@@ -27,35 +27,3 @@ Synthesised and optimised circuits are ordinary
 into :mod:`repro.runtime` specs and the stacked Executor — the
 ``synth-peephole`` experiment measures exactly that round trip.
 """
-
-from repro.synth.database import IdentityDatabase
-from repro.synth.peephole import (
-    OptimizationReport,
-    inflate,
-    optimize,
-    optimize_report,
-)
-from repro.synth.search import (
-    DEFAULT_GATE_LIBRARY,
-    PlacedOp,
-    SynthesisResult,
-    enumerate_canonical,
-    find_optimal,
-    placed_library,
-    search_depth_budget,
-)
-
-__all__ = [
-    "IdentityDatabase",
-    "OptimizationReport",
-    "inflate",
-    "optimize",
-    "optimize_report",
-    "DEFAULT_GATE_LIBRARY",
-    "PlacedOp",
-    "SynthesisResult",
-    "enumerate_canonical",
-    "find_optimal",
-    "placed_library",
-    "search_depth_budget",
-]

@@ -36,15 +36,11 @@ match yields the provably minimal gate count.  Gate count is the one
 objective: every op is one fault location, the ``G`` of the paper's
 ``rho = 1/(3 C(G,2))``.  Among the canonical representatives meeting
 at the minimal depth the returned circuit is the one with the
-smallest op-index sequence, deterministically.  The
-``REPRO_SYNTH_DEPTH`` environment knob does not change behaviour here
-— it is read by the benchmark/CI smoke layer via
-:func:`search_depth_budget` to cap ``max_gates`` on shared runners.
+smallest op-index sequence, deterministically.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations as wire_orderings
@@ -70,25 +66,6 @@ DEFAULT_MAX_GATES = 8
 #: permutations of ``2**n`` patterns, and beyond this the frontiers stop
 #: fitting in memory anyway.
 MAX_TARGET_WIRES = 6
-
-
-def search_depth_budget(default: int = DEFAULT_MAX_GATES) -> int:
-    """The ``max_gates`` cap for smoke runs (``REPRO_SYNTH_DEPTH``).
-
-    The synthesis tests and the CI synth smoke step read this so
-    shared runners can cap the exhaustive search depth; library callers
-    pass ``max_gates`` explicitly and never consult the environment.
-    """
-    raw = os.environ.get("REPRO_SYNTH_DEPTH", default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise SynthesisError(
-            f"REPRO_SYNTH_DEPTH must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise SynthesisError(f"REPRO_SYNTH_DEPTH must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

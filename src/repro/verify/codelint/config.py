@@ -13,11 +13,10 @@ from __future__ import annotations
 #: ``repro``.  A module may import (at module level) only packages on a
 #: strictly lower layer, or its own package; upward imports must be
 #: deferred (inside a function) *and* listed in
-#: :data:`DEFERRED_ALLOWLIST`.  ``repro/__init__.py`` is the root
-#: re-export surface and may import anything.
+#: :data:`DEFERRED_ALLOWLIST`.  ``repro/__init__.py`` holds only the
+#: package version and is not layered.
 LAYERS: dict[str, int] = {
     "errors": 0,
-    "_version": 0,
     "obs": 1,
     "core": 2,
     "coding": 3,
@@ -60,7 +59,7 @@ RNG_OWNING_PREFIX = "src/repro/noise/"
 #: Files outside the noise layer allowed specific impure calls, with
 #: the documented reason.  Empty since the observability layer became
 #: the one clock front door (``repro.report`` now times through
-#: ``repro.obs.stopwatch``); the mechanism stays so a future exception
+#: ``repro.obs.tracing.stopwatch``); the mechanism stays so a future exception
 #: must still be argued into this dict in review.
 RNG_ALLOWED_FILES: dict[str, str] = {}
 

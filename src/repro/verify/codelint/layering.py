@@ -36,7 +36,7 @@ def module_segment(relpath: str) -> str | None:
     ``src/repro/core/compiled.py`` → ``core``;
     ``src/repro/report.py`` → ``report``;
     ``src/repro/__init__.py``/``src/repro/py.typed`` → ``None`` (the
-    root re-export surface, exempt from layering).
+    root package, exempt from layering).
     """
     parts = relpath.split("/")
     try:
@@ -117,7 +117,7 @@ def run(root, files, report: DiagnosticReport) -> None:
             continue
         own = module_segment(source.relpath)
         if own is None:
-            continue  # the root __init__ re-export surface
+            continue  # the root package
         own_layer = LAYERS.get(own)
         if own_layer is None:
             report.error(

@@ -7,15 +7,11 @@ the concrete objects behind Section 3's G = 16 (2D) and G = 40 (1D).
 
 from __future__ import annotations
 
-from repro.core import MAJ
+from repro.core.library import MAJ
 from repro.harness.tables import format_table
-from repro.local import (
-    Chain,
-    circuit_is_local,
-    one_d_cycle_operation_count,
-    one_d_logical_cycle,
-    two_d_logical_cycle,
-)
+from repro.local.interleave import one_d_cycle_operation_count
+from repro.local.lattice import Chain, circuit_is_local
+from repro.local.logical_cycle import one_d_logical_cycle, two_d_logical_cycle
 
 
 def test_ablation_assembled_cycles(published_table):

@@ -9,7 +9,7 @@ threshold.
 
 from __future__ import annotations
 
-from repro.coding import repeated_recovery
+from repro.coding.concatenation import repeated_recovery
 from repro.harness.experiments import trial_budget
 from repro.harness.tables import format_table
 from repro.noise.model import NoiseModel

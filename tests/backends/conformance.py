@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.core.bitplane import BitplaneState, count_trial_ones, popcount_words
 from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.core.library import REGISTRY
-from repro.noise import NoiseModel
-from repro.runtime import (
+from repro.noise.model import NoiseModel
+from repro.runtime.executor import Executor
+from repro.runtime.spec import (
     ExecutionPolicy,
-    Executor,
     MajorityMismatchObservable,
     RunSpec,
 )

@@ -6,7 +6,7 @@ import pytest
 from conformance import BackendConformance
 
 from repro.backends import get_backend, prepare
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.core.compiled import CompiledCircuit
 from repro.errors import ConfigError
 

@@ -19,11 +19,12 @@ from repro.core.bits import index_to_bits
 from repro.core.circuit import Circuit
 from repro.core.simulator import run
 from repro.errors import CodingError
-from repro.noise import NoiseModel, NoisyRunner
-from repro.runtime import (
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
+from repro.runtime.executor import Executor
+from repro.runtime.spec import (
     DecodedMismatchObservable,
     ExecutionPolicy,
-    Executor,
     RunSpec,
 )
 from tests.conftest import reference_decode, reference_decode_failures

@@ -18,20 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.coding import (
-    LogicalProcessor,
-    RecoveryLayout,
-    concatenated_gate_circuit,
-    recovery_circuit,
-    repeated_recovery,
-)
+from repro.coding.concatenation import recovery_circuit, repeated_recovery
+from repro.coding.logical import LogicalProcessor, concatenated_gate_circuit
+from repro.coding.recovery import RecoveryLayout
 from repro.core.library import MAJ
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.local import (
-    one_d_logical_cycle,
-    one_d_recovery_circuit,
-    two_d_logical_cycle,
-)
+from repro.local.local_recovery import one_d_recovery_circuit
+from repro.local.logical_cycle import one_d_logical_cycle, two_d_logical_cycle
 from repro.runtime.serialization import spec_to_json
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coding import THREE_BIT_CODE
+from repro.coding.repetition import THREE_BIT_CODE
 from repro.core.simulator import run
-from repro.local import ONE_D_DATA_POSITIONS
-from repro.obs import metrics_snapshot
+from repro.local.local_recovery import ONE_D_DATA_POSITIONS
+from repro.obs.metrics import metrics_snapshot
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.core.circuit import Circuit
 from repro.core.draw import draw
 from repro.errors import CircuitError, ReproError

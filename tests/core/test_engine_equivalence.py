@@ -15,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BitplaneState, compile_circuit, run
+from repro.core.bitplane import BitplaneState
 from repro.core.bits import all_bit_vectors
 from repro.core.circuit import Circuit
+from repro.core.compiled import compile_circuit
 from repro.core.library import REGISTRY
+from repro.core.simulator import run
 from repro.errors import SimulationError
 from tests.conftest import reference_outputs
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BitplaneState, compile_circuit
+from repro.core.bitplane import BitplaneState
 from repro.core.circuit import Circuit
+from repro.core.compiled import compile_circuit
 from repro.core.library import FREDKIN, MAJ, MAJ_INV, SWAP, SWAP3_DOWN, SWAP3_UP, X
-from repro.noise import NoiseModel, NoisyRunner
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
 from tests.conftest import reference_outputs
 
 #: Conservative (weight-preserving) gates of the library.

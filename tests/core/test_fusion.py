@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.coding.logical import LogicalProcessor
-from repro.core import library, run
+from repro.core import library
 from repro.core.bitplane import BitplaneState
 from repro.core.circuit import Circuit
 from repro.core.compiled import CompiledCircuit
 from repro.core.library import REGISTRY
+from repro.core.simulator import run
 
 GATES = tuple(REGISTRY.values())
 

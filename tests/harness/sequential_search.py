@@ -17,7 +17,8 @@ from repro.harness.threshold_finder import (
     _spawn_stage_seeds,
     per_cycle_rate,
 )
-from repro.runtime import ExecutionPolicy, Executor
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy
 
 
 def sequential_pseudo_threshold(

@@ -18,7 +18,8 @@ from repro.harness.threshold_finder import (
     per_cycle_rate,
 )
 from repro.errors import AnalysisError
-from repro.runtime import ExecutionPolicy, Executor, PointResult, RunSpec
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
 
 def logical_error_per_cycle(gate_error, trials, cycles=1, seed=0):

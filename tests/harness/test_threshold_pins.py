@@ -15,8 +15,8 @@ from repro.harness.threshold_finder import (
     cycle_stage_spec,
     find_pseudo_threshold_adaptive,
 )
-from repro.obs import counter
-from repro.runtime import ExecutionPolicy
+from repro.obs.metrics import counter
+from repro.runtime.spec import ExecutionPolicy
 
 COUNTERS = (
     "executor.runs",

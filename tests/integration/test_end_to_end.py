@@ -11,7 +11,8 @@ from repro.core import library
 from repro.core.simulator import run
 from repro.harness.stats import RateEstimate
 from repro.harness.threshold_finder import measure_cycle_errors
-from repro.local import circuit_is_local, one_d_lattice, one_d_recovery_circuit
+from repro.local.lattice import circuit_is_local
+from repro.local.local_recovery import one_d_lattice, one_d_recovery_circuit
 from repro.noise.model import NoiseModel
 from repro.noise.monte_carlo import NoisyRunner
 from tests.conftest import reference_decode_failures

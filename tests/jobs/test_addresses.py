@@ -1,6 +1,6 @@
 """One store address per point: the job layer serialises each spec once.
 
-:func:`~repro.jobs.point_address` computes a point's ``(key, wire)``
+:func:`~repro.jobs.store.point_address` computes a point's ``(key, wire)``
 pair; submit and load compute one per spec and every later step reuses
 it.  These tests count the serialisations and key hashes each step
 makes, and check that job traffic reaches the ``jobs.cache.*``
@@ -18,10 +18,14 @@ import pytest
 
 from repro.errors import JobError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import CachingExecutor, ResultStore, SweepJob
 from repro.jobs import caching, planner, runner, store
+from repro.jobs.caching import CachingExecutor
+from repro.jobs.runner import SweepJob
+from repro.jobs.store import ResultStore
 from repro.noise.seeds import spawn_seeds
-from repro.runtime import ExecutionPolicy, Executor, serialization
+from repro.runtime import serialization
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy
 from tests.conftest import CounterDeltas
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from repro.errors import AnalysisError, JobError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import DEFAULT_SHARD_SIZE, SweepJob, plan_shards, point_address
+from repro.jobs.planner import DEFAULT_SHARD_SIZE, plan_shards
+from repro.jobs.runner import SweepJob
+from repro.jobs.store import point_address
 from repro.noise.seeds import spawn_seeds
 
 

@@ -10,15 +10,16 @@ import pytest
 
 from repro.errors import JobError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import (
-    CachingExecutor,
+from repro.jobs import store as jobs_store
+from repro.jobs.caching import CachingExecutor
+from repro.jobs.store import (
     RESULT_STREAM_VERSION,
     STORE_FORMAT_VERSION,
     ResultStore,
     point_address,
 )
-from repro.jobs import store as jobs_store
-from repro.runtime import ExecutionPolicy, Executor, PointResult
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy, PointResult
 from tests.conftest import CounterDeltas, MALFORMED_RESULTS, malform_result, reshape
 
 

@@ -10,11 +10,16 @@ observable over a hand-built logical processor.
 from __future__ import annotations
 
 from repro.coding.logical import LogicalProcessor
-from repro.core import CNOT
+from repro.core.library import CNOT
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import SweepJob, point_address
+from repro.jobs.runner import SweepJob
+from repro.jobs.store import point_address
 from repro.noise.model import NoiseModel
-from repro.runtime import DecodedMismatchObservable, ExecutionPolicy, RunSpec
+from repro.runtime.spec import (
+    DecodedMismatchObservable,
+    ExecutionPolicy,
+    RunSpec,
+)
 
 POINT_KEYS = [
     "eb739f53def2ffa86b38273aa48006b0e14ad8e78ccfcdc0a91c9d26c519b4fd",

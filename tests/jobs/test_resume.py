@@ -3,7 +3,7 @@
 The load-bearing guarantee of the job layer: a sweep that is sharded,
 interrupted, resumed (possibly by a different process with a different
 shard-size argument), and merged returns exactly the numbers one
-uninterrupted in-process :meth:`~repro.runtime.Executor.run` returns.
+uninterrupted in-process :meth:`~repro.runtime.executor.Executor.run` returns.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import pytest
 
 from repro.errors import AnalysisError, JobError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import SweepJob
 from repro.jobs import runner
+from repro.jobs.runner import SweepJob
 from repro.noise.seeds import spawn_seeds
-from repro.runtime import ExecutionPolicy, Executor
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy
 from tests.conftest import CounterDeltas, MALFORMED_RESULTS, malform_result, reshape
 
 

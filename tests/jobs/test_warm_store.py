@@ -1,7 +1,7 @@
 """A warm result store answers sweeps without simulating.
 
 Re-querying a completed 10-point logical-error sweep through the
-content-keyed :class:`~repro.jobs.ResultStore` must serve IDENTICAL
+content-keyed :class:`~repro.jobs.store.ResultStore` must serve IDENTICAL
 results and simulate ZERO points (asserted via the ``jobs.cache`` and
 ``jobs.store`` counters, not inferred from timing).  The workload is the deep
 sub-threshold storage sweep, at CI scale.  How fast the warm
@@ -14,8 +14,10 @@ from __future__ import annotations
 from repro.harness.sweep import geometric_grid
 from repro.noise.seeds import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import CachingExecutor, ResultStore
-from repro.runtime import ExecutionPolicy, Executor
+from repro.jobs.caching import CachingExecutor
+from repro.jobs.store import ResultStore
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy
 from tests.conftest import CounterDeltas
 
 TRIALS = 2000

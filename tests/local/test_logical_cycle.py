@@ -5,17 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coding import THREE_BIT_CODE
-from repro.core import MAJ, MAJ_INV, TOFFOLI, run
+from repro.coding.repetition import THREE_BIT_CODE
 from repro.core.bits import index_to_bits
-from repro.local import Chain, circuit_is_local
+from repro.core.library import MAJ, MAJ_INV, TOFFOLI
+from repro.core.simulator import run
+from repro.local.lattice import Chain, circuit_is_local
 from repro.local.logical_cycle import (
     one_d_cycle_io,
     one_d_logical_cycle,
     two_d_cycle_io,
     two_d_logical_cycle,
 )
-from repro.noise import NoiseModel, NoisyRunner
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
 from repro.errors import CodingError
 
 
@@ -65,7 +67,7 @@ class TestOneDCycle:
         assert _decode_1d(output, data_wires) == MAJ.apply((1, 1, 1))
 
     def test_gate_arity_validated(self):
-        from repro.core import CNOT
+        from repro.core.library import CNOT
 
         with pytest.raises(CodingError):
             one_d_logical_cycle(CNOT)
@@ -142,7 +144,7 @@ class TestTwoDCycle:
             two_d_cycle_io((1, 0, 2), assembly)
 
     def test_gate_arity_validated(self):
-        from repro.core import CNOT
+        from repro.core.library import CNOT
 
         with pytest.raises(CodingError, match="arity 2"):
             two_d_logical_cycle(CNOT)

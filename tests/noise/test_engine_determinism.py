@@ -22,19 +22,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.coding.recovery import OUTPUT_WIRES
 from repro.core.circuit import Circuit
 from repro.backends import get_backend
 from repro.core.compiled import clear_compile_cache, compile_circuit
-from repro.noise import NoiseModel, NoisyRunner
-from repro.runtime import (
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
+from repro.runtime.executor import Executor
+from repro.runtime.spec import (
     ExecutionPolicy,
-    Executor,
     MajorityMismatchObservable,
     RunSpec,
 )
-from repro.synth import inflate
+from repro.synth.peephole import inflate
 from tests.conftest import CounterDeltas
 
 #: Frozen stream digests for the reference run below.  If an

@@ -14,7 +14,8 @@ import ctypes
 import pytest
 
 from repro.harness.threshold_finder import cycle_stage_spec
-from repro.runtime import ExecutionPolicy, Executor
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy
 
 resource = pytest.importorskip("resource")
 

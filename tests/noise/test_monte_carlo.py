@@ -11,9 +11,9 @@ from repro.core.circuit import Circuit
 from repro.noise.model import NoiseModel
 from repro.noise.monte_carlo import NoisyRunner, resolve_engine
 from repro.errors import SimulationError
-from repro.runtime import (
+from repro.runtime.executor import Executor
+from repro.runtime.spec import (
     ExecutionPolicy,
-    Executor,
     MajorityMismatchObservable,
     PredicateObservable,
     RunSpec,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coding import OUTPUT_WIRES, recovery_circuit
+from repro.coding.concatenation import recovery_circuit
+from repro.coding.recovery import OUTPUT_WIRES
 from repro.core.circuit import Circuit
 from repro.noise.model import NoiseModel
 from repro.noise.monte_carlo import NoisyRunner

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.coding.logical import LogicalProcessor
-from repro.core import MAJ
 from repro.core.bitplane import BitplaneState
 from repro.core.compiled import CompiledCircuit, compile_circuit
-from repro.noise import NoiseModel, NoisyRunner
+from repro.core.library import MAJ
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
 from tests.conftest import reference_decode_failures
 
 TRIALS = 100_000

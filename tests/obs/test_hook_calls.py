@@ -16,12 +16,12 @@ on a shared host is below the run-to-run spread.
 
 from __future__ import annotations
 
-from repro.coding import recovery_circuit
-from repro.noise import NoiseModel
+from repro.coding.concatenation import recovery_circuit
+from repro.noise.model import NoiseModel
 from repro.obs.metrics import Counter
-from repro.runtime import (
+from repro.runtime.executor import Executor
+from repro.runtime.spec import (
     ExecutionPolicy,
-    Executor,
     MajorityMismatchObservable,
     RunSpec,
 )
@@ -81,7 +81,7 @@ def _hook_calls(monkeypatch, specs) -> list[str]:
 
 
 def test_obs_hook_calls_do_not_scale_with_work(monkeypatch):
-    from repro.obs import tracing_enabled
+    from repro.obs.tracing import tracing_enabled
 
     assert not tracing_enabled(), "the count needs tracing disabled"
     cycle = recovery_circuit()

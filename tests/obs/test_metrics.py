@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import counter, metrics_snapshot, reset_metrics
+from repro.obs.metrics import counter, metrics_snapshot, reset_metrics
 
 
 @pytest.fixture(autouse=True)

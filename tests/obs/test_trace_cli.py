@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import (
+from repro.obs.metrics import counter
+from repro.obs.tracing import (
     TRACE_FORMAT_VERSION,
-    counter,
     disable_tracing,
     enable_tracing,
     flush_trace,

@@ -18,19 +18,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.core.compiled import clear_compile_cache
 from repro.harness.threshold_finder import (
     cycle_stage_spec,
     find_pseudo_threshold_adaptive,
     measure_cycle_errors,
 )
-from repro.noise import NoiseModel, NoisyRunner
-from repro.obs import (
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
+from repro.obs.metrics import reset_metrics
+from repro.obs.tracing import (
     disable_tracing,
     enable_tracing,
     flush_trace,
-    reset_metrics,
     validate_trace,
 )
 

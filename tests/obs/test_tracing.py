@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.tracing import NOOP_SPAN
-from repro.obs import (
+from repro.obs.tracing import (
+    NOOP_SPAN,
     clock_ns,
     disable_tracing,
     enable_tracing,
@@ -222,7 +222,7 @@ def test_repro_trace_env_flushes_at_exit(tmp_path):
     env["REPRO_TRACE"] = str(sink)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     script = (
-        "from repro.obs import trace\n"
+        "from repro.obs.tracing import trace\n"
         "with trace('smoke.span', n=3):\n"
         "    pass\n"
     )
@@ -246,8 +246,9 @@ def test_repro_trace_exported_after_import_does_not_trace(tmp_path):
         "import os\n"
         "from repro.core.circuit import Circuit\n"
         "from repro.noise.model import NoiseModel\n"
-        "from repro.obs import tracing_enabled\n"
-        "from repro.runtime import Executor, MajorityMismatchObservable, RunSpec\n"
+        "from repro.obs.tracing import tracing_enabled\n"
+        "from repro.runtime.executor import Executor\n"
+        "from repro.runtime.spec import MajorityMismatchObservable, RunSpec\n"
         f"os.environ['REPRO_TRACE'] = {str(sink)!r}\n"
         "spec = RunSpec(Circuit(3).maj(0, 1, 2), (1, 1, 1),\n"
         "               MajorityMismatchObservable((0, 1, 2), 1),\n"

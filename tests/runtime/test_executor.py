@@ -17,17 +17,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.coding.logical import LogicalProcessor
 from repro.coding.recovery import OUTPUT_WIRES
 from repro.core import library
 from repro.core.circuit import Circuit
 from repro.errors import SimulationError
-from repro.noise import NoiseModel, NoisyRunner
-from repro.runtime import (
+from repro.noise.model import NoiseModel
+from repro.noise.monte_carlo import NoisyRunner
+from repro.runtime.executor import Executor
+from repro.runtime.spec import (
     DecodeObservable,
     ExecutionPolicy,
-    Executor,
     MajorityMismatchObservable,
     PointResult,
     PredicateObservable,

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.circuit import Circuit
+from repro.core.circuit import Circuit, circuit_from_json
 from repro.errors import SerializationError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import point_address
 from repro.jobs import store as jobs_store
+from repro.jobs.store import point_address
 from repro.runtime.serialization import (
     _CIRCUIT_WIRE_CACHE,
     _CIRCUIT_WIRE_CACHE_MAX,
     _circuit_wire,
     canonical_json,
-    circuit_from_json,
     spec_from_json,
     spec_to_json,
 )

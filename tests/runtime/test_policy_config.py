@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.runtime import ExecutionPolicy
+from repro.runtime.spec import ExecutionPolicy
 
 
 class TestFromEnvValidation:

@@ -18,23 +18,23 @@ from repro.core.circuit import Circuit
 from repro.core.compiled import clear_compile_cache, compile_circuit
 from repro.errors import AnalysisError
 from repro.harness.threshold_finder import cycle_error_specs
-from repro.jobs import SweepJob
-from repro.noise import NoiseModel
+from repro.jobs.runner import SweepJob
+from repro.noise.model import NoiseModel
 from repro.noise.seeds import spawn_seeds
-from repro.obs import (
+from repro.obs.metrics import reset_metrics
+from repro.obs.tracing import (
     disable_tracing,
     enable_tracing,
     flush_trace,
-    reset_metrics,
     validate_trace,
 )
-from repro.runtime import (
+from repro.runtime.executor import Executor
+from repro.runtime.pool import pool_map, resolve_workers
+from repro.runtime.spec import (
     ExecutionPolicy,
-    Executor,
     MajorityMismatchObservable,
     RunSpec,
 )
-from repro.runtime.pool import pool_map, resolve_workers
 from tests.conftest import CounterDeltas
 
 

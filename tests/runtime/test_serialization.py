@@ -11,29 +11,24 @@ import pytest
 
 from repro.coding.logical import LogicalProcessor
 from repro.core import library
-from repro.core.circuit import Circuit
+from repro.core.circuit import Circuit, circuit_from_json, circuit_to_json
 from repro.errors import SerializationError
 from repro.harness.threshold_finder import cycle_error_specs, cycle_processor
 from repro.noise.model import NoiseModel
-from repro.runtime import (
-    DecodeObservable,
-    DecodedMismatchObservable,
-    Executor,
-    ExecutionPolicy,
-    PredicateObservable,
-    RunSpec,
-)
+from repro.runtime.executor import Executor, _group_key
 from repro.runtime.serialization import (
     SPEC_FORMAT_VERSION,
+    noise_from_json,
+    noise_to_json,
     spec_from_json,
     spec_to_json,
 )
-from repro.runtime.executor import _group_key
-from repro.runtime.serialization import (
-    circuit_from_json,
-    circuit_to_json,
-    noise_from_json,
-    noise_to_json,
+from repro.runtime.spec import (
+    DecodeObservable,
+    DecodedMismatchObservable,
+    ExecutionPolicy,
+    PredicateObservable,
+    RunSpec,
 )
 
 

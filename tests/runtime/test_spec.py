@@ -11,7 +11,7 @@ from repro.core.circuit import Circuit
 from repro.core.bitplane import BitplaneState, count_trial_ones, unpack_words
 from repro.errors import SimulationError
 from repro.noise.model import NoiseModel
-from repro.runtime import (
+from repro.runtime.spec import (
     DecodeObservable,
     DecodedMismatchObservable,
     ExecutionPolicy,
@@ -307,12 +307,6 @@ class TestExecutionPolicy:
     def test_from_env_parallel_max(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "max")
         assert ExecutionPolicy.from_env().parallel is True
-
-    def test_from_env_defaults_yield_to_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRIALS", raising=False)
-        assert ExecutionPolicy.from_env(trials=555).trials == 555
-        monkeypatch.setenv("REPRO_TRIALS", "777")
-        assert ExecutionPolicy.from_env(trials=555).trials == 777
 
     def test_from_env_unset_environment_keeps_defaults(self, monkeypatch):
         for knob in ("REPRO_PARALLEL", "REPRO_TRIALS"):

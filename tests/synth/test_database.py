@@ -12,7 +12,7 @@ from repro.core.gate import Gate
 from repro.core.permutation import Permutation
 from repro.core.truth_table import circuit_permutation
 from repro.errors import SynthesisError
-from repro.synth import IdentityDatabase
+from repro.synth.database import IdentityDatabase
 
 
 def fig1_circuit() -> Circuit:

@@ -5,19 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coding import recovery_circuit
+from repro.coding.concatenation import recovery_circuit
 from repro.coding.logical import LogicalProcessor
-from repro.core import library, run
+from repro.core import library
 from repro.core.bits import index_to_bits
 from repro.core.circuit import Circuit
 from repro.core.decompositions import DECOMPOSITIONS
+from repro.core.simulator import run
 from repro.core.truth_table import circuit_permutation
-from repro.synth import (
-    IdentityDatabase,
-    inflate,
-    optimize,
-    optimize_report,
-)
+from repro.synth.database import IdentityDatabase
+from repro.synth.peephole import inflate, optimize, optimize_report
 
 
 def same_noiseless_action(left: Circuit, right: Circuit) -> bool:

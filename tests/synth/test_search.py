@@ -10,11 +10,10 @@ from repro.core.circuit import Circuit
 from repro.core.permutation import Permutation
 from repro.core.truth_table import circuit_gate, circuit_permutation
 from repro.errors import SynthesisError
-from repro.synth import (
+from repro.synth.search import (
     enumerate_canonical,
     find_optimal,
     placed_library,
-    search_depth_budget,
 )
 
 
@@ -172,24 +171,3 @@ class TestEnumerateCanonical:
             for index in sequence:
                 circuit.append_gate(ops[index].gate, *ops[index].wires)
             assert circuit_permutation(circuit).mapping == mapping
-
-
-class TestDepthBudget:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNTH_DEPTH", "3")
-        assert search_depth_budget(8) == 3
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SYNTH_DEPTH", raising=False)
-        assert search_depth_budget(5) == 5
-
-    def test_invalid_budget_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYNTH_DEPTH", "0")
-        with pytest.raises(SynthesisError, match="REPRO_SYNTH_DEPTH"):
-            search_depth_budget()
-
-    def test_non_numeric_budget_rejected(self, monkeypatch):
-        # Regression: int('fast') used to leak a bare ValueError.
-        monkeypatch.setenv("REPRO_SYNTH_DEPTH", "fast")
-        with pytest.raises(SynthesisError, match="integer"):
-            search_depth_budget()

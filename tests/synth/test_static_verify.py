@@ -8,7 +8,8 @@ from repro.core import library
 from repro.core.circuit import Circuit
 from repro.core.truth_table import circuit_permutation
 from repro.errors import SynthesisError
-from repro.synth import IdentityDatabase, optimize_report
+from repro.synth.database import IdentityDatabase
+from repro.synth.peephole import optimize_report
 
 
 def database() -> IdentityDatabase:

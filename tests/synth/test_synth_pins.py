@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from repro.core.library import CNOT, MAJ, SWAP, SWAP3_UP, TOFFOLI
 from repro.harness.threshold_finder import cycle_processor
-from repro.synth import IdentityDatabase, find_optimal, inflate, optimize_report
-from repro.synth.database import DEFAULT_DATABASE_DIR
+from repro.synth.database import DEFAULT_DATABASE_DIR, IdentityDatabase
+from repro.synth.peephole import inflate, optimize_report
+from repro.synth.search import find_optimal
 
 COMMITTED_DATABASE = DEFAULT_DATABASE_DIR / "synth_identities.json"
 

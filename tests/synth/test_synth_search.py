@@ -4,20 +4,24 @@
 Toffoli, Figure 1) and both SWAP3 rotations (2 SWAPs each, Figure 5)
 at provably minimal gate count, and the identity miner must populate
 the Figure-1 equivalence class the peephole optimiser rewrites with.
-``REPRO_SYNTH_DEPTH`` caps the iterative-deepening budget on shared
-runners (the constructions live at depths 2-3, so any cap >= 3 keeps
-the gates meaningful).
 """
 
 from __future__ import annotations
 
-from repro.core import CNOT, MAJ, SWAP, SWAP3_DOWN, SWAP3_UP, TOFFOLI, circuit_gate
-from repro.synth import IdentityDatabase, find_optimal, search_depth_budget
+from repro.core.library import CNOT, MAJ, SWAP, SWAP3_DOWN, SWAP3_UP, TOFFOLI
+from repro.core.truth_table import circuit_gate
+from repro.synth.database import IdentityDatabase
+from repro.synth.search import find_optimal
+
+#: Iterative-deepening cap, above the Figure-1 (3 gates) and Figure-5
+#: (2 gates) minima: the search stops at the first depth that matches.
+SEARCH_DEPTH = 4
+#: Mining depth that reaches the three-gate Figure-1 member.
+MINING_DEPTH = 3
 
 
 def test_search_rediscovers_fig1_maj():
-    budget = max(search_depth_budget(4), 3)
-    result = find_optimal(MAJ, (CNOT, TOFFOLI), max_gates=budget)
+    result = find_optimal(MAJ, (CNOT, TOFFOLI), max_gates=SEARCH_DEPTH)
     assert result.gate_count == 3
     assert result.circuit.count_ops() == {"CNOT": 2, "TOFFOLI": 1}
     assert circuit_gate(result.circuit, "synth-maj").same_action(MAJ)
@@ -29,9 +33,8 @@ def test_search_rediscovers_fig1_maj():
 
 
 def test_search_rediscovers_fig5_swap3():
-    budget = max(search_depth_budget(4), 2)
     results = [
-        find_optimal(rotation, (SWAP,), max_gates=budget)
+        find_optimal(rotation, (SWAP,), max_gates=SEARCH_DEPTH)
         for rotation in (SWAP3_UP, SWAP3_DOWN)
     ]
     for rotation, result in zip((SWAP3_UP, SWAP3_DOWN), results):
@@ -41,13 +44,11 @@ def test_search_rediscovers_fig5_swap3():
 
 
 def test_identity_mining_covers_the_figure_1_class():
-    depth = max(min(search_depth_budget(3), 3), 1)
     database = IdentityDatabase(3)
-    database.mine((CNOT, TOFFOLI, MAJ), max_gates=depth)
+    database.mine((CNOT, TOFFOLI, MAJ), max_gates=MINING_DEPTH)
     best = database.best(MAJ.permutation)
     assert best is not None and len(best) == 1
-    if depth >= 3:
-        # The MAJ class holds both the single gate and the Figure-1
-        # three-gate member — an equivalence usable as a rewrite rule.
-        lengths = {len(member) for member in database.classes[MAJ.table].values()}
-        assert 1 in lengths and 3 in lengths
+    # The MAJ class holds both the single gate and the Figure-1
+    # three-gate member — an equivalence usable as a rewrite rule.
+    lengths = {len(member) for member in database.classes[MAJ.table].values()}
+    assert 1 in lengths and 3 in lengths

@@ -7,11 +7,14 @@ import json
 import pytest
 
 from repro.errors import VerificationError
-from repro.verify import CODES, Diagnostic, DiagnosticReport, Severity
 from repro.verify.diagnostics import (
+    CODES,
     EXIT_CLEAN,
     EXIT_DRIVER_ERROR,
     EXIT_FINDINGS,
+    Diagnostic,
+    DiagnosticReport,
+    Severity,
 )
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.circuit import Circuit
 from repro.core.compiled import CompiledCircuit, CompiledOp, _build_slot
-from repro.verify import verify_compiled
+from repro.verify.program import verify_compiled
 
 
 def transversal_circuit() -> Circuit:

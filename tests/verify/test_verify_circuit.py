@@ -12,7 +12,8 @@ import pytest
 from repro.core import library
 from repro.core.circuit import Circuit, OpKind, Operation
 from repro.core.gate import Gate
-from repro.verify import classify_parity, corpus, verify_circuit
+from repro.verify.corpus import corpus
+from repro.verify.ir import classify_parity, verify_circuit
 
 
 def forge_gate(name: str, arity, table) -> Gate:

@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.circuit import Circuit
 from repro.core.compiled import CompiledCircuit
-from repro.verify import corpus, verify_compiled
+from repro.verify.corpus import corpus
+from repro.verify.program import verify_compiled
 
 CORPUS = corpus()
 

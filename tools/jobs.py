@@ -30,7 +30,7 @@ stored points of the rest.  ``--max-shards`` deliberately stops early
 ``collect`` reads each point's cycle count from its spec (the cycle
 decoder records two logical gates per cycle) for the per-cycle column.
 ``collect --check-serial`` re-runs the whole sweep through a plain
-in-process :meth:`~repro.runtime.Executor.run` and fails unless the
+in-process :meth:`~repro.runtime.executor.Executor.run` and fails unless the
 results read back from the store are bit-identical — the job layer's core
 guarantee, checkable from the shell.
 """
@@ -51,9 +51,11 @@ from repro.errors import JobError, ReproError
 from repro.harness.stats import RateEstimate
 from repro.harness.sweep import geometric_grid
 from repro.harness.threshold_finder import cycle_error_specs, per_cycle_rate
-from repro.jobs import DEFAULT_SHARD_SIZE, SweepJob
+from repro.jobs.planner import DEFAULT_SHARD_SIZE
+from repro.jobs.runner import SweepJob
 from repro.noise.seeds import spawn_seeds
-from repro.runtime import ExecutionPolicy, Executor
+from repro.runtime.executor import Executor
+from repro.runtime.spec import ExecutionPolicy
 
 
 def _build_specs(arguments: argparse.Namespace):

@@ -1,7 +1,8 @@
 """Render and validate repro.obs trace documents.
 
 Usage over a trace file written via ``REPRO_TRACE=<path>`` (read once
-when :mod:`repro.obs` is imported) or :func:`repro.obs.enable_tracing`::
+when :mod:`repro.obs` is imported) or
+:func:`repro.obs.tracing.enable_tracing`::
 
     python tools/trace.py TRACE.json              # span tree + top spans
     python tools/trace.py TRACE.json --top 20     # wider flat profile
@@ -13,7 +14,7 @@ span, with its recorded attributes) followed by a flat profile of span
 names ranked by aggregated self time — self time being a span's
 duration minus its children's, i.e. where the wall clock actually went.
 ``--check`` validates against the versioned schema shared with
-:func:`repro.obs.validate_trace` and prints nothing on success: exit 0
+:func:`repro.obs.tracing.validate_trace` and prints nothing on success: exit 0
 valid, 1 schema problems, 2 unreadable file — the same "2 means the
 driver, not the data" convention the other tools use.
 """
@@ -29,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs import validate_trace
+from repro.obs.tracing import validate_trace
 
 
 def _self_ns(span: dict) -> int:
