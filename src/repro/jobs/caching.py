@@ -21,6 +21,7 @@ from collections.abc import Sequence
 
 from repro.jobs.store import ResultStore, point_address
 from repro.obs.metrics import counter
+from repro.obs.tracing import trace
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 from repro.runtime.executor import Executor
 
@@ -57,14 +58,17 @@ class CachingExecutor:
         visible only in the ``jobs.cache.*`` counters.
         """
         specs = list(specs)
-        addresses = [point_address(spec) for spec in specs]
-        results, pending = lookup(self.store, addresses)
-        if pending:
-            computed = self.executor.run([specs[i] for i in pending])
-            record(self.store, [addresses[i] for i in pending], computed)
-            self.simulated_points += len(pending)
-            for index, result in zip(pending, computed):
-                results[index] = result
+        # Hashing the addresses is the jobs layer's work, so it runs
+        # under a jobs span, as it does in SweepJob.submit.
+        with trace("jobs.run", points=len(specs)):
+            addresses = [point_address(spec) for spec in specs]
+            results, pending = lookup(self.store, addresses)
+            if pending:
+                computed = self.executor.run([specs[i] for i in pending])
+                record(self.store, [addresses[i] for i in pending], computed)
+                self.simulated_points += len(pending)
+                for index, result in zip(pending, computed):
+                    results[index] = result
         return results  # type: ignore[return-value]
 
 

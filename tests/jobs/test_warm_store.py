@@ -11,11 +11,15 @@ workload of ``BENCHMARK.json``).
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from repro.harness.sweep import geometric_grid
 from repro.noise.seeds import spawn_seeds
 from repro.harness.threshold_finder import cycle_error_specs
 from repro.jobs.caching import CachingExecutor
 from repro.jobs.store import ResultStore
+from repro.obs.tracing import disable_tracing, enable_tracing, flush_trace
 from repro.runtime.executor import Executor
 from repro.runtime.spec import ExecutionPolicy
 from tests.conftest import CounterDeltas
@@ -48,3 +52,21 @@ def test_store_serves_identical_results_small(tmp_path):
     assert counts["jobs.cache.simulated_points"] == 0
     assert counts["jobs.cache.served_points"] == POINTS
     assert counts["jobs.store.hit"] == POINTS
+
+
+def test_each_caching_run_is_one_jobs_span(tmp_path):
+    """Address hashing and store reads run under the run's ``jobs.run``
+    span; only the misses reach the executor, nested inside it."""
+    specs = _specs()
+    enable_tracing(str(tmp_path / "trace.json"))
+    try:
+        for _ in ("cold", "warm"):
+            CachingExecutor(ResultStore(tmp_path / "store")).run(specs)
+        document = json.loads(Path(flush_trace()).read_text())
+    finally:
+        disable_tracing()
+    cold, warm = document["spans"]
+    assert [cold["name"], warm["name"]] == ["jobs.run", "jobs.run"]
+    assert cold["attrs"] == warm["attrs"] == {"points": POINTS}
+    assert [child["name"] for child in cold["children"]] == ["executor.run"]
+    assert warm["children"] == []

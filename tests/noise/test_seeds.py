@@ -31,6 +31,13 @@ class TestSpawnSeeds:
         with pytest.raises(AnalysisError):
             spawn_seeds(0, -1)
 
+    def test_one_import_path(self):
+        # repro.noise.seeds is the only module that exports spawn_seeds.
+        import importlib
+
+        for name in ("repro.harness", "repro.harness.sweep", "repro.noise"):
+            assert not hasattr(importlib.import_module(name), "spawn_seeds")
+
 
 class TestAsGenerator:
     def test_seed_builds_deterministic_generator(self):

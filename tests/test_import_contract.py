@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from collections import defaultdict
 from pathlib import Path
 
@@ -130,13 +131,17 @@ def test_in_process_run_loads_no_pool():
     assert loaded_after(IN_PROCESS_RUN, POOL) == []
 
 
-@pytest.mark.parametrize("package", ["runtime"])
+@pytest.mark.parametrize("package", ["harness", "runtime", "noise", "obs", "jobs"])
 def test_star_import_binds_every_exported_name(package):
-    # A name left in __all__ after its import is deleted fails here.
+    # A name left in __all__ after its import is deleted fails here; a
+    # package without __all__ exports nothing but its submodules.
     namespace: dict = {}
     exec(f"from repro.{package} import *", namespace)
     module = sys.modules[f"repro.{package}"]
-    assert set(module.__all__) <= set(namespace)
+    exported = set(getattr(module, "__all__", ()))
+    assert exported <= set(namespace)
+    others = set(namespace) - exported - {"__builtins__"}
+    assert all(isinstance(namespace[name], types.ModuleType) for name in others), others
 
 
 def module_file(module: str) -> Path | None:
