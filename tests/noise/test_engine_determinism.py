@@ -27,6 +27,7 @@ from repro.coding.recovery import OUTPUT_WIRES
 from repro.core.circuit import Circuit
 from repro.backends import get_backend
 from repro.core.compiled import clear_compile_cache, compile_circuit
+from repro.harness.threshold_finder import cycle_error_specs
 from repro.noise.model import NoiseModel
 from repro.noise.monte_carlo import NoisyRunner
 from repro.runtime.executor import Executor
@@ -56,6 +57,17 @@ EXPECTED_DIGESTS = {
 MIXED_ARITY_DIGESTS = {
     "runner": "5d86e48710db6148c0f0a2e0c437d07a072352800e807a8714dc0a93857ee513",
     "executor": "769cc23be47840e35189a6a6fb5d79693e98e16d8022fcc3f950d9480295bd3a",
+}
+
+
+#: The dense regime (``g >= DENSE_PROBABILITY``, one thresholded
+#: uniform per virtual trial) on the mc-threshold cycle circuit, where
+#: nearly every (op, word) segment holds a fault: ``executor`` hashes a
+#: three-point stacked ``Executor.run`` at g 0.25, 0.3 and 0.5,
+#: ``runner`` a solo ``NoisyRunner`` run at g 0.3.
+DENSE_DIGESTS = {
+    "runner": "3765679923b3a806cb2d773d9f1f071634288838abe443a7a732b9f82c5fe3db",
+    "executor": "081773c340b01bdaa7d596111560a6dc5b5c99eb305cff678b74a2f86da282f8",
 }
 
 
@@ -167,6 +179,34 @@ def test_mixed_arity_stream_digest_is_frozen():
     # error classes, pinning the stream for every other circuit shape.
     assert mixed_arity_runner_digest() == MIXED_ARITY_DIGESTS["runner"]
     assert mixed_arity_executor_digest() == MIXED_ARITY_DIGESTS["executor"]
+
+
+def dense_runner_digest() -> str:
+    (spec,) = cycle_error_specs(((0.3, 2026),), 777)
+    runner = NoisyRunner(spec.noise, seed=spec.seed)
+    return run_digest(
+        runner.run_from_input(spec.circuit, spec.input_bits, spec.trials)
+    )
+
+
+def dense_executor_digest() -> str:
+    specs = [
+        spec
+        for g, trials, seed in ((0.25, 1000, 41), (0.3, 777, 42), (0.5, 65, 43))
+        for spec in cycle_error_specs(((g, seed),), trials)
+    ]
+    results = Executor(ExecutionPolicy()).run(specs)
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(f"{result.failures},{result.faulted_trials};".encode())
+    return digest.hexdigest()
+
+
+def test_dense_stream_digest_is_frozen():
+    # Every other digest draws in the sparse regime; this one pins the
+    # site table where nearly every (op, word) segment is faulted.
+    assert dense_runner_digest() == DENSE_DIGESTS["runner"]
+    assert dense_executor_digest() == DENSE_DIGESTS["executor"]
 
 
 def test_compile_cache_is_result_invariant():
