@@ -19,17 +19,25 @@ both by :class:`NoisyRunner` (a one-point stack on the caller's
 states) and by the multi-point executor of :mod:`repro.runtime`.  Per
 point it makes one gap-jumping draw per error class over an
 ``ops x padded_trials`` virtual axis (gate class, then reset class),
-resolves both classes' sites in one bookkeeping pass, then draws ONE
-flat block of replacement words covering every (slot, group) cell in
-slot order.  NumPy integer draws are stream-consistent under
-splitting, so a point's stream never depends on what it is stacked
-with: every stacked point is bit-identical to a solo run.
+resolves both classes' sites in one bookkeeping pass that keeps them
+in op order, then draws ONE flat block of replacement words covering
+every (slot, group) cell in slot order.  The slot loop scatters *run
+cells* — maximal runs of consecutive ops of one group within a slot —
+each a contiguous slice of the op-ordered sites and a column slice of
+its cell's replacement slab.  NumPy integer draws are
+stream-consistent under splitting, so a point's stream never depends
+on what it is stacked with: every stacked point is bit-identical to a
+solo run.
 
 Importing this module sets one heap policy for the whole process, once:
 glibc keeps 8 MiB of slack at the heap top (``M_TOP_PAD``) and maps
-only arrays of 32 MiB or more, so the arrays one stacked group frees
-are reused by the next instead of being trimmed and faulted back in.
-It changes no result and is a no-op where the C library has no
+only arrays of 32 MiB or more.  While a stacked group's draw arrays
+fit in that slack (budgets up to about 100k trials), the arrays one
+group frees are reused by the next instead of being trimmed and
+faulted back in: a warm 100k-trial mc-threshold search takes no minor
+faults.  Larger groups still have what passes the pad trimmed and
+faulted back in, about 4.5k minor faults per warm 300k-trial search.
+The policy changes no result and is a no-op where the C library has no
 ``mallopt``.
 
 All entry points take an explicit seed or
@@ -77,7 +85,10 @@ _M_MMAP_THRESHOLD = -3
 #: Bytes glibc adds to every heap growth and keeps at every trim: the
 #: smallest round pad after which a warm 100k-trial benchmark search
 #: panel takes no minor faults (5 MiB left 4k, 6 MiB 8-18; 2-CPU
-#: x86_64, glibc 2.36).
+#: x86_64, glibc 2.36).  It covers only groups whose draw arrays fit in
+#: it: a warm 300k-trial search still takes about 4.5k minor faults,
+#: which a pad sized per group would need a per-call ``mallopt`` to
+#: remove.
 _HEAP_TOP_PAD = 8 << 20
 
 #: Setting ``M_TOP_PAD`` also freezes glibc's mmap threshold at its
@@ -176,65 +187,71 @@ def _bernoulli_positions(
 class _StackPlan:
     """Per-compiled-circuit injection plan of the stacked fault kernel.
 
-    ``max_groups`` pads every slot to a uniform group axis so a flat
-    ``slot * max_groups + group`` *global cell* index addresses any
-    injection target; ``arity`` holds each global cell's wire count (0
-    where the slot has fewer groups) as an int64 array.
-
     Faults are resolved over one *merged* virtual op axis — gate ops
-    followed by reset ops, the solo draw order — whose cells are the
-    class-local cells of the gate class followed by those of the reset
-    class.  ``op_cell`` maps a merged op to its merged cell, ``op_wires``
-    is the ``(width, ops)`` op -> wire table padded to the widest arity
-    (each cell's scatter slices off its own ``arity`` rows, so padding
-    is never read), ``bins`` is the merged cell grid for the per-cell
-    prefix, ``cells`` maps merged cells to global cells, ``slot_cells``
-    is each slot's first merged cell, and ``monotone`` records whether
-    ``op_cell`` is already sorted (then the per-point stable sort is
-    skipped — the transversal circuits always qualify).
+    followed by reset ops, the solo draw order — and a point's sites
+    stay in that op order.  ``op_wires`` is the ``(width, ops)`` merged
+    op -> wire table padded to the widest arity (each run's scatter
+    slices off its own arity's rows, so padding is never read).
+
+    Injection walks *run cells*: maximal runs of consecutive ops of one
+    group within a slot.  Runs are listed slot by slot, a slot's runs
+    group by group and each group's runs in op order — the order of
+    the point's replacement-word block, which holds one
+    ``(arity, sites)`` slab per (slot, group) cell with the group's
+    sites in op order.  ``run_ops`` is the ``(2, runs)`` table of each
+    run's merged op range ``[start, stop)``, so one gather of a point's
+    per-op site bounds gives every run's contiguous site slice;
+    ``run_arity`` is each run's wire count, ``run_cells`` the
+    ``(2, runs)`` range ``[first, end)`` of the runs of its cell, and
+    ``slot_runs`` each slot's first run with the run count appended.
+    A run's slab columns follow from cumulative sums over those tables
+    (:func:`_run_slabs`), so no point ever sorts its sites by cell.
 
     Built once per compiled program (cached on it by
     :func:`_stack_plan`) from the slot schedule.
     """
 
-    __slots__ = (
-        "max_groups", "arity", "op_cell", "op_wires", "bins", "cells",
-        "slot_cells", "monotone",
-    )
+    __slots__ = ("op_wires", "run_ops", "run_arity", "run_cells", "slot_runs")
 
     def __init__(self, compiled):
         slots = compiled.slots
-        self.max_groups = max_groups = max(
-            (len(s.groups) for s in slots), default=1
+        width = max(
+            (g.wire_matrix.shape[1] for s in slots for g in s.groups), default=0
         )
-        self.arity = np.zeros(len(slots) * max_groups, dtype=np.int64)
-        for si, slot in enumerate(slots):
-            for gi, group in enumerate(slot.groups):
-                self.arity[si * max_groups + gi] = group.wire_matrix.shape[1]
-        width = int(self.arity.max(initial=0))
-        op_cell: list[int] = []
+        first_op = [0] * len(slots)
         op_wires: list[tuple[int, ...]] = []
-        cells: list[int] = []
-        self.slot_cells = [0] * len(slots)
-        cell_base = 0
         for is_reset in (False, True):  # the solo draw order
             for si, slot in enumerate(slots):
-                if slot.is_reset != is_reset:
-                    continue
-                self.slot_cells[si] = cell_base
-                op_cell.extend(cell_base + g for g in slot.op_group.tolist())
-                op_wires.extend(
-                    op.wires + (0,) * (width - len(op.wires)) for op in slot.ops
-                )
-                cells.extend(range(si * max_groups, (si + 1) * max_groups))
-                cell_base += max_groups
-        self.op_cell = np.array(op_cell, dtype=np.int64)
+                if slot.is_reset == is_reset:
+                    first_op[si] = len(op_wires)
+                    op_wires.extend(
+                        op.wires + (0,) * (width - len(op.wires))
+                        for op in slot.ops
+                    )
         self.op_wires = np.array(op_wires, dtype=np.int64).reshape(
             len(op_wires), width
         ).T.copy()
-        self.bins = np.arange(cell_base + 1, dtype=np.int64)
-        self.cells = np.array(cells, dtype=np.int64)
-        self.monotone = bool(np.all(np.diff(self.op_cell) >= 0))
+        run_ops: list[list[int]] = []
+        run_cells: list[tuple[int, int]] = []
+        self.run_arity: list[int] = []
+        self.slot_runs = [0]
+        for si, slot in enumerate(slots):
+            base = first_op[si]
+            group_runs: list[list[list[int]]] = [[] for _ in slot.groups]
+            for op, group in enumerate(slot.op_group.tolist(), start=base):
+                runs = group_runs[group]
+                if runs and runs[-1][1] == op:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([op, op + 1])
+            for group, runs in zip(slot.groups, group_runs):
+                first = len(run_ops)
+                run_ops.extend(runs)
+                run_cells.extend([(first, len(run_ops))] * len(runs))
+                self.run_arity.extend([group.wire_matrix.shape[1]] * len(runs))
+            self.slot_runs.append(len(run_ops))
+        self.run_ops = np.array(run_ops, dtype=np.int64).reshape(-1, 2).T.copy()
+        self.run_cells = np.array(run_cells, dtype=np.int64).reshape(-1, 2).T.copy()
 
 
 def _stack_plan(compiled) -> _StackPlan:
@@ -257,23 +274,22 @@ class _PointSites:
     ``positions`` is the point's sorted merged virtual fault axis
     (``op * padded_trials + trial``; what :class:`NoisyRunner`
     bincounts into per-trial fault counts), kept only on request.
-    ``sites`` is ``(indices, select, prefix)`` — flat plane indices
-    (``(width, m)``), packed selects, and the per-cell prefix (plain
-    ints) over the merged cell axis, with sites sorted by merged cell.  ``block``/``block_bounds`` hold
-    the point's ONE flat replacement-word draw, sliced per global cell
-    in slot order.  All ``None``/empty when the point drew no fault.
+    ``runs`` holds, per run cell of the plan, ``None`` when the run
+    drew no fault, else ``(indices, select, slab)``: the run's flat
+    plane indices (``(arity, sites)``), packed selects and its columns
+    of its cell's replacement slab — views into the point's site table
+    and its ONE flat replacement-word draw.  ``runs`` is empty when the
+    point drew no fault.
     """
 
-    __slots__ = ("positions", "sites", "block", "block_bounds")
+    __slots__ = ("positions", "runs")
 
     def __init__(self):
         self.positions: np.ndarray | None = None
-        self.sites: tuple | None = None
-        self.block: np.ndarray | None = None
-        self.block_bounds: list[int] = []
+        self.runs: list[tuple | None] = []
 
 
-def _segment_sites(virtual, n_words, trials):
+def _segment_sites(virtual, n_words, trials, n_ops):
     """Collapse sorted virtual fault positions into per-word segments.
 
     ``virtual >> 6`` is a flat (op, word) index; equal values form
@@ -281,12 +297,17 @@ def _segment_sites(virtual, n_words, trials):
     word.  The select words come from differences of a modular
     cumulative sum (bits within a segment are distinct powers of two,
     so their OR *is* their sum, and uint64 wraparound cancels in the
-    difference).  Padding bits beyond ``trials`` are masked off.
-    Returns ``(op_of, word_of, select, fault_plane)`` with
-    ``fault_plane`` the packed union of the faulted trials (point-local
-    words, padding already clear), so the caller never materialises a
-    per-trial array.  ``virtual`` is overwritten: it becomes the flat
-    word index, which saves the pass its largest temporary.
+    difference).  One ``searchsorted`` of the ``n_ops + 1`` op
+    boundaries gives per-op bounds into the segments; only an op's last
+    segment can sit in the padded last word, so padding bits beyond
+    ``trials`` are masked off with one check per op.  Returns
+    ``(segments, bounds, select, fault_plane)`` — the sorted flat
+    (op, word) indices, the ``(n_ops + 1,)`` bounds (op ``k``'s sites
+    are ``bounds[k]:bounds[k + 1]``), the selects, and the packed union
+    of the faulted trials (point-local words, padding already clear),
+    so the caller never materialises a per-trial array.  ``virtual``
+    is overwritten: it becomes the flat word index, which saves the
+    pass its largest temporary.
     """
     summed = np.bitwise_and(virtual, 63).view(np.uint64)
     np.left_shift(np.uint64(1), summed, out=summed)
@@ -297,35 +318,38 @@ def _segment_sites(virtual, n_words, trials):
     is_last[-1] = True
     ends = np.flatnonzero(is_last)
     del is_last
-    affected = flat_words[ends]
+    segments = flat_words[ends]
     last = summed[ends]
     del summed, ends
     select = np.empty_like(last)
     select[0] = last[0]
     np.subtract(last[1:], last[:-1], out=select[1:])
     del last
-    op_of = affected // n_words
-    word_of = affected - op_of * n_words
+    op_starts = np.arange(0, (n_ops + 1) * n_words, n_words, dtype=np.int64)
+    bounds = np.searchsorted(segments, op_starts)
     if trials % 64:
-        select[word_of == n_words - 1] &= np.uint64((1 << (trials % 64)) - 1)
+        tails = bounds[1:][bounds[1:] > bounds[:-1]] - 1
+        tails = tails[segments[tails] % n_words == n_words - 1]
+        select[tails] &= np.uint64((1 << (trials % 64)) - 1)
     # Each (op, word) is one segment, so scattering the selects into a
     # zeroed (ops, words) block and OR-reducing its rows gives the fault
     # plane.  The block holds at most _PLANE_BLOCK_OPS op rows and is
     # never cleared: what earlier op blocks left in it is already ORed
     # into the plane.
     block = np.zeros(
-        (min(_PLANE_BLOCK_OPS, int(op_of[-1]) + 1), n_words), dtype=np.uint64
+        (min(_PLANE_BLOCK_OPS, int(segments[-1]) // n_words + 1), n_words),
+        dtype=np.uint64,
     )
     flat_block = block.reshape(-1)
     fault_plane = np.zeros(n_words, dtype=np.uint64)
-    bases = np.arange(0, affected[-1] + 1, block.size)
-    bounds = np.searchsorted(affected, bases).tolist() + [affected.size]
-    for base, start, stop in zip(bases.tolist(), bounds, bounds[1:]):
+    bases = np.arange(0, segments[-1] + 1, block.size)
+    block_bounds = np.searchsorted(segments, bases).tolist() + [segments.size]
+    for base, start, stop in zip(bases.tolist(), block_bounds, block_bounds[1:]):
         if start == stop:
             continue
-        flat_block[affected[start:stop] - base] = select[start:stop]
+        flat_block[segments[start:stop] - base] = select[start:stop]
         fault_plane |= np.bitwise_or.reduce(block, axis=0)
-    return op_of, word_of, select, fault_plane
+    return segments, bounds, select, fault_plane
 
 
 def _point_sites(
@@ -344,15 +368,18 @@ def _point_sites(
     (gate class, then reset class — the RNG stream contract); the
     bookkeeping runs ONCE over the merged virtual axis (gate ops
     followed by reset ops, so the concatenated positions stay sorted):
-    one segmentation, one fault plane, one per-cell prefix, and one
-    flat scatter-index build through the plan's padded wire table.
-    Returns ``(positions, indices, select, prefix, fault_plane)`` or
-    ``None`` when nothing was drawn; ``indices`` addresses the flat
-    plane buffer of the whole stacked array, so the slot loop scatters
-    with a bare take/put per slot group.  ``positions`` (the merged
-    virtual axis) is ``None`` unless ``keep_positions``; intermediates
-    are released as soon as they are consumed, since a dense pass over
-    a long circuit makes every site array megabytes long.
+    one segmentation with per-op bounds, one fault plane, and one flat
+    scatter-index build — each op's wire row of the plan, shifted to
+    the point's words, repeated once per site of the op and added to
+    the sites' flat (op, word) indices.  Sites stay in merged op order.
+    Returns ``(positions, indices, select, bounds, fault_plane)`` or
+    ``None`` when nothing was drawn; ``indices`` (``(width, sites)``)
+    addresses the flat plane buffer of the whole stacked array, so the
+    slot loop scatters each run cell with a bare take and store.
+    ``positions`` (the merged virtual axis) is ``None`` unless
+    ``keep_positions``; intermediates are released as soon as they are
+    consumed, since a dense pass over a long circuit makes every site
+    array megabytes long.
     """
     n_words = words_for(trials)
     padded = n_words * 64
@@ -374,30 +401,47 @@ def _point_sites(
     virtual = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     del chunks
     positions = virtual.copy() if keep_positions else None
-    op_of, word_of, select, fault_plane = _segment_sites(
-        virtual, n_words, trials
+    n_ops = plan.op_wires.shape[1]
+    segments, bounds, select, fault_plane = _segment_sites(
+        virtual, n_words, trials, n_ops
     )
     del virtual
-    if word_offset:
-        word_of += word_offset
-    cell = plan.op_cell[op_of]
-    if not plan.monotone:
-        # Multi-group slots interleave their groups' sites; a stable
-        # sort makes every cell's run contiguous without reordering
-        # sites within a group (the solo scatter order).  ``op_of`` is
-        # sorted, so a monotone op -> cell map needs no sort at all.
-        order = np.argsort(cell, kind="stable")
-        op_of = op_of[order]
-        word_of = word_of[order]
-        select = select[order]
-        cell = cell[order]
-    prefix = np.searchsorted(cell, plan.bins)
-    del cell
-    # In place: the index table is the pass's largest array.
-    indices = plan.op_wires.take(op_of, axis=1)
-    indices *= plane_stride
-    indices += word_of
-    return positions, indices, select, prefix, fault_plane
+    # Op k's sites hold segments k * n_words + word, so its row base
+    # wire * stride + offset - k * n_words plus a segment is the site's
+    # flat plane index.
+    base = plan.op_wires * plane_stride
+    base -= np.arange(0, n_ops * n_words, n_words, dtype=np.int64)
+    base += word_offset
+    indices = np.repeat(base, np.diff(bounds), axis=1)
+    indices += segments
+    return positions, indices, select, bounds, fault_plane
+
+
+def _run_slabs(plan: _StackPlan, bounds: np.ndarray) -> tuple[list, int]:
+    """Where each run cell's sites and replacement words sit, for one point.
+
+    ``bounds`` are the point's per-op site bounds.  Returns ``(slabs,
+    size)``: per run, ``(lo, hi, start, columns, column)`` — the run's
+    site slice ``lo:hi``, the word where its cell's ``(arity, columns)``
+    slab starts in the point's replacement block, and the run's first
+    column in that slab — and the block's size in words.
+    """
+    lo, hi = bounds[plan.run_ops]
+    sites = hi - lo
+    before = np.zeros(sites.size + 1, dtype=np.int64)
+    np.cumsum(sites, out=before[1:])
+    words = np.zeros_like(before)
+    np.cumsum(sites * plan.run_arity, out=words[1:])
+    first, end = plan.run_cells
+    cell_before = before[first]
+    slabs = zip(
+        lo.tolist(),
+        hi.tolist(),
+        words[first].tolist(),
+        (before[end] - cell_before).tolist(),
+        (before[:-1] - cell_before).tolist(),
+    )
+    return list(slabs), int(words[-1])
 
 
 def _draw_phase(
@@ -415,8 +459,9 @@ def _draw_phase(
     Point ``p`` runs ``trials[p]`` trials under ``models[p]`` in the
     word window starting at ``offsets[p]`` of planes ``plane_stride``
     words wide.  Per point: both classes' sites (:func:`_point_sites`),
-    then ONE flat replacement-word draw covering every cell the point
-    will inject.  Returns the resolved per-point sites and the
+    then ONE flat replacement-word draw covering every (slot, group)
+    cell the point will inject, in slot order, cut into per-run views
+    (:func:`_run_slabs`).  Returns the resolved per-point sites and the
     per-point faulted-trial counts.  ``keep_positions`` keeps each
     point's raw fault positions for per-trial counting; otherwise they
     are released as soon as the sites are resolved.
@@ -433,15 +478,23 @@ def _draw_phase(
         if drawn is None:
             faulted.append(0)
             continue
-        point.positions, indices, select, prefix, fault_plane = drawn
-        point.sites = (indices, select, prefix.tolist())
-        cell_sites = np.zeros(plan.arity.size, dtype=np.int64)
-        cell_sites[plan.cells] = np.diff(prefix)
-        bounds = np.cumsum(cell_sites * plan.arity)
-        point.block_bounds = [0] + bounds.tolist()
-        point.block = rng.integers(
-            0, 2**64, size=point.block_bounds[-1], dtype=np.uint64
-        )
+        point.positions, indices, select, bounds, fault_plane = drawn
+        slabs, size = _run_slabs(plan, bounds)
+        block = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+        point.runs = [
+            None
+            if hi == lo
+            else (
+                indices[:arity, lo:hi],
+                select[lo:hi],
+                block[start:start + arity * columns].reshape(arity, columns)[
+                    :, column:column + hi - lo
+                ],
+            )
+            for (lo, hi, start, columns, column), arity in zip(
+                slabs, plan.run_arity
+            )
+        ]
         faulted.append(popcount_words(fault_plane))
     return points, faulted
 
@@ -449,13 +502,16 @@ def _draw_phase(
 def _inject_phase(states, compiled, plan, points) -> None:
     """Slot-loop phase of the kernel: apply every slot, then scatter.
 
-    One apply per program slot over the whole stacked array, pure
-    slicing of each point's precomputed sites and word block, and one
-    take/put per slot group for all points together.  The reshape MUST
+    One apply per program slot over the whole stacked array, then, per
+    run cell of the slot, one take and one fancy-index store for all
+    points together: each point's run is a contiguous slice of its
+    op-ordered sites and a column slice of its cell's replacement slab,
+    so interleaved groups need no per-point sort.  A slot's ops touch
+    disjoint wires, so its runs scatter in any order.  The reshape MUST
     alias the planes (a non-contiguous array would silently reshape
-    into a copy and every put would write to a dead buffer); broadcast
-    allocates contiguous, and this fails loudly — not via assert,
-    which -O strips — if that invariant is ever broken.
+    into a copy and every store would write to a dead buffer);
+    broadcast allocates contiguous, and this fails loudly — not via
+    assert, which -O strips — if that invariant is ever broken.
     """
     if not states.planes.flags.c_contiguous:
         raise SimulationError(
@@ -463,36 +519,14 @@ def _inject_phase(states, compiled, plan, points) -> None:
             "scatter view would silently become a copy"
         )
     flat_planes = states.planes.reshape(-1)
-    active = [point for point in points if point.sites is not None]
-    max_groups = plan.max_groups
-    arity_of = plan.arity.tolist()
-    for si, slot in enumerate(compiled.slots):
+    active = [point.runs for point in points if point.runs]
+    slot_runs = plan.slot_runs
+    for si in range(len(compiled.slots)):
         compiled.apply_slot(states, si)
         if not active:
             continue
-        cell_base = plan.slot_cells[si]
-        global_base = si * max_groups
-        for index in range(len(slot.groups)):
-            cell = cell_base + index
-            at = global_base + index
-            arity = arity_of[at]
-            parts = []
-            for point in active:
-                indices, select, prefix = point.sites
-                start = prefix[cell]
-                stop = prefix[cell + 1]
-                if stop <= start:
-                    continue
-                block = point.block[
-                    point.block_bounds[at]:point.block_bounds[at + 1]
-                ]
-                parts.append(
-                    (
-                        indices[:arity, start:stop],
-                        select[start:stop],
-                        block.reshape(arity, stop - start),
-                    )
-                )
+        for run in range(slot_runs[si], slot_runs[si + 1]):
+            parts = [runs[run] for runs in active if runs[run] is not None]
             if not parts:
                 continue
             if len(parts) == 1:
@@ -506,7 +540,7 @@ def _inject_phase(states, compiled, plan, points) -> None:
             flips = current ^ blocks
             flips &= select
             current ^= flips
-            flat_planes.put(indices, current)
+            flat_planes[indices] = current
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """The fault kernel's injection plan against a group-row reference.
 
-``_StackPlan`` reads each slot op's wires straight from ``op.wires``.
-:func:`reference_plan` builds the same arrays the way the plan was
-first written: through every op's ``op_group``/``op_row`` row of its
-group's wire matrix, slot by slot.  The two must agree on every circuit
-the verifier proves, fused and unfused.
+``_StackPlan`` reads each slot op's wires straight from ``op.wires`` and
+cuts each slot's groups into run cells (maximal runs of consecutive ops
+of one group) in one pass over ``op_group``.  :func:`reference_plan`
+builds the same arrays another way: the wires through every op's
+``op_group``/``op_row`` row of its group's wire matrix, and the runs
+from the breaks in each group's op positions.  The two must agree on
+every circuit the verifier proves, fused and unfused.
 """
 
 from __future__ import annotations
@@ -12,51 +14,53 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
-from repro.noise.monte_carlo import _StackPlan
+from repro.noise.monte_carlo import _run_slabs, _StackPlan
 from repro.verify.corpus import corpus
 
 
 def reference_plan(compiled) -> dict[str, object]:
     """``_StackPlan``'s fields, built from the group wire matrices."""
     slots = compiled.slots
-    max_groups = max((len(s.groups) for s in slots), default=1)
-    arity = np.zeros(len(slots) * max_groups, dtype=np.int64)
-    for si, slot in enumerate(slots):
-        for gi, group in enumerate(slot.groups):
-            arity[si * max_groups + gi] = group.wire_matrix.shape[1]
-    width = int(arity.max(initial=0))
-    cell_parts = [np.empty(0, dtype=np.int64)]
+    width = max(
+        (g.wire_matrix.shape[1] for s in slots for g in s.groups), default=0
+    )
     wire_parts = [np.empty((0, width), dtype=np.int64)]
-    global_parts = [np.empty(0, dtype=np.int64)]
-    slot_cells = [0] * len(slots)
-    cell_base = 0
+    first_op = [0] * len(slots)
+    n_ops = 0
     for is_reset in (False, True):
         class_slots = [(si, s) for si, s in enumerate(slots) if s.is_reset == is_reset]
         if not class_slots:
             continue
         wires = np.zeros((sum(len(s.ops) for _, s in class_slots), width), dtype=np.int64)
         row = 0
-        for slot_c, (si, s) in enumerate(class_slots):
-            slot_cells[si] = cell_base + slot_c * max_groups
-            cell_parts.append(slot_cells[si] + s.op_group.astype(np.int64))
+        for si, s in class_slots:
+            first_op[si] = n_ops + row
             for g, r in zip(s.op_group, s.op_row):
                 matrix = s.groups[g].wire_matrix
                 wires[row, : matrix.shape[1]] = matrix[r]
                 row += 1
-            global_parts.append(si * max_groups + np.arange(max_groups))
         wire_parts.append(wires)
-        cell_base += len(class_slots) * max_groups
-    op_cell = np.concatenate(cell_parts)
+        n_ops += row
+    run_ops, run_cells, run_arity, slot_runs = [], [], [], [0]
+    for si, s in enumerate(slots):
+        for g, group in enumerate(s.groups):
+            positions = np.flatnonzero(s.op_group == g) + first_op[si]
+            breaks = np.flatnonzero(np.diff(positions) != 1) + 1
+            starts = positions[np.r_[0, breaks]]
+            stops = positions[np.r_[breaks - 1, positions.size - 1]] + 1
+            first = len(run_ops)
+            run_ops.extend(zip(starts.tolist(), stops.tolist()))
+            run_cells.extend([(first, len(run_ops))] * starts.size)
+            run_arity.extend([group.wire_matrix.shape[1]] * starts.size)
+        slot_runs.append(len(run_ops))
     return {
-        "max_groups": max_groups,
-        "arity": arity,
-        "op_cell": op_cell,
         "op_wires": np.ascontiguousarray(np.concatenate(wire_parts).T),
-        "bins": np.arange(cell_base + 1, dtype=np.int64),
-        "cells": np.concatenate(global_parts),
-        "slot_cells": slot_cells,
-        "monotone": bool(np.all(np.diff(op_cell) >= 0)),
+        "run_ops": np.array(run_ops, dtype=np.int64).reshape(-1, 2).T.copy(),
+        "run_arity": run_arity,
+        "run_cells": np.array(run_cells, dtype=np.int64).reshape(-1, 2).T.copy(),
+        "slot_runs": slot_runs,
     }
 
 
@@ -74,3 +78,23 @@ def test_plan_equals_group_row_reference(name, circuit, fuse):
             assert actual.shape == expected.shape, field
         else:
             assert actual == expected, field
+
+
+def test_interleaved_groups_make_three_runs():
+    # One slot whose ops run CNOT, X, CNOT: group 0 (CNOT) has two runs,
+    # group 1 (X) one.  Runs list group by group, each group's runs in
+    # op order — the replacement block's slab order.
+    compiled = compile_circuit(Circuit(5).cnot(0, 1).x(2).cnot(3, 4), cache=False)
+    (slot,) = compiled.slots
+    assert slot.op_group.tolist() == [0, 1, 0]
+    plan = _StackPlan(compiled)
+    assert plan.slot_runs == [0, 3]
+    np.testing.assert_array_equal(plan.run_ops, [[0, 2, 1], [1, 3, 2]])
+    assert plan.run_arity == [2, 2, 1]
+    np.testing.assert_array_equal(plan.run_cells, [[0, 0, 2], [2, 2, 3]])
+    # Op 0 has 2 sites, op 1 one and op 2 three: the CNOT cell's slab is
+    # (2, 5), its first run takes columns 0-1 and its second columns
+    # 2-4, and the X cell's (1, 1) slab follows the CNOT's 10 words.
+    slabs, size = _run_slabs(plan, np.array([0, 2, 3, 6], dtype=np.int64))
+    assert slabs == [(0, 2, 0, 5, 0), (3, 6, 0, 5, 2), (2, 3, 10, 1, 0)]
+    assert size == 11
