@@ -274,19 +274,18 @@ class _PointSites:
     ``positions`` is the point's sorted merged virtual fault axis
     (``op * padded_trials + trial``; what :class:`NoisyRunner`
     bincounts into per-trial fault counts), kept only on request.
-    ``runs`` holds, per run cell of the plan, ``None`` when the run
-    drew no fault, else ``(indices, select, slab)``: the run's flat
-    plane indices (``(arity, sites)``), packed selects and its columns
-    of its cell's replacement slab — views into the point's site table
-    and its ONE flat replacement-word draw.  ``runs`` is empty when the
-    point drew no fault.
+    ``sites`` is ``(indices, select, block, slabs)`` — the flat plane
+    indices (``(width, sites)``) and packed selects in merged op order,
+    the point's ONE flat replacement-word draw, and per run cell of the
+    plan the ``(lo, hi, start, columns, column)`` of
+    :func:`_run_slabs` — or ``None`` when the point drew no fault.
     """
 
-    __slots__ = ("positions", "runs")
+    __slots__ = ("positions", "sites")
 
     def __init__(self):
         self.positions: np.ndarray | None = None
-        self.runs: list[tuple | None] = []
+        self.sites: tuple | None = None
 
 
 def _segment_sites(virtual, n_words, trials, n_ops):
@@ -460,9 +459,9 @@ def _draw_phase(
     word window starting at ``offsets[p]`` of planes ``plane_stride``
     words wide.  Per point: both classes' sites (:func:`_point_sites`),
     then ONE flat replacement-word draw covering every (slot, group)
-    cell the point will inject, in slot order, cut into per-run views
-    (:func:`_run_slabs`).  Returns the resolved per-point sites and the
-    per-point faulted-trial counts.  ``keep_positions`` keeps each
+    cell the point will inject, in slot order, and where each run
+    cell's words sit in it (:func:`_run_slabs`).  Returns the resolved
+    per-point sites and the per-point faulted-trial counts.  ``keep_positions`` keeps each
     point's raw fault positions for per-trial counting; otherwise they
     are released as soon as the sites are resolved.
     """
@@ -481,20 +480,7 @@ def _draw_phase(
         point.positions, indices, select, bounds, fault_plane = drawn
         slabs, size = _run_slabs(plan, bounds)
         block = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-        point.runs = [
-            None
-            if hi == lo
-            else (
-                indices[:arity, lo:hi],
-                select[lo:hi],
-                block[start:start + arity * columns].reshape(arity, columns)[
-                    :, column:column + hi - lo
-                ],
-            )
-            for (lo, hi, start, columns, column), arity in zip(
-                slabs, plan.run_arity
-            )
-        ]
+        point.sites = (indices, select, block, slabs)
         faulted.append(popcount_words(fault_plane))
     return points, faulted
 
@@ -519,14 +505,28 @@ def _inject_phase(states, compiled, plan, points) -> None:
             "scatter view would silently become a copy"
         )
     flat_planes = states.planes.reshape(-1)
-    active = [point.runs for point in points if point.runs]
+    active = [point.sites for point in points if point.sites is not None]
+    run_arity = plan.run_arity
     slot_runs = plan.slot_runs
     for si in range(len(compiled.slots)):
         compiled.apply_slot(states, si)
         if not active:
             continue
         for run in range(slot_runs[si], slot_runs[si + 1]):
-            parts = [runs[run] for runs in active if runs[run] is not None]
+            arity = run_arity[run]
+            parts = []
+            for site_indices, site_select, block, slabs in active:
+                lo, hi, start, columns, column = slabs[run]
+                if hi == lo:
+                    continue
+                slab = block[start:start + arity * columns].reshape(arity, columns)
+                parts.append(
+                    (
+                        site_indices[:arity, lo:hi],
+                        site_select[lo:hi],
+                        slab[:, column:column + hi - lo],
+                    )
+                )
             if not parts:
                 continue
             if len(parts) == 1:

@@ -168,8 +168,7 @@ def test_padding_only_sites_draw_replacement_words():
         [np.random.default_rng(4)], [0], n_words, keep_positions=True,
     )
     point = points[0]
-    runs = [run for run in point.runs if run is not None]
-    select = np.concatenate([run[1] for run in runs])
+    _, select, block, _ = point.sites
     assert (select == 0).any()
     # One site per distinct faulted (op, word), padding-only ones too.
     ops = np.unique(point.positions >> 6) // n_words
@@ -177,5 +176,5 @@ def test_padding_only_sites_draw_replacement_words():
     for (start, stop), arity in zip(plan.run_ops.T, plan.run_arity):
         arity_of_op[start:stop] = arity
     assert select.size == ops.size
-    assert sum(run[2].size for run in runs) == int(arity_of_op[ops].sum())
+    assert block.size == int(arity_of_op[ops].sum())
     assert faulted[0] <= trials
