@@ -19,26 +19,19 @@ both by :class:`NoisyRunner` (a one-point stack on the caller's
 states) and by the multi-point executor of :mod:`repro.runtime`.  Per
 point it makes one gap-jumping draw per error class over an
 ``ops x padded_trials`` virtual axis (gate class, then reset class),
-resolves both classes' sites in one bookkeeping pass that keeps them
-in op order, then draws ONE flat block of replacement words covering
-every (slot, group) cell in slot order.  The slot loop scatters *run
-cells* — maximal runs of consecutive ops of one group within a slot —
-each a contiguous slice of the op-ordered sites and a column slice of
-its cell's replacement slab.  NumPy integer draws are
-stream-consistent under splitting, so a point's stream never depends
-on what it is stacked with: every stacked point is bit-identical to a
-solo run.
+resolves both classes' sites in op order in one bookkeeping pass,
+then draws ONE flat block of replacement words covering every (slot,
+group) cell in slot order.  NumPy integer draws are stream-consistent
+under splitting, so a point's stream never depends on what it is
+stacked with: every stacked point is bit-identical to a solo run.
 
 Importing this module sets one heap policy for the whole process, once:
 glibc keeps 8 MiB of slack at the heap top (``M_TOP_PAD``) and maps
-only arrays of 32 MiB or more.  While a stacked group's draw arrays
-fit in that slack (budgets up to about 100k trials), the arrays one
-group frees are reused by the next instead of being trimmed and
-faulted back in: a warm 100k-trial mc-threshold search takes no minor
-faults.  Larger groups still have what passes the pad trimmed and
-faulted back in, about 4.5k minor faults per warm 300k-trial search.
-The policy changes no result and is a no-op where the C library has no
-``mallopt``.
+only arrays of 32 MiB or more, so the arrays one stacked group frees
+are reused by the next instead of being trimmed and faulted back in —
+while they fit in the pad: a warm 100k-trial mc-threshold search takes
+no minor faults, a 300k-trial one still about 5k.  It changes no
+result and is a no-op where the C library has no ``mallopt``.
 
 All entry points take an explicit seed or
 :class:`numpy.random.Generator`, so every experiment is reproducible
@@ -85,10 +78,8 @@ _M_MMAP_THRESHOLD = -3
 #: Bytes glibc adds to every heap growth and keeps at every trim: the
 #: smallest round pad after which a warm 100k-trial benchmark search
 #: panel takes no minor faults (5 MiB left 4k, 6 MiB 8-18; 2-CPU
-#: x86_64, glibc 2.36).  It covers only groups whose draw arrays fit in
-#: it: a warm 300k-trial search still takes about 4.5k minor faults,
-#: which a pad sized per group would need a per-call ``mallopt`` to
-#: remove.
+#: x86_64, glibc 2.36).  Larger groups still fault what passes it back
+#: in: about 5k minor faults per warm 300k-trial search.
 _HEAP_TOP_PAD = 8 << 20
 
 #: Setting ``M_TOP_PAD`` also freezes glibc's mmap threshold at its
@@ -194,18 +185,13 @@ class _StackPlan:
     slices off its own arity's rows, so padding is never read).
 
     Injection walks *run cells*: maximal runs of consecutive ops of one
-    group within a slot.  Runs are listed slot by slot, a slot's runs
-    group by group and each group's runs in op order — the order of
-    the point's replacement-word block, which holds one
-    ``(arity, sites)`` slab per (slot, group) cell with the group's
-    sites in op order.  ``run_ops`` is the ``(2, runs)`` table of each
-    run's merged op range ``[start, stop)``, so one gather of a point's
-    per-op site bounds gives every run's contiguous site slice;
-    ``run_arity`` is each run's wire count, ``run_cells`` the
-    ``(2, runs)`` range ``[first, end)`` of the runs of its cell, and
-    ``slot_runs`` each slot's first run with the run count appended.
-    A run's slab columns follow from cumulative sums over those tables
-    (:func:`_run_slabs`), so no point ever sorts its sites by cell.
+    group within a slot, listed slot by slot, group by group, then in
+    op order — the order of the point's replacement block, one
+    ``(arity, sites)`` slab per (slot, group) cell.  ``run_ops`` holds
+    each run's merged op range ``[start, stop)`` as a ``(2, runs)``
+    table, ``run_arity`` its wire count, ``run_cells`` the range of its
+    cell's runs (also ``(2, runs)``), and ``slot_runs`` each slot's
+    first run with the run count appended.
 
     Built once per compiled program (cached on it by
     :func:`_stack_plan`) from the slot schedule.
@@ -296,17 +282,15 @@ def _segment_sites(virtual, n_words, trials, n_ops):
     word.  The select words come from differences of a modular
     cumulative sum (bits within a segment are distinct powers of two,
     so their OR *is* their sum, and uint64 wraparound cancels in the
-    difference).  One ``searchsorted`` of the ``n_ops + 1`` op
-    boundaries gives per-op bounds into the segments; only an op's last
-    segment can sit in the padded last word, so padding bits beyond
-    ``trials`` are masked off with one check per op.  Returns
-    ``(segments, bounds, select, fault_plane)`` — the sorted flat
-    (op, word) indices, the ``(n_ops + 1,)`` bounds (op ``k``'s sites
-    are ``bounds[k]:bounds[k + 1]``), the selects, and the packed union
-    of the faulted trials (point-local words, padding already clear),
-    so the caller never materialises a per-trial array.  ``virtual``
-    is overwritten: it becomes the flat word index, which saves the
-    pass its largest temporary.
+    difference).  Op ``k``'s segments are ``bounds[k]:bounds[k + 1]``,
+    one ``searchsorted`` of the op boundaries; padding bits beyond
+    ``trials`` can only sit in an op's last segment and are masked off
+    there.  Returns ``(segments, bounds, select, fault_plane)`` with
+    ``segments`` the sorted flat (op, word) indices and ``fault_plane``
+    the packed union of the faulted trials (point-local words, padding
+    already clear), so the caller never materialises a per-trial array.
+    ``virtual`` is overwritten: it becomes the flat word index, which
+    saves the pass its largest temporary.
     """
     summed = np.bitwise_and(virtual, 63).view(np.uint64)
     np.left_shift(np.uint64(1), summed, out=summed)
@@ -367,18 +351,16 @@ def _point_sites(
     (gate class, then reset class — the RNG stream contract); the
     bookkeeping runs ONCE over the merged virtual axis (gate ops
     followed by reset ops, so the concatenated positions stay sorted):
-    one segmentation with per-op bounds, one fault plane, and one flat
-    scatter-index build — each op's wire row of the plan, shifted to
-    the point's words, repeated once per site of the op and added to
-    the sites' flat (op, word) indices.  Sites stay in merged op order.
+    one segmentation with per-op bounds, one fault plane, and one
+    scatter-index build that repeats each op's wire row once per site.
     Returns ``(positions, indices, select, bounds, fault_plane)`` or
-    ``None`` when nothing was drawn; ``indices`` (``(width, sites)``)
-    addresses the flat plane buffer of the whole stacked array, so the
-    slot loop scatters each run cell with a bare take and store.
-    ``positions`` (the merged virtual axis) is ``None`` unless
-    ``keep_positions``; intermediates are released as soon as they are
-    consumed, since a dense pass over a long circuit makes every site
-    array megabytes long.
+    ``None`` when nothing was drawn; ``indices`` (``(width, sites)``,
+    merged op order) addresses the flat plane buffer of the whole
+    stacked array, so the slot loop scatters with a bare take and
+    store per run cell.  ``positions`` (the merged virtual axis) is
+    ``None`` unless ``keep_positions``; intermediates are released as
+    soon as they are consumed, since a dense pass over a long circuit
+    makes every site array megabytes long.
     """
     n_words = words_for(trials)
     padded = n_words * 64
@@ -417,13 +399,12 @@ def _point_sites(
 
 
 def _run_slabs(plan: _StackPlan, bounds: np.ndarray) -> tuple[list, int]:
-    """Where each run cell's sites and replacement words sit, for one point.
+    """Per run ``(lo, hi, start, columns, column)``, and the block size.
 
-    ``bounds`` are the point's per-op site bounds.  Returns ``(slabs,
-    size)``: per run, ``(lo, hi, start, columns, column)`` — the run's
-    site slice ``lo:hi``, the word where its cell's ``(arity, columns)``
-    slab starts in the point's replacement block, and the run's first
-    column in that slab — and the block's size in words.
+    ``lo:hi`` is the run's slice of the point's sites (``bounds`` are
+    its per-op site bounds), ``start`` the word where its cell's
+    ``(arity, columns)`` slab starts in the replacement block, and
+    ``column`` the run's first column in that slab.
     """
     lo, hi = bounds[plan.run_ops]
     sites = hi - lo
@@ -461,9 +442,10 @@ def _draw_phase(
     then ONE flat replacement-word draw covering every (slot, group)
     cell the point will inject, in slot order, and where each run
     cell's words sit in it (:func:`_run_slabs`).  Returns the resolved
-    per-point sites and the per-point faulted-trial counts.  ``keep_positions`` keeps each
-    point's raw fault positions for per-trial counting; otherwise they
-    are released as soon as the sites are resolved.
+    per-point sites and the per-point faulted-trial counts.
+    ``keep_positions`` keeps each point's raw fault positions for
+    per-trial counting; otherwise they are released as soon as the
+    sites are resolved.
     """
     points: list[_PointSites] = []
     faulted: list[int] = []
@@ -488,12 +470,12 @@ def _draw_phase(
 def _inject_phase(states, compiled, plan, points) -> None:
     """Slot-loop phase of the kernel: apply every slot, then scatter.
 
-    One apply per program slot over the whole stacked array, then, per
-    run cell of the slot, one take and one fancy-index store for all
-    points together: each point's run is a contiguous slice of its
-    op-ordered sites and a column slice of its cell's replacement slab,
-    so interleaved groups need no per-point sort.  A slot's ops touch
-    disjoint wires, so its runs scatter in any order.  The reshape MUST
+    One apply per program slot over the whole stacked array, then one
+    take and one fancy-index store per run cell for all points
+    together; each point's run is a contiguous slice of its op-ordered
+    sites and a column slice of its cell's slab, so interleaved groups
+    need no sort.  A slot's ops touch disjoint wires, so its runs
+    scatter in any order.  The reshape MUST
     alias the planes (a non-contiguous array would silently reshape
     into a copy and every store would write to a dead buffer);
     broadcast allocates contiguous, and this fails loudly — not via
