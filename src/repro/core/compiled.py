@@ -9,22 +9,25 @@ that lowering once per gate:
 
 * :func:`gate_cascade` synthesises a gate's *cascade* (see below) from
   its truth table;
-* :class:`CompiledCircuit` flattens a :class:`~repro.core.circuit.Circuit`
-  into a schedule of :class:`CompiledOp` records with the cascade,
-  reset constants, and fault-injection metadata (the touched wires and
-  whether the op draws the gate or the reset error rate) precomputed, so
-  the Monte-Carlo inner loop does no per-op Python analysis;
-* on top of the flat schedule, the lowering pass *fuses* maximal runs
-  of consecutive operations that touch pairwise-disjoint wires and
-  share an error class (gate vs reset) into :class:`FusedSlot` records.
-  Within a slot, ops with an identical cascade are stacked into one
-  :class:`SlotGroup` whose ``(k, arity)`` wire matrix lets the engine
-  walk the cascade once over ``k`` gate instances — the transversal
-  gates and per-codeword recovery cycles of the fault-tolerant
-  constructions fuse three wide this way.  Because the fused ops
-  commute (disjoint wires), executing the slot as a block and injecting
-  each op's faults afterwards is bit-identical to the sequential
-  schedule; only the *order of RNG draws* changes.
+* :class:`CompiledCircuit` lowers each operation of a
+  :class:`~repro.core.circuit.Circuit` to a :class:`CompiledOp` record
+  with the cascade, reset constants, and fault-injection metadata (the
+  touched wires and whether the op draws the gate or the reset error
+  rate) precomputed, so the Monte-Carlo inner loop does no per-op
+  Python analysis;
+* the lowering pass *fuses* maximal runs of consecutive operations
+  that touch pairwise-disjoint wires and share an error class (gate vs
+  reset) into :class:`FusedSlot` records, which are the compiled
+  program's only record of its ops.  Within a slot, ops with an
+  identical cascade are stacked into one :class:`SlotGroup` whose
+  ``(k, arity)`` wire matrix lets the engine walk the cascade once over
+  ``k`` gate instances — the transversal gates and per-codeword
+  recovery cycles of the fault-tolerant constructions fuse three wide
+  this way — and the slot's *run table* says which slot ops each
+  group's rows are.  Because the fused ops commute (disjoint wires),
+  executing the slot as a block and injecting each op's faults
+  afterwards is bit-identical to applying the ops one by one; only the
+  *order of RNG draws* changes.
 
 Compiled programs are cached process-wide by :func:`compile_circuit`,
 keyed on circuit *content* (wire count plus the exact operation
@@ -59,7 +62,7 @@ with fewer whole-block passes.  An identity gate lowers to ``()``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -183,7 +186,7 @@ def gate_cascade(gate: Gate) -> Cascade:
 
 @dataclass(frozen=True)
 class CompiledOp:
-    """One schedule slot: a lowered gate or a reset, plus fault metadata.
+    """One lowered op: a gate's cascade or a reset, plus fault metadata.
 
     ``wires`` doubles as the fault-injection point — a failing op
     randomises exactly these wires — and ``is_reset`` selects which
@@ -242,20 +245,23 @@ class FusedSlot:
 
     ``ops`` keeps the original order (it is the fault-injection
     metadata: each op still fails independently on its own wires);
-    ``groups`` partitions gate ops by identical cascade for stacked
+    ``groups`` partitions the ops by identical cascade for stacked
     execution; ``resets`` partitions reset ops by reset value so each
-    value costs a single plane assignment.  ``op_group``/``op_row`` map
-    a slot-op index to its group and its row in that group's wire
-    matrix, so the noise layer can scatter one batched fault draw back
-    onto the right gate instances.
+    value costs a single plane assignment.
+
+    ``runs`` is the slot's run table: ``(group, start, stop)`` for each
+    maximal stretch ``ops[start:stop]`` of one group, listed group by
+    group and, within a group, in op order.  Group ``g``'s wire-matrix
+    rows are exactly the ops of its runs, in that order, so the noise
+    layer scatters one batched fault draw back onto the right gate
+    instances by walking the runs.
     """
 
     is_reset: bool
     ops: tuple[CompiledOp, ...]
     groups: tuple[SlotGroup, ...] = ()
     resets: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    op_group: np.ndarray | None = None
-    op_row: np.ndarray | None = None
+    runs: tuple[tuple[int, int, int], ...] = ()
 
 
 def _build_slot(ops: list[CompiledOp]) -> FusedSlot:
@@ -263,27 +269,27 @@ def _build_slot(ops: list[CompiledOp]) -> FusedSlot:
     # ops by arity and identical cascade (the pair fixes the table; the
     # cascade alone does not, since it omits untouched positions), reset
     # ops by wire count (their group program is empty — fault injection
-    # only needs the uniform wire matrix).
-    by_key: dict[tuple, list[tuple[int, ...]]] = {}
-    op_group = np.empty(len(ops), dtype=np.intp)
-    op_row = np.empty(len(ops), dtype=np.intp)
-    order: list[tuple] = []
+    # only needs the uniform wire matrix).  Groups keep first-use order.
+    members: dict[tuple, list[int]] = {}
     for index, op in enumerate(ops):
-        key = (len(op.wires), op.program)
-        rows = by_key.setdefault(key, [])
-        if not rows:
-            order.append(key)
-        op_group[index] = order.index(key)
-        op_row[index] = len(rows)
-        rows.append(op.wires)
-    groups = tuple(
-        SlotGroup(
-            program=key[1] or (),
-            wire_matrix=(matrix := np.asarray(by_key[key], dtype=np.intp)),
-            row_slices=_column_slices(matrix),
+        members.setdefault((len(op.wires), op.program), []).append(index)
+    groups: list[SlotGroup] = []
+    runs: list[tuple[int, int, int]] = []
+    for group, ((_arity, program), indices) in enumerate(members.items()):
+        matrix = np.asarray([ops[i].wires for i in indices], dtype=np.intp)
+        groups.append(
+            SlotGroup(
+                program=program or (),
+                wire_matrix=matrix,
+                row_slices=_column_slices(matrix),
+            )
         )
-        for key in order
-    )
+        start = indices[0]
+        for previous, index in zip(indices, indices[1:]):
+            if index != previous + 1:
+                runs.append((group, start, previous + 1))
+                start = index
+        runs.append((group, start, indices[-1] + 1))
     resets: tuple[tuple[int, tuple[int, ...]], ...] = ()
     if ops[0].is_reset:
         by_value: dict[int, list[int]] = {}
@@ -293,16 +299,13 @@ def _build_slot(ops: list[CompiledOp]) -> FusedSlot:
     return FusedSlot(
         is_reset=ops[0].is_reset,
         ops=tuple(ops),
-        groups=groups,
+        groups=tuple(groups),
         resets=resets,
-        op_group=op_group,
-        op_row=op_row,
+        runs=tuple(runs),
     )
 
 
-def fuse_schedule(
-    schedule: tuple[CompiledOp, ...], fuse: bool = True
-) -> tuple[FusedSlot, ...]:
+def fuse_ops(ops: Iterable[CompiledOp], fuse: bool = True) -> tuple[FusedSlot, ...]:
     """Greedily fuse consecutive disjoint same-class ops into slots.
 
     An op joins the open slot only when its wires are disjoint from
@@ -314,7 +317,7 @@ def fuse_schedule(
     slots: list[FusedSlot] = []
     pending: list[CompiledOp] = []
     touched: set[int] = set()
-    for op in schedule:
+    for op in ops:
         fits = (
             fuse
             and pending
@@ -331,43 +334,34 @@ def fuse_schedule(
     return tuple(slots)
 
 
-class CompiledCircuit:
-    """A circuit flattened into a bit-parallel execution schedule.
+def _lower(op) -> CompiledOp:
+    """One circuit operation as a :class:`CompiledOp`."""
+    if op.is_reset:
+        return CompiledOp(op.wires, is_reset=True, reset_value=op.reset_value)
+    assert op.gate is not None
+    return CompiledOp(op.wires, is_reset=False, program=gate_cascade(op.gate))
 
-    ``schedule`` is the flat per-op lowering; ``slots`` is the fused
-    view executed by the engines (with ``fuse=False`` every op becomes
+
+class CompiledCircuit:
+    """A circuit lowered into fused slots for bit-parallel execution.
+
+    ``slots`` is the whole program: the ops of the slots, concatenated,
+    are the circuit's ops in order (with ``fuse=False`` every op becomes
     its own single-op slot).
     """
 
     def __init__(self, circuit: Circuit, fuse: bool = True):
         self.n_wires = circuit.n_wires
         self.name = circuit.name
-        self.fused = fuse
-        schedule = []
-        for op in circuit:
-            if op.is_reset:
-                schedule.append(
-                    CompiledOp(op.wires, is_reset=True, reset_value=op.reset_value)
-                )
-            else:
-                assert op.gate is not None
-                schedule.append(
-                    CompiledOp(
-                        op.wires,
-                        is_reset=False,
-                        program=gate_cascade(op.gate),
-                    )
-                )
-        self.schedule: tuple[CompiledOp, ...] = tuple(schedule)
-        self.n_gate_ops = sum(1 for op in schedule if not op.is_reset)
-        self.n_reset_ops = len(schedule) - self.n_gate_ops
-        self.slots: tuple[FusedSlot, ...] = fuse_schedule(self.schedule, fuse=fuse)
+        self.slots: tuple[FusedSlot, ...] = fuse_ops(map(_lower, circuit), fuse=fuse)
+        self.n_gate_ops = sum(len(s.ops) for s in self.slots if not s.is_reset)
+        self.n_reset_ops = sum(len(s.ops) for s in self.slots if s.is_reset)
 
     def __len__(self) -> int:
-        return len(self.schedule)
+        return self.n_gate_ops + self.n_reset_ops
 
     def apply_slot(self, state: "BitplaneState", index: int) -> None:
-        """Apply fused slot ``index`` of the schedule to ``state``.
+        """Apply fused slot ``index`` to ``state``.
 
         The one slot walk: :meth:`run` loops over it, and the fault
         kernel of :mod:`repro.noise.monte_carlo` calls it once per slot
@@ -384,7 +378,7 @@ class CompiledCircuit:
                 )
 
     def run(self, state: "BitplaneState") -> "BitplaneState":
-        """Run the schedule noiselessly, mutating and returning ``state``."""
+        """Run every slot noiselessly, mutating and returning ``state``."""
         if state.n_wires != self.n_wires:
             raise SimulationError(
                 f"bit-plane state has {state.n_wires} wires but compiled "
@@ -432,7 +426,7 @@ def compile_circuit(
 
     ``cache=False`` recompiles; results are bit-identical either way —
     the cache only skips redundant lowering.  ``fuse=False`` builds the
-    single-op-slot reference schedule (its own cache entry).  The key
+    single-op-slot reference program (its own cache entry).  The key
     is the public content key plus the fusion flag: two circuits built
     independently but op-for-op identical share one entry, while any
     mutation misses.

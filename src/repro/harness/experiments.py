@@ -143,6 +143,12 @@ def trial_budget() -> int:
     return ExecutionPolicy.from_env().trials
 
 
+#: What an experiment function returns: its rows and its notes ("" for
+#: none).  :func:`run_experiment` stamps the registry's id and paper
+#: reference onto them, so each experiment states both once.
+Outcome = tuple[list[Row], str]
+
+
 @dataclass
 class ExperimentResult:
     """Outcome of one registered experiment."""
@@ -165,7 +171,7 @@ class Experiment:
     experiment_id: str
     paper_ref: str
     description: str
-    function: Callable[[], ExperimentResult]
+    function: Callable[[], Outcome]
 
 
 REGISTRY: dict[str, Experiment] = {}
@@ -173,10 +179,10 @@ REGISTRY: dict[str, Experiment] = {}
 
 def register(
     experiment_id: str, paper_ref: str, description: str
-) -> Callable[[Callable[[], ExperimentResult]], Callable[[], ExperimentResult]]:
+) -> Callable[[Callable[[], Outcome]], Callable[[], Outcome]]:
     """Decorator adding an experiment function to the registry."""
 
-    def decorator(function: Callable[[], ExperimentResult]):
+    def decorator(function: Callable[[], Outcome]):
         if experiment_id in REGISTRY:
             raise ReproError(f"duplicate experiment id {experiment_id!r}")
         REGISTRY[experiment_id] = Experiment(
@@ -191,14 +197,15 @@ def register(
 
 
 def run_experiment(experiment_id: str) -> ExperimentResult:
-    """Run one registered experiment by id."""
+    """Run one registered experiment by id, under its registered ref."""
     try:
         experiment = REGISTRY[experiment_id]
     except KeyError:
         raise ReproError(
             f"unknown experiment {experiment_id!r}; known: {sorted(REGISTRY)}"
         ) from None
-    return experiment.function()
+    rows, notes = experiment.function()
+    return ExperimentResult(experiment_id, experiment.paper_ref, rows, notes)
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +214,7 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
 
 
 @register("table1", "Table 1", "Truth table of the reversible MAJ gate")
-def experiment_table1() -> ExperimentResult:
+def experiment_table1() -> Outcome:
     rows: list[Row] = []
     for (paper_in, paper_out), (impl_in, impl_out) in zip(
         PAPER_TABLE_1, MAJ.truth_table_rows()
@@ -226,7 +233,7 @@ def experiment_table1() -> ExperimentResult:
     rows.append(("first output bit is the majority", True, majority_ok, majority_ok))
     bijective = MAJ.permutation.inverse().compose(MAJ.permutation).is_identity()
     rows.append(("each input has a unique output", True, bijective, bijective))
-    return ExperimentResult("table1", "Table 1", rows)
+    return rows, ""
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +246,7 @@ def experiment_table1() -> ExperimentResult:
     "Table 2",
     "Mixed 2D/1D concatenation thresholds rho(k)/rho_2",
 )
-def experiment_table2() -> ExperimentResult:
+def experiment_table2() -> Outcome:
     rows: list[Row] = []
     for computed, (k, width, paper_ratio) in zip(table2_rows(), PAPER_TABLE_2):
         width_ok = computed.width == width
@@ -256,12 +263,7 @@ def experiment_table2() -> ExperimentResult:
     ratio_27 = table2_rows()[3].threshold_ratio
     claim = abs((1 - ratio_27) - 0.23) < 0.01
     rows.append(("27-bit strip is 23% below 2D", 0.23, round(1 - ratio_27, 4), claim))
-    return ExperimentResult(
-        "table2",
-        "Table 2",
-        rows,
-        notes="Ratios follow from the no-initialisation thresholds 1/2109 and 1/273.",
-    )
+    return rows, "Ratios follow from the no-initialisation thresholds 1/2109 and 1/273."
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +272,7 @@ def experiment_table2() -> ExperimentResult:
 
 
 @register("fig1", "Figure 1", "MAJ built from two CNOTs and a Toffoli")
-def experiment_fig1() -> ExperimentResult:
+def experiment_fig1() -> Outcome:
     construction = Circuit(3, name="fig1").cnot(0, 1).cnot(0, 2).toffoli(1, 2, 0)
     built = circuit_gate(construction, "fig1")
     match = built.same_action(MAJ)
@@ -278,7 +280,7 @@ def experiment_fig1() -> ExperimentResult:
         ("CNOT·CNOT·Toffoli equals MAJ", True, match, match),
         ("construction gate count", 3, len(construction), len(construction) == 3),
     ]
-    return ExperimentResult("fig1", "Figure 1", rows)
+    return rows, ""
 
 
 def _single_error_rows(
@@ -324,7 +326,7 @@ def _single_error_rows(
     "Figure 2",
     "Nine-bit recovery circuit: exhaustive fault tolerance + g^2 scaling",
 )
-def experiment_fig2() -> ExperimentResult:
+def experiment_fig2() -> Outcome:
     circuit = recovery_circuit()
     rows = _single_error_rows(circuit, DATA_WIRES, OUTPUT_WIRES)
 
@@ -352,7 +354,7 @@ def experiment_fig2() -> ExperimentResult:
             quadratic,
         )
     )
-    return ExperimentResult("fig2", "Figure 2", rows)
+    return rows, ""
 
 
 @register(
@@ -360,7 +362,7 @@ def experiment_fig2() -> ExperimentResult:
     "Figure 3",
     "Concatenation: compiled gate census and error suppression by level",
 )
-def experiment_fig3() -> ExperimentResult:
+def experiment_fig3() -> Outcome:
     rows: list[Row] = []
     for level, expected in ((1, 21), (2, 441)):
         circuit, _ = concatenated_gate_circuit(MAJ, level)
@@ -397,7 +399,7 @@ def experiment_fig3() -> ExperimentResult:
             suppressed,
         )
     )
-    return ExperimentResult("fig3", "Figure 3", rows)
+    return rows, ""
 
 
 @register(
@@ -405,7 +407,7 @@ def experiment_fig3() -> ExperimentResult:
     "Figure 4",
     "2D tile layout: recovery locality and interleave direction costs",
 )
-def experiment_fig4() -> ExperimentResult:
+def experiment_fig4() -> Outcome:
     rows: list[Row] = []
     circuit, _ = two_d_recovery_circuit(cycles=4)
     local = circuit_is_local(circuit, two_d_lattice())
@@ -431,11 +433,11 @@ def experiment_fig4() -> ExperimentResult:
     rows.append(("max SWAPs on one logical bit", "<= 6", worst, worst <= 6))
     swap3 = max(parallel.max_swap3_per_codeword, perpendicular.max_swap3_per_codeword)
     rows.append(("SWAP3 per codeword after fusion", 3, swap3, swap3 == 3))
-    return ExperimentResult("fig4", "Figure 4", rows)
+    return rows, ""
 
 
 @register("fig5", "Figure 5", "SWAP3 is two SWAPs on three adjacent bits")
-def experiment_fig5() -> ExperimentResult:
+def experiment_fig5() -> Outcome:
     two_swaps = Circuit(3).swap(1, 2).swap(0, 1)
     as_gate = circuit_gate(two_swaps, "two-swaps")
     up_match = as_gate.same_action(SWAP3_UP)
@@ -447,7 +449,7 @@ def experiment_fig5() -> ExperimentResult:
     rows.append(("swap(0,1) then swap(1,2) = SWAP3_DOWN", True, down_match, down_match))
     inverse = SWAP3_UP.inverse().same_action(SWAP3_DOWN)
     rows.append(("the two rotations are mutually inverse", True, inverse, inverse))
-    return ExperimentResult("fig5", "Figure 5", rows)
+    return rows, ""
 
 
 @register(
@@ -455,7 +457,7 @@ def experiment_fig5() -> ExperimentResult:
     "Figure 6",
     "1D interleaving of three linearly adjacent codewords",
 )
-def experiment_fig6() -> ExperimentResult:
+def experiment_fig6() -> Outcome:
     _, report = interleave_1d_schedule()
     rows: list[Row] = [
         ("total SWAPs", 45, report.total_swaps, report.total_swaps == 45),
@@ -478,7 +480,7 @@ def experiment_fig6() -> ExperimentResult:
         rows.append(
             (f"full 1D cycle ops per codeword ({label} init)", expected, count, count == expected)
         )
-    return ExperimentResult("fig6", "Figure 6", rows)
+    return rows, ""
 
 
 @register(
@@ -486,7 +488,7 @@ def experiment_fig6() -> ExperimentResult:
     "Figure 7",
     "Fully 1D recovery circuit: locality, fault tolerance, census",
 )
-def experiment_fig7() -> ExperimentResult:
+def experiment_fig7() -> Outcome:
     rows: list[Row] = []
     circuit = one_d_recovery_circuit(cycles=3)
     local = circuit_is_local(circuit, one_d_lattice())
@@ -504,15 +506,10 @@ def experiment_fig7() -> ExperimentResult:
     rows += _single_error_rows(
         single, ONE_D_DATA_POSITIONS, ONE_D_DATA_POSITIONS
     )
-    return ExperimentResult(
-        "fig7",
-        "Figure 7",
-        rows,
-        notes=(
-            "The physically local circuit initialises the three ancilla "
-            "pairs with three 2-bit resets; the paper books the same six "
-            "bit-initialisations as two 3-bit operations."
-        ),
+    return rows, (
+        "The physically local circuit initialises the three ancilla "
+        "pairs with three 2-bit resets; the paper books the same six "
+        "bit-initialisations as two 3-bit operations."
     )
 
 
@@ -526,7 +523,7 @@ def experiment_fig7() -> ExperimentResult:
     "Sections 2.2, 3.1, 3.2",
     "All six reported thresholds rho = 1/(3 C(G,2))",
 )
-def experiment_thresholds() -> ExperimentResult:
+def experiment_thresholds() -> Outcome:
     rows: list[Row] = []
     for scheme in PAPER_SCHEMES.values():
         denominator = threshold_denominator(scheme.operation_count)
@@ -547,7 +544,7 @@ def experiment_thresholds() -> ExperimentResult:
             0.05 < ratio < 0.2,
         )
     )
-    return ExperimentResult("thresholds", "Sections 2.2/3.1/3.2", rows)
+    return rows, ""
 
 
 @register(
@@ -555,7 +552,7 @@ def experiment_thresholds() -> ExperimentResult:
     "Section 2.3",
     "Worked overhead example and poly-log exponents",
 )
-def experiment_blowup() -> ExperimentResult:
+def experiment_blowup() -> Outcome:
     rows: list[Row] = []
     rho = threshold(9)
     report = plan_module(rho / 10.0, 9, 10**6)
@@ -586,7 +583,7 @@ def experiment_blowup() -> ExperimentResult:
         x = log2(module_gates * threshold(11)) / log2(threshold(11) / g)
         bounded &= plan.gate_factor <= (2 * x) ** 4.755
     rows.append(("Gamma_L = O((log T)^4.75) for G=11", True, bounded, bounded))
-    return ExperimentResult("blowup", "Section 2.3", rows)
+    return rows, ""
 
 
 @register(
@@ -594,7 +591,7 @@ def experiment_blowup() -> ExperimentResult:
     "Section 4",
     "Entropy dissipation bounds and the measured ancilla entropy",
 )
-def experiment_entropy() -> ExperimentResult:
+def experiment_entropy() -> Outcome:
     rows: list[Row] = []
     rows.append(("kappa", 4.327, round(KAPPA, 4), abs(KAPPA - 4.327) < 5e-4))
     level_limit = max_level_for_constant_entropy(1e-2, 11)
@@ -635,7 +632,7 @@ def experiment_entropy() -> ExperimentResult:
             within,
         )
     )
-    return ExperimentResult("entropy", "Section 4", rows)
+    return rows, ""
 
 
 @register(
@@ -643,7 +640,7 @@ def experiment_entropy() -> ExperimentResult:
     "Section 4, footnote 4",
     "3/2 bits is the optimal NAND entropy cost; MAJ^-1 achieves it",
 )
-def experiment_nand_cost() -> ExperimentResult:
+def experiment_nand_cost() -> Outcome:
     rows: list[Row] = []
     maj_inv_cost = min_nand_cost(MAJ_INV)
     rows.append(("MAJ^-1 NAND cost (bits)", 1.5, maj_inv_cost, maj_inv_cost == 1.5))
@@ -666,15 +663,10 @@ def experiment_nand_cost() -> ExperimentResult:
             result.total_gates_searched == 40320,
         )
     )
-    return ExperimentResult(
-        "nand-cost",
-        "Section 4 footnote 4",
-        rows,
-        notes=(
-            "The body text attributes <= 3/2 bits to 'a Toffoli gate'; the "
-            "footnote's precise claim — 3/2 optimal, achieved by MAJ^-1 — "
-            "is what holds (plain Toffoli costs 2 bits)."
-        ),
+    return rows, (
+        "The body text attributes <= 3/2 bits to 'a Toffoli gate'; the "
+        "footnote's precise claim — 3/2 optimal, achieved by MAJ^-1 — "
+        "is what holds (plain Toffoli costs 2 bits)."
     )
 
 
@@ -683,7 +675,7 @@ def experiment_nand_cost() -> ExperimentResult:
     "Sections 1-2 (framing)",
     "Irreversible NAND multiplexing threshold vs the reversible schemes",
 )
-def experiment_baseline() -> ExperimentResult:
+def experiment_baseline() -> Outcome:
     rows: list[Row] = []
     epsilon = critical_epsilon()
     same_order = 0.05 <= epsilon <= 0.15
@@ -718,18 +710,13 @@ def experiment_baseline() -> ExperimentResult:
             close,
         )
     )
-    return ExperimentResult(
-        "baseline",
-        "Sections 1-2",
-        rows,
-        notes=(
-            "The deterministic bundle-fraction limit of our multiplexing "
-            "model degrades at ~0.14; the paper quotes 'about 11%'. Both "
-            "sit 1-2 orders of magnitude above the reversible thresholds, "
-            "which is the comparison the paper draws. The unprotected "
-            "Monte-Carlo rate sits slightly below 1-(1-g)^T because a "
-            "randomising fault can be silent or cancel."
-        ),
+    return rows, (
+        "The deterministic bundle-fraction limit of our multiplexing "
+        "model degrades at ~0.14; the paper quotes 'about 11%'. Both "
+        "sit 1-2 orders of magnitude above the reversible thresholds, "
+        "which is the comparison the paper draws. The unprotected "
+        "Monte-Carlo rate sits slightly below 1-(1-g)^T because a "
+        "randomising fault can be silent or cancel."
     )
 
 
@@ -738,7 +725,7 @@ def experiment_baseline() -> ExperimentResult:
     "Section 2.2 (validation)",
     "Monte-Carlo pseudo-threshold is above the analytic bound 1/108",
 )
-def experiment_mc_threshold() -> ExperimentResult:
+def experiment_mc_threshold() -> Outcome:
     trials = min(trial_budget(), 100000)
     # The search runs as stacked rounds on the runtime layer: bracket
     # endpoints plus the speculative first midpoint in one plane array,
@@ -776,15 +763,10 @@ def experiment_mc_threshold() -> ExperimentResult:
         )
         + "."
     )
-    return ExperimentResult(
-        "mc-threshold",
-        "Section 2.2",
-        rows,
-        notes=(
-            "Section 5: the quoted thresholds are lower bounds ('an "
-            "existence proof'); the measured crossing is expected to be "
-            "higher, and is.  " + budget_note
-        ),
+    return rows, (
+        "Section 5: the quoted thresholds are lower bounds ('an "
+        "existence proof'); the measured crossing is expected to be "
+        "higher, and is.  " + budget_note
     )
 
 
@@ -825,7 +807,7 @@ def _synth_rewrite_database() -> IdentityDatabase:
     "Peephole-optimised redundant recovery cycle: fewer fault locations, "
     "same logical accuracy",
 )
-def experiment_synth_peephole() -> ExperimentResult:
+def experiment_synth_peephole() -> Outcome:
     processor = cycle_processor(2)
     canonical = processor.circuit
     redundant = inflate(canonical)
@@ -917,19 +899,14 @@ def experiment_synth_peephole() -> ExperimentResult:
             consistent,
         )
     )
-    return ExperimentResult(
-        "synth-peephole",
-        "Section 2.2 (synthesis)",
-        rows,
-        notes=(
-            "The redundant cycle inflates every MAJ-family gate into its "
-            "Figure-1 decomposition and pads it with commuting X pairs and "
-            "doubled SWAPs; optimize() strips all of it back out via "
-            "inverse-pair cancellation and identity-database rewrites, "
-            "every splice re-verified by exhaustion.  Rates are "
-            "Monte-Carlo estimates at the shared trial budget; the "
-            "optimised and canonical cycles differ only in the wire order "
-            "of symmetric MAJ operands, so their rates agree statistically "
-            "but not bit for bit."
-        ),
+    return rows, (
+        "The redundant cycle inflates every MAJ-family gate into its "
+        "Figure-1 decomposition and pads it with commuting X pairs and "
+        "doubled SWAPs; optimize() strips all of it back out via "
+        "inverse-pair cancellation and identity-database rewrites, "
+        "every splice re-verified by exhaustion.  Rates are "
+        "Monte-Carlo estimates at the shared trial budget; the "
+        "optimised and canonical cycles differ only in the wire order "
+        "of symmetric MAJ operands, so their rates agree statistically "
+        "but not bit for bit."
     )

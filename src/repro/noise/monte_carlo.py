@@ -47,6 +47,8 @@ import ctypes
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -184,17 +186,18 @@ class _StackPlan:
     op -> wire table padded to the widest arity (each run's scatter
     slices off its own arity's rows, so padding is never read).
 
-    Injection walks *run cells*: maximal runs of consecutive ops of one
-    group within a slot, listed slot by slot, group by group, then in
+    Injection walks the slots' run tables (:class:`FusedSlot`
+    ``runs``), offset into merged op order and listed slot by slot.
+    Within a slot the runs already come group by group, each group's in
     op order — the order of the point's replacement block, one
-    ``(arity, sites)`` slab per (slot, group) cell.  ``run_ops`` holds
-    each run's merged op range ``[start, stop)`` as a ``(2, runs)``
-    table, ``run_arity`` its wire count, ``run_cells`` the range of its
-    cell's runs (also ``(2, runs)``), and ``slot_runs`` each slot's
-    first run with the run count appended.
+    ``(arity, sites)`` slab per (slot, group) *cell*.  ``run_ops``
+    holds each run's merged op range ``[start, stop)`` as a
+    ``(2, runs)`` table, ``run_arity`` its wire count, ``run_cells``
+    the range of its cell's runs (also ``(2, runs)``), and
+    ``slot_runs`` each slot's first run with the run count appended.
 
     Built once per compiled program (cached on it by
-    :func:`_stack_plan`) from the slot schedule.
+    :func:`_stack_plan`) from the slots.
     """
 
     __slots__ = ("op_wires", "run_ops", "run_arity", "run_cells", "slot_runs")
@@ -217,24 +220,18 @@ class _StackPlan:
         self.op_wires = np.array(op_wires, dtype=np.int64).reshape(
             len(op_wires), width
         ).T.copy()
-        run_ops: list[list[int]] = []
+        run_ops: list[tuple[int, int]] = []
         run_cells: list[tuple[int, int]] = []
         self.run_arity: list[int] = []
         self.slot_runs = [0]
         for si, slot in enumerate(slots):
             base = first_op[si]
-            group_runs: list[list[list[int]]] = [[] for _ in slot.groups]
-            for op, group in enumerate(slot.op_group.tolist(), start=base):
-                runs = group_runs[group]
-                if runs and runs[-1][1] == op:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([op, op + 1])
-            for group, runs in zip(slot.groups, group_runs):
+            for group, runs in groupby(slot.runs, key=itemgetter(0)):
                 first = len(run_ops)
-                run_ops.extend(runs)
-                run_cells.extend([(first, len(run_ops))] * len(runs))
-                self.run_arity.extend([group.wire_matrix.shape[1]] * len(runs))
+                run_ops.extend((base + start, base + stop) for _, start, stop in runs)
+                count = len(run_ops) - first
+                run_cells.extend([(first, len(run_ops))] * count)
+                self.run_arity.extend([slot.groups[group].wire_matrix.shape[1]] * count)
             self.slot_runs.append(len(run_ops))
         self.run_ops = np.array(run_ops, dtype=np.int64).reshape(-1, 2).T.copy()
         self.run_cells = np.array(run_cells, dtype=np.int64).reshape(-1, 2).T.copy()
@@ -243,7 +240,7 @@ class _StackPlan:
 def _stack_plan(compiled) -> _StackPlan:
     """The compiled program's cached :class:`_StackPlan`.
 
-    The plan is pure structure derived from the slot schedule, so it
+    The plan is pure structure derived from the slots, so it
     rides on the compiled program: a bisection or sweep re-running one
     circuit builds it exactly once per process.
     """

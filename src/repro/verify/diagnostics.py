@@ -69,15 +69,16 @@ CODES: dict[str, str] = {
     "RV100": "lowered cascade does not compose to the gate table's ANF",
     "RV101": "lowered cascade is structurally uninterpretable",
     # --- IR verifier: fusion legality ---------------------------------
-    "RV200": "fused slots do not reconcile with the flat schedule",
+    "RV200": "fused slot ops do not reconcile with the circuit's ops",
     "RV201": "slot mixes gate and reset error classes",
     "RV202": "ops within one fused slot touch overlapping wires",
     "RV203": "(retired) slot class_offset disagrees with the recounted ops",
-    "RV204": "op_group/op_row bookkeeping is inconsistent",
-    "RV205": "slot group rows do not match the member ops",
+    "RV204": "(retired) op_group/op_row bookkeeping is inconsistent",
+    "RV205": "slot group rows or cascade do not match its run ops",
     "RV206": "stacked wire-matrix index out of wire bounds",
     "RV207": "row_slices view disagrees with its wire-matrix column",
     "RV208": "reset partition disagrees with the slot's reset ops",
+    "RV209": "slot runs do not tile its ops group by group in op order",
     # --- IR verifier: semantic equivalence ----------------------------
     "RV300": "slot transfer function differs from the sequential ops",
     # --- IR verifier: prepared programs (RV300 proves the slot walk) --

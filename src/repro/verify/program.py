@@ -7,17 +7,19 @@ a simulation-based suite happens to draw.  The check decomposes into
 three layers, each symbolic over GF(2) polynomials
 (:mod:`repro.core.anf`):
 
-1. **Schedule vs circuit** (``RV100``/``RV101``): the flat schedule
-   must mirror the circuit op for op (wires, class, reset values), and
-   every gate op's lowered cascade, composed step by step over GF(2),
-   must equal the gate table's ANF — derived here by the *independent*
-   Möbius inversion of :func:`repro.core.anf.table_anf`, never by the
-   production lowering, so the lowering cannot vouch for itself.
-2. **Slots vs schedule** (``RV2##``): the fused slots' ops must
-   concatenate back to the schedule, every slot must be legal (one
-   error class, pairwise-disjoint wires, in-bounds stacked indices,
-   faithful ``op_group``/``op_row``/``row_slices`` bookkeeping, reset
-   partitions matching the reset ops).
+1. **Ops vs circuit** (``RV200``/``RV100``/``RV101``): the fused
+   slots' ops, concatenated, must mirror the circuit op for op (wires,
+   class, reset values), and every gate op's lowered cascade, composed
+   step by step over GF(2), must equal the gate table's ANF — derived
+   here by the *independent* Möbius inversion of
+   :func:`repro.core.anf.table_anf`, never by the production lowering,
+   so the lowering cannot vouch for itself.
+2. **Slot structure** (``RV201``–``RV209``): every slot must be legal
+   (one error class, pairwise-disjoint wires, in-bounds stacked
+   indices, faithful ``row_slices``, reset partitions matching the
+   reset ops), and its run table — the one the fault kernel scatters
+   by — must tile its ops group by group in op order, each group's
+   rows and cascade being its run ops'.
 3. **Slot transfer functions** (``RV300``): each slot, executed by the
    engines' stacked semantics (walk the shared cascade once over every
    group row, in place on view positions and on gathered copies of the
@@ -146,7 +148,7 @@ def apply_group_symbolic(polys: list, group) -> None:
 
 
 def slot_op_partition(compiled: CompiledCircuit) -> list[tuple[int, int]]:
-    """``(start, stop)`` schedule indices per slot, in slot order."""
+    """``(start, stop)`` circuit-op indices per slot, in slot order."""
     spans = []
     cursor = 0
     for slot in compiled.slots:
@@ -156,29 +158,27 @@ def slot_op_partition(compiled: CompiledCircuit) -> list[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# Layer 1: schedule vs circuit
+# Layer 1: ops vs circuit
 # ----------------------------------------------------------------------
 
 
-def _verify_schedule(circuit, compiled, label, report) -> bool:
-    if len(compiled.schedule) != len(circuit.ops):
+def _verify_ops(circuit, compiled, label, report) -> bool:
+    ops = [op for slot in compiled.slots for op in slot.ops]
+    if len(ops) != len(circuit.ops):
         report.error(
             "RV200",
             label,
-            f"schedule has {len(compiled.schedule)} ops but the circuit "
-            f"has {len(circuit.ops)}",
+            f"slots hold {len(ops)} ops but the circuit has {len(circuit.ops)}",
         )
         return False
     sound = True
-    for index, (op, compiled_op) in enumerate(
-        zip(circuit.ops, compiled.schedule)
-    ):
-        where = f"{label} schedule op {index}"
+    for index, (op, compiled_op) in enumerate(zip(circuit.ops, ops)):
+        where = f"{label} op {index}"
         if compiled_op.wires != op.wires or compiled_op.is_reset != op.is_reset:
             report.error(
                 "RV200",
                 where,
-                f"schedule op (wires={compiled_op.wires}, "
+                f"compiled op (wires={compiled_op.wires}, "
                 f"is_reset={compiled_op.is_reset}) does not mirror circuit "
                 f"op (wires={op.wires}, is_reset={op.is_reset})",
             )
@@ -189,7 +189,7 @@ def _verify_schedule(circuit, compiled, label, report) -> bool:
                 report.error(
                     "RV200",
                     where,
-                    f"schedule reset value {compiled_op.reset_value} != "
+                    f"compiled reset value {compiled_op.reset_value} != "
                     f"circuit reset value {op.reset_value}",
                 )
                 sound = False
@@ -229,21 +229,8 @@ def _verify_lowered_program(op, compiled_op, where, report) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Layer 2: slots vs schedule (fusion legality + bookkeeping)
+# Layer 2: slot structure (fusion legality + bookkeeping)
 # ----------------------------------------------------------------------
-
-
-def _verify_slot_concat(compiled, label, report) -> bool:
-    flattened = tuple(op for slot in compiled.slots for op in slot.ops)
-    if flattened != compiled.schedule:
-        report.error(
-            "RV200",
-            label,
-            f"slot ops concatenate to {len(flattened)} ops that do not "
-            f"reconcile with the {len(compiled.schedule)}-op schedule",
-        )
-        return False
-    return True
 
 
 def _verify_slot_structure(compiled, label, report) -> bool:
@@ -252,6 +239,47 @@ def _verify_slot_structure(compiled, label, report) -> bool:
         where = f"{label} slot {slot_index}"
         sound &= _verify_one_slot(slot, compiled.n_wires, where, report)
     return sound
+
+
+def _run_members(slot, where, report) -> list[list[int]] | None:
+    """Each group's slot-op indices by the run table, or ``None``.
+
+    ``None`` (after an ``RV209``) when the runs do not tile the slot's
+    ops group by group in op order.  Whether each run is maximal is not
+    checked: splitting a run moves no site and no replacement word.
+    """
+    members: list[list[int]] = [[] for _ in slot.groups]
+    previous = (0, 0)  # the last run's group and stop
+    for index, run in enumerate(slot.runs):
+        group, start, stop = run
+        if not (0 <= group < len(slot.groups) and 0 <= start < stop <= len(slot.ops)):
+            report.error(
+                "RV209",
+                f"{where} run {index}",
+                f"run {run} names no group of {len(slot.groups)} or no "
+                f"op range of {len(slot.ops)} ops",
+            )
+            return None
+        if (group, start) < previous:
+            report.error(
+                "RV209",
+                f"{where} run {index}",
+                f"run {run} is listed after a run of group {previous[0]} "
+                f"ending at op {previous[1]}",
+            )
+            return None
+        previous = (group, stop)
+        members[group].extend(range(start, stop))
+    covered = sorted(i for indices in members for i in indices)
+    if covered != list(range(len(slot.ops))):
+        report.error(
+            "RV209",
+            where,
+            f"runs cover ops {covered}, not each of the {len(slot.ops)} "
+            f"slot ops once",
+        )
+        return None
+    return members
 
 
 def _verify_one_slot(slot, n_wires, where, report) -> bool:
@@ -277,72 +305,27 @@ def _verify_one_slot(slot, n_wires, where, report) -> bool:
             sound = False
         touched.update(op.wires)
 
-    if slot.op_group is None or slot.op_row is None:
-        report.error("RV204", where, "op_group/op_row bookkeeping missing")
-        return False
-    if len(slot.op_group) != len(slot.ops) or len(slot.op_row) != len(slot.ops):
-        report.error(
-            "RV204",
-            where,
-            f"op_group/op_row lengths ({len(slot.op_group)}, "
-            f"{len(slot.op_row)}) != {len(slot.ops)} slot ops",
-        )
-        return False
-
-    assigned: set[tuple[int, int]] = set()
-    for op_index, op in enumerate(slot.ops):
-        group_index = int(slot.op_group[op_index])
-        row_index = int(slot.op_row[op_index])
-        if not 0 <= group_index < len(slot.groups):
-            report.error(
-                "RV204",
-                f"{where} op {op_index}",
-                f"op_group {group_index} outside {len(slot.groups)} groups",
-            )
-            sound = False
-            continue
+    members = _run_members(slot, where, report)
+    sound &= members is not None
+    for group_index, indices in enumerate(members or ()):
         group = slot.groups[group_index]
-        k, arity = group.wire_matrix.shape
-        if not 0 <= row_index < k:
-            report.error(
-                "RV204",
-                f"{where} op {op_index}",
-                f"op_row {row_index} outside the group's {k} rows",
-            )
-            sound = False
-            continue
-        if (group_index, row_index) in assigned:
-            report.error(
-                "RV204",
-                f"{where} op {op_index}",
-                f"group row ({group_index}, {row_index}) assigned twice",
-            )
-            sound = False
-        assigned.add((group_index, row_index))
-        row = tuple(int(w) for w in group.wire_matrix[row_index])
-        if row != op.wires:
+        rows = [tuple(int(w) for w in row) for row in group.wire_matrix]
+        run_ops = [slot.ops[i] for i in indices]
+        if rows != [op.wires for op in run_ops]:
             report.error(
                 "RV205",
-                f"{where} op {op_index}",
-                f"group {group_index} row {row_index} holds wires {row}, "
-                f"op has wires {op.wires}",
+                f"{where} group {group_index}",
+                f"rows {rows} are not the wires of its run ops "
+                f"{[op.wires for op in run_ops]}",
             )
             sound = False
-        if not slot.is_reset and group.program != op.program:
+        if not slot.is_reset and any(op.program != group.program for op in run_ops):
             report.error(
                 "RV205",
-                f"{where} op {op_index}",
-                f"group {group_index} cascade differs from the op's cascade",
+                f"{where} group {group_index}",
+                "cascade differs from a run op's cascade",
             )
             sound = False
-    total_rows = sum(group.wire_matrix.shape[0] for group in slot.groups)
-    if len(assigned) != total_rows:
-        report.error(
-            "RV204",
-            where,
-            f"{total_rows} group rows but only {len(assigned)} covered by ops",
-        )
-        sound = False
 
     for group_index, group in enumerate(slot.groups):
         k, arity = group.wire_matrix.shape
@@ -449,7 +432,7 @@ def verify_compiled(
 
     Runs the well-formedness pass first (a broken gate table makes the
     symbolic reference meaningless), then the three program layers:
-    schedule mirroring + lowering correctness, fusion legality and
+    op mirroring + lowering correctness, fusion legality and run-table
     bookkeeping, and per-slot transfer-function equality over fresh
     variables.  ``compiled`` defaults to ``compile_circuit(circuit)``
     (fused); pass an explicit object to verify an artifact that
@@ -477,15 +460,12 @@ def verify_compiled(
             f"{circuit.n_wires}",
         )
         return report
-    schedule_ok = _verify_schedule(circuit, compiled, label, report)
-    concat_ok = _verify_slot_concat(compiled, label, report)
-    if concat_ok:
-        _verify_slot_structure(compiled, label, report)
+    ops_ok = _verify_ops(circuit, compiled, label, report)
+    _verify_slot_structure(compiled, label, report)
     # The transfer check needs only the slot partition to be meaningful
-    # (slots concatenating to the schedule, schedule mirroring the
-    # circuit) — it runs even when bookkeeping diagnostics fired, so
-    # semantic corruption (RV300) is reported independently of
-    # structural corruption (RV20#).
-    if schedule_ok and concat_ok:
+    # (slot ops mirroring the circuit's) — it runs even when bookkeeping
+    # diagnostics fired, so semantic corruption (RV300) is reported
+    # independently of structural corruption (RV20#).
+    if ops_ok:
         _verify_slot_transfers(circuit, compiled, label, report)
     return report

@@ -43,9 +43,12 @@ def transversal_circuit() -> Circuit:
 
 class TestSlotInvariants:
     def test_slots_preserve_schedule_order(self):
-        compiled = CompiledCircuit(transversal_circuit())
-        flattened = tuple(op for slot in compiled.slots for op in slot.ops)
-        assert flattened == compiled.schedule
+        circuit = transversal_circuit()
+        compiled = CompiledCircuit(circuit)
+        flattened = [
+            (op.wires, op.is_reset) for slot in compiled.slots for op in slot.ops
+        ]
+        assert flattened == [(op.wires, op.is_reset) for op in circuit]
 
     def test_slot_ops_are_wire_disjoint_and_same_class(self):
         compiled = CompiledCircuit(transversal_circuit())
@@ -57,12 +60,23 @@ class TestSlotInvariants:
                 seen.update(op.wires)
 
     def test_group_rows_map_back_to_ops(self):
+        # Each group's rows are the ops of its runs, in run order, and
+        # the runs cover every slot op once.
         compiled = CompiledCircuit(transversal_circuit())
         for slot in compiled.slots:
-            for index, op in enumerate(slot.ops):
-                group = slot.groups[slot.op_group[index]]
-                row = group.wire_matrix[slot.op_row[index]]
-                assert tuple(row) == op.wires
+            covered = []
+            for g, group in enumerate(slot.groups):
+                ops = [
+                    slot.ops[i]
+                    for group_index, start, stop in slot.runs
+                    if group_index == g
+                    for i in range(start, stop)
+                ]
+                assert [tuple(row) for row in group.wire_matrix] == [
+                    op.wires for op in ops
+                ]
+                covered += [op.wires for op in ops]
+            assert sorted(covered) == sorted(op.wires for op in slot.ops)
 
     def test_transversal_layers_fuse(self):
         # Transversal gates and per-codeword recovery steps act on
@@ -70,7 +84,7 @@ class TestSlotInvariants:
         # carries three ops, every ancilla-reset slot two, shrinking the
         # 54-op schedule to 20 slots.
         compiled = CompiledCircuit(transversal_circuit())
-        assert len(compiled.schedule) == 54
+        assert len(compiled) == 54
         assert len(compiled.slots) == 20
         for slot in compiled.slots:
             assert len(slot.ops) == (2 if slot.is_reset else 3)

@@ -1,12 +1,13 @@
 """The fault kernel's injection plan against a group-row reference.
 
 ``_StackPlan`` reads each slot op's wires straight from ``op.wires`` and
-cuts each slot's groups into run cells (maximal runs of consecutive ops
-of one group) in one pass over ``op_group``.  :func:`reference_plan`
-builds the same arrays another way: the wires through every op's
-``op_group``/``op_row`` row of its group's wire matrix, and the runs
-from the breaks in each group's op positions.  The two must agree on
-every circuit the verifier proves, fused and unfused.
+offsets each slot's run table (``FusedSlot.runs``) into merged op
+order.  :func:`reference_plan` builds the same arrays without reading
+the run table: it matches every slot op to the row of a group wire
+matrix that holds its wires, takes the op's wires from that row, and
+derives the runs from the breaks in each group's matched op positions.
+The two must agree on every circuit the verifier proves, fused and
+unfused.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ from repro.core.circuit import Circuit
 from repro.core.compiled import compile_circuit
 from repro.noise.monte_carlo import _run_slabs, _StackPlan
 from repro.verify.corpus import corpus
+
+
+def group_positions(slot) -> list[list[int]]:
+    """Per group, the slot-op index of each wire-matrix row, in row order.
+
+    Slot ops touch disjoint wires, so a row's wires name one op.
+    """
+    op_of = {op.wires: index for index, op in enumerate(slot.ops)}
+    return [
+        [op_of[tuple(int(w) for w in row)] for row in group.wire_matrix]
+        for group in slot.groups
+    ]
 
 
 def reference_plan(compiled) -> dict[str, object]:
@@ -37,16 +50,16 @@ def reference_plan(compiled) -> dict[str, object]:
         row = 0
         for si, s in class_slots:
             first_op[si] = n_ops + row
-            for g, r in zip(s.op_group, s.op_row):
-                matrix = s.groups[g].wire_matrix
-                wires[row, : matrix.shape[1]] = matrix[r]
-                row += 1
+            for group, positions in zip(s.groups, group_positions(s)):
+                matrix = group.wire_matrix
+                wires[np.add(positions, row), : matrix.shape[1]] = matrix
+            row += len(s.ops)
         wire_parts.append(wires)
         n_ops += row
     run_ops, run_cells, run_arity, slot_runs = [], [], [], [0]
     for si, s in enumerate(slots):
-        for g, group in enumerate(s.groups):
-            positions = np.flatnonzero(s.op_group == g) + first_op[si]
+        for group, positions in zip(s.groups, group_positions(s)):
+            positions = np.array(positions) + first_op[si]
             breaks = np.flatnonzero(np.diff(positions) != 1) + 1
             starts = positions[np.r_[0, breaks]]
             stops = positions[np.r_[breaks - 1, positions.size - 1]] + 1
@@ -86,7 +99,7 @@ def test_interleaved_groups_make_three_runs():
     # op order — the replacement block's slab order.
     compiled = compile_circuit(Circuit(5).cnot(0, 1).x(2).cnot(3, 4), cache=False)
     (slot,) = compiled.slots
-    assert slot.op_group.tolist() == [0, 1, 0]
+    assert slot.runs == ((0, 0, 1), (0, 2, 3), (1, 1, 2))
     plan = _StackPlan(compiled)
     assert plan.slot_runs == [0, 3]
     np.testing.assert_array_equal(plan.run_ops, [[0, 2, 1], [1, 3, 2]])

@@ -16,20 +16,17 @@ def test_report_main_runs_all_experiments(monkeypatch, capsys):
         assert experiment_id in captured
 
 
+def register_probe(monkeypatch, function, description):
+    """Make ``function`` the registry's only experiment, id ``probe``."""
+    from repro.harness import experiments
+
+    registry = {"probe": experiments.Experiment("probe", "none", description, function)}
+    monkeypatch.setattr(experiments, "REGISTRY", registry)
+    monkeypatch.setattr(repro.report, "REGISTRY", registry)
+
+
 def test_report_main_fails_when_an_experiment_mismatches(monkeypatch, capsys):
-    from repro.harness.experiments import Experiment, ExperimentResult
-
-    def mismatched() -> ExperimentResult:
-        return ExperimentResult("probe", "none", [("x", 1, 2, False)])
-
-    monkeypatch.setattr(
-        repro.report,
-        "REGISTRY",
-        {"probe": Experiment("probe", "none", "always mismatches", mismatched)},
-    )
-    monkeypatch.setattr(
-        repro.report, "run_experiment", lambda experiment_id: mismatched()
-    )
+    register_probe(monkeypatch, lambda: ([("x", 1, 2, False)], ""), "always mismatches")
     assert repro.report.main() == 1
     out = capsys.readouterr().out
     assert "[FAIL] probe" in out
@@ -38,21 +35,15 @@ def test_report_main_fails_when_an_experiment_mismatches(monkeypatch, capsys):
 
 def test_plain_mode_prints_the_recorded_table_form(monkeypatch, capsys):
     # One text form per table: plain output is format_result's, the
-    # blank line before the notes included.
-    from repro.harness.experiments import Experiment, ExperimentResult
+    # blank line before the notes included.  The registry entry's id
+    # and ref title the table.
+    from repro.harness.experiments import ExperimentResult
 
-    def noted() -> ExperimentResult:
-        return ExperimentResult("probe", "none", [("x", 1, 1, True)], "a note")
-
-    monkeypatch.setattr(
-        repro.report,
-        "REGISTRY",
-        {"probe": Experiment("probe", "none", "always matches", noted)},
-    )
-    monkeypatch.setattr(repro.report, "run_experiment", lambda experiment_id: noted())
+    register_probe(monkeypatch, lambda: ([("x", 1, 1, True)], "a note"), "always matches")
     assert repro.report.main() == 0
     out = capsys.readouterr().out
-    assert f"\n{repro.report.format_result(noted())}\n\n" in out
+    noted = ExperimentResult("probe", "none", [("x", 1, 1, True)], "a note")
+    assert f"\n{repro.report.format_result(noted)}\n\n" in out
     assert "\n\nNotes: a note\n" in out
 
 

@@ -30,6 +30,12 @@ def scattered_circuit() -> Circuit:
     return Circuit(6, name="mut:scatter").cnot(0, 5).cnot(1, 3).cnot(2, 4)
 
 
+def mixed_circuit() -> Circuit:
+    # One fused gate slot with two groups, one run each: two CNOTs
+    # (ops 0-1), then two X gates (ops 2-3).
+    return Circuit(6, name="mut:mixed").cnot(0, 1).cnot(2, 3).x(4).x(5)
+
+
 def reset_circuit() -> Circuit:
     return (
         Circuit(4, name="mut:resets")
@@ -62,16 +68,35 @@ def mutate_class_flip(compiled):
 
 
 def mutate_row_swap(compiled):
-    # Point op 0 at op 1's group row and vice versa: the bookkeeping
-    # stays a bijection, but the rows no longer hold the ops' wires.
-    slot = compiled.slots[0]
-    op_row = np.array(slot.op_row)
-    op_row[[0, 1]] = op_row[[1, 0]]
-    replace_slot(compiled, 0, op_row=op_row)
+    # Swap two rows of the stacked group: the run table still tiles the
+    # ops, but the group's rows no longer hold its run ops' wires.
+    group = compiled.slots[0].groups[0]
+    matrix = np.array(group.wire_matrix)
+    matrix[[0, 1]] = matrix[[1, 0]]
+    replace_group(compiled, 0, 0, wire_matrix=matrix, row_slices=())
 
 
 def mutate_missing_bookkeeping(compiled):
-    replace_slot(compiled, 0, op_group=None)
+    replace_slot(compiled, 0, runs=())
+
+
+def mutate_runs_out_of_group_order(compiled):
+    # List the X group's run before the CNOT group's.
+    runs = compiled.slots[0].runs
+    replace_slot(compiled, 0, runs=runs[::-1])
+
+
+def mutate_run_boundary_shift(compiled):
+    # Move the boundary between the two runs one op later: the runs
+    # still tile the ops, but the CNOT group's run now holds an X op.
+    (g0, start0, stop0), (g1, start1, stop1) = compiled.slots[0].runs
+    replace_slot(compiled, 0, runs=((g0, start0, stop0 + 1), (g1, start1 + 1, stop1)))
+
+
+def mutate_run_wrong_group(compiled):
+    # The X ops' run names the CNOT group.
+    (first, (_, start, stop)) = compiled.slots[0].runs
+    replace_slot(compiled, 0, runs=(first, (first[0], start, stop)))
 
 
 def mutate_wire_matrix_bounds(compiled):
@@ -111,16 +136,15 @@ def mutate_semantic_wire_swap(compiled):
 def lower_to(cascade):
     """A mutation giving every gate op the lowered ``cascade``.
 
-    The tampering is *consistent* across schedule, slot ops, and group
-    cascade, so only the lowering check (not the structural
-    reconciliation) can catch it.
+    The tampering is *consistent* across slot ops and group cascade, so
+    only the lowering check (not the structural reconciliation) can
+    catch it.
     """
 
     def mutate(compiled):
         def tamper(op: CompiledOp) -> CompiledOp:
             return dataclasses.replace(op, program=cascade)
 
-        compiled.schedule = tuple(tamper(op) for op in compiled.schedule)
         ops = tuple(tamper(op) for op in compiled.slots[0].ops)
         replace_slot(compiled, 0, ops=ops)
         replace_group(compiled, 0, 0, program=cascade)
@@ -149,7 +173,10 @@ MUTATIONS = [
     ("dropped-slot-op", transversal_circuit, mutate_dropped_slot_op, "RV200"),
     ("class-flip", transversal_circuit, mutate_class_flip, "RV201"),
     ("row-swap", transversal_circuit, mutate_row_swap, "RV205"),
-    ("missing-bookkeeping", transversal_circuit, mutate_missing_bookkeeping, "RV204"),
+    ("missing-bookkeeping", transversal_circuit, mutate_missing_bookkeeping, "RV209"),
+    ("runs-out-of-group-order", mixed_circuit, mutate_runs_out_of_group_order, "RV209"),
+    ("run-boundary-shift", mixed_circuit, mutate_run_boundary_shift, "RV205"),
+    ("run-wrong-group", mixed_circuit, mutate_run_wrong_group, "RV205"),
     ("wire-matrix-bounds", transversal_circuit, mutate_wire_matrix_bounds, "RV206"),
     ("row-slices-shift", transversal_circuit, mutate_row_slices, "RV207"),
     ("reset-partition", reset_circuit, mutate_reset_partition, "RV208"),
@@ -185,11 +212,11 @@ def test_mutation_is_killed_with_the_right_code(build, mutate, expected):
 
 def test_illegal_fusion_overlap_is_rv202():
     # Hand-fuse two overlapping ops into one slot: the ops still
-    # concatenate to the schedule, but the fused block is illegal.
+    # mirror the circuit's, but the fused block is illegal.
     circuit = Circuit(2, name="mut:overlap").cnot(0, 1).cnot(1, 0)
     compiled = CompiledCircuit(circuit, fuse=True)
     assert len(compiled.slots) == 2  # the compiler refuses to fuse these
-    compiled.slots = (_build_slot(list(compiled.schedule)),)
+    compiled.slots = (_build_slot([op for s in compiled.slots for op in s.ops]),)
     report = verify_compiled(circuit, compiled)
     assert report.has("RV202")
 
