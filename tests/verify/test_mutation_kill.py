@@ -95,7 +95,7 @@ def mutate_run_boundary_shift(compiled):
 
 def mutate_run_wrong_group(compiled):
     # The X ops' run names the CNOT group.
-    (first, (_, start, stop)) = compiled.slots[0].runs
+    first, (_, start, stop) = compiled.slots[0].runs
     replace_slot(compiled, 0, runs=(first, (first[0], start, stop)))
 
 
