@@ -249,12 +249,12 @@ class FusedSlot:
     execution; ``resets`` partitions reset ops by reset value so each
     value costs a single plane assignment.
 
-    ``runs`` is the slot's run table: ``(group, start, stop)`` for each
-    maximal stretch ``ops[start:stop]`` of one group, listed group by
-    group and, within a group, in op order.  Group ``g``'s wire-matrix
-    rows are exactly the ops of its runs, in that order, so the noise
-    layer scatters one batched fault draw back onto the right gate
-    instances by walking the runs.
+    ``runs`` is the slot's run table: ``(group, start, stop)`` for
+    stretches ``ops[start:stop]`` of consecutive ops of one group that
+    tile the slot's ops, listed group by group and, within a group, in
+    op order.  Group ``g``'s wire-matrix rows are exactly the ops of its
+    runs, in that order, so the noise layer scatters one batched fault
+    draw back onto the right gate instances by walking the runs.
     """
 
     is_reset: bool

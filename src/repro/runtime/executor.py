@@ -18,7 +18,7 @@ spec, in spec order.  The execution plan has three levels:
    :class:`~repro.noise.monte_carlo.NoisyRunner` runs as a one-point
    stack: each point draws and resolves its whole fault pass ONCE, the
    slot loop merely slices those tables, and all points' sites scatter
-   in one take and one store per run cell (a maximal run of one
+   in one take and one store per run cell (a stretch of one
    group's consecutive ops within a slot).  Fault *randomness* stays strictly
    per point — every point's gap-jumping pass and replacement words
    come from its own seeded generator in solo order — so, plane

@@ -27,6 +27,10 @@ def build_circuit() -> Circuit:
     return Circuit(4).cnot(0, 1).toffoli(1, 2, 3).append_reset(2, value=1)
 
 
+def build_fusable_circuit() -> Circuit:
+    return Circuit(4).cnot(0, 1).cnot(2, 3)
+
+
 class TestContentKey:
     """The public content key the cache (and the synth database) share."""
 
@@ -98,10 +102,14 @@ class TestKeying:
         assert first is not second
 
     def test_fuse_flag_is_part_of_the_key(self):
-        fused = compile_circuit(build_circuit(), fuse=True)
-        unfused = compile_circuit(build_circuit(), fuse=False)
+        # Two disjoint CNOTs share one slot when fused and take one
+        # slot each when not, so each mode must get its own entry.
+        fused = compile_circuit(build_fusable_circuit(), fuse=True)
+        unfused = compile_circuit(build_fusable_circuit(), fuse=False)
         assert fused is not unfused
-        assert compile_circuit(build_circuit(), fuse=False) is unfused
+        assert len(fused.slots) < len(fused)
+        assert len(unfused.slots) == len(unfused)
+        assert compile_circuit(build_fusable_circuit(), fuse=False) is unfused
 
 
 class TestKnobs:
@@ -118,8 +126,9 @@ class TestKnobs:
         assert compile_circuit(build_circuit(), cache=False) is not warm
 
     def test_fusion_disabled_by_flag(self):
-        compiled = compile_circuit(build_circuit(), fuse=False)
-        assert len(compiled.slots) == len(compiled)
+        assert len(compile_circuit(build_fusable_circuit()).slots) == 1
+        compiled = compile_circuit(build_fusable_circuit(), fuse=False)
+        assert len(compiled.slots) == len(compiled) == 2
 
     def test_clear_resets_counters(self):
         # Clearing empties the cache, so the next compile misses; the
