@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.circuit import Circuit
-from repro.core.gate import Gate
+from repro.core.gate import Gate, invert_table
 from repro.errors import SimulationError
 from repro.obs.metrics import counter
 
@@ -176,11 +176,8 @@ def gate_cascade(gate: Gate) -> Cascade:
     with equal tables get equal cascades.
     """
     arity, table = gate.arity, gate.table
-    inverse = [0] * len(table)
-    for pattern, image in enumerate(table):
-        inverse[image] = pattern
     forward = _merge_steps(reversed(_toffoli_gates(table, arity)))
-    backward = _merge_steps(_toffoli_gates(inverse, arity))
+    backward = _merge_steps(_toffoli_gates(invert_table(table), arity))
     return forward if _cascade_cost(forward) <= _cascade_cost(backward) else backward
 
 

@@ -14,8 +14,15 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.core.bits import Bits, bits_to_index, bitstring, index_to_bits
-from repro.core.permutation import Permutation
 from repro.errors import GateDefinitionError
+
+
+def invert_table(table: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a bijective table: ``invert_table(t)[t[i]] == i``."""
+    inverse = [0] * len(table)
+    for index, image in enumerate(table):
+        inverse[image] = index
+    return tuple(inverse)
 
 
 @dataclass(frozen=True)
@@ -39,23 +46,18 @@ class Gate:
                 f"gate {self.name!r}: table has {len(self.table)} entries, "
                 f"expected {expected}"
             )
-        # Permutation construction validates bijectivity.
-        Permutation(self.table)
+        # The library's one bijectivity check.
+        if not all(isinstance(image, int) for image in self.table) or (
+            set(self.table) != set(range(expected))
+        ):
+            raise GateDefinitionError(
+                f"gate {self.name!r}: table is not a permutation of "
+                f"range({expected})"
+            )
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def from_permutation(name: str, permutation: Permutation) -> "Gate":
-        """Wrap a permutation whose size is a power of two as a gate."""
-        size = permutation.size
-        arity = size.bit_length() - 1
-        if 1 << arity != size:
-            raise GateDefinitionError(
-                f"permutation size {size} is not a power of two"
-            )
-        return Gate(name=name, arity=arity, table=permutation.mapping)
 
     @staticmethod
     def from_function(
@@ -80,11 +82,6 @@ class Gate:
     # ------------------------------------------------------------------
     # Action
     # ------------------------------------------------------------------
-
-    @property
-    def permutation(self) -> Permutation:
-        """The gate's action as an abstract permutation."""
-        return Permutation(self.table)
 
     def apply(self, bits: Sequence[int]) -> Bits:
         """Apply the gate to a bit vector of length ``arity``."""
@@ -112,7 +109,7 @@ class Gate:
                 name = self.name[: -len("⁻¹")]
             else:
                 name = self.name + "⁻¹"
-        return Gate.from_permutation(name, self.permutation.inverse())
+        return Gate(name=name, arity=self.arity, table=invert_table(self.table))
 
     def renamed(self, name: str) -> "Gate":
         """The same action under a different name."""
@@ -128,7 +125,7 @@ class Gate:
 
     def is_identity(self) -> bool:
         """True when the gate does nothing."""
-        return self.permutation.is_identity()
+        return all(image == index for index, image in enumerate(self.table))
 
     def same_action(self, other: "Gate") -> bool:
         """Name-insensitive equality of gate behaviour."""

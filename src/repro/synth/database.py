@@ -40,7 +40,6 @@ from pathlib import Path
 
 from repro.core.circuit import Circuit, circuit_from_json, circuit_to_json
 from repro.core.gate import Gate
-from repro.core.permutation import Permutation
 from repro.core.truth_table import circuit_permutation
 from repro.errors import ReproError, SynthesisError
 from repro.synth.search import build_circuit, enumerate_canonical, placed_library
@@ -93,7 +92,7 @@ class IdentityDatabase:
                 f"database holds {self.n_wires}-wire circuits, got "
                 f"{circuit.n_wires} wires"
             )
-        mapping = circuit_permutation(circuit).mapping  # raises on resets
+        mapping = circuit_permutation(circuit)  # raises on resets
         members = self.classes.setdefault(mapping, {})
         digest = circuit.content_key()
         if digest in members:
@@ -131,7 +130,7 @@ class IdentityDatabase:
             # enumerate_canonical's mapping is exact, but every entry
             # path re-verifies by exhaustion — one contract, no
             # trusted shortcuts.
-            if circuit_permutation(circuit).mapping != mapping:
+            if circuit_permutation(circuit) != mapping:
                 raise SynthesisError(
                     "searcher action disagrees with exhaustive evaluation "
                     f"for {sequence!r}"
@@ -157,7 +156,7 @@ class IdentityDatabase:
         """Total member circuits across all classes."""
         return sum(len(members) for members in self.classes.values())
 
-    def best(self, action: Permutation | tuple[int, ...]) -> Circuit | None:
+    def best(self, action: tuple[int, ...]) -> Circuit | None:
         """The shortest known circuit with ``action``, or ``None``.
 
         Ties between equally long members break by content digest.
@@ -166,14 +165,13 @@ class IdentityDatabase:
         on a freshly constructed database — deleting a no-op window
         needs no mining.
         """
-        mapping = action.mapping if isinstance(action, Permutation) else tuple(action)
-        if len(mapping) != 1 << self.n_wires:
+        if len(action) != 1 << self.n_wires:
             raise SynthesisError(
-                f"action on {len(mapping)} patterns does not fit a "
+                f"action on {len(action)} patterns does not fit a "
                 f"{self.n_wires}-wire database"
             )
-        candidates = list(self.classes.get(mapping, {}).values())
-        if mapping == tuple(range(len(mapping))):
+        candidates = list(self.classes.get(action, {}).values())
+        if action == tuple(range(len(action))):
             candidates.append(Circuit(self.n_wires))
         if not candidates:
             return None
@@ -253,13 +251,25 @@ class IdentityDatabase:
 
         A member whose recomputed action differs from its recorded
         class raises :class:`~repro.errors.SynthesisError` — a rewrite
-        database that cannot be trusted is worse than none.
+        database that cannot be trusted is worse than none — and so does
+        well-formed JSON of the wrong shape.
         """
         path = Path(path)
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise SynthesisError(f"cannot read identity database {path}: {exc}") from exc
+        try:
+            return cls._from_payload(payload, path)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise SynthesisError(
+                f"identity database {path} has the wrong shape: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    @classmethod
+    def _from_payload(cls, payload: dict, path: Path) -> "IdentityDatabase":
+        """The database a parsed JSON document records, verified."""
         if payload.get("version") != cls.VERSION:
             raise SynthesisError(
                 f"identity database {path} has version "
@@ -279,7 +289,7 @@ class IdentityDatabase:
                     ) from exc
                 if (
                     circuit.n_wires != database.n_wires
-                    or circuit_permutation(circuit).mapping != recorded
+                    or circuit_permutation(circuit) != recorded
                 ):
                     raise SynthesisError(
                         f"identity database {path} is corrupt: a recorded "

@@ -183,7 +183,7 @@ def _window_pass(
             if located is None:
                 continue
             wires, window = located
-            mapping = circuit_permutation(window).mapping
+            mapping = circuit_permutation(window)
             replacement = database.best(mapping)
             if replacement is None:
                 continue
@@ -194,7 +194,7 @@ def _window_pass(
             # The verification contract: prove both actions equal by
             # exhaustion before splicing, independent of what the
             # database recorded.
-            if circuit_permutation(replacement).mapping != mapping:
+            if circuit_permutation(replacement) != mapping:
                 raise SynthesisError(
                     "database rewrite failed equivalence verification; "
                     "refusing to splice"

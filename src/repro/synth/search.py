@@ -1,15 +1,14 @@
 """Provably minimal reversible-circuit search.
 
 :func:`find_optimal` answers "what is the shortest circuit over this
-gate library implementing this permutation?" by iterative deepening on gate
+gate library implementing this action?" by iterative deepening on gate
 count with a bidirectional (meet-in-the-middle) frontier: depth ``d``
 is decided by hashing every ``ceil(d/2)``-gate prefix action and
 probing it against every ``floor(d/2)``-gate suffix action, so the
 searched space grows like ``ops**(d/2)`` instead of ``ops**d``.
-Frontier keys are raw permutation mapping tuples — composing two
-mapping tuples is a single Python comprehension, and the
-:class:`~repro.core.permutation.Permutation` algebra is only invoked
-at the edges.
+Frontier keys are action tables, the form of
+:attr:`~repro.core.gate.Gate.table` (entry ``i`` is the image of
+pattern ``i``): composing two is a single Python comprehension.
 
 **Canonical-order pruning.**  Ops on pairwise-disjoint wires commute
 exactly, so frontier expansion skips any extension that would place a
@@ -47,8 +46,7 @@ from itertools import permutations as wire_orderings
 
 from repro.core import library
 from repro.core.circuit import Circuit
-from repro.core.gate import Gate
-from repro.core.permutation import Permutation
+from repro.core.gate import Gate, invert_table
 from repro.core.truth_table import circuit_permutation
 from repro.errors import SynthesisError
 
@@ -113,7 +111,7 @@ def placed_library(
         for wires in wire_orderings(range(n_wires), gate.arity):
             mapping = circuit_permutation(
                 Circuit(n_wires).append_gate(gate, *wires)
-            ).mapping
+            )
             if mapping == identity or mapping in seen:
                 continue
             seen[mapping] = len(ops)
@@ -132,17 +130,10 @@ def placed_library(
             gate=op.gate,
             wires=op.wires,
             mapping=op.mapping,
-            inverse_index=seen.get(_invert(op.mapping)),
+            inverse_index=seen.get(invert_table(op.mapping)),
         )
         for op in ops
     )
-
-
-def _invert(mapping: tuple[int, ...]) -> tuple[int, ...]:
-    inverse = [0] * len(mapping)
-    for index, image in enumerate(mapping):
-        inverse[image] = index
-    return tuple(inverse)
 
 
 def _canonical_order(ops: tuple[PlacedOp, ...], earlier: int, later: int) -> bool:
@@ -255,19 +246,17 @@ def build_circuit(
 
 
 def find_optimal(
-    target: Gate | Permutation | Circuit,
+    target: Gate | Circuit,
     gate_library: tuple[Gate, ...] = DEFAULT_GATE_LIBRARY,
     max_gates: int = DEFAULT_MAX_GATES,
 ) -> SynthesisResult:
     """A minimal-gate-count circuit over ``gate_library`` implementing ``target``.
 
-    ``target`` is the permutation of all ``2**n`` patterns to build,
-    given as a gate, a reset-free circuit or a
-    :class:`~repro.core.permutation.Permutation` on 1 to
-    :data:`MAX_TARGET_WIRES` wires.  Iterative deepening guarantees the
-    returned circuit's gate count is minimal.  Raises
-    :class:`~repro.errors.SynthesisError` when no circuit of at most
-    ``max_gates`` gates matches.
+    ``target`` is the action on all ``2**n`` patterns to build, given
+    as a gate or a reset-free circuit on 1 to :data:`MAX_TARGET_WIRES`
+    wires.  Iterative deepening guarantees the returned circuit's gate
+    count is minimal.  Raises :class:`~repro.errors.SynthesisError`
+    when no circuit of at most ``max_gates`` gates matches.
 
     The Figure-1 and Figure-5 constructions fall out directly::
 
@@ -277,21 +266,12 @@ def find_optimal(
         # -> 2 SWAPs, the paper's Figure 5
     """
     if isinstance(target, Gate):
-        permutation, label = target.permutation, target.name
+        target_mapping, n_wires = target.table, target.arity
     elif isinstance(target, Circuit):
-        permutation, label = circuit_permutation(target), target.name
-    elif isinstance(target, Permutation):
-        permutation, label = target, ""
+        target_mapping, n_wires = circuit_permutation(target), target.n_wires
     else:
         raise SynthesisError(
-            f"target must be a Gate, Circuit or Permutation, got "
-            f"{type(target).__name__}"
-        )
-    target_mapping = permutation.mapping
-    n_wires = len(target_mapping).bit_length() - 1
-    if 1 << n_wires != len(target_mapping):
-        raise SynthesisError(
-            f"permutation size {len(target_mapping)} is not a power of two"
+            f"target must be a Gate or Circuit, got {type(target).__name__}"
         )
     if not 1 <= n_wires <= MAX_TARGET_WIRES:
         raise SynthesisError(
@@ -300,7 +280,7 @@ def find_optimal(
     if max_gates < 0:
         raise SynthesisError(f"max_gates must be >= 0, got {max_gates}")
     ops = placed_library(tuple(gate_library), n_wires)
-    name = f"synth:{label}" if label else "synth"
+    name = f"synth:{target.name}" if target.name else "synth"
 
     empty: Frontier = {tuple(range(len(target_mapping))): ()}
     if target_mapping in empty:
@@ -321,7 +301,7 @@ def find_optimal(
         candidates = []
         for mapping, prefix in forward[prefix_depth].items():
             # Need a suffix S with S ∘ F = target, i.e. S = target ∘ F⁻¹.
-            needed = tuple(target_mapping[i] for i in _invert(mapping))
+            needed = tuple(target_mapping[i] for i in invert_table(mapping))
             suffix = suffixes.get(needed)
             if suffix is not None:
                 candidates.append(prefix + suffix)
@@ -332,5 +312,5 @@ def find_optimal(
     raise SynthesisError(
         f"no circuit of <= {max_gates} gates over "
         f"{sorted({op.gate.name for op in ops})} matches target "
-        f"{label or repr(target_mapping)}"
+        f"{target.name or repr(target_mapping)}"
     )

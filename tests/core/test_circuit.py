@@ -15,7 +15,6 @@ from repro.core.circuit import (
     circuit_to_json,
 )
 from repro.core.gate import Gate
-from repro.core.permutation import Permutation
 from repro.errors import CircuitError, GateDefinitionError, SerializationError
 
 
@@ -184,7 +183,7 @@ class TestWireForm:
         assert rebuilt.content_key() == circuit.content_key()
 
     def test_round_trip_custom_gate_inlines_table(self):
-        rotated = Gate.from_permutation("ROT4", Permutation((1, 2, 3, 0)))
+        rotated = Gate(name="ROT4", arity=2, table=(1, 2, 3, 0))
         circuit = Circuit(2).append_gate(rotated, 0, 1)
         record = circuit_to_json(circuit)
         assert record["gates"] == [

@@ -16,7 +16,7 @@ from repro.core.simulator import run
 from repro.core.truth_table import circuit_gate, circuit_permutation
 
 
-def _target_as_permutation(gate, wire_order):
+def _target_action(gate, wire_order):
     """The target gate applied on the given wire order, as a circuit."""
     circuit = Circuit(len(wire_order))
     circuit.append_gate(gate, *wire_order)
@@ -27,7 +27,7 @@ class TestAllDecompositions:
     @pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
     def test_action_matches_target(self, name):
         circuit, gate, wire_order = DECOMPOSITIONS[name]
-        assert circuit_permutation(circuit) == _target_as_permutation(
+        assert circuit_permutation(circuit) == _target_action(
             gate, wire_order
         ), name
 
@@ -49,7 +49,7 @@ class TestSpecificConstructions:
         # wires yields the identity.
         circuit = toffoli_from_maj_circuit()
         circuit.toffoli(1, 2, 0)
-        assert circuit_permutation(circuit).is_identity()
+        assert circuit_gate(circuit, "round-trip").is_identity()
 
     def test_nand_via_maj_inv(self):
         circuit = nand_via_maj_inv_circuit()
@@ -72,12 +72,12 @@ class TestSpecificConstructions:
     def test_fredkin_construction_is_self_inverse(self):
         circuit, _, _ = DECOMPOSITIONS["fredkin"]
         doubled = circuit + circuit
-        assert circuit_permutation(doubled).is_identity()
+        assert circuit_gate(doubled, "doubled").is_identity()
 
     def test_swap3_constructions_compose_to_identity(self):
         up, _, _ = DECOMPOSITIONS["swap3_up"]
         down, _, _ = DECOMPOSITIONS["swap3_down"]
-        assert circuit_permutation(up + down).is_identity()
+        assert circuit_gate(up + down, "up-down").is_identity()
 
     def test_circuit_gate_wrapping(self):
         built = circuit_gate(maj_circuit(), "maj-built")

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.gate import Gate
-from repro.core.permutation import Permutation
 from repro.errors import GateDefinitionError
 
 gate_tables = st.permutations(list(range(8))).map(
@@ -39,10 +38,6 @@ class TestConstruction:
     def test_from_function_checks_bijectivity(self):
         with pytest.raises(GateDefinitionError):
             Gate.from_function("bad", 1, lambda bits: (0,))
-
-    def test_from_permutation_requires_power_of_two(self):
-        with pytest.raises(GateDefinitionError):
-            Gate.from_permutation("bad", Permutation((0, 1, 2)))
 
 
 class TestApplication:
@@ -89,7 +84,7 @@ class TestProperties:
     def test_self_inverse_detection(self):
         swap = Gate(name="swap", arity=2, table=(0, 2, 1, 3))
         assert swap.is_self_inverse()
-        cycle = Gate.from_permutation("rot", Permutation((1, 2, 0, 3)))
+        cycle = Gate(name="rot", arity=2, table=(1, 2, 0, 3))
         assert not cycle.is_self_inverse()
 
     def test_identity_detection(self):

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core import library
 from repro.core.circuit import Circuit
+from repro.core.gate import invert_table
 from repro.core.truth_table import (
     circuit_gate,
     circuit_permutation,
     format_truth_table,
-    truth_table_rows,
 )
 from repro.errors import SimulationError
 
@@ -21,14 +21,14 @@ class TestCircuitPermutation:
         assert circuit_gate(circuit, "fig1").same_action(library.MAJ)
 
     def test_empty_circuit_is_identity(self):
-        assert circuit_permutation(Circuit(2)).is_identity()
+        assert circuit_permutation(Circuit(2)) == (0, 1, 2, 3)
 
     def test_wire_order_respected(self):
         # CNOT with control on the later wire.
         circuit = Circuit(2).append_gate(library.CNOT, 1, 0)
-        permutation = circuit_permutation(circuit)
+        table = circuit_permutation(circuit)
         # Input (0,1): control wire 1 is set, so wire 0 flips -> (1,1).
-        assert permutation.apply(0b01) == 0b11
+        assert table[0b01] == 0b11
 
     def test_rejects_resets(self):
         with pytest.raises(SimulationError):
@@ -44,16 +44,17 @@ class TestCircuitPermutation:
         )
         forward = circuit_permutation(circuit)
         backward = circuit_permutation(circuit.inverse())
-        assert forward.compose(backward).is_identity()
+        assert backward == invert_table(forward)
 
 
 class TestRendering:
     def test_rows_for_gate_match_table_1(self):
-        assert truth_table_rows(library.MAJ) == list(library.PAPER_TABLE_1)
+        assert library.MAJ.truth_table_rows() == list(library.PAPER_TABLE_1)
 
     def test_rows_for_circuit(self):
         circuit = Circuit(1).x(0)
-        assert truth_table_rows(circuit) == [("0", "1"), ("1", "0")]
+        rows = circuit_gate(circuit, "x").truth_table_rows()
+        assert rows == [("0", "1"), ("1", "0")]
 
     def test_format_contains_all_rows(self):
         text = format_truth_table(library.MAJ)

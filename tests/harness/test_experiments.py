@@ -85,6 +85,9 @@ class TestExperimentsRecord:
         preamble, sections, ablations = split_record(RECORD_PATH.read_text())
         assert preamble.startswith("# EXPERIMENTS")
         assert list(recorded_tables(sections)) == list(REGISTRY)
+        # Headings and descriptions too: the generated part is exactly
+        # what the registry renders around its recorded tables.
+        assert render_sections(recorded_tables(sections)) == sections
         assert ablations.startswith("# Ablations\n")
         assert list(recorded_tables(ablations)) == ABLATION_IDS
 

@@ -9,7 +9,6 @@ import pytest
 from repro.core import library
 from repro.core.circuit import Circuit, circuit_to_json
 from repro.core.gate import Gate
-from repro.core.permutation import Permutation
 from repro.core.truth_table import circuit_permutation
 from repro.errors import SynthesisError
 from repro.synth.database import IdentityDatabase
@@ -44,7 +43,7 @@ class TestContentDigest:
         # repr-based digest would collide these two content-distinct
         # circuits (and the database would silently drop the second).
         impostor = library.SWAP.renamed("X2")
-        honest = Gate.from_permutation("X2", Permutation((3, 2, 1, 0)))
+        honest = Gate(name="X2", arity=2, table=(3, 2, 1, 0))
         left = Circuit(2).append_gate(impostor, 0, 1)
         right = Circuit(2).append_gate(honest, 0, 1)
         assert left.content_key() != right.content_key()
@@ -100,7 +99,7 @@ class TestAddAndQuery:
         database = IdentityDatabase(3)
         database.add(fig1_circuit())
         database.add(Circuit(3).maj(0, 1, 2))
-        best = database.best(library.MAJ.permutation)
+        best = database.best(library.MAJ.table)
         assert best is not None and len(best) == 1
 
     def test_best_identity_is_empty_without_mining(self):
@@ -151,7 +150,7 @@ class TestMining:
         lengths = sorted(len(member) for member in members.values())
         # The class holds the 1-gate MAJ and 3-gate Figure-1 members.
         assert lengths[0] == 1 and 3 in lengths
-        best = database.best(library.MAJ.permutation)
+        best = database.best(library.MAJ.table)
         assert best is not None and len(best) == 1
 
     def test_mine_caps_members_per_class(self):
@@ -197,6 +196,23 @@ class TestPersistence:
         path = tmp_path / "identities.json"
         path.write_text("not json")
         with pytest.raises(SynthesisError, match="cannot read"):
+            IdentityDatabase.load(path)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {"version": 2},
+            {"version": 2, "n_wires": 2, "classes": [{"circuits": []}]},
+            {"version": 2, "n_wires": 2, "classes": [{"mapping": ["a", 1, 2, 3]}]},
+            {"version": 2, "n_wires": "two"},
+        ],
+        ids=["list", "no-n_wires", "no-mapping", "text-image", "text-n_wires"],
+    )
+    def test_load_rejects_wrong_shape(self, tmp_path, document):
+        path = tmp_path / "identities.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SynthesisError, match="identities.json"):
             IdentityDatabase.load(path)
 
     def test_load_or_mine_mines_once_then_loads(self, tmp_path):
@@ -271,4 +287,4 @@ class TestPersistence:
 
         database = IdentityDatabase.load(DEFAULT_DATABASE_DIR / "synth_identities.json")
         assert database.n_wires == 3
-        assert database.best(library.MAJ.permutation) is not None
+        assert database.best(library.MAJ.table) is not None

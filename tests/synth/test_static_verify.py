@@ -44,10 +44,7 @@ class TestOptimizeStillSound:
         # a rewritable window must come out equivalent and verified.
         circuit = Circuit(3).cnot(0, 1).cnot(0, 1).toffoli(0, 1, 2)
         report = optimize_report(circuit, database=database())
-        assert (
-            circuit_permutation(report.circuit).mapping
-            == circuit_permutation(circuit).mapping
-        )
+        assert circuit_permutation(report.circuit) == circuit_permutation(circuit)
         assert report.verified_rewrites == (
             report.cancellations
             + report.identity_removals

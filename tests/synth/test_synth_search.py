@@ -46,7 +46,7 @@ def test_search_rediscovers_fig5_swap3():
 def test_identity_mining_covers_the_figure_1_class():
     database = IdentityDatabase(3)
     database.mine((CNOT, TOFFOLI, MAJ), max_gates=MINING_DEPTH)
-    best = database.best(MAJ.permutation)
+    best = database.best(MAJ.table)
     assert best is not None and len(best) == 1
     # The MAJ class holds both the single gate and the Figure-1
     # three-gate member — an equivalence usable as a rewrite rule.

@@ -161,7 +161,7 @@ class TestCircuitEquivalence:
                     wires.append(wire)
             circuit.append_gate(gate, *wires)
         outputs = symbolic_outputs(circuit)
-        mapping = circuit_permutation(circuit).mapping
+        mapping = circuit_permutation(circuit)
         for pattern in range(1 << n):
             bits = tuple((pattern >> (n - 1 - i)) & 1 for i in range(n))
             image = mapping[pattern]
