@@ -15,8 +15,11 @@ def wilson_interval(
 
     Behaves sensibly at 0 and ``trials`` successes, unlike the normal
     approximation, which matters for the very low logical error rates
-    this library estimates.
+    this library estimates.  ``z`` must be non-negative (a negative one
+    would swap the endpoints).
     """
+    if z < 0:
+        raise AnalysisError(f"z must be >= 0, got {z}")
     if trials <= 0:
         raise AnalysisError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:

@@ -6,6 +6,15 @@ threshold" (Section 5).  The empirical pseudo-threshold — the gate
 error where the measured logical error of one recovery level equals
 the physical error — is therefore expected at or above ``rho``.  This
 module estimates it by bisection over Monte-Carlo estimates.
+
+:func:`find_pseudo_threshold_adaptive` runs every point — the two
+bracket endpoints together, then one midpoint per round — through one
+escalation loop: a 1/16-budget stage, then the full budget only while
+the point's Wilson interval straddles the identity line, each stage one
+stacked :class:`~repro.runtime.executor.Executor` call.  Its one
+prefetch rule: a stage that has to run brings the first stage of the
+next possible midpoints into its batch, unless it is the final stage,
+so a full-budget stage never runs on speculation.
 """
 
 from __future__ import annotations
@@ -36,11 +45,10 @@ _PROCESSOR_CACHE: dict[int, LogicalProcessor] = {}
 #: cycles (MAJ then MAJ⁻¹ leave it unchanged).
 _CYCLE_INPUT = (1, 0, 1)
 
-# Search-shape metrics (repro.obs): how many rounds and stage
-# evaluations the adaptive search spends, and how much of its
-# speculative prefetching the bisection never consumed.  Observational
-# only — the search's numbers are pinned bit-identical regardless.
-_ROUNDS = counter("threshold.rounds")
+# Search-shape metrics (repro.obs): how many stage evaluations the
+# adaptive search spends, and how much of its speculative prefetching
+# the bisection never consumed.  Observational only — the search's
+# numbers are pinned bit-identical regardless.
 _STAGE_EVALS = counter("threshold.stage_evaluations")
 _SPECULATED = counter("threshold.speculated")
 _SPECULATION_WASTED = counter("threshold.speculation_wasted")
@@ -120,7 +128,12 @@ def per_cycle_rate(failures: int, trials: int, cycles: int) -> float:
         raise AnalysisError(
             f"failures ({failures}) must be within [0, trials={trials}]"
         )
-    return 1.0 - (1.0 - failures / trials) ** (1.0 / (2 * cycles))
+    return _per_gate_cycle(failures / trials, 2 * cycles)
+
+
+def _per_gate_cycle(per_run: float, gate_cycles: int) -> float:
+    """A per-run failure rate over ``gate_cycles`` gate cycles, per cycle."""
+    return 1.0 - (1.0 - per_run) ** (1.0 / gate_cycles)
 
 
 def measure_cycle_errors(
@@ -177,9 +190,9 @@ def _interval_sign(
     low, high = wilson_interval(failures, n, z)
     # The interval bounds the per-run rate; push it through the same
     # (monotone) per-cycle normalisation the point estimate uses.
-    if 1.0 - (1.0 - high) ** (1.0 / gate_cycles) < gate_error:
+    if _per_gate_cycle(high, gate_cycles) < gate_error:
         return -1
-    if 1.0 - (1.0 - low) ** (1.0 / gate_cycles) > gate_error:
+    if _per_gate_cycle(low, gate_cycles) > gate_error:
         return 1
     return 0
 
@@ -227,80 +240,6 @@ def cycle_stage_spec(
     return cycle_error_specs(((gate_error, seed),), n_trials, cycles, include_resets)[0]
 
 
-class _StackedStageEvaluator:
-    """Evaluates batches of search stages as one stacked Executor run.
-
-    A *request* is ``(candidate, stage, gate_error)``; results are
-    cached under the same key, so the round planner can speculatively
-    request both children of a midpoint and the unused branch is simply
-    never re-run.  Every request's spec carries the pre-spawned stage
-    seed of the evaluation slot it fills, so a point's result does not
-    depend on which requests share its stacked call — stacking is an
-    execution detail, never a statistical one.
-    """
-
-    def __init__(self, spec_builder, stages, seed_tuples, cycles, policy):
-        self.spec_builder = spec_builder
-        self.stages = stages
-        self.seed_tuples = seed_tuples
-        self.cycles = cycles
-        self.executor = Executor(policy)
-        self.results: dict[tuple[int, int, float], tuple[float, int]] = {}
-        #: Requests evaluated on speculation vs requests the search
-        #: actually read — their difference is the wasted prefetch the
-        #: ``threshold.speculation_wasted`` counter reports.
-        self.speculative: set[tuple[int, int, float]] = set()
-        self.consumed: set[tuple[int, int, float]] = set()
-
-    def __contains__(self, request) -> bool:
-        return request in self.results
-
-    def __getitem__(self, request) -> tuple[float, int]:
-        result = self.results[request]
-        self.consumed.add(request)
-        return result
-
-    def run_batch(self, requests, speculative=()) -> None:
-        """Evaluate all not-yet-cached requests in one stacked call.
-
-        ``speculative`` names the subset requested on speculation (the
-        round planner prefetching points the bisection may never
-        consume) — bookkeeping only, execution is identical.
-        """
-        pending = [
-            request
-            for request in dict.fromkeys(requests)
-            if request not in self.results
-        ]
-        if not pending:
-            return
-        _STAGE_EVALS.inc(len(pending))
-        fresh_speculation = [r for r in speculative if r in pending]
-        self.speculative.update(fresh_speculation)
-        _SPECULATED.inc(len(fresh_speculation))
-        specs = []
-        for candidate, stage, gate_error in pending:
-            n = self.stages[stage]
-            spec = self.spec_builder(
-                gate_error, n, self.seed_tuples[candidate][stage]
-            )
-            if spec.trials != n:
-                raise AnalysisError(
-                    f"spec_builder returned {spec.trials} trials for a "
-                    f"{n}-trial stage at g={gate_error:.3g}; the stage "
-                    "budget is not negotiable"
-                )
-            specs.append(spec)
-        for request, result in zip(pending, self.executor.run(specs)):
-            n = self.stages[request[1]]
-            self.results[request] = (
-                per_cycle_rate(result.failures, n, self.cycles),
-                result.failures,
-            )
-
-
-
-
 def find_pseudo_threshold_adaptive(
     lower: float,
     upper: float,
@@ -333,21 +272,13 @@ def find_pseudo_threshold_adaptive(
     ``functools.partial(cycle_stage_spec, cycles=3)``, not the bare
     builder.
 
-    The search runs as stacked rounds on
-    :class:`~repro.runtime.executor.Executor` under ``policy``, one call
-    per round instead of one per stage:
-
-    * the bracket round stacks both endpoints' first stages with the
-      first midpoint's (speculation: the bisection needs that midpoint
-      whenever the bracket validates); undecided endpoints escalate
-      jointly;
-    * a bisection round whose midpoint still needs its first stage
-      stacks it with the two *next possible* midpoints — the low-side
-      and high-side children, whose circuits are identical — and the
-      unused branch is discarded;
-    * escalation stages (whose sign may stop the whole search at the
-      budget's statistical resolution) run as their own stacked call,
-      so no full-budget stage is ever evaluated speculatively.
+    Each stage is one stacked call on
+    :class:`~repro.runtime.executor.Executor` under ``policy``, with the
+    module's one prefetch rule: a stage that has to run and is not the
+    final one also runs the next possible midpoints' first stage — the
+    bracket's first midpoint, or a midpoint's low-side and high-side
+    children, whose circuits are identical.  The bisection reads one of
+    them; the other is discarded.
 
     Per-stage seeds are spawned from ``seed`` per evaluation *slot*
     (the two bracket endpoints, then one slot per bisection iteration),
@@ -359,6 +290,10 @@ def find_pseudo_threshold_adaptive(
         raise AnalysisError(f"need 0 <= lower < upper <= 1, got {lower}, {upper}")
     if trials < 1:
         raise AnalysisError(f"trials must be >= 1, got {trials}")
+    if iterations < 0:
+        raise AnalysisError(f"iterations must be >= 0, got {iterations}")
+    if z < 0:
+        raise AnalysisError(f"z must be >= 0, got {z}")
     with trace(
         "threshold.search",
         lower=lower,
@@ -368,53 +303,76 @@ def find_pseudo_threshold_adaptive(
     ) as span:
         stages = _search_stages(trials)
         final_stage = len(stages) - 1
-        gate_cycles = 2 * cycles
-        evaluator = _StackedStageEvaluator(
-            spec_builder,
-            stages,
-            _spawn_stage_seeds(seed, stages, iterations),
-            cycles,
-            policy if policy is not None else ExecutionPolicy.from_env(),
-        )
+        slot_seeds = _spawn_stage_seeds(seed, stages, iterations)
+        executor = Executor(policy)
+        # (slot, stage, g) -> failures.  Prefetched keys the search never
+        # read are its ``threshold.speculation_wasted``.
+        failures: dict[tuple[int, int, float], int] = {}
+        speculated: set[tuple[int, int, float]] = set()
+        read: set[tuple[int, int, float]] = set()
 
-        with trace("threshold.bracket", lower=lower, upper=upper) as bracket_span:
-            batch = [(0, 0, lower), (1, 0, upper)]
-            speculated = []
-            if iterations >= 1:
-                speculated = [(2, 0, (lower + upper) / 2.0)]
-                batch.extend(speculated)
-            evaluator.run_batch(batch, speculative=speculated)
-            rates = {}
-            signs = {0: 0, 1: 0}
-            trials_spent = 0
-            undecided = [(0, lower), (1, upper)]
+        def escalate(points, prefetch):
+            """Run ``(slot, g)`` points stage by stage until each separates.
+
+            Returns ``{slot: (rate, sign)}`` at each point's last stage
+            (sign 0 if the budget ran out first) and the trials read.
+            """
+            outcome = {}
+            spent = 0
             for stage, n in enumerate(stages):
-                evaluator.run_batch(
-                    [(candidate, stage, g) for candidate, g in undecided]
-                )
-                still = []
-                for candidate, g in undecided:
-                    rates[candidate], failures = evaluator[(candidate, stage, g)]
-                    trials_spent += n
-                    signs[candidate] = _interval_sign(g, failures, n, z, gate_cycles)
-                    if signs[candidate] == 0 and stage < final_stage:
-                        still.append((candidate, g))
-                undecided = still
-                if not undecided:
+                keys = [(slot, stage, g) for slot, g in points]
+                batch = [key for key in keys if key not in failures]
+                if batch:
+                    if stage < final_stage:
+                        guesses = [(slot, 0, g) for slot, g in prefetch]
+                        guesses = [key for key in guesses if key not in failures]
+                        speculated.update(guesses)
+                        _SPECULATED.inc(len(guesses))
+                        batch += guesses
+                    _STAGE_EVALS.inc(len(batch))
+                    specs = [
+                        spec_builder(g, stages[k], slot_seeds[slot][k])
+                        for slot, k, g in batch
+                    ]
+                    for (slot, k, g), spec in zip(batch, specs):
+                        if spec.trials != stages[k]:
+                            raise AnalysisError(
+                                f"spec_builder returned {spec.trials} trials for "
+                                f"a {stages[k]}-trial stage at g={g:.3g}; the "
+                                "stage budget is not negotiable"
+                            )
+                    for key, result in zip(batch, executor.run(specs)):
+                        failures[key] = result.failures
+                read.update(keys)
+                undecided = []
+                for (slot, g), key in zip(points, keys):
+                    sign = _interval_sign(g, failures[key], n, z, 2 * cycles)
+                    outcome[slot] = (per_cycle_rate(failures[key], n, cycles), sign)
+                    spent += n
+                    if sign == 0:
+                        undecided.append((slot, g))
+                points = undecided
+                if not points:
                     break
+            return outcome, spent
+
+        first_midpoint = [(2, (lower + upper) / 2.0)] if iterations else []
+        with trace("threshold.bracket", lower=lower, upper=upper) as bracket_span:
+            ends, trials_spent = escalate([(0, lower), (1, upper)], first_midpoint)
             bracket_span.set(spent=trials_spent)
+            (rate_low, sign_low), (rate_high, sign_high) = ends[0], ends[1]
             # An endpoint the full budget cannot separate (sign 0) falls
             # back to the point estimate, so tiny budgets still get a
             # best-effort search; only an endpoint on the wrong side of
             # the identity line is a caller error.
-            if signs[0] > 0 or (signs[0] == 0 and rates[0] >= lower):
+            if sign_low > 0 or (sign_low == 0 and rate_low >= lower):
                 raise AnalysisError(
-                    f"error rate {rates[0]:.3g} at g={lower:.3g} is not below "
+                    f"error rate {rate_low:.3g} at g={lower:.3g} is not below "
                     "identity; lower the bracket"
                 )
-            if signs[1] < 0 or (signs[1] == 0 and rates[1] < upper):
+            if sign_high < 0 or (sign_high == 0 and rate_high < upper):
                 raise AnalysisError(
-                    f"error rate {rates[1]:.3g} at g={upper:.3g} is not above "
+                    f"error rate {rate_high:.3g} at g={upper:.3g} is not above "
                     "identity; raise the bracket"
                 )
 
@@ -423,32 +381,20 @@ def find_pseudo_threshold_adaptive(
         low, high = lower, upper
         for iteration in range(iterations):
             middle = (low + high) / 2.0
-            candidate = 2 + iteration
-            _ROUNDS.inc()
+            slot = 2 + iteration
+            children = []
+            if iteration + 1 < iterations:
+                # Unless this round stops the search, one of these is
+                # the next round's midpoint.
+                children = [
+                    (slot + 1, (low + middle) / 2.0),
+                    (slot + 1, (middle + high) / 2.0),
+                ]
             with trace(
                 "threshold.round", iteration=iteration, middle=middle
             ) as round_span:
-                spent = 0
-                for stage, n in enumerate(stages):
-                    key = (candidate, stage, middle)
-                    if key not in evaluator:
-                        batch = [key]
-                        speculated = []
-                        if stage < final_stage and iteration + 1 < iterations:
-                            # Unless this round's final stage stops the
-                            # search, one of these is the next round's
-                            # midpoint.
-                            speculated = [
-                                (candidate + 1, 0, (low + middle) / 2.0),
-                                (candidate + 1, 0, (middle + high) / 2.0),
-                            ]
-                            batch.extend(speculated)
-                        evaluator.run_batch(batch, speculative=speculated)
-                    _, failures = evaluator[key]
-                    spent += n
-                    sign = _interval_sign(middle, failures, n, z, gate_cycles)
-                    if sign:
-                        break
+                outcome, spent = escalate([(slot, middle)], children)
+                _, sign = outcome[slot]
                 round_span.set(sign=sign, spent=spent)
             evaluations += 1
             trials_spent += spent
@@ -467,14 +413,14 @@ def find_pseudo_threshold_adaptive(
             trials_spent=trials_spent,
             resolution_limited=resolution_limited,
         )
-        wasted = len(evaluator.speculative - evaluator.consumed)
+        wasted = len(speculated - read)
         _SPECULATION_WASTED.inc(wasted)
         span.set(
             estimate=result.estimate,
             evaluations=result.evaluations,
             trials_spent=result.trials_spent,
             resolution_limited=result.resolution_limited,
-            speculated=len(evaluator.speculative),
+            speculated=len(speculated),
             speculation_wasted=wasted,
         )
     return result

@@ -41,7 +41,7 @@ from pathlib import Path
 from repro.core.circuit import Circuit, circuit_from_json, circuit_to_json
 from repro.core.gate import Gate
 from repro.core.truth_table import circuit_permutation
-from repro.errors import ReproError, SynthesisError
+from repro.errors import ReproError, SimulationError, SynthesisError
 from repro.synth.search import build_circuit, enumerate_canonical, placed_library
 
 #: Default persistence home: this package, next to the loader.
@@ -275,10 +275,10 @@ class IdentityDatabase:
                 f"identity database {path} has version "
                 f"{payload.get('version')!r}, expected {cls.VERSION}"
             )
-        database = cls(int(payload["n_wires"]))
+        database = cls(_plain_int(payload["n_wires"], path))
         database.metadata = dict(payload.get("metadata", {}))
         for record in payload.get("classes", []):
-            recorded = tuple(int(image) for image in record["mapping"])
+            recorded = tuple(_plain_int(image, path) for image in record["mapping"])
             for circuit_record in record.get("circuits", []):
                 try:
                     circuit = circuit_from_json(circuit_record)
@@ -287,10 +287,14 @@ class IdentityDatabase:
                         f"identity database {path} holds a malformed "
                         f"circuit record: {exc}"
                     ) from exc
-                if (
-                    circuit.n_wires != database.n_wires
-                    or circuit_permutation(circuit) != recorded
-                ):
+                try:
+                    action = circuit_permutation(circuit)
+                except SimulationError as exc:  # resets, or too wide
+                    raise SynthesisError(
+                        f"identity database {path} holds a member whose "
+                        f"action cannot be verified: {exc}"
+                    ) from exc
+                if circuit.n_wires != database.n_wires or action != recorded:
                     raise SynthesisError(
                         f"identity database {path} is corrupt: a recorded "
                         "member does not implement its class action"
@@ -302,3 +306,13 @@ class IdentityDatabase:
                     circuit.content_key(), circuit
                 )
         return database
+
+
+def _plain_int(value, path: Path) -> int:
+    """``value`` if it is an int; a float or a bool is refused, not cast."""
+    if type(value) is not int:
+        raise SynthesisError(
+            f"identity database {path} has the wrong shape: "
+            f"expected an integer, got {value!r}"
+        )
+    return value

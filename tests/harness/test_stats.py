@@ -58,6 +58,12 @@ class TestWilson:
         with pytest.raises(AnalysisError):
             wilson_interval(11, 10)
 
+    def test_negative_z_refused(self):
+        # Regression: z=-1 returned (0.458, 0.179), low above high.
+        with pytest.raises(AnalysisError, match="z must be >= 0"):
+            wilson_interval(3, 10, z=-1.0)
+        assert wilson_interval(3, 10, z=0.0) == pytest.approx((0.3, 0.3))
+
 
 class TestRateEstimate:
     def test_rate(self):

@@ -18,6 +18,7 @@ from repro.harness.threshold_finder import (
     per_cycle_rate,
 )
 from repro.errors import AnalysisError
+from repro.obs.metrics import counter
 from repro.runtime.executor import Executor
 from repro.runtime.spec import ExecutionPolicy, PointResult, RunSpec
 
@@ -278,6 +279,41 @@ class TestStackedSearch:
                 upper=upper,
                 trials=trials,
             )
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [(dict(iterations=-1), "iterations"), (dict(z=-1.0), "z must be")],
+        ids=["negative-iterations", "negative-z"],
+    )
+    def test_negative_arguments_refused_before_any_run(self, monkeypatch, bad, match):
+        # Regression: iterations=-1 raised a bare IndexError from the
+        # seed lookup, and z=-1 failed on a misleading bracket error.
+        def no_run(self, specs):
+            raise AssertionError("the search ran before validating")
+
+        monkeypatch.setattr(Executor, "run", no_run)
+        with pytest.raises(AnalysisError, match=match):
+            find_pseudo_threshold_adaptive(
+                spec_builder=cycle_stage_spec,
+                lower=2e-3,
+                upper=8e-2,
+                trials=1000,
+                **bad,
+            )
+
+    def test_one_stage_budget_never_speculates(self):
+        # At trials=1 the ladder is one stage, which is the final one,
+        # so the bracket runs without its first-midpoint prefetch
+        # (which used to run a full-budget stage on speculation).
+        kwargs = dict(
+            lower=2e-3, upper=0.9, trials=1, iterations=3, seed=5,
+            spec_builder=cycle_stage_spec,
+        )
+        speculated = counter("threshold.speculated")
+        before = speculated.snapshot()
+        stacked = find_pseudo_threshold_adaptive(**kwargs)
+        assert speculated.snapshot() - before == 0
+        assert stacked == sequential_pseudo_threshold(**kwargs)
 
     def test_exactly_one_workload_form(self):
         # The search takes a spec builder only; a positional evaluator

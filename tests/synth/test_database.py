@@ -206,8 +206,31 @@ class TestPersistence:
             {"version": 2, "n_wires": 2, "classes": [{"circuits": []}]},
             {"version": 2, "n_wires": 2, "classes": [{"mapping": ["a", 1, 2, 3]}]},
             {"version": 2, "n_wires": "two"},
+            {"version": 2, "n_wires": 2.7},
+            {"version": 2, "n_wires": True},
+            {"version": 2, "n_wires": 2, "classes": [{"mapping": [0.5, 1, 2, 3]}]},
+            {
+                "version": 2,
+                "n_wires": 2,
+                "classes": [
+                    {
+                        "mapping": [0, 1, 2, 3],
+                        "circuits": [circuit_to_json(Circuit(2).append_reset(0))],
+                    }
+                ],
+            },
         ],
-        ids=["list", "no-n_wires", "no-mapping", "text-image", "text-n_wires"],
+        ids=[
+            "list",
+            "no-n_wires",
+            "no-mapping",
+            "text-image",
+            "text-n_wires",
+            "fractional-n_wires",
+            "bool-n_wires",
+            "fractional-image",
+            "reset-member",
+        ],
     )
     def test_load_rejects_wrong_shape(self, tmp_path, document):
         path = tmp_path / "identities.json"
