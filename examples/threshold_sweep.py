@@ -66,10 +66,10 @@ def main(trials: int = 40000) -> None:
     )
     print()
 
-    # The spec-builder form runs the bisection as STACKED rounds on the
-    # runtime layer: bracket endpoints plus the speculative first
-    # midpoint share one plane array, and each round batches its
-    # pending escalation stage with the two next possible midpoints —
+    # The bisection runs each escalation stage as one STACKED run on
+    # the runtime layer: the bracket endpoints together, then each
+    # round's midpoint.  A stage that has to run, unless it is the
+    # final one, also runs the next possible midpoints' first stage —
     # a handful of stacked executions, bit-identical to evaluating the
     # stages one solo run at a time.
     result = find_pseudo_threshold_adaptive(

@@ -727,11 +727,11 @@ def experiment_baseline() -> Outcome:
 )
 def experiment_mc_threshold() -> Outcome:
     trials = min(trial_budget(), 100000)
-    # The search runs as stacked rounds on the runtime layer: bracket
-    # endpoints plus the speculative first midpoint in one plane array,
-    # then each bisection round's pending stage batched with the two
-    # next possible midpoints.  Identical numbers to the sequential
-    # per-stage evaluation (each candidate keeps its pre-spawned stage
+    # Each escalation stage is one stacked run: the bracket endpoints
+    # together, then each round's midpoint.  A stage that has to run,
+    # unless it is the final one, also runs the next possible
+    # midpoints' first stage.  Identical numbers to the sequential
+    # per-stage evaluation (each slot keeps its pre-spawned stage
     # seeds), in a handful of stacked executions instead of dozens of
     # solo runs.
     result = find_pseudo_threshold_adaptive(
