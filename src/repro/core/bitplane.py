@@ -187,51 +187,39 @@ class BitplaneState:
     ) -> None:
         """Apply one gate cascade to ``k`` stacked gate instances, in place.
 
-        ``wire_matrix`` has shape ``(k, arity)``; column ``i`` selects
-        the planes at gate position ``i`` of every instance, so each
-        step is one ``(k, n_words)`` pass instead of ``k``.  Instances
-        must touch pairwise disjoint wires (guaranteed by the fusion
-        pass).
-
-        A position with a ``row_slices`` entry (from
-        :class:`~repro.core.compiled.SlotGroup`) is a plane *view*, and
-        the steps update it where it lies — the transversal and
-        per-codeword patterns always qualify, and a single-instance
-        group (``k == 1``) is all views.  Any other position is a
-        gathered copy, scattered back once if some step targets it.
+        ``wire_matrix`` has shape ``(k, arity)``, one row of wires per
+        instance.  Instances must touch pairwise disjoint wires
+        (guaranteed by the fusion pass).  With ``row_slices`` (one slice
+        per position, from :class:`~repro.core.compiled.SlotGroup`) each
+        step is one pass over the ``(k, n_words)`` plane views of every
+        instance; without, the cascade is walked instance by instance
+        on single-plane views.  Either way the steps update the planes
+        where they lie.
         """
         planes = self.planes
-        blocks = []
-        gathered = []
-        for i in range(wire_matrix.shape[1]):
-            view = row_slices[i] if row_slices else None
-            if view is None:
-                gathered.append(i)
-                blocks.append(planes[wire_matrix[:, i]])
-            else:
-                blocks.append(planes[view])
+        if row_slices:
+            instances = [[planes[view] for view in row_slices]]
+        else:
+            instances = [[planes[w] for w in row] for row in wire_matrix.tolist()]
+        # One scratch buffer serves every AND monomial of every instance:
+        # this runs on whole stacked batches, so allocations are the cost.
         scratch = None
-        for target, invert, monomials in cascade:
-            block = blocks[target]
-            for monomial in monomials:
-                if len(monomial) == 1:
-                    block ^= blocks[monomial[0]]
-                    continue
-                # One scratch buffer serves every AND monomial: this
-                # runs on whole stacked batches, so allocations are
-                # the cost.
-                if scratch is None:
-                    scratch = np.bitwise_and(blocks[monomial[0]], blocks[monomial[1]])
-                else:
-                    np.bitwise_and(blocks[monomial[0]], blocks[monomial[1]], out=scratch)
-                for position in monomial[2:]:
-                    scratch &= blocks[position]
-                block ^= scratch
-            if invert:
-                np.invert(block, out=block)
-        for i in gathered:
-            if any(step[0] == i for step in cascade):
-                planes[wire_matrix[:, i]] = blocks[i]
+        for blocks in instances:
+            for target, invert, monomials in cascade:
+                block = blocks[target]
+                for monomial in monomials:
+                    if len(monomial) == 1:
+                        block ^= blocks[monomial[0]]
+                        continue
+                    if scratch is None:
+                        scratch = np.bitwise_and(blocks[monomial[0]], blocks[monomial[1]])
+                    else:
+                        np.bitwise_and(blocks[monomial[0]], blocks[monomial[1]], out=scratch)
+                    for position in monomial[2:]:
+                        scratch &= blocks[position]
+                    block ^= scratch
+                if invert:
+                    np.invert(block, out=block)
 
     def reset(self, wires: Sequence[int], value: int = 0) -> None:
         """Reset wires to ``value`` on every trial."""

@@ -20,14 +20,13 @@ that lowering once per gate:
   reset) into :class:`FusedSlot` records, which are the compiled
   program's only record of its ops.  Within a slot, ops with an
   identical cascade are stacked into one :class:`SlotGroup` whose
-  ``(k, arity)`` wire matrix lets the engine walk the cascade once over
-  ``k`` gate instances — the transversal gates and per-codeword
-  recovery cycles of the fault-tolerant constructions fuse three wide
-  this way — and the slot's *run table* says which slot ops each
-  group's rows are.  Because the fused ops commute (disjoint wires),
-  executing the slot as a block and injecting each op's faults
-  afterwards is bit-identical to applying the ops one by one; only the
-  *order of RNG draws* changes.
+  ``(k, arity)`` wire matrix is applied as one unit — the transversal
+  gates and per-codeword recovery cycles of the fault-tolerant
+  constructions fuse three wide this way — and the slot's *run table*
+  says which slot ops each group's rows are.  Because the fused ops
+  commute (disjoint wires), executing the slot as a block and injecting
+  each op's faults afterwards is bit-identical to applying the ops one
+  by one; only the *order of RNG draws* changes.
 
 Compiled programs are cached process-wide by :func:`compile_circuit`,
 keyed on circuit *content* (wire count plus the exact operation
@@ -201,38 +200,31 @@ class SlotGroup:
     """Ops of one slot sharing a cascade, stacked for one apply.
 
     ``wire_matrix`` has shape ``(k, arity)``: row ``j`` holds the wires
-    of the ``j``-th stacked gate instance.  Fancy-indexing the state's
-    planes with a column of this matrix yields a ``(k, n_words)`` block,
-    so the whole group costs one cascade walk regardless of ``k``.
+    of the ``j``-th stacked gate instance.
 
-    ``row_slices`` holds one ``slice`` per gate position whenever that
+    ``row_slices`` holds one ``slice`` per gate position when every
     position's wires form an arithmetic progression with positive step
     (the transversal and per-codeword patterns always do — stride 9),
-    so the walk updates plane *views* in place instead of gathered
-    copies; positions that don't qualify carry ``None``.
+    and is ``()`` otherwise.  With slices the walk passes each step
+    once over ``(k, n_words)`` plane views; without, it walks the
+    cascade instance by instance on single-plane views.  Either way the
+    planes are updated where they lie.
     """
 
     program: Cascade
     wire_matrix: np.ndarray
-    row_slices: tuple[slice | None, ...] = ()
+    row_slices: tuple[slice, ...] = ()
 
 
-def _column_slices(wire_matrix: np.ndarray) -> tuple[slice | None, ...]:
-    """A basic-slice view per wire-matrix column, where one exists."""
+def _column_slices(wire_matrix: np.ndarray) -> tuple[slice, ...]:
+    """A basic-slice view for every wire-matrix column, or ``()``."""
     k = wire_matrix.shape[0]
-    slices: list[slice | None] = []
-    for column in wire_matrix.T:
-        if k == 1:
-            slices.append(slice(int(column[0]), int(column[0]) + 1))
-            continue
-        step = int(column[1]) - int(column[0])
-        if step > 0 and all(
-            int(column[j + 1]) - int(column[j]) == step for j in range(k - 1)
-        ):
-            start = int(column[0])
-            slices.append(slice(start, start + k * step, step))
-        else:
-            slices.append(None)
+    slices: list[slice] = []
+    for column in wire_matrix.T.tolist():
+        step = column[1] - column[0] if k > 1 else 1
+        if step <= 0 or any(b - a != step for a, b in zip(column, column[1:])):
+            return ()
+        slices.append(slice(column[0], column[0] + k * step, step))
     return tuple(slices)
 
 

@@ -4,17 +4,20 @@ Everything a published number can flow through: one single-gate
 circuit per library gate (so every table and every lowered program is
 covered), every :data:`~repro.core.decompositions.DECOMPOSITIONS`
 entry (the synthesized constructions, applied to their target wires),
-and the paper's recovery cycle with and without its ancilla resets —
-the circuit whose transversal structure exercises multi-op fused slots
-and stacked groups three wide.
+the paper's recovery cycle with and without its ancilla resets — the
+circuit whose transversal structure exercises multi-op fused slots and
+stacked groups three wide — and the ``mc-threshold`` cycle, whose
+recoveries on the layouts its transversal MAJ and MAJ⁻¹ leave behind
+stack groups without slice views.
 """
 
 from __future__ import annotations
 
 from repro.coding.concatenation import recovery_circuit
+from repro.coding.logical import LogicalProcessor
 from repro.core.circuit import Circuit
 from repro.core.decompositions import DECOMPOSITIONS
-from repro.core.library import REGISTRY
+from repro.core.library import MAJ, MAJ_INV, REGISTRY
 
 __all__ = ["corpus"]
 
@@ -34,4 +37,8 @@ def corpus() -> list[tuple[str, Circuit]]:
     entries.append(
         ("recovery:EL-no-resets", recovery_circuit(include_resets=False))
     )
+    cycle = LogicalProcessor(3, include_resets=True, name="cycle:mc-threshold")
+    cycle.apply(MAJ, 0, 1, 2)
+    cycle.apply(MAJ_INV, 0, 1, 2)
+    entries.append(("cycle:mc-threshold", cycle.circuit))
     return entries

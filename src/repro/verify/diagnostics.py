@@ -76,7 +76,7 @@ CODES: dict[str, str] = {
     "RV204": "(retired) op_group/op_row bookkeeping is inconsistent",
     "RV205": "slot group rows or cascade do not match its run ops",
     "RV206": "stacked wire-matrix index out of wire bounds",
-    "RV207": "row_slices view disagrees with its wire-matrix column",
+    "RV207": "row_slices is not one slice view per wire-matrix column",
     "RV208": "reset partition disagrees with the slot's reset ops",
     "RV209": "slot runs do not tile its ops group by group in op order",
     # --- IR verifier: semantic equivalence ----------------------------

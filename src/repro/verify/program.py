@@ -16,15 +16,15 @@ three layers, each symbolic over GF(2) polynomials
    so the lowering cannot vouch for itself.
 2. **Slot structure** (``RV201``–``RV209``): every slot must be legal
    (one error class, pairwise-disjoint wires, in-bounds stacked
-   indices, faithful ``row_slices``, reset partitions matching the
-   reset ops), and its run table — the one the fault kernel scatters
+   indices, ``row_slices`` one faithful view per column or none at
+   all, reset partitions matching the reset ops), and its run table — the one the fault kernel scatters
    by — must tile its ops group by group in op order, each group's
    rows and cascade being its run ops'.
 3. **Slot transfer functions** (``RV300``): each slot, executed by the
-   engines' stacked semantics (walk the shared cascade once over every
-   group row, in place on view positions and on gathered copies of the
-   others) over *fresh variables per wire*, must equal the same ops
-   applied sequentially from the gate tables.
+   slot walk's two orders (a group with slice views passes each step
+   over every row, any other group walks its cascade row by row, in
+   place either way) over *fresh variables per wire*, must equal the
+   same ops applied sequentially from the gate tables.
 
 The fresh-variables-per-slot device is what keeps this linear: a
 whole-circuit ANF composition grows exponentially on nonlinear
@@ -106,13 +106,13 @@ def apply_slot_symbolic(polys: list, slot) -> None:
 def apply_group_symbolic(polys: list, group) -> None:
     """Apply one stacked slot group to a symbolic state, in place.
 
-    The runtime's order: gather the positions without a row slice, walk
-    the steps (each over every row) on views and gathered copies, then
-    scatter the targeted gathered positions position-major — so
-    aliasing behaves identically.
+    The runtime's two orders: a group with ``row_slices`` passes each
+    step over every row before the next step, any other group walks
+    the whole cascade one row at a time — so aliasing behaves
+    identically.
     """
     k, arity = group.wire_matrix.shape
-    wires = [[int(w) for w in group.wire_matrix[row]] for row in range(k)]
+    wires = group.wire_matrix.tolist()
     for row in range(k):
         for position in range(arity):
             if not 0 <= wires[row][position] < len(polys):
@@ -120,31 +120,16 @@ def apply_group_symbolic(polys: list, group) -> None:
                     f"wire_matrix[{row}, {position}] = {wires[row][position]} "
                     f"outside the {len(polys)}-wire state"
                 )
-    gathered = {
-        position: [polys[wires[row][position]] for row in range(k)]
-        for position in range(arity)
-        if not group.row_slices or group.row_slices[position] is None
-    }
     if not isinstance(group.program, tuple):
         raise VerificationError(f"malformed cascade: {group.program!r}")
-    for step in group.program:
-        for row in range(k):
-            inputs = [
-                gathered[position][row]
-                if position in gathered
-                else polys[wires[row][position]]
-                for position in range(arity)
-            ]
-            target, value = cascade_step_poly(step, inputs)
-            if target in gathered:
-                gathered[target][row] = value
-            else:
-                polys[wires[row][target]] = value
-    targets = {step[0] for step in group.program}
-    for position, column in gathered.items():
-        if position in targets:
-            for row in range(k):
-                polys[wires[row][position]] = column[row]
+    if group.row_slices:
+        order = [(row, step) for step in group.program for row in range(k)]
+    else:
+        order = [(row, step) for row in range(k) for step in group.program]
+    for row, step in order:
+        inputs = [polys[wire] for wire in wires[row]]
+        target, value = cascade_step_poly(step, inputs)
+        polys[wires[row][target]] = value
 
 
 def slot_op_partition(compiled: CompiledCircuit) -> list[tuple[int, int]]:
@@ -348,21 +333,20 @@ def _verify_one_slot(slot, n_wires, where, report) -> bool:
                     f"{len(group.row_slices)} row_slices for arity {arity}",
                 )
                 sound = False
-            else:
-                for position, view in enumerate(group.row_slices):
-                    if view is None:
-                        continue
-                    step = view.step if view.step is not None else 1
-                    indices = list(range(view.start, view.stop, step))
-                    column = [int(w) for w in group.wire_matrix[:, position]]
-                    if indices != column:
-                        report.error(
-                            "RV207",
-                            f"{where} group {group_index}",
-                            f"row_slices[{position}] covers {indices}, "
-                            f"column holds {column}",
-                        )
-                        sound = False
+            for position, view in enumerate(group.row_slices[:arity]):
+                column = group.wire_matrix[:, position].tolist()
+                # A partial set of views (a ``None`` entry) is refused:
+                # the walk takes views for every position or for none.
+                if isinstance(view, slice):
+                    view = list(range(n_wires)[view])
+                if view != column:
+                    report.error(
+                        "RV207",
+                        f"{where} group {group_index}",
+                        f"row_slices[{position}] covers {view!r}, "
+                        f"column holds {column}",
+                    )
+                    sound = False
 
     if slot.is_reset:
         by_value: dict[int, list[int]] = {}

@@ -16,8 +16,9 @@ gates of arity 1-4:
    instance and stacked two wide.
 3. Lowering commutes with inversion: the cascade of ``gate.inverse()``
    undoes the cascade of ``gate`` on random bit planes.
-4. A stacked group whose positions mix plane views and gathered copies
-   equals walking its rows one at a time.
+4. Slice views are all or nothing: a stacked group whose columns are
+   not all arithmetic progressions gets none, and walking it instance
+   by instance equals walking its rows one at a time.
 5. ``MAJ`` lowers to exactly the paper's Figure 1, ``MAJ⁻¹`` to its
    reverse, and an identity gate to the empty cascade.
 """
@@ -190,13 +191,15 @@ class TestLoweringInvolution:
 
 class TestMixedViewGroups:
     # Three stacked instances: positions 0 and 2 take arithmetic
-    # progressions (plane views), position 1 does not (a gathered copy).
+    # progressions, position 1 does not, so the group gets no views.
     WIRES = np.array([[0, 5, 6], [1, 3, 7], [2, 4, 8]], dtype=np.intp)
 
-    def test_positions_mix_views_and_gathers(self):
-        slices = _column_slices(self.WIRES)
-        assert slices[0] is not None and slices[2] is not None
-        assert slices[1] is None
+    def test_partial_progressions_get_no_views(self):
+        assert _column_slices(self.WIRES) == ()
+        assert _column_slices(self.WIRES[:, [0, 2]]) == (
+            slice(0, 3, 1),
+            slice(6, 9, 1),
+        )
 
     @pytest.mark.parametrize(
         "name", sorted(n for n, g in LOWERED_GATES.items() if g.arity == 3)

@@ -22,6 +22,7 @@ from repro.core.compiled import compile_circuit
 from repro.core.library import REGISTRY
 from repro.core.simulator import run
 from repro.errors import SimulationError
+from repro.harness.threshold_finder import cycle_processor
 from tests.conftest import reference_outputs
 
 GATES = tuple(REGISTRY.values())
@@ -91,6 +92,30 @@ class TestBatchEquivalenceBeyondExhaustive:
         rng = np.random.default_rng(3000)
         circuit = random_circuit(rng, 8, n_ops=30)
         rows = rng.integers(0, 2, size=(321, 8), dtype=np.uint8)
+        bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
+        np.testing.assert_array_equal(bitplane.array, reference_outputs(circuit, rows))
+
+
+class TestSweepCircuitWalk:
+    """The 3-cycle sweep circuit: groups walked on both kinds of view.
+
+    Its recovery cycles and transversal MAJ/MAJ⁻¹ stack groups whose
+    columns are arithmetic progressions (one ``(k, n_words)`` pass per
+    step) and groups whose columns are not (walked instance by
+    instance on single-plane views).
+    """
+
+    def test_circuit_has_both_kinds_of_group(self):
+        compiled = compile_circuit(cycle_processor(3).circuit)
+        groups = [g for slot in compiled.slots if not slot.is_reset for g in slot.groups]
+        assert any(g.row_slices and len(g.wire_matrix) > 1 for g in groups)
+        assert any(not g.row_slices for g in groups)
+
+    @pytest.mark.parametrize("trials", [1, 65, 640])
+    def test_random_rows_equal_reference(self, trials):
+        circuit = cycle_processor(3).circuit
+        rng = np.random.default_rng(4000 + trials)
+        rows = rng.integers(0, 2, size=(trials, circuit.n_wires), dtype=np.uint8)
         bitplane = compile_circuit(circuit).run(BitplaneState.from_rows(rows))
         np.testing.assert_array_equal(bitplane.array, reference_outputs(circuit, rows))
 

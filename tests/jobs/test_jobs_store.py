@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import JobError
-from repro.harness.threshold_finder import cycle_error_specs
+from repro.harness.threshold_finder import cycle_error_specs, cycle_stage_spec
 from repro.jobs import store as jobs_store
 from repro.jobs.caching import CachingExecutor
 from repro.jobs.store import (
@@ -19,7 +20,7 @@ from repro.jobs.store import (
     point_address,
 )
 from repro.runtime.executor import Executor
-from repro.runtime.spec import ExecutionPolicy, PointResult
+from repro.runtime.spec import DecodeObservable, ExecutionPolicy, PointResult
 from tests.conftest import CounterDeltas, MALFORMED_RESULTS, malform_result, reshape
 
 
@@ -304,6 +305,24 @@ class TestCachingExecutor:
         assert caching.run(specs) == first
         assert self._split(counts) == (1, 1)
         assert len(caching.store) == 1
+
+    def test_more_failures_than_faulted_trials_round_trips(self, tmp_path, policy):
+        # A fault-free trial ends in the noiseless output, which fails
+        # when the expected word is not that output.  So a legitimate
+        # result can count more failures than faulted trials, and the
+        # store must serve it rather than call it stale.
+        spec = cycle_stage_spec(0.001, 2000, 5)
+        spec = dataclasses.replace(
+            spec, observable=DecodeObservable(spec.observable.decoder, (0, 1, 0))
+        )
+        caching = CachingExecutor(ResultStore(tmp_path), policy=policy)
+        counts = CounterDeltas()
+        (first,) = caching.run([spec])
+        assert first == PointResult(failures=2000, trials=2000, faulted_trials=106)
+        again = CachingExecutor(ResultStore(tmp_path), policy=policy)
+        assert again.run([spec]) == [first]
+        assert self._split(counts) == (1, 1)
+        assert counts["jobs.store.stale"] == 0
 
     def test_generator_seed_bypasses_the_store(self, tmp_path, policy):
         (spec,) = _specs(1)

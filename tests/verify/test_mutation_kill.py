@@ -25,8 +25,8 @@ def transversal_circuit() -> Circuit:
 
 
 def scattered_circuit() -> Circuit:
-    # Non-AP target column (5, 3, 4) so stacked gathers need fancy
-    # indexing rather than slice views.
+    # Non-AP target column (5, 3, 4), so the stacked group has no slice
+    # views and is walked instance by instance.
     return Circuit(6, name="mut:scatter").cnot(0, 5).cnot(1, 3).cnot(2, 4)
 
 
@@ -116,6 +116,12 @@ def mutate_row_slices(compiled):
     )
 
 
+def mutate_partial_row_slices(compiled):
+    # Drop one column's view: views are one per column or none at all.
+    group = compiled.slots[0].groups[0]
+    replace_group(compiled, 0, 0, row_slices=(None,) + group.row_slices[1:])
+
+
 def mutate_reset_partition(compiled):
     slot = compiled.slots[0]
     resets = tuple(
@@ -179,6 +185,7 @@ MUTATIONS = [
     ("run-wrong-group", mixed_circuit, mutate_run_wrong_group, "RV205"),
     ("wire-matrix-bounds", transversal_circuit, mutate_wire_matrix_bounds, "RV206"),
     ("row-slices-shift", transversal_circuit, mutate_row_slices, "RV207"),
+    ("row-slices-partial", transversal_circuit, mutate_partial_row_slices, "RV207"),
     ("reset-partition", reset_circuit, mutate_reset_partition, "RV208"),
     ("semantic-wire-swap", transversal_circuit, mutate_semantic_wire_swap, "RV300"),
     ("scattered-wire-swap", scattered_circuit, mutate_semantic_wire_swap, "RV300"),
